@@ -619,44 +619,43 @@ private:
                                   const tune::TuneKey& key,
                                   bool* from_table) const;
 
-  /// Full gemm/trsm pipelines with an explicit layout state; the public
-  /// buffer overloads forward with layout 0, the packed-handle overloads
-  /// with layout 1.
-  template <class T, int Bytes>
-  BatchHealth gemm_at(Op op_a, Op op_b, T alpha, const CompactBuffer<T>& a,
-                      const CompactBuffer<T>& b, T beta, CompactBuffer<T>& c,
-                      std::uint8_t layout);
-  template <class T, int Bytes>
-  BatchHealth trsm_at(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
-                      const CompactBuffer<T>& a, CompactBuffer<T>& b,
-                      std::uint8_t layout);
+  // --- One call pipeline (DESIGN.md section 11.6) ----------------------
+  // Every op runs through the same two templates, parameterised by the
+  // compile-time op traits in src/core/engine_ops.hpp (detail::GemmOp,
+  // TrsmOp, FactorOp). Dispatch is fully static.
 
-  template <class T, int Bytes>
-  BatchHealth guarded_gemm(const GemmShape& shape, T alpha,
-                           const CompactBuffer<T>& a,
-                           const CompactBuffer<T>& b, T beta,
-                           CompactBuffer<T>& c, ExecPolicy policy,
-                           ThreadPool* pool, const Deadline* deadline,
-                           std::uint8_t layout);
-  template <class T, int Bytes>
-  BatchHealth guarded_trsm(const TrsmShape& shape, T alpha,
-                           const CompactBuffer<T>& a, CompactBuffer<T>& b,
-                           ExecPolicy policy, ThreadPool* pool,
-                           const Deadline* deadline, std::uint8_t layout);
+  /// One call: admission, breaker, plan, verify, execute, transient
+  /// retry, lane repair and reference fallback. `layout` is the plan's
+  /// layout state (0 = raw buffers, 1 = packed handles).
+  template <class Traits>
+  BatchHealth call(const typename Traits::Segment& seg, std::uint8_t layout);
 
-  /// Admission + deadline + policy dispatch for one factorisation call
-  /// (the factor analogue of gemm_at); `factor_execute` is the post-
-  /// admission core shared with factor_grouped.
-  template <class T, int Bytes>
-  BatchHealth factor_dispatch(const factor::FactorShape& shape,
-                              CompactBuffer<T>& a, std::uint8_t layout);
-  template <class T, int Bytes>
-  BatchHealth factor_execute(const factor::FactorShape& shape,
-                             CompactBuffer<T>& a, ExecPolicy policy,
-                             const Deadline* deadline, std::uint8_t layout);
-  template <class T, int Bytes>
-  BatchHealth ref_route_factor(const factor::FactorShape& shape,
-                               CompactBuffer<T>& a, DegradeEvent event);
+  /// A grouped call: one admission slot, one plan and breaker slot per
+  /// size class, interleaved execution, and a whole-call fallback (no
+  /// retry) when execution fails.
+  template <class Traits>
+  std::vector<BatchHealth>
+  grouped(std::span<const typename Traits::Segment> segments);
+
+  /// Serve one whole call on the scalar reference path, recording the
+  /// degradation. Used for quarantined plans, Open breaker slots and
+  /// DegradeToRef admission.
+  template <class Traits>
+  BatchHealth ref_route(const typename Traits::Segment& seg,
+                        const typename Traits::Shape& shape,
+                        DegradeEvent event);
+
+  /// The plan-cache key of a descriptor; its hash is also the breaker
+  /// slot of the descriptor class.
+  template <class Traits>
+  static PlanKey plan_key(const typename Traits::Shape& shape,
+                          std::uint8_t layout);
+
+  /// Count one degraded call that recomputed `lanes` lanes.
+  void note_degraded(std::uint64_t lanes) noexcept {
+    degraded_calls_.fetch_add(1, std::memory_order_relaxed);
+    fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
+  }
 
   /// Count one non-empty grouped call that resolved `distinct` plans.
   void record_grouped_plans(std::size_t distinct) noexcept;
@@ -688,32 +687,9 @@ private:
   template <class T, int Bytes>
   bool run_trsm_canary(const resilience::KernelUse& use);
 
-  template <class T, int Bytes>
-  static PlanKey gemm_plan_key(const GemmShape& shape,
-                               std::uint8_t layout = 0);
-  template <class T, int Bytes>
-  static PlanKey trsm_plan_key(const TrsmShape& shape,
-                               std::uint8_t layout = 0);
-  template <class T, int Bytes>
-  static PlanKey factor_plan_key(const factor::FactorShape& shape,
-                                 std::uint8_t layout);
-
   /// Drop every cached entry referencing a quarantined kernel (their
   /// descriptor classes rebuild through single-flight on the next miss).
   void invalidate_quarantined_plans();
-
-  /// Serve one whole call on the scalar reference path, recording the
-  /// degradation. Used for quarantined plans, Open breaker slots and
-  /// DegradeToRef admission.
-  template <class T, int Bytes>
-  BatchHealth ref_route_gemm(const GemmShape& shape, T alpha,
-                             const CompactBuffer<T>& a,
-                             const CompactBuffer<T>& b, T beta,
-                             CompactBuffer<T>& c, DegradeEvent event);
-  template <class T, int Bytes>
-  BatchHealth ref_route_trsm(const TrsmShape& shape, T alpha,
-                             const CompactBuffer<T>& a, CompactBuffer<T>& b,
-                             DegradeEvent event);
 
   template <class T, int Bytes>
   std::size_t self_test_type();
@@ -728,6 +704,10 @@ private:
 
   /// breaker_.record + journal when the call tripped the slot Open.
   void record_breaker(std::size_t slot_hash, bool degraded, bool probe);
+
+  /// Force one breaker slot Open and journal the watchdog reclaim
+  /// (trip_gemm_class / trip_trsm_class).
+  void trip_slot(std::size_t slot_hash, int cooldown_calls);
 
   CacheInfo cache_;
   std::atomic<ExecPolicy> policy_{ExecPolicy::Fast};

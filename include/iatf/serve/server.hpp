@@ -342,12 +342,6 @@ private:
                       std::uint64_t epoch);
   void execute_batch(
       std::vector<std::shared_ptr<detail::Request>> batch) noexcept;
-  template <class T>
-  void run_coalesced_gemm(
-      std::vector<std::shared_ptr<detail::Request>>& batch);
-  template <class T>
-  void run_coalesced_trsm(
-      std::vector<std::shared_ptr<detail::Request>>& batch);
   void cancel_queued(std::unique_lock<std::mutex>& lk);
   void join_dispatcher();
   Tenant& tenant_for(TenantId id); ///< mu_ held
@@ -360,9 +354,6 @@ private:
   /// trip the class breaker. `lk` held on entry/exit, released around
   /// the resolutions.
   void reclaim_inflight(std::unique_lock<std::mutex>& lk);
-  /// Force the stalled request's descriptor class Open on the engine's
-  /// breaker (journaled to the health ledger by the engine).
-  void trip_class(const detail::Request& r);
   void stop_watchdog();
 
   Engine& engine_;

@@ -590,110 +590,54 @@ IATF_DEFINE_BUFFER(c, iatf_cbuf, std::complex<float>, float)
 IATF_DEFINE_BUFFER(z, iatf_zbuf, std::complex<double>, double)
 #undef IATF_DEFINE_BUFFER
 
-extern "C" int iatf_sgemm_compact(iatf_op op_a, iatf_op op_b, float alpha,
-                                  const iatf_sbuf* a, const iatf_sbuf* b,
-                                  float beta, iatf_sbuf* c) {
-  return guarded_blas(gemm_detail('s', op_a, op_b, a, c), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,
-               "iatf_sgemm_compact: null buffer");
-    return iatf::compact_gemm<float>(to_op(op_a), to_op(op_b), alpha, a->buf,
-                              b->buf, beta, c->buf);
-  });
-}
+// Scalar adaptor for the per-dtype shims below: KIND REAL passes a T
+// scalar through; KIND CX takes it as a (re, im) pair of the real type
+// and assembles the std::complex. Strided storage is passed as the real
+// type and cast (a no-op for real T; for complex T the pairs are
+// interleaved, which std::complex guarantees layout-wise).
+#define IATF_PARAM_REAL(T, SCALAR, name) T name
+#define IATF_VALUE_REAL(T, name) name
+#define IATF_PARAM_CX(T, SCALAR, name) SCALAR name##_re, SCALAR name##_im
+#define IATF_VALUE_CX(T, name) T{name##_re, name##_im}
+#define IATF_PARAM(KIND, T, SCALAR, name) IATF_PARAM_##KIND(T, SCALAR, name)
+#define IATF_VALUE(KIND, T, name) IATF_VALUE_##KIND(T, name)
 
-extern "C" int iatf_dgemm_compact(iatf_op op_a, iatf_op op_b, double alpha,
-                                  const iatf_dbuf* a, const iatf_dbuf* b,
-                                  double beta, iatf_dbuf* c) {
-  return guarded_blas(gemm_detail('d', op_a, op_b, a, c), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,
-               "iatf_dgemm_compact: null buffer");
-    return iatf::compact_gemm<double>(to_op(op_a), to_op(op_b), alpha, a->buf,
-                               b->buf, beta, c->buf);
-  });
-}
+#define IATF_DEFINE_COMPACT_BLAS(P, BUF, T, SCALAR, KIND)                     \
+  extern "C" int iatf_##P##gemm_compact(                                      \
+      iatf_op op_a, iatf_op op_b, IATF_PARAM(KIND, T, SCALAR, alpha),         \
+      const BUF* a, const BUF* b, IATF_PARAM(KIND, T, SCALAR, beta),          \
+      BUF* c) {                                                               \
+    return guarded_blas(gemm_detail(*#P, op_a, op_b, a, c), [&] {             \
+      IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,                \
+                 "iatf_" #P "gemm_compact: null buffer");                     \
+      return iatf::compact_gemm<T>(                                           \
+          to_op(op_a), to_op(op_b), IATF_VALUE(KIND, T, alpha), a->buf,       \
+          b->buf, IATF_VALUE(KIND, T, beta), c->buf);                         \
+    });                                                                       \
+  }                                                                           \
+  extern "C" int iatf_##P##trsm_compact(                                      \
+      iatf_side side, iatf_uplo uplo, iatf_op op_a, iatf_diag diag,           \
+      IATF_PARAM(KIND, T, SCALAR, alpha), const BUF* a, BUF* b) {             \
+    return guarded_blas(trsm_detail(*#P, side, uplo, op_a, diag, b), [&] {    \
+      IATF_CHECK(a != nullptr && b != nullptr,                                \
+                 "iatf_" #P "trsm_compact: null buffer");                     \
+      return iatf::compact_trsm<T>(to_side(side), to_uplo(uplo),              \
+                                   to_op(op_a), to_diag(diag),                \
+                                   IATF_VALUE(KIND, T, alpha), a->buf,        \
+                                   b->buf);                                   \
+    });                                                                       \
+  }
 
-extern "C" int iatf_cgemm_compact(iatf_op op_a, iatf_op op_b,
-                                  float alpha_re, float alpha_im,
-                                  const iatf_cbuf* a, const iatf_cbuf* b,
-                                  float beta_re, float beta_im,
-                                  iatf_cbuf* c) {
-  return guarded_blas(gemm_detail('c', op_a, op_b, a, c), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,
-               "iatf_cgemm_compact: null buffer");
-    return iatf::compact_gemm<std::complex<float>>(
-        to_op(op_a), to_op(op_b), {alpha_re, alpha_im}, a->buf, b->buf,
-        {beta_re, beta_im}, c->buf);
-  });
-}
-
-extern "C" int iatf_zgemm_compact(iatf_op op_a, iatf_op op_b,
-                                  double alpha_re, double alpha_im,
-                                  const iatf_zbuf* a, const iatf_zbuf* b,
-                                  double beta_re, double beta_im,
-                                  iatf_zbuf* c) {
-  return guarded_blas(gemm_detail('z', op_a, op_b, a, c), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,
-               "iatf_zgemm_compact: null buffer");
-    return iatf::compact_gemm<std::complex<double>>(
-        to_op(op_a), to_op(op_b), {alpha_re, alpha_im}, a->buf, b->buf,
-        {beta_re, beta_im}, c->buf);
-  });
-}
-
-extern "C" int iatf_strsm_compact(iatf_side side, iatf_uplo uplo,
-                                  iatf_op op_a, iatf_diag diag,
-                                  float alpha, const iatf_sbuf* a,
-                                  iatf_sbuf* b) {
-  return guarded_blas(trsm_detail('s', side, uplo, op_a, diag, b), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr,
-               "iatf_strsm_compact: null buffer");
-    return iatf::compact_trsm<float>(to_side(side), to_uplo(uplo), to_op(op_a),
-                              to_diag(diag), alpha, a->buf, b->buf);
-  });
-}
-
-extern "C" int iatf_dtrsm_compact(iatf_side side, iatf_uplo uplo,
-                                  iatf_op op_a, iatf_diag diag,
-                                  double alpha, const iatf_dbuf* a,
-                                  iatf_dbuf* b) {
-  return guarded_blas(trsm_detail('d', side, uplo, op_a, diag, b), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr,
-               "iatf_dtrsm_compact: null buffer");
-    return iatf::compact_trsm<double>(to_side(side), to_uplo(uplo), to_op(op_a),
-                               to_diag(diag), alpha, a->buf, b->buf);
-  });
-}
-
-extern "C" int iatf_ctrsm_compact(iatf_side side, iatf_uplo uplo,
-                                  iatf_op op_a, iatf_diag diag,
-                                  float alpha_re, float alpha_im,
-                                  const iatf_cbuf* a, iatf_cbuf* b) {
-  return guarded_blas(trsm_detail('c', side, uplo, op_a, diag, b), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr,
-               "iatf_ctrsm_compact: null buffer");
-    return iatf::compact_trsm<std::complex<float>>(
-        to_side(side), to_uplo(uplo), to_op(op_a), to_diag(diag),
-        {alpha_re, alpha_im}, a->buf, b->buf);
-  });
-}
-
-extern "C" int iatf_ztrsm_compact(iatf_side side, iatf_uplo uplo,
-                                  iatf_op op_a, iatf_diag diag,
-                                  double alpha_re, double alpha_im,
-                                  const iatf_zbuf* a, iatf_zbuf* b) {
-  return guarded_blas(trsm_detail('z', side, uplo, op_a, diag, b), [&] {
-    IATF_CHECK(a != nullptr && b != nullptr,
-               "iatf_ztrsm_compact: null buffer");
-    return iatf::compact_trsm<std::complex<double>>(
-        to_side(side), to_uplo(uplo), to_op(op_a), to_diag(diag),
-        {alpha_re, alpha_im}, a->buf, b->buf);
-  });
-}
+IATF_DEFINE_COMPACT_BLAS(s, iatf_sbuf, float, float, REAL)
+IATF_DEFINE_COMPACT_BLAS(d, iatf_dbuf, double, double, REAL)
+IATF_DEFINE_COMPACT_BLAS(c, iatf_cbuf, std::complex<float>, float, CX)
+IATF_DEFINE_COMPACT_BLAS(z, iatf_zbuf, std::complex<double>, double, CX)
+#undef IATF_DEFINE_COMPACT_BLAS
 
 // Grouped entry points: convert the C segment arrays into the C++
 // scheduler segments over the opaque buffers' CompactBuffers. Real and
 // complex variants differ only in how the scalars are assembled.
-#define IATF_DEFINE_GEMM_GROUPED(P, T, /*unpack scalars*/...)                       \
+#define IATF_DEFINE_GEMM_GROUPED(P, T, KIND)                                 \
   extern "C" int iatf_##P##gemm_grouped(                                     \
       const iatf_##P##gemm_segment* segments, int64_t group_count) {         \
     return guarded_grouped(grouped_detail('g', *#P, group_count), [&] {      \
@@ -710,7 +654,8 @@ extern "C" int iatf_ztrsm_compact(iatf_side side, iatf_uplo uplo,
             segs[static_cast<std::size_t>(i)];                               \
         out.op_a = to_op(in.op_a);                                           \
         out.op_b = to_op(in.op_b);                                           \
-        __VA_ARGS__;                                                         \
+        out.alpha = IATF_VALUE(KIND, T, in.alpha);                           \
+        out.beta = IATF_VALUE(KIND, T, in.beta);                             \
         out.a = &in.a->buf;                                                  \
         out.b = &in.b->buf;                                                  \
         out.c = &in.c->buf;                                                  \
@@ -719,25 +664,13 @@ extern "C" int iatf_ztrsm_compact(iatf_side side, iatf_uplo uplo,
     });                                                                      \
   }
 
-IATF_DEFINE_GEMM_GROUPED(s, float, {
-  out.alpha = in.alpha;
-  out.beta = in.beta;
-})
-IATF_DEFINE_GEMM_GROUPED(d, double, {
-  out.alpha = in.alpha;
-  out.beta = in.beta;
-})
-IATF_DEFINE_GEMM_GROUPED(c, std::complex<float>, {
-  out.alpha = {in.alpha_re, in.alpha_im};
-  out.beta = {in.beta_re, in.beta_im};
-})
-IATF_DEFINE_GEMM_GROUPED(z, std::complex<double>, {
-  out.alpha = {in.alpha_re, in.alpha_im};
-  out.beta = {in.beta_re, in.beta_im};
-})
+IATF_DEFINE_GEMM_GROUPED(s, float, REAL)
+IATF_DEFINE_GEMM_GROUPED(d, double, REAL)
+IATF_DEFINE_GEMM_GROUPED(c, std::complex<float>, CX)
+IATF_DEFINE_GEMM_GROUPED(z, std::complex<double>, CX)
 #undef IATF_DEFINE_GEMM_GROUPED
 
-#define IATF_DEFINE_TRSM_GROUPED(P, T, /*unpack scalars*/...)                       \
+#define IATF_DEFINE_TRSM_GROUPED(P, T, KIND)                                 \
   extern "C" int iatf_##P##trsm_grouped(                                     \
       const iatf_##P##trsm_segment* segments, int64_t group_count) {         \
     return guarded_grouped(grouped_detail('t', *#P, group_count), [&] {      \
@@ -756,7 +689,7 @@ IATF_DEFINE_GEMM_GROUPED(z, std::complex<double>, {
         out.uplo = to_uplo(in.uplo);                                         \
         out.op_a = to_op(in.op_a);                                           \
         out.diag = to_diag(in.diag);                                         \
-        __VA_ARGS__;                                                         \
+        out.alpha = IATF_VALUE(KIND, T, in.alpha);                           \
         out.a = &in.a->buf;                                                  \
         out.b = &in.b->buf;                                                  \
       }                                                                      \
@@ -764,14 +697,10 @@ IATF_DEFINE_GEMM_GROUPED(z, std::complex<double>, {
     });                                                                      \
   }
 
-IATF_DEFINE_TRSM_GROUPED(s, float, { out.alpha = in.alpha; })
-IATF_DEFINE_TRSM_GROUPED(d, double, { out.alpha = in.alpha; })
-IATF_DEFINE_TRSM_GROUPED(c, std::complex<float>, {
-  out.alpha = {in.alpha_re, in.alpha_im};
-})
-IATF_DEFINE_TRSM_GROUPED(z, std::complex<double>, {
-  out.alpha = {in.alpha_re, in.alpha_im};
-})
+IATF_DEFINE_TRSM_GROUPED(s, float, REAL)
+IATF_DEFINE_TRSM_GROUPED(d, double, REAL)
+IATF_DEFINE_TRSM_GROUPED(c, std::complex<float>, CX)
+IATF_DEFINE_TRSM_GROUPED(z, std::complex<double>, CX)
 #undef IATF_DEFINE_TRSM_GROUPED
 
 extern "C" int iatf_set_plan_tuning(const iatf_plan_tuning* tuning) {
@@ -879,195 +808,10 @@ extern "C" int iatf_tune_load(const char* path) {
   });
 }
 
-// Packed-layout handles and batched factorisations (s/d). The packed
+// Packed-layout handles and batched factorisations (s/d/c/z). The packed
 // compute shims reuse guarded_blas so hazard reporting matches the
 // _compact routines; the handle-validity checks live in the engine.
-#define IATF_DEFINE_PACKED(P, PACKED, BUF, T, DTYPE)                          \
-  extern "C" PACKED* iatf_##P##pack(const T* src, int64_t rows,               \
-                                    int64_t cols, int64_t ld,                 \
-                                    int64_t matrix_stride, int64_t batch) {   \
-    PACKED* out = nullptr;                                                    \
-    const int rc = guarded([&] {                                              \
-      out = new PACKED{iatf::Engine::default_engine().pack<T>(                \
-          src, rows, cols, ld, matrix_stride, batch,                          \
-          iatf::simd::active_pack_width<T>())};                               \
-    });                                                                       \
-    return rc == 0 ? out : nullptr;                                           \
-  }                                                                           \
-  extern "C" int iatf_##P##repack(PACKED* p, const T* src, int64_t ld,        \
-                                  int64_t matrix_stride) {                    \
-    return guarded([&] {                                                      \
-      IATF_CHECK(p != nullptr, "iatf_" #P "repack: null handle");             \
-      iatf::Engine::default_engine().repack<T>(p->h, src, ld,                 \
-                                               matrix_stride);                \
-    });                                                                       \
-  }                                                                           \
-  extern "C" int iatf_##P##unpack(const PACKED* p, T* dst, int64_t ld,        \
-                                  int64_t matrix_stride) {                    \
-    return guarded([&] {                                                      \
-      IATF_CHECK(p != nullptr, "iatf_" #P "unpack: null handle");             \
-      iatf::Engine::default_engine().unpack<T>(p->h, dst, ld,                 \
-                                               matrix_stride);                \
-    });                                                                       \
-  }                                                                           \
-  extern "C" void iatf_##P##free_packed(PACKED* p) { delete p; }              \
-  extern "C" int64_t iatf_##P##packed_rows(const PACKED* p) {                 \
-    return p != nullptr ? p->h.rows() : -1;                                   \
-  }                                                                           \
-  extern "C" int64_t iatf_##P##packed_cols(const PACKED* p) {                 \
-    return p != nullptr ? p->h.cols() : -1;                                   \
-  }                                                                           \
-  extern "C" int64_t iatf_##P##packed_batch(const PACKED* p) {                \
-    return p != nullptr ? p->h.batch() : -1;                                  \
-  }                                                                           \
-  extern "C" uint64_t iatf_##P##packed_epoch(const PACKED* p) {               \
-    return p != nullptr ? p->h.epoch() : 0;                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##gemm_packed(iatf_op op_a, iatf_op op_b, T alpha,   \
-                                       const PACKED* a, const PACKED* b,      \
-                                       T beta, PACKED* c) {                   \
-    iatf_error_detail d = blank_detail();                                     \
-    d.op = 'g';                                                               \
-    d.dtype = DTYPE;                                                          \
-    d.op_a = static_cast<int>(op_a);                                          \
-    d.op_b = static_cast<int>(op_b);                                          \
-    if (c != nullptr) {                                                       \
-      d.m = c->h.rows();                                                      \
-      d.n = c->h.cols();                                                      \
-      d.batch = c->h.batch();                                                 \
-    }                                                                         \
-    return guarded_blas(d, [&] {                                              \
-      IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,                \
-                 "iatf_" #P "gemm_packed: null handle");                      \
-      return iatf::dispatch_width<T>(c->h.pack_width(), [&](auto bytes) {     \
-        return iatf::Engine::default_engine()                                 \
-            .gemm<T, decltype(bytes)::value>(to_op(op_a), to_op(op_b),        \
-                                             alpha, a->h, b->h, beta, c->h);  \
-      });                                                                     \
-    });                                                                       \
-  }                                                                           \
-  extern "C" int iatf_##P##trsm_packed(iatf_side side, iatf_uplo uplo,        \
-                                       iatf_op op_a, iatf_diag diag,          \
-                                       T alpha, const PACKED* a,              \
-                                       PACKED* b) {                           \
-    iatf_error_detail d = blank_detail();                                     \
-    d.op = 't';                                                               \
-    d.dtype = DTYPE;                                                          \
-    d.op_a = static_cast<int>(op_a);                                          \
-    d.side = static_cast<int>(side);                                          \
-    d.uplo = static_cast<int>(uplo);                                          \
-    d.diag = static_cast<int>(diag);                                          \
-    if (b != nullptr) {                                                       \
-      d.m = b->h.rows();                                                      \
-      d.n = b->h.cols();                                                      \
-      d.batch = b->h.batch();                                                 \
-    }                                                                         \
-    return guarded_blas(d, [&] {                                              \
-      IATF_CHECK(a != nullptr && b != nullptr,                                \
-                 "iatf_" #P "trsm_packed: null handle");                      \
-      return iatf::dispatch_width<T>(b->h.pack_width(), [&](auto bytes) {     \
-        return iatf::Engine::default_engine()                                 \
-            .trsm<T, decltype(bytes)::value>(to_side(side), to_uplo(uplo),    \
-                                             to_op(op_a), to_diag(diag),      \
-                                             alpha, a->h, b->h);              \
-      });                                                                     \
-    });                                                                       \
-  }                                                                           \
-  extern "C" int iatf_##P##potrf_batch(BUF* a) {                              \
-    return guarded_blas(                                                      \
-        factor_detail('p', DTYPE, a != nullptr ? a->buf.rows() : 0,           \
-                      a != nullptr ? a->buf.batch() : 0, -1, -1),             \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "potrf_batch: null buffer");    \
-          return iatf::dispatch_width<T>(                                    \
-              a->buf.pack_width(), [&](auto bytes) {                          \
-                return iatf::Engine::default_engine()                         \
-                    .potrf_batch<T, decltype(bytes)::value>(a->buf);          \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##getrfnp_batch(BUF* a) {                            \
-    return guarded_blas(                                                      \
-        factor_detail('l', DTYPE, a != nullptr ? a->buf.rows() : 0,           \
-                      a != nullptr ? a->buf.batch() : 0, -1, -1),             \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr,                                            \
-                     "iatf_" #P "getrfnp_batch: null buffer");                \
-          return iatf::dispatch_width<T>(                                    \
-              a->buf.pack_width(), [&](auto bytes) {                          \
-                return iatf::Engine::default_engine()                         \
-                    .getrf_nopiv_batch<T, decltype(bytes)::value>(a->buf);    \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##trtri_batch(iatf_uplo uplo, iatf_diag diag,        \
-                                       BUF* a) {                              \
-    return guarded_blas(                                                      \
-        factor_detail('i', DTYPE, a != nullptr ? a->buf.rows() : 0,           \
-                      a != nullptr ? a->buf.batch() : 0,                      \
-                      static_cast<int>(uplo), static_cast<int>(diag)),        \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "trtri_batch: null buffer");    \
-          return iatf::dispatch_width<T>(                                    \
-              a->buf.pack_width(), [&](auto bytes) {                          \
-                return iatf::Engine::default_engine()                         \
-                    .trtri_batch<T, decltype(bytes)::value>(                  \
-                        to_uplo(uplo), to_diag(diag), a->buf);                \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##potrf_packed(PACKED* a) {                          \
-    return guarded_blas(                                                      \
-        factor_detail('p', DTYPE, a != nullptr ? a->h.rows() : 0,             \
-                      a != nullptr ? a->h.batch() : 0, -1, -1),               \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "potrf_packed: null handle");   \
-          return iatf::dispatch_width<T>(                                    \
-              a->h.pack_width(), [&](auto bytes) {                            \
-                return iatf::Engine::default_engine()                         \
-                    .potrf_batch<T, decltype(bytes)::value>(a->h);            \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##getrfnp_packed(PACKED* a) {                        \
-    return guarded_blas(                                                      \
-        factor_detail('l', DTYPE, a != nullptr ? a->h.rows() : 0,             \
-                      a != nullptr ? a->h.batch() : 0, -1, -1),               \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr,                                            \
-                     "iatf_" #P "getrfnp_packed: null handle");               \
-          return iatf::dispatch_width<T>(                                    \
-              a->h.pack_width(), [&](auto bytes) {                            \
-                return iatf::Engine::default_engine()                         \
-                    .getrf_nopiv_batch<T, decltype(bytes)::value>(a->h);      \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##trtri_packed(iatf_uplo uplo, iatf_diag diag,       \
-                                        PACKED* a) {                          \
-    return guarded_blas(                                                      \
-        factor_detail('i', DTYPE, a != nullptr ? a->h.rows() : 0,             \
-                      a != nullptr ? a->h.batch() : 0,                        \
-                      static_cast<int>(uplo), static_cast<int>(diag)),        \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "trtri_packed: null handle");   \
-          return iatf::dispatch_width<T>(                                    \
-              a->h.pack_width(), [&](auto bytes) {                            \
-                return iatf::Engine::default_engine()                         \
-                    .trtri_batch<T, decltype(bytes)::value>(                  \
-                        to_uplo(uplo), to_diag(diag), a->h);                  \
-              });                                                             \
-        });                                                                   \
-  }
-
-IATF_DEFINE_PACKED(s, iatf_spacked, iatf_sbuf, float, 's')
-IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, 'd')
-#undef IATF_DEFINE_PACKED
-
-// Complex packed-layout handles (c/z): same surface with scalars as
-// (re, im) pairs and strided storage interleaved per element, exactly
-// like the complex compact-buffer import/export routines.
-#define IATF_DEFINE_PACKED_CX(P, PACKED, BUF, T, SCALAR, DTYPE)               \
+#define IATF_DEFINE_PACKED(P, PACKED, BUF, T, SCALAR, KIND)                   \
   extern "C" PACKED* iatf_##P##pack(const SCALAR* src, int64_t rows,          \
                                     int64_t cols, int64_t ld,                 \
                                     int64_t matrix_stride, int64_t batch) {   \
@@ -1109,12 +853,12 @@ IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, 'd')
     return p != nullptr ? p->h.epoch() : 0;                                   \
   }                                                                           \
   extern "C" int iatf_##P##gemm_packed(                                       \
-      iatf_op op_a, iatf_op op_b, SCALAR alpha_re, SCALAR alpha_im,           \
-      const PACKED* a, const PACKED* b, SCALAR beta_re, SCALAR beta_im,       \
+      iatf_op op_a, iatf_op op_b, IATF_PARAM(KIND, T, SCALAR, alpha),         \
+      const PACKED* a, const PACKED* b, IATF_PARAM(KIND, T, SCALAR, beta),    \
       PACKED* c) {                                                            \
     iatf_error_detail d = blank_detail();                                     \
     d.op = 'g';                                                               \
-    d.dtype = DTYPE;                                                          \
+    d.dtype = *#P;                                                            \
     d.op_a = static_cast<int>(op_a);                                          \
     d.op_b = static_cast<int>(op_b);                                          \
     if (c != nullptr) {                                                       \
@@ -1128,18 +872,17 @@ IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, 'd')
       return iatf::dispatch_width<T>(c->h.pack_width(), [&](auto bytes) {     \
         return iatf::Engine::default_engine()                                 \
             .gemm<T, decltype(bytes)::value>(                                 \
-                to_op(op_a), to_op(op_b), T{alpha_re, alpha_im}, a->h, b->h,  \
-                T{beta_re, beta_im}, c->h);                                   \
+                to_op(op_a), to_op(op_b), IATF_VALUE(KIND, T, alpha), a->h,   \
+                b->h, IATF_VALUE(KIND, T, beta), c->h);                       \
       });                                                                     \
     });                                                                       \
   }                                                                           \
-  extern "C" int iatf_##P##trsm_packed(iatf_side side, iatf_uplo uplo,        \
-                                       iatf_op op_a, iatf_diag diag,          \
-                                       SCALAR alpha_re, SCALAR alpha_im,      \
-                                       const PACKED* a, PACKED* b) {          \
+  extern "C" int iatf_##P##trsm_packed(                                       \
+      iatf_side side, iatf_uplo uplo, iatf_op op_a, iatf_diag diag,           \
+      IATF_PARAM(KIND, T, SCALAR, alpha), const PACKED* a, PACKED* b) {       \
     iatf_error_detail d = blank_detail();                                     \
     d.op = 't';                                                               \
-    d.dtype = DTYPE;                                                          \
+    d.dtype = *#P;                                                            \
     d.op_a = static_cast<int>(op_a);                                          \
     d.side = static_cast<int>(side);                                          \
     d.uplo = static_cast<int>(uplo);                                          \
@@ -1156,13 +899,13 @@ IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, 'd')
         return iatf::Engine::default_engine()                                 \
             .trsm<T, decltype(bytes)::value>(                                 \
                 to_side(side), to_uplo(uplo), to_op(op_a), to_diag(diag),     \
-                T{alpha_re, alpha_im}, a->h, b->h);                           \
+                IATF_VALUE(KIND, T, alpha), a->h, b->h);                      \
       });                                                                     \
     });                                                                       \
   }                                                                           \
   extern "C" int iatf_##P##potrf_batch(BUF* a) {                              \
     return guarded_blas(                                                      \
-        factor_detail('p', DTYPE, a != nullptr ? a->buf.rows() : 0,           \
+        factor_detail('p', *#P, a != nullptr ? a->buf.rows() : 0,           \
                       a != nullptr ? a->buf.batch() : 0, -1, -1),             \
         [&] {                                                                 \
           IATF_CHECK(a != nullptr, "iatf_" #P "potrf_batch: null buffer");    \
@@ -1175,7 +918,7 @@ IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, 'd')
   }                                                                           \
   extern "C" int iatf_##P##getrfnp_batch(BUF* a) {                            \
     return guarded_blas(                                                      \
-        factor_detail('l', DTYPE, a != nullptr ? a->buf.rows() : 0,           \
+        factor_detail('l', *#P, a != nullptr ? a->buf.rows() : 0,           \
                       a != nullptr ? a->buf.batch() : 0, -1, -1),             \
         [&] {                                                                 \
           IATF_CHECK(a != nullptr,                                            \
@@ -1190,7 +933,7 @@ IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, 'd')
   extern "C" int iatf_##P##trtri_batch(iatf_uplo uplo, iatf_diag diag,        \
                                        BUF* a) {                              \
     return guarded_blas(                                                      \
-        factor_detail('i', DTYPE, a != nullptr ? a->buf.rows() : 0,           \
+        factor_detail('i', *#P, a != nullptr ? a->buf.rows() : 0,           \
                       a != nullptr ? a->buf.batch() : 0,                      \
                       static_cast<int>(uplo), static_cast<int>(diag)),        \
         [&] {                                                                 \
@@ -1205,7 +948,7 @@ IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, 'd')
   }                                                                           \
   extern "C" int iatf_##P##potrf_packed(PACKED* a) {                          \
     return guarded_blas(                                                      \
-        factor_detail('p', DTYPE, a != nullptr ? a->h.rows() : 0,             \
+        factor_detail('p', *#P, a != nullptr ? a->h.rows() : 0,             \
                       a != nullptr ? a->h.batch() : 0, -1, -1),               \
         [&] {                                                                 \
           IATF_CHECK(a != nullptr, "iatf_" #P "potrf_packed: null handle");   \
@@ -1218,7 +961,7 @@ IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, 'd')
   }                                                                           \
   extern "C" int iatf_##P##getrfnp_packed(PACKED* a) {                        \
     return guarded_blas(                                                      \
-        factor_detail('l', DTYPE, a != nullptr ? a->h.rows() : 0,             \
+        factor_detail('l', *#P, a != nullptr ? a->h.rows() : 0,             \
                       a != nullptr ? a->h.batch() : 0, -1, -1),               \
         [&] {                                                                 \
           IATF_CHECK(a != nullptr,                                            \
@@ -1233,7 +976,7 @@ IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, 'd')
   extern "C" int iatf_##P##trtri_packed(iatf_uplo uplo, iatf_diag diag,       \
                                         PACKED* a) {                          \
     return guarded_blas(                                                      \
-        factor_detail('i', DTYPE, a != nullptr ? a->h.rows() : 0,             \
+        factor_detail('i', *#P, a != nullptr ? a->h.rows() : 0,             \
                       a != nullptr ? a->h.batch() : 0,                        \
                       static_cast<int>(uplo), static_cast<int>(diag)),        \
         [&] {                                                                 \
@@ -1247,46 +990,48 @@ IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, 'd')
         });                                                                   \
   }
 
-IATF_DEFINE_PACKED_CX(c, iatf_cpacked, iatf_cbuf, std::complex<float>,
-                      float, 'c')
-IATF_DEFINE_PACKED_CX(z, iatf_zpacked, iatf_zbuf, std::complex<double>,
-                      double, 'z')
-#undef IATF_DEFINE_PACKED_CX
+IATF_DEFINE_PACKED(s, iatf_spacked, iatf_sbuf, float, float, REAL)
+IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, double, REAL)
+IATF_DEFINE_PACKED(c, iatf_cpacked, iatf_cbuf, std::complex<float>, float,
+                   CX)
+IATF_DEFINE_PACKED(z, iatf_zpacked, iatf_zbuf, std::complex<double>, double,
+                   CX)
+#undef IATF_DEFINE_PACKED
+#undef IATF_PARAM_REAL
+#undef IATF_VALUE_REAL
+#undef IATF_PARAM_CX
+#undef IATF_VALUE_CX
+#undef IATF_PARAM
+#undef IATF_VALUE
 
-extern "C" int iatf_strmm_compact(iatf_side side, iatf_uplo uplo,
-                                  iatf_op op_a, iatf_diag diag,
-                                  float alpha, const iatf_sbuf* a,
-                                  iatf_sbuf* b) {
-  return guarded([&] {
-    iatf::ext::compact_trmm<float>(to_side(side), to_uplo(uplo),
-                                   to_op(op_a), to_diag(diag), alpha,
-                                   a->buf, b->buf);
-  });
-}
+// Legacy real-only extension shims (iatf::ext).
+#define IATF_DEFINE_EXT(P, BUF, T)                                            \
+  extern "C" int iatf_##P##trmm_compact(iatf_side side, iatf_uplo uplo,       \
+                                        iatf_op op_a, iatf_diag diag,         \
+                                        T alpha, const BUF* a, BUF* b) {      \
+    return guarded([&] {                                                      \
+      IATF_CHECK(a != nullptr && b != nullptr,                                \
+                 "iatf_" #P "trmm_compact: null buffer");                     \
+      iatf::ext::compact_trmm<T>(to_side(side), to_uplo(uplo), to_op(op_a),   \
+                                 to_diag(diag), alpha, a->buf, b->buf);       \
+    });                                                                       \
+  }                                                                           \
+  extern "C" int iatf_##P##getrfnp_compact(BUF* a) {                          \
+    return guarded([&] {                                                      \
+      IATF_CHECK(a != nullptr, "iatf_" #P "getrfnp_compact: null buffer");    \
+      iatf::ext::compact_getrf_np<T>(a->buf);                                 \
+    });                                                                       \
+  }                                                                           \
+  extern "C" int iatf_##P##potrf_compact(BUF* a) {                            \
+    return guarded([&] {                                                      \
+      IATF_CHECK(a != nullptr, "iatf_" #P "potrf_compact: null buffer");      \
+      iatf::ext::compact_potrf<T>(a->buf);                                    \
+    });                                                                       \
+  }
 
-extern "C" int iatf_dtrmm_compact(iatf_side side, iatf_uplo uplo,
-                                  iatf_op op_a, iatf_diag diag,
-                                  double alpha, const iatf_dbuf* a,
-                                  iatf_dbuf* b) {
-  return guarded([&] {
-    iatf::ext::compact_trmm<double>(to_side(side), to_uplo(uplo),
-                                    to_op(op_a), to_diag(diag), alpha,
-                                    a->buf, b->buf);
-  });
-}
-
-extern "C" int iatf_sgetrfnp_compact(iatf_sbuf* a) {
-  return guarded([&] { iatf::ext::compact_getrf_np<float>(a->buf); });
-}
-extern "C" int iatf_dgetrfnp_compact(iatf_dbuf* a) {
-  return guarded([&] { iatf::ext::compact_getrf_np<double>(a->buf); });
-}
-extern "C" int iatf_spotrf_compact(iatf_sbuf* a) {
-  return guarded([&] { iatf::ext::compact_potrf<float>(a->buf); });
-}
-extern "C" int iatf_dpotrf_compact(iatf_dbuf* a) {
-  return guarded([&] { iatf::ext::compact_potrf<double>(a->buf); });
-}
+IATF_DEFINE_EXT(s, iatf_sbuf, float)
+IATF_DEFINE_EXT(d, iatf_dbuf, double)
+#undef IATF_DEFINE_EXT
 
 // Runtime ISA selection (multi-ISA dispatch, DESIGN.md section 15).
 // iatf_force_isa refuses an unknown or unavailable backend with

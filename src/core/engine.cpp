@@ -7,6 +7,8 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,83 +17,99 @@
 #include "iatf/ref/ref_blas.hpp"
 #include "iatf/tune/descriptor.hpp"
 #include "iatf/tune/tuning_table.hpp"
-#include "engine_internal.hpp"
+#include "engine_ops.hpp"
 
 namespace iatf {
 namespace {
 
-using detail::classify_failure;
-using detail::restore_lane;
+bool site_prefix(const std::string& site, const char* prefix) {
+  return site.rfind(prefix, 0) == 0;
+}
+
+/// Classify the in-flight exception as a degradation event. InvalidArg
+/// errors are caller bugs and must never be silently degraded, so they are
+/// rethrown; Timeout likewise -- a deadline already blown cannot be helped
+/// by a slower scalar recompute. Everything else maps to the event the
+/// fallback records.
+DegradeEvent classify_failure() {
+  try {
+    throw;
+  } catch (const fault::FaultInjected& f) {
+    if (site_prefix(f.site(), "registry")) {
+      return DegradeEvent::MissingKernel;
+    }
+    if (site_prefix(f.site(), "plan")) {
+      return DegradeEvent::UnsupportedPlan;
+    }
+    if (site_prefix(f.site(), "threadpool") ||
+        site_prefix(f.site(), "sched") ||
+        site_prefix(f.site(), "resilience")) {
+      return DegradeEvent::WorkerFailure;
+    }
+    return DegradeEvent::AllocFailure;
+  } catch (const Error& e) {
+    switch (e.status()) {
+    case Status::InvalidArg:
+    case Status::Timeout:
+      throw;
+    case Status::Unsupported:
+      return DegradeEvent::UnsupportedPlan;
+    case Status::AllocFailure:
+      return DegradeEvent::AllocFailure;
+    default:
+      return DegradeEvent::WorkerFailure;
+    }
+  } catch (const std::bad_alloc&) {
+    return DegradeEvent::AllocFailure;
+  } catch (...) {
+    return DegradeEvent::WorkerFailure;
+  }
+}
+
+/// Restore one lane of `buf` from a raw snapshot of its storage.
+template <class T>
+void restore_lane(CompactBuffer<T>& buf,
+                  const std::vector<real_t<T>>& snapshot, index_t lane) {
+  using R = real_t<T>;
+  const index_t pw = buf.pack_width();
+  const index_t g = lane / pw;
+  const index_t l = lane % pw;
+  const index_t es = buf.element_stride();
+  const index_t elems = buf.rows() * buf.cols();
+  R* gdata = buf.group_data(g);
+  const R* sdata = snapshot.data() + g * buf.group_stride();
+  for (index_t e = 0; e < elems; ++e) {
+    gdata[e * es + l] = sdata[e * es + l];
+    if constexpr (is_complex_v<T>) {
+      gdata[e * es + pw + l] = sdata[e * es + pw + l];
+    }
+  }
+}
 
 template <class T> constexpr char dtype_tag() {
   return blas_prefix_v<T>[0];
 }
 
-/// The fallback path reads the buffers directly, so it must re-validate
-/// the consistency the plan normally checks -- plan construction may have
-/// failed before any validation ran.
-template <class T>
-void validate_gemm_fallback(const GemmShape& s, const CompactBuffer<T>& a,
-                            const CompactBuffer<T>& b,
-                            const CompactBuffer<T>& c) {
-  const bool ta = s.op_a != Op::NoTrans;
-  const bool tb = s.op_b != Op::NoTrans;
-  IATF_CHECK(s.m >= 0 && s.n >= 0 && s.k >= 0 && s.batch >= 0,
-             "gemm: negative dimension");
-  IATF_CHECK(a.rows() == (ta ? s.k : s.m) && a.cols() == (ta ? s.m : s.k),
-             "gemm: operand A has mismatched dimensions");
-  IATF_CHECK(b.rows() == (tb ? s.n : s.k) && b.cols() == (tb ? s.k : s.n),
-             "gemm: operand B has mismatched dimensions");
-  IATF_CHECK(a.batch() == s.batch && b.batch() == s.batch &&
-                 c.batch() == s.batch,
-             "gemm: operand batch sizes do not match");
-}
-
-template <class T>
-void validate_trsm_fallback(const TrsmShape& s, const CompactBuffer<T>& a,
-                            const CompactBuffer<T>& b) {
-  IATF_CHECK(s.m >= 0 && s.n >= 0 && s.batch >= 0,
-             "trsm: negative dimension");
-  IATF_CHECK(a.rows() == s.a_dim() && a.cols() == s.a_dim(),
-             "trsm: A must be a_dim x a_dim");
-  IATF_CHECK(a.batch() == s.batch && b.batch() == s.batch,
-             "trsm: operand batch sizes do not match");
-}
-
-/// Recompute one lane with the scalar reference GEMM. The lane's C must
-/// hold the original (pre-call) values so beta applies correctly.
-template <class T>
-void ref_gemm_lane(const GemmShape& s, T alpha, const CompactBuffer<T>& a,
-                   const CompactBuffer<T>& b, T beta, CompactBuffer<T>& c,
-                   index_t lane) {
-  const index_t lda = std::max<index_t>(a.rows(), 1);
-  const index_t ldb = std::max<index_t>(b.rows(), 1);
-  const index_t ldc = std::max<index_t>(c.rows(), 1);
-  std::vector<T> ta(static_cast<std::size_t>(a.rows() * a.cols()));
-  std::vector<T> tb(static_cast<std::size_t>(b.rows() * b.cols()));
-  std::vector<T> tc(static_cast<std::size_t>(c.rows() * c.cols()));
-  a.export_colmajor(lane, ta.data(), lda);
-  b.export_colmajor(lane, tb.data(), ldb);
-  c.export_colmajor(lane, tc.data(), ldc);
-  ref::gemm(s.op_a, s.op_b, s.m, s.n, s.k, alpha, ta.data(), lda,
-            tb.data(), ldb, beta, tc.data(), ldc);
-  c.import_colmajor(lane, tc.data(), ldc);
-}
-
-/// Recompute one lane with the scalar reference TRSM. The lane's B must
-/// hold the original right-hand side, not the partial fast-path solution.
-template <class T>
-void ref_trsm_lane(const TrsmShape& s, T alpha, const CompactBuffer<T>& a,
-                   CompactBuffer<T>& b, index_t lane) {
-  const index_t lda = std::max<index_t>(a.rows(), 1);
-  const index_t ldb = std::max<index_t>(b.rows(), 1);
-  std::vector<T> ta(static_cast<std::size_t>(a.rows() * a.cols()));
-  std::vector<T> tb(static_cast<std::size_t>(b.rows() * b.cols()));
-  a.export_colmajor(lane, ta.data(), lda);
-  b.export_colmajor(lane, tb.data(), ldb);
-  ref::trsm(s.side, s.uplo, s.op_a, s.diag, s.m, s.n, alpha, ta.data(),
-            lda, tb.data(), ldb);
-  b.import_colmajor(lane, tb.data(), ldb);
+/// Serve every lane of one segment on the reference path and record it on
+/// `health`. A lane the reference refuses (factorisations only) keeps its
+/// current contents and is flagged singular, so GEMM/TRSM lanes always
+/// succeed and a refused factor lane is reported, never poisoned.
+template <class Traits>
+void ref_lanes(const typename Traits::Shape& shape,
+               const typename Traits::Segment& seg, DegradeEvent event,
+               BatchHealth& health) {
+  for (index_t lane = 0; lane < shape.batch; ++lane) {
+    if (!Traits::ref_lane(shape, seg, lane)) {
+      ++health.singular;
+      if (health.first_singular < 0) {
+        health.first_singular = lane;
+      }
+      health.events |= DegradeEvent::NumericalHazard;
+    }
+  }
+  health.events |= event;
+  health.fallback = shape.batch;
+  health.first_fallback = shape.batch > 0 ? 0 : -1;
 }
 
 std::size_t resolve_capacity(std::size_t requested) {
@@ -523,67 +541,28 @@ std::shared_ptr<const Plan> Engine::lookup(const PlanKey& key, Make&& make) {
   return std::static_pointer_cast<const Plan>(plan);
 }
 
-template <class T, int Bytes>
-Engine::PlanKey Engine::gemm_plan_key(const GemmShape& shape,
-                                      std::uint8_t layout) {
+/// Every op is keyed through its ClassKey: the op tag ('g', 't', and 'p'
+/// Cholesky / 'l' unpivoted LU / 'i' triangular inverse) plus the mode
+/// bits the op uses, with dtype, width and `layout` added so the
+/// raw-buffer and packed-handle variants coexist in the cache.
+template <class Traits>
+Engine::PlanKey Engine::plan_key(const typename Traits::Shape& shape,
+                                 std::uint8_t layout) {
+  const sched::ClassKey cls = Traits::class_key(shape);
   PlanKey key;
-  key.op = 'g';
-  key.dtype = dtype_tag<T>();
-  key.bytes = Bytes;
-  key.m = shape.m;
-  key.n = shape.n;
-  key.k = shape.k;
-  key.op_a = static_cast<std::uint8_t>(shape.op_a);
-  key.op_b = static_cast<std::uint8_t>(shape.op_b);
+  key.op = cls.op;
+  key.dtype = dtype_tag<typename Traits::value_type>();
+  key.bytes = Traits::bytes;
+  key.m = cls.m;
+  key.n = cls.n;
+  key.k = cls.k;
+  key.op_a = cls.op_a;
+  key.op_b = cls.op_b;
+  key.side = cls.side;
+  key.uplo = cls.uplo;
+  key.diag = cls.diag;
   key.layout = layout;
-  key.batch = shape.batch;
-  return key;
-}
-
-template <class T, int Bytes>
-Engine::PlanKey Engine::trsm_plan_key(const TrsmShape& shape,
-                                      std::uint8_t layout) {
-  PlanKey key;
-  key.op = 't';
-  key.dtype = dtype_tag<T>();
-  key.bytes = Bytes;
-  key.m = shape.m;
-  key.n = shape.n;
-  key.op_a = static_cast<std::uint8_t>(shape.op_a);
-  key.side = static_cast<std::uint8_t>(shape.side);
-  key.uplo = static_cast<std::uint8_t>(shape.uplo);
-  key.diag = static_cast<std::uint8_t>(shape.diag);
-  key.layout = layout;
-  key.batch = shape.batch;
-  return key;
-}
-
-/// Factorisations are keyed like GEMM/TRSM: the op tag distinguishes the
-/// three routines ('p' Cholesky, 'l' unpivoted LU, 'i' triangular
-/// inverse) and `layout` separates the raw-buffer and packed-handle
-/// variants so both coexist in the cache.
-template <class T, int Bytes>
-Engine::PlanKey Engine::factor_plan_key(const factor::FactorShape& shape,
-                                        std::uint8_t layout) {
-  PlanKey key;
-  switch (shape.op) {
-  case factor::FactorOp::Potrf:
-    key.op = 'p';
-    break;
-  case factor::FactorOp::GetrfNp:
-    key.op = 'l';
-    break;
-  case factor::FactorOp::Trtri:
-    key.op = 'i';
-    break;
-  }
-  key.dtype = dtype_tag<T>();
-  key.bytes = Bytes;
-  key.m = shape.m;
-  key.uplo = static_cast<std::uint8_t>(shape.uplo);
-  key.diag = static_cast<std::uint8_t>(shape.diag);
-  key.layout = layout;
-  key.batch = shape.batch;
+  key.batch = cls.batch;
   return key;
 }
 
@@ -591,7 +570,7 @@ template <class T, int Bytes>
 std::shared_ptr<const plan::GemmPlan<T, Bytes>>
 Engine::plan_gemm(const GemmShape& shape, std::uint8_t layout) {
   return lookup<plan::GemmPlan<T, Bytes>>(
-      gemm_plan_key<T, Bytes>(shape, layout),
+      plan_key<detail::GemmOp<T, Bytes>>(shape, layout),
       [&](bool* tuned, std::uint64_t* config_gen) {
         IATF_FAULT_POINT("plan.gemm", ::iatf::Status::Unsupported);
         fault::stall_if_armed("plan.stall");
@@ -614,7 +593,7 @@ template <class T, int Bytes>
 std::shared_ptr<const plan::TrsmPlan<T, Bytes>>
 Engine::plan_trsm(const TrsmShape& shape, std::uint8_t layout) {
   return lookup<plan::TrsmPlan<T, Bytes>>(
-      trsm_plan_key<T, Bytes>(shape, layout),
+      plan_key<detail::TrsmOp<T, Bytes>>(shape, layout),
       [&](bool* tuned, std::uint64_t* config_gen) {
         IATF_FAULT_POINT("plan.trsm", ::iatf::Status::Unsupported);
         fault::stall_if_armed("plan.stall");
@@ -637,7 +616,7 @@ template <class T, int Bytes>
 std::shared_ptr<const factor::FactorPlan<T, Bytes>>
 Engine::plan_factor(const factor::FactorShape& shape, std::uint8_t layout) {
   return lookup<factor::FactorPlan<T, Bytes>>(
-      factor_plan_key<T, Bytes>(shape, layout),
+      plan_key<detail::FactorOp<T, Bytes>>(shape, layout),
       [&](bool* tuned, std::uint64_t* config_gen) {
         IATF_FAULT_POINT("plan.factor", ::iatf::Status::Unsupported);
         fault::stall_if_armed("plan.stall");
@@ -655,25 +634,29 @@ template <class T, int Bytes>
 BatchHealth Engine::gemm(Op op_a, Op op_b, T alpha, const CompactBuffer<T>& a,
                          const CompactBuffer<T>& b, T beta,
                          CompactBuffer<T>& c) {
-  return gemm_at<T, Bytes>(op_a, op_b, alpha, a, b, beta, c, /*layout=*/0);
+  return call<detail::GemmOp<T, Bytes>>({op_a, op_b, alpha, beta, &a, &b, &c},
+                                        /*layout=*/0);
 }
 
 template <class T, int Bytes>
-BatchHealth Engine::gemm_at(Op op_a, Op op_b, T alpha,
-                            const CompactBuffer<T>& a,
-                            const CompactBuffer<T>& b, T beta,
-                            CompactBuffer<T>& c, std::uint8_t layout) {
-  GemmShape shape;
-  shape.m = c.rows();
-  shape.n = c.cols();
-  shape.k = op_a == Op::NoTrans ? a.cols() : a.rows();
-  shape.op_a = op_a;
-  shape.op_b = op_b;
-  shape.batch = c.batch();
+BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
+                         const CompactBuffer<T>& a, CompactBuffer<T>& b) {
+  return call<detail::TrsmOp<T, Bytes>>({side, uplo, op_a, diag, alpha, &a, &b},
+                                        /*layout=*/0);
+}
+
+template <class Traits>
+BatchHealth Engine::call(const typename Traits::Segment& seg,
+                         std::uint8_t layout) {
+  using T = typename Traits::value_type;
+  using R = real_t<T>;
+  constexpr int Bytes = Traits::bytes;
+  const typename Traits::Shape shape = Traits::shape(seg);
   note_width_call(Bytes);
 
   const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
-  ThreadPool* pool = pool_.load(std::memory_order_relaxed);
+  ThreadPool* pool =
+      Traits::pooled ? pool_.load(std::memory_order_relaxed) : nullptr;
   const std::int64_t budget = deadline_ns_.load(std::memory_order_relaxed);
   Deadline deadline_at;
   const Deadline* deadline = nullptr;
@@ -690,19 +673,18 @@ BatchHealth Engine::gemm_at(Op op_a, Op op_b, T alpha,
     ~Release() { engine->release_call(); }
   } release{this};
   if (admitted == Admit::RefRoute) {
-    return ref_route_gemm<T, Bytes>(shape, alpha, a, b, beta, c,
-                                    DegradeEvent::Overloaded);
+    return ref_route<Traits>(seg, shape, DegradeEvent::Overloaded);
   }
 
   // Per-descriptor-class degradation breaker.
+  const bool breaker = Traits::gated && breaker_.enabled();
   std::size_t slot = 0;
   bool probe = false;
-  if (breaker_.enabled()) {
-    slot = PlanKeyHash{}(gemm_plan_key<T, Bytes>(shape, layout));
+  if (breaker) {
+    slot = PlanKeyHash{}(plan_key<Traits>(shape, layout));
     switch (breaker_.admit(slot)) {
     case resilience::BreakerDecision::RefRoute:
-      return ref_route_gemm<T, Bytes>(shape, alpha, a, b, beta, c,
-                                      DegradeEvent::BreakerOpen);
+      return ref_route<Traits>(seg, shape, DegradeEvent::BreakerOpen);
     case resilience::BreakerDecision::Probe:
       probe = true;
       break;
@@ -715,244 +697,122 @@ BatchHealth Engine::gemm_at(Op op_a, Op op_b, T alpha,
       } catch (...) {
         // A failed probe re-opens the slot; the call is still served.
         record_breaker(slot, /*degraded=*/true, /*probe=*/true);
-        return ref_route_gemm<T, Bytes>(shape, alpha, a, b, beta, c,
-                                        DegradeEvent::BreakerOpen);
+        return ref_route<Traits>(seg, shape, DegradeEvent::BreakerOpen);
       }
     }
   }
 
-  try {
+  // Fast runs the plan bare. Check adds a hazard recorder; Fallback also
+  // snapshots the written operand so a transient failure can retry from
+  // the input and flagged or failed lanes can be recomputed on the
+  // reference path.
+  const auto run = [&]() -> BatchHealth {
     BatchHealth health;
-    if (policy == ExecPolicy::Fast) {
-      auto plan = plan_gemm<T, Bytes>(shape, layout);
-      if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-        health = ref_route_gemm<T, Bytes>(shape, alpha, a, b, beta, c,
-                                          DegradeEvent::QuarantinedKernel);
-      } else {
-        if (pool != nullptr) {
-          plan->execute_parallel(a, b, c, alpha, beta, *pool, nullptr,
-                                 deadline);
-        } else {
-          plan->execute(a, b, c, alpha, beta, nullptr, deadline);
-        }
-        health.batch = shape.batch;
-      }
-    } else {
-      health = guarded_gemm<T, Bytes>(shape, alpha, a, b, beta, c, policy,
-                                      pool, deadline, layout);
-    }
-    if (breaker_.enabled()) {
-      record_breaker(slot, health.events != DegradeEvent::None, probe);
-    }
-    return health;
-  } catch (const Error& e) {
-    if (e.status() == Status::Timeout) {
-      timeout_calls_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (breaker_.enabled()) {
-      record_breaker(slot, /*degraded=*/true, probe);
-    }
-    throw;
-  } catch (...) {
-    if (breaker_.enabled()) {
-      record_breaker(slot, /*degraded=*/true, probe);
-    }
-    throw;
-  }
-}
-
-template <class T, int Bytes>
-BatchHealth Engine::guarded_gemm(const GemmShape& shape, T alpha,
-                                 const CompactBuffer<T>& a,
-                                 const CompactBuffer<T>& b, T beta,
-                                 CompactBuffer<T>& c, ExecPolicy policy,
-                                 ThreadPool* pool, const Deadline* deadline,
-                                 std::uint8_t layout) {
-  using R = real_t<T>;
-  BatchHealth health;
-  health.batch = shape.batch;
-  const bool fallback = policy == ExecPolicy::Fallback;
-
-  // C is read (beta) and written by the fast path, so a retry needs the
-  // pre-call values. Snapshot only when we are allowed to retry.
-  std::vector<R> snapshot;
-  if (fallback) {
-    snapshot.assign(c.data(), c.data() + c.size());
-  }
-
-  // Transient-failure retry (Fallback only: a retry needs the snapshot).
-  const int max_attempts =
-      fallback ? std::max(1, retry_attempts_.load(std::memory_order_relaxed))
-               : 1;
-  std::chrono::nanoseconds delay(
-      retry_base_ns_.load(std::memory_order_relaxed));
-  const std::chrono::nanoseconds delay_cap = delay * 64;
-
-  HealthRecorder rec(shape.batch);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      auto plan = plan_gemm<T, Bytes>(shape, layout);
-      if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-        // Quarantine is detected before execution, so C still holds the
-        // original values and the reference path applies beta directly.
-        return ref_route_gemm<T, Bytes>(shape, alpha, a, b, beta, c,
-                                        DegradeEvent::QuarantinedKernel);
-      }
-      if (pool != nullptr) {
-        plan->execute_parallel(a, b, c, alpha, beta, *pool, &rec, deadline);
-      } else {
-        plan->execute(a, b, c, alpha, beta, &rec, deadline);
-      }
-      break;
-    } catch (...) {
-      if (!fallback) {
-        throw; // Check: observe-only, failures still propagate
-      }
-      // rethrows InvalidArg and Timeout
-      const DegradeEvent event = classify_failure();
-      const bool transient = event == DegradeEvent::AllocFailure ||
-                             event == DegradeEvent::WorkerFailure;
-      if (transient && attempt < max_attempts &&
-          (deadline == nullptr || !deadline->expired())) {
-        std::copy(snapshot.begin(), snapshot.end(), c.data());
-        rec = HealthRecorder(shape.batch);
-        const std::uint64_t seq =
-            retries_.fetch_add(1, std::memory_order_relaxed);
-        backoff_sleep(resilience::jittered_backoff(
-                          delay,
-                          retry_seed_.load(std::memory_order_relaxed), seq),
-                      deadline);
-        delay = std::min(delay * 2, delay_cap);
-        continue;
-      }
-      validate_gemm_fallback(shape, a, b, c);
-      std::copy(snapshot.begin(), snapshot.end(), c.data());
-      for (index_t lane = 0; lane < shape.batch; ++lane) {
-        ref_gemm_lane(shape, alpha, a, b, beta, c, lane);
-      }
-      health.events |= event;
-      health.fallback = shape.batch;
-      health.first_fallback = shape.batch > 0 ? 0 : -1;
-      degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-      fallback_lanes_.fetch_add(
-          static_cast<std::uint64_t>(health.fallback),
-          std::memory_order_relaxed);
-      return health;
-    }
-  }
-
-  rec.fill(health);
-  if (health.nonfinite != 0) {
-    health.events |= DegradeEvent::NumericalHazard;
+    health.batch = shape.batch;
+    const bool guarded = policy != ExecPolicy::Fast;
+    const bool fallback = policy == ExecPolicy::Fallback;
+    CompactBuffer<T>& out = Traits::written(seg);
+    Traits::prepare(seg);
+    std::vector<R> snapshot;
     if (fallback) {
-      for (index_t lane = 0; lane < shape.batch; ++lane) {
-        if (!rec.flagged(lane)) {
-          continue;
-        }
-        restore_lane(c, snapshot, lane);
-        ref_gemm_lane(shape, alpha, a, b, beta, c, lane);
-        if (health.first_fallback < 0) {
-          health.first_fallback = lane;
-        }
-        ++health.fallback;
-      }
-      if (health.fallback > 0) {
-        degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-        fallback_lanes_.fetch_add(
-            static_cast<std::uint64_t>(health.fallback),
-            std::memory_order_relaxed);
-      }
+      snapshot.assign(out.data(), out.data() + out.size());
     }
-  }
-  return health;
-}
 
-template <class T, int Bytes>
-BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
-                         const CompactBuffer<T>& a, CompactBuffer<T>& b) {
-  return trsm_at<T, Bytes>(side, uplo, op_a, diag, alpha, a, b,
-                           /*layout=*/0);
-}
+    // Transient-failure retry (Fallback only: a retry needs the snapshot).
+    const int max_attempts =
+        fallback
+            ? std::max(1, retry_attempts_.load(std::memory_order_relaxed))
+            : 1;
+    std::chrono::nanoseconds delay(
+        retry_base_ns_.load(std::memory_order_relaxed));
+    const std::chrono::nanoseconds delay_cap = delay * 64;
 
-template <class T, int Bytes>
-BatchHealth Engine::trsm_at(Side side, Uplo uplo, Op op_a, Diag diag,
-                            T alpha, const CompactBuffer<T>& a,
-                            CompactBuffer<T>& b, std::uint8_t layout) {
-  TrsmShape shape;
-  shape.m = b.rows();
-  shape.n = b.cols();
-  shape.side = side;
-  shape.uplo = uplo;
-  shape.op_a = op_a;
-  shape.diag = diag;
-  shape.batch = b.batch();
-  note_width_call(Bytes);
-
-  const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
-  ThreadPool* pool = pool_.load(std::memory_order_relaxed);
-  const std::int64_t budget = deadline_ns_.load(std::memory_order_relaxed);
-  Deadline deadline_at;
-  const Deadline* deadline = nullptr;
-  if (budget > 0) {
-    deadline_at = Deadline::in(std::chrono::nanoseconds(budget));
-    deadline = &deadline_at;
-  }
-
-  const Admit admitted = admit_call(deadline);
-  struct Release {
-    Engine* engine;
-    ~Release() { engine->release_call(); }
-  } release{this};
-  if (admitted == Admit::RefRoute) {
-    return ref_route_trsm<T, Bytes>(shape, alpha, a, b,
-                                    DegradeEvent::Overloaded);
-  }
-
-  std::size_t slot = 0;
-  bool probe = false;
-  if (breaker_.enabled()) {
-    slot = PlanKeyHash{}(trsm_plan_key<T, Bytes>(shape, layout));
-    switch (breaker_.admit(slot)) {
-    case resilience::BreakerDecision::RefRoute:
-      return ref_route_trsm<T, Bytes>(shape, alpha, a, b,
-                                      DegradeEvent::BreakerOpen);
-    case resilience::BreakerDecision::Probe:
-      probe = true;
-      break;
-    case resilience::BreakerDecision::Allow:
-      break;
+    std::optional<HealthRecorder> rec;
+    if (guarded) {
+      rec.emplace(shape.batch);
     }
-    if (probe) {
+    for (int attempt = 1;; ++attempt) {
       try {
-        IATF_FAULT_POINT("resilience.probe", ::iatf::Status::Internal);
+        auto plan = Traits::plan_for(*this, shape, layout);
+        if constexpr (Traits::gated) {
+          if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
+            // Quarantine is detected before execution, so the written
+            // operand still holds the call's input.
+            return ref_route<Traits>(seg, shape,
+                                     DegradeEvent::QuarantinedKernel);
+          }
+        }
+        HealthRecorder* r = rec ? &*rec : nullptr;
+        if (pool != nullptr) {
+          if constexpr (Traits::pooled) {
+            Traits::execute_parallel(*plan, seg, *pool, r, deadline);
+          }
+        } else {
+          Traits::execute(*plan, seg, r, deadline);
+        }
+        break;
       } catch (...) {
-        record_breaker(slot, /*degraded=*/true, /*probe=*/true);
-        return ref_route_trsm<T, Bytes>(shape, alpha, a, b,
-                                        DegradeEvent::BreakerOpen);
+        if (!fallback) {
+          throw; // Fast/Check: failures still propagate
+        }
+        // rethrows InvalidArg and Timeout
+        const DegradeEvent event = classify_failure();
+        const bool transient = event == DegradeEvent::AllocFailure ||
+                               event == DegradeEvent::WorkerFailure;
+        if (transient && attempt < max_attempts &&
+            (deadline == nullptr || !deadline->expired())) {
+          std::copy(snapshot.begin(), snapshot.end(), out.data());
+          rec.emplace(shape.batch);
+          const std::uint64_t seq =
+              retries_.fetch_add(1, std::memory_order_relaxed);
+          backoff_sleep(resilience::jittered_backoff(
+                            delay,
+                            retry_seed_.load(std::memory_order_relaxed),
+                            seq),
+                        deadline);
+          delay = std::min(delay * 2, delay_cap);
+          continue;
+        }
+        Traits::validate(shape, seg);
+        std::copy(snapshot.begin(), snapshot.end(), out.data());
+        ref_lanes<Traits>(shape, seg, event, health);
+        note_degraded(static_cast<std::uint64_t>(health.fallback));
+        return health;
       }
     }
-  }
+    if (!guarded) {
+      return health;
+    }
+
+    Traits::scan(shape, seg, *rec);
+    rec->fill(health);
+    if (health.nonfinite != 0 || health.singular != 0) {
+      health.events |= DegradeEvent::NumericalHazard;
+      if (fallback) {
+        for (index_t lane = 0; lane < shape.batch; ++lane) {
+          if (!rec->flagged(lane)) {
+            continue;
+          }
+          // Repair where the reference result is defined; a lane the
+          // reference refuses keeps its restored input.
+          restore_lane(out, snapshot, lane);
+          Traits::ref_lane(shape, seg, lane);
+          if (health.first_fallback < 0) {
+            health.first_fallback = lane;
+          }
+          ++health.fallback;
+        }
+        if (health.fallback > 0) {
+          note_degraded(static_cast<std::uint64_t>(health.fallback));
+        }
+      }
+    }
+    return health;
+  };
 
   try {
-    BatchHealth health;
-    if (policy == ExecPolicy::Fast) {
-      auto plan = plan_trsm<T, Bytes>(shape, layout);
-      if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-        health = ref_route_trsm<T, Bytes>(shape, alpha, a, b,
-                                          DegradeEvent::QuarantinedKernel);
-      } else {
-        if (pool != nullptr) {
-          plan->execute_parallel(a, b, alpha, *pool, nullptr, deadline);
-        } else {
-          plan->execute(a, b, alpha, nullptr, deadline);
-        }
-        health.batch = shape.batch;
-      }
-    } else {
-      health = guarded_trsm<T, Bytes>(shape, alpha, a, b, policy, pool,
-                                      deadline, layout);
-    }
-    if (breaker_.enabled()) {
+    const BatchHealth health = run();
+    if (breaker) {
       record_breaker(slot, health.events != DegradeEvent::None, probe);
     }
     return health;
@@ -960,120 +820,16 @@ BatchHealth Engine::trsm_at(Side side, Uplo uplo, Op op_a, Diag diag,
     if (e.status() == Status::Timeout) {
       timeout_calls_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (breaker_.enabled()) {
+    if (breaker) {
       record_breaker(slot, /*degraded=*/true, probe);
     }
     throw;
   } catch (...) {
-    if (breaker_.enabled()) {
+    if (breaker) {
       record_breaker(slot, /*degraded=*/true, probe);
     }
     throw;
   }
-}
-
-template <class T, int Bytes>
-BatchHealth Engine::guarded_trsm(const TrsmShape& shape, T alpha,
-                                 const CompactBuffer<T>& a,
-                                 CompactBuffer<T>& b, ExecPolicy policy,
-                                 ThreadPool* pool, const Deadline* deadline,
-                                 std::uint8_t layout) {
-  using R = real_t<T>;
-  BatchHealth health;
-  health.batch = shape.batch;
-  const bool fallback = policy == ExecPolicy::Fallback;
-
-  // TRSM overwrites B with X, so a retry needs the original right-hand
-  // side back. Snapshot only when we are allowed to retry.
-  std::vector<R> snapshot;
-  if (fallback) {
-    snapshot.assign(b.data(), b.data() + b.size());
-  }
-
-  const int max_attempts =
-      fallback ? std::max(1, retry_attempts_.load(std::memory_order_relaxed))
-               : 1;
-  std::chrono::nanoseconds delay(
-      retry_base_ns_.load(std::memory_order_relaxed));
-  const std::chrono::nanoseconds delay_cap = delay * 64;
-
-  HealthRecorder rec(shape.batch);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      auto plan = plan_trsm<T, Bytes>(shape, layout);
-      if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-        // Quarantine is detected before execution: B still holds the
-        // original right-hand side.
-        return ref_route_trsm<T, Bytes>(shape, alpha, a, b,
-                                        DegradeEvent::QuarantinedKernel);
-      }
-      if (pool != nullptr) {
-        plan->execute_parallel(a, b, alpha, *pool, &rec, deadline);
-      } else {
-        plan->execute(a, b, alpha, &rec, deadline);
-      }
-      break;
-    } catch (...) {
-      if (!fallback) {
-        throw; // Check: observe-only, failures still propagate
-      }
-      // rethrows InvalidArg and Timeout
-      const DegradeEvent event = classify_failure();
-      const bool transient = event == DegradeEvent::AllocFailure ||
-                             event == DegradeEvent::WorkerFailure;
-      if (transient && attempt < max_attempts &&
-          (deadline == nullptr || !deadline->expired())) {
-        std::copy(snapshot.begin(), snapshot.end(), b.data());
-        rec = HealthRecorder(shape.batch);
-        const std::uint64_t seq =
-            retries_.fetch_add(1, std::memory_order_relaxed);
-        backoff_sleep(resilience::jittered_backoff(
-                          delay,
-                          retry_seed_.load(std::memory_order_relaxed), seq),
-                      deadline);
-        delay = std::min(delay * 2, delay_cap);
-        continue;
-      }
-      validate_trsm_fallback(shape, a, b);
-      std::copy(snapshot.begin(), snapshot.end(), b.data());
-      for (index_t lane = 0; lane < shape.batch; ++lane) {
-        ref_trsm_lane(shape, alpha, a, b, lane);
-      }
-      health.events |= event;
-      health.fallback = shape.batch;
-      health.first_fallback = shape.batch > 0 ? 0 : -1;
-      degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-      fallback_lanes_.fetch_add(
-          static_cast<std::uint64_t>(health.fallback),
-          std::memory_order_relaxed);
-      return health;
-    }
-  }
-
-  rec.fill(health);
-  if (health.nonfinite != 0 || health.singular != 0) {
-    health.events |= DegradeEvent::NumericalHazard;
-    if (fallback) {
-      for (index_t lane = 0; lane < shape.batch; ++lane) {
-        if (!rec.flagged(lane)) {
-          continue;
-        }
-        restore_lane(b, snapshot, lane);
-        ref_trsm_lane(shape, alpha, a, b, lane);
-        if (health.first_fallback < 0) {
-          health.first_fallback = lane;
-        }
-        ++health.fallback;
-      }
-      if (health.fallback > 0) {
-        degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-        fallback_lanes_.fetch_add(
-            static_cast<std::uint64_t>(health.fallback),
-            std::memory_order_relaxed);
-      }
-    }
-  }
-  return health;
 }
 
 void Engine::record_grouped_plans(std::size_t distinct) noexcept {
@@ -1094,7 +850,22 @@ void Engine::record_grouped_plans(std::size_t distinct) noexcept {
 template <class T, int Bytes>
 std::vector<BatchHealth>
 Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
+  return grouped<detail::GemmOp<T, Bytes>>(segments);
+}
+
+template <class T, int Bytes>
+std::vector<BatchHealth>
+Engine::trsm_grouped(std::span<const sched::TrsmSegment<T>> segments) {
+  return grouped<detail::TrsmOp<T, Bytes>>(segments);
+}
+
+template <class Traits>
+std::vector<BatchHealth>
+Engine::grouped(std::span<const typename Traits::Segment> segments) {
+  using T = typename Traits::value_type;
   using R = real_t<T>;
+  using Segment = typename Traits::Segment;
+  constexpr int Bytes = Traits::bytes;
   grouped_calls_.fetch_add(1, std::memory_order_relaxed);
   note_width_call(Bytes);
   const std::size_t count = segments.size();
@@ -1103,32 +874,18 @@ Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
     return healths;
   }
 
-  std::vector<GemmShape> shapes(count);
+  std::vector<typename Traits::Shape> shapes(count);
   std::vector<sched::ClassKey> keys(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const sched::GemmSegment<T>& seg = segments[i];
-    IATF_CHECK(seg.a != nullptr && seg.b != nullptr && seg.c != nullptr,
-               "gemm_grouped: segment with a null buffer");
-    GemmShape& s = shapes[i];
-    s.m = seg.c->rows();
-    s.n = seg.c->cols();
-    s.k = seg.op_a == Op::NoTrans ? seg.a->cols() : seg.a->rows();
-    s.op_a = seg.op_a;
-    s.op_b = seg.op_b;
-    s.batch = seg.c->batch();
-    healths[i].batch = s.batch;
-    sched::ClassKey& key = keys[i];
-    key.op = 'g';
-    key.m = s.m;
-    key.n = s.n;
-    key.k = s.k;
-    key.op_a = static_cast<std::uint8_t>(s.op_a);
-    key.op_b = static_cast<std::uint8_t>(s.op_b);
-    key.batch = s.batch;
+    Traits::check(segments[i]);
+    shapes[i] = Traits::shape(segments[i]);
+    healths[i].batch = shapes[i].batch;
+    keys[i] = Traits::class_key(shapes[i]);
   }
 
   const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
-  ThreadPool* pool = pool_.load(std::memory_order_relaxed);
+  ThreadPool* pool =
+      Traits::pooled ? pool_.load(std::memory_order_relaxed) : nullptr;
   const std::int64_t budget = deadline_ns_.load(std::memory_order_relaxed);
   Deadline deadline_at;
   const Deadline* deadline = nullptr;
@@ -1145,15 +902,8 @@ Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
 
   // Serve one segment entirely on the scalar reference path.
   const auto route_segment = [&](std::size_t i, DegradeEvent event) {
-    const sched::GemmSegment<T>& seg = segments[i];
-    validate_gemm_fallback(shapes[i], *seg.a, *seg.b, *seg.c);
-    for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
-      ref_gemm_lane(shapes[i], seg.alpha, *seg.a, *seg.b, seg.beta,
-                    *seg.c, lane);
-    }
-    healths[i].events |= event;
-    healths[i].fallback = shapes[i].batch;
-    healths[i].first_fallback = shapes[i].batch > 0 ? 0 : -1;
+    Traits::validate(shapes[i], segments[i]);
+    ref_lanes<Traits>(shapes[i], segments[i], event, healths[i]);
   };
 
   try {
@@ -1166,8 +916,7 @@ Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
         route_segment(i, DegradeEvent::Overloaded);
         lanes += static_cast<std::uint64_t>(shapes[i].batch);
       }
-      degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-      fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
+      note_degraded(lanes);
       ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
       return healths;
     }
@@ -1178,17 +927,17 @@ Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
     std::vector<std::unique_ptr<HealthRecorder>> recs(count);
     std::vector<std::vector<R>> snapshots(count);
     for (std::size_t i = 0; i < count; ++i) {
+      Traits::prepare(segments[i]);
       if (guarded) {
         recs[i] = std::make_unique<HealthRecorder>(shapes[i].batch);
       }
       if (fallback) {
-        const CompactBuffer<T>& c = *segments[i].c;
-        snapshots[i].assign(c.data(), c.data() + c.size());
+        const CompactBuffer<T>& out = Traits::written(segments[i]);
+        snapshots[i].assign(out.data(), out.data() + out.size());
       }
     }
 
-    std::vector<std::shared_ptr<const plan::GemmPlan<T, Bytes>>> plans(
-        count);
+    std::vector<std::shared_ptr<const typename Traits::Plan>> plans(count);
     // Per-descriptor-class degradation routing: BreakerOpen or
     // QuarantinedKernel sends just that class to the reference path while
     // the other classes keep their fast path.
@@ -1207,12 +956,13 @@ Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
       const std::vector<sched::SizeClass> classes =
           sched::bin_by_descriptor(keys);
       for (const sched::SizeClass& cls : classes) {
-        const GemmShape& cshape = shapes[cls.segments.front()];
+        const typename Traits::Shape& cshape = shapes[cls.segments.front()];
         std::size_t slot = 0;
         bool probe = false;
         bool route = false;
-        if (breaker_.enabled()) {
-          slot = PlanKeyHash{}(gemm_plan_key<T, Bytes>(cshape));
+        const bool breaker = Traits::gated && breaker_.enabled();
+        if (breaker) {
+          slot = PlanKeyHash{}(plan_key<Traits>(cshape, 0));
           switch (breaker_.admit(slot)) {
           case resilience::BreakerDecision::RefRoute:
             route = true;
@@ -1238,20 +988,24 @@ Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
           }
           continue;
         }
-        auto plan = plan_gemm<T, Bytes>(cshape);
-        if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-          for (const std::size_t idx : cls.segments) {
-            routed[idx] = DegradeEvent::QuarantinedKernel;
+        auto plan = Traits::plan_for(*this, cshape, 0);
+        if constexpr (Traits::gated) {
+          if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
+            for (const std::size_t idx : cls.segments) {
+              routed[idx] = DegradeEvent::QuarantinedKernel;
+            }
+            if (breaker) {
+              record_breaker(slot, /*degraded=*/true, probe);
+            }
+            continue;
           }
-          if (breaker_.enabled()) {
-            record_breaker(slot, /*degraded=*/true, probe);
-          }
-          continue;
         }
         for (const std::size_t idx : cls.segments) {
           plans[idx] = plan;
         }
-        gates.push_back(ClassGate{slot, probe, cls.segments});
+        if (breaker) {
+          gates.push_back(ClassGate{slot, probe, cls.segments});
+        }
       }
       record_grouped_plans(classes.size());
 
@@ -1265,58 +1019,55 @@ Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
         }
       }
       if (route_lanes > 0) {
-        degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-        fallback_lanes_.fetch_add(route_lanes, std::memory_order_relaxed);
+        note_degraded(route_lanes);
         ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
       }
 
       if (pool != nullptr) {
-        // Interleave per-segment batch-slice work items round-robin
-        // across segments so the pool alternates between size classes.
-        const index_t grain_env = tune::env_group_grain();
-        std::vector<sched::SegmentExtent> extents(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          if (routed[i] != DegradeEvent::None) {
-            continue; // already served on the reference path
+        if constexpr (Traits::pooled) {
+          // Interleave per-segment batch-slice work items round-robin
+          // across segments so the pool alternates between size classes.
+          const index_t grain_env = tune::env_group_grain();
+          std::vector<sched::SegmentExtent> extents(count);
+          for (std::size_t i = 0; i < count; ++i) {
+            if (routed[i] != DegradeEvent::None) {
+              continue; // already served on the reference path
+            }
+            extents[i].groups = Traits::written(segments[i]).groups();
+            const index_t tuned =
+                grain_env > 0 ? grain_env : plans[i]->chunk_groups();
+            extents[i].item_groups = sched::item_granularity(
+                extents[i].groups, plans[i]->slice_groups(), tuned,
+                static_cast<index_t>(pool->size()));
+            if (extents[i].groups == 0) {
+              // No work item will touch this segment: validate it here so
+              // caller bugs surface identically in both execution modes.
+              Traits::execute(*plans[i], segments[i], nullptr, nullptr);
+            }
           }
-          extents[i].groups = segments[i].c->groups();
-          const index_t tuned =
-              grain_env > 0 ? grain_env : plans[i]->chunk_groups();
-          extents[i].item_groups = sched::item_granularity(
-              extents[i].groups, plans[i]->slice_groups(), tuned,
-              static_cast<index_t>(pool->size()));
-          if (extents[i].groups == 0) {
-            // No work item will touch this segment: validate it here so
-            // caller bugs surface identically in both execution modes.
-            const sched::GemmSegment<T>& seg = segments[i];
-            plans[i]->execute(*seg.a, *seg.b, *seg.c, seg.alpha, seg.beta,
-                              nullptr, nullptr);
-          }
+          const std::vector<sched::WorkItem> items =
+              sched::interleave_slices(extents);
+          pool->parallel_for(
+              0, static_cast<index_t>(items.size()),
+              [&](index_t ib, index_t ie) {
+                for (index_t ii = ib; ii < ie; ++ii) {
+                  const sched::WorkItem& it =
+                      items[static_cast<std::size_t>(ii)];
+                  Traits::execute_range(
+                      *plans[it.segment], segments[it.segment], it.g_begin,
+                      it.g_end, guarded ? recs[it.segment].get() : nullptr,
+                      deadline);
+                }
+              },
+              /*grain=*/1, deadline);
         }
-        const std::vector<sched::WorkItem> items =
-            sched::interleave_slices(extents);
-        pool->parallel_for(
-            0, static_cast<index_t>(items.size()),
-            [&](index_t ib, index_t ie) {
-              for (index_t ii = ib; ii < ie; ++ii) {
-                const sched::WorkItem& it =
-                    items[static_cast<std::size_t>(ii)];
-                const sched::GemmSegment<T>& seg = segments[it.segment];
-                plans[it.segment]->execute_range(
-                    *seg.a, *seg.b, *seg.c, seg.alpha, seg.beta,
-                    it.g_begin, it.g_end,
-                    guarded ? recs[it.segment].get() : nullptr, deadline);
-              }
-            },
-            /*grain=*/1, deadline);
       } else {
         for (std::size_t i = 0; i < count; ++i) {
           if (routed[i] != DegradeEvent::None) {
             continue;
           }
-          const sched::GemmSegment<T>& seg = segments[i];
-          plans[i]->execute(*seg.a, *seg.b, *seg.c, seg.alpha, seg.beta,
-                            guarded ? recs[i].get() : nullptr, deadline);
+          Traits::execute(*plans[i], segments[i],
+                          guarded ? recs[i].get() : nullptr, deadline);
         }
       }
     } catch (...) {
@@ -1329,27 +1080,19 @@ Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
       // rethrows InvalidArg and Timeout
       const DegradeEvent event = classify_failure();
       for (std::size_t i = 0; i < count; ++i) {
-        validate_gemm_fallback(shapes[i], *segments[i].a, *segments[i].b,
-                               *segments[i].c);
+        Traits::validate(shapes[i], segments[i]);
       }
       // Any segment may hold partial fast-path output; restore and
       // recompute every lane of every segment on the reference path.
       std::uint64_t lanes = 0;
       for (std::size_t i = 0; i < count; ++i) {
-        const sched::GemmSegment<T>& seg = segments[i];
+        const Segment& seg = segments[i];
         std::copy(snapshots[i].begin(), snapshots[i].end(),
-                  seg.c->data());
-        for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
-          ref_gemm_lane(shapes[i], seg.alpha, *seg.a, *seg.b, seg.beta,
-                        *seg.c, lane);
-        }
-        healths[i].events |= event;
-        healths[i].fallback = shapes[i].batch;
-        healths[i].first_fallback = shapes[i].batch > 0 ? 0 : -1;
+                  Traits::written(seg).data());
+        ref_lanes<Traits>(shapes[i], seg, event, healths[i]);
         lanes += static_cast<std::uint64_t>(shapes[i].batch);
       }
-      degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-      fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
+      note_degraded(lanes);
       for (const ClassGate& gate : gates) {
         record_breaker(gate.slot, /*degraded=*/true, gate.probe);
       }
@@ -1362,303 +1105,8 @@ Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
         if (routed[i] != DegradeEvent::None) {
           continue; // reference results; nothing to scan or repair
         }
-        recs[i]->fill(healths[i]);
-        if (healths[i].nonfinite == 0) {
-          continue;
-        }
-        healths[i].events |= DegradeEvent::NumericalHazard;
-        if (!fallback) {
-          continue;
-        }
-        const sched::GemmSegment<T>& seg = segments[i];
-        for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
-          if (!recs[i]->flagged(lane)) {
-            continue;
-          }
-          restore_lane(*seg.c, snapshots[i], lane);
-          ref_gemm_lane(shapes[i], seg.alpha, *seg.a, *seg.b, seg.beta,
-                        *seg.c, lane);
-          if (healths[i].first_fallback < 0) {
-            healths[i].first_fallback = lane;
-          }
-          ++healths[i].fallback;
-        }
-        lanes += static_cast<std::uint64_t>(healths[i].fallback);
-      }
-      if (fallback && lanes > 0) {
-        degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-        fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
-      }
-    }
-    for (const ClassGate& gate : gates) {
-      bool degraded = false;
-      for (const std::size_t idx : gate.segs) {
-        degraded = degraded || healths[idx].events != DegradeEvent::None;
-      }
-      record_breaker(gate.slot, degraded, gate.probe);
-    }
-    return healths;
-  } catch (const Error& e) {
-    if (e.status() == Status::Timeout) {
-      timeout_calls_.fetch_add(1, std::memory_order_relaxed);
-    }
-    throw;
-  }
-}
-
-template <class T, int Bytes>
-std::vector<BatchHealth>
-Engine::trsm_grouped(std::span<const sched::TrsmSegment<T>> segments) {
-  using R = real_t<T>;
-  grouped_calls_.fetch_add(1, std::memory_order_relaxed);
-  note_width_call(Bytes);
-  const std::size_t count = segments.size();
-  std::vector<BatchHealth> healths(count);
-  if (count == 0) {
-    return healths;
-  }
-
-  std::vector<TrsmShape> shapes(count);
-  std::vector<sched::ClassKey> keys(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const sched::TrsmSegment<T>& seg = segments[i];
-    IATF_CHECK(seg.a != nullptr && seg.b != nullptr,
-               "trsm_grouped: segment with a null buffer");
-    TrsmShape& s = shapes[i];
-    s.m = seg.b->rows();
-    s.n = seg.b->cols();
-    s.side = seg.side;
-    s.uplo = seg.uplo;
-    s.op_a = seg.op_a;
-    s.diag = seg.diag;
-    s.batch = seg.b->batch();
-    healths[i].batch = s.batch;
-    sched::ClassKey& key = keys[i];
-    key.op = 't';
-    key.m = s.m;
-    key.n = s.n;
-    key.op_a = static_cast<std::uint8_t>(s.op_a);
-    key.side = static_cast<std::uint8_t>(s.side);
-    key.uplo = static_cast<std::uint8_t>(s.uplo);
-    key.diag = static_cast<std::uint8_t>(s.diag);
-    key.batch = s.batch;
-  }
-
-  const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
-  ThreadPool* pool = pool_.load(std::memory_order_relaxed);
-  const std::int64_t budget = deadline_ns_.load(std::memory_order_relaxed);
-  Deadline deadline_at;
-  const Deadline* deadline = nullptr;
-  if (budget > 0) {
-    deadline_at = Deadline::in(std::chrono::nanoseconds(budget));
-    deadline = &deadline_at;
-  }
-
-  const Admit admitted = admit_call(deadline);
-  struct Release {
-    Engine* engine;
-    ~Release() { engine->release_call(); }
-  } release{this};
-
-  const auto route_segment = [&](std::size_t i, DegradeEvent event) {
-    const sched::TrsmSegment<T>& seg = segments[i];
-    validate_trsm_fallback(shapes[i], *seg.a, *seg.b);
-    for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
-      ref_trsm_lane(shapes[i], seg.alpha, *seg.a, *seg.b, lane);
-    }
-    healths[i].events |= event;
-    healths[i].fallback = shapes[i].batch;
-    healths[i].first_fallback = shapes[i].batch > 0 ? 0 : -1;
-  };
-
-  try {
-    const bool guarded = policy != ExecPolicy::Fast;
-    const bool fallback = policy == ExecPolicy::Fallback;
-
-    if (admitted == Admit::RefRoute) {
-      std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        route_segment(i, DegradeEvent::Overloaded);
-        lanes += static_cast<std::uint64_t>(shapes[i].batch);
-      }
-      degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-      fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
-      ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
-      return healths;
-    }
-
-    // Snapshots and recorders are captured BEFORE any binning/planning
-    // so the whole-call fallback below can restore even when the
-    // scheduler or the planner throws.
-    std::vector<std::unique_ptr<HealthRecorder>> recs(count);
-    std::vector<std::vector<R>> snapshots(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (guarded) {
-        recs[i] = std::make_unique<HealthRecorder>(shapes[i].batch);
-      }
-      if (fallback) {
-        const CompactBuffer<T>& b = *segments[i].b;
-        snapshots[i].assign(b.data(), b.data() + b.size());
-      }
-    }
-
-    std::vector<std::shared_ptr<const plan::TrsmPlan<T, Bytes>>> plans(
-        count);
-    std::vector<DegradeEvent> routed(count, DegradeEvent::None);
-    struct ClassGate {
-      std::size_t slot = 0;
-      bool probe = false;
-      std::vector<std::size_t> segs;
-    };
-    std::vector<ClassGate> gates;
-
-    try {
-      const std::vector<sched::SizeClass> classes =
-          sched::bin_by_descriptor(keys);
-      for (const sched::SizeClass& cls : classes) {
-        const TrsmShape& cshape = shapes[cls.segments.front()];
-        std::size_t slot = 0;
-        bool probe = false;
-        bool route = false;
-        if (breaker_.enabled()) {
-          slot = PlanKeyHash{}(trsm_plan_key<T, Bytes>(cshape));
-          switch (breaker_.admit(slot)) {
-          case resilience::BreakerDecision::RefRoute:
-            route = true;
-            break;
-          case resilience::BreakerDecision::Probe:
-            probe = true;
-            try {
-              IATF_FAULT_POINT("resilience.probe",
-                               ::iatf::Status::Internal);
-            } catch (...) {
-              record_breaker(slot, /*degraded=*/true, /*probe=*/true);
-              probe = false;
-              route = true;
-            }
-            break;
-          case resilience::BreakerDecision::Allow:
-            break;
-          }
-        }
-        if (route) {
-          for (const std::size_t idx : cls.segments) {
-            routed[idx] = DegradeEvent::BreakerOpen;
-          }
-          continue;
-        }
-        auto plan = plan_trsm<T, Bytes>(cshape);
-        if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-          for (const std::size_t idx : cls.segments) {
-            routed[idx] = DegradeEvent::QuarantinedKernel;
-          }
-          if (breaker_.enabled()) {
-            record_breaker(slot, /*degraded=*/true, probe);
-          }
-          continue;
-        }
-        for (const std::size_t idx : cls.segments) {
-          plans[idx] = plan;
-        }
-        gates.push_back(ClassGate{slot, probe, cls.segments});
-      }
-      record_grouped_plans(classes.size());
-
-      std::uint64_t route_lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (routed[i] != DegradeEvent::None) {
-          route_segment(i, routed[i]);
-          route_lanes += static_cast<std::uint64_t>(shapes[i].batch);
-        }
-      }
-      if (route_lanes > 0) {
-        degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-        fallback_lanes_.fetch_add(route_lanes, std::memory_order_relaxed);
-        ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
-      }
-
-      if (pool != nullptr) {
-        const index_t grain_env = tune::env_group_grain();
-        std::vector<sched::SegmentExtent> extents(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          if (routed[i] != DegradeEvent::None) {
-            continue;
-          }
-          extents[i].groups = segments[i].b->groups();
-          const index_t tuned =
-              grain_env > 0 ? grain_env : plans[i]->chunk_groups();
-          extents[i].item_groups = sched::item_granularity(
-              extents[i].groups, plans[i]->slice_groups(), tuned,
-              static_cast<index_t>(pool->size()));
-          if (extents[i].groups == 0) {
-            const sched::TrsmSegment<T>& seg = segments[i];
-            plans[i]->execute(*seg.a, *seg.b, seg.alpha, nullptr, nullptr);
-          }
-        }
-        const std::vector<sched::WorkItem> items =
-            sched::interleave_slices(extents);
-        pool->parallel_for(
-            0, static_cast<index_t>(items.size()),
-            [&](index_t ib, index_t ie) {
-              for (index_t ii = ib; ii < ie; ++ii) {
-                const sched::WorkItem& it =
-                    items[static_cast<std::size_t>(ii)];
-                const sched::TrsmSegment<T>& seg = segments[it.segment];
-                plans[it.segment]->execute_range(
-                    *seg.a, *seg.b, seg.alpha, it.g_begin, it.g_end,
-                    guarded ? recs[it.segment].get() : nullptr, deadline);
-              }
-            },
-            /*grain=*/1, deadline);
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          if (routed[i] != DegradeEvent::None) {
-            continue;
-          }
-          const sched::TrsmSegment<T>& seg = segments[i];
-          plans[i]->execute(*seg.a, *seg.b, seg.alpha,
-                            guarded ? recs[i].get() : nullptr, deadline);
-        }
-      }
-    } catch (...) {
-      if (!fallback) {
-        for (const ClassGate& gate : gates) {
-          record_breaker(gate.slot, /*degraded=*/true, gate.probe);
-        }
-        throw; // Fast/Check: failures still propagate
-      }
-      // rethrows InvalidArg and Timeout
-      const DegradeEvent event = classify_failure();
-      for (std::size_t i = 0; i < count; ++i) {
-        validate_trsm_fallback(shapes[i], *segments[i].a, *segments[i].b);
-      }
-      std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        const sched::TrsmSegment<T>& seg = segments[i];
-        std::copy(snapshots[i].begin(), snapshots[i].end(),
-                  seg.b->data());
-        for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
-          ref_trsm_lane(shapes[i], seg.alpha, *seg.a, *seg.b, lane);
-        }
-        healths[i].events |= event;
-        healths[i].fallback = shapes[i].batch;
-        healths[i].first_fallback = shapes[i].batch > 0 ? 0 : -1;
-        lanes += static_cast<std::uint64_t>(shapes[i].batch);
-      }
-      degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-      fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
-      for (const ClassGate& gate : gates) {
-        record_breaker(gate.slot, /*degraded=*/true, gate.probe);
-      }
-      return healths;
-    }
-
-    if (guarded) {
-      std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (routed[i] != DegradeEvent::None) {
-          continue; // reference results; nothing to scan or repair
-        }
+        const Segment& seg = segments[i];
+        Traits::scan(shapes[i], seg, *recs[i]);
         recs[i]->fill(healths[i]);
         if (healths[i].nonfinite == 0 && healths[i].singular == 0) {
           continue;
@@ -1667,13 +1115,12 @@ Engine::trsm_grouped(std::span<const sched::TrsmSegment<T>> segments) {
         if (!fallback) {
           continue;
         }
-        const sched::TrsmSegment<T>& seg = segments[i];
         for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
           if (!recs[i]->flagged(lane)) {
             continue;
           }
-          restore_lane(*seg.b, snapshots[i], lane);
-          ref_trsm_lane(shapes[i], seg.alpha, *seg.a, *seg.b, lane);
+          restore_lane(Traits::written(seg), snapshots[i], lane);
+          Traits::ref_lane(shapes[i], seg, lane);
           if (healths[i].first_fallback < 0) {
             healths[i].first_fallback = lane;
           }
@@ -1682,8 +1129,7 @@ Engine::trsm_grouped(std::span<const sched::TrsmSegment<T>> segments) {
         lanes += static_cast<std::uint64_t>(healths[i].fallback);
       }
       if (fallback && lanes > 0) {
-        degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-        fallback_lanes_.fetch_add(lanes, std::memory_order_relaxed);
+        note_degraded(lanes);
       }
     }
     for (const ClassGate& gate : gates) {
@@ -1963,43 +1409,15 @@ void Engine::release_call() noexcept {
   }
 }
 
-template <class T, int Bytes>
-BatchHealth Engine::ref_route_gemm(const GemmShape& shape, T alpha,
-                                   const CompactBuffer<T>& a,
-                                   const CompactBuffer<T>& b, T beta,
-                                   CompactBuffer<T>& c, DegradeEvent event) {
-  validate_gemm_fallback(shape, a, b, c);
+template <class Traits>
+BatchHealth Engine::ref_route(const typename Traits::Segment& seg,
+                              const typename Traits::Shape& shape,
+                              DegradeEvent event) {
+  Traits::validate(shape, seg);
   BatchHealth health;
   health.batch = shape.batch;
-  for (index_t lane = 0; lane < shape.batch; ++lane) {
-    ref_gemm_lane(shape, alpha, a, b, beta, c, lane);
-  }
-  health.events |= event;
-  health.fallback = shape.batch;
-  health.first_fallback = shape.batch > 0 ? 0 : -1;
-  degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-  fallback_lanes_.fetch_add(static_cast<std::uint64_t>(shape.batch),
-                            std::memory_order_relaxed);
-  ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
-  return health;
-}
-
-template <class T, int Bytes>
-BatchHealth Engine::ref_route_trsm(const TrsmShape& shape, T alpha,
-                                   const CompactBuffer<T>& a,
-                                   CompactBuffer<T>& b, DegradeEvent event) {
-  validate_trsm_fallback(shape, a, b);
-  BatchHealth health;
-  health.batch = shape.batch;
-  for (index_t lane = 0; lane < shape.batch; ++lane) {
-    ref_trsm_lane(shape, alpha, a, b, lane);
-  }
-  health.events |= event;
-  health.fallback = shape.batch;
-  health.first_fallback = shape.batch > 0 ? 0 : -1;
-  degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-  fallback_lanes_.fetch_add(static_cast<std::uint64_t>(shape.batch),
-                            std::memory_order_relaxed);
+  ref_lanes<Traits>(shape, seg, event, health);
+  note_degraded(static_cast<std::uint64_t>(shape.batch));
   ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
   return health;
 }
@@ -2275,13 +1693,15 @@ std::size_t Engine::self_test() {
 template <class T, int Bytes>
 resilience::BreakerState
 Engine::gemm_breaker_state(const GemmShape& shape) const {
-  return breaker_.slot_state(PlanKeyHash{}(gemm_plan_key<T, Bytes>(shape)));
+  return breaker_.slot_state(
+      PlanKeyHash{}(plan_key<detail::GemmOp<T, Bytes>>(shape, 0)));
 }
 
 template <class T, int Bytes>
 resilience::BreakerState
 Engine::trsm_breaker_state(const TrsmShape& shape) const {
-  return breaker_.slot_state(PlanKeyHash{}(trsm_plan_key<T, Bytes>(shape)));
+  return breaker_.slot_state(
+      PlanKeyHash{}(plan_key<detail::TrsmOp<T, Bytes>>(shape, 0)));
 }
 
 // --- Crash-consistent health ledger (DESIGN.md section 14) --------------
@@ -2369,26 +1789,25 @@ void Engine::record_breaker(std::size_t slot_hash, bool degraded,
   }
 }
 
-template <class T, int Bytes>
-void Engine::trip_gemm_class(const GemmShape& shape, int cooldown_calls) {
-  const std::size_t slot = PlanKeyHash{}(gemm_plan_key<T, Bytes>(shape));
+void Engine::trip_slot(std::size_t slot_hash, int cooldown_calls) {
   if (cooldown_calls < 0) {
     cooldown_calls = breaker_.config().cooldown;
   }
-  breaker_.force_open(slot, cooldown_calls);
-  journal_watchdog(slot);
+  breaker_.force_open(slot_hash, cooldown_calls);
+  journal_watchdog(slot_hash);
   journal_degrade(static_cast<unsigned>(DegradeEvent::BreakerOpen));
 }
 
 template <class T, int Bytes>
+void Engine::trip_gemm_class(const GemmShape& shape, int cooldown_calls) {
+  trip_slot(PlanKeyHash{}(plan_key<detail::GemmOp<T, Bytes>>(shape, 0)),
+            cooldown_calls);
+}
+
+template <class T, int Bytes>
 void Engine::trip_trsm_class(const TrsmShape& shape, int cooldown_calls) {
-  const std::size_t slot = PlanKeyHash{}(trsm_plan_key<T, Bytes>(shape));
-  if (cooldown_calls < 0) {
-    cooldown_calls = breaker_.config().cooldown;
-  }
-  breaker_.force_open(slot, cooldown_calls);
-  journal_watchdog(slot);
-  journal_degrade(static_cast<unsigned>(DegradeEvent::BreakerOpen));
+  trip_slot(PlanKeyHash{}(plan_key<detail::TrsmOp<T, Bytes>>(shape, 0)),
+            cooldown_calls);
 }
 
 Engine& Engine::default_engine() {
@@ -2401,6 +1820,8 @@ Engine& Engine::default_engine() {
   return engine;
 }
 
+// The packed-handle and factorisation entry points (engine_factor.cpp)
+// run on the same call pipeline.
 #define IATF_INSTANTIATE_ENGINE(T, Bytes)                                    \
   template std::shared_ptr<const plan::GemmPlan<T, Bytes>>                  \
   Engine::plan_gemm<T, Bytes>(const GemmShape&, std::uint8_t);              \
@@ -2411,19 +1832,22 @@ Engine& Engine::default_engine() {
   template BatchHealth Engine::gemm<T, Bytes>(                              \
       Op, Op, T, const CompactBuffer<T>&, const CompactBuffer<T>&, T,       \
       CompactBuffer<T>&);                                                   \
-  template BatchHealth Engine::gemm_at<T, Bytes>(                           \
-      Op, Op, T, const CompactBuffer<T>&, const CompactBuffer<T>&, T,       \
-      CompactBuffer<T>&, std::uint8_t);                                     \
   template BatchHealth Engine::trsm<T, Bytes>(Side, Uplo, Op, Diag, T,      \
                                               const CompactBuffer<T>&,      \
                                               CompactBuffer<T>&);           \
-  template BatchHealth Engine::trsm_at<T, Bytes>(                           \
-      Side, Uplo, Op, Diag, T, const CompactBuffer<T>&, CompactBuffer<T>&,  \
-      std::uint8_t);                                                        \
+  template BatchHealth Engine::call<detail::GemmOp<T, Bytes>>(              \
+      const sched::GemmSegment<T>&, std::uint8_t);                          \
+  template BatchHealth Engine::call<detail::TrsmOp<T, Bytes>>(              \
+      const sched::TrsmSegment<T>&, std::uint8_t);                          \
+  template BatchHealth Engine::call<detail::FactorOp<T, Bytes>>(            \
+      const sched::FactorSegment<T>&, std::uint8_t);                        \
   template std::vector<BatchHealth> Engine::gemm_grouped<T, Bytes>(         \
       std::span<const sched::GemmSegment<T>>);                              \
   template std::vector<BatchHealth> Engine::trsm_grouped<T, Bytes>(         \
       std::span<const sched::TrsmSegment<T>>);                              \
+  template std::vector<BatchHealth>                                         \
+  Engine::grouped<detail::FactorOp<T, Bytes>>(                              \
+      std::span<const sched::FactorSegment<T>>);                            \
   template resilience::BreakerState Engine::gemm_breaker_state<T, Bytes>(   \
       const GemmShape&) const;                                              \
   template resilience::BreakerState Engine::trsm_breaker_state<T, Bytes>(   \

@@ -3,138 +3,22 @@
 // (DESIGN.md section 13).
 //
 // Layout propagation lives here: the packed-handle overloads feed the
-// shared gemm_at/trsm_at pipelines with layout state 1, so their plans
-// are cached beside -- never instead of -- the raw-buffer variants, and
-// a chain of handle calls touches interleaved storage end-to-end with
-// exactly one pack at the front and one unpack at the back. The engine
-// counts both sides (packed_reuse_hits / packed_repacks) so the payoff
-// is observable.
+// shared call pipeline with layout state 1, so their plans are cached
+// beside -- never instead of -- the raw-buffer variants, and a chain of
+// handle calls touches interleaved storage end-to-end with exactly one
+// pack at the front and one unpack at the back. The engine counts both
+// sides (packed_reuse_hits / packed_repacks) so the payoff is observable.
 //
-// Factorisations reuse the guarded-execution shape of guarded_trsm but
-// not its transient retry loop: a FactorPlan allocates nothing and
-// dispatches no registry kernels during execute, so the only failures
-// are injected faults, deadline expiry, and numerical hazards -- and
-// hazards are handled per lane, not per call. Non-SPD / hard-singular
-// lanes are flagged and (under Fallback) ref-repaired or restored to
-// their original input instead of poisoning the rest of the batch.
-#include <algorithm>
-#include <chrono>
-#include <cmath>
+// Factorisations run the same pipeline as GEMM/TRSM (engine.cpp) through
+// detail::FactorOp (engine_ops.hpp): non-SPD / hard-singular lanes are
+// flagged and (under Fallback) ref-repaired or restored to their
+// original input instead of poisoning the rest of the batch.
 #include <complex>
 #include <vector>
 
-#include "engine_internal.hpp"
-#include "iatf/core/engine.hpp"
-#include "iatf/ref/ref_blas.hpp"
-#include "iatf/sched/group_scheduler.hpp"
+#include "engine_ops.hpp"
 
 namespace iatf {
-
-namespace {
-
-using detail::classify_failure;
-using detail::restore_lane;
-
-template <class T> bool finite_scalar(T v) {
-  if constexpr (is_complex_v<T>) {
-    return std::isfinite(v.real()) && std::isfinite(v.imag());
-  } else {
-    return std::isfinite(v);
-  }
-}
-
-/// Does the factorisation write element (i, j)? Potrf touches the lower
-/// triangle only, LU the full matrix, Trtri its own triangle (diagonal
-/// included only when it is stored).
-bool in_written_region(const factor::FactorShape& s, index_t i, index_t j) {
-  switch (s.op) {
-  case factor::FactorOp::Potrf:
-    return i >= j;
-  case factor::FactorOp::GetrfNp:
-    return true;
-  case factor::FactorOp::Trtri:
-    if (i == j) {
-      return s.diag == Diag::NonUnit;
-    }
-    return s.uplo == Uplo::Lower ? i > j : i < j;
-  }
-  return true;
-}
-
-template <class T>
-void validate_factor(const factor::FactorShape& s, const CompactBuffer<T>& a) {
-  IATF_CHECK(s.m >= 0 && s.batch >= 0, "factor: negative dimension");
-  IATF_CHECK(a.rows() == s.m && a.cols() == s.m,
-             "factor: matrices must be square and match the call");
-  IATF_CHECK(a.batch() == s.batch, "factor: batch does not match");
-}
-
-/// Recompute one lane with the scalar reference factorisation,
-/// out-of-place. The lane is written back only when the reference result
-/// is defined -- ref::potrf accepted the input and the written region is
-/// free of Inf/NaN. Otherwise returns false and leaves the lane exactly
-/// as it was (the caller has already restored the original input there).
-template <class T>
-bool ref_factor_lane(const factor::FactorShape& s, CompactBuffer<T>& a,
-                     index_t lane) {
-  const index_t lda = std::max<index_t>(a.rows(), 1);
-  std::vector<T> ta(static_cast<std::size_t>(a.rows() * a.cols()));
-  a.export_colmajor(lane, ta.data(), lda);
-  try {
-    switch (s.op) {
-    case factor::FactorOp::Potrf:
-      ref::potrf(s.m, ta.data(), lda);
-      break;
-    case factor::FactorOp::GetrfNp:
-      ref::getrf_np(s.m, ta.data(), lda);
-      break;
-    case factor::FactorOp::Trtri:
-      ref::trtri(s.uplo, s.diag, s.m, ta.data(), lda);
-      break;
-    }
-  } catch (const Error&) {
-    return false; // ref::potrf refuses non-positive-definite input
-  }
-  for (index_t j = 0; j < s.m; ++j) {
-    for (index_t i = 0; i < s.m; ++i) {
-      if (in_written_region(s, i, j) &&
-          !finite_scalar(ta[static_cast<std::size_t>(j * lda + i)])) {
-        return false; // quiet zero pivot: as failed as a throwing one
-      }
-    }
-  }
-  a.import_colmajor(lane, ta.data(), lda);
-  return true;
-}
-
-/// Post-execution hazard scan over the written region. The plan's pivot
-/// scan catches bad pivots as they are formed; this catches Inf/NaN that
-/// propagated into the output without passing through a scanned diagonal
-/// (a non-finite off-diagonal input under Trtri, for example).
-template <class T>
-void scan_factor_output(const factor::FactorShape& s,
-                        const CompactBuffer<T>& a, HealthRecorder& rec) {
-  for (index_t lane = 0; lane < s.batch; ++lane) {
-    if (rec.flagged(lane)) {
-      continue;
-    }
-    bool bad = false;
-    for (index_t j = 0; j < s.m && !bad; ++j) {
-      for (index_t i = 0; i < s.m; ++i) {
-        if (in_written_region(s, i, j) &&
-            !finite_scalar(a.get(lane, i, j))) {
-          bad = true;
-          break;
-        }
-      }
-    }
-    if (bad) {
-      rec.note_nonfinite(lane);
-    }
-  }
-}
-
-} // namespace
 
 // --- Persistent packed layouts -------------------------------------------
 
@@ -188,9 +72,9 @@ BatchHealth Engine::gemm(Op op_a, Op op_b, T alpha,
   IATF_CHECK(a.valid() && b.valid() && c.valid(),
              "gemm: invalid packed handle");
   packed_reuse_hits_.fetch_add(3, std::memory_order_relaxed);
-  BatchHealth health = gemm_at<T, Bytes>(op_a, op_b, alpha, a.buffer(),
-                                         b.buffer(), beta, c.buffer(),
-                                         /*layout=*/1);
+  BatchHealth health = call<detail::GemmOp<T, Bytes>>(
+      {op_a, op_b, alpha, beta, &a.buffer(), &b.buffer(), &c.buffer()},
+      /*layout=*/1);
   c.bump_epoch();
   return health;
 }
@@ -201,9 +85,9 @@ BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
                          factor::PackedHandle<T>& b) {
   IATF_CHECK(a.valid() && b.valid(), "trsm: invalid packed handle");
   packed_reuse_hits_.fetch_add(2, std::memory_order_relaxed);
-  BatchHealth health = trsm_at<T, Bytes>(side, uplo, op_a, diag, alpha,
-                                         a.buffer(), b.buffer(),
-                                         /*layout=*/1);
+  BatchHealth health = call<detail::TrsmOp<T, Bytes>>(
+      {side, uplo, op_a, diag, alpha, &a.buffer(), &b.buffer()},
+      /*layout=*/1);
   b.bump_epoch();
   return health;
 }
@@ -212,43 +96,31 @@ BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
 
 template <class T, int Bytes>
 BatchHealth Engine::potrf_batch(CompactBuffer<T>& a) {
-  factor::FactorShape shape;
-  shape.op = factor::FactorOp::Potrf;
-  shape.m = a.rows();
-  shape.batch = a.batch();
-  return factor_dispatch<T, Bytes>(shape, a, /*layout=*/0);
+  return call<detail::FactorOp<T, Bytes>>(
+      {factor::FactorOp::Potrf, Uplo::Lower, Diag::NonUnit, &a},
+      /*layout=*/0);
 }
 
 template <class T, int Bytes>
 BatchHealth Engine::getrf_nopiv_batch(CompactBuffer<T>& a) {
-  factor::FactorShape shape;
-  shape.op = factor::FactorOp::GetrfNp;
-  shape.m = a.rows();
-  shape.batch = a.batch();
-  return factor_dispatch<T, Bytes>(shape, a, /*layout=*/0);
+  return call<detail::FactorOp<T, Bytes>>(
+      {factor::FactorOp::GetrfNp, Uplo::Lower, Diag::NonUnit, &a},
+      /*layout=*/0);
 }
 
 template <class T, int Bytes>
 BatchHealth Engine::trtri_batch(Uplo uplo, Diag diag, CompactBuffer<T>& a) {
-  factor::FactorShape shape;
-  shape.op = factor::FactorOp::Trtri;
-  shape.m = a.rows();
-  shape.uplo = uplo;
-  shape.diag = diag;
-  shape.batch = a.batch();
-  return factor_dispatch<T, Bytes>(shape, a, /*layout=*/0);
+  return call<detail::FactorOp<T, Bytes>>(
+      {factor::FactorOp::Trtri, uplo, diag, &a}, /*layout=*/0);
 }
 
 template <class T, int Bytes>
 BatchHealth Engine::potrf_batch(factor::PackedHandle<T>& a) {
   IATF_CHECK(a.valid(), "potrf_batch: invalid packed handle");
   packed_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
-  factor::FactorShape shape;
-  shape.op = factor::FactorOp::Potrf;
-  shape.m = a.rows();
-  shape.batch = a.batch();
-  BatchHealth health = factor_dispatch<T, Bytes>(shape, a.buffer(),
-                                                 /*layout=*/1);
+  BatchHealth health = call<detail::FactorOp<T, Bytes>>(
+      {factor::FactorOp::Potrf, Uplo::Lower, Diag::NonUnit, &a.buffer()},
+      /*layout=*/1);
   a.bump_epoch();
   return health;
 }
@@ -257,12 +129,9 @@ template <class T, int Bytes>
 BatchHealth Engine::getrf_nopiv_batch(factor::PackedHandle<T>& a) {
   IATF_CHECK(a.valid(), "getrf_nopiv_batch: invalid packed handle");
   packed_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
-  factor::FactorShape shape;
-  shape.op = factor::FactorOp::GetrfNp;
-  shape.m = a.rows();
-  shape.batch = a.batch();
-  BatchHealth health = factor_dispatch<T, Bytes>(shape, a.buffer(),
-                                                 /*layout=*/1);
+  BatchHealth health = call<detail::FactorOp<T, Bytes>>(
+      {factor::FactorOp::GetrfNp, Uplo::Lower, Diag::NonUnit, &a.buffer()},
+      /*layout=*/1);
   a.bump_epoch();
   return health;
 }
@@ -272,236 +141,16 @@ BatchHealth Engine::trtri_batch(Uplo uplo, Diag diag,
                                 factor::PackedHandle<T>& a) {
   IATF_CHECK(a.valid(), "trtri_batch: invalid packed handle");
   packed_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
-  factor::FactorShape shape;
-  shape.op = factor::FactorOp::Trtri;
-  shape.m = a.rows();
-  shape.uplo = uplo;
-  shape.diag = diag;
-  shape.batch = a.batch();
-  BatchHealth health = factor_dispatch<T, Bytes>(shape, a.buffer(),
-                                                 /*layout=*/1);
+  BatchHealth health = call<detail::FactorOp<T, Bytes>>(
+      {factor::FactorOp::Trtri, uplo, diag, &a.buffer()}, /*layout=*/1);
   a.bump_epoch();
-  return health;
-}
-
-template <class T, int Bytes>
-BatchHealth Engine::factor_dispatch(const factor::FactorShape& shape,
-                                    CompactBuffer<T>& a,
-                                    std::uint8_t layout) {
-  note_width_call(Bytes);
-  const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
-  const std::int64_t budget = deadline_ns_.load(std::memory_order_relaxed);
-  Deadline deadline_at;
-  const Deadline* deadline = nullptr;
-  if (budget > 0) {
-    deadline_at = Deadline::in(std::chrono::nanoseconds(budget));
-    deadline = &deadline_at;
-  }
-
-  const Admit admitted = admit_call(deadline);
-  struct Release {
-    Engine* engine;
-    ~Release() { engine->release_call(); }
-  } release{this};
-  if (admitted == Admit::RefRoute) {
-    return ref_route_factor<T, Bytes>(shape, a, DegradeEvent::Overloaded);
-  }
-
-  // No breaker slot and no verify-and-quarantine gate here: a FactorPlan
-  // is a fixed register sweep that dispatches no registry kernels, so
-  // there is nothing to canary and no per-kernel failure domain to trip.
-  try {
-    return factor_execute<T, Bytes>(shape, a, policy, deadline, layout);
-  } catch (const Error& e) {
-    if (e.status() == Status::Timeout) {
-      timeout_calls_.fetch_add(1, std::memory_order_relaxed);
-    }
-    throw;
-  }
-}
-
-template <class T, int Bytes>
-BatchHealth Engine::factor_execute(const factor::FactorShape& shape,
-                                   CompactBuffer<T>& a, ExecPolicy policy,
-                                   const Deadline* deadline,
-                                   std::uint8_t layout) {
-  using R = real_t<T>;
-  BatchHealth health;
-  health.batch = shape.batch;
-  const bool guarded = policy != ExecPolicy::Fast;
-  const bool fallback = policy == ExecPolicy::Fallback;
-
-  // Factorisations divide by the pad-lane diagonals, so make them unit
-  // before touching the data (to_compact zero-fills the padding).
-  a.pad_identity();
-
-  // In-place factorisation: repairing a lane needs its input back.
-  std::vector<R> snapshot;
-  if (fallback) {
-    snapshot.assign(a.data(), a.data() + a.size());
-  }
-
-  HealthRecorder rec(shape.batch);
-  try {
-    auto plan = plan_factor<T, Bytes>(shape, layout);
-    plan->execute(a, guarded ? &rec : nullptr, deadline);
-  } catch (...) {
-    if (!fallback) {
-      throw; // Fast/Check: failures still propagate
-    }
-    // rethrows InvalidArg and Timeout
-    const DegradeEvent event = classify_failure();
-    validate_factor(shape, a);
-    std::copy(snapshot.begin(), snapshot.end(), a.data());
-    for (index_t lane = 0; lane < shape.batch; ++lane) {
-      if (!ref_factor_lane(shape, a, lane)) {
-        // Reference refused the lane (non-SPD / hard singular): it keeps
-        // its restored original input and is flagged, like the fast
-        // path's hazard handling.
-        ++health.singular;
-        if (health.first_singular < 0) {
-          health.first_singular = lane;
-        }
-        health.events |= DegradeEvent::NumericalHazard;
-      }
-    }
-    health.events |= event;
-    health.fallback = shape.batch;
-    health.first_fallback = shape.batch > 0 ? 0 : -1;
-    degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-    fallback_lanes_.fetch_add(static_cast<std::uint64_t>(health.fallback),
-                              std::memory_order_relaxed);
-    return health;
-  }
-
-  if (guarded) {
-    scan_factor_output(shape, a, rec);
-    rec.fill(health);
-    if (health.nonfinite != 0 || health.singular != 0) {
-      health.events |= DegradeEvent::NumericalHazard;
-      if (fallback) {
-        for (index_t lane = 0; lane < shape.batch; ++lane) {
-          if (!rec.flagged(lane)) {
-            continue;
-          }
-          restore_lane(a, snapshot, lane);
-          // Ref repair where the reference result is defined; otherwise
-          // the lane keeps its restored original input (the documented
-          // potrf contract -- ref::potrf refuses non-SPD lanes).
-          ref_factor_lane(shape, a, lane);
-          if (health.first_fallback < 0) {
-            health.first_fallback = lane;
-          }
-          ++health.fallback;
-        }
-        if (health.fallback > 0) {
-          degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-          fallback_lanes_.fetch_add(
-              static_cast<std::uint64_t>(health.fallback),
-              std::memory_order_relaxed);
-        }
-      }
-    }
-  }
-  return health;
-}
-
-template <class T, int Bytes>
-BatchHealth Engine::ref_route_factor(const factor::FactorShape& shape,
-                                     CompactBuffer<T>& a,
-                                     DegradeEvent event) {
-  validate_factor(shape, a);
-  BatchHealth health;
-  health.batch = shape.batch;
-  for (index_t lane = 0; lane < shape.batch; ++lane) {
-    if (!ref_factor_lane(shape, a, lane)) {
-      ++health.singular;
-      if (health.first_singular < 0) {
-        health.first_singular = lane;
-      }
-      health.events |= DegradeEvent::NumericalHazard;
-    }
-  }
-  health.events |= event;
-  health.fallback = shape.batch;
-  health.first_fallback = shape.batch > 0 ? 0 : -1;
-  degraded_calls_.fetch_add(1, std::memory_order_relaxed);
-  fallback_lanes_.fetch_add(static_cast<std::uint64_t>(shape.batch),
-                            std::memory_order_relaxed);
-  ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
   return health;
 }
 
 template <class T, int Bytes>
 std::vector<BatchHealth>
 Engine::factor_grouped(std::span<const sched::FactorSegment<T>> segments) {
-  grouped_calls_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t count = segments.size();
-  std::vector<BatchHealth> healths(count);
-  if (count == 0) {
-    return healths;
-  }
-
-  std::vector<factor::FactorShape> shapes(count);
-  std::vector<sched::ClassKey> keys(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const sched::FactorSegment<T>& seg = segments[i];
-    IATF_CHECK(seg.a != nullptr, "factor_grouped: null segment buffer");
-    factor::FactorShape s;
-    s.op = seg.op;
-    s.m = seg.a->rows();
-    s.uplo = seg.uplo;
-    s.diag = seg.diag;
-    s.batch = seg.a->batch();
-    shapes[i] = s;
-    keys[i] = sched::factor_class_key(seg.op, s.m, seg.uplo, seg.diag,
-                                      s.batch);
-  }
-
-  const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
-  const std::int64_t budget = deadline_ns_.load(std::memory_order_relaxed);
-  Deadline deadline_at;
-  const Deadline* deadline = nullptr;
-  if (budget > 0) {
-    deadline_at = Deadline::in(std::chrono::nanoseconds(budget));
-    deadline = &deadline_at;
-  }
-
-  const Admit admitted = admit_call(deadline);
-  struct Release {
-    Engine* engine;
-    ~Release() { engine->release_call(); }
-  } release{this};
-  if (admitted == Admit::RefRoute) {
-    for (std::size_t i = 0; i < count; ++i) {
-      healths[i] = ref_route_factor<T, Bytes>(shapes[i], *segments[i].a,
-                                              DegradeEvent::Overloaded);
-    }
-    return healths;
-  }
-
-  const std::vector<sched::SizeClass> classes = sched::bin_by_descriptor(keys);
-  record_grouped_plans(classes.size());
-
-  // Execute class by class (first-appearance order), so each distinct
-  // descriptor resolves its plan once and the segments sharing it run
-  // back to back against the warm cache entry. The single deadline spans
-  // the whole grouped call.
-  try {
-    for (const sched::SizeClass& cls : classes) {
-      for (std::size_t idx : cls.segments) {
-        healths[idx] = factor_execute<T, Bytes>(shapes[idx], *segments[idx].a,
-                                                policy, deadline,
-                                                /*layout=*/0);
-      }
-    }
-  } catch (const Error& e) {
-    if (e.status() == Status::Timeout) {
-      timeout_calls_.fetch_add(1, std::memory_order_relaxed);
-    }
-    throw;
-  }
-  return healths;
+  return grouped<detail::FactorOp<T, Bytes>>(segments);
 }
 
 // --- Explicit instantiations ---------------------------------------------

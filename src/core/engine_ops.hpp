@@ -1,0 +1,381 @@
+// Op traits for the engine's one call pipeline (DESIGN.md section 11.6).
+// Engine::call<Traits> (one call) and Engine::grouped<Traits> (a grouped
+// call) run every op through the same admission -> breaker -> plan ->
+// verify -> execute -> retry -> lane repair -> reference fallback path;
+// each struct below holds only the facts that differ between ops:
+//
+//   Segment, Shape, Plan   the operand bundle, its descriptor, its plan;
+//   gated                  breaker + kernel canary apply (false for
+//                          factorisations, whose plans dispatch no
+//                          registry kernels);
+//   pooled                 the plan has execute_parallel/execute_range;
+//   shape / class_key      descriptor and size class of a segment (the
+//                          engine's plan key is derived from class_key);
+//   plan_for               the engine's plan_* lookup;
+//   written                the operand the op overwrites (snapshot,
+//                          restore and per-lane repair target);
+//   prepare / scan         pre-execution step and post-execution hazard
+//                          scan (factorisations only);
+//   check / validate       grouped null check and the consistency check
+//                          the reference path needs;
+//   ref_lane               recompute one lane on the scalar reference;
+//                          false when the reference refuses the lane
+//                          (factorisations only), which keeps its
+//                          current contents and is flagged singular.
+//
+// Not installed; not part of the public API.
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "iatf/common/error.hpp"
+#include "iatf/common/status.hpp"
+#include "iatf/core/engine.hpp"
+#include "iatf/ref/ref_blas.hpp"
+#include "iatf/sched/group_scheduler.hpp"
+
+namespace iatf::detail {
+
+template <class T, int Bytes> struct GemmOp {
+  using value_type = T;
+  using Segment = sched::GemmSegment<T>;
+  using Shape = GemmShape;
+  using Plan = plan::GemmPlan<T, Bytes>;
+  static constexpr int bytes = Bytes;
+  static constexpr bool gated = true;
+  static constexpr bool pooled = true;
+
+  static Shape shape(const Segment& seg) {
+    GemmShape s;
+    s.m = seg.c->rows();
+    s.n = seg.c->cols();
+    s.k = seg.op_a == Op::NoTrans ? seg.a->cols() : seg.a->rows();
+    s.op_a = seg.op_a;
+    s.op_b = seg.op_b;
+    s.batch = seg.c->batch();
+    return s;
+  }
+
+  static sched::ClassKey class_key(const Shape& s) {
+    sched::ClassKey key;
+    key.op = 'g';
+    key.m = s.m;
+    key.n = s.n;
+    key.k = s.k;
+    key.op_a = static_cast<std::uint8_t>(s.op_a);
+    key.op_b = static_cast<std::uint8_t>(s.op_b);
+    key.batch = s.batch;
+    return key;
+  }
+
+  static auto plan_for(Engine& engine, const Shape& s, std::uint8_t layout) {
+    return engine.plan_gemm<T, Bytes>(s, layout);
+  }
+
+  static CompactBuffer<T>& written(const Segment& seg) { return *seg.c; }
+  static void prepare(const Segment&) {}
+  static void scan(const Shape&, const Segment&, HealthRecorder&) {}
+
+  static void execute(const Plan& plan, const Segment& seg,
+                      HealthRecorder* rec, const Deadline* deadline) {
+    plan.execute(*seg.a, *seg.b, *seg.c, seg.alpha, seg.beta, rec,
+                 deadline);
+  }
+  static void execute_parallel(const Plan& plan, const Segment& seg,
+                               ThreadPool& pool, HealthRecorder* rec,
+                               const Deadline* deadline) {
+    plan.execute_parallel(*seg.a, *seg.b, *seg.c, seg.alpha, seg.beta,
+                          pool, rec, deadline);
+  }
+  static void execute_range(const Plan& plan, const Segment& seg,
+                            index_t g_begin, index_t g_end,
+                            HealthRecorder* rec, const Deadline* deadline) {
+    plan.execute_range(*seg.a, *seg.b, *seg.c, seg.alpha, seg.beta, g_begin,
+                       g_end, rec, deadline);
+  }
+
+  static void check(const Segment& seg) {
+    IATF_CHECK(seg.a != nullptr && seg.b != nullptr && seg.c != nullptr,
+               "gemm_grouped: segment with a null buffer");
+  }
+
+  /// The fallback path reads the buffers directly, so it must re-validate
+  /// the consistency the plan normally checks -- plan construction may
+  /// have failed before any validation ran.
+  static void validate(const Shape& s, const Segment& seg) {
+    const bool ta = s.op_a != Op::NoTrans;
+    const bool tb = s.op_b != Op::NoTrans;
+    const CompactBuffer<T>& a = *seg.a;
+    const CompactBuffer<T>& b = *seg.b;
+    IATF_CHECK(s.m >= 0 && s.n >= 0 && s.k >= 0 && s.batch >= 0,
+               "gemm: negative dimension");
+    IATF_CHECK(a.rows() == (ta ? s.k : s.m) && a.cols() == (ta ? s.m : s.k),
+               "gemm: operand A has mismatched dimensions");
+    IATF_CHECK(b.rows() == (tb ? s.n : s.k) && b.cols() == (tb ? s.k : s.n),
+               "gemm: operand B has mismatched dimensions");
+    IATF_CHECK(a.batch() == s.batch && b.batch() == s.batch &&
+                   seg.c->batch() == s.batch,
+               "gemm: operand batch sizes do not match");
+  }
+
+  /// Recompute one lane with the scalar reference GEMM. The lane's C must
+  /// hold the original (pre-call) values so beta applies correctly.
+  static bool ref_lane(const Shape& s, const Segment& seg, index_t lane) {
+    const CompactBuffer<T>& a = *seg.a;
+    const CompactBuffer<T>& b = *seg.b;
+    CompactBuffer<T>& c = *seg.c;
+    const index_t lda = std::max<index_t>(a.rows(), 1);
+    const index_t ldb = std::max<index_t>(b.rows(), 1);
+    const index_t ldc = std::max<index_t>(c.rows(), 1);
+    std::vector<T> ta(static_cast<std::size_t>(a.rows() * a.cols()));
+    std::vector<T> tb(static_cast<std::size_t>(b.rows() * b.cols()));
+    std::vector<T> tc(static_cast<std::size_t>(c.rows() * c.cols()));
+    a.export_colmajor(lane, ta.data(), lda);
+    b.export_colmajor(lane, tb.data(), ldb);
+    c.export_colmajor(lane, tc.data(), ldc);
+    ref::gemm(s.op_a, s.op_b, s.m, s.n, s.k, seg.alpha, ta.data(), lda,
+              tb.data(), ldb, seg.beta, tc.data(), ldc);
+    c.import_colmajor(lane, tc.data(), ldc);
+    return true;
+  }
+};
+
+template <class T, int Bytes> struct TrsmOp {
+  using value_type = T;
+  using Segment = sched::TrsmSegment<T>;
+  using Shape = TrsmShape;
+  using Plan = plan::TrsmPlan<T, Bytes>;
+  static constexpr int bytes = Bytes;
+  static constexpr bool gated = true;
+  static constexpr bool pooled = true;
+
+  static Shape shape(const Segment& seg) {
+    TrsmShape s;
+    s.m = seg.b->rows();
+    s.n = seg.b->cols();
+    s.side = seg.side;
+    s.uplo = seg.uplo;
+    s.op_a = seg.op_a;
+    s.diag = seg.diag;
+    s.batch = seg.b->batch();
+    return s;
+  }
+
+  static sched::ClassKey class_key(const Shape& s) {
+    sched::ClassKey key;
+    key.op = 't';
+    key.m = s.m;
+    key.n = s.n;
+    key.op_a = static_cast<std::uint8_t>(s.op_a);
+    key.side = static_cast<std::uint8_t>(s.side);
+    key.uplo = static_cast<std::uint8_t>(s.uplo);
+    key.diag = static_cast<std::uint8_t>(s.diag);
+    key.batch = s.batch;
+    return key;
+  }
+
+  static auto plan_for(Engine& engine, const Shape& s, std::uint8_t layout) {
+    return engine.plan_trsm<T, Bytes>(s, layout);
+  }
+
+  static CompactBuffer<T>& written(const Segment& seg) { return *seg.b; }
+  static void prepare(const Segment&) {}
+  static void scan(const Shape&, const Segment&, HealthRecorder&) {}
+
+  static void execute(const Plan& plan, const Segment& seg,
+                      HealthRecorder* rec, const Deadline* deadline) {
+    plan.execute(*seg.a, *seg.b, seg.alpha, rec, deadline);
+  }
+  static void execute_parallel(const Plan& plan, const Segment& seg,
+                               ThreadPool& pool, HealthRecorder* rec,
+                               const Deadline* deadline) {
+    plan.execute_parallel(*seg.a, *seg.b, seg.alpha, pool, rec, deadline);
+  }
+  static void execute_range(const Plan& plan, const Segment& seg,
+                            index_t g_begin, index_t g_end,
+                            HealthRecorder* rec, const Deadline* deadline) {
+    plan.execute_range(*seg.a, *seg.b, seg.alpha, g_begin, g_end, rec,
+                       deadline);
+  }
+
+  static void check(const Segment& seg) {
+    IATF_CHECK(seg.a != nullptr && seg.b != nullptr,
+               "trsm_grouped: segment with a null buffer");
+  }
+
+  static void validate(const Shape& s, const Segment& seg) {
+    IATF_CHECK(s.m >= 0 && s.n >= 0 && s.batch >= 0,
+               "trsm: negative dimension");
+    IATF_CHECK(seg.a->rows() == s.a_dim() && seg.a->cols() == s.a_dim(),
+               "trsm: A must be a_dim x a_dim");
+    IATF_CHECK(seg.a->batch() == s.batch && seg.b->batch() == s.batch,
+               "trsm: operand batch sizes do not match");
+  }
+
+  /// Recompute one lane with the scalar reference TRSM. The lane's B must
+  /// hold the original right-hand side, not the partial fast-path
+  /// solution.
+  static bool ref_lane(const Shape& s, const Segment& seg, index_t lane) {
+    const CompactBuffer<T>& a = *seg.a;
+    CompactBuffer<T>& b = *seg.b;
+    const index_t lda = std::max<index_t>(a.rows(), 1);
+    const index_t ldb = std::max<index_t>(b.rows(), 1);
+    std::vector<T> ta(static_cast<std::size_t>(a.rows() * a.cols()));
+    std::vector<T> tb(static_cast<std::size_t>(b.rows() * b.cols()));
+    a.export_colmajor(lane, ta.data(), lda);
+    b.export_colmajor(lane, tb.data(), ldb);
+    ref::trsm(s.side, s.uplo, s.op_a, s.diag, s.m, s.n, seg.alpha,
+              ta.data(), lda, tb.data(), ldb);
+    b.import_colmajor(lane, tb.data(), ldb);
+    return true;
+  }
+};
+
+/// Factorisations run the same pipeline without the breaker and canary
+/// (`gated` is false: a FactorPlan is a fixed register sweep with no
+/// registry kernels, so there is nothing to canary and no per-kernel
+/// failure domain to trip) and without a thread pool (one sweep per
+/// group, no range entry point).
+template <class T, int Bytes> struct FactorOp {
+  using value_type = T;
+  using Segment = sched::FactorSegment<T>;
+  using Shape = factor::FactorShape;
+  using Plan = factor::FactorPlan<T, Bytes>;
+  static constexpr int bytes = Bytes;
+  static constexpr bool gated = false;
+  static constexpr bool pooled = false;
+
+  static Shape shape(const Segment& seg) {
+    factor::FactorShape s;
+    s.op = seg.op;
+    s.m = seg.a->rows();
+    s.uplo = seg.uplo;
+    s.diag = seg.diag;
+    s.batch = seg.a->batch();
+    return s;
+  }
+
+  static sched::ClassKey class_key(const Shape& s) {
+    return sched::factor_class_key(s.op, s.m, s.uplo, s.diag, s.batch);
+  }
+
+  static auto plan_for(Engine& engine, const Shape& s, std::uint8_t layout) {
+    return engine.plan_factor<T, Bytes>(s, layout);
+  }
+
+  static CompactBuffer<T>& written(const Segment& seg) { return *seg.a; }
+
+  /// Factorisations divide by the pad-lane diagonals, so make them unit
+  /// before touching the data (to_compact zero-fills the padding).
+  static void prepare(const Segment& seg) { seg.a->pad_identity(); }
+
+  /// Post-execution hazard scan over the written region. The plan's
+  /// pivot scan catches bad pivots as they are formed; this catches
+  /// Inf/NaN that propagated into the output without passing through a
+  /// scanned diagonal (a non-finite off-diagonal input under Trtri, for
+  /// example).
+  static void scan(const Shape& s, const Segment& seg, HealthRecorder& rec) {
+    for (index_t lane = 0; lane < s.batch; ++lane) {
+      if (rec.flagged(lane)) {
+        continue;
+      }
+      bool bad = false;
+      for (index_t j = 0; j < s.m && !bad; ++j) {
+        for (index_t i = 0; i < s.m; ++i) {
+          if (in_written_region(s, i, j) &&
+              !finite_scalar(seg.a->get(lane, i, j))) {
+            bad = true;
+            break;
+          }
+        }
+      }
+      if (bad) {
+        rec.note_nonfinite(lane);
+      }
+    }
+  }
+
+  static void execute(const Plan& plan, const Segment& seg,
+                      HealthRecorder* rec, const Deadline* deadline) {
+    plan.execute(*seg.a, rec, deadline);
+  }
+
+  static void check(const Segment& seg) {
+    IATF_CHECK(seg.a != nullptr, "factor_grouped: null segment buffer");
+  }
+
+  static void validate(const Shape& s, const Segment& seg) {
+    IATF_CHECK(s.m >= 0 && s.batch >= 0, "factor: negative dimension");
+    IATF_CHECK(seg.a->rows() == s.m && seg.a->cols() == s.m,
+               "factor: matrices must be square and match the call");
+    IATF_CHECK(seg.a->batch() == s.batch, "factor: batch does not match");
+  }
+
+  /// Recompute one lane with the scalar reference factorisation,
+  /// out-of-place. The lane is written back only when the reference
+  /// result is defined -- ref::potrf accepted the input and the written
+  /// region is free of Inf/NaN. Otherwise returns false and leaves the
+  /// lane exactly as it was.
+  static bool ref_lane(const Shape& s, const Segment& seg, index_t lane) {
+    CompactBuffer<T>& a = *seg.a;
+    const index_t lda = std::max<index_t>(a.rows(), 1);
+    std::vector<T> ta(static_cast<std::size_t>(a.rows() * a.cols()));
+    a.export_colmajor(lane, ta.data(), lda);
+    try {
+      switch (s.op) {
+      case factor::FactorOp::Potrf:
+        ref::potrf(s.m, ta.data(), lda);
+        break;
+      case factor::FactorOp::GetrfNp:
+        ref::getrf_np(s.m, ta.data(), lda);
+        break;
+      case factor::FactorOp::Trtri:
+        ref::trtri(s.uplo, s.diag, s.m, ta.data(), lda);
+        break;
+      }
+    } catch (const Error&) {
+      return false; // ref::potrf refuses non-positive-definite input
+    }
+    for (index_t j = 0; j < s.m; ++j) {
+      for (index_t i = 0; i < s.m; ++i) {
+        if (in_written_region(s, i, j) &&
+            !finite_scalar(ta[static_cast<std::size_t>(j * lda + i)])) {
+          return false; // quiet zero pivot: as failed as a throwing one
+        }
+      }
+    }
+    a.import_colmajor(lane, ta.data(), lda);
+    return true;
+  }
+
+private:
+  static bool finite_scalar(T v) {
+    if constexpr (is_complex_v<T>) {
+      return std::isfinite(v.real()) && std::isfinite(v.imag());
+    } else {
+      return std::isfinite(v);
+    }
+  }
+
+  /// Does the factorisation write element (i, j)? Potrf touches the lower
+  /// triangle only, LU the full matrix, Trtri its own triangle (diagonal
+  /// included only when it is stored).
+  static bool in_written_region(const Shape& s, index_t i, index_t j) {
+    switch (s.op) {
+    case factor::FactorOp::Potrf:
+      return i >= j;
+    case factor::FactorOp::GetrfNp:
+      return true;
+    case factor::FactorOp::Trtri:
+      if (i == j) {
+        return s.diag == Diag::NonUnit;
+      }
+      return s.uplo == Uplo::Lower ? i > j : i < j;
+    }
+    return true;
+  }
+};
+
+} // namespace iatf::detail

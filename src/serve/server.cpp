@@ -41,7 +41,7 @@ Status status_of(const std::exception_ptr& p) noexcept {
 /// by claim(), because a watchdog reclamation and a later-un-wedging
 /// dispatcher may both try to resolve the same request.
 struct Request {
-  char kind = 0;  ///< 'g'/'t' single gemm/trsm, 'G'/'R' grouped gemm/trsm
+  char kind = 0;  ///< 'g'/'t' single gemm/trsm; 0 grouped (never coalesced)
   char dtype = 0; ///< 's', 'd', 'c', 'z'
   TenantId tenant = 0;
   bool has_deadline = false;
@@ -60,8 +60,22 @@ struct Request {
   virtual void run(Engine& engine) noexcept = 0;
   /// Resolve with `error` without executing.
   virtual void fail(std::exception_ptr error) noexcept = 0;
+  /// Execute `batch` -- same-class requests, this one first -- as one
+  /// grouped engine call and resolve each. A dispatch-level failure
+  /// throws so the caller can retry each request alone. Only coalescable
+  /// requests are ever batched.
+  virtual void run_coalesced(
+      Engine& engine, const std::vector<std::shared_ptr<Request>>& batch) {
+    for (const auto& r : batch) {
+      r->run(engine);
+    }
+  }
+  /// Watchdog reclaim: force this request's descriptor class Open.
+  /// Grouped submissions span many classes; there is no one class to
+  /// blame, so by default nothing trips.
+  virtual void trip(Engine&) {}
 
-  bool coalescable() const noexcept { return kind == 'g' || kind == 't'; }
+  bool coalescable() const noexcept { return kind != 0; }
   bool expired(std::chrono::steady_clock::time_point now) const noexcept {
     return has_deadline && now >= deadline;
   }
@@ -101,156 +115,209 @@ template <class T> constexpr char dtype_of() {
   }
 }
 
-template <class T> struct GemmRequest final : Request {
-  sched::GemmSegment<T> seg{};
-  std::promise<BatchHealth> promise;
-  Server::Completion cb;
+/// Per-segment-type facts of the request templates below: the written
+/// operand (whose pack width selects the kernel class), the descriptor
+/// and its coalescing key, and the engine entry points.
+template <class Segment> struct SegmentOps;
 
-  void resolve(const BatchHealth& health) noexcept {
+template <class T> struct SegmentOps<sched::GemmSegment<T>> {
+  using value_type = T;
+  using Segment = sched::GemmSegment<T>;
+  using Shape = GemmShape;
+  static const CompactBuffer<T>* out(const Segment& s) { return s.c; }
+  static GemmShape shape(const Segment& s) {
+    GemmShape shape;
+    shape.m = s.c->rows();
+    shape.n = s.c->cols();
+    shape.k = s.op_a == Op::NoTrans ? s.a->cols() : s.a->rows();
+    shape.op_a = s.op_a;
+    shape.op_b = s.op_b;
+    shape.batch = s.c->batch();
+    return shape;
+  }
+  static sched::ClassKey key(const GemmShape& s) {
+    sched::ClassKey key;
+    key.op = 'g';
+    key.m = s.m;
+    key.n = s.n;
+    key.k = s.k;
+    key.op_a = static_cast<std::uint8_t>(s.op_a);
+    key.op_b = static_cast<std::uint8_t>(s.op_b);
+    key.batch = s.batch;
+    return key;
+  }
+  template <int Bytes> static BatchHealth call(Engine& e, const Segment& s) {
+    return e.gemm<T, Bytes>(s.op_a, s.op_b, s.alpha, *s.a, *s.b, s.beta,
+                            *s.c);
+  }
+  template <int Bytes>
+  static std::vector<BatchHealth> grouped(Engine& e,
+                                          std::span<const Segment> segs) {
+    return e.gemm_grouped<T, Bytes>(segs);
+  }
+  template <int Bytes> static void trip(Engine& e, const GemmShape& s) {
+    e.trip_gemm_class<T, Bytes>(s, /*cooldown_calls=*/-1);
+  }
+};
+
+template <class T> struct SegmentOps<sched::TrsmSegment<T>> {
+  using value_type = T;
+  using Segment = sched::TrsmSegment<T>;
+  using Shape = TrsmShape;
+  static const CompactBuffer<T>* out(const Segment& s) { return s.b; }
+  static TrsmShape shape(const Segment& s) {
+    TrsmShape shape;
+    shape.m = s.b->rows();
+    shape.n = s.b->cols();
+    shape.side = s.side;
+    shape.uplo = s.uplo;
+    shape.op_a = s.op_a;
+    shape.diag = s.diag;
+    shape.batch = s.b->batch();
+    return shape;
+  }
+  static sched::ClassKey key(const TrsmShape& s) {
+    sched::ClassKey key;
+    key.op = 't';
+    key.m = s.m;
+    key.n = s.n;
+    key.op_a = static_cast<std::uint8_t>(s.op_a);
+    key.side = static_cast<std::uint8_t>(s.side);
+    key.uplo = static_cast<std::uint8_t>(s.uplo);
+    key.diag = static_cast<std::uint8_t>(s.diag);
+    key.batch = s.batch;
+    return key;
+  }
+  template <int Bytes> static BatchHealth call(Engine& e, const Segment& s) {
+    return e.trsm<T, Bytes>(s.side, s.uplo, s.op_a, s.diag, s.alpha, *s.a,
+                            *s.b);
+  }
+  template <int Bytes>
+  static std::vector<BatchHealth> grouped(Engine& e,
+                                          std::span<const Segment> segs) {
+    return e.trsm_grouped<T, Bytes>(segs);
+  }
+  template <int Bytes> static void trip(Engine& e, const TrsmShape& s) {
+    e.trip_trsm_class<T, Bytes>(s, /*cooldown_calls=*/-1);
+  }
+};
+
+/// A request resolving to `Result` through a promise and an optional
+/// completion callback.
+template <class Result, class Callback> struct TypedRequest : Request {
+  std::promise<Result> promise;
+  Callback cb;
+
+  void resolve(Result result) noexcept {
     if (!claim()) {
       return;
     }
-    notify(cb, Status::Ok, health);
-    promise.set_value(health);
-  }
-  void run(Engine& engine) noexcept override {
-    try {
-      resolve(dispatch_width<T>(seg.c->pack_width(), [&](auto bytes) {
-        return engine.gemm<T, decltype(bytes)::value>(
-            seg.op_a, seg.op_b, seg.alpha, *seg.a, *seg.b, seg.beta,
-            *seg.c);
-      }));
-    } catch (...) {
-      fail(std::current_exception());
-    }
+    notify(cb, Status::Ok, result);
+    promise.set_value(std::move(result));
   }
   void fail(std::exception_ptr error) noexcept override {
     if (!claim()) {
       return;
     }
-    notify(cb, status_of(error), BatchHealth{});
+    notify(cb, status_of(error), Result{});
     promise.set_exception(std::move(error));
   }
 };
 
-template <class T> struct TrsmRequest final : Request {
-  sched::TrsmSegment<T> seg{};
-  std::promise<BatchHealth> promise;
-  Server::Completion cb;
+/// One GEMM or TRSM submission; coalescable with same-class mates.
+template <class Segment>
+struct SingleRequest final : TypedRequest<BatchHealth, Server::Completion> {
+  using Ops = SegmentOps<Segment>;
+  using T = typename Ops::value_type;
+  Segment seg{};
+  /// Captured at submit: the watchdog trips the class after the request
+  /// has been failed, without touching the caller's buffers.
+  typename Ops::Shape shape{};
 
-  void resolve(const BatchHealth& health) noexcept {
-    if (!claim()) {
-      return;
-    }
-    notify(cb, Status::Ok, health);
-    promise.set_value(health);
+  explicit SingleRequest(const Segment& s) : seg(s), shape(Ops::shape(s)) {
+    key = Ops::key(shape);
+    // The register width is part of the class: requests whose buffers
+    // belong to different ISA backends never coalesce.
+    key.bytes = static_cast<int>(Ops::out(seg)->pack_width() *
+                                 static_cast<index_t>(sizeof(real_t<T>)));
+    kind = key.op;
+    dtype = dtype_of<T>();
   }
+
   void run(Engine& engine) noexcept override {
     try {
-      resolve(dispatch_width<T>(seg.b->pack_width(), [&](auto bytes) {
-        return engine.trsm<T, decltype(bytes)::value>(
-            seg.side, seg.uplo, seg.op_a, seg.diag, seg.alpha, *seg.a,
-            *seg.b);
+      resolve(dispatch_width<T>(Ops::out(seg)->pack_width(), [&](auto b) {
+        return Ops::template call<decltype(b)::value>(engine, seg);
       }));
     } catch (...) {
       fail(std::current_exception());
     }
   }
-  void fail(std::exception_ptr error) noexcept override {
-    if (!claim()) {
-      return;
+
+  void run_coalesced(
+      Engine& engine,
+      const std::vector<std::shared_ptr<Request>>& batch) override {
+    std::vector<Segment> segs;
+    segs.reserve(batch.size());
+    for (const auto& r : batch) {
+      segs.push_back(static_cast<const SingleRequest*>(r.get())->seg);
     }
-    notify(cb, status_of(error), BatchHealth{});
-    promise.set_exception(std::move(error));
+    const std::vector<BatchHealth> healths =
+        dispatch_width<T>(Ops::out(seg)->pack_width(), [&](auto b) {
+          return Ops::template grouped<decltype(b)::value>(
+              engine, std::span<const Segment>(segs));
+        });
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      static_cast<SingleRequest*>(batch[i].get())->resolve(healths[i]);
+    }
+  }
+
+  void trip(Engine& engine) override {
+    // Trip the breaker slot of the exact (dtype, width) kernel class
+    // that wedged; an unknown width falls back to the 128-bit class.
+    switch (key.bytes) {
+    case 32:
+      Ops::template trip<32>(engine, shape);
+      break;
+    case 64:
+      Ops::template trip<64>(engine, shape);
+      break;
+    default:
+      Ops::template trip<16>(engine, shape);
+      break;
+    }
   }
 };
 
-template <class T, class Segment> struct GroupedRequestBase : Request {
+/// One grouped GEMM or TRSM submission: dispatched whole, never
+/// coalesced.
+template <class Segment>
+struct GroupedRequest final
+    : TypedRequest<std::vector<BatchHealth>, Server::GroupedCompletion> {
+  using Ops = SegmentOps<Segment>;
+  using T = typename Ops::value_type;
   std::vector<Segment> segs;
-  std::promise<std::vector<BatchHealth>> promise;
-  Server::GroupedCompletion cb;
 
-  void resolve(std::vector<BatchHealth> healths) noexcept {
-    if (!claim()) {
-      return;
-    }
-    notify(cb, Status::Ok,
-           std::span<const BatchHealth>(healths.data(), healths.size()));
-    promise.set_value(std::move(healths));
+  explicit GroupedRequest(std::span<const Segment> s)
+      : segs(s.begin(), s.end()) {
+    dtype = dtype_of<T>();
   }
-  void fail(std::exception_ptr error) noexcept override {
-    if (!claim()) {
-      return;
-    }
-    notify(cb, status_of(error), std::span<const BatchHealth>());
-    promise.set_exception(std::move(error));
-  }
-};
 
-template <class T>
-struct GroupedGemmRequest final
-    : GroupedRequestBase<T, sched::GemmSegment<T>> {
   void run(Engine& engine) noexcept override {
     try {
+      const CompactBuffer<T>* out =
+          segs.empty() ? nullptr : Ops::out(segs.front());
       const index_t pw =
-          (!this->segs.empty() && this->segs.front().c != nullptr)
-              ? this->segs.front().c->pack_width()
-              : simd::pack_width_v<T>;
-      this->resolve(dispatch_width<T>(pw, [&](auto bytes) {
-        return engine.gemm_grouped<T, decltype(bytes)::value>(
-            std::span<const sched::GemmSegment<T>>(this->segs));
+          out != nullptr ? out->pack_width() : simd::pack_width_v<T>;
+      resolve(dispatch_width<T>(pw, [&](auto b) {
+        return Ops::template grouped<decltype(b)::value>(
+            engine, std::span<const Segment>(segs));
       }));
     } catch (...) {
-      this->fail(std::current_exception());
+      fail(std::current_exception());
     }
   }
 };
-
-template <class T>
-struct GroupedTrsmRequest final
-    : GroupedRequestBase<T, sched::TrsmSegment<T>> {
-  void run(Engine& engine) noexcept override {
-    try {
-      const index_t pw =
-          (!this->segs.empty() && this->segs.front().b != nullptr)
-              ? this->segs.front().b->pack_width()
-              : simd::pack_width_v<T>;
-      this->resolve(dispatch_width<T>(pw, [&](auto bytes) {
-        return engine.trsm_grouped<T, decltype(bytes)::value>(
-            std::span<const sched::TrsmSegment<T>>(this->segs));
-      }));
-    } catch (...) {
-      this->fail(std::current_exception());
-    }
-  }
-};
-
-sched::ClassKey gemm_key(const GemmShape& s, int bytes) {
-  sched::ClassKey key;
-  key.op = 'g';
-  key.bytes = bytes;
-  key.m = s.m;
-  key.n = s.n;
-  key.k = s.k;
-  key.op_a = static_cast<std::uint8_t>(s.op_a);
-  key.op_b = static_cast<std::uint8_t>(s.op_b);
-  key.batch = s.batch;
-  return key;
-}
-
-sched::ClassKey trsm_key(const TrsmShape& s, int bytes) {
-  sched::ClassKey key;
-  key.op = 't';
-  key.bytes = bytes;
-  key.m = s.m;
-  key.n = s.n;
-  key.op_a = static_cast<std::uint8_t>(s.op_a);
-  key.side = static_cast<std::uint8_t>(s.side);
-  key.uplo = static_cast<std::uint8_t>(s.uplo);
-  key.diag = static_cast<std::uint8_t>(s.diag);
-  key.batch = s.batch;
-  return key;
-}
 
 } // namespace
 } // namespace detail
@@ -581,21 +648,8 @@ std::future<BatchHealth>
 Server::submit_gemm(Op op_a, Op op_b, T alpha, const CompactBuffer<T>& a,
                     const CompactBuffer<T>& b, T beta, CompactBuffer<T>& c,
                     SubmitOptions opts, Completion on_complete) {
-  auto r = std::make_unique<detail::GemmRequest<T>>();
-  r->kind = 'g';
-  r->dtype = detail::dtype_of<T>();
-  r->seg = sched::GemmSegment<T>{op_a, op_b, alpha, beta, &a, &b, &c};
-  GemmShape shape;
-  shape.m = c.rows();
-  shape.n = c.cols();
-  shape.k = op_a == Op::NoTrans ? a.cols() : a.rows();
-  shape.op_a = op_a;
-  shape.op_b = op_b;
-  shape.batch = c.batch();
-  r->key = detail::gemm_key(
-      shape,
-      static_cast<int>(c.pack_width() *
-                       static_cast<index_t>(sizeof(real_t<T>))));
+  auto r = std::make_unique<detail::SingleRequest<sched::GemmSegment<T>>>(
+      sched::GemmSegment<T>{op_a, op_b, alpha, beta, &a, &b, &c});
   r->cb = std::move(on_complete);
   std::future<BatchHealth> fut = r->promise.get_future();
   enqueue(std::move(r), opts);
@@ -607,22 +661,8 @@ std::future<BatchHealth>
 Server::submit_trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
                     const CompactBuffer<T>& a, CompactBuffer<T>& b,
                     SubmitOptions opts, Completion on_complete) {
-  auto r = std::make_unique<detail::TrsmRequest<T>>();
-  r->kind = 't';
-  r->dtype = detail::dtype_of<T>();
-  r->seg = sched::TrsmSegment<T>{side, uplo, op_a, diag, alpha, &a, &b};
-  TrsmShape shape;
-  shape.m = b.rows();
-  shape.n = b.cols();
-  shape.side = side;
-  shape.uplo = uplo;
-  shape.op_a = op_a;
-  shape.diag = diag;
-  shape.batch = b.batch();
-  r->key = detail::trsm_key(
-      shape,
-      static_cast<int>(b.pack_width() *
-                       static_cast<index_t>(sizeof(real_t<T>))));
+  auto r = std::make_unique<detail::SingleRequest<sched::TrsmSegment<T>>>(
+      sched::TrsmSegment<T>{side, uplo, op_a, diag, alpha, &a, &b});
   r->cb = std::move(on_complete);
   std::future<BatchHealth> fut = r->promise.get_future();
   enqueue(std::move(r), opts);
@@ -633,10 +673,8 @@ template <class T>
 std::future<std::vector<BatchHealth>>
 Server::submit_grouped(std::span<const sched::GemmSegment<T>> segments,
                        SubmitOptions opts, GroupedCompletion on_complete) {
-  auto r = std::make_unique<detail::GroupedGemmRequest<T>>();
-  r->kind = 'G';
-  r->dtype = detail::dtype_of<T>();
-  r->segs.assign(segments.begin(), segments.end());
+  auto r = std::make_unique<
+      detail::GroupedRequest<sched::GemmSegment<T>>>(segments);
   r->cb = std::move(on_complete);
   std::future<std::vector<BatchHealth>> fut = r->promise.get_future();
   enqueue(std::move(r), opts);
@@ -647,10 +685,8 @@ template <class T>
 std::future<std::vector<BatchHealth>>
 Server::submit_grouped(std::span<const sched::TrsmSegment<T>> segments,
                        SubmitOptions opts, GroupedCompletion on_complete) {
-  auto r = std::make_unique<detail::GroupedTrsmRequest<T>>();
-  r->kind = 'R';
-  r->dtype = detail::dtype_of<T>();
-  r->segs.assign(segments.begin(), segments.end());
+  auto r = std::make_unique<
+      detail::GroupedRequest<sched::TrsmSegment<T>>>(segments);
   r->cb = std::move(on_complete);
   std::future<std::vector<BatchHealth>> fut = r->promise.get_future();
   enqueue(std::move(r), opts);
@@ -851,36 +887,7 @@ void Server::execute_batch(
       batch.front()->run(engine_); // resolves internally, never throws
       return;
     }
-    switch (batch.front()->dtype) {
-    case 's':
-      if (batch.front()->kind == 'g') {
-        run_coalesced_gemm<float>(batch);
-      } else {
-        run_coalesced_trsm<float>(batch);
-      }
-      return;
-    case 'd':
-      if (batch.front()->kind == 'g') {
-        run_coalesced_gemm<double>(batch);
-      } else {
-        run_coalesced_trsm<double>(batch);
-      }
-      return;
-    case 'c':
-      if (batch.front()->kind == 'g') {
-        run_coalesced_gemm<std::complex<float>>(batch);
-      } else {
-        run_coalesced_trsm<std::complex<float>>(batch);
-      }
-      return;
-    default:
-      if (batch.front()->kind == 'g') {
-        run_coalesced_gemm<std::complex<double>>(batch);
-      } else {
-        run_coalesced_trsm<std::complex<double>>(batch);
-      }
-      return;
-    }
+    batch.front()->run_coalesced(engine_, batch);
   } catch (...) {
     // A dispatch-level failure (injected fault, grouped-call rejection)
     // must not take the coalesce-mates down with the culprit: retry each
@@ -894,46 +901,6 @@ void Server::execute_batch(
     for (auto& r : batch) {
       r->run(engine_);
     }
-  }
-}
-
-template <class T>
-void Server::run_coalesced_gemm(
-    std::vector<std::shared_ptr<detail::Request>>& batch) {
-  std::vector<sched::GemmSegment<T>> segs;
-  segs.reserve(batch.size());
-  for (const auto& r : batch) {
-    segs.push_back(
-        static_cast<const detail::GemmRequest<T>*>(r.get())->seg);
-  }
-  const std::vector<BatchHealth> healths =
-      dispatch_width<T>(segs.front().c->pack_width(), [&](auto bytes) {
-        return engine_.gemm_grouped<T, decltype(bytes)::value>(
-            std::span<const sched::GemmSegment<T>>(segs));
-      });
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    static_cast<detail::GemmRequest<T>*>(batch[i].get())
-        ->resolve(healths[i]);
-  }
-}
-
-template <class T>
-void Server::run_coalesced_trsm(
-    std::vector<std::shared_ptr<detail::Request>>& batch) {
-  std::vector<sched::TrsmSegment<T>> segs;
-  segs.reserve(batch.size());
-  for (const auto& r : batch) {
-    segs.push_back(
-        static_cast<const detail::TrsmRequest<T>*>(r.get())->seg);
-  }
-  const std::vector<BatchHealth> healths =
-      dispatch_width<T>(segs.front().b->pack_width(), [&](auto bytes) {
-        return engine_.trsm_grouped<T, decltype(bytes)::value>(
-            std::span<const sched::TrsmSegment<T>>(segs));
-      });
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    static_cast<detail::TrsmRequest<T>*>(batch[i].get())
-        ->resolve(healths[i]);
   }
 }
 
@@ -985,85 +952,8 @@ void Server::reclaim_inflight(std::unique_lock<std::mutex>& lk) {
   for (const auto& r : batch) {
     r->fail(error); // claim-gated: a late un-wedged resolution loses
   }
-  trip_class(*batch.front());
+  batch.front()->trip(engine_);
   lk.lock();
-}
-
-void Server::trip_class(const detail::Request& r) {
-  // Grouped submissions span many descriptor classes; there is no one
-  // class to blame, so only single-request kinds trip the breaker.
-  // cooldown < 0 = the engine's configured cooldown; a disabled breaker
-  // makes this a no-op (the reclamation itself still happened).
-  constexpr int kCooldown = -1;
-  // The width is part of the descriptor class: trip the breaker slot of
-  // the exact (dtype, width) kernel class that wedged. Keys minted
-  // before a width was known (bytes == 0) fall back to the 128-bit
-  // baseline class.
-  const auto with_width = [&](auto f) {
-    switch (r.key.bytes) {
-    case 32:
-      f(std::integral_constant<int, 32>{});
-      break;
-    case 64:
-      f(std::integral_constant<int, 64>{});
-      break;
-    default:
-      f(std::integral_constant<int, 16>{});
-      break;
-    }
-  };
-  if (r.kind == 'g') {
-    GemmShape s;
-    s.m = r.key.m;
-    s.n = r.key.n;
-    s.k = r.key.k;
-    s.op_a = static_cast<Op>(r.key.op_a);
-    s.op_b = static_cast<Op>(r.key.op_b);
-    s.batch = r.key.batch;
-    with_width([&](auto bytes) {
-      constexpr int kB = decltype(bytes)::value;
-      switch (r.dtype) {
-      case 's':
-        engine_.trip_gemm_class<float, kB>(s, kCooldown);
-        break;
-      case 'd':
-        engine_.trip_gemm_class<double, kB>(s, kCooldown);
-        break;
-      case 'c':
-        engine_.trip_gemm_class<std::complex<float>, kB>(s, kCooldown);
-        break;
-      default:
-        engine_.trip_gemm_class<std::complex<double>, kB>(s, kCooldown);
-        break;
-      }
-    });
-  } else if (r.kind == 't') {
-    TrsmShape s;
-    s.m = r.key.m;
-    s.n = r.key.n;
-    s.side = static_cast<Side>(r.key.side);
-    s.uplo = static_cast<Uplo>(r.key.uplo);
-    s.op_a = static_cast<Op>(r.key.op_a);
-    s.diag = static_cast<Diag>(r.key.diag);
-    s.batch = r.key.batch;
-    with_width([&](auto bytes) {
-      constexpr int kB = decltype(bytes)::value;
-      switch (r.dtype) {
-      case 's':
-        engine_.trip_trsm_class<float, kB>(s, kCooldown);
-        break;
-      case 'd':
-        engine_.trip_trsm_class<double, kB>(s, kCooldown);
-        break;
-      case 'c':
-        engine_.trip_trsm_class<std::complex<float>, kB>(s, kCooldown);
-        break;
-      default:
-        engine_.trip_trsm_class<std::complex<double>, kB>(s, kCooldown);
-        break;
-      }
-    });
-  }
 }
 
 void Server::cancel_queued(std::unique_lock<std::mutex>& lk) {

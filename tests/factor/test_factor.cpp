@@ -344,5 +344,37 @@ TYPED_TEST(FactorTyped, InvalidDescriptorsThrow) {
       engine.pack<T>(nullptr, 3, 3, 3, 9, 2), Error);
 }
 
+// Width accounting: a grouped factorisation is one compute call of its
+// kernel width class, exactly like gemm_grouped.
+TYPED_TEST(FactorTyped, GroupedCallCountsOneWidthCall) {
+  using T = TypeParam;
+  Engine engine(CacheInfo::kunpeng920());
+  Rng rng(0x2f0b);
+  const index_t batch = simd::pack_width_v<T> + 1;
+  auto ca = test::random_spd_batch<T>(4, batch, rng).to_compact();
+  auto cb = test::random_triangular_batch<T>(5, batch, rng).to_compact();
+  const auto width_calls = [&] {
+    const EngineStats s = engine.stats();
+    return s.width16_calls + s.width32_calls + s.width64_calls;
+  };
+
+  std::vector<sched::FactorSegment<T>> segments(2);
+  segments[0] = {factor::FactorOp::Potrf, Uplo::Lower, Diag::NonUnit, &ca};
+  segments[1] = {factor::FactorOp::Trtri, Uplo::Lower, Diag::NonUnit, &cb};
+  const std::size_t before = width_calls();
+  (void)engine.factor_grouped<T>(segments);
+  EXPECT_EQ(width_calls() - before, 1u);
+  EXPECT_EQ(engine.stats().width16_calls, 1u);
+
+  CompactBuffer<T> ga(3, 3, batch);
+  CompactBuffer<T> gb(3, 3, batch);
+  CompactBuffer<T> gc(3, 3, batch);
+  const std::vector<sched::GemmSegment<T>> gemms = {
+      {Op::NoTrans, Op::NoTrans, T(1), T(0), &ga, &gb, &gc}};
+  const std::size_t mid = width_calls();
+  (void)engine.gemm_grouped<T>(gemms);
+  EXPECT_EQ(width_calls() - mid, 1u);
+}
+
 } // namespace
 } // namespace iatf

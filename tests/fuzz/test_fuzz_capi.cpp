@@ -72,6 +72,17 @@ TEST_F(CapiFuzz, NullHandlesNeverCrash) {
   EXPECT_EQ(iatf_get_engine_stats(nullptr), IATF_STATUS_INVALID_ARG);
   EXPECT_EQ(iatf_get_engine_health(nullptr), IATF_STATUS_INVALID_ARG);
   EXPECT_EQ(iatf_health_ledger_get_stats(nullptr), IATF_STATUS_INVALID_ARG);
+  // Legacy real-only extension shims.
+  EXPECT_EQ(iatf_strmm_compact(IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
+                               IATF_NONUNIT, 1.0f, nullptr, nullptr),
+            IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_dtrmm_compact(IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
+                               IATF_NONUNIT, 1.0, nullptr, nullptr),
+            IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_sgetrfnp_compact(nullptr), IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_dgetrfnp_compact(nullptr), IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_spotrf_compact(nullptr), IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_dpotrf_compact(nullptr), IATF_STATUS_INVALID_ARG);
   // Destructors / frees shrug at NULL like free(3).
   iatf_sdestroy(nullptr);
   iatf_zdestroy(nullptr);
