@@ -25,10 +25,31 @@ extern "C" {
  * section 16). */
 const char* iatf_version(void);
 
-typedef enum iatf_op { IATF_NOTRANS = 0, IATF_TRANS = 1, IATF_CONJTRANS = 2 } iatf_op;
-typedef enum iatf_side { IATF_LEFT = 0, IATF_RIGHT = 1 } iatf_side;
-typedef enum iatf_uplo { IATF_LOWER = 0, IATF_UPPER = 1 } iatf_uplo;
-typedef enum iatf_diag { IATF_NONUNIT = 0, IATF_UNIT = 1 } iatf_diag;
+/* Mode enums. The *_MAX_ENUM sentinels are not valid arguments: they pin
+ * each enum to int size, so any int a caller passes is a representable
+ * value, and every routine rejects values outside the listed modes with
+ * IATF_STATUS_INVALID_ARG. */
+typedef enum iatf_op {
+  IATF_NOTRANS = 0,
+  IATF_TRANS = 1,
+  IATF_CONJTRANS = 2,
+  IATF_OP_MAX_ENUM = 0x7fffffff
+} iatf_op;
+typedef enum iatf_side {
+  IATF_LEFT = 0,
+  IATF_RIGHT = 1,
+  IATF_SIDE_MAX_ENUM = 0x7fffffff
+} iatf_side;
+typedef enum iatf_uplo {
+  IATF_LOWER = 0,
+  IATF_UPPER = 1,
+  IATF_UPLO_MAX_ENUM = 0x7fffffff
+} iatf_uplo;
+typedef enum iatf_diag {
+  IATF_NONUNIT = 0,
+  IATF_UNIT = 1,
+  IATF_DIAG_MAX_ENUM = 0x7fffffff
+} iatf_diag;
 
 /* Stable error codes returned by every routine (mirrors the C++
  * iatf::Status enum value-for-value). */

@@ -14,7 +14,9 @@
 // + compact-GEMM-update steps that never leave the packed layout between
 // steps (DESIGN.md section 13 documents the blocking scheme); Trtri is a
 // single register sweep -- at these sizes every element is already
-// resident, so panels would add bookkeeping without reuse.
+// resident, so panels would add bookkeeping without reuse. When the
+// input's groups are too large for the hardware prefetchers, each group's
+// column steps also prefetch the next group (plan/group_stream.hpp).
 //
 // Hazard contract: when a HealthRecorder is supplied, every pivot /
 // diagonal is scanned before its reciprocal or square root. A bad pivot
@@ -29,9 +31,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "iatf/common/cache_info.hpp"
 #include "iatf/common/status.hpp"
 #include "iatf/common/types.hpp"
 #include "iatf/layout/compact.hpp"
+#include "iatf/plan/group_stream.hpp"
 #include "iatf/resilience/resilience.hpp"
 
 namespace iatf::factor {
@@ -52,13 +56,14 @@ struct FactorShape {
 };
 
 /// Immutable execution plan for one FactorShape. Construction derives
-/// the panel width; execute() runs the whole batch group by group. The
+/// the panel width and, from `cache`, whether the group walk streams the
+/// next group; execute() runs the whole batch group by group. The
 /// plan dispatches no registry kernels (the steps are straight-line
 /// vector code over kreg), so it participates in the engine's plan cache
 /// but not in kernel verify-and-quarantine.
 template <class T, int Bytes = 16> class FactorPlan {
 public:
-  explicit FactorPlan(const FactorShape& shape);
+  FactorPlan(const FactorShape& shape, const CacheInfo& cache);
 
   const FactorShape& shape() const noexcept { return shape_; }
 
@@ -74,6 +79,14 @@ public:
   void execute(CompactBuffer<T>& a, HealthRecorder* rec,
                const Deadline* deadline) const;
 
+  /// Range variant: factor only interleave groups [g_begin, g_end);
+  /// expiry of `deadline` reports groups completed within the range.
+  void execute_range(CompactBuffer<T>& a, index_t g_begin, index_t g_end,
+                     HealthRecorder* rec, const Deadline* deadline) const;
+
+  /// Whether the group walk prefetches the next group (group_stream.hpp).
+  bool streams_next_group() const noexcept { return stream_.active(); }
+
   /// Floating-point operations for the whole batch (throughput
   /// reporting; the usual n^3/3-family counts).
   double flops() const noexcept;
@@ -86,9 +99,19 @@ public:
   }
 
 private:
+  void validate(const CompactBuffer<T>& a) const;
+  void run_groups(CompactBuffer<T>& a, index_t g_begin, index_t g_end,
+                  HealthRecorder* rec, const Deadline* deadline) const;
+  /// run_groups with the next-group stream's cursor type (StreamCursor
+  /// or NoStream).
+  template <class Cursor>
+  void walk_groups(CompactBuffer<T>& a, index_t g_begin, index_t g_end,
+                   HealthRecorder* rec, const Deadline* deadline) const;
+
   FactorShape shape_;
   index_t nb_ = 0;
   std::vector<resilience::KernelUse> kernels_;
+  plan::GroupStream stream_; ///< next-group prefetch schedule
 };
 
 } // namespace iatf::factor

@@ -41,7 +41,9 @@ public:
 
   /// Groups per slice when one group's working set is `group_bytes`.
   /// Always at least 1 (a single group may legitimately exceed L1; the
-  /// kernels still work, just without the cache guarantee).
+  /// kernels still work, just without the cache guarantee -- and when such
+  /// groups also outgrow a page and the batch outgrows L2, the plans'
+  /// next-group stream (group_stream.hpp) hides the DRAM latency instead).
   index_t groups_per_slice(index_t group_bytes) const {
     if (group_bytes <= 0) {
       return 1;

@@ -6,7 +6,9 @@
 // install-time registry, decides pack-vs-no-pack per operand
 // (Pack Selecter, section 5.2), and sizes the batch slice so packed panels
 // stay in L1 (Batch Counter, section 5.1). execute() then runs the
-// resulting command queue over every interleave group.
+// resulting command queue over every interleave group, prefetching the
+// next group during the current one's calls when the input's groups are
+// too large for the hardware prefetchers (group_stream.hpp).
 #pragma once
 
 #include <atomic>
@@ -22,6 +24,7 @@
 #include "iatf/layout/compact.hpp"
 #include "iatf/parallel/thread_pool.hpp"
 #include "iatf/plan/batch_counter.hpp"
+#include "iatf/plan/group_stream.hpp"
 #include "iatf/resilience/kernel_state.hpp"
 
 namespace iatf::plan {
@@ -87,6 +90,8 @@ public:
   bool packs_b() const noexcept { return pack_b_; }
   index_t slice_groups() const noexcept { return slice_groups_; }
   index_t chunk_groups() const noexcept { return chunk_groups_; }
+  /// Whether the group walk prefetches the next group (group_stream.hpp).
+  bool streams_next_group() const noexcept { return stream_.active(); }
   std::span<const Tile> m_tiles() const noexcept { return m_tiles_; }
   std::span<const Tile> n_tiles() const noexcept { return n_tiles_; }
   std::span<const Call> calls() const noexcept { return calls_; }
@@ -128,6 +133,13 @@ private:
                   CompactBuffer<T>& c, T alpha, T beta, index_t g_begin,
                   index_t g_end, HealthRecorder* health,
                   const Deadline* deadline) const;
+  /// run_groups with the next-group stream's cursor type: StreamCursor
+  /// when the plan streams, NoStream when it does not.
+  template <class Cursor>
+  void walk_groups(const CompactBuffer<T>& a, const CompactBuffer<T>& b,
+                   CompactBuffer<T>& c, T alpha, T beta, index_t g_begin,
+                   index_t g_end, HealthRecorder* health,
+                   const Deadline* deadline) const;
 
   GemmShape shape_;
   PlanTuning tuning_;
@@ -142,6 +154,7 @@ private:
   index_t pb_group_size_ = 0;
   index_t slice_groups_ = 1;
   index_t chunk_groups_ = 0; ///< >0 = groups per parallel chunk
+  GroupStream stream_;       ///< next-group prefetch schedule
 };
 
 } // namespace iatf::plan

@@ -8,7 +8,9 @@
 // by the register-resident triangular kernel. When the whole triangle fits
 // in registers (M <= 5 real / 4 complex) the plan degenerates to the
 // paper's small-matrix case: a single triangular kernel swept across B's
-// column panels.
+// column panels. When the input's groups are too large for the hardware
+// prefetchers, the steps of one group also prefetch the next group
+// (group_stream.hpp).
 #pragma once
 
 #include <atomic>
@@ -26,6 +28,7 @@
 #include "iatf/pack/trsm_pack.hpp"
 #include "iatf/parallel/thread_pool.hpp"
 #include "iatf/plan/batch_counter.hpp"
+#include "iatf/plan/group_stream.hpp"
 #include "iatf/resilience/kernel_state.hpp"
 
 namespace iatf::plan {
@@ -86,6 +89,8 @@ public:
   bool small_path() const noexcept { return blocks_.size() <= 1; }
   index_t slice_groups() const noexcept { return slice_groups_; }
   index_t chunk_groups() const noexcept { return chunk_groups_; }
+  /// Whether the group walk prefetches the next group (group_stream.hpp).
+  bool streams_next_group() const noexcept { return stream_.active(); }
   std::span<const Tile> blocks() const noexcept { return blocks_; }
   std::span<const Tile> panels() const noexcept { return panels_; }
   std::span<const Step> steps() const noexcept { return steps_; }
@@ -119,10 +124,17 @@ public:
 private:
   void validate_buffers(const CompactBuffer<T>& a,
                         const CompactBuffer<T>& b) const;
-  void solve_group(const R* packed_a, R* bdata) const;
+  template <class Cursor>
+  void solve_group(const R* packed_a, R* bdata, Cursor& next) const;
   void run_groups(const CompactBuffer<T>& a, CompactBuffer<T>& b,
                   T alpha, index_t g_begin, index_t g_end,
                   HealthRecorder* health, const Deadline* deadline) const;
+  /// run_groups with the next-group stream's cursor type: StreamCursor
+  /// when the plan streams, NoStream when it does not.
+  template <class Cursor>
+  void walk_groups(const CompactBuffer<T>& a, CompactBuffer<T>& b, T alpha,
+                   index_t g_begin, index_t g_end, HealthRecorder* health,
+                   const Deadline* deadline) const;
 
   TrsmShape shape_;
   PlanTuning tuning_;
@@ -137,6 +149,7 @@ private:
   index_t pb_group_size_ = 0;
   index_t slice_groups_ = 1;
   index_t chunk_groups_ = 0; ///< >0 = groups per parallel chunk
+  GroupStream stream_;       ///< next-group prefetch schedule
 };
 
 } // namespace iatf::plan

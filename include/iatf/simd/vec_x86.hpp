@@ -89,10 +89,19 @@ IATF_VEC_X86_SPEC(double, 4, __m256d, _mm256_fmadd_pd, _mm256_fnmadd_pd,
 #endif
 
 #if defined(__AVX512F__)
+// _mm512_sqrt_{ps,pd} pass _mm512_undefined_* as the masked-off source,
+// which GCC 12 reports as -Wmaybe-uninitialized wherever it inlines; the
+// all-lanes masked form is the same vsqrt without the undefined operand.
+inline __m512 sqrt512_ps(__m512 x) {
+  return _mm512_mask_sqrt_ps(x, 0xFFFF, x);
+}
+inline __m512d sqrt512_pd(__m512d x) {
+  return _mm512_mask_sqrt_pd(x, 0xFF, x);
+}
 IATF_VEC_X86_SPEC(float, 16, __m512, _mm512_fmadd_ps, _mm512_fnmadd_ps,
-                  _mm512_sqrt_ps)
+                  sqrt512_ps)
 IATF_VEC_X86_SPEC(double, 8, __m512d, _mm512_fmadd_pd, _mm512_fnmadd_pd,
-                  _mm512_sqrt_pd)
+                  sqrt512_pd)
 #endif
 
 } // namespace iatf::simd

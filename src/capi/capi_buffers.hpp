@@ -1,12 +1,16 @@
-// Definitions of the C API's opaque buffer handles, shared between the
-// core shim (iatf_c.cpp) and the serving shim (iatf_server_c.cpp). Each
-// handle wraps exactly one CompactBuffer; the C-side pointer identity is
-// the handle identity.
+// Definitions of the C API's opaque buffer handles and its checked enum
+// conversions, shared between the core shim (iatf_c.cpp) and the serving
+// shim (iatf_server_c.cpp). Each handle wraps exactly one CompactBuffer;
+// the C-side pointer identity is the handle identity.
 #pragma once
 
 #include <complex>
+#include <cstring>
+#include <string>
 
 #include "iatf/capi/iatf.h"
+#include "iatf/common/error.hpp"
+#include "iatf/common/types.hpp"
 #include "iatf/factor/packed_handle.hpp"
 #include "iatf/layout/compact.hpp"
 
@@ -38,3 +42,44 @@ struct iatf_cpacked {
 struct iatf_zpacked {
   iatf::factor::PackedHandle<std::complex<double>> h;
 };
+
+namespace iatf::capi {
+
+/// The raw value of a C enum argument, read without an enum-typed load.
+/// A C caller may pass any int, and loading a value outside the enum's
+/// range as the enum type is undefined (UBSan's -fsanitize=enum); the
+/// *_MAX_ENUM sentinels in iatf.h pin every enum to int size.
+template <class E> int enum_bits(const E& e) {
+  static_assert(sizeof(E) == sizeof(int), "C enums are int-sized");
+  int bits;
+  std::memcpy(&bits, &e, sizeof(bits));
+  return bits;
+}
+
+/// Convert a C enum argument to its C++ counterpart, rejecting values
+/// outside [0, last] with Status::InvalidArg before the cast.
+template <class To, class E>
+To checked_enum(const E& e, int last, const char* what) {
+  const int bits = enum_bits(e);
+  if (bits < 0 || bits > last) {
+    throw Error(std::string("iatf: invalid ") + what + " value " +
+                    std::to_string(bits),
+                Status::InvalidArg);
+  }
+  return static_cast<To>(bits);
+}
+
+inline Op to_op(const iatf_op& op) {
+  return checked_enum<Op>(op, IATF_CONJTRANS, "iatf_op");
+}
+inline Side to_side(const iatf_side& s) {
+  return checked_enum<Side>(s, IATF_RIGHT, "iatf_side");
+}
+inline Uplo to_uplo(const iatf_uplo& u) {
+  return checked_enum<Uplo>(u, IATF_UPPER, "iatf_uplo");
+}
+inline Diag to_diag(const iatf_diag& d) {
+  return checked_enum<Diag>(d, IATF_UNIT, "iatf_diag");
+}
+
+} // namespace iatf::capi

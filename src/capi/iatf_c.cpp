@@ -23,6 +23,12 @@
 
 namespace {
 
+using iatf::capi::enum_bits;
+using iatf::capi::to_diag;
+using iatf::capi::to_op;
+using iatf::capi::to_side;
+using iatf::capi::to_uplo;
+
 // The C status codes are the C++ Status values, by definition.
 static_assert(IATF_STATUS_OK == static_cast<int>(iatf::Status::Ok));
 static_assert(IATF_STATUS_INVALID_ARG ==
@@ -88,34 +94,36 @@ void store_detail(iatf_error_detail detail, int status, unsigned events) {
 }
 
 template <class ABuf, class CBuf>
-iatf_error_detail gemm_detail(char dtype, iatf_op op_a, iatf_op op_b,
-                              const ABuf* a, const CBuf* c) {
+iatf_error_detail gemm_detail(char dtype, const iatf_op& op_a,
+                              const iatf_op& op_b, const ABuf* a,
+                              const CBuf* c) {
   iatf_error_detail d = blank_detail();
   d.op = 'g';
   d.dtype = dtype;
-  d.op_a = static_cast<int>(op_a);
-  d.op_b = static_cast<int>(op_b);
+  d.op_a = enum_bits(op_a);
+  d.op_b = enum_bits(op_b);
   if (c != nullptr) {
     d.m = c->buf.rows();
     d.n = c->buf.cols();
     d.batch = c->buf.batch();
   }
   if (a != nullptr) {
-    d.k = op_a == IATF_NOTRANS ? a->buf.cols() : a->buf.rows();
+    d.k = d.op_a == IATF_NOTRANS ? a->buf.cols() : a->buf.rows();
   }
   return d;
 }
 
 template <class BBuf>
-iatf_error_detail trsm_detail(char dtype, iatf_side side, iatf_uplo uplo,
-                              iatf_op op_a, iatf_diag diag, const BBuf* b) {
+iatf_error_detail trsm_detail(char dtype, const iatf_side& side,
+                              const iatf_uplo& uplo, const iatf_op& op_a,
+                              const iatf_diag& diag, const BBuf* b) {
   iatf_error_detail d = blank_detail();
   d.op = 't';
   d.dtype = dtype;
-  d.op_a = static_cast<int>(op_a);
-  d.side = static_cast<int>(side);
-  d.uplo = static_cast<int>(uplo);
-  d.diag = static_cast<int>(diag);
+  d.op_a = enum_bits(op_a);
+  d.side = enum_bits(side);
+  d.uplo = enum_bits(uplo);
+  d.diag = enum_bits(diag);
   if (b != nullptr) {
     d.m = b->buf.rows();
     d.n = b->buf.cols();
@@ -246,10 +254,6 @@ int guarded_grouped(const iatf_error_detail& detail, Fn&& fn) {
   }
 }
 
-iatf::Op to_op(iatf_op op) { return static_cast<iatf::Op>(op); }
-iatf::Side to_side(iatf_side s) { return static_cast<iatf::Side>(s); }
-iatf::Uplo to_uplo(iatf_uplo u) { return static_cast<iatf::Uplo>(u); }
-iatf::Diag to_diag(iatf_diag d) { return static_cast<iatf::Diag>(d); }
 
 // Process-wide tuning table behind the C API. Mutations publish an
 // immutable copy to the default engine, which clears its plan cache.
@@ -935,7 +939,7 @@ extern "C" int iatf_tune_load(const char* path) {
     return guarded_blas(                                                      \
         factor_detail('i', *#P, a != nullptr ? a->buf.rows() : 0,           \
                       a != nullptr ? a->buf.batch() : 0,                      \
-                      static_cast<int>(uplo), static_cast<int>(diag)),        \
+                      enum_bits(uplo), enum_bits(diag)),                      \
         [&] {                                                                 \
           IATF_CHECK(a != nullptr, "iatf_" #P "trtri_batch: null buffer");    \
           return iatf::dispatch_width<T>(                                    \
@@ -978,7 +982,7 @@ extern "C" int iatf_tune_load(const char* path) {
     return guarded_blas(                                                      \
         factor_detail('i', *#P, a != nullptr ? a->h.rows() : 0,             \
                       a != nullptr ? a->h.batch() : 0,                        \
-                      static_cast<int>(uplo), static_cast<int>(diag)),        \
+                      enum_bits(uplo), enum_bits(diag)),                      \
         [&] {                                                                 \
           IATF_CHECK(a != nullptr, "iatf_" #P "trtri_packed: null handle");   \
           return iatf::dispatch_width<T>(                                    \

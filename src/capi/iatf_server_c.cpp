@@ -187,7 +187,7 @@ extern "C" int iatf_server_submit_sgemm(iatf_server* server, iatf_op op_a,
     opts.deadline = from_ms(deadline_ms);
     opts.cancel = cancel;
     return server->server.submit_gemm<float>(
-        static_cast<iatf::Op>(op_a), static_cast<iatf::Op>(op_b), alpha,
+        iatf::capi::to_op(op_a), iatf::capi::to_op(op_b), alpha,
         a->buf, b->buf, beta, c->buf, opts);
   });
 }
@@ -209,7 +209,7 @@ extern "C" int iatf_server_submit_dgemm(iatf_server* server, iatf_op op_a,
     opts.deadline = from_ms(deadline_ms);
     opts.cancel = cancel;
     return server->server.submit_gemm<double>(
-        static_cast<iatf::Op>(op_a), static_cast<iatf::Op>(op_b), alpha,
+        iatf::capi::to_op(op_a), iatf::capi::to_op(op_b), alpha,
         a->buf, b->buf, beta, c->buf, opts);
   });
 }
@@ -230,8 +230,8 @@ extern "C" int iatf_server_submit_strsm(iatf_server* server, iatf_side side,
     opts.deadline = from_ms(deadline_ms);
     opts.cancel = cancel;
     return server->server.submit_trsm<float>(
-        static_cast<iatf::Side>(side), static_cast<iatf::Uplo>(uplo),
-        static_cast<iatf::Op>(op_a), static_cast<iatf::Diag>(diag), alpha,
+        iatf::capi::to_side(side), iatf::capi::to_uplo(uplo),
+        iatf::capi::to_op(op_a), iatf::capi::to_diag(diag), alpha,
         a->buf, b->buf, opts);
   });
 }
@@ -252,8 +252,8 @@ extern "C" int iatf_server_submit_dtrsm(iatf_server* server, iatf_side side,
     opts.deadline = from_ms(deadline_ms);
     opts.cancel = cancel;
     return server->server.submit_trsm<double>(
-        static_cast<iatf::Side>(side), static_cast<iatf::Uplo>(uplo),
-        static_cast<iatf::Op>(op_a), static_cast<iatf::Diag>(diag), alpha,
+        iatf::capi::to_side(side), iatf::capi::to_uplo(uplo),
+        iatf::capi::to_op(op_a), iatf::capi::to_diag(diag), alpha,
         a->buf, b->buf, opts);
   });
 }

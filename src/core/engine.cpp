@@ -626,7 +626,7 @@ Engine::plan_factor(const factor::FactorShape& shape, std::uint8_t layout) {
         *tuned = false;
         *config_gen =
             tuning_.load(std::memory_order_acquire)->generation;
-        return new factor::FactorPlan<T, Bytes>(shape);
+        return new factor::FactorPlan<T, Bytes>(shape, cache_);
       });
 }
 

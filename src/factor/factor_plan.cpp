@@ -14,6 +14,10 @@
 // matrix is one panel (the update steps would be empty), above it an
 // 8-wide panel keeps the working set of the panel columns in registers /
 // L1 while the rank-8 trailing update runs at GEMM intensity.
+//
+// The stream's queue steps are the outer column iterations of every
+// phase (factor_steps counts them); each calls next.step() once, so a
+// streaming plan spreads the next group's prefetches over the sweep.
 #include "iatf/factor/factor_plan.hpp"
 
 #include <algorithm>
@@ -74,9 +78,10 @@ void scan_pivot_block(real_t<T>* p, index_t pw, index_t lanes,
 }
 
 /// Blocked right-looking Cholesky (lower) of one interleave group.
-template <class T, int Bytes>
+template <class T, int Bytes, class Cursor>
 void potrf_group(real_t<T>* data, index_t m, index_t nb, index_t pw,
-                 index_t lanes, index_t lane_base, HealthRecorder* rec) {
+                 index_t lanes, index_t lane_base, HealthRecorder* rec,
+                 Cursor& next) {
   using K = kernels::kreg<T, Bytes>;
   const auto at = [&](index_t i, index_t j) {
     return blk<T, Bytes>(data, m, i, j);
@@ -87,6 +92,7 @@ void potrf_group(real_t<T>* data, index_t m, index_t nb, index_t pw,
     // trailing updates of earlier panels have already been applied, so
     // only columns inside the panel are referenced).
     for (index_t j = k0; j < kend; ++j) {
+      next.step();
       auto d = K::load(at(j, j));
       for (index_t k = k0; k < j; ++k) {
         const auto ljk = K::load(at(j, k));
@@ -111,6 +117,7 @@ void potrf_group(real_t<T>* data, index_t m, index_t nb, index_t pw,
     // 2. Compact TRSM step: L21 = A21 * L11^{-H}, forward substitution
     // column by column with the panel's reciprocal diagonals.
     for (index_t j = k0; j < kend; ++j) {
+      next.step();
       const auto rinv = K::recip(K::load(at(j, j)));
       for (index_t i = kend; i < m; ++i) {
         auto v = K::load(at(i, j));
@@ -122,6 +129,7 @@ void potrf_group(real_t<T>* data, index_t m, index_t nb, index_t pw,
     }
     // 3. Compact GEMM update: trailing lower triangle A22 -= L21 * L21^H.
     for (index_t j = kend; j < m; ++j) {
+      next.step();
       for (index_t i = j; i < m; ++i) {
         auto acc = K::load(at(i, j));
         for (index_t k = k0; k < kend; ++k) {
@@ -134,9 +142,10 @@ void potrf_group(real_t<T>* data, index_t m, index_t nb, index_t pw,
 }
 
 /// Blocked right-looking unpivoted LU of one interleave group.
-template <class T, int Bytes>
+template <class T, int Bytes, class Cursor>
 void getrf_np_group(real_t<T>* data, index_t m, index_t nb, index_t pw,
-                    index_t lanes, index_t lane_base, HealthRecorder* rec) {
+                    index_t lanes, index_t lane_base, HealthRecorder* rec,
+                    Cursor& next) {
   using K = kernels::kreg<T, Bytes>;
   const auto at = [&](index_t i, index_t j) {
     return blk<T, Bytes>(data, m, i, j);
@@ -146,6 +155,7 @@ void getrf_np_group(real_t<T>* data, index_t m, index_t nb, index_t pw,
     // 1. Panel factor on columns [k0, kend), all rows below: scale the
     // pivot column, rank-1 update restricted to the panel.
     for (index_t k = k0; k < kend; ++k) {
+      next.step();
       if (rec != nullptr) {
         scan_pivot_block<T>(at(k, k), pw, lanes, lane_base,
                             /*positive=*/false, *rec);
@@ -165,6 +175,7 @@ void getrf_np_group(real_t<T>* data, index_t m, index_t nb, index_t pw,
     // 2. Compact TRSM step: A12 <- unit-L11^{-1} * A12, forward
     // substitution down the panel rows.
     for (index_t j = kend; j < m; ++j) {
+      next.step();
       for (index_t k = k0 + 1; k < kend; ++k) {
         auto acc = K::load(at(k, j));
         for (index_t i = k0; i < k; ++i) {
@@ -175,6 +186,7 @@ void getrf_np_group(real_t<T>* data, index_t m, index_t nb, index_t pw,
     }
     // 3. Compact GEMM update: A22 -= L21 * U12.
     for (index_t j = kend; j < m; ++j) {
+      next.step();
       for (index_t i = kend; i < m; ++i) {
         auto acc = K::load(at(i, j));
         for (index_t k = k0; k < kend; ++k) {
@@ -190,10 +202,10 @@ void getrf_np_group(real_t<T>* data, index_t m, index_t nb, index_t pw,
 /// lifted across lanes). Lower runs right-to-left so the trailing
 /// submatrix already holds inv(L22) when column j's triangular
 /// matrix-vector product runs; upper mirrors it left-to-right.
-template <class T, int Bytes>
+template <class T, int Bytes, class Cursor>
 void trtri_group(real_t<T>* data, index_t m, Uplo uplo, Diag diag,
                  index_t pw, index_t lanes, index_t lane_base,
-                 HealthRecorder* rec) {
+                 HealthRecorder* rec, Cursor& next) {
   using K = kernels::kreg<T, Bytes>;
   const auto at = [&](index_t i, index_t j) {
     return blk<T, Bytes>(data, m, i, j);
@@ -201,6 +213,7 @@ void trtri_group(real_t<T>* data, index_t m, Uplo uplo, Diag diag,
   const bool nonunit = diag == Diag::NonUnit;
   if (uplo == Uplo::Lower) {
     for (index_t j = m - 1; j >= 0; --j) {
+      next.step();
       if (nonunit) {
         if (rec != nullptr) {
           scan_pivot_block<T>(at(j, j), pw, lanes, lane_base,
@@ -229,6 +242,7 @@ void trtri_group(real_t<T>* data, index_t m, Uplo uplo, Diag diag,
     }
   } else {
     for (index_t j = 0; j < m; ++j) {
+      next.step();
       if (nonunit) {
         if (rec != nullptr) {
           scan_pivot_block<T>(at(j, j), pw, lanes, lane_base,
@@ -258,10 +272,28 @@ void trtri_group(real_t<T>* data, index_t m, Uplo uplo, Diag diag,
   }
 }
 
+/// Queue steps of one group: the next.step() calls the group routine
+/// makes (one per outer column iteration of each phase).
+index_t factor_steps(FactorOp op, index_t m, index_t nb) {
+  if (op == FactorOp::Trtri) {
+    return m;
+  }
+  index_t steps = 0;
+  for (index_t k0 = 0; k0 < m; k0 += nb) {
+    const index_t panel = std::min<index_t>(m, k0 + nb) - k0;
+    const index_t trailing = m - k0 - panel;
+    steps += op == FactorOp::Potrf ? 2 * panel + trailing
+                                   : panel + 2 * trailing;
+  }
+  return steps;
+}
+
 } // namespace
 
 template <class T, int Bytes>
-FactorPlan<T, Bytes>::FactorPlan(const FactorShape& shape) : shape_(shape) {
+FactorPlan<T, Bytes>::FactorPlan(const FactorShape& shape,
+                                 const CacheInfo& cache)
+    : shape_(shape) {
   IATF_CHECK(shape.m >= 0 && shape.batch >= 0,
              "FactorPlan: negative dimension");
   if (shape.op == FactorOp::Trtri) {
@@ -269,39 +301,97 @@ FactorPlan<T, Bytes>::FactorPlan(const FactorShape& shape) : shape_(shape) {
   } else {
     nb_ = shape.m <= 12 ? std::max<index_t>(shape.m, 1) : 8;
   }
+  // Next-group stream over the column steps: the region the routine
+  // rewrites in place (the lower triangle for Cholesky, the stored
+  // triangle for Trtri, everything for LU), with write intent.
+  using K = kernels::kreg<T, Bytes>;
+  const auto elem_bytes = static_cast<std::size_t>(K::stride) *
+                          sizeof(real_t<T>);
+  const auto m = static_cast<std::size_t>(shape.m);
+  const std::size_t a_bytes = m * m * elem_bytes;
+  const auto groups =
+      static_cast<std::size_t>((shape.batch + K::pack - 1) / K::pack);
+  if (plan::stream_next_group(a_bytes, groups * a_bytes, cache)) {
+    std::vector<plan::GroupStream::Segment> segments;
+    if (shape.op == FactorOp::GetrfNp) {
+      segments.push_back({0, 0, a_bytes, true});
+    } else {
+      segments = plan::triangle_segments(
+          0, m, elem_bytes,
+          shape.op == FactorOp::Potrf || shape.uplo == Uplo::Lower, true);
+    }
+    stream_ = plan::GroupStream(
+        segments,
+        static_cast<std::size_t>(factor_steps(shape.op, shape.m, nb_)));
+  }
+}
+
+template <class T, int Bytes>
+void FactorPlan<T, Bytes>::validate(const CompactBuffer<T>& a) const {
+  IATF_CHECK(a.rows() == shape_.m && a.cols() == shape_.m,
+             "factor: matrices must be square and match the plan");
+  IATF_CHECK(a.batch() == shape_.batch,
+             "factor: batch does not match the plan");
+  using K = kernels::kreg<T, Bytes>;
+  IATF_CHECK(a.pack_width() == K::pack, "factor: pack width mismatch");
 }
 
 template <class T, int Bytes>
 void FactorPlan<T, Bytes>::execute(CompactBuffer<T>& a, HealthRecorder* rec,
                                    const Deadline* deadline) const {
-  using K = kernels::kreg<T, Bytes>;
-  IATF_CHECK(a.rows() == shape_.m && a.cols() == shape_.m,
-             "factor: matrices must be square and match the plan");
-  IATF_CHECK(a.batch() == shape_.batch,
-             "factor: batch does not match the plan");
-  IATF_CHECK(a.pack_width() == K::pack, "factor: pack width mismatch");
-  const index_t groups = a.groups();
+  validate(a);
+  run_groups(a, 0, a.groups(), rec, deadline);
+}
+
+template <class T, int Bytes>
+void FactorPlan<T, Bytes>::execute_range(CompactBuffer<T>& a,
+                                         index_t g_begin, index_t g_end,
+                                         HealthRecorder* rec,
+                                         const Deadline* deadline) const {
+  validate(a);
+  IATF_CHECK(g_begin >= 0 && g_begin <= g_end && g_end <= a.groups(),
+             "factor: group range out of bounds");
+  run_groups(a, g_begin, g_end, rec, deadline);
+}
+
+template <class T, int Bytes>
+void FactorPlan<T, Bytes>::run_groups(CompactBuffer<T>& a, index_t g_begin,
+                                      index_t g_end, HealthRecorder* rec,
+                                      const Deadline* deadline) const {
+  if (stream_.active()) {
+    walk_groups<plan::StreamCursor>(a, g_begin, g_end, rec, deadline);
+  } else {
+    walk_groups<plan::NoStream>(a, g_begin, g_end, rec, deadline);
+  }
+}
+
+template <class T, int Bytes>
+template <class Cursor>
+void FactorPlan<T, Bytes>::walk_groups(CompactBuffer<T>& a, index_t g_begin,
+                                       index_t g_end, HealthRecorder* rec,
+                                       const Deadline* deadline) const {
   const index_t pw = a.pack_width();
-  for (index_t g = 0; g < groups; ++g) {
+  for (index_t g = g_begin; g < g_end; ++g) {
     if (deadline != nullptr && deadline->expired()) {
-      throw TimeoutError(g, groups);
+      throw TimeoutError(g - g_begin, g_end - g_begin);
     }
     real_t<T>* data = a.group_data(g);
     const index_t lane_base = g * pw;
     const index_t lanes =
         lane_base + pw <= shape_.batch ? pw : shape_.batch - lane_base;
+    Cursor next(stream_, g + 1 < g_end, {a.group_data(g + 1)});
     switch (shape_.op) {
     case FactorOp::Potrf:
-      potrf_group<T, Bytes>(data, shape_.m, nb_, pw, lanes, lane_base,
-                            rec);
+      potrf_group<T, Bytes>(data, shape_.m, nb_, pw, lanes, lane_base, rec,
+                            next);
       break;
     case FactorOp::GetrfNp:
       getrf_np_group<T, Bytes>(data, shape_.m, nb_, pw, lanes, lane_base,
-                               rec);
+                               rec, next);
       break;
     case FactorOp::Trtri:
       trtri_group<T, Bytes>(data, shape_.m, shape_.uplo, shape_.diag, pw,
-                            lanes, lane_base, rec);
+                            lanes, lane_base, rec, next);
       break;
     }
   }

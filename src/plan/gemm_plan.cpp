@@ -1,5 +1,6 @@
 #include "iatf/plan/gemm_plan.hpp"
 
+#include <algorithm>
 #include <complex>
 
 #include "iatf/common/error.hpp"
@@ -33,7 +34,6 @@ GemmPlan<T, Bytes>::GemmPlan(const GemmShape& shape, const CacheInfo& cache,
                  shape.batch >= 0,
              "gemm: negative dimension");
 
-  using Limits = kernels::KernelLimits<T>;
   const index_t es = element_stride();
 
   // Kernel-variant selection: the width's own CMAR-derived tile shape
@@ -130,6 +130,25 @@ GemmPlan<T, Bytes>::GemmPlan(const GemmShape& shape, const CacheInfo& cache,
                       ? tuning.slice_override
                       : BatchCounter(cache).groups_per_slice(group_bytes);
   chunk_groups_ = tuning.chunk_groups > 0 ? tuning.chunk_groups : 0;
+
+  // Next-group stream over the command queue: A and B are read (a packed
+  // operand at its source group, which the next pack reads), C is
+  // read-modify-written.
+  const auto bytes = [&](index_t scalars) {
+    return static_cast<std::size_t>(scalars * es) * sizeof(R);
+  };
+  const std::size_t a_bytes = bytes(shape.m * shape.k);
+  const std::size_t b_bytes = bytes(shape.k * shape.n);
+  const std::size_t c_bytes = bytes(shape.m * shape.n);
+  const auto groups = static_cast<std::size_t>(
+      (shape.batch + pack_width() - 1) / pack_width());
+  if (stream_next_group(std::max({a_bytes, b_bytes, c_bytes}),
+                        groups * (a_bytes + b_bytes + c_bytes), cache)) {
+    const GroupStream::Segment segments[] = {{0, 0, a_bytes, false},
+                                             {1, 0, b_bytes, false},
+                                             {2, 0, c_bytes, true}};
+    stream_ = GroupStream(segments, calls_.size());
+  }
 }
 
 template <class T, int Bytes>
@@ -212,6 +231,23 @@ void GemmPlan<T, Bytes>::run_groups(const CompactBuffer<T>& a,
                                     index_t g_begin, index_t g_end,
                                     HealthRecorder* health,
                                     const Deadline* deadline) const {
+  if (stream_.active()) {
+    walk_groups<StreamCursor>(a, b, c, alpha, beta, g_begin, g_end, health,
+                              deadline);
+  } else {
+    walk_groups<NoStream>(a, b, c, alpha, beta, g_begin, g_end, health,
+                          deadline);
+  }
+}
+
+template <class T, int Bytes>
+template <class Cursor>
+void GemmPlan<T, Bytes>::walk_groups(const CompactBuffer<T>& a,
+                                     const CompactBuffer<T>& b,
+                                     CompactBuffer<T>& c, T alpha, T beta,
+                                     index_t g_begin, index_t g_end,
+                                     HealthRecorder* health,
+                                     const Deadline* deadline) const {
   const index_t es = element_stride();
   const index_t pw = pack_width();
 
@@ -248,7 +284,11 @@ void GemmPlan<T, Bytes>::run_groups(const CompactBuffer<T>& a,
       const R* gb =
           pack_b_ ? wb.data() + (g - g0) * pb_group_size_ : b.group_data(g);
       R* gc = c.group_data(g);
+      Cursor next(
+          stream_, g + 1 < g_end,
+          {a.group_data(g + 1), b.group_data(g + 1), c.group_data(g + 1)});
       for (const Call& call : calls_) {
+        next.step();
         kernels::GemmKernelArgs<T> args;
         args.pa = ga + call.a_off;
         args.pb = gb + call.b_off;

@@ -1,5 +1,6 @@
 #include "iatf/plan/trsm_plan.hpp"
 
+#include <algorithm>
 #include <complex>
 
 #include "iatf/common/error.hpp"
@@ -139,6 +140,24 @@ TrsmPlan<T, Bytes>::TrsmPlan(const TrsmShape& shape, const CacheInfo& cache,
                       ? tuning.slice_override
                       : BatchCounter(cache).groups_per_slice(group_bytes);
   chunk_groups_ = tuning.chunk_groups > 0 ? tuning.chunk_groups : 0;
+
+  // Next-group stream over the steps: the stored triangle of the source
+  // A group, which the next pack reads, and B, which the solve
+  // overwrites.
+  const auto elem_bytes = static_cast<std::size_t>(es) * sizeof(R);
+  const auto a_dim = static_cast<std::size_t>(shape.a_dim());
+  const std::size_t a_bytes = a_dim * a_dim * elem_bytes;
+  const std::size_t b_bytes =
+      static_cast<std::size_t>(shape.m * shape.n) * elem_bytes;
+  const auto groups = static_cast<std::size_t>(
+      (shape.batch + pack_width() - 1) / pack_width());
+  if (stream_next_group(std::max(a_bytes, b_bytes),
+                        groups * (a_bytes + b_bytes), cache)) {
+    std::vector<GroupStream::Segment> segments = triangle_segments(
+        0, a_dim, elem_bytes, shape.uplo == Uplo::Lower, false);
+    segments.push_back({1, 0, b_bytes, true});
+    stream_ = GroupStream(segments, steps_.size());
+  }
 }
 
 template <class T, int Bytes>
@@ -156,10 +175,13 @@ void TrsmPlan<T, Bytes>::validate_buffers(const CompactBuffer<T>& a,
 }
 
 template <class T, int Bytes>
-void TrsmPlan<T, Bytes>::solve_group(const R* packed_a, R* bdata) const {
+template <class Cursor>
+void TrsmPlan<T, Bytes>::solve_group(const R* packed_a, R* bdata,
+                                     Cursor& next) const {
   const index_t es = element_stride();
   const index_t jstride = canon_.m * es;
   for (const Step& step : steps_) {
+    next.step();
     R* brow = bdata + (step.col_off * canon_.m + step.row_off) * es;
     if (step.kind == Step::Kind::Rect) {
       kernels::TrsmRectArgs<T> args;
@@ -231,6 +253,21 @@ void TrsmPlan<T, Bytes>::run_groups(const CompactBuffer<T>& a,
                                     index_t g_begin, index_t g_end,
                                     HealthRecorder* health,
                                     const Deadline* deadline) const {
+  if (stream_.active()) {
+    walk_groups<StreamCursor>(a, b, alpha, g_begin, g_end, health,
+                              deadline);
+  } else {
+    walk_groups<NoStream>(a, b, alpha, g_begin, g_end, health, deadline);
+  }
+}
+
+template <class T, int Bytes>
+template <class Cursor>
+void TrsmPlan<T, Bytes>::walk_groups(const CompactBuffer<T>& a,
+                                     CompactBuffer<T>& b, T alpha,
+                                     index_t g_begin, index_t g_end,
+                                     HealthRecorder* health,
+                                     const Deadline* deadline) const {
   const index_t es = element_stride();
   const index_t pw = pack_width();
 
@@ -269,11 +306,13 @@ void TrsmPlan<T, Bytes>::run_groups(const CompactBuffer<T>& a,
 
     for (index_t g = g0; g < g1; ++g) {
       const R* ga = wa.data() + (g - g0) * pa_group_size_;
+      Cursor next(stream_, g + 1 < g_end,
+                  {a.group_data(g + 1), b.group_data(g + 1)});
       if (pack_b_) {
         R* gb = wb.data() + (g - g0) * pb_group_size_;
         pack::pack_trsm_b<T>(b.group_data(g), shape_.m, canon_, es, alpha,
                              gb);
-        solve_group(ga, gb);
+        solve_group(ga, gb, next);
         pack::unpack_trsm_b<T>(gb, shape_.m, canon_, es,
                                b.group_data(g));
       } else {
@@ -281,7 +320,7 @@ void TrsmPlan<T, Bytes>::run_groups(const CompactBuffer<T>& a,
         if (!(alpha == T(1))) {
           scale_compact<T>(gb, shape_.m * shape_.n, es, alpha);
         }
-        solve_group(ga, gb);
+        solve_group(ga, gb, next);
       }
       if (health != nullptr) {
         // Output scan while the group is still cache-resident.
