@@ -2,11 +2,13 @@
 // compact TRMM, unpivoted LU and Cholesky versus looping per-matrix
 // scalar LAPACK-style calls -- the same comparison structure as the
 // paper's GEMM/TRSM figures, extended to the routines Intel's compact
-// BLAS/LAPACK covers.
+// BLAS/LAPACK covers. The LU and Cholesky rows time the engine's fused
+// factorisations (Engine::getrf_nopiv_batch / potrf_batch).
 #include <complex>
 #include <cstring>
 
 #include "common/series.hpp"
+#include "iatf/core/engine.hpp"
 #include "iatf/ext/compact_ext.hpp"
 #include "iatf/ref/ref_blas.hpp"
 
@@ -57,9 +59,7 @@ void sweep_getrf(const char* dtype, const Options& opt) {
       }
     }
     auto pristine = to_compact_buffer(host, simd::pack_width_v<T>);
-    pristine.pad_identity();
     auto compact = to_compact_buffer(host, simd::pack_width_v<T>);
-    compact.pad_identity();
     // 2/3 n^3 multiply-adds. Each repetition restores the unfactored
     // input first (same memcpy cost on both series) so repeated
     // factorisation stays well-defined.
@@ -68,7 +68,7 @@ void sweep_getrf(const char* dtype, const Options& opt) {
     const double iatf_g = measure_gflops(flops, opt, [&] {
       std::memcpy(compact.data(), pristine.data(),
                   compact.size() * sizeof(real_t<T>));
-      ext::compact_getrf_np<T>(compact);
+      Engine::default_engine().getrf_nopiv_batch<T>(compact);
     });
     auto scratch = host;
     const double loop_g = measure_gflops(flops, opt, [&] {
@@ -107,15 +107,13 @@ void sweep_potrf(const char* dtype, const Options& opt) {
       }
     }
     auto pristine = to_compact_buffer(host, simd::pack_width_v<T>);
-    pristine.pad_identity();
     auto compact = to_compact_buffer(host, simd::pack_width_v<T>);
-    compact.pad_identity();
     const double flops = flops_per_madd<T>() / 2.0 * (1.0 / 3.0) *
                          static_cast<double>(s) * s * s * batch;
     const double iatf_g = measure_gflops(flops, opt, [&] {
       std::memcpy(compact.data(), pristine.data(),
                   compact.size() * sizeof(real_t<T>));
-      ext::compact_potrf<T>(compact);
+      Engine::default_engine().potrf_batch<T>(compact);
     });
     auto scratch = host;
     const double loop_g = measure_gflops(flops, opt, [&] {

@@ -731,7 +731,10 @@ IATF_DECLARE_PACKED_CX(c, iatf_cpacked, iatf_cbuf, float)
 IATF_DECLARE_PACKED_CX(z, iatf_zpacked, iatf_zbuf, double)
 #undef IATF_DECLARE_PACKED_CX
 
-/* Extensions: B = alpha * op(tri(A)) * B, unpivoted LU, Cholesky. */
+/* Extensions: B = alpha * op(tri(A)) * B, unpivoted LU, Cholesky. The
+ * _compact factorisations are aliases of iatf_?getrfnp_batch and
+ * iatf_?potrf_batch: same status codes, error detail, automatic pad-lane
+ * identity and exec-policy health semantics. */
 int iatf_strmm_compact(iatf_side side, iatf_uplo uplo, iatf_op op_a,
                        iatf_diag diag, float alpha, const iatf_sbuf* a,
                        iatf_sbuf* b);

@@ -11,6 +11,7 @@
 // IATF_CHECK_AS for the other classes.
 #pragma once
 
+#include <exception>
 #include <stdexcept>
 #include <string>
 
@@ -93,6 +94,12 @@ public:
   explicit WatchdogError(const std::string& what)
       : Error(what, Status::Watchdog) {}
 };
+
+/// Stable classification of a captured exception: an Error reports its
+/// own status, std::bad_alloc is AllocFailure and anything else is
+/// Internal. The one mapping behind every C status code and every
+/// serving-callback status.
+Status status_of(const std::exception_ptr& p) noexcept;
 
 namespace detail {
 [[noreturn]] void throw_error(const char* file, int line,

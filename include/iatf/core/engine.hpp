@@ -645,6 +645,12 @@ private:
                         const typename Traits::Shape& shape,
                         DegradeEvent event);
 
+  /// The plan builder shared by plan_gemm and plan_trsm: resolve the
+  /// tuning, build, and rebuild around quarantined kernels.
+  template <class Traits>
+  std::shared_ptr<const typename Traits::Plan>
+  plan_tuned(const typename Traits::Shape& shape, std::uint8_t layout);
+
   /// The plan-cache key of a descriptor; its hash is also the breaker
   /// slot of the descriptor class.
   template <class Traits>

@@ -1,24 +1,18 @@
 // Compact-layout extensions beyond the paper's GEMM/TRSM -- the future
 // work its conclusion names: "the kernel design and optimization of other
-// BLAS functions under the SIMD-friendly data layout". These mirror the
-// routines Intel's compact BLAS/LAPACK exposes (mkl_?trmm_compact,
-// mkl_?getrfnp_compact, mkl_?potrf_compact):
+// BLAS functions under the SIMD-friendly data layout". TRMM mirrors
+// Intel's mkl_?trmm_compact:
 //
 //  * compact_trmm     -- triangular matrix multiply, all 16 mode
 //                        combinations via the same canonicalisation as
 //                        TRSM, register-resident triangular kernels plus
 //                        GEMM rectangular updates.
-//  * compact_getrf_np -- unpivoted LU factorisation in place (L\U with
-//                        unit lower diagonal), vectorised across the P
-//                        interleaved matrices.
-//  * compact_potrf    -- Cholesky factorisation of the lower triangle in
-//                        place (A = L L^H), Hermitian for complex types.
-//  * compact_getrs_np -- convenience solve using a getrf_np factorisation
+//  * compact_getrs_np -- convenience solve using unpivoted LU factors
 //                        (two compact TRSMs).
 //
-// Note on padding: like TRSM, the factorisations divide by diagonal
-// entries; call pad_identity() on buffers whose batch is not a multiple
-// of the pack width so padded lanes stay finite.
+// The factorisations themselves (Cholesky, unpivoted LU, triangular
+// inverse) have one implementation: the engine's fused, hazard-checked
+// potrf_batch / getrf_nopiv_batch / trtri_batch (iatf/factor/factor.hpp).
 //
 // All routines are width-dispatching: the kernel class (128/256/512-bit
 // backend) follows the buffers' pack width, as with the engine entry
@@ -35,19 +29,9 @@ template <class T>
 void compact_trmm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
                   const CompactBuffer<T>& a, CompactBuffer<T>& b);
 
-/// Unpivoted LU in place: each m x m matrix becomes L\U (unit lower
-/// diagonal implied). The caller guarantees factorisability without
-/// pivoting (e.g. diagonally dominant blocks), as with LAPACK's getrfnp.
-template <class T> void compact_getrf_np(CompactBuffer<T>& a);
-
-/// Cholesky in place on the lower triangle: A = L * L^H. Only the lower
-/// triangle is read or written; the input must be positive definite
-/// (padded lanes: use pad_identity()).
-template <class T> void compact_potrf(CompactBuffer<T>& a);
-
-/// Solve A X = B for every matrix using a compact_getrf_np factorisation
-/// of A: forward substitution with the unit-lower L then back
-/// substitution with U. B is overwritten by X.
+/// Solve A X = B for every matrix using an unpivoted LU factorisation of
+/// A (Engine::getrf_nopiv_batch): forward substitution with the
+/// unit-lower L then back substitution with U. B is overwritten by X.
 template <class T>
 void compact_getrs_np(const CompactBuffer<T>& lu, CompactBuffer<T>& b);
 

@@ -85,10 +85,99 @@ struct ClassKey {
   friend bool operator==(const ClassKey&, const ClassKey&) = default;
 };
 
-/// The ClassKey of one factorisation descriptor (shared by the engine's
-/// factor_grouped binning and by callers pre-binning their own chains).
-ClassKey factor_class_key(factor::FactorOp op, index_t m, Uplo uplo,
-                          Diag diag, index_t batch);
+// --- Descriptors -------------------------------------------------------
+// The one source of every op's descriptor and size class: the engine's
+// call pipeline keys its plan cache and breaker slots on these, and the
+// serving front end coalesces on the same ClassKey.
+
+/// Descriptor of a GEMM segment; shapes are inferred from C and op(A).
+template <class T> GemmShape shape_of(const GemmSegment<T>& seg) {
+  GemmShape s;
+  s.m = seg.c->rows();
+  s.n = seg.c->cols();
+  s.k = seg.op_a == Op::NoTrans ? seg.a->cols() : seg.a->rows();
+  s.op_a = seg.op_a;
+  s.op_b = seg.op_b;
+  s.batch = seg.c->batch();
+  return s;
+}
+
+/// Descriptor of a TRSM segment; shapes are inferred from B.
+template <class T> TrsmShape shape_of(const TrsmSegment<T>& seg) {
+  TrsmShape s;
+  s.m = seg.b->rows();
+  s.n = seg.b->cols();
+  s.side = seg.side;
+  s.uplo = seg.uplo;
+  s.op_a = seg.op_a;
+  s.diag = seg.diag;
+  s.batch = seg.b->batch();
+  return s;
+}
+
+/// Descriptor of a factorisation segment; the order is A's row count.
+template <class T>
+factor::FactorShape shape_of(const FactorSegment<T>& seg) {
+  factor::FactorShape s;
+  s.op = seg.op;
+  s.m = seg.a->rows();
+  s.uplo = seg.uplo;
+  s.diag = seg.diag;
+  s.batch = seg.a->batch();
+  return s;
+}
+
+/// The size class of a descriptor: op tag 'g' plus every GEMM field.
+/// Inline, like the shape_of overloads: every plan-cache lookup and
+/// every serve submission computes one.
+inline ClassKey class_key(const GemmShape& s) {
+  ClassKey key;
+  key.op = 'g';
+  key.m = s.m;
+  key.n = s.n;
+  key.k = s.k;
+  key.op_a = static_cast<std::uint8_t>(s.op_a);
+  key.op_b = static_cast<std::uint8_t>(s.op_b);
+  key.batch = s.batch;
+  return key;
+}
+
+/// The size class of a descriptor: op tag 't' plus every TRSM field.
+inline ClassKey class_key(const TrsmShape& s) {
+  ClassKey key;
+  key.op = 't';
+  key.m = s.m;
+  key.n = s.n;
+  key.op_a = static_cast<std::uint8_t>(s.op_a);
+  key.side = static_cast<std::uint8_t>(s.side);
+  key.uplo = static_cast<std::uint8_t>(s.uplo);
+  key.diag = static_cast<std::uint8_t>(s.diag);
+  key.batch = s.batch;
+  return key;
+}
+
+/// The size class of a descriptor: op tag 'p' (Cholesky), 'l'
+/// (unpivoted LU) or 'i' (triangular inverse) plus order, uplo, diag and
+/// batch.
+inline ClassKey class_key(const factor::FactorShape& s) {
+  ClassKey key;
+  switch (s.op) {
+  case factor::FactorOp::Potrf:
+    key.op = 'p';
+    break;
+  case factor::FactorOp::GetrfNp:
+    key.op = 'l';
+    break;
+  case factor::FactorOp::Trtri:
+    key.op = 'i';
+    break;
+  }
+  key.m = s.m;
+  key.uplo = static_cast<std::uint8_t>(s.uplo);
+  key.diag = static_cast<std::uint8_t>(s.diag);
+  key.batch = s.batch;
+  return key;
+}
 
 struct ClassKeyHash {
   std::size_t operator()(const ClassKey& k) const noexcept;

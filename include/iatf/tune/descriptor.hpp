@@ -17,6 +17,7 @@
 
 #include "iatf/common/cache_info.hpp"
 #include "iatf/common/types.hpp"
+#include "iatf/sched/group_scheduler.hpp"
 
 namespace iatf::tune {
 
@@ -35,32 +36,33 @@ struct TuneKeyHash {
   std::size_t operator()(const TuneKey& key) const noexcept;
 };
 
-/// Keys for the two descriptor kinds (batch deliberately dropped).
-template <class T, int Bytes = 16> TuneKey gemm_key(const GemmShape& shape) {
+namespace detail {
+/// A size class (sched::class_key) as a tuning key: batch dropped,
+/// dtype and register width added.
+template <class T, int Bytes> TuneKey tune_key(const sched::ClassKey& cls) {
   TuneKey key;
-  key.op = 'g';
+  key.op = cls.op;
   key.dtype = blas_prefix_v<T>[0];
   key.bytes = Bytes;
-  key.m = shape.m;
-  key.n = shape.n;
-  key.k = shape.k;
-  key.op_a = static_cast<std::uint8_t>(shape.op_a);
-  key.op_b = static_cast<std::uint8_t>(shape.op_b);
+  key.m = cls.m;
+  key.n = cls.n;
+  key.k = cls.k;
+  key.op_a = cls.op_a;
+  key.op_b = cls.op_b;
+  key.side = cls.side;
+  key.uplo = cls.uplo;
+  key.diag = cls.diag;
   return key;
+}
+} // namespace detail
+
+/// Keys for the two descriptor kinds (batch deliberately dropped).
+template <class T, int Bytes = 16> TuneKey gemm_key(const GemmShape& shape) {
+  return detail::tune_key<T, Bytes>(sched::class_key(shape));
 }
 
 template <class T, int Bytes = 16> TuneKey trsm_key(const TrsmShape& shape) {
-  TuneKey key;
-  key.op = 't';
-  key.dtype = blas_prefix_v<T>[0];
-  key.bytes = Bytes;
-  key.m = shape.m;
-  key.n = shape.n;
-  key.op_a = static_cast<std::uint8_t>(shape.op_a);
-  key.side = static_cast<std::uint8_t>(shape.side);
-  key.uplo = static_cast<std::uint8_t>(shape.uplo);
-  key.diag = static_cast<std::uint8_t>(shape.diag);
-  return key;
+  return detail::tune_key<T, Bytes>(sched::class_key(shape));
 }
 
 /// One-line human-readable rendering (also the table file's key fields).

@@ -163,19 +163,12 @@ iatf_error_detail grouped_detail(char op, char dtype, int64_t group_count) {
 int record_exception() {
   try {
     throw;
-  } catch (const iatf::Error& e) {
-    g_last_error = e.what();
-    return static_cast<int>(e.status());
-  } catch (const std::bad_alloc& e) {
-    g_last_error = e.what();
-    return IATF_STATUS_ALLOC_FAILURE;
   } catch (const std::exception& e) {
     g_last_error = e.what();
-    return IATF_STATUS_INTERNAL;
   } catch (...) {
     g_last_error = "unknown error";
-    return IATF_STATUS_INTERNAL;
   }
+  return static_cast<int>(iatf::status_of(std::current_exception()));
 }
 
 template <class Fn> int guarded(Fn&& fn) {
@@ -1008,7 +1001,9 @@ IATF_DEFINE_PACKED(z, iatf_zpacked, iatf_zbuf, std::complex<double>, double,
 #undef IATF_PARAM
 #undef IATF_VALUE
 
-// Legacy real-only extension shims (iatf::ext).
+// Legacy real-only extension shims. The _compact factorisations are
+// aliases of the _batch entry points: one implementation, one status and
+// health contract.
 #define IATF_DEFINE_EXT(P, BUF, T)                                            \
   extern "C" int iatf_##P##trmm_compact(iatf_side side, iatf_uplo uplo,       \
                                         iatf_op op_a, iatf_diag diag,         \
@@ -1021,16 +1016,10 @@ IATF_DEFINE_PACKED(z, iatf_zpacked, iatf_zbuf, std::complex<double>, double,
     });                                                                       \
   }                                                                           \
   extern "C" int iatf_##P##getrfnp_compact(BUF* a) {                          \
-    return guarded([&] {                                                      \
-      IATF_CHECK(a != nullptr, "iatf_" #P "getrfnp_compact: null buffer");    \
-      iatf::ext::compact_getrf_np<T>(a->buf);                                 \
-    });                                                                       \
+    return iatf_##P##getrfnp_batch(a);                                        \
   }                                                                           \
   extern "C" int iatf_##P##potrf_compact(BUF* a) {                            \
-    return guarded([&] {                                                      \
-      IATF_CHECK(a != nullptr, "iatf_" #P "potrf_compact: null buffer");      \
-      iatf::ext::compact_potrf<T>(a->buf);                                    \
-    });                                                                       \
+    return iatf_##P##potrf_batch(a);                                          \
   }
 
 IATF_DEFINE_EXT(s, iatf_sbuf, float)

@@ -25,15 +25,7 @@ static_assert(IATF_STATUS_WATCHDOG ==
               static_cast<int>(iatf::Status::Watchdog));
 
 int status_of_exception() {
-  try {
-    throw;
-  } catch (const iatf::Error& e) {
-    return static_cast<int>(e.status());
-  } catch (const std::bad_alloc&) {
-    return IATF_STATUS_ALLOC_FAILURE;
-  } catch (...) {
-    return IATF_STATUS_INTERNAL;
-  }
+  return static_cast<int>(iatf::status_of(std::current_exception()));
 }
 
 std::chrono::nanoseconds from_ms(double ms) {

@@ -252,47 +252,22 @@ void backoff_sleep(std::chrono::nanoseconds delay,
 /// descending tile caps until the command queue avoids every quarantined
 /// kernel. When no cap combination helps, the plan is pre-marked
 /// Quarantined so dispatch ref-routes it without re-running canaries.
-template <class T, int Bytes>
-void substitute_quarantined(
-    std::unique_ptr<plan::GemmPlan<T, Bytes>>& plan, const GemmShape& shape,
-    const CacheInfo& cache, const plan::PlanTuning& tuning,
-    const resilience::KernelGuard& guard) {
+template <class Traits>
+void substitute_quarantined(std::unique_ptr<typename Traits::Plan>& plan,
+                            const typename Traits::Shape& shape,
+                            const CacheInfo& cache,
+                            const plan::PlanTuning& tuning,
+                            const resilience::KernelGuard& guard) {
   if (!guard.any_quarantined(kernel_ids_of(*plan))) {
     return;
   }
-  using Limits = kernels::KernelLimits<T>;
-  for (index_t mc = Limits::gemm_max_mc; mc >= 1; --mc) {
-    for (index_t nc = Limits::gemm_max_nc; nc >= 1; --nc) {
+  for (index_t mc = Traits::max_mc; mc >= 1; --mc) {
+    for (index_t nc = Traits::max_nc; nc >= 1; --nc) {
       plan::PlanTuning t = tuning;
       t.mc_cap = mc;
       t.nc_cap = nc;
       auto candidate =
-          std::make_unique<plan::GemmPlan<T, Bytes>>(shape, cache, t);
-      if (!guard.any_quarantined(kernel_ids_of(*candidate))) {
-        plan = std::move(candidate);
-        return;
-      }
-    }
-  }
-  plan->set_verify_state(resilience::PlanVerify::Quarantined);
-}
-
-template <class T, int Bytes>
-void substitute_quarantined(
-    std::unique_ptr<plan::TrsmPlan<T, Bytes>>& plan, const TrsmShape& shape,
-    const CacheInfo& cache, const plan::PlanTuning& tuning,
-    const resilience::KernelGuard& guard) {
-  if (!guard.any_quarantined(kernel_ids_of(*plan))) {
-    return;
-  }
-  using Limits = kernels::KernelLimits<T>;
-  for (index_t mc = Limits::trsm_block; mc >= 1; --mc) {
-    for (index_t nc = Limits::tri_max_nc; nc >= 1; --nc) {
-      plan::PlanTuning t = tuning;
-      t.mc_cap = mc;
-      t.nc_cap = nc;
-      auto candidate =
-          std::make_unique<plan::TrsmPlan<T, Bytes>>(shape, cache, t);
+          std::make_unique<typename Traits::Plan>(shape, cache, t);
       if (!guard.any_quarantined(kernel_ids_of(*candidate))) {
         plan = std::move(candidate);
         return;
@@ -548,7 +523,7 @@ std::shared_ptr<const Plan> Engine::lookup(const PlanKey& key, Make&& make) {
 template <class Traits>
 Engine::PlanKey Engine::plan_key(const typename Traits::Shape& shape,
                                  std::uint8_t layout) {
-  const sched::ClassKey cls = Traits::class_key(shape);
+  const sched::ClassKey cls = sched::class_key(shape);
   PlanKey key;
   key.op = cls.op;
   key.dtype = dtype_tag<typename Traits::value_type>();
@@ -569,44 +544,31 @@ Engine::PlanKey Engine::plan_key(const typename Traits::Shape& shape,
 template <class T, int Bytes>
 std::shared_ptr<const plan::GemmPlan<T, Bytes>>
 Engine::plan_gemm(const GemmShape& shape, std::uint8_t layout) {
-  return lookup<plan::GemmPlan<T, Bytes>>(
-      plan_key<detail::GemmOp<T, Bytes>>(shape, layout),
-      [&](bool* tuned, std::uint64_t* config_gen) {
-        IATF_FAULT_POINT("plan.gemm", ::iatf::Status::Unsupported);
-        fault::stall_if_armed("plan.stall");
-        const auto config = tuning_.load(std::memory_order_acquire);
-        *config_gen = config->generation;
-        const plan::PlanTuning tuning = resolve_tuning(
-            *config, tune::gemm_key<T, Bytes>(shape), tuned);
-        auto plan = std::make_unique<plan::GemmPlan<T, Bytes>>(shape,
-                                                               cache_,
-                                                               tuning);
-        if (kernel_verification() && guard_.quarantined_count() > 0) {
-          substitute_quarantined<T, Bytes>(plan, shape, cache_, tuning,
-                                           guard_);
-        }
-        return plan.release();
-      });
+  return plan_tuned<detail::GemmOp<T, Bytes>>(shape, layout);
 }
 
 template <class T, int Bytes>
 std::shared_ptr<const plan::TrsmPlan<T, Bytes>>
 Engine::plan_trsm(const TrsmShape& shape, std::uint8_t layout) {
-  return lookup<plan::TrsmPlan<T, Bytes>>(
-      plan_key<detail::TrsmOp<T, Bytes>>(shape, layout),
+  return plan_tuned<detail::TrsmOp<T, Bytes>>(shape, layout);
+}
+
+template <class Traits>
+std::shared_ptr<const typename Traits::Plan>
+Engine::plan_tuned(const typename Traits::Shape& shape, std::uint8_t layout) {
+  using Plan = typename Traits::Plan;
+  return lookup<Plan>(
+      plan_key<Traits>(shape, layout),
       [&](bool* tuned, std::uint64_t* config_gen) {
-        IATF_FAULT_POINT("plan.trsm", ::iatf::Status::Unsupported);
+        IATF_FAULT_POINT(Traits::plan_site, ::iatf::Status::Unsupported);
         fault::stall_if_armed("plan.stall");
         const auto config = tuning_.load(std::memory_order_acquire);
         *config_gen = config->generation;
-        const plan::PlanTuning tuning = resolve_tuning(
-            *config, tune::trsm_key<T, Bytes>(shape), tuned);
-        auto plan = std::make_unique<plan::TrsmPlan<T, Bytes>>(shape,
-                                                               cache_,
-                                                               tuning);
+        const plan::PlanTuning tuning =
+            resolve_tuning(*config, Traits::tune_key(shape), tuned);
+        auto plan = std::make_unique<Plan>(shape, cache_, tuning);
         if (kernel_verification() && guard_.quarantined_count() > 0) {
-          substitute_quarantined<T, Bytes>(plan, shape, cache_, tuning,
-                                           guard_);
+          substitute_quarantined<Traits>(plan, shape, cache_, tuning, guard_);
         }
         return plan.release();
       });
@@ -651,7 +613,7 @@ BatchHealth Engine::call(const typename Traits::Segment& seg,
   using T = typename Traits::value_type;
   using R = real_t<T>;
   constexpr int Bytes = Traits::bytes;
-  const typename Traits::Shape shape = Traits::shape(seg);
+  const typename Traits::Shape shape = sched::shape_of(seg);
   note_width_call(Bytes);
 
   const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
@@ -878,9 +840,9 @@ Engine::grouped(std::span<const typename Traits::Segment> segments) {
   std::vector<sched::ClassKey> keys(count);
   for (std::size_t i = 0; i < count; ++i) {
     Traits::check(segments[i]);
-    shapes[i] = Traits::shape(segments[i]);
+    shapes[i] = sched::shape_of(segments[i]);
     healths[i].batch = shapes[i].batch;
-    keys[i] = Traits::class_key(shapes[i]);
+    keys[i] = sched::class_key(shapes[i]);
   }
 
   const ExecPolicy policy = policy_.load(std::memory_order_relaxed);

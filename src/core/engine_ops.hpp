@@ -2,15 +2,19 @@
 // Engine::call<Traits> (one call) and Engine::grouped<Traits> (a grouped
 // call) run every op through the same admission -> breaker -> plan ->
 // verify -> execute -> retry -> lane repair -> reference fallback path;
-// each struct below holds only the facts that differ between ops:
+// each struct below holds only the facts that differ between ops. A
+// segment's descriptor and size class are not among them: they come from
+// sched::shape_of / sched::class_key, which the serving front end's
+// coalescer shares.
 //
 //   Segment, Shape, Plan   the operand bundle, its descriptor, its plan;
 //   gated                  breaker + kernel canary apply (false for
 //                          factorisations, whose plans dispatch no
 //                          registry kernels);
 //   pooled                 the plan has execute_parallel/execute_range;
-//   shape / class_key      descriptor and size class of a segment (the
-//                          engine's plan key is derived from class_key);
+//   plan_site, tune_key,   fault site, tuning-table key and tile-cap
+//   max_mc, max_nc         bounds of the tuned plan builder (GEMM and
+//                          TRSM only; factor plans take no tuning);
 //   plan_for               the engine's plan_* lookup;
 //   written                the operand the op overwrites (snapshot,
 //                          restore and per-lane repair target);
@@ -33,8 +37,10 @@
 #include "iatf/common/error.hpp"
 #include "iatf/common/status.hpp"
 #include "iatf/core/engine.hpp"
+#include "iatf/kernels/registry.hpp"
 #include "iatf/ref/ref_blas.hpp"
 #include "iatf/sched/group_scheduler.hpp"
+#include "iatf/tune/descriptor.hpp"
 
 namespace iatf::detail {
 
@@ -47,27 +53,11 @@ template <class T, int Bytes> struct GemmOp {
   static constexpr bool gated = true;
   static constexpr bool pooled = true;
 
-  static Shape shape(const Segment& seg) {
-    GemmShape s;
-    s.m = seg.c->rows();
-    s.n = seg.c->cols();
-    s.k = seg.op_a == Op::NoTrans ? seg.a->cols() : seg.a->rows();
-    s.op_a = seg.op_a;
-    s.op_b = seg.op_b;
-    s.batch = seg.c->batch();
-    return s;
-  }
-
-  static sched::ClassKey class_key(const Shape& s) {
-    sched::ClassKey key;
-    key.op = 'g';
-    key.m = s.m;
-    key.n = s.n;
-    key.k = s.k;
-    key.op_a = static_cast<std::uint8_t>(s.op_a);
-    key.op_b = static_cast<std::uint8_t>(s.op_b);
-    key.batch = s.batch;
-    return key;
+  static constexpr const char* plan_site = "plan.gemm";
+  static constexpr index_t max_mc = kernels::KernelLimits<T>::gemm_max_mc;
+  static constexpr index_t max_nc = kernels::KernelLimits<T>::gemm_max_nc;
+  static tune::TuneKey tune_key(const Shape& s) {
+    return tune::gemm_key<T, Bytes>(s);
   }
 
   static auto plan_for(Engine& engine, const Shape& s, std::uint8_t layout) {
@@ -151,29 +141,11 @@ template <class T, int Bytes> struct TrsmOp {
   static constexpr bool gated = true;
   static constexpr bool pooled = true;
 
-  static Shape shape(const Segment& seg) {
-    TrsmShape s;
-    s.m = seg.b->rows();
-    s.n = seg.b->cols();
-    s.side = seg.side;
-    s.uplo = seg.uplo;
-    s.op_a = seg.op_a;
-    s.diag = seg.diag;
-    s.batch = seg.b->batch();
-    return s;
-  }
-
-  static sched::ClassKey class_key(const Shape& s) {
-    sched::ClassKey key;
-    key.op = 't';
-    key.m = s.m;
-    key.n = s.n;
-    key.op_a = static_cast<std::uint8_t>(s.op_a);
-    key.side = static_cast<std::uint8_t>(s.side);
-    key.uplo = static_cast<std::uint8_t>(s.uplo);
-    key.diag = static_cast<std::uint8_t>(s.diag);
-    key.batch = s.batch;
-    return key;
+  static constexpr const char* plan_site = "plan.trsm";
+  static constexpr index_t max_mc = kernels::KernelLimits<T>::trsm_block;
+  static constexpr index_t max_nc = kernels::KernelLimits<T>::tri_max_nc;
+  static tune::TuneKey tune_key(const Shape& s) {
+    return tune::trsm_key<T, Bytes>(s);
   }
 
   static auto plan_for(Engine& engine, const Shape& s, std::uint8_t layout) {
@@ -246,20 +218,6 @@ template <class T, int Bytes> struct FactorOp {
   static constexpr int bytes = Bytes;
   static constexpr bool gated = false;
   static constexpr bool pooled = false;
-
-  static Shape shape(const Segment& seg) {
-    factor::FactorShape s;
-    s.op = seg.op;
-    s.m = seg.a->rows();
-    s.uplo = seg.uplo;
-    s.diag = seg.diag;
-    s.batch = seg.a->batch();
-    return s;
-  }
-
-  static sched::ClassKey class_key(const Shape& s) {
-    return sched::factor_class_key(s.op, s.m, s.uplo, s.diag, s.batch);
-  }
 
   static auto plan_for(Engine& engine, const Shape& s, std::uint8_t layout) {
     return engine.plan_factor<T, Bytes>(s, layout);

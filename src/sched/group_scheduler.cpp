@@ -28,27 +28,6 @@ std::size_t ClassKeyHash::operator()(const ClassKey& k) const noexcept {
   return h;
 }
 
-ClassKey factor_class_key(factor::FactorOp op, index_t m, Uplo uplo,
-                          Diag diag, index_t batch) {
-  ClassKey key;
-  switch (op) {
-  case factor::FactorOp::Potrf:
-    key.op = 'p';
-    break;
-  case factor::FactorOp::GetrfNp:
-    key.op = 'l';
-    break;
-  case factor::FactorOp::Trtri:
-    key.op = 'i';
-    break;
-  }
-  key.m = m;
-  key.uplo = static_cast<std::uint8_t>(uplo);
-  key.diag = static_cast<std::uint8_t>(diag);
-  key.batch = batch;
-  return key;
-}
-
 std::vector<SizeClass> bin_by_descriptor(std::span<const ClassKey> keys) {
   IATF_FAULT_POINT("sched.bin", Status::Internal);
   fault::stall_if_armed("sched.bin");

@@ -20,20 +20,6 @@ namespace iatf::serve {
 
 namespace detail {
 
-/// Stable status classification of an exception_ptr (the callback-side
-/// mirror of the C API's record_exception).
-Status status_of(const std::exception_ptr& p) noexcept {
-  try {
-    std::rethrow_exception(p);
-  } catch (const Error& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::AllocFailure;
-  } catch (...) {
-    return Status::Internal;
-  }
-}
-
 /// One queued request. Derived types carry the typed payload and the
 /// promise; the base carries everything the queue and the coalescer
 /// need. Resolution invariant: exactly one of resolve-with-value (via
@@ -103,21 +89,10 @@ void notify(const Cb& cb, Args&&... args) noexcept {
   }
 }
 
-template <class T> constexpr char dtype_of() {
-  if constexpr (std::is_same_v<T, float>) {
-    return 's';
-  } else if constexpr (std::is_same_v<T, double>) {
-    return 'd';
-  } else if constexpr (std::is_same_v<T, std::complex<float>>) {
-    return 'c';
-  } else {
-    return 'z';
-  }
-}
-
 /// Per-segment-type facts of the request templates below: the written
-/// operand (whose pack width selects the kernel class), the descriptor
-/// and its coalescing key, and the engine entry points.
+/// operand (whose pack width selects the kernel class) and the engine
+/// entry points. The descriptor and its coalescing key come from
+/// sched::shape_of / sched::class_key, the engine's own plan identity.
 template <class Segment> struct SegmentOps;
 
 template <class T> struct SegmentOps<sched::GemmSegment<T>> {
@@ -125,27 +100,6 @@ template <class T> struct SegmentOps<sched::GemmSegment<T>> {
   using Segment = sched::GemmSegment<T>;
   using Shape = GemmShape;
   static const CompactBuffer<T>* out(const Segment& s) { return s.c; }
-  static GemmShape shape(const Segment& s) {
-    GemmShape shape;
-    shape.m = s.c->rows();
-    shape.n = s.c->cols();
-    shape.k = s.op_a == Op::NoTrans ? s.a->cols() : s.a->rows();
-    shape.op_a = s.op_a;
-    shape.op_b = s.op_b;
-    shape.batch = s.c->batch();
-    return shape;
-  }
-  static sched::ClassKey key(const GemmShape& s) {
-    sched::ClassKey key;
-    key.op = 'g';
-    key.m = s.m;
-    key.n = s.n;
-    key.k = s.k;
-    key.op_a = static_cast<std::uint8_t>(s.op_a);
-    key.op_b = static_cast<std::uint8_t>(s.op_b);
-    key.batch = s.batch;
-    return key;
-  }
   template <int Bytes> static BatchHealth call(Engine& e, const Segment& s) {
     return e.gemm<T, Bytes>(s.op_a, s.op_b, s.alpha, *s.a, *s.b, s.beta,
                             *s.c);
@@ -165,29 +119,6 @@ template <class T> struct SegmentOps<sched::TrsmSegment<T>> {
   using Segment = sched::TrsmSegment<T>;
   using Shape = TrsmShape;
   static const CompactBuffer<T>* out(const Segment& s) { return s.b; }
-  static TrsmShape shape(const Segment& s) {
-    TrsmShape shape;
-    shape.m = s.b->rows();
-    shape.n = s.b->cols();
-    shape.side = s.side;
-    shape.uplo = s.uplo;
-    shape.op_a = s.op_a;
-    shape.diag = s.diag;
-    shape.batch = s.b->batch();
-    return shape;
-  }
-  static sched::ClassKey key(const TrsmShape& s) {
-    sched::ClassKey key;
-    key.op = 't';
-    key.m = s.m;
-    key.n = s.n;
-    key.op_a = static_cast<std::uint8_t>(s.op_a);
-    key.side = static_cast<std::uint8_t>(s.side);
-    key.uplo = static_cast<std::uint8_t>(s.uplo);
-    key.diag = static_cast<std::uint8_t>(s.diag);
-    key.batch = s.batch;
-    return key;
-  }
   template <int Bytes> static BatchHealth call(Engine& e, const Segment& s) {
     return e.trsm<T, Bytes>(s.side, s.uplo, s.op_a, s.diag, s.alpha, *s.a,
                             *s.b);
@@ -219,7 +150,7 @@ template <class Result, class Callback> struct TypedRequest : Request {
     if (!claim()) {
       return;
     }
-    notify(cb, status_of(error), Result{});
+    notify(cb, iatf::status_of(error), Result{});
     promise.set_exception(std::move(error));
   }
 };
@@ -234,14 +165,15 @@ struct SingleRequest final : TypedRequest<BatchHealth, Server::Completion> {
   /// has been failed, without touching the caller's buffers.
   typename Ops::Shape shape{};
 
-  explicit SingleRequest(const Segment& s) : seg(s), shape(Ops::shape(s)) {
-    key = Ops::key(shape);
+  explicit SingleRequest(const Segment& s)
+      : seg(s), shape(sched::shape_of(s)) {
+    key = sched::class_key(shape);
     // The register width is part of the class: requests whose buffers
     // belong to different ISA backends never coalesce.
     key.bytes = static_cast<int>(Ops::out(seg)->pack_width() *
                                  static_cast<index_t>(sizeof(real_t<T>)));
     kind = key.op;
-    dtype = dtype_of<T>();
+    dtype = blas_prefix_v<T>[0];
   }
 
   void run(Engine& engine) noexcept override {
@@ -300,7 +232,7 @@ struct GroupedRequest final
 
   explicit GroupedRequest(std::span<const Segment> s)
       : segs(s.begin(), s.end()) {
-    dtype = dtype_of<T>();
+    dtype = blas_prefix_v<T>[0];
   }
 
   void run(Engine& engine) noexcept override {
@@ -946,13 +878,15 @@ void Server::reclaim_inflight(std::unique_lock<std::mutex>& lk) {
   completed_ += batch.size();
 
   lk.unlock();
+  // Trip before failing: a caller that observes the WatchdogError must
+  // already see its class Open.
+  batch.front()->trip(engine_);
   const auto error = std::make_exception_ptr(WatchdogError(
       "iatf: dispatch stalled past the watchdog budget and was "
       "reclaimed; output buffers may be partially written"));
   for (const auto& r : batch) {
     r->fail(error); // claim-gated: a late un-wedged resolution loses
   }
-  batch.front()->trip(engine_);
   lk.lock();
 }
 

@@ -3,7 +3,8 @@
 // their compact-buffer counterparts (bit-identical), the factorisation
 // shims against the scalar reference, the packed stats counters, and
 // the hazard status contract (CHECK reports NUMERICAL_HAZARD, FALLBACK
-// repairs and returns OK).
+// repairs and returns OK), and the _compact factorisations as exact
+// aliases of their _batch counterparts.
 #include <cstring>
 #include <string>
 #include <vector>
@@ -257,6 +258,117 @@ TEST(CApiFactor, HazardStatusContract) {
   // The reference refuses the indefinite lane too: original input back.
   EXPECT_TRUE(test::lanes_equal(host, out, bad));
   iatf_ddestroy(fb);
+}
+
+
+// Typed access to one C buffer family, so one alias check serves the
+// float and double entry points.
+template <class T, class Buf> struct CBufOps {
+  Buf* (*create)(int64_t, int64_t, int64_t);
+  int (*import)(Buf*, int64_t, const T*, int64_t);
+  int (*export_)(const Buf*, int64_t, T*, int64_t);
+  void (*destroy)(Buf*);
+};
+
+// Everything a caller can observe from one C factorisation call.
+template <class T> struct CallOutcome {
+  int rc = 0;
+  int has_detail = 0;
+  iatf_error_detail detail{};
+  std::string message;
+  std::vector<T> exported;
+};
+
+template <class T, class Buf>
+CallOutcome<T> run_factor(const CBufOps<T, Buf>& ops, int (*fn)(Buf*),
+                          const test::HostBatch<T>& host) {
+  const index_t m = host.rows;
+  Buf* a = ops.create(m, m, host.batch);
+  EXPECT_NE(a, nullptr);
+  for (index_t l = 0; l < host.batch; ++l) {
+    EXPECT_EQ(ops.import(a, l, host.mat(l), m), IATF_STATUS_OK);
+  }
+  iatf_clear_error();
+  CallOutcome<T> out;
+  out.rc = fn(a);
+  out.has_detail = iatf_last_error_detail(&out.detail);
+  out.message = iatf_last_error();
+  out.exported.resize(host.data.size());
+  for (index_t l = 0; l < host.batch; ++l) {
+    EXPECT_EQ(ops.export_(a, l, out.exported.data() + l * m * m, m),
+              IATF_STATUS_OK);
+  }
+  ops.destroy(a);
+  return out;
+}
+
+void expect_same_detail(const iatf_error_detail& x,
+                        const iatf_error_detail& y) {
+  EXPECT_EQ(x.status, y.status);
+  EXPECT_EQ(x.events, y.events);
+  EXPECT_EQ(x.op, y.op);
+  EXPECT_EQ(x.dtype, y.dtype);
+  EXPECT_EQ(x.m, y.m);
+  EXPECT_EQ(x.n, y.n);
+  EXPECT_EQ(x.k, y.k);
+  EXPECT_EQ(x.batch, y.batch);
+  EXPECT_EQ(x.op_a, y.op_a);
+  EXPECT_EQ(x.op_b, y.op_b);
+  EXPECT_EQ(x.side, y.side);
+  EXPECT_EQ(x.uplo, y.uplo);
+  EXPECT_EQ(x.diag, y.diag);
+}
+
+// Under every exec policy the alias and the _batch call must agree on the
+// return code, the error detail and message, and every exported bit (NaN
+// payloads included, hence memcmp).
+template <class T, class Buf>
+void expect_alias(const CBufOps<T, Buf>& ops, int (*alias)(Buf*),
+                  int (*batch)(Buf*), const test::HostBatch<T>& host) {
+  for (const iatf_exec_policy policy :
+       {IATF_EXEC_FAST, IATF_EXEC_CHECK, IATF_EXEC_FALLBACK}) {
+    SCOPED_TRACE(testing::Message() << "policy " << policy);
+    iatf_set_exec_policy(policy);
+    const CallOutcome<T> x = run_factor(ops, alias, host);
+    const CallOutcome<T> y = run_factor(ops, batch, host);
+    EXPECT_EQ(x.rc, y.rc);
+    EXPECT_EQ(x.has_detail, y.has_detail);
+    if (x.has_detail != 0 && y.has_detail != 0) {
+      expect_same_detail(x.detail, y.detail);
+    }
+    EXPECT_EQ(x.message, y.message);
+    ASSERT_EQ(x.exported.size(), y.exported.size());
+    EXPECT_EQ(std::memcmp(x.exported.data(), y.exported.data(),
+                          x.exported.size() * sizeof(T)),
+              0);
+    if (policy == IATF_EXEC_CHECK) {
+      EXPECT_EQ(y.rc, IATF_STATUS_NUMERICAL_HAZARD);
+    }
+  }
+}
+
+TEST(CApiFactor, CompactFactorisationsAliasBatch) {
+  PolicyGuard guard;
+  Rng rng(0xca07);
+  const index_t m = 5;
+
+  // Ragged double batch with one non-SPD lane.
+  const index_t dbatch = 2 * simd::pack_width_v<double> + 1;
+  auto spd = test::random_spd_batch<double>(m, dbatch, rng);
+  for (index_t j = 0; j < m; ++j) {
+    spd.mat(1)[j * m + j] = -spd.mat(1)[j * m + j];
+  }
+  const CBufOps<double, iatf_dbuf> dops{iatf_dcreate, iatf_dimport,
+                                        iatf_dexport, iatf_ddestroy};
+  expect_alias(dops, iatf_dpotrf_compact, iatf_dpotrf_batch, spd);
+
+  // Ragged float batch with one zero-pivot lane.
+  const index_t sbatch = 2 * simd::pack_width_v<float> + 3;
+  auto dd = test::random_diag_dominant_batch<float>(m, sbatch, rng);
+  dd.mat(sbatch - 1)[0] = 0.0f;
+  const CBufOps<float, iatf_sbuf> sops{iatf_screate, iatf_simport,
+                                       iatf_sexport, iatf_sdestroy};
+  expect_alias(sops, iatf_sgetrfnp_compact, iatf_sgetrfnp_batch, dd);
 }
 
 } // namespace

@@ -22,11 +22,12 @@ using ScalarTypes = ::testing::Types<float, double, std::complex<float>,
                                      std::complex<double>>;
 TYPED_TEST_SUITE(FactorTyped, ScalarTypes);
 
-// Sizes spanning the unblocked small-m regime (<= 12), the first blocked
-// panel boundary and the paper's upper bound; batches deliberately ragged
-// against the interleave width.
+// Sizes spanning the unblocked small-m regime (<= 12), odd orders inside
+// and past it (3, 5, 9, 13), the first blocked panel boundary and the
+// paper's upper bound; batches deliberately ragged against the
+// interleave width.
 template <class T> std::vector<index_t> factor_sizes() {
-  return {1, 2, 4, 8, 12, 16, 33};
+  return {1, 2, 3, 4, 5, 8, 9, 12, 13, 16, 33};
 }
 template <class T> index_t ragged_batch() {
   return 3 * simd::pack_width_v<T> + 1;

@@ -4,8 +4,13 @@
 // and absolute -- every call returns a stable iatf_status (or NULL from
 // a constructor) and the process never crashes, because the C boundary
 // is where unvalidated caller input first touches the library.
+//
+// kEntryPoints holds one row per function declared in iatf.h; the
+// CapiEntryPointCoverage ctest (check_capi_coverage.cmake) preprocesses
+// the header and fails when a declared function has no row.
 #include <cstdint>
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,75 +49,301 @@ protected:
   void TearDown() override { iatf_clear_error(); }
 };
 
-// --- Null handles ---------------------------------------------------------
+// --- Every entry point ---------------------------------------------------
+
+void invalid(int rc) { EXPECT_EQ(rc, IATF_STATUS_INVALID_ARG); }
+void stable(int rc) { EXPECT_TRUE(stable_status(rc)) << "rc " << rc; }
+
+// A path no test host can read or write.
+constexpr const char* kMissingPath = "/nonexistent-iatf-dir/table.bin";
+
+// Every field out of range: each falls back to its default.
+constexpr iatf_serve_config kGarbageServeConfig = {-5, -1, -9,
+                                                   IATF_OVERLOAD_SHED, -3.0};
+
+struct EntryPoint {
+  const char* name;
+  void (*probe)();
+};
+
+// One row per C function: `f` is the function named by the row, so a
+// row cannot probe a different function than it lists. Probes pass null
+// handles and garbage values; state setters write back what they read
+// (or a value the setter clamps) so later rows see a sane engine.
+#define IATF_ENTRY(fn, ...)                                                  \
+  EntryPoint {                                                               \
+    #fn, [] {                                                                \
+      [[maybe_unused]] auto* f = &fn;                                        \
+      __VA_ARGS__;                                                           \
+    }                                                                        \
+  }
+
+const EntryPoint kEntryPoints[] = {
+    // Library-wide state, errors, ISA, health and tuning.
+    IATF_ENTRY(iatf_version, EXPECT_NE(f(), nullptr)),
+    IATF_ENTRY(iatf_last_error, EXPECT_NE(f(), nullptr)),
+    IATF_ENTRY(iatf_clear_error, f()),
+    IATF_ENTRY(iatf_last_error_detail,
+               EXPECT_TRUE(f(nullptr) == 0 || f(nullptr) == 1)),
+    IATF_ENTRY(iatf_set_exec_policy, f(iatf_get_exec_policy())),
+    IATF_ENTRY(iatf_get_exec_policy, EXPECT_LE(f(), IATF_EXEC_FALLBACK)),
+    IATF_ENTRY(iatf_set_call_deadline_ms, f(-5.0)),
+    IATF_ENTRY(iatf_get_call_deadline_ms, EXPECT_GE(f(), 0.0)),
+    IATF_ENTRY(iatf_force_isa, invalid(f(nullptr)); stable(f("no-such-isa"))),
+    IATF_ENTRY(iatf_active_isa, EXPECT_NE(f(), nullptr)),
+    IATF_ENTRY(iatf_isa_supported,
+               EXPECT_EQ(f(nullptr), 0); EXPECT_EQ(f("no-such-isa"), 0)),
+    IATF_ENTRY(iatf_get_engine_stats, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_engine_stats_reset, f()),
+    IATF_ENTRY(iatf_get_engine_health, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_set_kernel_verification, f(iatf_get_kernel_verification())),
+    IATF_ENTRY(iatf_get_kernel_verification, EXPECT_TRUE(f() == 0 || f() == 1)),
+    IATF_ENTRY(iatf_engine_self_test, EXPECT_GE(f(), 0)),
+    IATF_ENTRY(iatf_set_max_inflight, f(-3)),
+    IATF_ENTRY(iatf_get_max_inflight, EXPECT_GE(f(), 0)),
+    IATF_ENTRY(iatf_set_overload_policy, f(iatf_get_overload_policy())),
+    IATF_ENTRY(iatf_get_overload_policy, EXPECT_LE(f(), IATF_OVERLOAD_DEGRADE)),
+    IATF_ENTRY(iatf_set_retry_policy, f(-3, -1.0)),
+    IATF_ENTRY(iatf_set_retry_jitter_seed, f(~uint64_t{0})),
+    IATF_ENTRY(iatf_set_breaker, f(-1, -1, -1)),
+    IATF_ENTRY(iatf_health_ledger_load, stable(f(""))),
+    IATF_ENTRY(iatf_health_ledger_save, stable(f())),
+    IATF_ENTRY(iatf_health_ledger_path, EXPECT_NE(f(), nullptr)),
+    IATF_ENTRY(iatf_health_ledger_get_stats, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_set_plan_cache_capacity,
+               invalid(f(0)); invalid(f(INT64_MIN))),
+    IATF_ENTRY(iatf_clear_plan_cache, f()),
+    IATF_ENTRY(iatf_set_plan_tuning, EXPECT_EQ(f(nullptr), IATF_STATUS_OK)),
+    IATF_ENTRY(iatf_tune_gemm,
+               stable(f('q', IATF_NOTRANS, IATF_NOTRANS, -1, 4, 4, 2, 1))),
+    IATF_ENTRY(iatf_tune_trsm,
+               stable(f('q', IATF_LEFT, IATF_LOWER, IATF_NOTRANS, IATF_NONUNIT,
+                        -1, 4, 2, 1))),
+    IATF_ENTRY(iatf_tune_count, EXPECT_GE(f(), 0)),
+    IATF_ENTRY(iatf_tune_clear, f()),
+    IATF_ENTRY(iatf_tune_save, stable(f(kMissingPath))),
+    IATF_ENTRY(iatf_tune_load, stable(f(kMissingPath))),
+    // float: buffers, BLAS, packed handles, factorisations.
+    IATF_ENTRY(iatf_screate, EXPECT_EQ(f(-1, 4, 2), nullptr)),
+    IATF_ENTRY(iatf_sdestroy, f(nullptr)),
+    IATF_ENTRY(iatf_srows, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_scols, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_sbatch, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_simport, invalid(f(nullptr, 0, nullptr, 4))),
+    IATF_ENTRY(iatf_sexport, invalid(f(nullptr, 0, nullptr, 4))),
+    IATF_ENTRY(iatf_spad_identity, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_sgemm_compact,
+               invalid(f(IATF_NOTRANS, IATF_NOTRANS, 1.0f, nullptr, nullptr,
+                         0.0f, nullptr))),
+    IATF_ENTRY(iatf_strsm_compact,
+               invalid(f(IATF_LEFT, IATF_LOWER, IATF_NOTRANS, IATF_NONUNIT,
+                         1.0f, nullptr, nullptr))),
+    IATF_ENTRY(iatf_sgemm_grouped, invalid(f(nullptr, 3))),
+    IATF_ENTRY(iatf_strsm_grouped, invalid(f(nullptr, 3))),
+    IATF_ENTRY(iatf_spack, EXPECT_EQ(f(nullptr, 4, 4, 4, 16, 2), nullptr)),
+    IATF_ENTRY(iatf_srepack, invalid(f(nullptr, nullptr, 4, 16))),
+    IATF_ENTRY(iatf_sunpack, invalid(f(nullptr, nullptr, 4, 16))),
+    IATF_ENTRY(iatf_sfree_packed, f(nullptr)),
+    IATF_ENTRY(iatf_spacked_rows, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_spacked_cols, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_spacked_batch, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_spacked_epoch, EXPECT_EQ(f(nullptr), 0u)),
+    IATF_ENTRY(iatf_sgemm_packed,
+               invalid(f(IATF_NOTRANS, IATF_NOTRANS, 1.0f, nullptr, nullptr,
+                         0.0f, nullptr))),
+    IATF_ENTRY(iatf_strsm_packed,
+               invalid(f(IATF_LEFT, IATF_LOWER, IATF_NOTRANS, IATF_NONUNIT,
+                         1.0f, nullptr, nullptr))),
+    IATF_ENTRY(iatf_spotrf_batch, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_sgetrfnp_batch, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_strtri_batch,
+               invalid(f(IATF_LOWER, IATF_NONUNIT, nullptr))),
+    IATF_ENTRY(iatf_spotrf_packed, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_sgetrfnp_packed, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_strtri_packed,
+               invalid(f(IATF_LOWER, IATF_NONUNIT, nullptr))),
+    IATF_ENTRY(iatf_strmm_compact,
+               invalid(f(IATF_LEFT, IATF_LOWER, IATF_NOTRANS, IATF_NONUNIT,
+                         1.0f, nullptr, nullptr))),
+    IATF_ENTRY(iatf_sgetrfnp_compact, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_spotrf_compact, invalid(f(nullptr))),
+    // double: buffers, BLAS, packed handles, factorisations.
+    IATF_ENTRY(iatf_dcreate, EXPECT_EQ(f(-1, 4, 2), nullptr)),
+    IATF_ENTRY(iatf_ddestroy, f(nullptr)),
+    IATF_ENTRY(iatf_drows, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_dcols, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_dbatch, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_dimport, invalid(f(nullptr, 0, nullptr, 4))),
+    IATF_ENTRY(iatf_dexport, invalid(f(nullptr, 0, nullptr, 4))),
+    IATF_ENTRY(iatf_dpad_identity, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_dgemm_compact,
+               invalid(f(IATF_NOTRANS, IATF_NOTRANS, 1.0, nullptr, nullptr, 0.0,
+                         nullptr))),
+    IATF_ENTRY(iatf_dtrsm_compact,
+               invalid(f(IATF_LEFT, IATF_LOWER, IATF_NOTRANS, IATF_NONUNIT, 1.0,
+                         nullptr, nullptr))),
+    IATF_ENTRY(iatf_dgemm_grouped, invalid(f(nullptr, 3))),
+    IATF_ENTRY(iatf_dtrsm_grouped, invalid(f(nullptr, 3))),
+    IATF_ENTRY(iatf_dpack, EXPECT_EQ(f(nullptr, 4, 4, 4, 16, 2), nullptr)),
+    IATF_ENTRY(iatf_drepack, invalid(f(nullptr, nullptr, 4, 16))),
+    IATF_ENTRY(iatf_dunpack, invalid(f(nullptr, nullptr, 4, 16))),
+    IATF_ENTRY(iatf_dfree_packed, f(nullptr)),
+    IATF_ENTRY(iatf_dpacked_rows, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_dpacked_cols, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_dpacked_batch, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_dpacked_epoch, EXPECT_EQ(f(nullptr), 0u)),
+    IATF_ENTRY(iatf_dgemm_packed,
+               invalid(f(IATF_NOTRANS, IATF_NOTRANS, 1.0, nullptr, nullptr, 0.0,
+                         nullptr))),
+    IATF_ENTRY(iatf_dtrsm_packed,
+               invalid(f(IATF_LEFT, IATF_LOWER, IATF_NOTRANS, IATF_NONUNIT, 1.0,
+                         nullptr, nullptr))),
+    IATF_ENTRY(iatf_dpotrf_batch, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_dgetrfnp_batch, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_dtrtri_batch,
+               invalid(f(IATF_LOWER, IATF_NONUNIT, nullptr))),
+    IATF_ENTRY(iatf_dpotrf_packed, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_dgetrfnp_packed, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_dtrtri_packed,
+               invalid(f(IATF_LOWER, IATF_NONUNIT, nullptr))),
+    IATF_ENTRY(iatf_dtrmm_compact,
+               invalid(f(IATF_LEFT, IATF_LOWER, IATF_NOTRANS, IATF_NONUNIT, 1.0,
+                         nullptr, nullptr))),
+    IATF_ENTRY(iatf_dgetrfnp_compact, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_dpotrf_compact, invalid(f(nullptr))),
+    // complex float: buffers, BLAS, packed handles, factorisations.
+    IATF_ENTRY(iatf_ccreate, EXPECT_EQ(f(-1, 4, 2), nullptr)),
+    IATF_ENTRY(iatf_cdestroy, f(nullptr)),
+    IATF_ENTRY(iatf_crows, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_ccols, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_cbatch, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_cimport, invalid(f(nullptr, 0, nullptr, 4))),
+    IATF_ENTRY(iatf_cexport, invalid(f(nullptr, 0, nullptr, 4))),
+    IATF_ENTRY(iatf_cpad_identity, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_cgemm_compact,
+               invalid(f(IATF_NOTRANS, IATF_NOTRANS, 1.0f, 0.0f, nullptr,
+                         nullptr, 0.0f, 0.0f, nullptr))),
+    IATF_ENTRY(iatf_ctrsm_compact,
+               invalid(f(IATF_LEFT, IATF_LOWER, IATF_NOTRANS, IATF_NONUNIT,
+                         1.0f, 0.0f, nullptr, nullptr))),
+    IATF_ENTRY(iatf_cgemm_grouped, invalid(f(nullptr, 3))),
+    IATF_ENTRY(iatf_ctrsm_grouped, invalid(f(nullptr, 3))),
+    IATF_ENTRY(iatf_cpack, EXPECT_EQ(f(nullptr, 4, 4, 4, 16, 2), nullptr)),
+    IATF_ENTRY(iatf_crepack, invalid(f(nullptr, nullptr, 4, 16))),
+    IATF_ENTRY(iatf_cunpack, invalid(f(nullptr, nullptr, 4, 16))),
+    IATF_ENTRY(iatf_cfree_packed, f(nullptr)),
+    IATF_ENTRY(iatf_cpacked_rows, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_cpacked_cols, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_cpacked_batch, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_cpacked_epoch, EXPECT_EQ(f(nullptr), 0u)),
+    IATF_ENTRY(iatf_cgemm_packed,
+               invalid(f(IATF_NOTRANS, IATF_NOTRANS, 1.0f, 0.0f, nullptr,
+                         nullptr, 0.0f, 0.0f, nullptr))),
+    IATF_ENTRY(iatf_ctrsm_packed,
+               invalid(f(IATF_LEFT, IATF_LOWER, IATF_NOTRANS, IATF_NONUNIT,
+                         1.0f, 0.0f, nullptr, nullptr))),
+    IATF_ENTRY(iatf_cpotrf_batch, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_cgetrfnp_batch, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_ctrtri_batch,
+               invalid(f(IATF_LOWER, IATF_NONUNIT, nullptr))),
+    IATF_ENTRY(iatf_cpotrf_packed, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_cgetrfnp_packed, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_ctrtri_packed,
+               invalid(f(IATF_LOWER, IATF_NONUNIT, nullptr))),
+    // complex double: buffers, BLAS, packed handles, factorisations.
+    IATF_ENTRY(iatf_zcreate, EXPECT_EQ(f(-1, 4, 2), nullptr)),
+    IATF_ENTRY(iatf_zdestroy, f(nullptr)),
+    IATF_ENTRY(iatf_zrows, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_zcols, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_zbatch, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_zimport, invalid(f(nullptr, 0, nullptr, 4))),
+    IATF_ENTRY(iatf_zexport, invalid(f(nullptr, 0, nullptr, 4))),
+    IATF_ENTRY(iatf_zpad_identity, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_zgemm_compact,
+               invalid(f(IATF_NOTRANS, IATF_NOTRANS, 1.0, 0.0, nullptr, nullptr,
+                         0.0, 0.0, nullptr))),
+    IATF_ENTRY(iatf_ztrsm_compact,
+               invalid(f(IATF_LEFT, IATF_LOWER, IATF_NOTRANS, IATF_NONUNIT, 1.0,
+                         0.0, nullptr, nullptr))),
+    IATF_ENTRY(iatf_zgemm_grouped, invalid(f(nullptr, 3))),
+    IATF_ENTRY(iatf_ztrsm_grouped, invalid(f(nullptr, 3))),
+    IATF_ENTRY(iatf_zpack, EXPECT_EQ(f(nullptr, 4, 4, 4, 16, 2), nullptr)),
+    IATF_ENTRY(iatf_zrepack, invalid(f(nullptr, nullptr, 4, 16))),
+    IATF_ENTRY(iatf_zunpack, invalid(f(nullptr, nullptr, 4, 16))),
+    IATF_ENTRY(iatf_zfree_packed, f(nullptr)),
+    IATF_ENTRY(iatf_zpacked_rows, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_zpacked_cols, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_zpacked_batch, EXPECT_LT(f(nullptr), 0)),
+    IATF_ENTRY(iatf_zpacked_epoch, EXPECT_EQ(f(nullptr), 0u)),
+    IATF_ENTRY(iatf_zgemm_packed,
+               invalid(f(IATF_NOTRANS, IATF_NOTRANS, 1.0, 0.0, nullptr, nullptr,
+                         0.0, 0.0, nullptr))),
+    IATF_ENTRY(iatf_ztrsm_packed,
+               invalid(f(IATF_LEFT, IATF_LOWER, IATF_NOTRANS, IATF_NONUNIT, 1.0,
+                         0.0, nullptr, nullptr))),
+    IATF_ENTRY(iatf_zpotrf_batch, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_zgetrfnp_batch, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_ztrtri_batch,
+               invalid(f(IATF_LOWER, IATF_NONUNIT, nullptr))),
+    IATF_ENTRY(iatf_zpotrf_packed, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_zgetrfnp_packed, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_ztrtri_packed,
+               invalid(f(IATF_LOWER, IATF_NONUNIT, nullptr))),
+    // Serving front end.
+    IATF_ENTRY(iatf_server_create,
+               iatf_server_destroy(f(&kGarbageServeConfig))),
+    IATF_ENTRY(iatf_server_destroy, f(nullptr)),
+    IATF_ENTRY(iatf_server_set_tenant_weight, invalid(f(nullptr, 0, 1))),
+    IATF_ENTRY(iatf_server_set_overload_policy,
+               invalid(f(nullptr, IATF_OVERLOAD_SHED))),
+    IATF_ENTRY(iatf_server_set_watchdog, invalid(f(nullptr, 1.0, 100.0))),
+    IATF_ENTRY(iatf_server_submit_sgemm,
+               invalid(f(nullptr, IATF_NOTRANS, IATF_NOTRANS, 1.0f, nullptr,
+                         nullptr, 0.0f, nullptr, 0, 0, nullptr))),
+    IATF_ENTRY(iatf_server_submit_strsm,
+               invalid(f(nullptr, IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
+                         IATF_NONUNIT, 1.0f, nullptr, nullptr, 0, 0, nullptr))),
+    IATF_ENTRY(iatf_server_submit_dgemm,
+               invalid(f(nullptr, IATF_NOTRANS, IATF_NOTRANS, 1.0, nullptr,
+                         nullptr, 0.0, nullptr, 0, 0, nullptr))),
+    IATF_ENTRY(iatf_server_submit_dtrsm,
+               invalid(f(nullptr, IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
+                         IATF_NONUNIT, 1.0, nullptr, nullptr, 0, 0, nullptr))),
+    IATF_ENTRY(iatf_server_poll, invalid(f(nullptr, 1, nullptr))),
+    IATF_ENTRY(iatf_server_wait, invalid(f(nullptr, 1))),
+    IATF_ENTRY(iatf_server_cancel, invalid(f(nullptr, 1))),
+    IATF_ENTRY(iatf_server_drain, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_server_stop, invalid(f(nullptr))),
+    IATF_ENTRY(iatf_server_get_stats, invalid(f(nullptr, nullptr))),
+    IATF_ENTRY(iatf_server_tenant_served, EXPECT_LT(f(nullptr, 0), 0)),
+};
+
+#undef IATF_ENTRY
+
+bool is_server_entry(const EntryPoint& entry) {
+  return std::string_view(entry.name).starts_with("iatf_server_");
+}
 
 TEST_F(CapiFuzz, NullHandlesNeverCrash) {
-  EXPECT_EQ(iatf_sgemm_compact(IATF_NOTRANS, IATF_NOTRANS, 1.0f, nullptr, nullptr,
-                               0.0f, nullptr),
-            IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_zgemm_compact(IATF_NOTRANS, IATF_NOTRANS, 1.0, 0.0, nullptr,
-                               nullptr, 0.0, 0.0, nullptr),
-            IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_dtrsm_compact(IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
-                               IATF_NONUNIT, 1.0, nullptr, nullptr),
-            IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_simport(nullptr, 0, nullptr, 4), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_zexport(nullptr, 0, nullptr, 4), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_spad_identity(nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_spotrf_batch(nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_cpotrf_batch(nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_zgetrfnp_batch(nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_ctrtri_batch(IATF_LOWER, IATF_NONUNIT, nullptr),
-            IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_spotrf_packed(nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_zrepack(nullptr, nullptr, 1, 1), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_cunpack(nullptr, nullptr, 1, 1), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_sgemm_grouped(nullptr, 3), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_ztrsm_grouped(nullptr, 1), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_get_engine_stats(nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_get_engine_health(nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_health_ledger_get_stats(nullptr), IATF_STATUS_INVALID_ARG);
-  // Legacy real-only extension shims.
-  EXPECT_EQ(iatf_strmm_compact(IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
-                               IATF_NONUNIT, 1.0f, nullptr, nullptr),
-            IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_dtrmm_compact(IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
-                               IATF_NONUNIT, 1.0, nullptr, nullptr),
-            IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_sgetrfnp_compact(nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_dgetrfnp_compact(nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_spotrf_compact(nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_dpotrf_compact(nullptr), IATF_STATUS_INVALID_ARG);
-  // Destructors / frees shrug at NULL like free(3).
-  iatf_sdestroy(nullptr);
-  iatf_zdestroy(nullptr);
-  iatf_sfree_packed(nullptr);
-  iatf_cfree_packed(nullptr);
-  // Accessors report impossible values instead of dereferencing.
-  EXPECT_LT(iatf_srows(nullptr), 0);
-  EXPECT_LT(iatf_zbatch(nullptr), 0);
-  EXPECT_LT(iatf_dpacked_rows(nullptr), 0);
-  EXPECT_EQ(iatf_cpacked_epoch(nullptr), 0u);
+  for (const EntryPoint& entry : kEntryPoints) {
+    if (is_server_entry(entry)) {
+      continue;
+    }
+    SCOPED_TRACE(entry.name);
+    entry.probe();
+  }
+  iatf_clear_error();
 }
 
 TEST_F(CapiFuzz, NullServerHandlesNeverCrash) {
-  uint64_t ticket = 0;
-  EXPECT_EQ(iatf_server_submit_sgemm(nullptr, IATF_NOTRANS, IATF_NOTRANS, 1.0f,
-                                     nullptr, nullptr, 0.0f, nullptr, 0, 0,
-                                     &ticket),
-            IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_server_poll(nullptr, 1, nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_server_wait(nullptr, 1), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_server_drain(nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_server_stop(nullptr), IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_server_get_stats(nullptr, nullptr),
-            IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_server_set_watchdog(nullptr, 1.0, 100.0),
-            IATF_STATUS_INVALID_ARG);
-  EXPECT_EQ(iatf_server_set_tenant_weight(nullptr, 0, 1),
-            IATF_STATUS_INVALID_ARG);
-  EXPECT_LT(iatf_server_tenant_served(nullptr, 0), 0);
-  iatf_server_destroy(nullptr);
+  for (const EntryPoint& entry : kEntryPoints) {
+    if (!is_server_entry(entry)) {
+      continue;
+    }
+    SCOPED_TRACE(entry.name);
+    entry.probe();
+  }
+  iatf_clear_error();
 }
 
 // --- Dimension garbage ----------------------------------------------------

@@ -9,15 +9,7 @@ namespace {
 
 ClassKey gemm_key(index_t m, index_t n, index_t k, index_t batch,
                   Op op_a = Op::NoTrans, Op op_b = Op::NoTrans) {
-  ClassKey key;
-  key.op = 'g';
-  key.m = m;
-  key.n = n;
-  key.k = k;
-  key.op_a = static_cast<std::uint8_t>(op_a);
-  key.op_b = static_cast<std::uint8_t>(op_b);
-  key.batch = batch;
-  return key;
+  return class_key(GemmShape{m, n, k, op_a, op_b, batch});
 }
 
 TEST(GroupScheduler, BinsEqualDescriptorsTogether) {
