@@ -19,8 +19,9 @@
 //                         descriptor under concurrent misses)
 //   "cache.evict"         throw during plan-cache LRU publish (the built
 //                         plan must still be returned, just not cached)
-//   "sched.bin" / "sched.interleave"   grouped-call size-class binning and
-//                         work-item interleaving (sched/group_scheduler)
+//   "sched.bin" / "sched.interleave"   size-class binning of every engine
+//                         call and thread-pool work-item interleaving
+//                         (sched/group_scheduler)
 //   "resilience.verify"   kernel canary verification (a hit quarantines
 //                         the kernel under test)
 //   "resilience.probe"    circuit-breaker HalfOpen probe execution (a hit

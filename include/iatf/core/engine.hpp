@@ -52,6 +52,7 @@
 #include "iatf/common/types.hpp"
 #include "iatf/factor/factor_plan.hpp"
 #include "iatf/factor/packed_handle.hpp"
+#include "iatf/parallel/thread_pool.hpp"
 #include "iatf/plan/gemm_plan.hpp"
 #include "iatf/plan/trsm_plan.hpp"
 #include "iatf/resilience/health_ledger.hpp"
@@ -64,6 +65,10 @@ namespace tune {
 class TuningTable;
 struct TuneKey;
 } // namespace tune
+
+namespace detail {
+template <class Traits> struct CallSegment;
+} // namespace detail
 
 /// One coherent snapshot of every engine counter (mirrored by the C API's
 /// iatf_engine_stats). Counters are individually atomic; the snapshot is
@@ -81,7 +86,7 @@ struct EngineStats {
   std::size_t degraded_calls = 0; ///< guarded calls that degraded
   std::size_t fallback_lanes = 0; ///< lanes recomputed on the ref path
   std::size_t timeout_calls = 0;  ///< calls that exceeded their deadline
-  std::size_t grouped_calls = 0;  ///< gemm_grouped/trsm_grouped calls
+  std::size_t grouped_calls = 0;  ///< gemm/trsm/factor_grouped calls
   /// Histogram of distinct execution plans per non-empty grouped call;
   /// bucket upper bounds are 1, 2, 4, 8 and unbounded. A serving mix
   /// concentrated in the first buckets means the size-class binning is
@@ -165,13 +170,19 @@ public:
 
   /// C = alpha * op_a(A) * op_b(B) + beta * C for every matrix in the
   /// batch. Shapes are inferred from the buffers and the ops. The returned
-  /// report is empty (batch only) under ExecPolicy::Fast.
+  /// report is empty (batch only) under ExecPolicy::Fast. The call runs
+  /// as a one-segment grouped call: admission, breaker, plan, verify,
+  /// execute (split into work items on an attached pool like one
+  /// gemm_grouped segment), transient retry, lane repair and reference
+  /// fallback are the grouped pipeline's; only grouped_calls and
+  /// grouped_plan_hist stay untouched.
   template <class T, int Bytes = 16>
   BatchHealth gemm(Op op_a, Op op_b, T alpha, const CompactBuffer<T>& a,
                    const CompactBuffer<T>& b, T beta, CompactBuffer<T>& c);
 
   /// op_a(A) X = alpha B (Left) or X op_a(A) = alpha B (Right); B is
-  /// overwritten by X for every matrix in the batch.
+  /// overwritten by X for every matrix in the batch. Runs as a
+  /// one-segment call, like gemm.
   template <class T, int Bytes = 16>
   BatchHealth trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
                    const CompactBuffer<T>& a, CompactBuffer<T>& b);
@@ -182,8 +193,11 @@ public:
   /// sharded single-flight cache as gemm) and, when a thread pool is
   /// attached, their batch slices are interleaved across workers so one
   /// large segment cannot starve the rest. ExecPolicy, the per-call
-  /// deadline and per-lane hazard repair apply exactly as for gemm; the
-  /// returned vector holds one BatchHealth per segment, in call order.
+  /// deadline, transient-fault retry (the whole call: every segment is
+  /// restored and re-run) and per-lane hazard repair apply exactly as
+  /// for gemm -- gemm is this call with one segment; the returned vector
+  /// holds one BatchHealth per segment, in call order. Counts one
+  /// grouped_call and its distinct plans in grouped_plan_hist.
   template <class T, int Bytes = 16>
   std::vector<BatchHealth>
   gemm_grouped(std::span<const sched::GemmSegment<T>> segments);
@@ -276,11 +290,11 @@ public:
                           factor::PackedHandle<T>& a);
 
   /// Grouped heterogeneous factorisation chains: each segment names one
-  /// routine and its batch. One admission slot covers the whole call
-  /// (like gemm_grouped); plans resolve per distinct descriptor class
-  /// through the shared cache and the distinct-plan histogram is updated.
-  /// Segments execute sequentially (factor plans are single register
-  /// sweeps; there is no per-group work splitting to interleave).
+  /// routine and its batch. The same pipeline as gemm_grouped: one
+  /// admission slot covers the whole call, plans resolve per distinct
+  /// descriptor class through the shared cache, the distinct-plan
+  /// histogram is updated, and on an attached pool the segments' groups
+  /// are interleaved across workers.
   template <class T, int Bytes = 16>
   std::vector<BatchHealth>
   factor_grouped(std::span<const sched::FactorSegment<T>> segments);
@@ -316,9 +330,12 @@ public:
         deadline_ns_.load(std::memory_order_relaxed));
   }
 
-  /// Attach a (non-owning) thread pool; gemm/trsm then execute their plans
-  /// across the pool's workers. nullptr restores sequential execution. The
-  /// caller keeps the pool alive for as long as it is attached.
+  /// Attach a (non-owning) thread pool; every call (GEMM, TRSM and the
+  /// factorisations, single or grouped) then cuts each segment into work
+  /// items of the plan's tuned chunk_groups, else ~2 items per worker
+  /// but never finer than one L1 batch slice, and runs them across the
+  /// pool's workers. nullptr restores sequential execution. The caller
+  /// keeps the pool alive for as long as it is attached.
   void set_thread_pool(ThreadPool* pool) noexcept {
     pool_.store(pool, std::memory_order_relaxed);
   }
@@ -439,6 +456,8 @@ public:
   /// Transient-fault retry under ExecPolicy::Fallback: allocation and
   /// worker failures are retried up to max_attempts total attempts with
   /// capped exponential backoff before degrading to the reference path.
+  /// A retry covers the whole call, single or grouped: every segment is
+  /// restored from its snapshot, re-planned and re-executed.
   /// Also seeded from $IATF_RETRY_MAX. Default: no retry.
   void set_retry_policy(const resilience::RetryPolicy& policy) noexcept {
     retry_attempts_.store(policy.max_attempts, std::memory_order_relaxed);
@@ -620,30 +639,50 @@ private:
                                   bool* from_table) const;
 
   // --- One call pipeline (DESIGN.md section 11.6) ----------------------
-  // Every op runs through the same two templates, parameterised by the
+  // Every call of every op runs through run<Traits>, parameterised by the
   // compile-time op traits in src/core/engine_ops.hpp (detail::GemmOp,
-  // TrsmOp, FactorOp). Dispatch is fully static.
+  // TrsmOp, FactorOp); a single call is a one-segment call. Dispatch is
+  // fully static.
 
-  /// One call: admission, breaker, plan, verify, execute, transient
-  /// retry, lane repair and reference fallback. `layout` is the plan's
-  /// layout state (0 = raw buffers, 1 = packed handles).
+  /// The pipeline: admission, size-class binning, one breaker gate and
+  /// plan per class, verify, execute, whole-call transient retry, lane
+  /// repair and reference fallback. Writes one BatchHealth per segment
+  /// into `healths`. `layout` is the plans' layout state (0 = raw
+  /// buffers, 1 = packed handles); `grouped_call` counts the call's
+  /// distinct plans in grouped_plan_hist.
   template <class Traits>
-  BatchHealth call(const typename Traits::Segment& seg, std::uint8_t layout);
+  void run(std::span<detail::CallSegment<Traits>> segs,
+           std::span<BatchHealth> healths, std::uint8_t layout,
+           bool grouped_call);
 
-  /// A grouped call: one admission slot, one plan and breaker slot per
-  /// size class, interleaved execution, and a whole-call fallback (no
-  /// retry) when execution fails.
+  /// Breaker admission of every class leader: route an Open class to
+  /// the reference path, or hold its gate (a HalfOpen probe included).
+  template <class Traits>
+  void admit_classes(std::span<detail::CallSegment<Traits>> segs,
+                     std::uint8_t layout);
+
+  /// Resolve (and verify) the plan of every class leader not routed
+  /// away; a quarantined plan routes its class to the reference path.
+  template <class Traits>
+  void plan_classes(std::span<detail::CallSegment<Traits>> segs,
+                    std::uint8_t layout);
+
+  /// Run every segment whose class has a plan: in call order, or as
+  /// interleaved work items on `pool`.
+  template <class Traits>
+  void execute_segments(std::span<detail::CallSegment<Traits>> segs,
+                        ThreadPool* pool, const Deadline* deadline);
+
+  /// A single call: `seg` as a one-segment call of run.
+  template <class Traits>
+  BatchHealth run_one(const typename Traits::Segment& seg,
+                      std::uint8_t layout);
+
+  /// A grouped call: one grouped_call, then every segment through one
+  /// call of run.
   template <class Traits>
   std::vector<BatchHealth>
   grouped(std::span<const typename Traits::Segment> segments);
-
-  /// Serve one whole call on the scalar reference path, recording the
-  /// degradation. Used for quarantined plans, Open breaker slots and
-  /// DegradeToRef admission.
-  template <class Traits>
-  BatchHealth ref_route(const typename Traits::Segment& seg,
-                        const typename Traits::Shape& shape,
-                        DegradeEvent event);
 
   /// The plan builder shared by plan_gemm and plan_trsm: resolve the
   /// tuning, build, and rebuild around quarantined kernels.

@@ -87,6 +87,12 @@ public:
   /// Whether the group walk prefetches the next group (group_stream.hpp).
   bool streams_next_group() const noexcept { return stream_.active(); }
 
+  /// Work-item bounds for the engine's thread-pool split: the group walk
+  /// needs no packing workspace, so one group is a whole slice, and
+  /// factor plans take no tuned chunk.
+  index_t slice_groups() const noexcept { return 1; }
+  index_t chunk_groups() const noexcept { return 0; }
+
   /// Floating-point operations for the whole batch (throughput
   /// reporting; the usual n^3/3-family counts).
   double flops() const noexcept;

@@ -4,8 +4,8 @@
 // Interleave groups are fully independent, so the natural parallelisation
 // is across batch slices: each worker packs and computes its own range of
 // groups with its own workspace, preserving the per-core L1 residency the
-// Batch Counter establishes. This module provides the pool; the plan
-// classes expose execute_parallel() built on it.
+// Batch Counter establishes. This module provides the pool; the engine
+// runs plans' execute_range() work items on it.
 //
 // Hardening contract (exercised by the fault-injection suite):
 //   * every parallel_for invocation carries its own Job state (pending

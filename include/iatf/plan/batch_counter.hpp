@@ -28,8 +28,9 @@ struct PlanTuning {
   /// set (e.g. 2x4 instead of 4x4 tiles). Values above the limits clamp.
   int mc_cap = 0;
   int nc_cap = 0;
-  /// >0 sets the interleave groups handed to each thread-pool chunk;
-  /// 0 keeps the pool's one-chunk-per-worker split.
+  /// >0 sets the interleave groups of each thread-pool work item; 0
+  /// leaves the split to the engine's scheduler (about 2 items per
+  /// worker, never finer than one L1 batch slice).
   index_t chunk_groups = 0;
 
   friend bool operator==(const PlanTuning&, const PlanTuning&) = default;

@@ -22,7 +22,6 @@
 #include "iatf/common/types.hpp"
 #include "iatf/kernels/registry.hpp"
 #include "iatf/layout/compact.hpp"
-#include "iatf/parallel/thread_pool.hpp"
 #include "iatf/plan/batch_counter.hpp"
 #include "iatf/plan/group_stream.hpp"
 #include "iatf/resilience/kernel_state.hpp"
@@ -62,24 +61,12 @@ public:
                HealthRecorder* health = nullptr,
                const Deadline* deadline = nullptr) const;
 
-  /// Multicore variant (the paper's future-work extension): interleave
-  /// groups are independent, so the batch is split across the pool's
-  /// workers, each running the L1-sized slice loop over its own range
-  /// with private packing workspace. Workers own disjoint groups, so
-  /// they flag disjoint lanes of `health`. `deadline` is enforced both
-  /// by the pool (whole chunks skipped after expiry) and per slice
-  /// inside each chunk.
-  void execute_parallel(const CompactBuffer<T>& a,
-                        const CompactBuffer<T>& b, CompactBuffer<T>& c,
-                        T alpha, T beta, ThreadPool& pool,
-                        HealthRecorder* health = nullptr,
-                        const Deadline* deadline = nullptr) const;
-
-  /// Range variant for the grouped scheduler (sched/group_scheduler):
-  /// run only interleave groups [g_begin, g_end) of the batch. Work
-  /// items of one segment cover disjoint ranges, so concurrent calls on
-  /// the same buffers touch disjoint groups and flag disjoint lanes of
-  /// `health`, exactly like execute_parallel's chunks.
+  /// Range variant, the multicore entry point (the paper's future-work
+  /// extension): run only interleave groups [g_begin, g_end) of the
+  /// batch. Interleave groups are independent, so thread-pool work items
+  /// (sched/group_scheduler) cover disjoint ranges of one buffer set,
+  /// each with its own packing workspace, and flag disjoint lanes of
+  /// `health`. A non-null `deadline` is checked between L1 batch slices.
   void execute_range(const CompactBuffer<T>& a, const CompactBuffer<T>& b,
                      CompactBuffer<T>& c, T alpha, T beta, index_t g_begin,
                      index_t g_end, HealthRecorder* health = nullptr,

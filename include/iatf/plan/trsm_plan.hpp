@@ -26,7 +26,6 @@
 #include "iatf/kernels/registry.hpp"
 #include "iatf/layout/compact.hpp"
 #include "iatf/pack/trsm_pack.hpp"
-#include "iatf/parallel/thread_pool.hpp"
 #include "iatf/plan/batch_counter.hpp"
 #include "iatf/plan/group_stream.hpp"
 #include "iatf/resilience/kernel_state.hpp"
@@ -65,19 +64,10 @@ public:
                HealthRecorder* health = nullptr,
                const Deadline* deadline = nullptr) const;
 
-  /// Multicore variant: independent interleave groups split across the
-  /// pool's workers (the paper's future-work extension). Workers own
-  /// disjoint groups, so they flag disjoint lanes of `health`.
-  /// `deadline` is checked between pool chunks and between L1 batch
-  /// slices; expiry throws TimeoutError with B partially overwritten.
-  void execute_parallel(const CompactBuffer<T>& a, CompactBuffer<T>& b,
-                        T alpha, ThreadPool& pool,
-                        HealthRecorder* health = nullptr,
-                        const Deadline* deadline = nullptr) const;
-
-  /// Range variant for the grouped scheduler (sched/group_scheduler):
-  /// solve only interleave groups [g_begin, g_end) of the batch.
-  /// Concurrent calls on the same buffers must cover disjoint ranges.
+  /// Range variant, the multicore entry point: solve only interleave
+  /// groups [g_begin, g_end) of the batch. Concurrent calls on the same
+  /// buffers (thread-pool work items) must cover disjoint ranges; they
+  /// flag disjoint lanes of `health`.
   void execute_range(const CompactBuffer<T>& a, CompactBuffer<T>& b,
                      T alpha, index_t g_begin, index_t g_end,
                      HealthRecorder* health = nullptr,

@@ -1,14 +1,15 @@
 // Size-class scheduler for grouped variable-size compact batches.
 //
-// A grouped call hands the engine `group_count` segments, each with its
-// own descriptor (shape, mode, scalars, batch) over compact-layout
-// buffers. The scheduler's job is twofold:
+// An engine call hands the engine its segments -- `group_count` of them
+// for a grouped call, one for a single call -- each with its own
+// descriptor (shape, mode, scalars, batch) over compact-layout buffers.
+// The scheduler's job is twofold:
 //
 //  * bin segments by descriptor (ClassKey) so each distinct descriptor
 //    resolves exactly one execution plan through the engine's sharded
 //    cache -- segments sharing a size class share a plan, and the
 //    single-flight machinery collapses concurrent cold misses to one
-//    build, exactly as for the fixed-size entry points;
+//    build;
 //
 //  * cut each segment's interleave groups into work items of a bounded
 //    granularity and interleave the items round-robin across segments,
@@ -24,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "iatf/common/fault_inject.hpp"
 #include "iatf/common/types.hpp"
 #include "iatf/factor/factor_plan.hpp"
 #include "iatf/layout/compact.hpp"
@@ -179,20 +181,33 @@ inline ClassKey class_key(const factor::FactorShape& s) {
   return key;
 }
 
-struct ClassKeyHash {
-  std::size_t operator()(const ClassKey& k) const noexcept;
-};
-
-/// One size class: the shared descriptor plus the indices (into the
-/// caller's segment span) of every segment carrying it.
-struct SizeClass {
-  ClassKey key;
-  std::vector<std::size_t> segments;
-};
-
-/// Bin segments by descriptor, preserving first-appearance order of the
-/// classes and ascending segment order within each class.
-std::vector<SizeClass> bin_by_descriptor(std::span<const ClassKey> keys);
+/// Bin segments by descriptor: set each segment's `leader` to the index
+/// of the first segment in `segs` whose `key` equals its own, so classes
+/// keep first-appearance order and a segment leads its class exactly
+/// when `leader` is its own index. `Seg` is any type with a ClassKey
+/// `key` and a std::size_t `leader` (the engine's per-segment call
+/// state). Returns the number of distinct classes. Each segment is
+/// compared against the leaders before it only; grouped calls carry tens
+/// of segments over a few classes, and a call of one segment compares
+/// nothing.
+template <class Seg> std::size_t bin_by_descriptor(std::span<Seg> segs) {
+  IATF_FAULT_POINT("sched.bin", Status::Internal);
+  fault::stall_if_armed("sched.bin");
+  std::size_t classes = 0;
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    segs[i].leader = i;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (segs[j].leader == j && segs[j].key == segs[i].key) {
+        segs[i].leader = j;
+        break;
+      }
+    }
+    if (segs[i].leader == i) {
+      ++classes;
+    }
+  }
+  return classes;
+}
 
 /// One thread-pool work item: a contiguous range of interleave groups of
 /// one segment.

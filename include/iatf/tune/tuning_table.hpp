@@ -120,11 +120,4 @@ private:
 /// the C++ PlanTuning ablation path.
 plan::PlanTuning env_plan_tuning();
 
-/// Work-item granularity override for grouped execution
-/// ($IATF_GROUP_GRAIN): interleave groups per scheduler work item,
-/// applied to every segment of a grouped call. <= 0 or unset keeps the
-/// per-plan choice (tuned chunk_groups, else the scheduler's own
-/// slice-bounded heuristic).
-index_t env_group_grain();
-
 } // namespace iatf::tune

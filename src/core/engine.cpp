@@ -596,202 +596,47 @@ template <class T, int Bytes>
 BatchHealth Engine::gemm(Op op_a, Op op_b, T alpha, const CompactBuffer<T>& a,
                          const CompactBuffer<T>& b, T beta,
                          CompactBuffer<T>& c) {
-  return call<detail::GemmOp<T, Bytes>>({op_a, op_b, alpha, beta, &a, &b, &c},
-                                        /*layout=*/0);
+  return run_one<detail::GemmOp<T, Bytes>>(
+      {op_a, op_b, alpha, beta, &a, &b, &c}, /*layout=*/0);
 }
 
 template <class T, int Bytes>
 BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
                          const CompactBuffer<T>& a, CompactBuffer<T>& b) {
-  return call<detail::TrsmOp<T, Bytes>>({side, uplo, op_a, diag, alpha, &a, &b},
-                                        /*layout=*/0);
+  return run_one<detail::TrsmOp<T, Bytes>>(
+      {side, uplo, op_a, diag, alpha, &a, &b}, /*layout=*/0);
+}
+
+template <class T, int Bytes>
+std::vector<BatchHealth>
+Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
+  return grouped<detail::GemmOp<T, Bytes>>(segments);
+}
+
+template <class T, int Bytes>
+std::vector<BatchHealth>
+Engine::trsm_grouped(std::span<const sched::TrsmSegment<T>> segments) {
+  return grouped<detail::TrsmOp<T, Bytes>>(segments);
 }
 
 template <class Traits>
-BatchHealth Engine::call(const typename Traits::Segment& seg,
-                         std::uint8_t layout) {
-  using T = typename Traits::value_type;
-  using R = real_t<T>;
-  constexpr int Bytes = Traits::bytes;
-  const typename Traits::Shape shape = sched::shape_of(seg);
-  note_width_call(Bytes);
+BatchHealth Engine::run_one(const typename Traits::Segment& seg,
+                            std::uint8_t layout) {
+  detail::CallSegment<Traits> state(seg);
+  BatchHealth health;
+  run<Traits>({&state, 1}, {&health, 1}, layout, /*grouped_call=*/false);
+  return health;
+}
 
-  const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
-  ThreadPool* pool =
-      Traits::pooled ? pool_.load(std::memory_order_relaxed) : nullptr;
-  const std::int64_t budget = deadline_ns_.load(std::memory_order_relaxed);
-  Deadline deadline_at;
-  const Deadline* deadline = nullptr;
-  if (budget > 0) {
-    deadline_at = Deadline::in(std::chrono::nanoseconds(budget));
-    deadline = &deadline_at;
-  }
-
-  // Admission gate: count the call in (and possibly shed / degrade it),
-  // then guarantee the slot is released on every exit path.
-  const Admit admitted = admit_call(deadline);
-  struct Release {
-    Engine* engine;
-    ~Release() { engine->release_call(); }
-  } release{this};
-  if (admitted == Admit::RefRoute) {
-    return ref_route<Traits>(seg, shape, DegradeEvent::Overloaded);
-  }
-
-  // Per-descriptor-class degradation breaker.
-  const bool breaker = Traits::gated && breaker_.enabled();
-  std::size_t slot = 0;
-  bool probe = false;
-  if (breaker) {
-    slot = PlanKeyHash{}(plan_key<Traits>(shape, layout));
-    switch (breaker_.admit(slot)) {
-    case resilience::BreakerDecision::RefRoute:
-      return ref_route<Traits>(seg, shape, DegradeEvent::BreakerOpen);
-    case resilience::BreakerDecision::Probe:
-      probe = true;
-      break;
-    case resilience::BreakerDecision::Allow:
-      break;
-    }
-    if (probe) {
-      try {
-        IATF_FAULT_POINT("resilience.probe", ::iatf::Status::Internal);
-      } catch (...) {
-        // A failed probe re-opens the slot; the call is still served.
-        record_breaker(slot, /*degraded=*/true, /*probe=*/true);
-        return ref_route<Traits>(seg, shape, DegradeEvent::BreakerOpen);
-      }
-    }
-  }
-
-  // Fast runs the plan bare. Check adds a hazard recorder; Fallback also
-  // snapshots the written operand so a transient failure can retry from
-  // the input and flagged or failed lanes can be recomputed on the
-  // reference path.
-  const auto run = [&]() -> BatchHealth {
-    BatchHealth health;
-    health.batch = shape.batch;
-    const bool guarded = policy != ExecPolicy::Fast;
-    const bool fallback = policy == ExecPolicy::Fallback;
-    CompactBuffer<T>& out = Traits::written(seg);
-    Traits::prepare(seg);
-    std::vector<R> snapshot;
-    if (fallback) {
-      snapshot.assign(out.data(), out.data() + out.size());
-    }
-
-    // Transient-failure retry (Fallback only: a retry needs the snapshot).
-    const int max_attempts =
-        fallback
-            ? std::max(1, retry_attempts_.load(std::memory_order_relaxed))
-            : 1;
-    std::chrono::nanoseconds delay(
-        retry_base_ns_.load(std::memory_order_relaxed));
-    const std::chrono::nanoseconds delay_cap = delay * 64;
-
-    std::optional<HealthRecorder> rec;
-    if (guarded) {
-      rec.emplace(shape.batch);
-    }
-    for (int attempt = 1;; ++attempt) {
-      try {
-        auto plan = Traits::plan_for(*this, shape, layout);
-        if constexpr (Traits::gated) {
-          if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-            // Quarantine is detected before execution, so the written
-            // operand still holds the call's input.
-            return ref_route<Traits>(seg, shape,
-                                     DegradeEvent::QuarantinedKernel);
-          }
-        }
-        HealthRecorder* r = rec ? &*rec : nullptr;
-        if (pool != nullptr) {
-          if constexpr (Traits::pooled) {
-            Traits::execute_parallel(*plan, seg, *pool, r, deadline);
-          }
-        } else {
-          Traits::execute(*plan, seg, r, deadline);
-        }
-        break;
-      } catch (...) {
-        if (!fallback) {
-          throw; // Fast/Check: failures still propagate
-        }
-        // rethrows InvalidArg and Timeout
-        const DegradeEvent event = classify_failure();
-        const bool transient = event == DegradeEvent::AllocFailure ||
-                               event == DegradeEvent::WorkerFailure;
-        if (transient && attempt < max_attempts &&
-            (deadline == nullptr || !deadline->expired())) {
-          std::copy(snapshot.begin(), snapshot.end(), out.data());
-          rec.emplace(shape.batch);
-          const std::uint64_t seq =
-              retries_.fetch_add(1, std::memory_order_relaxed);
-          backoff_sleep(resilience::jittered_backoff(
-                            delay,
-                            retry_seed_.load(std::memory_order_relaxed),
-                            seq),
-                        deadline);
-          delay = std::min(delay * 2, delay_cap);
-          continue;
-        }
-        Traits::validate(shape, seg);
-        std::copy(snapshot.begin(), snapshot.end(), out.data());
-        ref_lanes<Traits>(shape, seg, event, health);
-        note_degraded(static_cast<std::uint64_t>(health.fallback));
-        return health;
-      }
-    }
-    if (!guarded) {
-      return health;
-    }
-
-    Traits::scan(shape, seg, *rec);
-    rec->fill(health);
-    if (health.nonfinite != 0 || health.singular != 0) {
-      health.events |= DegradeEvent::NumericalHazard;
-      if (fallback) {
-        for (index_t lane = 0; lane < shape.batch; ++lane) {
-          if (!rec->flagged(lane)) {
-            continue;
-          }
-          // Repair where the reference result is defined; a lane the
-          // reference refuses keeps its restored input.
-          restore_lane(out, snapshot, lane);
-          Traits::ref_lane(shape, seg, lane);
-          if (health.first_fallback < 0) {
-            health.first_fallback = lane;
-          }
-          ++health.fallback;
-        }
-        if (health.fallback > 0) {
-          note_degraded(static_cast<std::uint64_t>(health.fallback));
-        }
-      }
-    }
-    return health;
-  };
-
-  try {
-    const BatchHealth health = run();
-    if (breaker) {
-      record_breaker(slot, health.events != DegradeEvent::None, probe);
-    }
-    return health;
-  } catch (const Error& e) {
-    if (e.status() == Status::Timeout) {
-      timeout_calls_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (breaker) {
-      record_breaker(slot, /*degraded=*/true, probe);
-    }
-    throw;
-  } catch (...) {
-    if (breaker) {
-      record_breaker(slot, /*degraded=*/true, probe);
-    }
-    throw;
-  }
+template <class Traits>
+std::vector<BatchHealth>
+Engine::grouped(std::span<const typename Traits::Segment> segments) {
+  grouped_calls_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<detail::CallSegment<Traits>> segs(segments.begin(),
+                                                segments.end());
+  std::vector<BatchHealth> healths(segments.size());
+  run<Traits>(segs, healths, /*layout=*/0, /*grouped_call=*/true);
+  return healths;
 }
 
 void Engine::record_grouped_plans(std::size_t distinct) noexcept {
@@ -809,45 +654,27 @@ void Engine::record_grouped_plans(std::size_t distinct) noexcept {
   grouped_plan_hist_[bucket].fetch_add(1, std::memory_order_relaxed);
 }
 
-template <class T, int Bytes>
-std::vector<BatchHealth>
-Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
-  return grouped<detail::GemmOp<T, Bytes>>(segments);
-}
-
-template <class T, int Bytes>
-std::vector<BatchHealth>
-Engine::trsm_grouped(std::span<const sched::TrsmSegment<T>> segments) {
-  return grouped<detail::TrsmOp<T, Bytes>>(segments);
-}
-
 template <class Traits>
-std::vector<BatchHealth>
-Engine::grouped(std::span<const typename Traits::Segment> segments) {
+void Engine::run(std::span<detail::CallSegment<Traits>> segs,
+                 std::span<BatchHealth> healths, std::uint8_t layout,
+                 bool grouped_call) {
   using T = typename Traits::value_type;
-  using R = real_t<T>;
-  using Segment = typename Traits::Segment;
   constexpr int Bytes = Traits::bytes;
-  grouped_calls_.fetch_add(1, std::memory_order_relaxed);
   note_width_call(Bytes);
-  const std::size_t count = segments.size();
-  std::vector<BatchHealth> healths(count);
-  if (count == 0) {
-    return healths;
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    Traits::check(segs[i].seg);
+    segs[i].shape = sched::shape_of(segs[i].seg);
+    segs[i].key = sched::class_key(segs[i].shape);
+    healths[i].batch = segs[i].shape.batch;
   }
-
-  std::vector<typename Traits::Shape> shapes(count);
-  std::vector<sched::ClassKey> keys(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Traits::check(segments[i]);
-    shapes[i] = sched::shape_of(segments[i]);
-    healths[i].batch = shapes[i].batch;
-    keys[i] = sched::class_key(shapes[i]);
+  if (segs.empty()) {
+    return;
   }
 
   const ExecPolicy policy = policy_.load(std::memory_order_relaxed);
-  ThreadPool* pool =
-      Traits::pooled ? pool_.load(std::memory_order_relaxed) : nullptr;
+  const bool guarded = policy != ExecPolicy::Fast;
+  const bool fallback = policy == ExecPolicy::Fallback;
+  ThreadPool* pool = pool_.load(std::memory_order_relaxed);
   const std::int64_t budget = deadline_ns_.load(std::memory_order_relaxed);
   Deadline deadline_at;
   const Deadline* deadline = nullptr;
@@ -856,258 +683,308 @@ Engine::grouped(std::span<const typename Traits::Segment> segments) {
     deadline = &deadline_at;
   }
 
+  // Admission gate: count the call in (and possibly shed / degrade it),
+  // then guarantee the slot is released on every exit path.
   const Admit admitted = admit_call(deadline);
   struct Release {
     Engine* engine;
     ~Release() { engine->release_call(); }
   } release{this};
 
-  // Serve one segment entirely on the scalar reference path.
-  const auto route_segment = [&](std::size_t i, DegradeEvent event) {
-    Traits::validate(shapes[i], segments[i]);
-    ref_lanes<Traits>(shapes[i], segments[i], event, healths[i]);
+  // Serve the segments routed to the reference path (for their class
+  // leader's `route`, or for `all` when set) and count the lanes as one
+  // ref-routed call.
+  const auto serve_routed = [&](DegradeEvent all) {
+    bool routed = false;
+    std::uint64_t lanes = 0;
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      const detail::CallSegment<Traits>& s = segs[i];
+      const DegradeEvent event =
+          all != DegradeEvent::None ? all : segs[s.leader].route;
+      if (event != DegradeEvent::None) {
+        Traits::validate(s.shape, s.seg);
+        ref_lanes<Traits>(s.shape, s.seg, event, healths[i]);
+        lanes += static_cast<std::uint64_t>(s.shape.batch);
+        routed = true;
+      }
+    }
+    if (routed) {
+      note_degraded(lanes);
+      ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  if (admitted == Admit::RefRoute) {
+    serve_routed(DegradeEvent::Overloaded);
+    return;
+  }
+
+  // One verdict per held breaker gate: degraded when any segment of the
+  // class (or, on a throw, the call) degraded.
+  const auto record_verdicts = [&](bool failed) {
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      detail::BreakerGate& gate = segs[i].gate;
+      if (!gate.held) {
+        continue;
+      }
+      bool degraded = failed;
+      for (std::size_t j = i; j < segs.size() && !degraded; ++j) {
+        degraded = segs[j].leader == i &&
+                   healths[j].events != DegradeEvent::None;
+      }
+      gate.held = false;
+      record_breaker(gate.slot, degraded, gate.probe);
+    }
   };
 
   try {
-    const bool guarded = policy != ExecPolicy::Fast;
-    const bool fallback = policy == ExecPolicy::Fallback;
-
-    if (admitted == Admit::RefRoute) {
-      std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        route_segment(i, DegradeEvent::Overloaded);
-        lanes += static_cast<std::uint64_t>(shapes[i].batch);
-      }
-      note_degraded(lanes);
-      ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
-      return healths;
-    }
-
-    // Snapshots and recorders are captured BEFORE any binning/planning
-    // so the whole-call fallback below can restore even when the
-    // scheduler or the planner throws.
-    std::vector<std::unique_ptr<HealthRecorder>> recs(count);
-    std::vector<std::vector<R>> snapshots(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      Traits::prepare(segments[i]);
+    // Fast runs the plans bare. Check adds a hazard recorder per
+    // segment; Fallback also snapshots each written operand, taken
+    // before binning and planning so a retry or the whole-call fallback
+    // can restore even when the scheduler or the planner throws.
+    for (detail::CallSegment<Traits>& s : segs) {
+      Traits::prepare(s.seg);
       if (guarded) {
-        recs[i] = std::make_unique<HealthRecorder>(shapes[i].batch);
+        s.rec.emplace(s.shape.batch);
       }
       if (fallback) {
-        const CompactBuffer<T>& out = Traits::written(segments[i]);
-        snapshots[i].assign(out.data(), out.data() + out.size());
+        const CompactBuffer<T>& out = Traits::written(s.seg);
+        s.snapshot.assign(out.data(), out.data() + out.size());
       }
     }
 
-    std::vector<std::shared_ptr<const typename Traits::Plan>> plans(count);
-    // Per-descriptor-class degradation routing: BreakerOpen or
-    // QuarantinedKernel sends just that class to the reference path while
-    // the other classes keep their fast path.
-    std::vector<DegradeEvent> routed(count, DegradeEvent::None);
-    struct ClassGate {
-      std::size_t slot = 0;
-      bool probe = false;
-      std::vector<std::size_t> segs;
-    };
-    std::vector<ClassGate> gates;
+    // Transient-failure retry (Fallback only: a retry needs the
+    // snapshots) covers the whole call.
+    const int max_attempts =
+        fallback
+            ? std::max(1, retry_attempts_.load(std::memory_order_relaxed))
+            : 1;
+    std::chrono::nanoseconds delay(
+        retry_base_ns_.load(std::memory_order_relaxed));
+    const std::chrono::nanoseconds delay_cap = delay * 64;
+    std::size_t classes = 0; // 0 until binning succeeds
+    bool plans_counted = false;
 
-    try {
-      // One plan resolution per distinct descriptor; segments in the same
-      // size class share the shared_ptr, and single-flight collapses
-      // concurrent cold misses exactly as for the fixed-size path.
-      const std::vector<sched::SizeClass> classes =
-          sched::bin_by_descriptor(keys);
-      for (const sched::SizeClass& cls : classes) {
-        const typename Traits::Shape& cshape = shapes[cls.segments.front()];
-        std::size_t slot = 0;
-        bool probe = false;
-        bool route = false;
-        const bool breaker = Traits::gated && breaker_.enabled();
-        if (breaker) {
-          slot = PlanKeyHash{}(plan_key<Traits>(cshape, 0));
-          switch (breaker_.admit(slot)) {
-          case resilience::BreakerDecision::RefRoute:
-            route = true;
-            break;
-          case resilience::BreakerDecision::Probe:
-            probe = true;
-            try {
-              IATF_FAULT_POINT("resilience.probe",
-                               ::iatf::Status::Internal);
-            } catch (...) {
-              record_breaker(slot, /*degraded=*/true, /*probe=*/true);
-              probe = false;
-              route = true;
+    for (int attempt = 1;; ++attempt) {
+      try {
+        if (classes == 0) {
+          classes = sched::bin_by_descriptor(segs);
+          if constexpr (Traits::gated) {
+            if (breaker_.enabled()) {
+              admit_classes(segs, layout);
             }
-            break;
-          case resilience::BreakerDecision::Allow:
-            break;
           }
         }
-        if (route) {
-          for (const std::size_t idx : cls.segments) {
-            routed[idx] = DegradeEvent::BreakerOpen;
+        plan_classes(segs, layout);
+        if (grouped_call && !plans_counted) {
+          record_grouped_plans(classes);
+          plans_counted = true;
+        }
+        execute_segments(segs, pool, deadline);
+        break;
+      } catch (...) {
+        if (!fallback) {
+          throw; // Fast/Check: failures still propagate
+        }
+        // rethrows InvalidArg and Timeout
+        const DegradeEvent event = classify_failure();
+        const bool transient = event == DegradeEvent::AllocFailure ||
+                               event == DegradeEvent::WorkerFailure;
+        if (transient && attempt < max_attempts &&
+            (deadline == nullptr || !deadline->expired())) {
+          for (detail::CallSegment<Traits>& s : segs) {
+            std::copy(s.snapshot.begin(), s.snapshot.end(),
+                      Traits::written(s.seg).data());
+            if (guarded) {
+              s.rec.emplace(s.shape.batch);
+            }
           }
+          const std::uint64_t seq =
+              retries_.fetch_add(1, std::memory_order_relaxed);
+          backoff_sleep(resilience::jittered_backoff(
+                            delay,
+                            retry_seed_.load(std::memory_order_relaxed),
+                            seq),
+                        deadline);
+          delay = std::min(delay * 2, delay_cap);
           continue;
         }
-        auto plan = Traits::plan_for(*this, cshape, 0);
-        if constexpr (Traits::gated) {
-          if (kernel_verification() && !ensure_verified<T, Bytes>(*plan)) {
-            for (const std::size_t idx : cls.segments) {
-              routed[idx] = DegradeEvent::QuarantinedKernel;
-            }
-            if (breaker) {
-              record_breaker(slot, /*degraded=*/true, probe);
-            }
-            continue;
-          }
+        // Any segment may hold partial fast-path output; restore and
+        // recompute every lane of every segment on the reference path.
+        for (const detail::CallSegment<Traits>& s : segs) {
+          Traits::validate(s.shape, s.seg);
         }
-        for (const std::size_t idx : cls.segments) {
-          plans[idx] = plan;
+        std::uint64_t lanes = 0;
+        for (std::size_t i = 0; i < segs.size(); ++i) {
+          const detail::CallSegment<Traits>& s = segs[i];
+          std::copy(s.snapshot.begin(), s.snapshot.end(),
+                    Traits::written(s.seg).data());
+          ref_lanes<Traits>(s.shape, s.seg, event | segs[s.leader].route,
+                            healths[i]);
+          lanes += static_cast<std::uint64_t>(s.shape.batch);
         }
-        if (breaker) {
-          gates.push_back(ClassGate{slot, probe, cls.segments});
-        }
+        note_degraded(lanes);
+        record_verdicts(/*failed=*/false);
+        return;
       }
-      record_grouped_plans(classes.size());
-
-      // Ref-route the degraded classes up front; they are independent of
-      // the fast-path segments below.
-      std::uint64_t route_lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (routed[i] != DegradeEvent::None) {
-          route_segment(i, routed[i]);
-          route_lanes += static_cast<std::uint64_t>(shapes[i].batch);
-        }
-      }
-      if (route_lanes > 0) {
-        note_degraded(route_lanes);
-        ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
-      }
-
-      if (pool != nullptr) {
-        if constexpr (Traits::pooled) {
-          // Interleave per-segment batch-slice work items round-robin
-          // across segments so the pool alternates between size classes.
-          const index_t grain_env = tune::env_group_grain();
-          std::vector<sched::SegmentExtent> extents(count);
-          for (std::size_t i = 0; i < count; ++i) {
-            if (routed[i] != DegradeEvent::None) {
-              continue; // already served on the reference path
-            }
-            extents[i].groups = Traits::written(segments[i]).groups();
-            const index_t tuned =
-                grain_env > 0 ? grain_env : plans[i]->chunk_groups();
-            extents[i].item_groups = sched::item_granularity(
-                extents[i].groups, plans[i]->slice_groups(), tuned,
-                static_cast<index_t>(pool->size()));
-            if (extents[i].groups == 0) {
-              // No work item will touch this segment: validate it here so
-              // caller bugs surface identically in both execution modes.
-              Traits::execute(*plans[i], segments[i], nullptr, nullptr);
-            }
-          }
-          const std::vector<sched::WorkItem> items =
-              sched::interleave_slices(extents);
-          pool->parallel_for(
-              0, static_cast<index_t>(items.size()),
-              [&](index_t ib, index_t ie) {
-                for (index_t ii = ib; ii < ie; ++ii) {
-                  const sched::WorkItem& it =
-                      items[static_cast<std::size_t>(ii)];
-                  Traits::execute_range(
-                      *plans[it.segment], segments[it.segment], it.g_begin,
-                      it.g_end, guarded ? recs[it.segment].get() : nullptr,
-                      deadline);
-                }
-              },
-              /*grain=*/1, deadline);
-        }
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          if (routed[i] != DegradeEvent::None) {
-            continue;
-          }
-          Traits::execute(*plans[i], segments[i],
-                          guarded ? recs[i].get() : nullptr, deadline);
-        }
-      }
-    } catch (...) {
-      if (!fallback) {
-        for (const ClassGate& gate : gates) {
-          record_breaker(gate.slot, /*degraded=*/true, gate.probe);
-        }
-        throw; // Fast/Check: failures still propagate
-      }
-      // rethrows InvalidArg and Timeout
-      const DegradeEvent event = classify_failure();
-      for (std::size_t i = 0; i < count; ++i) {
-        Traits::validate(shapes[i], segments[i]);
-      }
-      // Any segment may hold partial fast-path output; restore and
-      // recompute every lane of every segment on the reference path.
-      std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        const Segment& seg = segments[i];
-        std::copy(snapshots[i].begin(), snapshots[i].end(),
-                  Traits::written(seg).data());
-        ref_lanes<Traits>(shapes[i], seg, event, healths[i]);
-        lanes += static_cast<std::uint64_t>(shapes[i].batch);
-      }
-      note_degraded(lanes);
-      for (const ClassGate& gate : gates) {
-        record_breaker(gate.slot, /*degraded=*/true, gate.probe);
-      }
-      return healths;
     }
+
+    // Classes the breaker or the kernel guard routed away never ran the
+    // plan; serve them on the reference path now.
+    serve_routed(DegradeEvent::None);
 
     if (guarded) {
       std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (routed[i] != DegradeEvent::None) {
+      for (std::size_t i = 0; i < segs.size(); ++i) {
+        detail::CallSegment<Traits>& s = segs[i];
+        if (segs[s.leader].route != DegradeEvent::None) {
           continue; // reference results; nothing to scan or repair
         }
-        const Segment& seg = segments[i];
-        Traits::scan(shapes[i], seg, *recs[i]);
-        recs[i]->fill(healths[i]);
-        if (healths[i].nonfinite == 0 && healths[i].singular == 0) {
+        BatchHealth& health = healths[i];
+        Traits::scan(s.shape, s.seg, *s.rec);
+        s.rec->fill(health);
+        if (health.nonfinite == 0 && health.singular == 0) {
           continue;
         }
-        healths[i].events |= DegradeEvent::NumericalHazard;
+        health.events |= DegradeEvent::NumericalHazard;
         if (!fallback) {
           continue;
         }
-        for (index_t lane = 0; lane < shapes[i].batch; ++lane) {
-          if (!recs[i]->flagged(lane)) {
+        for (index_t lane = 0; lane < s.shape.batch; ++lane) {
+          if (!s.rec->flagged(lane)) {
             continue;
           }
-          restore_lane(Traits::written(seg), snapshots[i], lane);
-          Traits::ref_lane(shapes[i], seg, lane);
-          if (healths[i].first_fallback < 0) {
-            healths[i].first_fallback = lane;
+          // Repair where the reference result is defined; a lane the
+          // reference refuses keeps its restored input.
+          restore_lane(Traits::written(s.seg), s.snapshot, lane);
+          Traits::ref_lane(s.shape, s.seg, lane);
+          if (health.first_fallback < 0) {
+            health.first_fallback = lane;
           }
-          ++healths[i].fallback;
+          ++health.fallback;
         }
-        lanes += static_cast<std::uint64_t>(healths[i].fallback);
+        lanes += static_cast<std::uint64_t>(health.fallback);
       }
       if (fallback && lanes > 0) {
         note_degraded(lanes);
       }
     }
-    for (const ClassGate& gate : gates) {
-      bool degraded = false;
-      for (const std::size_t idx : gate.segs) {
-        degraded = degraded || healths[idx].events != DegradeEvent::None;
-      }
-      record_breaker(gate.slot, degraded, gate.probe);
-    }
-    return healths;
+    record_verdicts(/*failed=*/false);
   } catch (const Error& e) {
     if (e.status() == Status::Timeout) {
       timeout_calls_.fetch_add(1, std::memory_order_relaxed);
     }
+    record_verdicts(/*failed=*/true);
+    throw;
+  } catch (...) {
+    record_verdicts(/*failed=*/true);
     throw;
   }
+}
+
+template <class Traits>
+void Engine::admit_classes(std::span<detail::CallSegment<Traits>> segs,
+                           std::uint8_t layout) {
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    detail::CallSegment<Traits>& lead = segs[i];
+    if (lead.leader != i) {
+      continue;
+    }
+    const std::size_t slot =
+        PlanKeyHash{}(plan_key<Traits>(lead.shape, layout));
+    switch (breaker_.admit(slot)) {
+    case resilience::BreakerDecision::RefRoute:
+      lead.route = DegradeEvent::BreakerOpen;
+      break;
+    case resilience::BreakerDecision::Probe:
+      // The gate is held from admission on, so a probe whose plan build
+      // or execution throws still reports its verdict.
+      lead.gate = {slot, /*held=*/true, /*probe=*/true};
+      try {
+        IATF_FAULT_POINT("resilience.probe", ::iatf::Status::Internal);
+      } catch (...) {
+        // A failed probe re-opens the slot; the class is still served.
+        lead.gate.held = false;
+        record_breaker(slot, /*degraded=*/true, /*probe=*/true);
+        lead.route = DegradeEvent::BreakerOpen;
+      }
+      break;
+    case resilience::BreakerDecision::Allow:
+      lead.gate = {slot, /*held=*/true, /*probe=*/false};
+      break;
+    }
+  }
+}
+
+template <class Traits>
+void Engine::plan_classes(std::span<detail::CallSegment<Traits>> segs,
+                          std::uint8_t layout) {
+  using T = typename Traits::value_type;
+  constexpr int Bytes = Traits::bytes;
+  // One plan resolution per size class; single-flight collapses
+  // concurrent cold misses on the same class to one build.
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    detail::CallSegment<Traits>& lead = segs[i];
+    if (lead.leader != i || lead.route != DegradeEvent::None) {
+      continue;
+    }
+    lead.plan = Traits::plan_for(*this, lead.shape, layout);
+    if constexpr (Traits::gated) {
+      if (kernel_verification() && !ensure_verified<T, Bytes>(*lead.plan)) {
+        // Quarantine is detected before execution, so the class's
+        // written operands still hold the call's input.
+        lead.route = DegradeEvent::QuarantinedKernel;
+      }
+    }
+  }
+}
+
+template <class Traits>
+void Engine::execute_segments(std::span<detail::CallSegment<Traits>> segs,
+                              ThreadPool* pool, const Deadline* deadline) {
+  const auto runs = [&](const detail::CallSegment<Traits>& s) {
+    return segs[s.leader].route == DegradeEvent::None;
+  };
+  if (pool == nullptr) {
+    for (detail::CallSegment<Traits>& s : segs) {
+      if (runs(s)) {
+        Traits::execute(*segs[s.leader].plan, s.seg,
+                        s.rec ? &*s.rec : nullptr, deadline);
+      }
+    }
+    return;
+  }
+  // Cut every segment into work items and interleave them round-robin
+  // across segments so the pool alternates between size classes.
+  std::vector<sched::SegmentExtent> extents(segs.size());
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    const detail::CallSegment<Traits>& s = segs[i];
+    if (!runs(s)) {
+      continue;
+    }
+    const typename Traits::Plan& plan = *segs[s.leader].plan;
+    extents[i].groups = Traits::written(s.seg).groups();
+    extents[i].item_groups = sched::item_granularity(
+        extents[i].groups, plan.slice_groups(), plan.chunk_groups(),
+        static_cast<index_t>(pool->size()));
+    if (extents[i].groups == 0) {
+      // No work item will touch this segment: validate it here so
+      // caller bugs surface identically in both execution modes.
+      Traits::execute(plan, s.seg, nullptr, nullptr);
+    }
+  }
+  const std::vector<sched::WorkItem> items = sched::interleave_slices(extents);
+  pool->parallel_for(
+      0, static_cast<index_t>(items.size()),
+      [&](index_t ib, index_t ie) {
+        for (index_t ii = ib; ii < ie; ++ii) {
+          const sched::WorkItem& it = items[static_cast<std::size_t>(ii)];
+          detail::CallSegment<Traits>& s = segs[it.segment];
+          Traits::execute_range(*segs[s.leader].plan, s.seg, it.g_begin,
+                                it.g_end, s.rec ? &*s.rec : nullptr,
+                                deadline);
+        }
+      },
+      /*grain=*/1, deadline);
 }
 
 plan::PlanTuning Engine::resolve_tuning(const TuningConfig& config,
@@ -1369,19 +1246,6 @@ void Engine::release_call() noexcept {
     { std::lock_guard<std::mutex> lock(admit_mu_); }
     admit_cv_.notify_one();
   }
-}
-
-template <class Traits>
-BatchHealth Engine::ref_route(const typename Traits::Segment& seg,
-                              const typename Traits::Shape& shape,
-                              DegradeEvent event) {
-  Traits::validate(shape, seg);
-  BatchHealth health;
-  health.batch = shape.batch;
-  ref_lanes<Traits>(shape, seg, event, health);
-  note_degraded(static_cast<std::uint64_t>(shape.batch));
-  ref_routed_calls_.fetch_add(1, std::memory_order_relaxed);
-  return health;
 }
 
 template <class T, int Bytes, class Plan>
@@ -1797,11 +1661,11 @@ Engine& Engine::default_engine() {
   template BatchHealth Engine::trsm<T, Bytes>(Side, Uplo, Op, Diag, T,      \
                                               const CompactBuffer<T>&,      \
                                               CompactBuffer<T>&);           \
-  template BatchHealth Engine::call<detail::GemmOp<T, Bytes>>(              \
+  template BatchHealth Engine::run_one<detail::GemmOp<T, Bytes>>(           \
       const sched::GemmSegment<T>&, std::uint8_t);                          \
-  template BatchHealth Engine::call<detail::TrsmOp<T, Bytes>>(              \
+  template BatchHealth Engine::run_one<detail::TrsmOp<T, Bytes>>(           \
       const sched::TrsmSegment<T>&, std::uint8_t);                          \
-  template BatchHealth Engine::call<detail::FactorOp<T, Bytes>>(            \
+  template BatchHealth Engine::run_one<detail::FactorOp<T, Bytes>>(         \
       const sched::FactorSegment<T>&, std::uint8_t);                        \
   template std::vector<BatchHealth> Engine::gemm_grouped<T, Bytes>(         \
       std::span<const sched::GemmSegment<T>>);                              \

@@ -72,7 +72,7 @@ BatchHealth Engine::gemm(Op op_a, Op op_b, T alpha,
   IATF_CHECK(a.valid() && b.valid() && c.valid(),
              "gemm: invalid packed handle");
   packed_reuse_hits_.fetch_add(3, std::memory_order_relaxed);
-  BatchHealth health = call<detail::GemmOp<T, Bytes>>(
+  BatchHealth health = run_one<detail::GemmOp<T, Bytes>>(
       {op_a, op_b, alpha, beta, &a.buffer(), &b.buffer(), &c.buffer()},
       /*layout=*/1);
   c.bump_epoch();
@@ -85,7 +85,7 @@ BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
                          factor::PackedHandle<T>& b) {
   IATF_CHECK(a.valid() && b.valid(), "trsm: invalid packed handle");
   packed_reuse_hits_.fetch_add(2, std::memory_order_relaxed);
-  BatchHealth health = call<detail::TrsmOp<T, Bytes>>(
+  BatchHealth health = run_one<detail::TrsmOp<T, Bytes>>(
       {side, uplo, op_a, diag, alpha, &a.buffer(), &b.buffer()},
       /*layout=*/1);
   b.bump_epoch();
@@ -96,21 +96,21 @@ BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
 
 template <class T, int Bytes>
 BatchHealth Engine::potrf_batch(CompactBuffer<T>& a) {
-  return call<detail::FactorOp<T, Bytes>>(
+  return run_one<detail::FactorOp<T, Bytes>>(
       {factor::FactorOp::Potrf, Uplo::Lower, Diag::NonUnit, &a},
       /*layout=*/0);
 }
 
 template <class T, int Bytes>
 BatchHealth Engine::getrf_nopiv_batch(CompactBuffer<T>& a) {
-  return call<detail::FactorOp<T, Bytes>>(
+  return run_one<detail::FactorOp<T, Bytes>>(
       {factor::FactorOp::GetrfNp, Uplo::Lower, Diag::NonUnit, &a},
       /*layout=*/0);
 }
 
 template <class T, int Bytes>
 BatchHealth Engine::trtri_batch(Uplo uplo, Diag diag, CompactBuffer<T>& a) {
-  return call<detail::FactorOp<T, Bytes>>(
+  return run_one<detail::FactorOp<T, Bytes>>(
       {factor::FactorOp::Trtri, uplo, diag, &a}, /*layout=*/0);
 }
 
@@ -118,7 +118,7 @@ template <class T, int Bytes>
 BatchHealth Engine::potrf_batch(factor::PackedHandle<T>& a) {
   IATF_CHECK(a.valid(), "potrf_batch: invalid packed handle");
   packed_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
-  BatchHealth health = call<detail::FactorOp<T, Bytes>>(
+  BatchHealth health = run_one<detail::FactorOp<T, Bytes>>(
       {factor::FactorOp::Potrf, Uplo::Lower, Diag::NonUnit, &a.buffer()},
       /*layout=*/1);
   a.bump_epoch();
@@ -129,7 +129,7 @@ template <class T, int Bytes>
 BatchHealth Engine::getrf_nopiv_batch(factor::PackedHandle<T>& a) {
   IATF_CHECK(a.valid(), "getrf_nopiv_batch: invalid packed handle");
   packed_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
-  BatchHealth health = call<detail::FactorOp<T, Bytes>>(
+  BatchHealth health = run_one<detail::FactorOp<T, Bytes>>(
       {factor::FactorOp::GetrfNp, Uplo::Lower, Diag::NonUnit, &a.buffer()},
       /*layout=*/1);
   a.bump_epoch();
@@ -141,7 +141,7 @@ BatchHealth Engine::trtri_batch(Uplo uplo, Diag diag,
                                 factor::PackedHandle<T>& a) {
   IATF_CHECK(a.valid(), "trtri_batch: invalid packed handle");
   packed_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
-  BatchHealth health = call<detail::FactorOp<T, Bytes>>(
+  BatchHealth health = run_one<detail::FactorOp<T, Bytes>>(
       {factor::FactorOp::Trtri, uplo, diag, &a.buffer()}, /*layout=*/1);
   a.bump_epoch();
   return health;

@@ -1,9 +1,9 @@
 // Op traits for the engine's one call pipeline (DESIGN.md section 11.6).
-// Engine::call<Traits> (one call) and Engine::grouped<Traits> (a grouped
-// call) run every op through the same admission -> breaker -> plan ->
-// verify -> execute -> retry -> lane repair -> reference fallback path;
-// each struct below holds only the facts that differ between ops. A
-// segment's descriptor and size class are not among them: they come from
+// Engine::run<Traits> serves every call -- a single call is a one-segment
+// call -- through the same admission -> breaker -> plan -> verify ->
+// execute -> retry -> lane repair -> reference fallback path; each traits
+// struct below holds only the facts that differ between ops. A segment's
+// descriptor and size class are not among them: they come from
 // sched::shape_of / sched::class_key, which the serving front end's
 // coalescer shares.
 //
@@ -11,7 +11,6 @@
 //   gated                  breaker + kernel canary apply (false for
 //                          factorisations, whose plans dispatch no
 //                          registry kernels);
-//   pooled                 the plan has execute_parallel/execute_range;
 //   plan_site, tune_key,   fault site, tuning-table key and tile-cap
 //   max_mc, max_nc         bounds of the tuned plan builder (GEMM and
 //                          TRSM only; factor plans take no tuning);
@@ -20,18 +19,25 @@
 //                          restore and per-lane repair target);
 //   prepare / scan         pre-execution step and post-execution hazard
 //                          scan (factorisations only);
-//   check / validate       grouped null check and the consistency check
-//                          the reference path needs;
+//   execute /              the whole batch, or interleave groups
+//   execute_range          [g_begin, g_end) (thread-pool work items);
+//   check / validate       null check and the consistency check the
+//                          reference path needs;
 //   ref_lane               recompute one lane on the scalar reference;
 //                          false when the reference refuses the lane
 //                          (factorisations only), which keeps its
 //                          current contents and is flagged singular.
+//
+// CallSegment is the per-segment state the pipeline carries between its
+// stages.
 //
 // Not installed; not part of the public API.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "iatf/common/error.hpp"
@@ -51,7 +57,6 @@ template <class T, int Bytes> struct GemmOp {
   using Plan = plan::GemmPlan<T, Bytes>;
   static constexpr int bytes = Bytes;
   static constexpr bool gated = true;
-  static constexpr bool pooled = true;
 
   static constexpr const char* plan_site = "plan.gemm";
   static constexpr index_t max_mc = kernels::KernelLimits<T>::gemm_max_mc;
@@ -72,12 +77,6 @@ template <class T, int Bytes> struct GemmOp {
                       HealthRecorder* rec, const Deadline* deadline) {
     plan.execute(*seg.a, *seg.b, *seg.c, seg.alpha, seg.beta, rec,
                  deadline);
-  }
-  static void execute_parallel(const Plan& plan, const Segment& seg,
-                               ThreadPool& pool, HealthRecorder* rec,
-                               const Deadline* deadline) {
-    plan.execute_parallel(*seg.a, *seg.b, *seg.c, seg.alpha, seg.beta,
-                          pool, rec, deadline);
   }
   static void execute_range(const Plan& plan, const Segment& seg,
                             index_t g_begin, index_t g_end,
@@ -139,7 +138,6 @@ template <class T, int Bytes> struct TrsmOp {
   using Plan = plan::TrsmPlan<T, Bytes>;
   static constexpr int bytes = Bytes;
   static constexpr bool gated = true;
-  static constexpr bool pooled = true;
 
   static constexpr const char* plan_site = "plan.trsm";
   static constexpr index_t max_mc = kernels::KernelLimits<T>::trsm_block;
@@ -159,11 +157,6 @@ template <class T, int Bytes> struct TrsmOp {
   static void execute(const Plan& plan, const Segment& seg,
                       HealthRecorder* rec, const Deadline* deadline) {
     plan.execute(*seg.a, *seg.b, seg.alpha, rec, deadline);
-  }
-  static void execute_parallel(const Plan& plan, const Segment& seg,
-                               ThreadPool& pool, HealthRecorder* rec,
-                               const Deadline* deadline) {
-    plan.execute_parallel(*seg.a, *seg.b, seg.alpha, pool, rec, deadline);
   }
   static void execute_range(const Plan& plan, const Segment& seg,
                             index_t g_begin, index_t g_end,
@@ -208,8 +201,7 @@ template <class T, int Bytes> struct TrsmOp {
 /// Factorisations run the same pipeline without the breaker and canary
 /// (`gated` is false: a FactorPlan is a fixed register sweep with no
 /// registry kernels, so there is nothing to canary and no per-kernel
-/// failure domain to trip) and without a thread pool (one sweep per
-/// group, no range entry point).
+/// failure domain to trip).
 template <class T, int Bytes> struct FactorOp {
   using value_type = T;
   using Segment = sched::FactorSegment<T>;
@@ -217,7 +209,6 @@ template <class T, int Bytes> struct FactorOp {
   using Plan = factor::FactorPlan<T, Bytes>;
   static constexpr int bytes = Bytes;
   static constexpr bool gated = false;
-  static constexpr bool pooled = false;
 
   static auto plan_for(Engine& engine, const Shape& s, std::uint8_t layout) {
     return engine.plan_factor<T, Bytes>(s, layout);
@@ -258,6 +249,11 @@ template <class T, int Bytes> struct FactorOp {
   static void execute(const Plan& plan, const Segment& seg,
                       HealthRecorder* rec, const Deadline* deadline) {
     plan.execute(*seg.a, rec, deadline);
+  }
+  static void execute_range(const Plan& plan, const Segment& seg,
+                            index_t g_begin, index_t g_end,
+                            HealthRecorder* rec, const Deadline* deadline) {
+    plan.execute_range(*seg.a, g_begin, g_end, rec, deadline);
   }
 
   static void check(const Segment& seg) {
@@ -334,6 +330,35 @@ private:
     }
     return true;
   }
+};
+
+/// The breaker gate of one admitted size class, held by the class
+/// leader: its slot and whether this call is the slot's HalfOpen probe.
+/// A held gate gets exactly one verdict on every exit of the call.
+struct BreakerGate {
+  std::size_t slot = 0;
+  bool held = false;
+  bool probe = false;
+};
+
+/// One segment of a call through Engine::run. Binning sets `leader` to
+/// the first segment of the same size class; the class's plan, route
+/// event and breaker gate live on that leader and are read through it.
+template <class Traits> struct CallSegment {
+  using Segment = typename Traits::Segment;
+  using R = real_t<typename Traits::value_type>;
+
+  explicit CallSegment(const Segment& s) : seg(s) {}
+
+  Segment seg;
+  typename Traits::Shape shape{};
+  sched::ClassKey key{};
+  std::size_t leader = 0;
+  std::optional<HealthRecorder> rec;  ///< Check and Fallback
+  std::vector<R> snapshot;            ///< Fallback: the written operand
+  std::shared_ptr<const typename Traits::Plan> plan;
+  DegradeEvent route = DegradeEvent::None; ///< != None: reference path
+  BreakerGate gate;
 };
 
 } // namespace iatf::detail

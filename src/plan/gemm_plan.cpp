@@ -206,25 +206,6 @@ void GemmPlan<T, Bytes>::execute_range(const CompactBuffer<T>& a,
 }
 
 template <class T, int Bytes>
-void GemmPlan<T, Bytes>::execute_parallel(const CompactBuffer<T>& a,
-                                          const CompactBuffer<T>& b,
-                                          CompactBuffer<T>& c, T alpha,
-                                          T beta, ThreadPool& pool,
-                                          HealthRecorder* health,
-                                          const Deadline* deadline) const {
-  validate_buffers(a, b, c);
-  if (shape_.m == 0 || shape_.n == 0 || shape_.batch == 0) {
-    return;
-  }
-  pool.parallel_for(
-      0, c.groups(),
-      [&](index_t g_begin, index_t g_end) {
-        run_groups(a, b, c, alpha, beta, g_begin, g_end, health, deadline);
-      },
-      chunk_groups_, deadline);
-}
-
-template <class T, int Bytes>
 void GemmPlan<T, Bytes>::run_groups(const CompactBuffer<T>& a,
                                     const CompactBuffer<T>& b,
                                     CompactBuffer<T>& c, T alpha, T beta,

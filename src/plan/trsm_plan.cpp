@@ -230,24 +230,6 @@ void TrsmPlan<T, Bytes>::execute_range(const CompactBuffer<T>& a,
 }
 
 template <class T, int Bytes>
-void TrsmPlan<T, Bytes>::execute_parallel(const CompactBuffer<T>& a,
-                                          CompactBuffer<T>& b, T alpha,
-                                          ThreadPool& pool,
-                                          HealthRecorder* health,
-                                          const Deadline* deadline) const {
-  validate_buffers(a, b);
-  if (shape_.m == 0 || shape_.n == 0 || shape_.batch == 0) {
-    return;
-  }
-  pool.parallel_for(
-      0, b.groups(),
-      [&](index_t g_begin, index_t g_end) {
-        run_groups(a, b, alpha, g_begin, g_end, health, deadline);
-      },
-      chunk_groups_, deadline);
-}
-
-template <class T, int Bytes>
 void TrsmPlan<T, Bytes>::run_groups(const CompactBuffer<T>& a,
                                     CompactBuffer<T>& b, T alpha,
                                     index_t g_begin, index_t g_end,

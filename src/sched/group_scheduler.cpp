@@ -1,48 +1,10 @@
 #include "iatf/sched/group_scheduler.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "iatf/common/fault_inject.hpp"
 
 namespace iatf::sched {
-
-std::size_t ClassKeyHash::operator()(const ClassKey& k) const noexcept {
-  // FNV-1a, mirroring the engine's PlanKey hash.
-  std::size_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(k.op));
-  mix(static_cast<std::uint64_t>(k.m));
-  mix(static_cast<std::uint64_t>(k.n));
-  mix(static_cast<std::uint64_t>(k.k));
-  mix(static_cast<std::uint64_t>(k.op_a) |
-      static_cast<std::uint64_t>(k.op_b) << 8 |
-      static_cast<std::uint64_t>(k.side) << 16 |
-      static_cast<std::uint64_t>(k.uplo) << 24 |
-      static_cast<std::uint64_t>(k.diag) << 32);
-  mix(static_cast<std::uint64_t>(k.batch));
-  mix(static_cast<std::uint64_t>(k.bytes));
-  return h;
-}
-
-std::vector<SizeClass> bin_by_descriptor(std::span<const ClassKey> keys) {
-  IATF_FAULT_POINT("sched.bin", Status::Internal);
-  fault::stall_if_armed("sched.bin");
-  std::vector<SizeClass> classes;
-  std::unordered_map<ClassKey, std::size_t, ClassKeyHash> index;
-  index.reserve(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    auto [it, inserted] = index.try_emplace(keys[i], classes.size());
-    if (inserted) {
-      classes.push_back(SizeClass{keys[i], {}});
-    }
-    classes[it->second].segments.push_back(i);
-  }
-  return classes;
-}
 
 std::vector<WorkItem> interleave_slices(
     std::span<const SegmentExtent> extents) {

@@ -418,7 +418,12 @@ TuneRecord tune_gemm(const GemmShape& in_shape, const CacheInfo& cache,
       const plan::GemmPlan<T, Bytes> plan(shape, cache, cand.tuning);
       const auto run = [&] {
         if (opts.pool != nullptr) {
-          plan.execute_parallel(a, b, c, T(1), T(0), *opts.pool);
+          opts.pool->parallel_for(
+              0, c.groups(),
+              [&](index_t g_begin, index_t g_end) {
+                plan.execute_range(a, b, c, T(1), T(0), g_begin, g_end);
+              },
+              plan.chunk_groups());
         } else {
           plan.execute(a, b, c, T(1), T(0));
         }
@@ -509,7 +514,12 @@ TuneRecord tune_trsm(const TrsmShape& in_shape, const CacheInfo& cache,
       const plan::TrsmPlan<T, Bytes> plan(shape, cache, cand.tuning);
       const auto run = [&] {
         if (opts.pool != nullptr) {
-          plan.execute_parallel(a, b, T(1), *opts.pool);
+          opts.pool->parallel_for(
+              0, b.groups(),
+              [&](index_t g_begin, index_t g_end) {
+                plan.execute_range(a, b, T(1), g_begin, g_end);
+              },
+              plan.chunk_groups());
         } else {
           plan.execute(a, b, T(1));
         }

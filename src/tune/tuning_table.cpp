@@ -200,15 +200,4 @@ plan::PlanTuning env_plan_tuning() {
   return tuning;
 }
 
-index_t env_group_grain() {
-  if (const char* v = std::getenv("IATF_GROUP_GRAIN");
-      v != nullptr && v[0] != '\0') {
-    const long long grain = std::atoll(v);
-    if (grain > 0) {
-      return static_cast<index_t>(grain);
-    }
-  }
-  return 0;
-}
-
 } // namespace iatf::tune

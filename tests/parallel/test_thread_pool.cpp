@@ -1,12 +1,16 @@
 #include <atomic>
 #include <complex>
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../factor/factor_testutil.hpp"
 #include "../testutil.hpp"
 #include "iatf/common/fault_inject.hpp"
+#include "iatf/core/engine.hpp"
 #include "iatf/parallel/thread_pool.hpp"
 #include "iatf/plan/gemm_plan.hpp"
 #include "iatf/plan/trsm_plan.hpp"
@@ -202,7 +206,12 @@ TYPED_TEST(ParallelPlanTyped, GemmParallelMatchesSerial) {
   (void)shape;
   plan.execute(ca, cb, cc1, T(2), T(-1));
   ThreadPool pool(5); // oversubscribed on a small host: still correct
-  plan.execute_parallel(ca, cb, cc2, T(2), T(-1), pool);
+  pool.parallel_for(
+      0, cc2.groups(),
+      [&](index_t g_begin, index_t g_end) {
+        plan.execute_range(ca, cb, cc2, T(2), T(-1), g_begin, g_end);
+      },
+      plan.chunk_groups());
 
   for (index_t l = 0; l < batch; ++l) {
     for (index_t j = 0; j < n; ++j) {
@@ -231,7 +240,12 @@ TYPED_TEST(ParallelPlanTyped, TrsmParallelMatchesSerial) {
   plan::TrsmPlan<T> plan(shape, CacheInfo::kunpeng920());
   plan.execute(ca, cb1, T(1.5));
   ThreadPool pool(4);
-  plan.execute_parallel(ca, cb2, T(1.5), pool);
+  pool.parallel_for(
+      0, cb2.groups(),
+      [&](index_t g_begin, index_t g_end) {
+        plan.execute_range(ca, cb2, T(1.5), g_begin, g_end);
+      },
+      plan.chunk_groups());
 
   for (index_t l = 0; l < batch; ++l) {
     for (index_t j = 0; j < n; ++j) {
@@ -239,6 +253,84 @@ TYPED_TEST(ParallelPlanTyped, TrsmParallelMatchesSerial) {
         ASSERT_EQ(cb1.get(l, i, j), cb2.get(l, i, j))
             << "batch " << l << " (" << i << "," << j << ")";
       }
+    }
+  }
+}
+
+// Factorisations run on an attached pool like GEMM and TRSM: each
+// segment's interleave groups are cut into work items across the
+// workers. Groups are independent, so single and grouped calls must
+// match a run with no pool bit for bit, under Check and its recorders
+// too.
+TEST(ParallelFactor, PoolMatchesSequentialBitExact) {
+  const index_t pw = simd::pack_width_v<double>;
+  Rng rng(73);
+  const index_t m = 6;
+  const index_t batch = 7 * pw + 1;
+  struct Input {
+    factor::FactorOp op;
+    Uplo uplo;
+    test::HostBatch<double> host;
+  };
+  const std::vector<Input> inputs{
+      {factor::FactorOp::Potrf, Uplo::Lower,
+       test::random_spd_batch<double>(m, batch, rng)},
+      {factor::FactorOp::GetrfNp, Uplo::Lower,
+       test::random_diag_dominant_batch<double>(m, batch, rng)},
+      {factor::FactorOp::Trtri, Uplo::Upper,
+       test::random_triangular_batch<double>(m, batch, rng)}};
+
+  ThreadPool pool(3);
+  for (const ExecPolicy policy : {ExecPolicy::Fast, ExecPolicy::Check}) {
+    Engine seq(CacheInfo::kunpeng920());
+    Engine par(CacheInfo::kunpeng920());
+    par.set_thread_pool(&pool);
+    std::vector<CompactBuffer<double>> seq_out, par_out;
+    std::vector<sched::FactorSegment<double>> seq_segs, par_segs;
+    for (Engine* e : {&seq, &par}) {
+      e->set_policy(policy);
+      const bool pooled = e == &par;
+      auto& outs = pooled ? par_out : seq_out;
+      for (const Input& in : inputs) {
+        CompactBuffer<double> a = in.host.to_compact();
+        BatchHealth h;
+        switch (in.op) {
+        case factor::FactorOp::Potrf:
+          h = e->potrf_batch<double>(a);
+          break;
+        case factor::FactorOp::GetrfNp:
+          h = e->getrf_nopiv_batch<double>(a);
+          break;
+        case factor::FactorOp::Trtri:
+          h = e->trtri_batch<double>(in.uplo, Diag::NonUnit, a);
+          break;
+        }
+        EXPECT_TRUE(h.clean());
+        outs.push_back(std::move(a));
+      }
+      // The same three routines as one grouped call.
+      for (const Input& in : inputs) {
+        outs.push_back(in.host.to_compact());
+      }
+      auto& segs = pooled ? par_segs : seq_segs;
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        segs.push_back({inputs[i].op, inputs[i].uplo, Diag::NonUnit,
+                        &outs[inputs.size() + i]});
+      }
+      for (const BatchHealth& h : e->factor_grouped<double>(
+               std::span<const sched::FactorSegment<double>>(segs))) {
+        EXPECT_TRUE(h.clean());
+      }
+    }
+    ASSERT_EQ(seq_out.size(), par_out.size());
+    for (std::size_t i = 0; i < seq_out.size(); ++i) {
+      ASSERT_EQ(seq_out[i].size(), par_out[i].size());
+      EXPECT_EQ(std::memcmp(seq_out[i].data(), par_out[i].data(),
+                            seq_out[i].size() * sizeof(double)),
+                0)
+          << (i < inputs.size() ? "single call " : "grouped segment ")
+          << i % inputs.size() << ", policy "
+          << static_cast<int>(policy);
     }
   }
 }

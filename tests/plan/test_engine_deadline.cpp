@@ -81,6 +81,9 @@ TEST_F(EngineDeadline, ParallelTimeoutLeavesPoolUsable) {
   ThreadPool pool(4);
   Engine engine(CacheInfo::kunpeng920());
   engine.set_thread_pool(&pool);
+  plan::PlanTuning tuning;
+  tuning.chunk_groups = 1; // fan out: one-group work items
+  engine.set_plan_tuning(tuning);
   CompactBuffer<float> a(4, 4, 256), b(4, 4, 256), c(4, 4, 256);
 
   engine.set_call_deadline(std::chrono::nanoseconds(1));

@@ -3,17 +3,23 @@
 // descriptor mixes, share plans within size classes, produce identical
 // results on the sequential and interleaved thread-pool paths, and carry
 // the guarded-execution contract (Check/Fallback/deadline) per segment.
+// A single call is a one-segment grouped call: the differential test at
+// the end holds both to the same outputs, healths and stats.
+#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../factor/factor_testutil.hpp"
 #include "../testutil.hpp"
+#include "iatf/common/fault_inject.hpp"
 #include "iatf/core/engine.hpp"
 #include "iatf/parallel/thread_pool.hpp"
 #include "iatf/ref/ref_blas.hpp"
@@ -373,18 +379,215 @@ TEST(EngineGrouped, DeadlineExpiryThrowsTimeout) {
   fx.verify("post-timeout grouped gemm");
 }
 
-TEST(EngineGrouped, GroupGrainEnvOverridesItemGranularity) {
-  // IATF_GROUP_GRAIN=1 forces one-interleave-group work items, the
-  // finest legal interleaving; results must be unaffected.
-  ASSERT_EQ(setenv("IATF_GROUP_GRAIN", "1", 1), 0);
+TEST(EngineGrouped, TunedChunkOverridesItemGranularity) {
+  // chunk_groups = 1 forces one-interleave-group work items, the finest
+  // legal interleaving; results must be unaffected.
   GroupedGemmFixture fx = mixed_fixture();
   Engine engine(CacheInfo::kunpeng920());
+  plan::PlanTuning tuning;
+  tuning.chunk_groups = 1;
+  engine.set_plan_tuning(tuning);
   ThreadPool pool(3);
   engine.set_thread_pool(&pool);
   engine.gemm_grouped<double>(
       std::span<const sched::GemmSegment<double>>(fx.segs));
-  unsetenv("IATF_GROUP_GRAIN");
   fx.verify("grain-1 grouped gemm");
+}
+
+// --- One single call vs a one-segment grouped call -----------------------
+//
+// Each op case owns its inputs; reset() rebuilds the written operand from
+// them (outside any armed fault window -- the conversion allocates), and
+// run() makes the call either as the op's single entry point or as a
+// one-segment grouped call. Inputs may carry a NaN lane and a
+// zero-diagonal lane.
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+struct GemmDiff {
+  static constexpr const char* plan_site = "plan.gemm";
+  test::HostBatch<double> a, b, c;
+  CompactBuffer<double> ca, cb, cc;
+
+  explicit GemmDiff(bool hazards) {
+    Rng rng(9101);
+    const index_t m = 5, n = 4, k = 3;
+    const index_t batch = 2 * simd::pack_width_v<double> + 1;
+    // Transposed operands keep the packing stage, whose workspace is an
+    // "alloc" fault site, on the fast path.
+    a = test::random_batch<double>(k, m, batch, rng);
+    b = test::random_batch<double>(n, k, batch, rng);
+    c = test::random_batch<double>(m, n, batch, rng);
+    if (hazards) {
+      a.mat(1)[0] = kNaN;
+      for (index_t i = 0; i < k; ++i) {
+        a.mat(2)[i * k + i] = 0.0;
+      }
+    }
+    ca = a.to_compact();
+    cb = b.to_compact();
+  }
+  void reset() { cc = c.to_compact(); }
+  const CompactBuffer<double>& out() const { return cc; }
+  BatchHealth run(Engine& e, bool grouped) {
+    if (!grouped) {
+      return e.gemm<double>(Op::Trans, Op::Trans, 1.5, ca, cb, 0.25, cc);
+    }
+    const sched::GemmSegment<double> seg{
+        Op::Trans, Op::Trans, 1.5, 0.25, &ca, &cb, &cc};
+    return e.gemm_grouped<double>(
+        std::span<const sched::GemmSegment<double>>(&seg, 1))[0];
+  }
+};
+
+struct TrsmDiff {
+  static constexpr const char* plan_site = "plan.trsm";
+  test::HostBatch<double> a, b;
+  CompactBuffer<double> ca, cb;
+
+  explicit TrsmDiff(bool hazards) {
+    Rng rng(9102);
+    const index_t m = 6, n = 3;
+    const index_t batch = 2 * simd::pack_width_v<double> + 1;
+    a = test::random_triangular_batch<double>(m, batch, rng);
+    b = test::random_batch<double>(m, n, batch, rng);
+    if (hazards) {
+      b.mat(1)[0] = kNaN;
+      a.mat(2)[2 * m + 2] = 0.0;
+    }
+    ca = a.to_compact();
+    ca.pad_identity();
+  }
+  void reset() { cb = b.to_compact(); }
+  const CompactBuffer<double>& out() const { return cb; }
+  BatchHealth run(Engine& e, bool grouped) {
+    if (!grouped) {
+      return e.trsm<double>(Side::Left, Uplo::Lower, Op::NoTrans,
+                            Diag::NonUnit, 0.5, ca, cb);
+    }
+    const sched::TrsmSegment<double> seg{
+        Side::Left, Uplo::Lower, Op::NoTrans, Diag::NonUnit, 0.5, &ca, &cb};
+    return e.trsm_grouped<double>(
+        std::span<const sched::TrsmSegment<double>>(&seg, 1))[0];
+  }
+};
+
+struct PotrfDiff {
+  static constexpr const char* plan_site = "plan.factor";
+  test::HostBatch<double> a;
+  CompactBuffer<double> ca;
+
+  explicit PotrfDiff(bool hazards) {
+    Rng rng(9103);
+    const index_t m = 5;
+    a = test::random_spd_batch<double>(
+        m, 2 * simd::pack_width_v<double> + 1, rng);
+    if (hazards) {
+      a.mat(1)[m + 1] = kNaN;
+      a.mat(2)[0] = 0.0;
+    }
+  }
+  void reset() { ca = a.to_compact(); }
+  const CompactBuffer<double>& out() const { return ca; }
+  BatchHealth run(Engine& e, bool grouped) {
+    if (!grouped) {
+      return e.potrf_batch<double>(ca);
+    }
+    const sched::FactorSegment<double> seg{factor::FactorOp::Potrf,
+                                           Uplo::Lower, Diag::NonUnit, &ca};
+    return e.factor_grouped<double>(
+        std::span<const sched::FactorSegment<double>>(&seg, 1))[0];
+  }
+};
+
+enum class DiffFault { Hazards, Plan, Alloc };
+
+// What one call did: its health, or the status it threw.
+struct DiffOutcome {
+  bool threw = false;
+  Status status = Status::Ok;
+  BatchHealth health;
+};
+
+template <class Case>
+DiffOutcome run_diff(Case& cs, Engine& e, bool grouped, DiffFault fault) {
+  cs.reset();
+  DiffOutcome out;
+  std::optional<fault::ScopedFault> armed;
+  if (fault == DiffFault::Plan) {
+    armed.emplace(Case::plan_site, 0, 1);
+  } else if (fault == DiffFault::Alloc) {
+    armed.emplace("alloc", 0, 2);
+  }
+  try {
+    out.health = cs.run(e, grouped);
+  } catch (const Error& err) {
+    out.threw = true;
+    out.status = err.status();
+  }
+  return out;
+}
+
+void expect_same_health(const BatchHealth& x, const BatchHealth& y) {
+  EXPECT_EQ(x.batch, y.batch);
+  EXPECT_EQ(x.nonfinite, y.nonfinite);
+  EXPECT_EQ(x.first_nonfinite, y.first_nonfinite);
+  EXPECT_EQ(x.singular, y.singular);
+  EXPECT_EQ(x.first_singular, y.first_singular);
+  EXPECT_EQ(x.fallback, y.fallback);
+  EXPECT_EQ(x.first_fallback, y.first_fallback);
+  EXPECT_EQ(x.events, y.events);
+}
+
+// Every EngineStats counter but the two only grouped calls bump.
+void expect_same_stats(EngineStats x, EngineStats y) {
+  EXPECT_EQ(x.retries, y.retries);
+  EXPECT_EQ(x.degraded_calls, y.degraded_calls);
+  EXPECT_EQ(x.fallback_lanes, y.fallback_lanes);
+  EXPECT_EQ(x.ref_routed_calls, y.ref_routed_calls);
+  EXPECT_EQ(y.grouped_calls, 1u);
+  EXPECT_EQ(x.grouped_calls, 0u);
+  x.grouped_calls = y.grouped_calls = 0;
+  x.distinct_plans_per_call = y.distinct_plans_per_call = {};
+  EXPECT_EQ(std::memcmp(&x, &y, sizeof(EngineStats)), 0);
+}
+
+template <class Case> void diff_single_vs_grouped(const char* op) {
+  for (const ExecPolicy policy :
+       {ExecPolicy::Fast, ExecPolicy::Check, ExecPolicy::Fallback}) {
+    for (const DiffFault fault :
+         {DiffFault::Hazards, DiffFault::Plan, DiffFault::Alloc}) {
+      SCOPED_TRACE(std::string(op) + " policy " +
+                   std::to_string(static_cast<int>(policy)) + " fault " +
+                   std::to_string(static_cast<int>(fault)));
+      Case single_case(fault == DiffFault::Hazards);
+      Case grouped_case(fault == DiffFault::Hazards);
+      Engine single(CacheInfo::kunpeng920());
+      Engine grouped(CacheInfo::kunpeng920());
+      for (Engine* e : {&single, &grouped}) {
+        e->set_policy(policy);
+        e->set_retry_policy({/*max_attempts=*/3,
+                             /*base_delay=*/std::chrono::microseconds(10)});
+      }
+      const DiffOutcome x = run_diff(single_case, single, false, fault);
+      const DiffOutcome y = run_diff(grouped_case, grouped, true, fault);
+      EXPECT_EQ(x.threw, y.threw);
+      EXPECT_EQ(x.status, y.status);
+      expect_same_health(x.health, y.health);
+      const CompactBuffer<double>& xo = single_case.out();
+      const CompactBuffer<double>& yo = grouped_case.out();
+      ASSERT_EQ(xo.size(), yo.size());
+      EXPECT_EQ(std::memcmp(xo.data(), yo.data(), xo.size() * sizeof(double)),
+                0);
+      expect_same_stats(single.stats(), grouped.stats());
+    }
+  }
+}
+
+TEST(EngineGrouped, SingleCallEqualsOneSegmentGroupedCall) {
+  diff_single_vs_grouped<GemmDiff>("gemm");
+  diff_single_vs_grouped<TrsmDiff>("trsm");
+  diff_single_vs_grouped<PotrfDiff>("potrf");
 }
 
 } // namespace

@@ -251,6 +251,11 @@ TEST_F(GuardedEngine, FallbackOnWorkerFailure) {
   ThreadPool pool(4);
   e.set_thread_pool(&pool);
   EXPECT_EQ(e.thread_pool(), &pool);
+  // One-group work items: the call fans out to the workers, where the
+  // armed "threadpool.worker" site sits.
+  plan::PlanTuning tuning;
+  tuning.chunk_groups = 1;
+  e.set_plan_tuning(tuning);
   GemmFixture fx(/*groups=*/8);
   fault::ScopedFault guard("threadpool.worker");
   const BatchHealth h = fx.run(e);
@@ -276,6 +281,9 @@ TEST_F(GuardedEngine, ParallelGuardedMatchesSerialGuarded) {
   parallel.set_policy(ExecPolicy::Check);
   ThreadPool pool(3);
   parallel.set_thread_pool(&pool);
+  plan::PlanTuning tuning;
+  tuning.chunk_groups = 1; // fan out: one-group work items
+  parallel.set_plan_tuning(tuning);
   GemmFixture fx2(/*groups=*/8);
   const BatchHealth h2 = fx2.run(parallel);
 

@@ -490,6 +490,58 @@ TEST_F(EngineResilience, FailedProbeReopensTheSlot) {
             resilience::BreakerState::Open);
 }
 
+// Regression: a grouped call admitted as its class's HalfOpen probe must
+// report the probe's verdict even when its plan build throws. Otherwise
+// the class stays HalfOpen with its probe in flight and every later
+// call is sent to the reference path.
+TEST_F(EngineResilience, GroupedProbeWhosePlanThrowsReopensTheSlot) {
+  constexpr int kCooldown = 2;
+  for (const ExecPolicy policy : {ExecPolicy::Fast, ExecPolicy::Fallback}) {
+    SCOPED_TRACE(policy == ExecPolicy::Fast ? "Fast" : "Fallback");
+    Engine e(CacheInfo::kunpeng920());
+    e.set_kernel_verification(false);
+    e.set_policy(policy);
+    e.set_breaker_config({/*window=*/2, /*threshold=*/1, kCooldown});
+    MiniGemm fx(8, 8, 4);
+    const sched::GemmSegment<double> seg{
+        Op::Trans, Op::Trans, 1.5, 0.25, &fx.ca, &fx.cb, &fx.cc};
+    const auto grouped = [&] {
+      return e.gemm_grouped<double>(
+          std::span<const sched::GemmSegment<double>>(&seg, 1));
+    };
+    const auto state = [&] { return e.gemm_breaker_state<double>(fx.shape()); };
+
+    e.trip_gemm_class<double>(fx.shape(), 0); // the next call is the probe
+    e.clear_plan_cache();                     // ... and must build a plan
+    fx.prepare();
+    {
+      fault::ScopedFault plan("plan.gemm", 0, 1);
+      if (policy == ExecPolicy::Fast) {
+        EXPECT_THROW((void)grouped(), Error);
+      } else {
+        const auto h = grouped();
+        EXPECT_TRUE(has_event(h[0].events, DegradeEvent::UnsupportedPlan));
+        fx.expect_matches_reference("failed probe");
+      }
+    }
+    EXPECT_EQ(state(), resilience::BreakerState::Open);
+
+    for (int call = 0; call < kCooldown; ++call) {
+      fx.prepare();
+      const auto h = grouped();
+      EXPECT_TRUE(has_event(h[0].events, DegradeEvent::BreakerOpen));
+      fx.expect_matches_reference("cooldown call " + std::to_string(call));
+      EXPECT_EQ(state(), resilience::BreakerState::Open);
+    }
+    fx.prepare();
+    const auto probe = grouped(); // the next probe runs clean
+    EXPECT_TRUE(probe[0].clean());
+    fx.expect_matches_reference("recovering probe");
+    EXPECT_EQ(state(), resilience::BreakerState::Closed);
+    EXPECT_EQ(e.stats().ref_routed_calls, static_cast<std::size_t>(kCooldown));
+  }
+}
+
 // --- Stats / health / env knobs -------------------------------------------
 
 TEST_F(EngineResilience, ResetStatsZeroesCountersButKeepsState) {

@@ -12,17 +12,31 @@ ClassKey gemm_key(index_t m, index_t n, index_t k, index_t batch,
   return class_key(GemmShape{m, n, k, op_a, op_b, batch});
 }
 
+// The per-segment state bin_by_descriptor reads and writes.
+struct Binned {
+  ClassKey key;
+  std::size_t leader = 99;
+};
+
+std::vector<Binned> binned(const std::vector<ClassKey>& keys) {
+  std::vector<Binned> segs;
+  for (const ClassKey& key : keys) {
+    segs.push_back({key});
+  }
+  return segs;
+}
+
 TEST(GroupScheduler, BinsEqualDescriptorsTogether) {
-  const std::vector<ClassKey> keys{
-      gemm_key(4, 4, 4, 64), gemm_key(8, 8, 8, 32), gemm_key(4, 4, 4, 64),
-      gemm_key(8, 8, 8, 32), gemm_key(4, 4, 4, 64)};
-  const auto classes = bin_by_descriptor(keys);
-  ASSERT_EQ(classes.size(), 2u);
-  // First-appearance order, ascending segment indices within a class.
-  EXPECT_EQ(classes[0].key, keys[0]);
-  EXPECT_EQ(classes[0].segments, (std::vector<std::size_t>{0, 2, 4}));
-  EXPECT_EQ(classes[1].key, keys[1]);
-  EXPECT_EQ(classes[1].segments, (std::vector<std::size_t>{1, 3}));
+  std::vector<Binned> segs = binned(
+      {gemm_key(4, 4, 4, 64), gemm_key(8, 8, 8, 32), gemm_key(4, 4, 4, 64),
+       gemm_key(8, 8, 8, 32), gemm_key(4, 4, 4, 64)});
+  EXPECT_EQ(bin_by_descriptor(std::span<Binned>(segs)), 2u);
+  // Every segment points at the first segment of its class, so classes
+  // keep first-appearance order.
+  const std::vector<std::size_t> leaders{0, 1, 0, 1, 0};
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    EXPECT_EQ(segs[i].leader, leaders[i]) << "segment " << i;
+  }
 }
 
 TEST(GroupScheduler, EveryDescriptorFieldSplitsClasses) {
@@ -34,12 +48,15 @@ TEST(GroupScheduler, EveryDescriptorFieldSplitsClasses) {
   keys[4].batch = 32;
   keys[5].op = 't';
   keys[6].diag = 1;
-  const auto classes = bin_by_descriptor(keys);
-  EXPECT_EQ(classes.size(), 7u);
+  std::vector<Binned> segs = binned(keys);
+  EXPECT_EQ(bin_by_descriptor(std::span<Binned>(segs)), 7u);
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    EXPECT_EQ(segs[i].leader, i);
+  }
 }
 
 TEST(GroupScheduler, BinsEmptyInput) {
-  EXPECT_TRUE(bin_by_descriptor({}).empty());
+  EXPECT_EQ(bin_by_descriptor(std::span<Binned>()), 0u);
 }
 
 TEST(GroupScheduler, InterleavesItemsRoundRobin) {
