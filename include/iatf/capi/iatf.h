@@ -96,7 +96,7 @@ double iatf_get_call_deadline_ms(void);
 
 /* The kernels are compiled at several register widths (128/256/512-bit);
  * at runtime the library detects the widest backend the host supports
- * (CPUID on x86-64, hwcaps on AArch64) and packs new buffers at that
+ * (CPUID on x86-64; NEON on AArch64) and packs new buffers at that
  * width, so compute calls dispatch to the matching kernel class. The
  * environment variable IATF_FORCE_ISA=<name> overrides the choice at
  * first use (silently falling back to the detected backend when the name
@@ -105,7 +105,7 @@ double iatf_get_call_deadline_ms(void);
  * iatf_force_isa() is the programmatic override: it instead REFUSES an
  * unknown or unavailable backend with IATF_STATUS_UNSUPPORTED and leaves
  * the active backend unchanged. Canonical names: "sse2", "avx2",
- * "avx512", "neon", "sve". Changing the active ISA affects buffers and
+ * "avx512", "neon". Changing the active ISA affects buffers and
  * packed handles created afterwards; existing ones keep dispatching to
  * the backend they were packed for. */
 int iatf_force_isa(const char* name);
@@ -596,9 +596,8 @@ int64_t iatf_server_tenant_served(iatf_server* server, uint32_t tenant);
  *
  * The process-wide tuning table feeds the default engine: records are
  * consulted whenever a plan is built for a matching descriptor, and
- * missing descriptors fall back to the manual override (below), the
- * IATF_FORCE_PACK_A / IATF_FORCE_PACK_B / IATF_SLICE_OVERRIDE
- * environment variables, and finally the analytical model. */
+ * missing descriptors fall back to the manual override (below), then
+ * to the analytical model. */
 
 /* Manual plan overrides for descriptors the tuning table does not
  * cover. force_pack_* : -1 keeps the analytical choice, 0 forces

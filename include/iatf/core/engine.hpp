@@ -346,7 +346,7 @@ public:
   /// Attach an empirical tuning table (tune/tuning_table.hpp). Plans
   /// built after this consult the table first: a record matching the
   /// descriptor overrides the analytical model, a miss falls through to
-  /// the manual override / environment / analytical chain. The cache is
+  /// the manual override / analytical chain. The cache is
   /// cleared so descriptors planned before the table re-plan against it.
   /// nullptr detaches. The swap is torn-free: in-flight calls either see
   /// the complete old table or the complete new one, never a mix.
@@ -355,8 +355,8 @@ public:
 
   /// Manual plan override applied to every subsequent plan whose
   /// descriptor misses the tuning table (ablations, experiments). Also
-  /// clears the plan cache. clear_plan_tuning() restores the environment
-  /// (IATF_FORCE_PACK_A/B, IATF_SLICE_OVERRIDE) / analytical chain.
+  /// clears the plan cache. clear_plan_tuning() restores the analytical
+  /// default.
   void set_plan_tuning(const plan::PlanTuning& tuning);
   void clear_plan_tuning();
   plan::PlanTuning plan_tuning() const;
@@ -632,7 +632,7 @@ private:
   /// non-null) and wipe every shard. Serialised by config_mu_.
   void reconfigure(std::shared_ptr<TuningConfig> next);
 
-  /// Table -> manual override -> environment -> analytical default,
+  /// Table -> manual override -> analytical default,
   /// resolved against one immutable config snapshot.
   plan::PlanTuning resolve_tuning(const TuningConfig& config,
                                   const tune::TuneKey& key,

@@ -160,7 +160,7 @@ inline ClassKey class_key(const TrsmShape& s) {
 
 /// The size class of a descriptor: op tag 'p' (Cholesky), 'l'
 /// (unpivoted LU) or 'i' (triangular inverse) plus order, uplo, diag and
-/// batch.
+/// batch. The matrix is square, so the order is both m and n.
 inline ClassKey class_key(const factor::FactorShape& s) {
   ClassKey key;
   switch (s.op) {
@@ -175,6 +175,7 @@ inline ClassKey class_key(const factor::FactorShape& s) {
     break;
   }
   key.m = s.m;
+  key.n = s.m;
   key.uplo = static_cast<std::uint8_t>(s.uplo);
   key.diag = static_cast<std::uint8_t>(s.diag);
   key.batch = s.batch;

@@ -6,12 +6,12 @@
 // use. An Isa names one (architecture, width) backend:
 //
 //   x86-64:  Sse2 (16 B, always present)  Avx2 (32 B)  Avx512 (64 B)
-//   AArch64: Neon (16 B, always present)  Sve (core's svcntb width)
+//   AArch64: Neon (16 B, always present)
 //
 // detect_isa() returns the widest backend the host verifiably supports
-// (CPUID on x86, hwcaps on ARM) *and* that maps onto an instantiated
-// kernel class. supported_isas() enumerates all of them, narrowest first
-// -- the golden conformance sweep walks this list.
+// (CPUID on x86; AArch64 has its NEON baseline only). supported_isas()
+// enumerates all of them, narrowest first -- the golden conformance
+// sweep walks this list.
 //
 // The active backend defaults to detect_isa() and can be overridden:
 //   * IATF_FORCE_ISA=<name> in the environment (read once, at first use).
@@ -39,28 +39,24 @@ enum class Isa : int {
   Avx2 = 1,   ///< x86-64 AVX2+FMA, 256-bit ymm
   Avx512 = 2, ///< x86-64 AVX-512F, 512-bit zmm
   Neon = 3,   ///< AArch64 baseline, 128-bit q-register (the paper's ISA)
-  Sve = 4,    ///< AArch64 SVE, width reported by the core (svcntb)
 };
 
-/// Lower-case canonical name ("sse2", "avx2", "avx512", "neon", "sve").
+/// Lower-case canonical name ("sse2", "avx2", "avx512", "neon").
 const char* isa_name(Isa isa);
 
 /// Parse a canonical name (case-insensitive). Returns true and sets `out`
 /// on success; unknown names return false.
 bool parse_isa(const std::string& name, Isa& out);
 
-/// Register width in bytes of one backend. For Sve this is the executing
-/// core's vector length (0 when SVE is absent); for the fixed-width ISAs
-/// it is a constant 16/32/64.
+/// Register width in bytes of one backend: a constant 16/32/64.
 int isa_bytes(Isa isa);
 
 /// The architecture's always-present 128-bit backend (Sse2 or Neon).
 Isa baseline_isa();
 
 /// Every backend the host verifiably supports, narrowest first. The
-/// baseline is always element 0. A backend is listed only if the CPU
-/// advertises it (CPUID / hwcap) AND its width maps onto an instantiated
-/// kernel class (16/32/64 bytes).
+/// baseline is always element 0; a wider backend is listed only if the
+/// CPU advertises it (CPUID).
 std::vector<Isa> supported_isas();
 
 /// Widest verified backend on this host (the last supported_isas() entry).

@@ -5,7 +5,6 @@
 //                      (GCC/Clang vector extensions, array fallback)
 //   vec_x86.hpp     -- AVX2 / AVX-512 intrinsic specializations
 //   vec_neon.hpp    -- NEON intrinsic specializations (paper baseline)
-//   vec_sve.hpp     -- width-agnostic SVE vector-length scaffolding
 //
 // Always include THIS header: the backend specializations must be visible
 // before the first instantiation of vec at a specialized width, and the
@@ -22,7 +21,6 @@
 
 #include "iatf/simd/vec_generic.hpp"
 #include "iatf/simd/vec_neon.hpp"
-#include "iatf/simd/vec_sve.hpp"
 #include "iatf/simd/vec_x86.hpp"
 
 namespace iatf::simd {

@@ -16,7 +16,6 @@
 // Per-ISA refinements live in sibling headers included by vec.hpp:
 //   vec_x86.hpp   -- AVX2/AVX-512 intrinsic specializations (W = 8/16 lanes)
 //   vec_neon.hpp  -- NEON intrinsic specializations (128-bit baseline)
-//   vec_sve.hpp   -- width-agnostic SVE scaffolding (vector-length queries)
 // Include vec.hpp, never this header directly, so specializations are
 // always visible before the first instantiation.
 #pragma once

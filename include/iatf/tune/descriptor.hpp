@@ -36,33 +36,18 @@ struct TuneKeyHash {
   std::size_t operator()(const TuneKey& key) const noexcept;
 };
 
-namespace detail {
 /// A size class (sched::class_key) as a tuning key: batch dropped,
-/// dtype and register width added.
-template <class T, int Bytes> TuneKey tune_key(const sched::ClassKey& cls) {
-  TuneKey key;
-  key.op = cls.op;
-  key.dtype = blas_prefix_v<T>[0];
-  key.bytes = Bytes;
-  key.m = cls.m;
-  key.n = cls.n;
-  key.k = cls.k;
-  key.op_a = cls.op_a;
-  key.op_b = cls.op_b;
-  key.side = cls.side;
-  key.uplo = cls.uplo;
-  key.diag = cls.diag;
-  return key;
-}
-} // namespace detail
+/// dtype tag and register width added. The one place a TuneKey is
+/// assembled from descriptor fields.
+TuneKey tune_key(const sched::ClassKey& cls, char dtype, int bytes);
 
 /// Keys for the two descriptor kinds (batch deliberately dropped).
 template <class T, int Bytes = 16> TuneKey gemm_key(const GemmShape& shape) {
-  return detail::tune_key<T, Bytes>(sched::class_key(shape));
+  return tune_key(sched::class_key(shape), blas_prefix_v<T>[0], Bytes);
 }
 
 template <class T, int Bytes = 16> TuneKey trsm_key(const TrsmShape& shape) {
-  return detail::tune_key<T, Bytes>(sched::class_key(shape));
+  return tune_key(sched::class_key(shape), blas_prefix_v<T>[0], Bytes);
 }
 
 /// One-line human-readable rendering (also the table file's key fields).

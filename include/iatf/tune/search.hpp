@@ -69,11 +69,20 @@ template <class T, int Bytes = 16>
 TuneRecord tune_trsm(const TrsmShape& shape, const CacheInfo& cache,
                      const TuneOptions& opts = {});
 
-/// Runtime-dtype dispatch for the C API and the offline tuner CLI.
-/// Throws Status::InvalidArg for an unknown dtype tag.
-TuneRecord tune_gemm_dyn(char dtype, const GemmShape& shape,
-                         const CacheInfo& cache, const TuneOptions& opts);
-TuneRecord tune_trsm_dyn(char dtype, const TrsmShape& shape,
-                         const CacheInfo& cache, const TuneOptions& opts);
+/// A tuned record with the key it was timed under.
+struct TunedRecord {
+  TuneKey key;
+  TuneRecord record;
+};
+
+/// Runtime-dtype dispatch for the C API and the offline tuner CLI: tune
+/// at the active backend's register width (simd::active_pack_width, the
+/// width C buffers are created at) and return the record with its key,
+/// so the record reaches the calls it was timed for. Throws
+/// Status::InvalidArg for an unknown dtype tag.
+TunedRecord tune_gemm_dyn(char dtype, const GemmShape& shape,
+                          const CacheInfo& cache, const TuneOptions& opts);
+TunedRecord tune_trsm_dyn(char dtype, const TrsmShape& shape,
+                          const CacheInfo& cache, const TuneOptions& opts);
 
 } // namespace iatf::tune

@@ -113,11 +113,4 @@ private:
   std::unordered_map<TuneKey, TuneRecord, TuneKeyHash> records_;
 };
 
-/// Process-environment plan overrides (IATF_FORCE_PACK_A, IATF_FORCE_PACK_B,
-/// IATF_SLICE_OVERRIDE); unset or unparsable variables leave the
-/// corresponding field on "auto". Forcing no-pack for an operand the plan
-/// must gather surfaces as Status::InvalidArg at plan build, exactly like
-/// the C++ PlanTuning ablation path.
-plan::PlanTuning env_plan_tuning();
-
 } // namespace iatf::tune

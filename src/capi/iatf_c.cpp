@@ -1,5 +1,10 @@
 // C interface implementation: thin exception-to-error-code shims over the
-// C++ core, with the opaque buffer structs wrapping CompactBuffer.
+// C++ core, with the opaque buffer structs wrapping CompactBuffer. Every
+// compute entry point is a one-line forward to one typed template per op
+// (gemm, trsm, factor, gemm_grouped, trsm_grouped), and each template
+// takes the same steps: null-check the operands, convert the C enums,
+// dispatch the width once on the written operand, call the default
+// engine, and fold the health reports into a status (guarded_compute).
 #include "iatf/capi/iatf.h"
 
 #include "capi_buffers.hpp"
@@ -8,7 +13,10 @@
 #include <complex>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "iatf/common/error.hpp"
 #include "iatf/core/compact_blas.hpp"
@@ -16,6 +24,7 @@
 #include "iatf/ext/compact_ext.hpp"
 #include "iatf/core/width_dispatch.hpp"
 #include "iatf/resilience/resilience.hpp"
+#include "iatf/sched/group_scheduler.hpp"
 #include "iatf/simd/isa.hpp"
 #include "iatf/tune/search.hpp"
 #include "iatf/tune/tuning_table.hpp"
@@ -23,7 +32,10 @@
 
 namespace {
 
+namespace sched = iatf::sched;
+using iatf::Op;
 using iatf::capi::enum_bits;
+using iatf::factor::FactorOp;
 using iatf::capi::to_diag;
 using iatf::capi::to_op;
 using iatf::capi::to_side;
@@ -66,9 +78,10 @@ static_assert(IATF_EXEC_FALLBACK ==
 
 thread_local std::string g_last_error;
 
-// Failing-descriptor attribution for iatf_last_error_detail(): compute
-// shims prefill a detail from their arguments and store it on failure or
-// on a resilience degradation (quarantine / breaker / overload).
+// Failing-descriptor attribution for iatf_last_error_detail(): every
+// compute shim builds its call's detail with detail_of and stores it on
+// failure or on a resilience degradation (quarantine / breaker /
+// overload).
 thread_local iatf_error_detail g_last_detail;
 thread_local bool g_has_detail = false;
 
@@ -76,86 +89,29 @@ constexpr unsigned kDetailEvents = IATF_EVENT_QUARANTINED_KERNEL |
                                    IATF_EVENT_BREAKER_OPEN |
                                    IATF_EVENT_OVERLOADED;
 
-iatf_error_detail blank_detail() {
+/// The raw bits of a call's C mode enums; -1 where a field does not
+/// apply to the op.
+struct ModeBits {
+  int op_a = -1, op_b = -1, side = -1, uplo = -1, diag = -1;
+};
+
+/// The one source of iatf_error_detail: op and sizes are the call's class
+/// key (sched::class_key of its descriptor, or of an empty descriptor
+/// when an operand is null), the mode fields the enum bits as passed.
+iatf_error_detail detail_of(char dtype, const iatf::sched::ClassKey& key,
+                            const ModeBits& bits) {
   iatf_error_detail d{};
-  d.op_a = -1;
-  d.op_b = -1;
-  d.side = -1;
-  d.uplo = -1;
-  d.diag = -1;
-  return d;
-}
-
-void store_detail(iatf_error_detail detail, int status, unsigned events) {
-  detail.status = status;
-  detail.events = events;
-  g_last_detail = detail;
-  g_has_detail = true;
-}
-
-template <class ABuf, class CBuf>
-iatf_error_detail gemm_detail(char dtype, const iatf_op& op_a,
-                              const iatf_op& op_b, const ABuf* a,
-                              const CBuf* c) {
-  iatf_error_detail d = blank_detail();
-  d.op = 'g';
+  d.op = key.op;
   d.dtype = dtype;
-  d.op_a = enum_bits(op_a);
-  d.op_b = enum_bits(op_b);
-  if (c != nullptr) {
-    d.m = c->buf.rows();
-    d.n = c->buf.cols();
-    d.batch = c->buf.batch();
-  }
-  if (a != nullptr) {
-    d.k = d.op_a == IATF_NOTRANS ? a->buf.cols() : a->buf.rows();
-  }
-  return d;
-}
-
-template <class BBuf>
-iatf_error_detail trsm_detail(char dtype, const iatf_side& side,
-                              const iatf_uplo& uplo, const iatf_op& op_a,
-                              const iatf_diag& diag, const BBuf* b) {
-  iatf_error_detail d = blank_detail();
-  d.op = 't';
-  d.dtype = dtype;
-  d.op_a = enum_bits(op_a);
-  d.side = enum_bits(side);
-  d.uplo = enum_bits(uplo);
-  d.diag = enum_bits(diag);
-  if (b != nullptr) {
-    d.m = b->buf.rows();
-    d.n = b->buf.cols();
-    d.batch = b->buf.batch();
-  }
-  return d;
-}
-
-// Factorisation calls: one square descriptor, no second operand.
-iatf_error_detail factor_detail(char op, char dtype, int64_t m,
-                                int64_t batch, int uplo, int diag) {
-  iatf_error_detail d = blank_detail();
-  d.op = op;
-  d.dtype = dtype;
-  d.m = m;
-  d.n = m;
-  d.batch = batch;
-  d.uplo = uplo;
-  d.diag = diag;
-  return d;
-}
-
-// Grouped calls have no single descriptor; attribute the call kind and
-// the group count, leaving the per-matrix sizes unset (-1).
-iatf_error_detail grouped_detail(char op, char dtype, int64_t group_count) {
-  iatf_error_detail d = blank_detail();
-  d.op = op;
-  d.dtype = dtype;
-  d.m = -1;
-  d.n = -1;
-  d.k = -1;
-  d.batch = group_count;
+  d.m = key.m;
+  d.n = key.n;
+  d.k = key.k;
+  d.batch = key.batch;
+  d.op_a = bits.op_a;
+  d.op_b = bits.op_b;
+  d.side = bits.side;
+  d.uplo = bits.uplo;
+  d.diag = bits.diag;
   return d;
 }
 
@@ -180,43 +136,30 @@ template <class Fn> int guarded(Fn&& fn) {
   }
 }
 
-/// gemm/trsm shim: hazards the engine detected but did not repair (the
-/// Check policy observes without retrying) surface as a status code, so C
-/// callers get the report without the BatchHealth struct. The prefilled
-/// detail is stored when the call fails or silently degrades.
-template <class Fn>
-int guarded_blas(const iatf_error_detail& detail, Fn&& fn) {
-  try {
-    const iatf::BatchHealth health = fn();
-    const unsigned events =
-        static_cast<unsigned>(health.events) & kDetailEvents;
-    if ((health.nonfinite != 0 || health.singular != 0) &&
-        health.fallback == 0) {
-      g_last_error = "iatf: numerical hazard detected (" +
-                     std::to_string(health.nonfinite) + " non-finite, " +
-                     std::to_string(health.singular) +
-                     " singular-diagonal matrices)";
-      store_detail(detail, IATF_STATUS_NUMERICAL_HAZARD, events);
-      return IATF_STATUS_NUMERICAL_HAZARD;
-    }
-    if (events != 0) {
-      store_detail(detail, IATF_STATUS_OK, events);
-    }
-    return IATF_STATUS_OK;
-  } catch (...) {
-    const int rc = record_exception();
-    store_detail(detail, rc, 0);
-    return rc;
-  }
+void store_detail(iatf_error_detail detail, int status, unsigned events) {
+  detail.status = status;
+  detail.events = events;
+  g_last_detail = detail;
+  g_has_detail = true;
 }
 
-/// Grouped shim: the per-segment health reports fold into one status --
-/// any segment with an unrepaired hazard makes the whole call report
-/// IATF_STATUS_NUMERICAL_HAZARD (matching guarded_blas for one segment).
+/// The health-to-status fold of every compute shim. `fn` returns the
+/// engine's report: one BatchHealth (a single call is a span of one) or
+/// one per segment. Hazards the engine detected but did not repair (the
+/// Check policy observes without retrying) surface as
+/// IATF_STATUS_NUMERICAL_HAZARD, so C callers get the report without the
+/// BatchHealth struct; `detail` is stored when the call fails or
+/// silently degrades.
 template <class Fn>
-int guarded_grouped(const iatf_error_detail& detail, Fn&& fn) {
+int guarded_compute(const iatf_error_detail& detail, Fn&& fn) {
   try {
-    const std::vector<iatf::BatchHealth> healths = fn();
+    const auto result = fn();
+    std::span<const iatf::BatchHealth> healths;
+    if constexpr (std::is_same_v<decltype(result), const iatf::BatchHealth>) {
+      healths = {&result, 1};
+    } else {
+      healths = result;
+    }
     iatf::index_t nonfinite = 0;
     iatf::index_t singular = 0;
     unsigned events = 0;
@@ -247,6 +190,190 @@ int guarded_grouped(const iatf_error_detail& detail, Fn&& fn) {
   }
 }
 
+// The two C handle kinds: opaque buffers (`buf`) and packed handles
+// (`h`). The engine overloads every single call on both; the descriptor
+// is read from the compact storage either kind wraps.
+template <class H> constexpr bool kIsBuffer = requires(H& x) { x.buf; };
+
+template <class H> auto& operand(H& x) {
+  if constexpr (kIsBuffer<H>) {
+    return x.buf;
+  } else {
+    return x.h;
+  }
+}
+
+template <class H> auto& storage(H& x) {
+  if constexpr (kIsBuffer<H>) {
+    return x.buf;
+  } else {
+    return x.h.buffer();
+  }
+}
+
+template <class H> std::string null_operand(const char* fn) {
+  return std::string(fn) + (kIsBuffer<H> ? ": null buffer" : ": null handle");
+}
+
+/// The op that sizes a GEMM detail's k: anything but IATF_NOTRANS reads
+/// A transposed, so garbage op bits still report A's extents.
+Op sizing_op(const iatf_op& op) {
+  return enum_bits(op) == IATF_NOTRANS ? Op::NoTrans : Op::Trans;
+}
+
+template <class T, class H>
+int gemm(const char* fn, const iatf_op& op_a, const iatf_op& op_b, T alpha,
+         const H* a, const H* b, T beta, H* c) {
+  sched::GemmSegment<T> seg;
+  seg.op_a = sizing_op(op_a);
+  seg.a = a != nullptr ? &storage(*a) : nullptr;
+  seg.c = c != nullptr ? &storage(*c) : nullptr;
+  const auto key = sched::class_key(
+      seg.a != nullptr && seg.c != nullptr ? sched::shape_of(seg)
+                                           : iatf::GemmShape{});
+  return guarded_compute(
+      detail_of(*iatf::blas_prefix_v<T>, key,
+                {enum_bits(op_a), enum_bits(op_b)}),
+      [&] {
+        IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,
+                   null_operand<H>(fn));
+        const Op ta = to_op(op_a);
+        const Op tb = to_op(op_b);
+        return iatf::dispatch_width<T>(storage(*c).pack_width(), [&](auto w) {
+          return iatf::Engine::default_engine().gemm<T, decltype(w)::value>(
+              ta, tb, alpha, operand(*a), operand(*b), beta, operand(*c));
+        });
+      });
+}
+
+template <class T, class H>
+int trsm(const char* fn, const iatf_side& side, const iatf_uplo& uplo,
+         const iatf_op& op_a, const iatf_diag& diag, T alpha, const H* a,
+         H* b) {
+  sched::TrsmSegment<T> seg;
+  seg.b = b != nullptr ? &storage(*b) : nullptr;
+  const auto key = sched::class_key(
+      seg.b != nullptr ? sched::shape_of(seg) : iatf::TrsmShape{});
+  return guarded_compute(
+      detail_of(*iatf::blas_prefix_v<T>, key,
+                {.op_a = enum_bits(op_a),
+                 .side = enum_bits(side),
+                 .uplo = enum_bits(uplo),
+                 .diag = enum_bits(diag)}),
+      [&] {
+        IATF_CHECK(a != nullptr && b != nullptr, null_operand<H>(fn));
+        const iatf::Side s = to_side(side);
+        const iatf::Uplo u = to_uplo(uplo);
+        const Op t = to_op(op_a);
+        const iatf::Diag d = to_diag(diag);
+        return iatf::dispatch_width<T>(storage(*b).pack_width(), [&](auto w) {
+          return iatf::Engine::default_engine().trsm<T, decltype(w)::value>(
+              s, u, t, d, alpha, operand(*a), operand(*b));
+        });
+      });
+}
+
+/// potrf, getrfnp and trtri in place on a buffer or handle. `uplo` and
+/// `diag` are trtri's mode (null for the other two).
+template <FactorOp kOp, class T, class H>
+int factor(const char* fn, H* a, const iatf_uplo* uplo = nullptr,
+           const iatf_diag* diag = nullptr) {
+  sched::FactorSegment<T> seg;
+  seg.op = kOp;
+  seg.a = a != nullptr ? &storage(*a) : nullptr;
+  iatf::factor::FactorShape empty;
+  empty.op = kOp;
+  const auto key =
+      sched::class_key(seg.a != nullptr ? sched::shape_of(seg) : empty);
+  ModeBits bits;
+  if constexpr (kOp == FactorOp::Trtri) {
+    bits.uplo = enum_bits(*uplo);
+    bits.diag = enum_bits(*diag);
+  }
+  return guarded_compute(detail_of(*iatf::blas_prefix_v<T>, key, bits), [&] {
+    IATF_CHECK(a != nullptr, null_operand<H>(fn));
+    return iatf::dispatch_width<T>(storage(*a).pack_width(), [&](auto w) {
+      constexpr int kBytes = decltype(w)::value;
+      iatf::Engine& engine = iatf::Engine::default_engine();
+      if constexpr (kOp == FactorOp::Potrf) {
+        return engine.potrf_batch<T, kBytes>(operand(*a));
+      } else if constexpr (kOp == FactorOp::GetrfNp) {
+        return engine.getrf_nopiv_batch<T, kBytes>(operand(*a));
+      } else {
+        return engine.trtri_batch<T, kBytes>(to_uplo(*uplo), to_diag(*diag),
+                                             operand(*a));
+      }
+    });
+  });
+}
+
+// Grouped segments carry their scalars as T (real) or as (re, im) pairs
+// of the real type (complex).
+template <class T, class Seg> T alpha_of(const Seg& s) {
+  if constexpr (iatf::is_complex_v<T>) {
+    return T{s.alpha_re, s.alpha_im};
+  } else {
+    return s.alpha;
+  }
+}
+
+template <class T, class Seg> T beta_of(const Seg& s) {
+  if constexpr (iatf::is_complex_v<T>) {
+    return T{s.beta_re, s.beta_im};
+  } else {
+    return s.beta;
+  }
+}
+
+/// Grouped calls have no single descriptor: the detail carries the call
+/// kind and the group count, the per-matrix sizes unset (-1).
+iatf::sched::ClassKey grouped_key(char op, int64_t group_count) {
+  return {.op = op, .m = -1, .n = -1, .k = -1, .batch = group_count};
+}
+
+void check_segments(const char* fn, const void* segments,
+                    int64_t group_count) {
+  IATF_CHECK(group_count >= 0 && (group_count == 0 || segments != nullptr),
+             std::string(fn) + ": invalid segment array");
+}
+
+template <class T, class Seg>
+int gemm_grouped(const char* fn, const Seg* segments, int64_t group_count) {
+  return guarded_compute(
+      detail_of(*iatf::blas_prefix_v<T>, grouped_key('g', group_count), {}),
+      [&] {
+        check_segments(fn, segments, group_count);
+        std::vector<sched::GemmSegment<T>> segs;
+        segs.reserve(static_cast<std::size_t>(group_count));
+        for (const Seg& in : std::span(segments, group_count)) {
+          IATF_CHECK(in.a != nullptr && in.b != nullptr && in.c != nullptr,
+                     std::string(fn) + ": segment with a null buffer");
+          segs.push_back({to_op(in.op_a), to_op(in.op_b), alpha_of<T>(in),
+                          beta_of<T>(in), &in.a->buf, &in.b->buf,
+                          &in.c->buf});
+        }
+        return iatf::compact_gemm_grouped<T>(segs);
+      });
+}
+
+template <class T, class Seg>
+int trsm_grouped(const char* fn, const Seg* segments, int64_t group_count) {
+  return guarded_compute(
+      detail_of(*iatf::blas_prefix_v<T>, grouped_key('t', group_count), {}),
+      [&] {
+        check_segments(fn, segments, group_count);
+        std::vector<sched::TrsmSegment<T>> segs;
+        segs.reserve(static_cast<std::size_t>(group_count));
+        for (const Seg& in : std::span(segments, group_count)) {
+          IATF_CHECK(in.a != nullptr && in.b != nullptr,
+                     std::string(fn) + ": segment with a null buffer");
+          segs.push_back({to_side(in.side), to_uplo(in.uplo), to_op(in.op_a),
+                          to_diag(in.diag), alpha_of<T>(in), &in.a->buf,
+                          &in.b->buf});
+        }
+        return iatf::compact_trsm_grouped<T>(segs);
+      });
+}
 
 // Process-wide tuning table behind the C API. Mutations publish an
 // immutable copy to the default engine, which clears its plan cache.
@@ -272,6 +399,13 @@ iatf::tune::TuneOptions tune_options(int64_t batch, int reps) {
   return opts;
 }
 
+/// Insert a tuned record under the key it was timed at and publish.
+void publish_tuned(const iatf::tune::TunedRecord& tuned) {
+  std::lock_guard<std::mutex> lock(g_tune_mutex);
+  tune_table_locked().insert(tuned.key, tuned.record);
+  publish_tune_table_locked();
+}
+
 std::string tune_path(const char* path) {
   return path != nullptr && path[0] != '\0'
              ? std::string(path)
@@ -293,7 +427,7 @@ extern "C" void iatf_clear_error(void) {
   // Blank the descriptor too, not just the availability flag: a later
   // out-of-contract read of the struct must see no stale descriptor or
   // event bits from before the clear.
-  g_last_detail = blank_detail();
+  g_last_detail = detail_of(0, {}, {});
   g_has_detail = false;
 }
 
@@ -599,106 +733,67 @@ IATF_DEFINE_BUFFER(z, iatf_zbuf, std::complex<double>, double)
 #define IATF_PARAM(KIND, T, SCALAR, name) IATF_PARAM_##KIND(T, SCALAR, name)
 #define IATF_VALUE(KIND, T, name) IATF_VALUE_##KIND(T, name)
 
-#define IATF_DEFINE_COMPACT_BLAS(P, BUF, T, SCALAR, KIND)                     \
-  extern "C" int iatf_##P##gemm_compact(                                      \
+// Compute shims over one C handle kind H (buffers or packed handles):
+// BLAS entry points are named iatf_?<op>_<BS>, factorisations
+// iatf_?<op>_<FS>.
+#define IATF_DEFINE_COMPUTE(P, H, BS, FS, T, SCALAR, KIND)                    \
+  extern "C" int iatf_##P##gemm_##BS(                                         \
       iatf_op op_a, iatf_op op_b, IATF_PARAM(KIND, T, SCALAR, alpha),         \
-      const BUF* a, const BUF* b, IATF_PARAM(KIND, T, SCALAR, beta),          \
-      BUF* c) {                                                               \
-    return guarded_blas(gemm_detail(*#P, op_a, op_b, a, c), [&] {             \
-      IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,                \
-                 "iatf_" #P "gemm_compact: null buffer");                     \
-      return iatf::compact_gemm<T>(                                           \
-          to_op(op_a), to_op(op_b), IATF_VALUE(KIND, T, alpha), a->buf,       \
-          b->buf, IATF_VALUE(KIND, T, beta), c->buf);                         \
-    });                                                                       \
+      const H* a, const H* b, IATF_PARAM(KIND, T, SCALAR, beta), H* c) {      \
+    return gemm<T>(__func__, op_a, op_b, IATF_VALUE(KIND, T, alpha), a, b,    \
+                   IATF_VALUE(KIND, T, beta), c);                             \
   }                                                                           \
-  extern "C" int iatf_##P##trsm_compact(                                      \
+  extern "C" int iatf_##P##trsm_##BS(                                         \
       iatf_side side, iatf_uplo uplo, iatf_op op_a, iatf_diag diag,           \
-      IATF_PARAM(KIND, T, SCALAR, alpha), const BUF* a, BUF* b) {             \
-    return guarded_blas(trsm_detail(*#P, side, uplo, op_a, diag, b), [&] {    \
-      IATF_CHECK(a != nullptr && b != nullptr,                                \
-                 "iatf_" #P "trsm_compact: null buffer");                     \
-      return iatf::compact_trsm<T>(to_side(side), to_uplo(uplo),              \
-                                   to_op(op_a), to_diag(diag),                \
-                                   IATF_VALUE(KIND, T, alpha), a->buf,        \
-                                   b->buf);                                   \
-    });                                                                       \
+      IATF_PARAM(KIND, T, SCALAR, alpha), const H* a, H* b) {                 \
+    return trsm<T>(__func__, side, uplo, op_a, diag,                          \
+                   IATF_VALUE(KIND, T, alpha), a, b);                         \
+  }                                                                           \
+  extern "C" int iatf_##P##potrf_##FS(H* a) {                                 \
+    return factor<FactorOp::Potrf, T>(__func__, a);                           \
+  }                                                                           \
+  extern "C" int iatf_##P##getrfnp_##FS(H* a) {                               \
+    return factor<FactorOp::GetrfNp, T>(__func__, a);                         \
+  }                                                                           \
+  extern "C" int iatf_##P##trtri_##FS(iatf_uplo uplo, iatf_diag diag, H* a) { \
+    return factor<FactorOp::Trtri, T>(__func__, a, &uplo, &diag);             \
   }
 
-IATF_DEFINE_COMPACT_BLAS(s, iatf_sbuf, float, float, REAL)
-IATF_DEFINE_COMPACT_BLAS(d, iatf_dbuf, double, double, REAL)
-IATF_DEFINE_COMPACT_BLAS(c, iatf_cbuf, std::complex<float>, float, CX)
-IATF_DEFINE_COMPACT_BLAS(z, iatf_zbuf, std::complex<double>, double, CX)
-#undef IATF_DEFINE_COMPACT_BLAS
+IATF_DEFINE_COMPUTE(s, iatf_sbuf, compact, batch, float, float, REAL)
+IATF_DEFINE_COMPUTE(d, iatf_dbuf, compact, batch, double, double, REAL)
+IATF_DEFINE_COMPUTE(c, iatf_cbuf, compact, batch, std::complex<float>, float,
+                    CX)
+IATF_DEFINE_COMPUTE(z, iatf_zbuf, compact, batch, std::complex<double>,
+                    double, CX)
+IATF_DEFINE_COMPUTE(s, iatf_spacked, packed, packed, float, float, REAL)
+IATF_DEFINE_COMPUTE(d, iatf_dpacked, packed, packed, double, double, REAL)
+IATF_DEFINE_COMPUTE(c, iatf_cpacked, packed, packed, std::complex<float>,
+                    float, CX)
+IATF_DEFINE_COMPUTE(z, iatf_zpacked, packed, packed, std::complex<double>,
+                    double, CX)
+#undef IATF_DEFINE_COMPUTE
+#undef IATF_PARAM_REAL
+#undef IATF_VALUE_REAL
+#undef IATF_PARAM_CX
+#undef IATF_VALUE_CX
+#undef IATF_PARAM
+#undef IATF_VALUE
 
-// Grouped entry points: convert the C segment arrays into the C++
-// scheduler segments over the opaque buffers' CompactBuffers. Real and
-// complex variants differ only in how the scalars are assembled.
-#define IATF_DEFINE_GEMM_GROUPED(P, T, KIND)                                 \
-  extern "C" int iatf_##P##gemm_grouped(                                     \
-      const iatf_##P##gemm_segment* segments, int64_t group_count) {         \
-    return guarded_grouped(grouped_detail('g', *#P, group_count), [&] {      \
-      IATF_CHECK(group_count >= 0 &&                                         \
-                     (group_count == 0 || segments != nullptr),              \
-                 "iatf_" #P "gemm_grouped: invalid segment array");          \
-      std::vector<iatf::sched::GemmSegment<T>> segs(                         \
-          static_cast<std::size_t>(group_count));                            \
-      for (int64_t i = 0; i < group_count; ++i) {                            \
-        const iatf_##P##gemm_segment& in = segments[i];                      \
-        IATF_CHECK(in.a != nullptr && in.b != nullptr && in.c != nullptr,    \
-                   "iatf_" #P "gemm_grouped: segment with a null buffer");   \
-        iatf::sched::GemmSegment<T>& out =                                   \
-            segs[static_cast<std::size_t>(i)];                               \
-        out.op_a = to_op(in.op_a);                                           \
-        out.op_b = to_op(in.op_b);                                           \
-        out.alpha = IATF_VALUE(KIND, T, in.alpha);                           \
-        out.beta = IATF_VALUE(KIND, T, in.beta);                             \
-        out.a = &in.a->buf;                                                  \
-        out.b = &in.b->buf;                                                  \
-        out.c = &in.c->buf;                                                  \
-      }                                                                      \
-      return iatf::compact_gemm_grouped<T>(segs);                            \
-    });                                                                      \
+#define IATF_DEFINE_GROUPED(P, T)                                             \
+  extern "C" int iatf_##P##gemm_grouped(                                      \
+      const iatf_##P##gemm_segment* segments, int64_t group_count) {          \
+    return gemm_grouped<T>(__func__, segments, group_count);                  \
+  }                                                                           \
+  extern "C" int iatf_##P##trsm_grouped(                                      \
+      const iatf_##P##trsm_segment* segments, int64_t group_count) {          \
+    return trsm_grouped<T>(__func__, segments, group_count);                  \
   }
 
-IATF_DEFINE_GEMM_GROUPED(s, float, REAL)
-IATF_DEFINE_GEMM_GROUPED(d, double, REAL)
-IATF_DEFINE_GEMM_GROUPED(c, std::complex<float>, CX)
-IATF_DEFINE_GEMM_GROUPED(z, std::complex<double>, CX)
-#undef IATF_DEFINE_GEMM_GROUPED
-
-#define IATF_DEFINE_TRSM_GROUPED(P, T, KIND)                                 \
-  extern "C" int iatf_##P##trsm_grouped(                                     \
-      const iatf_##P##trsm_segment* segments, int64_t group_count) {         \
-    return guarded_grouped(grouped_detail('t', *#P, group_count), [&] {      \
-      IATF_CHECK(group_count >= 0 &&                                         \
-                     (group_count == 0 || segments != nullptr),              \
-                 "iatf_" #P "trsm_grouped: invalid segment array");          \
-      std::vector<iatf::sched::TrsmSegment<T>> segs(                         \
-          static_cast<std::size_t>(group_count));                            \
-      for (int64_t i = 0; i < group_count; ++i) {                            \
-        const iatf_##P##trsm_segment& in = segments[i];                      \
-        IATF_CHECK(in.a != nullptr && in.b != nullptr,                       \
-                   "iatf_" #P "trsm_grouped: segment with a null buffer");   \
-        iatf::sched::TrsmSegment<T>& out =                                   \
-            segs[static_cast<std::size_t>(i)];                               \
-        out.side = to_side(in.side);                                         \
-        out.uplo = to_uplo(in.uplo);                                         \
-        out.op_a = to_op(in.op_a);                                           \
-        out.diag = to_diag(in.diag);                                         \
-        out.alpha = IATF_VALUE(KIND, T, in.alpha);                           \
-        out.a = &in.a->buf;                                                  \
-        out.b = &in.b->buf;                                                  \
-      }                                                                      \
-      return iatf::compact_trsm_grouped<T>(segs);                            \
-    });                                                                      \
-  }
-
-IATF_DEFINE_TRSM_GROUPED(s, float, REAL)
-IATF_DEFINE_TRSM_GROUPED(d, double, REAL)
-IATF_DEFINE_TRSM_GROUPED(c, std::complex<float>, CX)
-IATF_DEFINE_TRSM_GROUPED(z, std::complex<double>, CX)
-#undef IATF_DEFINE_TRSM_GROUPED
+IATF_DEFINE_GROUPED(s, float)
+IATF_DEFINE_GROUPED(d, double)
+IATF_DEFINE_GROUPED(c, std::complex<float>)
+IATF_DEFINE_GROUPED(z, std::complex<double>)
+#undef IATF_DEFINE_GROUPED
 
 extern "C" int iatf_set_plan_tuning(const iatf_plan_tuning* tuning) {
   return guarded([&] {
@@ -722,23 +817,10 @@ extern "C" int iatf_tune_gemm(char dtype, iatf_op op_a, iatf_op op_b,
                               int64_t m, int64_t n, int64_t k,
                               int64_t batch, int reps) {
   return guarded([&] {
-    iatf::GemmShape shape;
-    shape.m = m;
-    shape.n = n;
-    shape.k = k;
-    shape.op_a = to_op(op_a);
-    shape.op_b = to_op(op_b);
-    const iatf::CacheInfo cache =
-        iatf::Engine::default_engine().cache_info();
-    const iatf::tune::TuneRecord rec = iatf::tune::tune_gemm_dyn(
-        dtype, shape, cache, tune_options(batch, reps));
-    std::lock_guard<std::mutex> lock(g_tune_mutex);
-    tune_table_locked().insert(
-        iatf::tune::TuneKey{'g', dtype, 16, m, n, k,
-                            static_cast<std::uint8_t>(op_a),
-                            static_cast<std::uint8_t>(op_b), 0, 0, 0},
-        rec);
-    publish_tune_table_locked();
+    const iatf::GemmShape shape{m, n, k, to_op(op_a), to_op(op_b)};
+    publish_tuned(iatf::tune::tune_gemm_dyn(
+        dtype, shape, iatf::Engine::default_engine().cache_info(),
+        tune_options(batch, reps)));
   });
 }
 
@@ -746,26 +828,11 @@ extern "C" int iatf_tune_trsm(char dtype, iatf_side side, iatf_uplo uplo,
                               iatf_op op_a, iatf_diag diag, int64_t m,
                               int64_t n, int64_t batch, int reps) {
   return guarded([&] {
-    iatf::TrsmShape shape;
-    shape.m = m;
-    shape.n = n;
-    shape.side = to_side(side);
-    shape.uplo = to_uplo(uplo);
-    shape.op_a = to_op(op_a);
-    shape.diag = to_diag(diag);
-    const iatf::CacheInfo cache =
-        iatf::Engine::default_engine().cache_info();
-    const iatf::tune::TuneRecord rec = iatf::tune::tune_trsm_dyn(
-        dtype, shape, cache, tune_options(batch, reps));
-    std::lock_guard<std::mutex> lock(g_tune_mutex);
-    tune_table_locked().insert(
-        iatf::tune::TuneKey{'t', dtype, 16, m, n, 0,
-                            static_cast<std::uint8_t>(op_a), 0,
-                            static_cast<std::uint8_t>(side),
-                            static_cast<std::uint8_t>(uplo),
-                            static_cast<std::uint8_t>(diag)},
-        rec);
-    publish_tune_table_locked();
+    const iatf::TrsmShape shape{m, n, to_side(side), to_uplo(uplo),
+                                to_op(op_a), to_diag(diag)};
+    publish_tuned(iatf::tune::tune_trsm_dyn(
+        dtype, shape, iatf::Engine::default_engine().cache_info(),
+        tune_options(batch, reps)));
   });
 }
 
@@ -805,10 +872,10 @@ extern "C" int iatf_tune_load(const char* path) {
   });
 }
 
-// Packed-layout handles and batched factorisations (s/d/c/z). The packed
-// compute shims reuse guarded_blas so hazard reporting matches the
-// _compact routines; the handle-validity checks live in the engine.
-#define IATF_DEFINE_PACKED(P, PACKED, BUF, T, SCALAR, KIND)                   \
+// Packed-layout handle lifecycle and accessors (s/d/c/z); the packed
+// compute shims are defined with the buffer ones above, and the
+// handle-validity checks live in the engine.
+#define IATF_DEFINE_PACKED(P, PACKED, T, SCALAR)                              \
   extern "C" PACKED* iatf_##P##pack(const SCALAR* src, int64_t rows,          \
                                     int64_t cols, int64_t ld,                 \
                                     int64_t matrix_stride, int64_t batch) {   \
@@ -848,158 +915,13 @@ extern "C" int iatf_tune_load(const char* path) {
   }                                                                           \
   extern "C" uint64_t iatf_##P##packed_epoch(const PACKED* p) {               \
     return p != nullptr ? p->h.epoch() : 0;                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##gemm_packed(                                       \
-      iatf_op op_a, iatf_op op_b, IATF_PARAM(KIND, T, SCALAR, alpha),         \
-      const PACKED* a, const PACKED* b, IATF_PARAM(KIND, T, SCALAR, beta),    \
-      PACKED* c) {                                                            \
-    iatf_error_detail d = blank_detail();                                     \
-    d.op = 'g';                                                               \
-    d.dtype = *#P;                                                            \
-    d.op_a = static_cast<int>(op_a);                                          \
-    d.op_b = static_cast<int>(op_b);                                          \
-    if (c != nullptr) {                                                       \
-      d.m = c->h.rows();                                                      \
-      d.n = c->h.cols();                                                      \
-      d.batch = c->h.batch();                                                 \
-    }                                                                         \
-    return guarded_blas(d, [&] {                                              \
-      IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,                \
-                 "iatf_" #P "gemm_packed: null handle");                      \
-      return iatf::dispatch_width<T>(c->h.pack_width(), [&](auto bytes) {     \
-        return iatf::Engine::default_engine()                                 \
-            .gemm<T, decltype(bytes)::value>(                                 \
-                to_op(op_a), to_op(op_b), IATF_VALUE(KIND, T, alpha), a->h,   \
-                b->h, IATF_VALUE(KIND, T, beta), c->h);                       \
-      });                                                                     \
-    });                                                                       \
-  }                                                                           \
-  extern "C" int iatf_##P##trsm_packed(                                       \
-      iatf_side side, iatf_uplo uplo, iatf_op op_a, iatf_diag diag,           \
-      IATF_PARAM(KIND, T, SCALAR, alpha), const PACKED* a, PACKED* b) {       \
-    iatf_error_detail d = blank_detail();                                     \
-    d.op = 't';                                                               \
-    d.dtype = *#P;                                                            \
-    d.op_a = static_cast<int>(op_a);                                          \
-    d.side = static_cast<int>(side);                                          \
-    d.uplo = static_cast<int>(uplo);                                          \
-    d.diag = static_cast<int>(diag);                                          \
-    if (b != nullptr) {                                                       \
-      d.m = b->h.rows();                                                      \
-      d.n = b->h.cols();                                                      \
-      d.batch = b->h.batch();                                                 \
-    }                                                                         \
-    return guarded_blas(d, [&] {                                              \
-      IATF_CHECK(a != nullptr && b != nullptr,                                \
-                 "iatf_" #P "trsm_packed: null handle");                      \
-      return iatf::dispatch_width<T>(b->h.pack_width(), [&](auto bytes) {     \
-        return iatf::Engine::default_engine()                                 \
-            .trsm<T, decltype(bytes)::value>(                                 \
-                to_side(side), to_uplo(uplo), to_op(op_a), to_diag(diag),     \
-                IATF_VALUE(KIND, T, alpha), a->h, b->h);                      \
-      });                                                                     \
-    });                                                                       \
-  }                                                                           \
-  extern "C" int iatf_##P##potrf_batch(BUF* a) {                              \
-    return guarded_blas(                                                      \
-        factor_detail('p', *#P, a != nullptr ? a->buf.rows() : 0,           \
-                      a != nullptr ? a->buf.batch() : 0, -1, -1),             \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "potrf_batch: null buffer");    \
-          return iatf::dispatch_width<T>(                                    \
-              a->buf.pack_width(), [&](auto bytes) {                          \
-                return iatf::Engine::default_engine()                         \
-                    .potrf_batch<T, decltype(bytes)::value>(a->buf);          \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##getrfnp_batch(BUF* a) {                            \
-    return guarded_blas(                                                      \
-        factor_detail('l', *#P, a != nullptr ? a->buf.rows() : 0,           \
-                      a != nullptr ? a->buf.batch() : 0, -1, -1),             \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr,                                            \
-                     "iatf_" #P "getrfnp_batch: null buffer");                \
-          return iatf::dispatch_width<T>(                                    \
-              a->buf.pack_width(), [&](auto bytes) {                          \
-                return iatf::Engine::default_engine()                         \
-                    .getrf_nopiv_batch<T, decltype(bytes)::value>(a->buf);    \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##trtri_batch(iatf_uplo uplo, iatf_diag diag,        \
-                                       BUF* a) {                              \
-    return guarded_blas(                                                      \
-        factor_detail('i', *#P, a != nullptr ? a->buf.rows() : 0,           \
-                      a != nullptr ? a->buf.batch() : 0,                      \
-                      enum_bits(uplo), enum_bits(diag)),                      \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "trtri_batch: null buffer");    \
-          return iatf::dispatch_width<T>(                                    \
-              a->buf.pack_width(), [&](auto bytes) {                          \
-                return iatf::Engine::default_engine()                         \
-                    .trtri_batch<T, decltype(bytes)::value>(                  \
-                        to_uplo(uplo), to_diag(diag), a->buf);                \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##potrf_packed(PACKED* a) {                          \
-    return guarded_blas(                                                      \
-        factor_detail('p', *#P, a != nullptr ? a->h.rows() : 0,             \
-                      a != nullptr ? a->h.batch() : 0, -1, -1),               \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "potrf_packed: null handle");   \
-          return iatf::dispatch_width<T>(                                    \
-              a->h.pack_width(), [&](auto bytes) {                            \
-                return iatf::Engine::default_engine()                         \
-                    .potrf_batch<T, decltype(bytes)::value>(a->h);            \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##getrfnp_packed(PACKED* a) {                        \
-    return guarded_blas(                                                      \
-        factor_detail('l', *#P, a != nullptr ? a->h.rows() : 0,             \
-                      a != nullptr ? a->h.batch() : 0, -1, -1),               \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr,                                            \
-                     "iatf_" #P "getrfnp_packed: null handle");               \
-          return iatf::dispatch_width<T>(                                    \
-              a->h.pack_width(), [&](auto bytes) {                            \
-                return iatf::Engine::default_engine()                         \
-                    .getrf_nopiv_batch<T, decltype(bytes)::value>(a->h);      \
-              });                                                             \
-        });                                                                   \
-  }                                                                           \
-  extern "C" int iatf_##P##trtri_packed(iatf_uplo uplo, iatf_diag diag,       \
-                                        PACKED* a) {                          \
-    return guarded_blas(                                                      \
-        factor_detail('i', *#P, a != nullptr ? a->h.rows() : 0,             \
-                      a != nullptr ? a->h.batch() : 0,                        \
-                      enum_bits(uplo), enum_bits(diag)),                      \
-        [&] {                                                                 \
-          IATF_CHECK(a != nullptr, "iatf_" #P "trtri_packed: null handle");   \
-          return iatf::dispatch_width<T>(                                    \
-              a->h.pack_width(), [&](auto bytes) {                            \
-                return iatf::Engine::default_engine()                         \
-                    .trtri_batch<T, decltype(bytes)::value>(                  \
-                        to_uplo(uplo), to_diag(diag), a->h);                  \
-              });                                                             \
-        });                                                                   \
   }
 
-IATF_DEFINE_PACKED(s, iatf_spacked, iatf_sbuf, float, float, REAL)
-IATF_DEFINE_PACKED(d, iatf_dpacked, iatf_dbuf, double, double, REAL)
-IATF_DEFINE_PACKED(c, iatf_cpacked, iatf_cbuf, std::complex<float>, float,
-                   CX)
-IATF_DEFINE_PACKED(z, iatf_zpacked, iatf_zbuf, std::complex<double>, double,
-                   CX)
+IATF_DEFINE_PACKED(s, iatf_spacked, float, float)
+IATF_DEFINE_PACKED(d, iatf_dpacked, double, double)
+IATF_DEFINE_PACKED(c, iatf_cpacked, std::complex<float>, float)
+IATF_DEFINE_PACKED(z, iatf_zpacked, std::complex<double>, double)
 #undef IATF_DEFINE_PACKED
-#undef IATF_PARAM_REAL
-#undef IATF_VALUE_REAL
-#undef IATF_PARAM_CX
-#undef IATF_VALUE_CX
-#undef IATF_PARAM
-#undef IATF_VALUE
 
 // Legacy real-only extension shims. The _compact factorisations are
 // aliases of the _batch entry points: one implementation, one status and

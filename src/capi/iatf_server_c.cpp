@@ -147,108 +147,75 @@ int finish_submit(iatf_server* server,
   return IATF_STATUS_OK;
 }
 
+/// The one submit pattern: null-check the handles and operands, then run
+/// `submit(opts)` with the caller's tenant, deadline and a fresh cancel
+/// token; enum conversion inside `submit` throws InvalidArg.
 template <class Submit>
-int submit_shim(iatf_server* server, uint64_t* ticket, Submit&& submit) {
-  if (server == nullptr || ticket == nullptr) {
+int submit_shim(iatf_server* server, bool operands_ok, uint32_t tenant,
+                double deadline_ms, uint64_t* ticket, Submit&& submit) {
+  if (!operands_ok || server == nullptr || ticket == nullptr) {
     return IATF_STATUS_INVALID_ARG;
   }
   try {
-    auto cancel = iatf::serve::make_cancel_token();
-    return finish_submit(server, submit(cancel), cancel, ticket);
+    iatf::serve::SubmitOptions opts;
+    opts.tenant = tenant;
+    opts.deadline = from_ms(deadline_ms);
+    opts.cancel = iatf::serve::make_cancel_token();
+    return finish_submit(server, submit(opts), opts.cancel, ticket);
   } catch (...) {
     return status_of_exception();
   }
 }
 
+template <class T, class Buf>
+int submit_gemm(iatf_server* server, const iatf_op& op_a, const iatf_op& op_b,
+                T alpha, const Buf* a, const Buf* b, T beta, Buf* c,
+                uint32_t tenant, double deadline_ms, uint64_t* ticket) {
+  return submit_shim(
+      server, a != nullptr && b != nullptr && c != nullptr, tenant,
+      deadline_ms, ticket, [&](const iatf::serve::SubmitOptions& opts) {
+        return server->server.submit_gemm<T>(
+            iatf::capi::to_op(op_a), iatf::capi::to_op(op_b), alpha, a->buf,
+            b->buf, beta, c->buf, opts);
+      });
+}
+
+template <class T, class Buf>
+int submit_trsm(iatf_server* server, const iatf_side& side,
+                const iatf_uplo& uplo, const iatf_op& op_a,
+                const iatf_diag& diag, T alpha, const Buf* a, Buf* b,
+                uint32_t tenant, double deadline_ms, uint64_t* ticket) {
+  return submit_shim(
+      server, a != nullptr && b != nullptr, tenant, deadline_ms, ticket,
+      [&](const iatf::serve::SubmitOptions& opts) {
+        return server->server.submit_trsm<T>(
+            iatf::capi::to_side(side), iatf::capi::to_uplo(uplo),
+            iatf::capi::to_op(op_a), iatf::capi::to_diag(diag), alpha,
+            a->buf, b->buf, opts);
+      });
+}
+
 } // namespace
 
-extern "C" int iatf_server_submit_sgemm(iatf_server* server, iatf_op op_a,
-                                        iatf_op op_b, float alpha,
-                                        const iatf_sbuf* a,
-                                        const iatf_sbuf* b, float beta,
-                                        iatf_sbuf* c, uint32_t tenant,
-                                        double deadline_ms,
-                                        uint64_t* ticket) {
-  if (a == nullptr || b == nullptr || c == nullptr) {
-    return IATF_STATUS_INVALID_ARG;
+#define IATF_DEFINE_SUBMIT(P, BUF, T)                                         \
+  extern "C" int iatf_server_submit_##P##gemm(                                \
+      iatf_server* server, iatf_op op_a, iatf_op op_b, T alpha, const BUF* a, \
+      const BUF* b, T beta, BUF* c, uint32_t tenant, double deadline_ms,      \
+      uint64_t* ticket) {                                                     \
+    return submit_gemm(server, op_a, op_b, alpha, a, b, beta, c, tenant,      \
+                       deadline_ms, ticket);                                  \
+  }                                                                           \
+  extern "C" int iatf_server_submit_##P##trsm(                                \
+      iatf_server* server, iatf_side side, iatf_uplo uplo, iatf_op op_a,      \
+      iatf_diag diag, T alpha, const BUF* a, BUF* b, uint32_t tenant,         \
+      double deadline_ms, uint64_t* ticket) {                                 \
+    return submit_trsm(server, side, uplo, op_a, diag, alpha, a, b, tenant,   \
+                       deadline_ms, ticket);                                  \
   }
-  return submit_shim(server, ticket,
-                     [&](const iatf::serve::CancelToken& cancel) {
-    iatf::serve::SubmitOptions opts;
-    opts.tenant = tenant;
-    opts.deadline = from_ms(deadline_ms);
-    opts.cancel = cancel;
-    return server->server.submit_gemm<float>(
-        iatf::capi::to_op(op_a), iatf::capi::to_op(op_b), alpha,
-        a->buf, b->buf, beta, c->buf, opts);
-  });
-}
 
-extern "C" int iatf_server_submit_dgemm(iatf_server* server, iatf_op op_a,
-                                        iatf_op op_b, double alpha,
-                                        const iatf_dbuf* a,
-                                        const iatf_dbuf* b, double beta,
-                                        iatf_dbuf* c, uint32_t tenant,
-                                        double deadline_ms,
-                                        uint64_t* ticket) {
-  if (a == nullptr || b == nullptr || c == nullptr) {
-    return IATF_STATUS_INVALID_ARG;
-  }
-  return submit_shim(server, ticket,
-                     [&](const iatf::serve::CancelToken& cancel) {
-    iatf::serve::SubmitOptions opts;
-    opts.tenant = tenant;
-    opts.deadline = from_ms(deadline_ms);
-    opts.cancel = cancel;
-    return server->server.submit_gemm<double>(
-        iatf::capi::to_op(op_a), iatf::capi::to_op(op_b), alpha,
-        a->buf, b->buf, beta, c->buf, opts);
-  });
-}
-
-extern "C" int iatf_server_submit_strsm(iatf_server* server, iatf_side side,
-                                        iatf_uplo uplo, iatf_op op_a,
-                                        iatf_diag diag, float alpha,
-                                        const iatf_sbuf* a, iatf_sbuf* b,
-                                        uint32_t tenant, double deadline_ms,
-                                        uint64_t* ticket) {
-  if (a == nullptr || b == nullptr) {
-    return IATF_STATUS_INVALID_ARG;
-  }
-  return submit_shim(server, ticket,
-                     [&](const iatf::serve::CancelToken& cancel) {
-    iatf::serve::SubmitOptions opts;
-    opts.tenant = tenant;
-    opts.deadline = from_ms(deadline_ms);
-    opts.cancel = cancel;
-    return server->server.submit_trsm<float>(
-        iatf::capi::to_side(side), iatf::capi::to_uplo(uplo),
-        iatf::capi::to_op(op_a), iatf::capi::to_diag(diag), alpha,
-        a->buf, b->buf, opts);
-  });
-}
-
-extern "C" int iatf_server_submit_dtrsm(iatf_server* server, iatf_side side,
-                                        iatf_uplo uplo, iatf_op op_a,
-                                        iatf_diag diag, double alpha,
-                                        const iatf_dbuf* a, iatf_dbuf* b,
-                                        uint32_t tenant, double deadline_ms,
-                                        uint64_t* ticket) {
-  if (a == nullptr || b == nullptr) {
-    return IATF_STATUS_INVALID_ARG;
-  }
-  return submit_shim(server, ticket,
-                     [&](const iatf::serve::CancelToken& cancel) {
-    iatf::serve::SubmitOptions opts;
-    opts.tenant = tenant;
-    opts.deadline = from_ms(deadline_ms);
-    opts.cancel = cancel;
-    return server->server.submit_trsm<double>(
-        iatf::capi::to_side(side), iatf::capi::to_uplo(uplo),
-        iatf::capi::to_op(op_a), iatf::capi::to_diag(diag), alpha,
-        a->buf, b->buf, opts);
-  });
-}
+IATF_DEFINE_SUBMIT(s, iatf_sbuf, float)
+IATF_DEFINE_SUBMIT(d, iatf_dbuf, double)
+#undef IATF_DEFINE_SUBMIT
 
 extern "C" int iatf_server_poll(iatf_server* server, uint64_t ticket,
                                 int* status) {

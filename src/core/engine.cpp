@@ -997,12 +997,7 @@ plan::PlanTuning Engine::resolve_tuning(const TuningConfig& config,
       return rec->tuning();
     }
   }
-  if (config.has_manual) {
-    return config.manual;
-  }
-  // Re-read per plan-cache miss: cheap, and it keeps the environment
-  // overrides testable after clear_plan_cache().
-  return tune::env_plan_tuning();
+  return config.has_manual ? config.manual : plan::PlanTuning{};
 }
 
 void Engine::reconfigure(std::shared_ptr<TuningConfig> next) {

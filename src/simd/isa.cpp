@@ -1,5 +1,6 @@
-// Runtime ISA detection: CPUID on x86-64, hwcaps on AArch64, plus the
-// IATF_FORCE_ISA override with fall-back-to-detected semantics.
+// Runtime ISA detection: CPUID on x86-64 (AArch64 runs its NEON
+// baseline), plus the IATF_FORCE_ISA override with fall-back-to-detected
+// semantics.
 
 #include "iatf/simd/isa.hpp"
 
@@ -8,29 +9,12 @@
 #include <cstdlib>
 #include <mutex>
 
-#include "iatf/simd/vec_sve.hpp"
-
-#if defined(__aarch64__) && defined(__linux__)
-#include <sys/auxv.h>
-#ifndef HWCAP_SVE
-#define HWCAP_SVE (1UL << 22)
-#endif
-#endif
-
 namespace iatf::simd {
 namespace {
-
-// A backend is usable only if its width maps onto an instantiated kernel
-// class: kreg / Registry / plans / Engine are compiled for exactly these.
-bool instantiated_width(int bytes) {
-  return bytes == 16 || bytes == 32 || bytes == 64;
-}
 
 #if defined(__x86_64__)
 bool cpu_has(Isa isa) {
   switch (isa) {
-  case Isa::Sse2:
-    return true; // x86-64 baseline: SSE2 is architecturally guaranteed.
 #if defined(__GNUC__) || defined(__clang__)
   case Isa::Avx2:
     // The 256-bit kernels lean on fused multiply-add, so AVX2 without
@@ -43,23 +27,6 @@ bool cpu_has(Isa isa) {
     return false;
   }
 }
-#elif defined(__aarch64__)
-bool cpu_has(Isa isa) {
-  switch (isa) {
-  case Isa::Neon:
-    return true; // AArch64 baseline: AdvSIMD is architecturally guaranteed.
-  case Isa::Sve:
-#if defined(__linux__)
-    return (getauxval(AT_HWCAP) & HWCAP_SVE) != 0 && sve_compiled;
-#else
-    return sve_compiled;
-#endif
-  default:
-    return false;
-  }
-}
-#else
-bool cpu_has(Isa isa) { return isa == baseline_isa(); }
 #endif
 
 // Active-backend state: -1 = not yet initialized. Initialization (env
@@ -95,8 +62,6 @@ const char* isa_name(Isa isa) {
     return "avx512";
   case Isa::Neon:
     return "neon";
-  case Isa::Sve:
-    return "sve";
   }
   return "unknown";
 }
@@ -108,7 +73,7 @@ bool parse_isa(const std::string& name, Isa& out) {
     low.push_back(
         static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
   }
-  for (Isa isa : {Isa::Sse2, Isa::Avx2, Isa::Avx512, Isa::Neon, Isa::Sve}) {
+  for (Isa isa : {Isa::Sse2, Isa::Avx2, Isa::Avx512, Isa::Neon}) {
     if (low == isa_name(isa)) {
       out = isa;
       return true;
@@ -126,8 +91,6 @@ int isa_bytes(Isa isa) {
     return 32;
   case Isa::Avx512:
     return 64;
-  case Isa::Sve:
-    return sve_vector_bytes();
   }
   return 0;
 }
@@ -145,15 +108,9 @@ std::vector<Isa> supported_isas() {
   out.push_back(baseline_isa());
 #if defined(__x86_64__)
   for (Isa isa : {Isa::Avx2, Isa::Avx512}) {
-    if (cpu_has(isa) && instantiated_width(isa_bytes(isa))) {
+    if (cpu_has(isa)) {
       out.push_back(isa);
     }
-  }
-#elif defined(__aarch64__)
-  // SVE is only usable through the fixed-width kernel classes when the
-  // core's vector length matches one; a 1024-bit part keeps NEON.
-  if (cpu_has(Isa::Sve) && instantiated_width(isa_bytes(Isa::Sve))) {
-    out.push_back(Isa::Sve);
   }
 #endif
   return out;

@@ -57,6 +57,22 @@ std::string cpu_model_slug() {
 
 } // namespace
 
+TuneKey tune_key(const sched::ClassKey& cls, char dtype, int bytes) {
+  TuneKey key;
+  key.op = cls.op;
+  key.dtype = dtype;
+  key.bytes = bytes;
+  key.m = cls.m;
+  key.n = cls.n;
+  key.k = cls.k;
+  key.op_a = cls.op_a;
+  key.op_b = cls.op_b;
+  key.side = cls.side;
+  key.uplo = cls.uplo;
+  key.diag = cls.diag;
+  return key;
+}
+
 std::size_t TuneKeyHash::operator()(const TuneKey& key) const noexcept {
   // FNV-1a over the key's fields (same scheme as the engine's plan key).
   std::size_t h = 1469598103934665603ull;

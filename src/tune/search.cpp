@@ -4,12 +4,14 @@
 #include <cmath>
 #include <complex>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "iatf/codegen/gemm_emitter.hpp"
 #include "iatf/common/error.hpp"
 #include "iatf/common/rng.hpp"
 #include "iatf/common/timer.hpp"
+#include "iatf/core/width_dispatch.hpp"
 #include "iatf/kernels/registry.hpp"
 #include "iatf/layout/compact.hpp"
 #include "iatf/pack/trsm_pack.hpp"
@@ -18,6 +20,7 @@
 #include "iatf/plan/trsm_plan.hpp"
 #include "iatf/ref/ref_blas.hpp"
 #include "iatf/sched/scheduler.hpp"
+#include "iatf/simd/isa.hpp"
 
 namespace iatf::tune {
 namespace {
@@ -543,53 +546,72 @@ TuneRecord tune_trsm(const TrsmShape& in_shape, const CacheInfo& cache,
                                base != timed.end() ? *base : winner);
 }
 
-TuneRecord tune_gemm_dyn(char dtype, const GemmShape& shape,
-                         const CacheInfo& cache, const TuneOptions& opts) {
+namespace {
+
+/// Invoke `f` with std::type_identity<T> for a dtype tag.
+template <class F> TunedRecord with_dtype(char dtype, F&& f) {
   switch (dtype) {
   case 's':
-    return tune_gemm<float>(shape, cache, opts);
+    return f(std::type_identity<float>{});
   case 'd':
-    return tune_gemm<double>(shape, cache, opts);
+    return f(std::type_identity<double>{});
   case 'c':
-    return tune_gemm<std::complex<float>>(shape, cache, opts);
+    return f(std::type_identity<std::complex<float>>{});
   case 'z':
-    return tune_gemm<std::complex<double>>(shape, cache, opts);
+    return f(std::type_identity<std::complex<double>>{});
   default:
     throw Error("tune: unknown dtype tag");
   }
 }
 
-TuneRecord tune_trsm_dyn(char dtype, const TrsmShape& shape,
-                         const CacheInfo& cache, const TuneOptions& opts) {
-  switch (dtype) {
-  case 's':
-    return tune_trsm<float>(shape, cache, opts);
-  case 'd':
-    return tune_trsm<double>(shape, cache, opts);
-  case 'c':
-    return tune_trsm<std::complex<float>>(shape, cache, opts);
-  case 'z':
-    return tune_trsm<std::complex<double>>(shape, cache, opts);
-  default:
-    throw Error("tune: unknown dtype tag");
-  }
+} // namespace
+
+TunedRecord tune_gemm_dyn(char dtype, const GemmShape& shape,
+                          const CacheInfo& cache, const TuneOptions& opts) {
+  return with_dtype(dtype, [&](auto tag) {
+    using T = typename decltype(tag)::type;
+    return dispatch_width<T>(simd::active_pack_width<T>(), [&](auto bytes) {
+      constexpr int kBytes = decltype(bytes)::value;
+      return TunedRecord{gemm_key<T, kBytes>(shape),
+                         tune_gemm<T, kBytes>(shape, cache, opts)};
+    });
+  });
 }
 
-#define IATF_INSTANTIATE_TUNE(T)                                             \
-  template std::vector<Candidate> gemm_candidates<T, 16>(                    \
+TunedRecord tune_trsm_dyn(char dtype, const TrsmShape& shape,
+                          const CacheInfo& cache, const TuneOptions& opts) {
+  return with_dtype(dtype, [&](auto tag) {
+    using T = typename decltype(tag)::type;
+    return dispatch_width<T>(simd::active_pack_width<T>(), [&](auto bytes) {
+      constexpr int kBytes = decltype(bytes)::value;
+      return TunedRecord{trsm_key<T, kBytes>(shape),
+                         tune_trsm<T, kBytes>(shape, cache, opts)};
+    });
+  });
+}
+
+#define IATF_INSTANTIATE_TUNE(T, Bytes)                                      \
+  template std::vector<Candidate> gemm_candidates<T, Bytes>(                 \
       const GemmShape&, const CacheInfo&, const TuneOptions&);               \
-  template std::vector<Candidate> trsm_candidates<T, 16>(                    \
+  template std::vector<Candidate> trsm_candidates<T, Bytes>(                 \
       const TrsmShape&, const CacheInfo&, const TuneOptions&);               \
-  template TuneRecord tune_gemm<T, 16>(const GemmShape&, const CacheInfo&,   \
-                                       const TuneOptions&);                  \
-  template TuneRecord tune_trsm<T, 16>(const TrsmShape&, const CacheInfo&,   \
-                                       const TuneOptions&);
+  template TuneRecord tune_gemm<T, Bytes>(const GemmShape&,                  \
+                                          const CacheInfo&,                  \
+                                          const TuneOptions&);               \
+  template TuneRecord tune_trsm<T, Bytes>(const TrsmShape&,                  \
+                                          const CacheInfo&,                  \
+                                          const TuneOptions&);
+#define IATF_INSTANTIATE_TUNE_WIDTHS(T)                                      \
+  IATF_INSTANTIATE_TUNE(T, 16)                                               \
+  IATF_INSTANTIATE_TUNE(T, 32)                                               \
+  IATF_INSTANTIATE_TUNE(T, 64)
 
-IATF_INSTANTIATE_TUNE(float)
-IATF_INSTANTIATE_TUNE(double)
-IATF_INSTANTIATE_TUNE(std::complex<float>)
-IATF_INSTANTIATE_TUNE(std::complex<double>)
+IATF_INSTANTIATE_TUNE_WIDTHS(float)
+IATF_INSTANTIATE_TUNE_WIDTHS(double)
+IATF_INSTANTIATE_TUNE_WIDTHS(std::complex<float>)
+IATF_INSTANTIATE_TUNE_WIDTHS(std::complex<double>)
 
+#undef IATF_INSTANTIATE_TUNE_WIDTHS
 #undef IATF_INSTANTIATE_TUNE
 
 } // namespace iatf::tune

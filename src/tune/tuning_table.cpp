@@ -179,25 +179,4 @@ std::string TuningTable::default_path() {
   return "iatf_tune.tbl";
 }
 
-plan::PlanTuning env_plan_tuning() {
-  plan::PlanTuning tuning;
-  const auto flag = [](const char* name) {
-    const char* v = std::getenv(name);
-    if (v == nullptr || v[0] == '\0') {
-      return -1;
-    }
-    return v[0] == '0' ? 0 : v[0] == '1' ? 1 : -1;
-  };
-  tuning.force_pack_a = flag("IATF_FORCE_PACK_A");
-  tuning.force_pack_b = flag("IATF_FORCE_PACK_B");
-  if (const char* v = std::getenv("IATF_SLICE_OVERRIDE");
-      v != nullptr && v[0] != '\0') {
-    const long long slice = std::atoll(v);
-    if (slice > 0) {
-      tuning.slice_override = static_cast<index_t>(slice);
-    }
-  }
-  return tuning;
-}
-
 } // namespace iatf::tune

@@ -371,5 +371,113 @@ TEST(CApiFactor, CompactFactorisationsAliasBatch) {
   expect_alias(sops, iatf_sgetrfnp_compact, iatf_sgetrfnp_batch, dd);
 }
 
+// One dtype's GEMM entry points over both C handle kinds. R is the
+// C-side scalar (the real type; complex data is interleaved pairs).
+template <class R, class Buf, class Packed> struct GemmShims {
+  Buf* (*create)(int64_t, int64_t, int64_t);
+  void (*destroy)(Buf*);
+  Packed* (*pack)(const R*, int64_t, int64_t, int64_t, int64_t, int64_t);
+  void (*free_packed)(Packed*);
+  int (*compact)(const Buf*, const Buf*, Buf*);
+  int (*packed)(const Packed*, const Packed*, Packed*);
+};
+
+// A failing GEMM (A 4x3, B 5x4, C 4x4: A's k = 3 disagrees with B's 5)
+// is attributed identically over buffers and packed handles: the same
+// class key, k included.
+template <class R, class Buf, class Packed>
+void expect_packed_gemm_detail_matches(
+    const GemmShims<R, Buf, Packed>& shims, char dtype) {
+  SCOPED_TRACE(testing::Message() << "dtype " << dtype);
+  const int64_t batch = 8;
+  const std::vector<R> host(2 * 5 * 4 * batch, R(0));
+  const auto pack = [&](int64_t rows, int64_t cols) {
+    return shims.pack(host.data(), rows, cols, rows, rows * cols, batch);
+  };
+  Buf* a = shims.create(4, 3, batch);
+  Buf* b = shims.create(5, 4, batch);
+  Buf* c = shims.create(4, 4, batch);
+  Packed* pa = pack(4, 3);
+  Packed* pb = pack(5, 4);
+  Packed* pc = pack(4, 4);
+  ASSERT_TRUE(a && b && c && pa && pb && pc) << iatf_last_error();
+
+  iatf_clear_error();
+  EXPECT_EQ(shims.compact(a, b, c), IATF_STATUS_INVALID_ARG);
+  iatf_error_detail compact;
+  ASSERT_EQ(iatf_last_error_detail(&compact), 1);
+  iatf_clear_error();
+  EXPECT_EQ(shims.packed(pa, pb, pc), IATF_STATUS_INVALID_ARG);
+  iatf_error_detail packed;
+  ASSERT_EQ(iatf_last_error_detail(&packed), 1);
+
+  EXPECT_EQ(compact.op, 'g');
+  EXPECT_EQ(compact.dtype, dtype);
+  EXPECT_EQ(compact.m, 4);
+  EXPECT_EQ(compact.n, 4);
+  EXPECT_EQ(compact.k, 3);
+  EXPECT_EQ(compact.batch, batch);
+  expect_same_detail(compact, packed);
+
+  shims.destroy(a);
+  shims.destroy(b);
+  shims.destroy(c);
+  shims.free_packed(pa);
+  shims.free_packed(pb);
+  shims.free_packed(pc);
+  iatf_clear_error();
+}
+
+TEST(CApiFactor, PackedGemmDetailMatchesCompact) {
+  expect_packed_gemm_detail_matches(
+      GemmShims<float, iatf_sbuf, iatf_spacked>{
+          iatf_screate, iatf_sdestroy, iatf_spack, iatf_sfree_packed,
+          [](const iatf_sbuf* a, const iatf_sbuf* b, iatf_sbuf* c) {
+            return iatf_sgemm_compact(IATF_NOTRANS, IATF_NOTRANS, 1.0f, a,
+                                      b, 0.0f, c);
+          },
+          [](const iatf_spacked* a, const iatf_spacked* b, iatf_spacked* c) {
+            return iatf_sgemm_packed(IATF_NOTRANS, IATF_NOTRANS, 1.0f, a, b,
+                                     0.0f, c);
+          }},
+      's');
+  expect_packed_gemm_detail_matches(
+      GemmShims<double, iatf_dbuf, iatf_dpacked>{
+          iatf_dcreate, iatf_ddestroy, iatf_dpack, iatf_dfree_packed,
+          [](const iatf_dbuf* a, const iatf_dbuf* b, iatf_dbuf* c) {
+            return iatf_dgemm_compact(IATF_NOTRANS, IATF_NOTRANS, 1.0, a, b,
+                                      0.0, c);
+          },
+          [](const iatf_dpacked* a, const iatf_dpacked* b, iatf_dpacked* c) {
+            return iatf_dgemm_packed(IATF_NOTRANS, IATF_NOTRANS, 1.0, a, b,
+                                     0.0, c);
+          }},
+      'd');
+  expect_packed_gemm_detail_matches(
+      GemmShims<float, iatf_cbuf, iatf_cpacked>{
+          iatf_ccreate, iatf_cdestroy, iatf_cpack, iatf_cfree_packed,
+          [](const iatf_cbuf* a, const iatf_cbuf* b, iatf_cbuf* c) {
+            return iatf_cgemm_compact(IATF_NOTRANS, IATF_NOTRANS, 1.0f, 0.0f,
+                                      a, b, 0.0f, 0.0f, c);
+          },
+          [](const iatf_cpacked* a, const iatf_cpacked* b, iatf_cpacked* c) {
+            return iatf_cgemm_packed(IATF_NOTRANS, IATF_NOTRANS, 1.0f, 0.0f,
+                                     a, b, 0.0f, 0.0f, c);
+          }},
+      'c');
+  expect_packed_gemm_detail_matches(
+      GemmShims<double, iatf_zbuf, iatf_zpacked>{
+          iatf_zcreate, iatf_zdestroy, iatf_zpack, iatf_zfree_packed,
+          [](const iatf_zbuf* a, const iatf_zbuf* b, iatf_zbuf* c) {
+            return iatf_zgemm_compact(IATF_NOTRANS, IATF_NOTRANS, 1.0, 0.0, a,
+                                      b, 0.0, 0.0, c);
+          },
+          [](const iatf_zpacked* a, const iatf_zpacked* b, iatf_zpacked* c) {
+            return iatf_zgemm_packed(IATF_NOTRANS, IATF_NOTRANS, 1.0, 0.0, a,
+                                     b, 0.0, 0.0, c);
+          }},
+      'z');
+}
+
 } // namespace
 } // namespace iatf

@@ -435,6 +435,59 @@ TEST_F(CapiFuzz, GarbageEnumsAndShapesReturnStableStatuses) {
   // Non-square factorisation inputs are descriptor errors, not crashes.
   EXPECT_EQ(iatf_spotrf_batch(rect), IATF_STATUS_INVALID_ARG);
   EXPECT_EQ(iatf_sgetrfnp_batch(rect), IATF_STATUS_INVALID_ARG);
+
+  // Negative enum bits on every other enum-taking entry point, over
+  // valid operands so the modes are actually read. The enums are passed
+  // as prvalues: the entry points must read them without an enum-typed
+  // load (UBSan -fsanitize=enum), then reject them.
+  const std::vector<float> host(4 * 4 * 2, 0.0f);
+  iatf_spacked* pa = iatf_spack(host.data(), 4, 4, 4, 16, 2);
+  iatf_spacked* pb = iatf_spack(host.data(), 4, 4, 4, 16, 2);
+  iatf_dbuf* dsq = iatf_dcreate(4, 4, 2);
+  iatf_server* server = iatf_server_create(nullptr);
+  ASSERT_NE(pa, nullptr);
+  ASSERT_NE(pb, nullptr);
+  ASSERT_NE(dsq, nullptr);
+  ASSERT_NE(server, nullptr);
+  for (const int bits : {-1, -7, -12345, INT32_MIN}) {
+    SCOPED_TRACE(testing::Message() << "enum bits " << bits);
+    invalid(iatf_sgemm_packed(static_cast<iatf_op>(bits),
+                              static_cast<iatf_op>(bits), 1.0f, pa, pb, 0.0f,
+                              pb));
+    invalid(iatf_strsm_packed(
+        static_cast<iatf_side>(bits), static_cast<iatf_uplo>(bits),
+        static_cast<iatf_op>(bits), static_cast<iatf_diag>(bits), 1.0f, pa,
+        pb));
+    const iatf_strsm_segment seg{
+        static_cast<iatf_side>(bits), static_cast<iatf_uplo>(bits),
+        static_cast<iatf_op>(bits), static_cast<iatf_diag>(bits), 1.0f, sq,
+        sq};
+    invalid(iatf_strsm_grouped(&seg, 1));
+    invalid(iatf_strmm_compact(
+        static_cast<iatf_side>(bits), static_cast<iatf_uplo>(bits),
+        static_cast<iatf_op>(bits), static_cast<iatf_diag>(bits), 1.0f, sq,
+        sq));
+    invalid(iatf_tune_gemm('s', static_cast<iatf_op>(bits),
+                           static_cast<iatf_op>(bits), 2, 2, 2, 4, 1));
+    invalid(iatf_tune_trsm('s', static_cast<iatf_side>(bits),
+                           static_cast<iatf_uplo>(bits),
+                           static_cast<iatf_op>(bits),
+                           static_cast<iatf_diag>(bits), 2, 2, 4, 1));
+    uint64_t ticket = 0;
+    invalid(iatf_server_submit_strsm(
+        server, static_cast<iatf_side>(bits), static_cast<iatf_uplo>(bits),
+        static_cast<iatf_op>(bits), static_cast<iatf_diag>(bits), 1.0f, sq,
+        sq, 0, 0, &ticket));
+    invalid(iatf_server_submit_dtrsm(
+        server, static_cast<iatf_side>(bits), static_cast<iatf_uplo>(bits),
+        static_cast<iatf_op>(bits), static_cast<iatf_diag>(bits), 1.0, dsq,
+        dsq, 0, 0, &ticket));
+  }
+  iatf_server_destroy(server);
+  iatf_sfree_packed(pa);
+  iatf_sfree_packed(pb);
+  iatf_ddestroy(dsq);
+
   // The thread-local last-error string stays readable after the storm.
   EXPECT_NE(iatf_last_error(), nullptr);
   iatf_sdestroy(sq);

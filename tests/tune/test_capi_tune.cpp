@@ -104,4 +104,46 @@ TEST_F(CapiTune, ManualPlanTuningReachesTheEngine) {
   iatf_sdestroy(c);
 }
 
+// A tuned record is keyed at the register width C buffers are created
+// at, so the next compute call of the tuned descriptor builds its plan
+// from the record.
+TEST_F(CapiTune, TunedRecordReachesTheNextComputeCall) {
+  ASSERT_EQ(iatf_tune_gemm('d', IATF_NOTRANS, IATF_NOTRANS, 4, 4, 4,
+                           /*batch=*/16, /*reps=*/1),
+            IATF_STATUS_OK)
+      << iatf_last_error();
+  ASSERT_EQ(iatf_tune_trsm('d', IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
+                           IATF_UNIT, 4, 4, 16, 1),
+            IATF_STATUS_OK)
+      << iatf_last_error();
+  iatf_engine_stats_reset();
+
+  iatf_dbuf* a = iatf_dcreate(4, 4, 8);
+  iatf_dbuf* b = iatf_dcreate(4, 4, 8);
+  iatf_dbuf* c = iatf_dcreate(4, 4, 8);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(c, nullptr);
+  ASSERT_EQ(iatf_dgemm_compact(IATF_NOTRANS, IATF_NOTRANS, 1.0, a, b, 0.0,
+                               c),
+            IATF_STATUS_OK)
+      << iatf_last_error();
+  iatf_engine_stats stats;
+  ASSERT_EQ(iatf_get_engine_stats(&stats), IATF_STATUS_OK);
+  EXPECT_EQ(stats.tuned, 1) << "gemm record missed on ISA "
+                            << iatf_active_isa();
+
+  ASSERT_EQ(iatf_dtrsm_compact(IATF_LEFT, IATF_LOWER, IATF_NOTRANS,
+                               IATF_UNIT, 1.0, a, b),
+            IATF_STATUS_OK)
+      << iatf_last_error();
+  ASSERT_EQ(iatf_get_engine_stats(&stats), IATF_STATUS_OK);
+  EXPECT_EQ(stats.tuned, 2) << "trsm record missed on ISA "
+                            << iatf_active_isa();
+
+  iatf_ddestroy(a);
+  iatf_ddestroy(b);
+  iatf_ddestroy(c);
+}
+
 } // namespace

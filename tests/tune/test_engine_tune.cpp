@@ -1,9 +1,8 @@
 // Runtime integration: the Engine's plan cache consults the tuning table
-// before the analytical model, and the manual / environment override
-// chain fills the gaps. The save -> load -> identical-plan round trip
-// here is the acceptance criterion for the persistent format.
+// before the analytical model, and the manual override fills the gaps.
+// The save -> load -> identical-plan round trip here is the acceptance
+// criterion for the persistent format.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
@@ -108,17 +107,6 @@ TEST(EngineTune, ManualOverrideFillsTableMisses) {
   engine.set_tuning_table(nullptr);
   engine.clear_plan_tuning();
   EXPECT_NE(engine.plan_gemm<float>(kShape)->slice_groups(), 7);
-}
-
-TEST(EngineTune, EnvironmentOverridesApplyPerPlanBuild) {
-  Engine engine(CacheInfo::kunpeng920());
-  ASSERT_EQ(setenv("IATF_SLICE_OVERRIDE", "4", 1), 0);
-  engine.clear_plan_cache();
-  EXPECT_EQ(engine.plan_gemm<float>(kShape)->slice_groups(), 4);
-
-  ASSERT_EQ(unsetenv("IATF_SLICE_OVERRIDE"), 0);
-  engine.clear_plan_cache();
-  EXPECT_NE(engine.plan_gemm<float>(kShape)->slice_groups(), 4);
 }
 
 TEST(EngineTune, IllegalNoPackForTransposedIsInvalidArg) {

@@ -6,6 +6,7 @@
 #include "iatf/kernels/registry.hpp"
 #include "iatf/plan/gemm_plan.hpp"
 #include "iatf/plan/trsm_plan.hpp"
+#include "iatf/simd/isa.hpp"
 #include "iatf/tune/search.hpp"
 
 namespace iatf::tune {
@@ -102,9 +103,12 @@ TEST(TuneDyn, DispatchesAllDtypesAndRejectsUnknown) {
   opts.batch = 8;
   opts.top_k = 1;
   for (char dtype : {'s', 'd', 'c', 'z'}) {
-    const TuneRecord rec =
+    const TunedRecord tuned =
         tune_gemm_dyn(dtype, shape, CacheInfo::kunpeng920(), opts);
-    EXPECT_GT(rec.gflops, 0.0) << "dtype " << dtype;
+    EXPECT_GT(tuned.record.gflops, 0.0) << "dtype " << dtype;
+    // Keyed at the width it was timed at: the active backend's.
+    EXPECT_EQ(tuned.key.dtype, dtype);
+    EXPECT_EQ(tuned.key.bytes, simd::active_bytes()) << "dtype " << dtype;
   }
   EXPECT_THROW(
       tune_gemm_dyn('x', shape, CacheInfo::kunpeng920(), opts), Error);

@@ -187,27 +187,5 @@ TEST(TuningTable, DefaultPathHonoursEnvOverride) {
   EXPECT_EQ(TuningTable::default_path(), "iatf_tune.tbl");
 }
 
-TEST(EnvPlanTuning, ParsesOverrideVariables) {
-  ASSERT_EQ(setenv("IATF_FORCE_PACK_A", "0", 1), 0);
-  ASSERT_EQ(setenv("IATF_FORCE_PACK_B", "1", 1), 0);
-  ASSERT_EQ(setenv("IATF_SLICE_OVERRIDE", "12", 1), 0);
-  plan::PlanTuning tuning = env_plan_tuning();
-  EXPECT_EQ(tuning.force_pack_a, 0);
-  EXPECT_EQ(tuning.force_pack_b, 1);
-  EXPECT_EQ(tuning.slice_override, 12);
-
-  // Unparsable / non-positive values leave the field on "auto".
-  ASSERT_EQ(setenv("IATF_FORCE_PACK_A", "maybe", 1), 0);
-  ASSERT_EQ(setenv("IATF_SLICE_OVERRIDE", "-4", 1), 0);
-  tuning = env_plan_tuning();
-  EXPECT_EQ(tuning.force_pack_a, -1);
-  EXPECT_EQ(tuning.slice_override, 0);
-
-  unsetenv("IATF_FORCE_PACK_A");
-  unsetenv("IATF_FORCE_PACK_B");
-  unsetenv("IATF_SLICE_OVERRIDE");
-  EXPECT_EQ(env_plan_tuning(), plan::PlanTuning{});
-}
-
 } // namespace
 } // namespace iatf::tune

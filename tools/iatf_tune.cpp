@@ -268,14 +268,12 @@ int main(int argc, char** argv) {
             shape.m = shape.n = shape.k = n;
             shape.op_a = parse_op(mode[0]);
             shape.op_b = parse_op(mode[1]);
-            const auto rec =
+            const auto tuned =
                 iatf::tune::tune_gemm_dyn(dtype, shape, cache, cli.tune);
-            // gemm_key's dtype comes from T; patch the runtime tag in.
-            auto key = iatf::tune::gemm_key<float>(shape);
-            key.dtype = dtype;
-            table.insert(key, rec);
-            report("gemm", dtype, mode, n, rec);
-            add_rows(rows, "gemm", dtype, mode, n, cli.tune.reps, rec);
+            table.insert(tuned.key, tuned.record);
+            report("gemm", dtype, mode, n, tuned.record);
+            add_rows(rows, "gemm", dtype, mode, n, cli.tune.reps,
+                     tuned.record);
           }
         }
         if (do_trsm) {
@@ -289,13 +287,12 @@ int main(int argc, char** argv) {
             shape.op_a = parse_op(mode[2]);
             shape.diag = mode[3] == 'U' ? iatf::Diag::Unit
                                         : iatf::Diag::NonUnit;
-            const auto rec =
+            const auto tuned =
                 iatf::tune::tune_trsm_dyn(dtype, shape, cache, cli.tune);
-            auto key = iatf::tune::trsm_key<float>(shape);
-            key.dtype = dtype;
-            table.insert(key, rec);
-            report("trsm", dtype, mode, n, rec);
-            add_rows(rows, "trsm", dtype, mode, n, cli.tune.reps, rec);
+            table.insert(tuned.key, tuned.record);
+            report("trsm", dtype, mode, n, tuned.record);
+            add_rows(rows, "trsm", dtype, mode, n, cli.tune.reps,
+                     tuned.record);
           }
         }
       }
