@@ -3,7 +3,9 @@
 // grouped engine calls, weighted-fair dequeue, deadline shedding and a
 // drain/stop lifecycle. Every queue transition happens under mu_; the
 // engine call itself runs with the lock released so submitters and
-// lifecycle calls never wait on compute.
+// lifecycle calls never wait on compute. An idle dispatcher spins
+// briefly before it parks, and submitters wake it only when it has
+// parked (DESIGN.md section 12.5).
 #include "iatf/serve/server.hpp"
 
 #include <algorithm>
@@ -362,6 +364,11 @@ void Server::pause() {
 void Server::resume() {
   std::lock_guard<std::mutex> lk(mu_);
   paused_ = false;
+  wake_dispatcher();
+}
+
+void Server::wake_dispatcher() {
+  work_seq_.fetch_add(1, std::memory_order_relaxed);
   work_cv_.notify_all();
 }
 
@@ -376,7 +383,7 @@ void Server::drain() {
     if (phase_ == Phase::Running) {
       phase_ = Phase::Draining;
     }
-    work_cv_.notify_all();
+    wake_dispatcher();
     space_cv_.notify_all();
     idle_cv_.wait(lk, [&] {
       return dispatcher_done_ && inline_running_ == 0;
@@ -389,7 +396,7 @@ void Server::stop() {
   {
     std::unique_lock<std::mutex> lk(mu_);
     phase_ = Phase::Stopping;
-    work_cv_.notify_all();
+    wake_dispatcher();
     space_cv_.notify_all();
     idle_cv_.wait(lk, [&] {
       return dispatcher_done_ && inline_running_ == 0;
@@ -572,7 +579,16 @@ void Server::enqueue(std::unique_ptr<detail::Request> r,
   }
   t.q.push_back(std::move(r));
   ++queued_;
-  work_cv_.notify_one();
+  // Read under mu_: a dispatcher that has not parked yet re-checks the
+  // queue under mu_ before it parks, so it sees this request; one that
+  // has parked set the flag first. Bump and notify after unlocking, so
+  // neither a spinning nor a woken dispatcher finds mu_ still held.
+  const bool parked = dispatcher_parked_;
+  lk.unlock();
+  work_seq_.fetch_add(1, std::memory_order_relaxed);
+  if (parked) {
+    work_cv_.notify_one();
+  }
 }
 
 template <class T>
@@ -627,15 +643,46 @@ Server::submit_grouped(std::span<const sched::TrsmSegment<T>> segments,
 
 // --- Dispatcher --------------------------------------------------------
 
+namespace {
+
+/// Spin-wait hint: lets the sibling hyperthread run and saves power.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+} // namespace
+
 void Server::run_dispatcher(std::uint64_t epoch) {
   std::unique_lock<std::mutex> lk(mu_);
+  const auto ready = [&] {
+    if (epoch != dispatcher_epoch_ || phase_ != Phase::Running) {
+      return true; // retired / draining ignores pause; stopping cancels
+    }
+    return !paused_ && queued_ > 0;
+  };
   for (;;) {
-    work_cv_.wait(lk, [&] {
-      if (epoch != dispatcher_epoch_ || phase_ != Phase::Running) {
-        return true; // retired / draining ignores pause; stopping cancels
+    if (!ready()) {
+      // Spin, then park: watch work_seq_ for up to kDispatchSpin with
+      // mu_ released, then re-check under mu_ and park only if there is
+      // still nothing to do. A paused server has nothing to spin for.
+      if (dispatcher_spins_ && !paused_) {
+        const std::uint64_t seen = work_seq_.load(std::memory_order_relaxed);
+        lk.unlock();
+        const auto until = std::chrono::steady_clock::now() + kDispatchSpin;
+        while (work_seq_.load(std::memory_order_relaxed) == seen &&
+               std::chrono::steady_clock::now() < until) {
+          cpu_relax();
+        }
+        lk.lock();
       }
-      return !paused_ && queued_ > 0;
-    });
+      dispatcher_parked_ = true;
+      work_cv_.wait(lk, ready);
+      dispatcher_parked_ = false;
+    }
     if (epoch != dispatcher_epoch_) {
       return; // retired by the watchdog: a successor owns the queue now
     }

@@ -2,8 +2,11 @@
 // every Server must be destroyed (or at least stopped) before its
 // engine. ~Engine enforces the contract by aborting -- loudly, never UB
 // -- while servers are still attached; these tests pin the abort, the
-// attach/detach accounting, and destruction under live traffic.
+// attach/detach accounting, and destruction under live traffic. The
+// dispatcher's idle states (spin, then park; section 12.5) are pinned
+// here too: an idle server sleeps, and pause() holds a spinning one.
 #include <chrono>
+#include <ctime>
 #include <future>
 #include <thread>
 #include <vector>
@@ -104,6 +107,78 @@ TEST(ServeLifecycle, DestructionMidTrafficResolvesEverything) {
     }
   }
   EXPECT_EQ(engine.attached_servers(), 0u);
+}
+
+/// d 8x8x8 operands for the idle-state tests; each request writes its
+/// own output.
+struct Gemm8 {
+  CompactBuffer<double> a, b;
+  std::vector<CompactBuffer<double>> outs;
+
+  explicit Gemm8(int requests) {
+    Rng rng(9);
+    const index_t batch = simd::pack_width_v<double>;
+    a = test::random_batch<double>(8, 8, batch, rng).to_compact();
+    b = test::random_batch<double>(8, 8, batch, rng).to_compact();
+    for (int i = 0; i < requests; ++i) {
+      outs.push_back(test::random_batch<double>(8, 8, batch, rng)
+                         .to_compact());
+    }
+  }
+
+  std::future<BatchHealth> submit(Server& server, int i) {
+    return server.submit_gemm<double>(Op::NoTrans, Op::NoTrans, 1.0, a, b,
+                                      0.0,
+                                      outs[static_cast<std::size_t>(i)]);
+  }
+};
+
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+// After a burst of round trips the dispatcher spins for at most
+// kDispatchSpin, then parks: a one-second idle window costs the whole
+// process almost no CPU.
+TEST(ServeLifecycle, IdleServerParks) {
+  Engine engine(CacheInfo::kunpeng920());
+  engine.set_kernel_verification(false);
+  Gemm8 fx(1);
+  Server server(engine);
+  for (int i = 0; i < 1000; ++i) {
+    fx.submit(server, 0).get();
+  }
+  const double before = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double idle = process_cpu_seconds() - before;
+  EXPECT_LT(idle, 0.020) << "CPU seconds over a 1 s idle window";
+}
+
+// pause() holds a dispatcher that is still spinning after its last
+// request: submissions queue, nothing is dispatched until resume(), and
+// then the held requests go out as one coalesced dispatch.
+TEST(ServeLifecycle, PauseWhileSpinningHoldsDispatch) {
+  Engine engine(CacheInfo::kunpeng920());
+  engine.set_kernel_verification(false);
+  Gemm8 fx(5);
+  Server server(engine);
+  fx.submit(server, 0).get(); // the dispatcher now spins for more work
+  const std::uint64_t before = server.stats().dispatch_calls;
+  server.pause();
+  std::vector<std::future<BatchHealth>> futs;
+  for (int i = 1; i <= 4; ++i) {
+    futs.push_back(fx.submit(server, i));
+  }
+  std::this_thread::sleep_for(2 * Server::kDispatchSpin);
+  EXPECT_EQ(server.stats().dispatch_calls, before);
+  server.resume();
+  for (auto& fut : futs) {
+    EXPECT_EQ(fut.get().batch, simd::pack_width_v<double>);
+  }
+  EXPECT_EQ(server.stats().dispatch_calls, before + 1);
 }
 
 } // namespace

@@ -4,8 +4,11 @@
 // on every serve.* site. The single invariant checked throughout: every
 // submitted future resolves (a hang here fails the test via timeout,
 // a double resolution aborts via the promise).
+#include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <random>
 #include <thread>
@@ -17,6 +20,7 @@
 #include "iatf/common/error.hpp"
 #include "iatf/common/fault_inject.hpp"
 #include "iatf/core/engine.hpp"
+#include "iatf/ref/ref_blas.hpp"
 #include "iatf/serve/server.hpp"
 
 namespace iatf::serve {
@@ -262,6 +266,91 @@ TEST(ServeStress, WeightedSharesUnderSaturation) {
   EXPECT_EQ(s.tenants[0].served + s.tenants[1].served,
             static_cast<std::uint64_t>(2 * kPerTenant));
   EXPECT_EQ(s.completed, static_cast<std::uint64_t>(2 * kPerTenant));
+}
+
+// The spin-then-park hand-off (DESIGN.md section 12.5) never loses a
+// wake-up. Gaps between submits straddle the dispatcher's spin bound,
+// so requests land while it spins, as it gives up, and after it has
+// parked. Each submitter waits for its own result before it submits
+// again, and the three meet at a barrier every round: a lost wake-up is
+// never rescued by a later submission, so its future stays unresolved.
+TEST(ServeStress, NoLostWakeupAcrossPark) {
+  constexpr int kThreads = 3;
+  constexpr int kRounds = 5000;
+  constexpr index_t kN = 8;
+  const index_t batch = simd::pack_width_v<double>;
+  Rng rng(17);
+  const test::HostBatch<double> a =
+      test::random_batch<double>(kN, kN, batch, rng);
+  const test::HostBatch<double> b =
+      test::random_batch<double>(kN, kN, batch, rng);
+  test::HostBatch<double> expected(kN, kN, batch);
+  for (index_t l = 0; l < batch; ++l) {
+    ref::gemm(Op::NoTrans, Op::NoTrans, kN, kN, kN, 1.0, a.mat(l), kN,
+              b.mat(l), kN, 0.0, expected.mat(l), kN);
+  }
+  double norm = 1.0;
+  for (const double v : expected.data) {
+    norm = std::max(norm, std::abs(v));
+  }
+  const double bound = test::ulp_tolerance<double>(kN) * norm;
+  const CompactBuffer<double> ca = a.to_compact();
+  const CompactBuffer<double> cb = b.to_compact();
+  std::vector<CompactBuffer<double>> outs;
+  for (int t = 0; t < kThreads; ++t) {
+    outs.push_back(expected.to_compact()); // overwritten: beta = 0
+  }
+
+  const auto spin = Server::kDispatchSpin;
+  const std::chrono::nanoseconds gaps[] = {
+      std::chrono::nanoseconds{0}, spin / 2, spin, 2 * spin,
+      std::chrono::milliseconds(1)};
+  std::atomic<int> late{0};
+  std::atomic<int> wrong{0};
+  std::atomic<bool> abort{false};
+  std::barrier round(kThreads);
+  {
+    Server server(stress_engine());
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::mt19937 pick(static_cast<unsigned>(31 + t));
+        std::uniform_int_distribution<int> gap_of(0, 4);
+        CompactBuffer<double>& out = outs[static_cast<std::size_t>(t)];
+        test::HostBatch<double> got(kN, kN, batch);
+        for (int i = 0; i < kRounds; ++i) {
+          std::this_thread::sleep_for(gaps[gap_of(pick)]);
+          SubmitOptions opts;
+          opts.tenant = static_cast<TenantId>(t);
+          auto fut = server.submit_gemm<double>(
+              Op::NoTrans, Op::NoTrans, 1.0, ca, cb, 0.0, out, opts);
+          if (fut.wait_for(std::chrono::seconds(2)) !=
+              std::future_status::ready) {
+            late.fetch_add(1);
+            abort.store(true); // `out` stays borrowed: stop reusing it
+          } else {
+            resolve(fut);
+            got.from_compact(out);
+            for (std::size_t j = 0; j < got.data.size(); ++j) {
+              if (!(std::abs(got.data[j] - expected.data[j]) <= bound)) {
+                wrong.fetch_add(1);
+                break;
+              }
+            }
+          }
+          round.arrive_and_wait();
+          if (abort.load()) {
+            break; // every thread reads the flag after the same barrier
+          }
+        }
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+  } // ~Server resolves a stranded request before `outs` goes away
+  EXPECT_EQ(late.load(), 0) << "a submit was not picked up within 2 s";
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 } // namespace

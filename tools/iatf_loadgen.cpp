@@ -41,12 +41,14 @@
 //                           lesson and still do useful work
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,6 +63,7 @@
 #include "iatf/net/client.hpp"
 #include "iatf/net/trace.hpp"
 #include "iatf/net/wire.hpp"
+#include "iatf/ref/ref_blas.hpp"
 #include "iatf/sched/group_scheduler.hpp"
 #include "iatf/serve/server.hpp"
 #include "iatf/simd/vec.hpp"
@@ -741,10 +744,76 @@ std::vector<T> synth(index_t rows, index_t cols, index_t batch,
   return host;
 }
 
+/// Sampled-lane oracle for one replayed shape. Replays send C = A * B
+/// (alpha 1, beta 0) on synth() operands, so iatf::ref on the same
+/// operands gives the expected first, middle and last lane. The bound is
+/// the test suites' 64 ulps per unit of reduction depth, scaled by the
+/// largest expected magnitude.
+struct LaneOracle {
+  index_t m = 0, n = 0;
+  std::vector<index_t> lanes;
+  std::vector<double> expected; ///< per sampled lane, m x n column-major
+  double bound = 0.0;
+
+  template <class T>
+  static LaneOracle of(index_t m, index_t n, index_t k, index_t batch,
+                       const std::vector<T>& a, const std::vector<T>& b) {
+    LaneOracle o;
+    o.m = m;
+    o.n = n;
+    o.lanes = {0, batch / 2, batch - 1};
+    o.lanes.erase(std::unique(o.lanes.begin(), o.lanes.end()),
+                  o.lanes.end());
+    std::vector<T> c(static_cast<std::size_t>(m * n));
+    double norm = 1.0;
+    for (const index_t l : o.lanes) {
+      std::fill(c.begin(), c.end(), T(0));
+      ref::gemm(Op::NoTrans, Op::NoTrans, m, n, k, T(1),
+                a.data() + l * m * k, m, b.data() + l * k * n, k, T(0),
+                c.data(), m);
+      for (const T v : c) {
+        o.expected.push_back(static_cast<double>(v));
+        norm = std::max(norm, std::abs(static_cast<double>(v)));
+      }
+    }
+    o.bound = static_cast<double>(std::numeric_limits<T>::epsilon()) * 64 *
+              static_cast<double>(std::max<index_t>(k, 2)) * norm;
+    return o;
+  }
+
+  /// True when every sampled lane matches; `lane(l, dst)` writes result
+  /// lane l (m x n, column-major) to dst.
+  template <class T, class Lane> bool matches(Lane&& lane) const {
+    std::vector<T> got(static_cast<std::size_t>(m * n));
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      lane(lanes[i], got.data());
+      for (std::size_t j = 0; j < got.size(); ++j) {
+        const double want = expected[i * got.size() + j];
+        if (!(std::abs(static_cast<double>(got[j]) - want) <= bound)) {
+          return false; // also catches NaN
+        }
+      }
+    }
+    return true;
+  }
+
+  /// A wire Result's C payload (lanes column-major, one after another)
+  /// has the batch's `size` bytes and matches.
+  template <class T>
+  bool matches_wire(const std::vector<std::uint8_t>& c,
+                    std::size_t size) const {
+    const std::size_t lane_bytes = static_cast<std::size_t>(m * n) * sizeof(T);
+    return c.size() == size && matches<T>([&](index_t l, T* dst) {
+             std::memcpy(dst, c.data() + l * lane_bytes, lane_bytes);
+           });
+  }
+};
+
 /// Open-loop replay against an iatf_served daemon over its socket. One
 /// connection, submissions paced to the recorded arrival times, replies
 /// drained between sends; every submission must come back as exactly
-/// one Result (or wire Error) frame.
+/// one Result (or wire Error) frame, and every Ok result must match
+/// iatf::ref on its sampled lanes.
 int replay_socket(const Options& opt,
                   const std::vector<net::TraceEvent>& events) {
   net::Client client;
@@ -770,7 +839,14 @@ int replay_socket(const Options& opt,
 
   // Shape data cache: key on the full descriptor, bytes ready to wire.
   struct ShapeBytes {
+    char dtype = 'd';
     std::vector<std::uint8_t> a, b, c;
+    LaneOracle oracle;
+
+    bool check(const std::vector<std::uint8_t>& result) const {
+      return dtype == 's' ? oracle.matches_wire<float>(result, c.size())
+                          : oracle.matches_wire<double>(result, c.size());
+    }
   };
   std::map<std::string, ShapeBytes> cache;
   auto bytes_for = [&](const net::TraceEvent& ev) -> ShapeBytes& {
@@ -783,49 +859,54 @@ int replay_socket(const Options& opt,
       return it->second;
     }
     ShapeBytes sb;
-    auto pack = [&](index_t rows, index_t cols, unsigned seed,
-                    std::vector<std::uint8_t>& out) {
-      if (ev.dtype == 's') {
-        const auto host = synth<float>(rows, cols, ev.batch, seed);
-        out.resize(host.size() * sizeof(float));
+    sb.dtype = ev.dtype;
+    auto fill = [&](auto zero) {
+      using T = decltype(zero);
+      const auto a = synth<T>(ev.m, ev.k, ev.batch, 11);
+      const auto b = synth<T>(ev.k, ev.n, ev.batch, 23);
+      const auto c = synth<T>(ev.m, ev.n, ev.batch, 37);
+      auto bytes = [](const std::vector<T>& host,
+                      std::vector<std::uint8_t>& out) {
+        out.resize(host.size() * sizeof(T));
         std::memcpy(out.data(), host.data(), out.size());
-      } else {
-        const auto host = synth<double>(rows, cols, ev.batch, seed);
-        out.resize(host.size() * sizeof(double));
-        std::memcpy(out.data(), host.data(), out.size());
-      }
+      };
+      bytes(a, sb.a);
+      bytes(b, sb.b);
+      bytes(c, sb.c);
+      sb.oracle = LaneOracle::of<T>(ev.m, ev.n, ev.k, ev.batch, a, b);
     };
-    pack(ev.m, ev.k, 11, sb.a);
-    pack(ev.k, ev.n, 23, sb.b);
-    pack(ev.m, ev.n, 37, sb.c);
+    if (ev.dtype == 's') {
+      fill(0.0f);
+    } else {
+      fill(0.0);
+    }
     return cache.emplace(key, std::move(sb)).first->second;
   };
 
-  std::uint64_t ok = 0, failed = 0, refused = 0;
+  std::uint64_t ok = 0, failed = 0, refused = 0, wrong = 0;
   std::size_t outstanding = 0;
-  std::map<std::uint64_t, Clock::time_point> sent_at;
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(events.size());
+  std::map<std::uint64_t, const ShapeBytes*> pending;
 
   auto absorb = [&](const net::Client::Reply& reply) {
     if (reply.type == net::FrameType::Result) {
-      const auto it = sent_at.find(reply.request_id);
-      if (it != sent_at.end()) {
-        latencies_ms.push_back(std::chrono::duration<double, std::milli>(
-                                   Clock::now() - it->second)
-                                   .count());
-        sent_at.erase(it);
+      const auto it = pending.find(reply.request_id);
+      const ShapeBytes* sb = it != pending.end() ? it->second : nullptr;
+      if (sb != nullptr) {
+        pending.erase(it);
         --outstanding;
       }
-      if (reply.status == 0) {
-        ++ok;
-      } else {
+      if (reply.status != 0) {
         ++failed;
+        return;
+      }
+      ++ok;
+      if (sb == nullptr || !sb->check(reply.c)) {
+        ++wrong;
       }
     } else if (reply.type == net::FrameType::Error) {
-      const auto it = sent_at.find(reply.request_id);
-      if (it != sent_at.end()) {
-        sent_at.erase(it);
+      const auto it = pending.find(reply.request_id);
+      if (it != pending.end()) {
+        pending.erase(it);
         --outstanding;
       }
       ++refused;
@@ -870,7 +951,7 @@ int replay_socket(const Options& opt,
       msg.b = sb.b;
       msg.c = sb.c;
       const std::uint64_t id = client.submit_gemm(msg);
-      sent_at.emplace(id, Clock::now());
+      pending.emplace(id, &sb);
       ++outstanding;
     }
 
@@ -898,14 +979,10 @@ int replay_socket(const Options& opt,
                 static_cast<long long>(events.front().n), series.c_str(),
                 value, unit.c_str());
   };
-  std::sort(latencies_ms.begin(), latencies_ms.end());
   row("net_replay_events", static_cast<double>(events.size()), "req");
   row("net_throughput",
       wall_s > 0 ? static_cast<double>(events.size()) / wall_s : 0.0,
       "req/s");
-  row("net_latency_p50", percentile(latencies_ms, 0.50), "ms");
-  row("net_latency_p95", percentile(latencies_ms, 0.95), "ms");
-  row("net_latency_p99", percentile(latencies_ms, 0.99), "ms");
   row("net_failed", static_cast<double>(failed), "req");
   row("net_refused", static_cast<double>(refused), "req");
   row("net_unresolved", static_cast<double>(outstanding), "req");
@@ -918,21 +995,28 @@ int replay_socket(const Options& opt,
                  outstanding);
     return 1;
   }
+  if (wrong > 0) {
+    std::fprintf(stderr,
+                 "REPLAY FAIL: %llu results differ from iatf::ref\n",
+                 (unsigned long long)wrong);
+    return 1;
+  }
   if (opt.smoke && (failed != 0 || refused != 0)) {
     std::fprintf(stderr,
                  "REPLAY FAIL: %llu failed, %llu refused under smoke\n",
                  (unsigned long long)failed, (unsigned long long)refused);
     return 1;
   }
-  std::printf("replay: OK (%zu events, %llu ok, %llu failed, "
-              "%llu refused)\n",
+  std::printf("replay: OK (%zu events, %llu ok and checked against "
+              "iatf::ref, %llu failed, %llu refused)\n",
               events.size(), (unsigned long long)ok,
               (unsigned long long)failed, (unsigned long long)refused);
   return 0;
 }
 
 /// Open-loop replay against an in-process Server (no sockets): the
-/// trace's arrival times drive submissions from one pacing thread.
+/// trace's arrival times drive submissions from one pacing thread, and
+/// every Ok result must match iatf::ref on its sampled lanes.
 int replay_inprocess(const Options& opt,
                      const std::vector<net::TraceEvent>& events) {
   Engine& engine = Engine::default_engine();
@@ -947,6 +1031,7 @@ int replay_inprocess(const Options& opt,
   // its output buffer (the serve contract forbids aliased writers).
   struct ShapeBufs {
     CompactBuffer<double> a, b;
+    LaneOracle oracle;
   };
   std::map<std::string, ShapeBufs> cache;
   auto bufs_for = [&](const net::TraceEvent& ev) -> ShapeBufs& {
@@ -966,12 +1051,13 @@ int replay_inprocess(const Options& opt,
       sb.a.import_colmajor(bi, ah.data() + bi * ev.m * ev.k, ev.m);
       sb.b.import_colmajor(bi, bh.data() + bi * ev.k * ev.n, ev.k);
     }
+    sb.oracle = LaneOracle::of<double>(ev.m, ev.n, ev.k, ev.batch, ah, bh);
     return cache.emplace(key, std::move(sb)).first->second;
   };
 
   std::mutex mu;
   std::vector<double> latencies_ms;
-  std::uint64_t ok = 0, failed = 0;
+  std::uint64_t ok = 0, failed = 0, wrong = 0;
   std::vector<std::future<BatchHealth>> futures;
   futures.reserve(events.size());
 
@@ -992,16 +1078,24 @@ int replay_inprocess(const Options& opt,
     futures.push_back(server.submit_gemm<double>(
         Op::NoTrans, Op::NoTrans, 1.0, sb.a, sb.b, 0.0, *out, so,
         // The callback owns the output buffer; it dies with the request.
-        [&, out, sent](Status st, const BatchHealth&) {
+        [&, out, sent, oracle = &sb.oracle](Status st, const BatchHealth&) {
           const double ms = std::chrono::duration<double, std::milli>(
                                 Clock::now() - sent)
                                 .count();
+          const bool right =
+              st != Status::Ok ||
+              oracle->matches<double>([&](index_t l, double* dst) {
+                out->export_colmajor(l, dst, out->rows());
+              });
           std::lock_guard<std::mutex> lock(mu);
           latencies_ms.push_back(ms);
           if (st == Status::Ok) {
             ++ok;
           } else {
             ++failed;
+          }
+          if (!right) {
+            ++wrong;
           }
         }));
   }
@@ -1052,12 +1146,19 @@ int replay_inprocess(const Options& opt,
                  (unsigned long long)unresolved);
     return 1;
   }
+  if (wrong > 0) {
+    std::fprintf(stderr,
+                 "REPLAY FAIL: %llu results differ from iatf::ref\n",
+                 (unsigned long long)wrong);
+    return 1;
+  }
   if (opt.smoke && failed != 0) {
     std::fprintf(stderr, "REPLAY FAIL: %llu failed under smoke\n",
                  (unsigned long long)failed);
     return 1;
   }
-  std::printf("replay: OK (%zu events, %llu ok, %llu failed)\n",
+  std::printf("replay: OK (%zu events, %llu ok and checked against "
+              "iatf::ref, %llu failed)\n",
               events.size(), (unsigned long long)ok,
               (unsigned long long)failed);
   return 0;
