@@ -723,14 +723,16 @@ private:
   template <class T, int Bytes, class Plan>
   bool ensure_verified(const Plan& plan);
 
+  /// One kernel's trust verdict: its ledger state, or on first use its
+  /// canary, marked in the ledger (and journaled when quarantined).
+  /// Returns true when the kernel may be dispatched.
+  template <class T, int Bytes>
+  bool kernel_trusted(const resilience::KernelUse& use);
+
   /// Canary-check one registry kernel against the scalar reference.
   /// Returns true on match, false on mismatch/throw (caller quarantines).
   template <class T, int Bytes>
   bool verify_kernel(const resilience::KernelUse& use);
-  template <class T, int Bytes>
-  bool run_gemm_canary(const resilience::KernelUse& use);
-  template <class T, int Bytes>
-  bool run_trsm_canary(const resilience::KernelUse& use);
 
   /// Drop every cached entry referencing a quarantined kernel (their
   /// descriptor classes rebuild through single-flight on the next miss).

@@ -2,13 +2,15 @@
 // resilience layer (resilience/resilience.hpp).
 //
 // Plans record which registry kernels their command queues call
-// (KernelUse) and carry a cached verification verdict (PlanVerify) so the
-// engine's dispatch can gate on one relaxed atomic load. This header is
-// deliberately tiny and dependency-free: plan headers include it without
-// pulling the engine-side guard/breaker machinery into every plan user.
+// (KernelUse, deduplicated by note_kernel) and carry a cached
+// verification verdict (PlanVerify) so the engine's dispatch can gate on
+// one relaxed atomic load. This header is deliberately tiny and free of
+// iatf dependencies: plan headers include it without pulling the
+// engine-side guard/breaker machinery into every plan user.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace iatf::resilience {
 
@@ -42,5 +44,18 @@ struct KernelUse {
 
   friend bool operator==(const KernelUse&, const KernelUse&) = default;
 };
+
+/// Record a distinct registry-kernel reference (the sets are tiny: at
+/// most cap/remainder per dimension, so linear dedup is fine).
+inline void note_kernel(std::vector<KernelUse>& used, char kind,
+                        std::int64_t m, std::int64_t n) {
+  const KernelUse use{kind, static_cast<int>(m), static_cast<int>(n)};
+  for (const KernelUse& e : used) {
+    if (e == use) {
+      return;
+    }
+  }
+  used.push_back(use);
+}
 
 } // namespace iatf::resilience

@@ -14,7 +14,6 @@
 
 #include "iatf/common/error.hpp"
 #include "iatf/common/fault_inject.hpp"
-#include "iatf/ref/ref_blas.hpp"
 #include "iatf/tune/descriptor.hpp"
 #include "iatf/tune/tuning_table.hpp"
 #include "engine_ops.hpp"
@@ -167,66 +166,21 @@ std::vector<resilience::KernelId> kernel_ids_of(const Plan& plan) {
   return ids;
 }
 
-/// Deterministic canary operand: small exact binary fractions, so the
-/// tiled kernels and the scalar reference agree to a few ulps and a
-/// mismatch means a broken kernel, not accumulated rounding.
-template <class T> T canary_value(int seed) {
-  const double re = ((seed % 11) - 5) * 0.0625;
-  if constexpr (is_complex_v<T>) {
-    const double im = (((seed / 3) % 7) - 3) * 0.125;
-    return T(static_cast<real_t<T>>(re), static_cast<real_t<T>>(im));
-  } else {
-    return static_cast<T>(re);
-  }
-}
-
-template <class T>
-void fill_canary(CompactBuffer<T>& buf, int salt) {
-  for (index_t b = 0; b < buf.batch(); ++b) {
-    for (index_t j = 0; j < buf.cols(); ++j) {
-      for (index_t i = 0; i < buf.rows(); ++i) {
-        buf.set(b, i, j,
-                canary_value<T>(static_cast<int>(salt + 13 * b + 7 * j +
-                                                 3 * i)));
-      }
-    }
-  }
-}
-
-/// Well-conditioned canary triangle: power-of-two diagonal (exact
-/// reciprocal) with small exact sub-diagonal entries.
-template <class T>
-void fill_canary_triangle(CompactBuffer<T>& buf, int salt) {
-  for (index_t b = 0; b < buf.batch(); ++b) {
-    for (index_t j = 0; j < buf.cols(); ++j) {
-      for (index_t i = 0; i < buf.rows(); ++i) {
-        if (i == j) {
-          buf.set(b, i, j, T(2));
-        } else {
-          buf.set(b, i, j,
-                  canary_value<T>(static_cast<int>(salt + 13 * b + 7 * j +
-                                                   3 * i)));
-        }
-      }
-    }
-  }
-}
-
-/// Lane-by-lane comparison of a computed buffer against the scalar
-/// reference result, ulp-scaled.
-template <class T>
-bool canary_lane_matches(const std::vector<T>& got,
-                         const std::vector<T>& want) {
-  using R = real_t<T>;
+/// Run the canary of registry kernel `use` through its op traits: build
+/// the canary plan directly, not through the cache (canaries leave the
+/// hit/miss/build counters untouched), and check every lane of the
+/// canary batch against the scalar reference.
+template <class Traits>
+bool run_canary(const resilience::KernelUse& use, const CacheInfo& cache) {
+  using R = real_t<typename Traits::value_type>;
+  const auto [shape, tuning] = Traits::canary_plan(use);
+  const typename Traits::Plan plan(shape, cache, tuning);
+  typename Traits::Operands ops(shape);
+  Traits::canary_fill(ops);
   const R tol = std::numeric_limits<R>::epsilon() * R(512);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const R err = static_cast<R>(std::abs(got[i] - want[i]));
-    const R mag = static_cast<R>(std::abs(want[i]));
-    if (!(err <= tol * (R(1) + mag))) {
-      return false; // also catches NaN
-    }
-  }
-  return true;
+  return detail::agrees_with_reference<Traits>(
+      shape, ops.seg, shape.batch, detail::Tolerance<R>{tol, tol},
+      [&] { Traits::execute(plan, ops.seg, nullptr, nullptr); });
 }
 
 /// Capped exponential backoff before a transient-failure retry; never
@@ -1259,22 +1213,7 @@ bool Engine::ensure_verified(const Plan& plan) {
   // costs a duplicate micro-canary, never an inconsistent verdict.
   bool ok = true;
   for (const resilience::KernelUse& use : plan.kernels_used()) {
-    const resilience::KernelId id{use.kind, dtype_tag<T>(), Bytes, use.m,
-                                  use.n};
-    switch (guard_.state(id)) {
-    case resilience::KernelState::Verified:
-      continue;
-    case resilience::KernelState::Quarantined:
-      ok = false;
-      continue;
-    case resilience::KernelState::Untested:
-      break;
-    }
-    if (verify_kernel<T, Bytes>(use)) {
-      guard_.mark_verified(id);
-    } else {
-      guard_.mark_quarantined(id);
-      journal_quarantine(id);
+    if (!kernel_trusted<T, Bytes>(use)) {
       ok = false;
     }
   }
@@ -1287,7 +1226,30 @@ bool Engine::ensure_verified(const Plan& plan) {
 }
 
 template <class T, int Bytes>
+bool Engine::kernel_trusted(const resilience::KernelUse& use) {
+  const resilience::KernelId id{use.kind, dtype_tag<T>(), Bytes, use.m,
+                                use.n};
+  switch (guard_.state(id)) {
+  case resilience::KernelState::Verified:
+    return true;
+  case resilience::KernelState::Quarantined:
+    return false;
+  case resilience::KernelState::Untested:
+    break;
+  }
+  if (verify_kernel<T, Bytes>(use)) {
+    guard_.mark_verified(id);
+    return true;
+  }
+  guard_.mark_quarantined(id);
+  journal_quarantine(id);
+  return false;
+}
+
+template <class T, int Bytes>
 bool Engine::verify_kernel(const resilience::KernelUse& use) {
+  using Gemm = detail::GemmOp<T, Bytes>;
+  using Trsm = detail::TrsmOp<T, Bytes>;
   try {
     // The verification itself is a fault site (tests quarantine a chosen
     // kernel by arming it). Everything below runs with unrelated
@@ -1298,132 +1260,26 @@ bool Engine::verify_kernel(const resilience::KernelUse& use) {
     fault::SuppressionScope suppress;
     switch (use.kind) {
     case 'g':
-      return run_gemm_canary<T, Bytes>(use);
-    case 't':
+      return run_canary<Gemm>(use, cache_);
     case 'r':
-      return run_trsm_canary<T, Bytes>(use);
+      // Attribution guard: the rect canary exercises tri(m, n) too, so a
+      // broken tri partner would condemn an innocent rect. Canary the tri
+      // first; if IT is broken, report the rect as passing -- every plan
+      // dispatching rect(m, n) also dispatches tri(m, n), whose own
+      // quarantine already taints the plan.
+      if (!run_canary<Trsm>(resilience::KernelUse{'t', use.m, use.n},
+                            cache_)) {
+        return true;
+      }
+      [[fallthrough]];
+    case 't':
+      return run_canary<Trsm>(use, cache_);
     default:
       return true;
     }
   } catch (...) {
     return false; // a throwing kernel is as quarantined as a wrong one
   }
-}
-
-template <class T, int Bytes>
-bool Engine::run_gemm_canary(const resilience::KernelUse& use) {
-  using PlanT = plan::GemmPlan<T, Bytes>;
-  GemmShape shape;
-  shape.m = use.m;
-  shape.n = use.n;
-  shape.k = 3;
-  shape.op_a = Op::NoTrans;
-  shape.op_b = Op::NoTrans;
-  shape.batch = PlanT::pack_width();
-  // Built directly, not through the cache: canaries leave the hit/miss/
-  // build counters untouched. Default tuning on an (m, n) within the
-  // register-budget caps yields exactly one tile -- the kernel under
-  // test, alone.
-  const PlanT plan(shape, cache_, plan::PlanTuning{});
-  const index_t pw = PlanT::pack_width();
-  CompactBuffer<T> a(shape.m, shape.k, shape.batch, pw);
-  CompactBuffer<T> b(shape.k, shape.n, shape.batch, pw);
-  CompactBuffer<T> c(shape.m, shape.n, shape.batch, pw);
-  fill_canary(a, 1);
-  fill_canary(b, 2);
-  fill_canary(c, 3);
-  const index_t lda = std::max<index_t>(a.rows(), 1);
-  const index_t ldb = std::max<index_t>(b.rows(), 1);
-  const index_t ldc = std::max<index_t>(c.rows(), 1);
-  // Pre-call C per lane, for the beta term of the reference result.
-  std::vector<std::vector<T>> c0(static_cast<std::size_t>(shape.batch));
-  for (index_t lane = 0; lane < shape.batch; ++lane) {
-    auto& lane0 = c0[static_cast<std::size_t>(lane)];
-    lane0.resize(static_cast<std::size_t>(c.rows() * c.cols()));
-    c.export_colmajor(lane, lane0.data(), ldc);
-  }
-  const T alpha = T(0.5);
-  const T beta = T(0.25);
-  plan.execute(a, b, c, alpha, beta, nullptr, nullptr);
-
-  std::vector<T> ta(static_cast<std::size_t>(a.rows() * a.cols()));
-  std::vector<T> tb(static_cast<std::size_t>(b.rows() * b.cols()));
-  std::vector<T> got(static_cast<std::size_t>(c.rows() * c.cols()));
-  for (index_t lane = 0; lane < shape.batch; ++lane) {
-    a.export_colmajor(lane, ta.data(), lda);
-    b.export_colmajor(lane, tb.data(), ldb);
-    c.export_colmajor(lane, got.data(), ldc);
-    std::vector<T>& want = c0[static_cast<std::size_t>(lane)];
-    ref::gemm(Op::NoTrans, Op::NoTrans, shape.m, shape.n, shape.k, alpha,
-              ta.data(), lda, tb.data(), ldb, beta, want.data(), ldc);
-    if (!canary_lane_matches(got, want)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-template <class T, int Bytes>
-bool Engine::run_trsm_canary(const resilience::KernelUse& use) {
-  using PlanT = plan::TrsmPlan<T, Bytes>;
-  // Attribution guard for rect kernels: the blocked canary below
-  // exercises tri(m, n) too, so a broken tri partner would condemn an
-  // innocent rect. Canary the tri first; if IT is broken, report the
-  // rect as passing -- every plan dispatching rect(m, n) also dispatches
-  // tri(m, n), whose own quarantine already taints the plan.
-  if (use.kind == 'r' &&
-      !run_trsm_canary<T, Bytes>(resilience::KernelUse{'t', use.m, use.n})) {
-    return true;
-  }
-  TrsmShape shape;
-  shape.side = Side::Left;
-  shape.uplo = Uplo::Lower;
-  shape.op_a = Op::NoTrans;
-  shape.diag = Diag::NonUnit;
-  shape.n = use.n;
-  plan::PlanTuning tuning;
-  if (use.kind == 'r') {
-    // Two block rows of the rect's row size: the plan solves
-    // tri(m, n) on the diagonal block and updates the second block row
-    // through rect(m, n).
-    shape.m = 2 * use.m;
-    tuning.mc_cap = use.m;
-    tuning.nc_cap = use.n;
-  } else {
-    shape.m = use.m; // small path: one triangular kernel, no blocking
-  }
-  shape.batch = PlanT::pack_width();
-  const PlanT plan(shape, cache_, tuning);
-  const index_t pw = PlanT::pack_width();
-  CompactBuffer<T> a(shape.a_dim(), shape.a_dim(), shape.batch, pw);
-  CompactBuffer<T> b(shape.m, shape.n, shape.batch, pw);
-  fill_canary_triangle(a, 4);
-  fill_canary(b, 5);
-  const index_t lda = std::max<index_t>(a.rows(), 1);
-  const index_t ldb = std::max<index_t>(b.rows(), 1);
-  // Original right-hand side per lane; the plan solves in place.
-  std::vector<std::vector<T>> b0(static_cast<std::size_t>(shape.batch));
-  for (index_t lane = 0; lane < shape.batch; ++lane) {
-    auto& lane0 = b0[static_cast<std::size_t>(lane)];
-    lane0.resize(static_cast<std::size_t>(b.rows() * b.cols()));
-    b.export_colmajor(lane, lane0.data(), ldb);
-  }
-  const T alpha = T(0.5);
-  plan.execute(a, b, alpha, nullptr, nullptr);
-
-  std::vector<T> ta(static_cast<std::size_t>(a.rows() * a.cols()));
-  std::vector<T> got(static_cast<std::size_t>(b.rows() * b.cols()));
-  for (index_t lane = 0; lane < shape.batch; ++lane) {
-    a.export_colmajor(lane, ta.data(), lda);
-    b.export_colmajor(lane, got.data(), ldb);
-    std::vector<T>& want = b0[static_cast<std::size_t>(lane)];
-    ref::trsm(shape.side, shape.uplo, shape.op_a, shape.diag, shape.m,
-              shape.n, alpha, ta.data(), lda, want.data(), ldb);
-    if (!canary_lane_matches(got, want)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void Engine::invalidate_quarantined_plans() {
@@ -1455,21 +1311,7 @@ std::size_t Engine::self_test_type() {
   using Limits = kernels::KernelLimits<T>;
   std::size_t quarantined = 0;
   const auto check = [&](char kind, int m, int n) {
-    const resilience::KernelId id{kind, dtype_tag<T>(), Bytes, m, n};
-    switch (guard_.state(id)) {
-    case resilience::KernelState::Quarantined:
-      ++quarantined;
-      return;
-    case resilience::KernelState::Verified:
-      return;
-    case resilience::KernelState::Untested:
-      break;
-    }
-    if (verify_kernel<T, Bytes>(resilience::KernelUse{kind, m, n})) {
-      guard_.mark_verified(id);
-    } else {
-      guard_.mark_quarantined(id);
-      journal_quarantine(id);
+    if (!kernel_trusted<T, Bytes>(resilience::KernelUse{kind, m, n})) {
       ++quarantined;
     }
   };

@@ -26,7 +26,16 @@
 //   ref_lane               recompute one lane on the scalar reference;
 //                          false when the reference refuses the lane
 //                          (factorisations only), which keeps its
-//                          current contents and is flagged singular.
+//                          current contents and is flagged singular;
+//   Operands               owning operands of one shape with a segment
+//                          bound to them (GEMM and TRSM: kernel canary
+//                          and tuner data);
+//   canary_plan,           the shape and tuning whose plan exercises one
+//   canary_fill            registry kernel, and its exact operand fill
+//                          (GEMM and TRSM).
+//
+// agrees_with_reference is the one plan-versus-reference check, shared
+// by the kernel canary and the tuner's correctness gate.
 //
 // CallSegment is the per-segment state the pipeline carries between its
 // stages.
@@ -38,6 +47,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "iatf/common/error.hpp"
@@ -49,6 +59,28 @@
 #include "iatf/tune/descriptor.hpp"
 
 namespace iatf::detail {
+
+/// Canary operand (DESIGN.md section 11.1): small exact binary fractions,
+/// so the tiled kernels and the scalar reference agree to a few ulps and
+/// a mismatch means a broken kernel, not accumulated rounding. A nonzero
+/// `diag` replaces the diagonal.
+template <class T>
+void fill_exact(CompactBuffer<T>& buf, int salt, T diag = T(0)) {
+  using R = real_t<T>;
+  for (index_t b = 0; b < buf.batch(); ++b) {
+    for (index_t j = 0; j < buf.cols(); ++j) {
+      for (index_t i = 0; i < buf.rows(); ++i) {
+        const int seed = static_cast<int>(salt + 13 * b + 7 * j + 3 * i);
+        const R re = static_cast<R>(((seed % 11) - 5) * 0.0625);
+        T v = T(re);
+        if constexpr (is_complex_v<T>) {
+          v.imag(static_cast<R>((((seed / 3) % 7) - 3) * 0.125));
+        }
+        buf.set(b, i, j, i == j && diag != T(0) ? diag : v);
+      }
+    }
+  }
+}
 
 template <class T, int Bytes> struct GemmOp {
   using value_type = T;
@@ -129,6 +161,42 @@ template <class T, int Bytes> struct GemmOp {
     c.import_colmajor(lane, tc.data(), ldc);
     return true;
   }
+
+  struct Operands {
+    explicit Operands(const Shape& s)
+        : a(s.op_a == Op::NoTrans ? s.m : s.k,
+            s.op_a == Op::NoTrans ? s.k : s.m, s.batch, Plan::pack_width()),
+          b(s.op_b == Op::NoTrans ? s.k : s.n,
+            s.op_b == Op::NoTrans ? s.n : s.k, s.batch, Plan::pack_width()),
+          c(s.m, s.n, s.batch, Plan::pack_width()) {
+      seg.op_a = s.op_a;
+      seg.op_b = s.op_b;
+      seg.a = &a;
+      seg.b = &b;
+      seg.c = &c;
+    }
+    Operands(const Operands&) = delete;
+    Operands& operator=(const Operands&) = delete;
+
+    CompactBuffer<T> a, b, c;
+    Segment seg; ///< bound to a, b, c; alpha 1 and beta 0 until set
+  };
+
+  /// At default tuning an (m, n) within the register-budget caps yields
+  /// exactly one tile: the kernel under test, alone, here at depth 3.
+  static std::pair<Shape, plan::PlanTuning>
+  canary_plan(const resilience::KernelUse& use) {
+    return {Shape{use.m, use.n, 3, Op::NoTrans, Op::NoTrans,
+                  Plan::pack_width()},
+            plan::PlanTuning{}};
+  }
+  static void canary_fill(Operands& ops) {
+    fill_exact(ops.a, 1);
+    fill_exact(ops.b, 2);
+    fill_exact(ops.c, 3);
+    ops.seg.alpha = T(0.5);
+    ops.seg.beta = T(0.25);
+  }
 };
 
 template <class T, int Bytes> struct TrsmOp {
@@ -195,6 +263,49 @@ template <class T, int Bytes> struct TrsmOp {
               ta.data(), lda, tb.data(), ldb);
     b.import_colmajor(lane, tb.data(), ldb);
     return true;
+  }
+
+  struct Operands {
+    explicit Operands(const Shape& s)
+        : a(s.a_dim(), s.a_dim(), s.batch, Plan::pack_width()),
+          b(s.m, s.n, s.batch, Plan::pack_width()) {
+      seg.side = s.side;
+      seg.uplo = s.uplo;
+      seg.op_a = s.op_a;
+      seg.diag = s.diag;
+      seg.a = &a;
+      seg.b = &b;
+    }
+    Operands(const Operands&) = delete;
+    Operands& operator=(const Operands&) = delete;
+
+    CompactBuffer<T> a, b;
+    Segment seg; ///< bound to a and b; alpha 1 until set
+  };
+
+  /// LLNN. A tri kernel runs alone on the small path. A rect kernel gets
+  /// two block rows of its row size: the plan solves tri(m, n) on the
+  /// diagonal block and updates the second block row through rect(m, n).
+  static std::pair<Shape, plan::PlanTuning>
+  canary_plan(const resilience::KernelUse& use) {
+    const bool rect = use.kind == 'r';
+    Shape s;
+    s.m = rect ? 2 * use.m : use.m;
+    s.n = use.n;
+    s.batch = Plan::pack_width();
+    plan::PlanTuning tuning;
+    if (rect) {
+      tuning.mc_cap = use.m;
+      tuning.nc_cap = use.n;
+    }
+    return {s, tuning};
+  }
+  /// A power-of-two diagonal keeps the triangle well-conditioned with an
+  /// exact reciprocal.
+  static void canary_fill(Operands& ops) {
+    fill_exact(ops.a, 4, T(2));
+    fill_exact(ops.b, 5);
+    ops.seg.alpha = T(0.5);
   }
 };
 
@@ -331,6 +442,61 @@ private:
     return true;
   }
 };
+
+/// Tolerance of agrees_with_reference: an element agrees when
+/// |got - want| <= abs + rel * |want|. NaN never agrees, nor does Inf
+/// on either side.
+template <class R> struct Tolerance {
+  R abs = 0;
+  R rel = 0;
+};
+
+/// The one plan-versus-reference check (DESIGN.md section 11.1), shared
+/// by the kernel canary and the tuner's correctness gate:
+///   1. snapshot lanes [0, lanes) of the written operand;
+///   2. run the plan once through `run`;
+///   3. recompute those lanes from the snapshot with Traits::ref_lane;
+///   4. compare them with the plan's output, element by element.
+/// The written operand keeps the plan's output. For GEMM and TRSM, whose
+/// ref_lane never refuses a lane.
+template <class Traits, class Run>
+bool agrees_with_reference(
+    const typename Traits::Shape& shape, const typename Traits::Segment& seg,
+    index_t lanes, Tolerance<real_t<typename Traits::value_type>> tol,
+    const Run& run) {
+  using T = typename Traits::value_type;
+  using R = real_t<T>;
+  CompactBuffer<T>& out = Traits::written(seg);
+  const index_t ld = std::max<index_t>(out.rows(), 1);
+  const auto elems = static_cast<std::size_t>(out.rows() * out.cols());
+  std::vector<T> snapshot(elems * static_cast<std::size_t>(lanes));
+  const auto lane_of = [&](std::vector<T>& v, index_t lane) {
+    return v.data() + static_cast<std::size_t>(lane) * elems;
+  };
+  for (index_t lane = 0; lane < lanes; ++lane) {
+    out.export_colmajor(lane, lane_of(snapshot, lane), ld);
+  }
+  run();
+  std::vector<T> got(elems);
+  std::vector<T> want(elems);
+  for (index_t lane = 0; lane < lanes; ++lane) {
+    // ref_lane recomputes in place from the lane's pre-call contents:
+    // swap the snapshot in, recompute, and put the plan's output back.
+    out.export_colmajor(lane, got.data(), ld);
+    out.import_colmajor(lane, lane_of(snapshot, lane), ld);
+    Traits::ref_lane(shape, seg, lane);
+    out.export_colmajor(lane, want.data(), ld);
+    out.import_colmajor(lane, got.data(), ld);
+    for (std::size_t i = 0; i < elems; ++i) {
+      const R err = static_cast<R>(std::abs(got[i] - want[i]));
+      const R mag = static_cast<R>(std::abs(want[i]));
+      if (!(err <= tol.abs + tol.rel * mag)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 /// The breaker gate of one admitted size class, held by the class
 /// leader: its slot and whether this call is the slot's HalfOpen probe.

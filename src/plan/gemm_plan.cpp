@@ -8,24 +8,6 @@
 
 namespace iatf::plan {
 
-namespace {
-
-/// Record a distinct registry-kernel reference (the sets are tiny: at
-/// most cap/remainder per dimension, so linear dedup is fine).
-inline void note_kernel(std::vector<resilience::KernelUse>& used,
-                        char kind, index_t m, index_t n) {
-  const resilience::KernelUse use{kind, static_cast<int>(m),
-                                  static_cast<int>(n)};
-  for (const resilience::KernelUse& e : used) {
-    if (e == use) {
-      return;
-    }
-  }
-  used.push_back(use);
-}
-
-} // namespace
-
 template <class T, int Bytes>
 GemmPlan<T, Bytes>::GemmPlan(const GemmShape& shape, const CacheInfo& cache,
                              const PlanTuning& tuning)
@@ -94,7 +76,7 @@ GemmPlan<T, Bytes>::GemmPlan(const GemmShape& shape, const CacheInfo& cache,
       Call call;
       call.fn = kernels::Registry<T, Bytes>::gemm(
           static_cast<int>(mt.size), static_cast<int>(nt.size));
-      note_kernel(kernels_used_, 'g', mt.size, nt.size);
+      resilience::note_kernel(kernels_used_, 'g', mt.size, nt.size);
       call.k = shape.k;
       call.mc = mt.size;
       call.nc = nt.size;

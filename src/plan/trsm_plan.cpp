@@ -33,20 +33,6 @@ void scale_compact(real_t<T>* data, index_t elems, index_t es, T alpha) {
   }
 }
 
-/// Record a distinct registry-kernel reference (the sets are tiny: at
-/// most cap/remainder per dimension, so linear dedup is fine).
-inline void note_kernel(std::vector<resilience::KernelUse>& used,
-                        char kind, index_t m, index_t n) {
-  const resilience::KernelUse use{kind, static_cast<int>(m),
-                                  static_cast<int>(n)};
-  for (const resilience::KernelUse& e : used) {
-    if (e == use) {
-      return;
-    }
-  }
-  used.push_back(use);
-}
-
 } // namespace
 
 template <class T, int Bytes>
@@ -113,7 +99,7 @@ TrsmPlan<T, Bytes>::TrsmPlan(const TrsmShape& shape, const CacheInfo& cache,
         step.kind = Step::Kind::Rect;
         step.rect_fn = kernels::Registry<T, Bytes>::rect(
             static_cast<int>(rowb.size), static_cast<int>(panel.size));
-        note_kernel(kernels_used_, 'r', rowb.size, panel.size);
+        resilience::note_kernel(kernels_used_, 'r', rowb.size, panel.size);
         step.pa_off = row_base + colb.offset * rowb.size * es;
         step.col_off = panel.offset;
         step.row_off = rowb.offset;
@@ -125,7 +111,7 @@ TrsmPlan<T, Bytes>::TrsmPlan(const TrsmShape& shape, const CacheInfo& cache,
       step.kind = Step::Kind::Tri;
       step.tri_fn = kernels::Registry<T, Bytes>::tri(
           static_cast<int>(rowb.size), static_cast<int>(panel.size));
-      note_kernel(kernels_used_, 't', rowb.size, panel.size);
+      resilience::note_kernel(kernels_used_, 't', rowb.size, panel.size);
       step.pa_off = row_base + rowb.offset * rowb.size * es;
       step.col_off = panel.offset;
       step.row_off = rowb.offset;

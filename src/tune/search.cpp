@@ -18,9 +18,9 @@
 #include "iatf/pipesim/simulator.hpp"
 #include "iatf/plan/gemm_plan.hpp"
 #include "iatf/plan/trsm_plan.hpp"
-#include "iatf/ref/ref_blas.hpp"
 #include "iatf/sched/scheduler.hpp"
 #include "iatf/simd/isa.hpp"
+#include "../core/engine_ops.hpp"
 
 namespace iatf::tune {
 namespace {
@@ -88,22 +88,77 @@ double median(std::vector<double>& v) {
                               : 0.5 * (v[n / 2 - 1] + v[n / 2]));
 }
 
-template <class T>
-real_t<T> check_tolerance(index_t depth) {
+/// Absolute tolerance of the per-candidate correctness gate at reduction
+/// depth `depth`: eps * (50 + 10 * depth) * depth, wide enough for the
+/// rounding of random operands summed over `depth` terms.
+template <class T> real_t<T> check_tolerance(index_t depth) {
   using R = real_t<T>;
-  return std::numeric_limits<R>::epsilon() *
-         static_cast<R>(50 + 10 * std::max<index_t>(depth, 1));
+  const index_t d = std::max<index_t>(depth, 1);
+  return std::numeric_limits<R>::epsilon() * static_cast<R>(50 + 10 * d) *
+         static_cast<R>(d);
 }
 
-template <class T>
-bool lanes_match(const std::vector<T>& expected, const std::vector<T>& got,
-                 real_t<T> tol, real_t<T> scale) {
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    if (std::abs(expected[i] - got[i]) > tol * scale) {
-      return false;
+index_t depth(const GemmShape& s) { return s.k; }
+index_t depth(const TrsmShape& s) { return s.a_dim(); }
+
+template <class T> double flops(const GemmShape& s) {
+  return gemm_flops<T>(s);
+}
+template <class T> double flops(const TrsmShape& s) {
+  return trsm_flops<T>(s);
+}
+
+/// The measurement operands: seeded uniform A and B (C starts at zero).
+template <class T, int Bytes>
+void fill_measurement(typename detail::GemmOp<T, Bytes>::Operands& ops,
+                      Rng& rng) {
+  using R = real_t<T>;
+  rng.fill<R>(std::span<R>(ops.a.data(), ops.a.size()));
+  rng.fill<R>(std::span<R>(ops.b.data(), ops.b.size()));
+}
+
+/// Seeded B and well-conditioned triangular factors (diagonal bounded
+/// away from zero) so repeated in-place solves neither blow up nor
+/// denormalise.
+template <class T, int Bytes>
+void fill_measurement(typename detail::TrsmOp<T, Bytes>::Operands& ops,
+                      Rng& rng) {
+  using R = real_t<T>;
+  rng.fill<R>(std::span<R>(ops.b.data(), ops.b.size()));
+  const index_t adim = ops.a.rows();
+  std::vector<T> host(static_cast<std::size_t>(adim * adim));
+  const R off_scale = adim > 1 ? R(0.5) / static_cast<R>(adim) : R(1);
+  for (index_t lane = 0; lane < ops.a.batch(); ++lane) {
+    rng.fill<T>(host);
+    for (index_t j = 0; j < adim; ++j) {
+      for (index_t i = 0; i < adim; ++i) {
+        if (i == j) {
+          host[j * adim + i] += T(1);
+        } else {
+          host[j * adim + i] *= off_scale;
+        }
+      }
     }
+    ops.a.import_colmajor(lane, host.data(), adim);
   }
-  return true;
+  ops.a.pad_identity();
+}
+
+/// Run a candidate plan once over the whole batch, on the pool when the
+/// options carry one.
+template <class Traits>
+void run_plan(const typename Traits::Plan& plan,
+              const typename Traits::Segment& seg, ThreadPool* pool) {
+  if (pool == nullptr) {
+    Traits::execute(plan, seg, nullptr, nullptr);
+    return;
+  }
+  pool->parallel_for(
+      0, Traits::written(seg).groups(),
+      [&](index_t g_begin, index_t g_end) {
+        Traits::execute_range(plan, seg, g_begin, g_end, nullptr, nullptr);
+      },
+      plan.chunk_groups());
 }
 
 index_t round_up_batch(index_t batch, index_t pw) {
@@ -134,28 +189,6 @@ std::vector<index_t> chunk_variants(const TuneOptions& opts, index_t s0) {
     push_unique(chunks, std::max<index_t>(1, s0 * 4));
   }
   return chunks;
-}
-
-/// Shared measurement loop: warmup + correctness gate + median-of-reps.
-/// `run` executes the candidate plan once; `verify` returns false when
-/// the warmup output disagrees with the scalar reference.
-template <class Run, class Verify>
-double measure_candidate(double flops, int reps, const Run& run,
-                         const Verify& verify) {
-  run(); // warmup: faults pages, loads caches, and produces the output
-         // the correctness gate inspects
-  if (!verify()) {
-    return 0.0; // a wrong result never wins, whatever its speed
-  }
-  std::vector<double> secs;
-  secs.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < std::max(reps, 1); ++r) {
-    Timer t;
-    run();
-    secs.push_back(t.seconds());
-  }
-  const double med = median(secs);
-  return med > 0.0 ? flops / med * 1e-9 : 0.0;
 }
 
 template <class T, int Bytes>
@@ -369,73 +402,78 @@ std::vector<Candidate> trsm_candidates(const TrsmShape& shape,
   return out;
 }
 
-template <class T, int Bytes>
-TuneRecord tune_gemm(const GemmShape& in_shape, const CacheInfo& cache,
-                     const TuneOptions& opts) {
-  using R = real_t<T>;
-  GemmShape shape = in_shape;
-  const index_t pw = plan::GemmPlan<T, Bytes>::pack_width();
-  shape.batch = round_up_batch(opts.batch, pw);
+namespace {
 
-  if (shape.m <= 0 || shape.n <= 0 || shape.k <= 0) {
+template <class T, int Bytes>
+std::vector<Candidate> candidates(const GemmShape& shape,
+                                  const CacheInfo& cache,
+                                  const TuneOptions& opts) {
+  return gemm_candidates<T, Bytes>(shape, cache, opts);
+}
+template <class T, int Bytes>
+std::vector<Candidate> candidates(const TrsmShape& shape,
+                                  const CacheInfo& cache,
+                                  const TuneOptions& opts) {
+  return trsm_candidates<T, Bytes>(shape, cache, opts);
+}
+
+/// The one tuner loop over the core op traits: for each timed candidate,
+/// restore the written operand, run the plan once as the warm-up whose
+/// lane 0 must agree with the scalar reference, then take the median of
+/// the timed repetitions.
+template <class Traits>
+TuneRecord tune(const typename Traits::Shape& in_shape,
+                const CacheInfo& cache, const TuneOptions& opts) {
+  using T = typename Traits::value_type;
+  using R = real_t<T>;
+  using Plan = typename Traits::Plan;
+  constexpr int kBytes = Traits::bytes;
+  typename Traits::Shape shape = in_shape;
+  shape.batch = round_up_batch(opts.batch, Plan::pack_width());
+
+  const Plan probe(shape, cache); // rejects negative dimensions
+  const double work = flops<T>(shape);
+  if (work == 0.0) {
     // Degenerate problems have nothing to tune; echo the defaults.
-    const plan::GemmPlan<T, Bytes> probe(shape, cache);
     Candidate echo;
-    echo.tuning.force_pack_a = probe.packs_a() ? 1 : 0;
+    if constexpr (requires { probe.packs_a(); }) {
+      echo.tuning.force_pack_a = probe.packs_a() ? 1 : 0;
+    }
     echo.tuning.force_pack_b = probe.packs_b() ? 1 : 0;
     echo.tuning.slice_override = probe.slice_groups();
     echo.analytical = true;
-    return record_from<T, Bytes>(echo, echo);
+    return record_from<T, kBytes>(echo, echo);
   }
 
-  const bool ta = shape.op_a != Op::NoTrans;
-  const bool tb = shape.op_b != Op::NoTrans;
-  CompactBuffer<T> a(ta ? shape.k : shape.m, ta ? shape.m : shape.k,
-                     shape.batch, pw);
-  CompactBuffer<T> b(tb ? shape.n : shape.k, tb ? shape.k : shape.n,
-                     shape.batch, pw);
-  CompactBuffer<T> c(shape.m, shape.n, shape.batch, pw);
+  typename Traits::Operands ops(shape);
   Rng rng(opts.seed);
-  rng.fill<R>(std::span<R>(a.data(), a.size()));
-  rng.fill<R>(std::span<R>(b.data(), b.size()));
+  fill_measurement<T, kBytes>(ops, rng);
+  CompactBuffer<T>& out = Traits::written(ops.seg);
+  const std::vector<R> initial(out.data(), out.data() + out.size());
+  const detail::Tolerance<R> tol{check_tolerance<T>(depth(shape)), R(0)};
 
-  // Scalar-reference output of lane 0, the per-candidate correctness
-  // gate (beta = 0 keeps repeated executions idempotent).
-  std::vector<T> ha(static_cast<std::size_t>(a.rows() * a.cols()));
-  std::vector<T> hb(static_cast<std::size_t>(b.rows() * b.cols()));
-  std::vector<T> expected(static_cast<std::size_t>(shape.m * shape.n));
-  a.export_colmajor(0, ha.data(), a.rows());
-  b.export_colmajor(0, hb.data(), b.rows());
-  ref::gemm<T>(shape.op_a, shape.op_b, shape.m, shape.n, shape.k, T(1),
-               ha.data(), a.rows(), hb.data(), b.rows(), T(0),
-               expected.data(), shape.m);
-  const R tol = check_tolerance<T>(shape.k);
-  const R scale = static_cast<R>(std::max<index_t>(shape.k, 1));
-
-  auto timed = timed_set(gemm_candidates<T, Bytes>(shape, cache, opts),
-                         opts);
-  const double flops = gemm_flops<T>(shape);
-  std::vector<T> got(expected.size());
+  auto timed = timed_set(candidates<T, kBytes>(shape, cache, opts), opts);
   for (Candidate& cand : timed) {
+    std::copy(initial.begin(), initial.end(), out.data());
     try {
-      const plan::GemmPlan<T, Bytes> plan(shape, cache, cand.tuning);
-      const auto run = [&] {
-        if (opts.pool != nullptr) {
-          opts.pool->parallel_for(
-              0, c.groups(),
-              [&](index_t g_begin, index_t g_end) {
-                plan.execute_range(a, b, c, T(1), T(0), g_begin, g_end);
-              },
-              plan.chunk_groups());
-        } else {
-          plan.execute(a, b, c, T(1), T(0));
-        }
-      };
-      const auto verify = [&] {
-        c.export_colmajor(0, got.data(), shape.m);
-        return lanes_match(expected, got, tol, scale);
-      };
-      cand.gflops = measure_candidate(flops, opts.reps, run, verify);
+      const Plan plan(shape, cache, cand.tuning);
+      const auto run = [&] { run_plan<Traits>(plan, ops.seg, opts.pool); };
+      // The warm-up faults pages, loads caches and produces the output
+      // the gate inspects; a wrong result keeps 0 GFLOP/s and never
+      // wins, whatever its speed.
+      if (!detail::agrees_with_reference<Traits>(shape, ops.seg, 1, tol,
+                                                 run)) {
+        continue;
+      }
+      std::vector<double> secs;
+      secs.reserve(static_cast<std::size_t>(std::max(opts.reps, 1)));
+      for (int r = 0; r < std::max(opts.reps, 1); ++r) {
+        Timer t;
+        run();
+        secs.push_back(t.seconds());
+      }
+      const double med = median(secs);
+      cand.gflops = med > 0.0 ? work / med * 1e-9 : 0.0;
     } catch (const Error&) {
       cand.gflops = 0.0; // unbuildable candidate (e.g. missing kernel)
     }
@@ -446,107 +484,9 @@ TuneRecord tune_gemm(const GemmShape& in_shape, const CacheInfo& cache,
                                  [](const Candidate& x) {
                                    return x.analytical;
                                  });
-  return record_from<T, Bytes>(winner,
-                               base != timed.end() ? *base : winner);
+  return record_from<T, kBytes>(winner,
+                                base != timed.end() ? *base : winner);
 }
-
-template <class T, int Bytes>
-TuneRecord tune_trsm(const TrsmShape& in_shape, const CacheInfo& cache,
-                     const TuneOptions& opts) {
-  using R = real_t<T>;
-  TrsmShape shape = in_shape;
-  const index_t pw = plan::TrsmPlan<T, Bytes>::pack_width();
-  shape.batch = round_up_batch(opts.batch, pw);
-
-  if (shape.m <= 0 || shape.n <= 0) {
-    const plan::TrsmPlan<T, Bytes> probe(shape, cache);
-    Candidate echo;
-    echo.tuning.force_pack_b = probe.packs_b() ? 1 : 0;
-    echo.tuning.slice_override = probe.slice_groups();
-    echo.analytical = true;
-    return record_from<T, Bytes>(echo, echo);
-  }
-
-  const index_t adim = shape.a_dim();
-  CompactBuffer<T> a(adim, adim, shape.batch, pw);
-  CompactBuffer<T> b(shape.m, shape.n, shape.batch, pw);
-  Rng rng(opts.seed);
-  rng.fill<R>(std::span<R>(b.data(), b.size()));
-
-  // Well-conditioned triangular factors (diagonal bounded away from
-  // zero) so repeated in-place solves neither blow up nor denormalise.
-  {
-    std::vector<T> host(static_cast<std::size_t>(adim * adim));
-    const R off_scale = adim > 1 ? R(0.5) / static_cast<R>(adim) : R(1);
-    for (index_t lane = 0; lane < shape.batch; ++lane) {
-      rng.fill<T>(host);
-      for (index_t j = 0; j < adim; ++j) {
-        for (index_t i = 0; i < adim; ++i) {
-          if (i == j) {
-            host[j * adim + i] += T(1);
-          } else {
-            host[j * adim + i] *= off_scale;
-          }
-        }
-      }
-      a.import_colmajor(lane, host.data(), adim);
-    }
-    a.pad_identity();
-  }
-
-  // Lane-0 reference of the first (warmup) solve.
-  std::vector<T> ha(static_cast<std::size_t>(adim * adim));
-  std::vector<T> expected(static_cast<std::size_t>(shape.m * shape.n));
-  a.export_colmajor(0, ha.data(), adim);
-  const R tol = check_tolerance<T>(adim);
-  const R scale = static_cast<R>(std::max<index_t>(adim, 1));
-
-  auto timed = timed_set(trsm_candidates<T, Bytes>(shape, cache, opts),
-                         opts);
-  const double flops = trsm_flops<T>(shape);
-  std::vector<T> got(expected.size());
-  std::vector<R> b0(b.data(), b.data() + b.size());
-  for (Candidate& cand : timed) {
-    // Every candidate starts from the same right-hand side.
-    std::copy(b0.begin(), b0.end(), b.data());
-    b.export_colmajor(0, got.data(), shape.m); // reuse as B0 host copy
-    std::copy(got.begin(), got.end(), expected.begin());
-    ref::trsm<T>(shape.side, shape.uplo, shape.op_a, shape.diag, shape.m,
-                 shape.n, T(1), ha.data(), adim, expected.data(), shape.m);
-    try {
-      const plan::TrsmPlan<T, Bytes> plan(shape, cache, cand.tuning);
-      const auto run = [&] {
-        if (opts.pool != nullptr) {
-          opts.pool->parallel_for(
-              0, b.groups(),
-              [&](index_t g_begin, index_t g_end) {
-                plan.execute_range(a, b, T(1), g_begin, g_end);
-              },
-              plan.chunk_groups());
-        } else {
-          plan.execute(a, b, T(1));
-        }
-      };
-      const auto verify = [&] {
-        b.export_colmajor(0, got.data(), shape.m);
-        return lanes_match(expected, got, tol, scale);
-      };
-      cand.gflops = measure_candidate(flops, opts.reps, run, verify);
-    } catch (const Error&) {
-      cand.gflops = 0.0;
-    }
-  }
-
-  const Candidate winner = pick_winner(timed);
-  const auto base = std::find_if(timed.begin(), timed.end(),
-                                 [](const Candidate& x) {
-                                   return x.analytical;
-                                 });
-  return record_from<T, Bytes>(winner,
-                               base != timed.end() ? *base : winner);
-}
-
-namespace {
 
 /// Invoke `f` with std::type_identity<T> for a dtype tag.
 template <class F> TunedRecord with_dtype(char dtype, F&& f) {
@@ -564,30 +504,42 @@ template <class F> TunedRecord with_dtype(char dtype, F&& f) {
   }
 }
 
-} // namespace
-
-TunedRecord tune_gemm_dyn(char dtype, const GemmShape& shape,
-                          const CacheInfo& cache, const TuneOptions& opts) {
+/// Tune at the active backend's register width for a runtime dtype tag.
+template <template <class, int> class Op, class Shape>
+TunedRecord tune_dyn(char dtype, const Shape& shape, const CacheInfo& cache,
+                     const TuneOptions& opts) {
   return with_dtype(dtype, [&](auto tag) {
     using T = typename decltype(tag)::type;
     return dispatch_width<T>(simd::active_pack_width<T>(), [&](auto bytes) {
-      constexpr int kBytes = decltype(bytes)::value;
-      return TunedRecord{gemm_key<T, kBytes>(shape),
-                         tune_gemm<T, kBytes>(shape, cache, opts)};
+      using Traits = Op<T, decltype(bytes)::value>;
+      return TunedRecord{Traits::tune_key(shape),
+                         tune<Traits>(shape, cache, opts)};
     });
   });
 }
 
+} // namespace
+
+template <class T, int Bytes>
+TuneRecord tune_gemm(const GemmShape& shape, const CacheInfo& cache,
+                     const TuneOptions& opts) {
+  return tune<detail::GemmOp<T, Bytes>>(shape, cache, opts);
+}
+
+template <class T, int Bytes>
+TuneRecord tune_trsm(const TrsmShape& shape, const CacheInfo& cache,
+                     const TuneOptions& opts) {
+  return tune<detail::TrsmOp<T, Bytes>>(shape, cache, opts);
+}
+
+TunedRecord tune_gemm_dyn(char dtype, const GemmShape& shape,
+                          const CacheInfo& cache, const TuneOptions& opts) {
+  return tune_dyn<detail::GemmOp>(dtype, shape, cache, opts);
+}
+
 TunedRecord tune_trsm_dyn(char dtype, const TrsmShape& shape,
                           const CacheInfo& cache, const TuneOptions& opts) {
-  return with_dtype(dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return dispatch_width<T>(simd::active_pack_width<T>(), [&](auto bytes) {
-      constexpr int kBytes = decltype(bytes)::value;
-      return TunedRecord{trsm_key<T, kBytes>(shape),
-                         tune_trsm<T, kBytes>(shape, cache, opts)};
-    });
-  });
+  return tune_dyn<detail::TrsmOp>(dtype, shape, cache, opts);
 }
 
 #define IATF_INSTANTIATE_TUNE(T, Bytes)                                      \

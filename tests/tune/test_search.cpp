@@ -99,19 +99,27 @@ TEST(TuneTrsm, WinnerIsNeverBelowAnalyticalBaseline) {
 
 TEST(TuneDyn, DispatchesAllDtypesAndRejectsUnknown) {
   const GemmShape shape{3, 3, 3, Op::NoTrans, Op::NoTrans, 8};
+  TrsmShape trsm;
+  trsm.m = 3;
+  trsm.n = 3;
+  trsm.batch = 8;
   TuneOptions opts = tiny_budget();
   opts.batch = 8;
   opts.top_k = 1;
   for (char dtype : {'s', 'd', 'c', 'z'}) {
-    const TunedRecord tuned =
-        tune_gemm_dyn(dtype, shape, CacheInfo::kunpeng920(), opts);
-    EXPECT_GT(tuned.record.gflops, 0.0) << "dtype " << dtype;
-    // Keyed at the width it was timed at: the active backend's.
-    EXPECT_EQ(tuned.key.dtype, dtype);
-    EXPECT_EQ(tuned.key.bytes, simd::active_bytes()) << "dtype " << dtype;
+    for (const TunedRecord& tuned :
+         {tune_gemm_dyn(dtype, shape, CacheInfo::kunpeng920(), opts),
+          tune_trsm_dyn(dtype, trsm, CacheInfo::kunpeng920(), opts)}) {
+      EXPECT_GT(tuned.record.gflops, 0.0) << "dtype " << dtype;
+      // Keyed at the width it was timed at: the active backend's.
+      EXPECT_EQ(tuned.key.dtype, dtype);
+      EXPECT_EQ(tuned.key.bytes, simd::active_bytes()) << "dtype " << dtype;
+    }
   }
   EXPECT_THROW(
       tune_gemm_dyn('x', shape, CacheInfo::kunpeng920(), opts), Error);
+  EXPECT_THROW(
+      tune_trsm_dyn('x', trsm, CacheInfo::kunpeng920(), opts), Error);
 }
 
 TEST(TuneGemm, DegenerateShapeEchoesAnalyticalDefaults) {
@@ -120,6 +128,15 @@ TEST(TuneGemm, DegenerateShapeEchoesAnalyticalDefaults) {
       tune_gemm<float>(shape, CacheInfo::kunpeng920(), tiny_budget());
   EXPECT_EQ(rec.gflops, 0.0);
   EXPECT_GT(rec.slice_groups, 0);
+
+  TrsmShape trsm;
+  trsm.m = 0;
+  trsm.n = 4;
+  trsm.batch = 8;
+  const TuneRecord trec =
+      tune_trsm<float>(trsm, CacheInfo::kunpeng920(), tiny_budget());
+  EXPECT_EQ(trec.gflops, 0.0);
+  EXPECT_GT(trec.slice_groups, 0);
 }
 
 TEST(TuneGemm, ParallelBudgetSearchesChunking) {
