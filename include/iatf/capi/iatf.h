@@ -475,10 +475,10 @@ int iatf_ztrsm_grouped(const iatf_ztrsm_segment* segments,
 /* ---- Async serving front-end ----------------------------------------
  *
  * An iatf_server queues compute requests against the default engine:
- * one dispatcher thread dequeues weighted-fair across tenants, merges
- * queued requests carrying the same descriptor (from any tenant) into
- * one grouped call, and sheds requests whose deadline expired while
- * queued. Submissions return a ticket; iatf_server_wait() blocks for
+ * dispatcher threads (up to one per spare CPU; extra ones start and
+ * wake only under backlog) dequeue weighted-fair across tenants, merge queued requests
+ * carrying the same descriptor (from any tenant) into one grouped
+ * call, and shed requests whose deadline expired while queued. Submissions return a ticket; iatf_server_wait() blocks for
  * the result and iatf_server_poll() checks without blocking.
  *
  * Buffers passed to a submission are borrowed until its ticket resolves

@@ -6,7 +6,7 @@
 // of per-connection state (decoder, write buffer, pending table), so
 // connection handling needs no locks at all. The only cross-thread
 // structure is the completion queue: serve-side completion callbacks
-// (dispatcher thread) push {connection, request, status} records and
+// (dispatcher threads) push {connection, request, status} records and
 // write one byte to a wake pipe; the reactor drains the queue, looks the
 // connection up (it may have died -- records for dead connections are
 // dropped), serialises the Result frame and queues it for write. The

@@ -5,7 +5,7 @@
 // synchronous call per caller thread: a slow or abusive tenant
 // monopolises the engine and there is no way to drain or restart under
 // load. Server closes that gap with a bounded submission queue and a
-// single dispatcher thread:
+// set of dispatcher threads:
 //
 //  * Async API. submit_gemm / submit_trsm / submit_grouped return a
 //    std::future (and optionally invoke a completion callback); the
@@ -15,7 +15,18 @@
 //    TimeoutError / CancelledError -- never abandoned, including across
 //    drain(), stop() and destruction mid-fault-storm.
 //
-//  * Cross-tenant coalescing. The dispatcher merges queued single
+//  * Dispatchers on spare cores. Compact batches are independent, so
+//    the server runs up to ServeConfig::dispatchers threads (default:
+//    one per spare CPU) over one queue. They follow a leader/follower
+//    protocol (DESIGN.md section 12.5): at most one idle dispatcher
+//    spins, the others park, and a follower is started or woken only
+//    when queued requests outnumber the dispatchers about to look at
+//    the queue. A lone synchronous caller is served by one dispatcher;
+//    extra cores join only under backlog.
+//    Picks happen under one lock in stride order; only the completion
+//    order of concurrent dispatches is unordered.
+//
+//  * Cross-tenant coalescing. A dispatcher merges queued single
 //    requests carrying the same descriptor class (sched::ClassKey +
 //    dtype) -- from any tenant -- into one gemm_grouped / trsm_grouped
 //    call, so the input-aware batching win survives many small clients.
@@ -46,14 +57,14 @@
 //    DESIGN.md section 12 for the default_engine() ordering rule).
 //
 //  * Watchdog supervision (opt-in; DESIGN.md section 14). With
-//    watchdog_grace > 0 a supervisor thread watches the in-flight
-//    dispatch: a batch that has not returned after grace x its deadline
-//    budget (watchdog_floor for deadline-less requests) is reclaimed --
-//    its futures resolve with WatchdogError, the descriptor class's
-//    circuit breaker is forced Open, the event is journaled to the
-//    engine's health ledger, and a fresh dispatcher thread replaces the
-//    wedged one so queued work keeps moving. The wedged thread is
-//    retired and joined at stop()/drain()/destruction.
+//    watchdog_grace > 0 a supervisor thread watches every dispatcher's
+//    in-flight dispatch: a batch that has not returned after grace x its
+//    deadline budget (watchdog_floor for deadline-less requests) is
+//    reclaimed -- its futures resolve with WatchdogError, the descriptor
+//    class's circuit breaker is forced Open, the event is journaled to
+//    the engine's health ledger, and a fresh thread replaces only the
+//    wedged dispatcher while the others keep serving. The wedged thread
+//    is retired and joined at stop()/drain()/destruction.
 //
 // Buffers referenced by a submitted request are non-owning: the caller
 // keeps them alive and unaliased (no two in-flight requests writing one
@@ -101,6 +112,12 @@ struct ServeConfig {
   std::size_t per_tenant_quota = 0;
   /// Most single requests merged into one grouped dispatch (>= 1).
   std::size_t max_coalesce = 64;
+  /// Dispatcher threads. 0 = one per spare CPU
+  /// (hardware_concurrency() - 1, at least 1); explicit values are
+  /// clamped to [1, Server::kMaxDispatchers]. One starts with the
+  /// server; the others start, and later wake, only under backlog
+  /// (DESIGN.md section 12.5).
+  std::size_t dispatchers = 0;
   /// Queue-full behaviour (reuses the engine's overload taxonomy).
   resilience::OverloadPolicy overload = resilience::OverloadPolicy::Block;
   /// Deadline applied to requests submitted without one (0 = none).
@@ -186,6 +203,13 @@ struct ServerStats {
   std::uint64_t degraded_inline = 0; ///< DegradeToRef inline executions
   std::uint64_t watchdog_kicks = 0;  ///< stalled dispatches reclaimed
   std::uint64_t heartbeats = 0;      ///< dispatcher rounds started
+  /// Dispatcher threads started: 1 at construction, more (up to
+  /// ServeConfig::dispatchers) as backlogs first need them.
+  std::size_t dispatchers = 0;
+  /// Most dispatches ever inside their engine call at once (1 for a
+  /// lone synchronous caller; above 1 only when a backlog woke
+  /// followers).
+  std::size_t peak_concurrent_dispatches = 0;
   std::vector<TenantStats> tenants;  ///< ascending tenant id
 };
 
@@ -232,7 +256,7 @@ struct Request; // queue node; defined in server.cpp
 
 class Server {
 public:
-  /// Completion callback for single-request submissions. Runs on the
+  /// Completion callback for single-request submissions. Runs on a
   /// dispatcher thread (or the submitting thread for requests resolved
   /// at submit time) with the request's final status: Ok with the
   /// BatchHealth, or the error class the future carries. Callbacks must
@@ -244,14 +268,18 @@ public:
   using GroupedCompletion =
       std::function<void(Status, std::span<const BatchHealth>)>;
 
-  /// Binds to `engine` (non-owning) and starts the dispatcher thread.
+  /// Binds to `engine` (non-owning) and starts the first dispatcher.
   /// The engine must outlive this Server (enforced: ~Engine aborts while
   /// servers are attached).
   explicit Server(Engine& engine, ServeConfig config = {});
-  ~Server(); ///< stop(): cancels queued work, joins the dispatcher
+  ~Server(); ///< stop(): cancels queued work, joins the dispatchers
+
+  /// Upper bound on ServeConfig::dispatchers.
+  static constexpr std::size_t kMaxDispatchers = 64;
 
   /// How long an idle dispatcher spins, watching for a submission,
   /// before it parks on its condition variable (DESIGN.md section 12.5).
+  /// At most one dispatcher spins at a time.
   /// Set near the measured park-plus-wake cost: a condition-variable
   /// ping-pong round trip (two park-and-wake hand-offs) takes 16 us on
   /// a 4-vCPU x86-64 VM. A request arriving within that time of the
@@ -338,55 +366,100 @@ private:
     std::uint64_t cancelled = 0;
   };
   enum class Phase : std::uint8_t { Running, Draining, Stopping };
+  using Batch = std::vector<std::unique_ptr<detail::Request>>;
+  struct RoundBuffers; ///< one dispatcher thread's reusable vectors
+
+  /// A dispatch executing with mu_ released, registered -- only while
+  /// the watchdog is enabled -- so the supervisor can reclaim it if its
+  /// dispatcher wedges. The batch is shared between the executing
+  /// dispatcher and this registration; the per-request settled flag
+  /// makes resolution exactly-once regardless of which side gets there
+  /// first.
+  struct InflightDispatch {
+    std::shared_ptr<const Batch> batch;
+    std::chrono::steady_clock::time_point stall_at{};
+  };
+  /// One dispatcher slot. The watchdog replaces a wedged slot's thread
+  /// and bumps its epoch; a thread whose epoch no longer matches was
+  /// retired and exits without touching the queue or the accounting.
+  struct Dispatcher {
+    std::thread thread;
+    std::uint64_t epoch = 0;
+    InflightDispatch inflight;
+    std::condition_variable cv; ///< its thread parks here
+    bool woken = false;         ///< picked by claim_wake (under mu_)
+  };
 
   void enqueue(std::unique_ptr<detail::Request> r,
                const SubmitOptions& opts);
-  /// Dispatcher main loop for one dispatcher generation. A thread whose
-  /// `epoch` no longer matches dispatcher_epoch_ was retired by the
-  /// watchdog: it exits without touching dispatcher_done_ or the queue.
-  void run_dispatcher(std::uint64_t epoch);
-  /// One dequeue -> coalesce -> execute round. `lk` is held on entry and
-  /// exit, released around the engine call.
-  void dispatch_round(std::unique_lock<std::mutex>& lk,
-                      std::uint64_t epoch);
-  void execute_batch(
-      std::vector<std::shared_ptr<detail::Request>> batch) noexcept;
+  /// Main loop of dispatcher `slot`, generation `epoch`.
+  void run_dispatcher(std::size_t slot, std::uint64_t epoch);
+  /// One dequeue -> coalesce -> execute -> publish round. `lk` is held
+  /// on entry and exit, released around the engine call and the
+  /// resolutions.
+  void dispatch_round(std::unique_lock<std::mutex>& lk, std::size_t slot,
+                      std::uint64_t epoch, RoundBuffers& bufs);
+  void execute_batch(std::span<const std::unique_ptr<detail::Request>>
+                         batch) noexcept;
   void cancel_queued(std::unique_lock<std::mutex>& lk);
-  /// mu_ held: bump work_seq_ and wake the dispatcher whether it spins
-  /// or parks (lifecycle changes, never the per-request path).
-  void wake_dispatcher();
-  void join_dispatcher();
+  /// mu_ held, called after the queue grew or a pick left work queued.
+  /// If queued requests outnumber the dispatchers about to look at the
+  /// queue anyway, pick the most recently parked dispatcher (returned;
+  /// the caller notifies its cv after unlocking), or else start the
+  /// next follower thread if any is left. A `submitter` also leaves the
+  /// queue to a dispatch picked less than kDispatchSpin ago.
+  Dispatcher* claim_wake(bool submitter = false);
+  /// mu_ held: bump work_seq_ and wake every dispatcher, spinning or
+  /// parked (lifecycle changes, never the per-request path).
+  void wake_dispatchers();
+  void join_dispatchers();
   Tenant& tenant_for(TenantId id); ///< mu_ held
 
-  /// Supervisor loop: polls the registered in-flight dispatch and
-  /// reclaims it once past its stall deadline.
+  /// Supervisor loop: polls every dispatcher's registered dispatch and
+  /// reclaims one once past its stall deadline.
   void run_watchdog();
-  /// Reclaim the registered dispatch: retire the wedged dispatcher
-  /// thread, spawn a replacement, fail the batch with WatchdogError and
-  /// trip the class breaker. `lk` held on entry/exit, released around
-  /// the resolutions.
-  void reclaim_inflight(std::unique_lock<std::mutex>& lk);
+  /// Reclaim dispatcher `slot`'s registered dispatch: retire its thread,
+  /// spawn a replacement, fail the batch with WatchdogError and trip the
+  /// class breaker. `lk` held on entry/exit, released around the
+  /// resolutions.
+  void reclaim_inflight(std::unique_lock<std::mutex>& lk, std::size_t slot);
   void stop_watchdog();
 
   Engine& engine_;
   ServeConfig config_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< dispatcher parks for work
-  /// The dispatcher is waiting on work_cv_ (set and read under mu_):
-  /// submitters notify only then.
-  bool dispatcher_parked_ = false;
-  const bool dispatcher_spins_ = std::thread::hardware_concurrency() > 1;
   std::condition_variable space_cv_; ///< Block submitters wait for space
   std::condition_variable idle_cv_;  ///< drain()/stop() wait for quiesce
   std::unordered_map<TenantId, Tenant> tenants_;
   WeightedPicker picker_;
   Phase phase_ = Phase::Running;
   bool paused_ = false;
-  bool dispatcher_done_ = false;
   std::size_t queued_ = 0;
   std::size_t inflight_ = 0;       ///< dispatcher-executed requests
   std::size_t inline_running_ = 0; ///< DegradeToRef on submitter threads
+
+  // Leader/follower state (DESIGN.md section 12.5), under mu_ unless
+  // atomic.
+  const bool spin_ = std::thread::hardware_concurrency() > 1;
+  std::size_t spinning_ = 0;    ///< dispatchers spinning (0 or 1)
+  /// Parked dispatchers, most recently parked last: a wake goes to the
+  /// one whose caches are warmest. Reserved at construction.
+  std::vector<Dispatcher*> parked_;
+  std::size_t wake_tokens_ = 0; ///< wakes claimed, not yet consumed
+  std::size_t started_ = 0;     ///< slots [0, started_) have a thread
+  std::size_t starting_ = 0;    ///< started, not yet at their loop
+  std::size_t live_ = 0;        ///< started dispatchers not yet exited
+  /// Batches inside their engine call now: raised under mu_ at the
+  /// pick, lowered by the executing thread as the call returns.
+  std::atomic<std::size_t> dispatching_{0};
+  std::size_t peak_dispatching_ = 0;
+  /// Slot of the latest dispatch while its dispatcher is between the
+  /// pick and its re-lock (kNoSlot otherwise), and when it was picked:
+  /// for one spin bound a submitter leaves the queue to it.
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+  std::size_t fresh_slot_ = kNoSlot;
+  std::chrono::steady_clock::time_point fresh_at_{};
 
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;
@@ -401,31 +474,25 @@ private:
   std::uint64_t watchdog_kicks_ = 0;
   std::uint64_t heartbeats_ = 0;
 
-  /// The (single) dispatch currently executing with mu_ released,
-  /// registered -- only while the watchdog is enabled -- so the
-  /// supervisor can reclaim it if the dispatcher wedges. Requests are
-  /// shared between the executing batch and this registration; the
-  /// per-request settled flag makes resolution exactly-once regardless
-  /// of which side gets there first.
-  struct InflightDispatch {
-    std::vector<std::shared_ptr<detail::Request>> batch;
-    std::chrono::steady_clock::time_point stall_at{};
-    bool active = false;
-  };
-  InflightDispatch inflight_dispatch_;
-  std::uint64_t dispatcher_epoch_ = 0; ///< current dispatcher generation
+  /// Sized once at construction; never resized (threads index it).
+  std::vector<Dispatcher> dispatchers_;
   bool watchdog_stop_ = false;
   std::condition_variable watchdog_cv_; ///< wakes the supervisor early
   std::vector<std::thread> zombies_; ///< retired dispatchers to join
 
-  std::mutex join_mu_; ///< serialises dispatcher join across stop/drain
-  std::thread dispatcher_;
+  std::mutex join_mu_; ///< serialises dispatcher joins across stop/drain
   std::thread watchdog_;
 
-  /// Bumped on every enqueue and lifecycle change; a spinning dispatcher
-  /// watches it to leave its spin early. A hint only: whether there is
-  /// work is always decided under mu_. Last and on its own cache line,
-  /// so the spin shares no line with mu_ or the counters.
+  /// Dispatchers resolving requests with mu_ released. Each re-checks
+  /// the queue before it parks, so submitters need not wake a follower.
+  /// Raised before the first resolution, so a caller released by one
+  /// reads it non-zero when it submits again.
+  std::atomic<std::size_t> publishing_{0};
+
+  /// Bumped on every enqueue and lifecycle change; the spinning
+  /// dispatcher watches it to leave its spin early. A hint only: whether
+  /// there is work is always decided under mu_. Last and on its own
+  /// cache line, so the spin shares no line with mu_ or the counters.
   alignas(64) std::atomic<std::uint64_t> work_seq_{0};
 };
 

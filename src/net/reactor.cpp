@@ -316,7 +316,7 @@ struct NetServer::Impl {
 
     auto queue = completions;
     const std::uint64_t conn_id = conn.id;
-    // The callback runs on the dispatcher thread (or inline on this
+    // The callback runs on a dispatcher thread (or inline on this
     // thread for submit-time refusals): it only touches the queue.
     (void)server.submit_gemm<T>(
         static_cast<Op>(msg.op_a), static_cast<Op>(msg.op_b), T(msg.alpha),

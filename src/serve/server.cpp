@@ -1,17 +1,19 @@
-// Server implementation: bounded multi-tenant submission queue, one
-// dispatcher thread coalescing same-descriptor-class requests into
+// Server implementation: bounded multi-tenant submission queue, a set of
+// dispatcher threads coalescing same-descriptor-class requests into
 // grouped engine calls, weighted-fair dequeue, deadline shedding and a
 // drain/stop lifecycle. Every queue transition happens under mu_; the
-// engine call itself runs with the lock released so submitters and
-// lifecycle calls never wait on compute. An idle dispatcher spins
-// briefly before it parks, and submitters wake it only when it has
-// parked (DESIGN.md section 12.5).
+// engine call itself runs with the lock released so submitters,
+// lifecycle calls and the other dispatchers never wait on compute. At
+// most one idle dispatcher spins, the rest park, and a parked one is
+// woken only when queued requests outnumber the dispatchers about to
+// look at the queue (DESIGN.md section 12.5).
 #include "iatf/serve/server.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <complex>
 #include <exception>
+#include <system_error>
 #include <utility>
 
 #include "iatf/common/error.hpp"
@@ -24,10 +26,13 @@ namespace detail {
 
 /// One queued request. Derived types carry the typed payload and the
 /// promise; the base carries everything the queue and the coalescer
-/// need. Resolution invariant: exactly one of resolve-with-value (via
-/// run or a coalesced dispatch) or fail() per request, ever -- enforced
-/// by claim(), because a watchdog reclamation and a later-un-wedging
-/// dispatcher may both try to resolve the same request.
+/// need. Execution and resolution are separate steps: run() keeps the
+/// outcome, publish() hands it to the caller, so a dispatcher can mark
+/// itself as about to re-check the queue before any caller wakes.
+/// Resolution invariant: exactly one of publish() or fail() per request
+/// takes effect, ever -- enforced by claim(), because a watchdog
+/// reclamation and a later-un-wedging dispatcher may both try to
+/// resolve the same request.
 struct Request {
   char kind = 0;  ///< 'g'/'t' single gemm/trsm; 0 grouped (never coalesced)
   char dtype = 0; ///< 's', 'd', 'c', 'z'
@@ -36,6 +41,7 @@ struct Request {
   std::chrono::steady_clock::time_point deadline{};
   sched::ClassKey key{}; ///< coalescing identity (single requests only)
   CancelToken cancel;    ///< optional caller-side cancellation flag
+  std::exception_ptr error; ///< failed outcome kept by run()
   std::atomic<bool> settled{false};
 
   /// First claimant wins the right to resolve/fail; a loser's resolution
@@ -43,17 +49,19 @@ struct Request {
   bool claim() noexcept { return !settled.exchange(true); }
 
   virtual ~Request() = default;
-  /// Execute alone on `engine` and resolve the promise/callback. Never
-  /// throws: engine failures resolve the request with the exception.
+  /// Execute alone on `engine` and keep the outcome for publish(). Never
+  /// throws: an engine failure is kept as the outcome.
   virtual void run(Engine& engine) noexcept = 0;
-  /// Resolve with `error` without executing.
+  /// Resolve the promise/callback with the outcome run() kept.
+  virtual void publish() noexcept = 0;
+  /// Resolve with `error` now, without executing.
   virtual void fail(std::exception_ptr error) noexcept = 0;
   /// Execute `batch` -- same-class requests, this one first -- as one
-  /// grouped engine call and resolve each. A dispatch-level failure
+  /// grouped engine call and keep each outcome. A dispatch-level failure
   /// throws so the caller can retry each request alone. Only coalescable
   /// requests are ever batched.
   virtual void run_coalesced(
-      Engine& engine, const std::vector<std::shared_ptr<Request>>& batch) {
+      Engine& engine, std::span<const std::unique_ptr<Request>> batch) {
     for (const auto& r : batch) {
       r->run(engine);
     }
@@ -140,20 +148,29 @@ template <class T> struct SegmentOps<sched::TrsmSegment<T>> {
 template <class Result, class Callback> struct TypedRequest : Request {
   std::promise<Result> promise;
   Callback cb;
+  Result result{}; ///< successful outcome kept by run()
 
-  void resolve(Result result) noexcept {
+  void keep(Result r) noexcept {
+    result = std::move(r);
+    error = nullptr;
+  }
+  void publish() noexcept override {
+    if (error) {
+      fail(std::move(error));
+      return;
+    }
     if (!claim()) {
       return;
     }
     notify(cb, Status::Ok, result);
     promise.set_value(std::move(result));
   }
-  void fail(std::exception_ptr error) noexcept override {
+  void fail(std::exception_ptr e) noexcept override {
     if (!claim()) {
       return;
     }
-    notify(cb, iatf::status_of(error), Result{});
-    promise.set_exception(std::move(error));
+    notify(cb, iatf::status_of(e), Result{});
+    promise.set_exception(std::move(e));
   }
 };
 
@@ -180,17 +197,17 @@ struct SingleRequest final : TypedRequest<BatchHealth, Server::Completion> {
 
   void run(Engine& engine) noexcept override {
     try {
-      resolve(dispatch_width<T>(Ops::out(seg)->pack_width(), [&](auto b) {
+      keep(dispatch_width<T>(Ops::out(seg)->pack_width(), [&](auto b) {
         return Ops::template call<decltype(b)::value>(engine, seg);
       }));
     } catch (...) {
-      fail(std::current_exception());
+      error = std::current_exception();
     }
   }
 
   void run_coalesced(
       Engine& engine,
-      const std::vector<std::shared_ptr<Request>>& batch) override {
+      std::span<const std::unique_ptr<Request>> batch) override {
     std::vector<Segment> segs;
     segs.reserve(batch.size());
     for (const auto& r : batch) {
@@ -202,7 +219,7 @@ struct SingleRequest final : TypedRequest<BatchHealth, Server::Completion> {
               engine, std::span<const Segment>(segs));
         });
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      static_cast<SingleRequest*>(batch[i].get())->resolve(healths[i]);
+      static_cast<SingleRequest*>(batch[i].get())->keep(healths[i]);
     }
   }
 
@@ -243,12 +260,12 @@ struct GroupedRequest final
           segs.empty() ? nullptr : Ops::out(segs.front());
       const index_t pw =
           out != nullptr ? out->pack_width() : simd::pack_width_v<T>;
-      resolve(dispatch_width<T>(pw, [&](auto b) {
+      keep(dispatch_width<T>(pw, [&](auto b) {
         return Ops::template grouped<decltype(b)::value>(
             engine, std::span<const Segment>(segs));
       }));
     } catch (...) {
-      fail(std::current_exception());
+      error = std::current_exception();
     }
   }
 };
@@ -298,10 +315,34 @@ void WeightedPicker::charge(TenantId tenant) {
 
 // --- Server ------------------------------------------------------------
 
+namespace {
+
+/// One per spare CPU unless configured; clamped to [1, kMaxDispatchers].
+std::size_t dispatcher_count(std::size_t configured) {
+  if (configured == 0) {
+    const unsigned cpus = std::thread::hardware_concurrency();
+    configured = cpus > 1 ? cpus - 1 : 1;
+  }
+  return std::clamp<std::size_t>(configured, 1, Server::kMaxDispatchers);
+}
+
+} // namespace
+
+/// One dispatcher thread's reusable vectors: after the first rounds a
+/// dispatch allocates nothing while it holds mu_.
+struct Server::RoundBuffers {
+  std::vector<TenantId> runnable;
+  Batch batch;
+  Batch expired;
+  Batch cancelled;
+};
+
 Server::Server(Engine& engine, ServeConfig config)
-    : engine_(engine), config_(config) {
+    : engine_(engine), config_(config),
+      dispatchers_(dispatcher_count(config.dispatchers)) {
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   config_.max_coalesce = std::max<std::size_t>(1, config_.max_coalesce);
+  config_.dispatchers = dispatchers_.size();
   if (config_.per_tenant_quota > config_.queue_capacity) {
     config_.per_tenant_quota = config_.queue_capacity;
   }
@@ -315,7 +356,16 @@ Server::Server(Engine& engine, ServeConfig config)
     config_.watchdog_poll = std::chrono::nanoseconds{10'000'000};
   }
   engine_.attach_server();
-  dispatcher_ = std::thread([this] { run_dispatcher(0); });
+  parked_.reserve(dispatchers_.size());
+  {
+    // Followers start on the first backlog that needs them (claim_wake).
+    std::lock_guard<std::mutex> lk(mu_);
+    dispatchers_.front().thread =
+        std::thread([this] { run_dispatcher(0, 0); });
+    started_ = 1;
+    starting_ = 1;
+    live_ = 1;
+  }
   if (config_.watchdog_grace > 0) {
     watchdog_ = std::thread([this] { run_watchdog(); });
   }
@@ -362,14 +412,62 @@ void Server::pause() {
 }
 
 void Server::resume() {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex> lk(mu_);
   paused_ = false;
-  wake_dispatcher();
+  Dispatcher* const wake = claim_wake();
+  lk.unlock();
+  work_seq_.fetch_add(1, std::memory_order_relaxed);
+  if (wake != nullptr) {
+    wake->cv.notify_one();
+  }
 }
 
-void Server::wake_dispatcher() {
+Server::Dispatcher* Server::claim_wake(bool submitter) {
+  // Dispatchers that look at the queue soon without a wake: the
+  // spinner, one starting, one publishing its results (it re-checks
+  // before it parks) and one already woken. A dispatcher inside an
+  // engine call is not counted: its call may take long.
+  const std::size_t coming = spinning_ + starting_ + wake_tokens_ +
+                             publishing_.load(std::memory_order_relaxed);
+  if (paused_ || queued_ <= coming) {
+    return nullptr;
+  }
+  // Except by a submitter, for the latest dispatch while it is younger
+  // than a spin bound: it most likely returns, and re-checks the queue,
+  // before a woken follower would get going.
+  if (submitter && fresh_slot_ != kNoSlot &&
+      std::chrono::steady_clock::now() - fresh_at_ < kDispatchSpin) {
+    return nullptr;
+  }
+  if (!parked_.empty()) {
+    Dispatcher* const d = parked_.back();
+    parked_.pop_back();
+    d->woken = true;
+    ++wake_tokens_;
+    return d;
+  }
+  if (phase_ == Phase::Running && started_ < dispatchers_.size()) {
+    // Every started dispatcher is busy: start the next follower, which
+    // checks the queue as it starts. A failed start leaves the running
+    // ones serving; a later claim tries again.
+    try {
+      const std::size_t slot = started_;
+      dispatchers_[slot].thread =
+          std::thread([this, slot] { run_dispatcher(slot, 0); });
+      ++started_;
+      ++starting_;
+      ++live_;
+    } catch (const std::system_error&) {
+    }
+  }
+  return nullptr;
+}
+
+void Server::wake_dispatchers() {
   work_seq_.fetch_add(1, std::memory_order_relaxed);
-  work_cv_.notify_all();
+  for (Dispatcher& d : dispatchers_) {
+    d.cv.notify_all();
+  }
 }
 
 bool Server::accepting() const {
@@ -383,41 +481,39 @@ void Server::drain() {
     if (phase_ == Phase::Running) {
       phase_ = Phase::Draining;
     }
-    wake_dispatcher();
+    wake_dispatchers();
     space_cv_.notify_all();
-    idle_cv_.wait(lk, [&] {
-      return dispatcher_done_ && inline_running_ == 0;
-    });
+    idle_cv_.wait(lk, [&] { return live_ == 0 && inline_running_ == 0; });
   }
-  join_dispatcher();
+  join_dispatchers();
 }
 
 void Server::stop() {
   {
     std::unique_lock<std::mutex> lk(mu_);
     phase_ = Phase::Stopping;
-    wake_dispatcher();
+    wake_dispatchers();
     space_cv_.notify_all();
-    idle_cv_.wait(lk, [&] {
-      return dispatcher_done_ && inline_running_ == 0;
-    });
-    // The dispatcher cancels the queue on its way out, but it may have
-    // exited earlier via a completed drain(); cancel any remainder (a
-    // drain leaves none, this is belt-and-braces for racing lifecycles).
+    idle_cv_.wait(lk, [&] { return live_ == 0 && inline_running_ == 0; });
+    // The dispatchers cancel the queue on their way out, but they may
+    // have exited earlier via a completed drain(); cancel any remainder
+    // (a drain leaves none, this is belt-and-braces for racing
+    // lifecycles).
     if (queued_ != 0) {
       cancel_queued(lk);
     }
   }
-  join_dispatcher();
+  join_dispatchers();
 }
 
-void Server::join_dispatcher() {
-  // Watchdog-retired dispatchers first: they are parked under mu_, and
-  // by the time a caller reaches here the live dispatcher has exited
-  // (dispatcher_done_ observed under mu_), so no further retirements can
-  // race this swap. A retired thread may still be sleeping inside a
-  // stalled engine call; joining waits it out (a genuinely hung kernel
-  // would block stop() here -- the documented limitation).
+void Server::join_dispatchers() {
+  // Watchdog-retired dispatchers first: by the time a caller reaches
+  // here every live dispatcher has exited (live_ == 0 observed under
+  // mu_), so none has a dispatch the watchdog could reclaim and no
+  // further retirements can race this swap. A retired thread may still
+  // be sleeping inside a stalled engine call; joining waits it out (a
+  // genuinely hung kernel would block stop() here -- the documented
+  // limitation).
   std::vector<std::thread> retired;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -429,8 +525,10 @@ void Server::join_dispatcher() {
     }
   }
   std::lock_guard<std::mutex> lk(join_mu_);
-  if (dispatcher_.joinable()) {
-    dispatcher_.join();
+  for (Dispatcher& d : dispatchers_) {
+    if (d.thread.joinable()) {
+      d.thread.join();
+    }
   }
 }
 
@@ -464,6 +562,8 @@ ServerStats Server::stats() const {
   out.degraded_inline = degraded_inline_;
   out.watchdog_kicks = watchdog_kicks_;
   out.heartbeats = heartbeats_;
+  out.dispatchers = started_;
+  out.peak_concurrent_dispatches = peak_dispatching_;
   out.tenants.reserve(tenants_.size());
   for (const auto& [id, t] : tenants_) {
     TenantStats ts;
@@ -544,6 +644,7 @@ void Server::enqueue(std::unique_ptr<detail::Request> r,
       ++inline_running_;
       lk.unlock();
       r->run(engine_);
+      r->publish();
       lk.lock();
       --inline_running_;
       ++completed_;
@@ -579,15 +680,15 @@ void Server::enqueue(std::unique_ptr<detail::Request> r,
   }
   t.q.push_back(std::move(r));
   ++queued_;
-  // Read under mu_: a dispatcher that has not parked yet re-checks the
-  // queue under mu_ before it parks, so it sees this request; one that
-  // has parked set the flag first. Bump and notify after unlocking, so
-  // neither a spinning nor a woken dispatcher finds mu_ still held.
-  const bool parked = dispatcher_parked_;
+  // Decided in the critical section that pushes: a dispatcher that has
+  // not parked yet re-checks the queue under mu_ before it parks, so it
+  // sees this request. Bump and notify after unlocking, so neither a
+  // spinning nor a woken dispatcher finds mu_ still held.
+  Dispatcher* const wake = claim_wake(/*submitter=*/true);
   lk.unlock();
   work_seq_.fetch_add(1, std::memory_order_relaxed);
-  if (parked) {
-    work_cv_.notify_one();
+  if (wake != nullptr) {
+    wake->cv.notify_one();
   }
 }
 
@@ -656,35 +757,53 @@ inline void cpu_relax() noexcept {
 
 } // namespace
 
-void Server::run_dispatcher(std::uint64_t epoch) {
+void Server::run_dispatcher(std::size_t slot, std::uint64_t epoch) {
+  RoundBuffers bufs;
+  bufs.batch.reserve(config_.max_coalesce);
   std::unique_lock<std::mutex> lk(mu_);
+  if (epoch == 0) {
+    --starting_; // a watchdog replacement (epoch > 0) was never counted
+  }
+  const auto retired = [&] { return dispatchers_[slot].epoch != epoch; };
+  // Retired / draining ignores pause; stopping cancels.
+  const auto lifecycle = [&] {
+    return retired() || phase_ != Phase::Running;
+  };
   const auto ready = [&] {
-    if (epoch != dispatcher_epoch_ || phase_ != Phase::Running) {
-      return true; // retired / draining ignores pause; stopping cancels
-    }
-    return !paused_ && queued_ > 0;
+    return lifecycle() || (!paused_ && queued_ > 0);
   };
   for (;;) {
-    if (!ready()) {
-      // Spin, then park: watch work_seq_ for up to kDispatchSpin with
-      // mu_ released, then re-check under mu_ and park only if there is
-      // still nothing to do. A paused server has nothing to spin for.
-      if (dispatcher_spins_ && !paused_) {
-        const std::uint64_t seen = work_seq_.load(std::memory_order_relaxed);
-        lk.unlock();
-        const auto until = std::chrono::steady_clock::now() + kDispatchSpin;
-        while (work_seq_.load(std::memory_order_relaxed) == seen &&
-               std::chrono::steady_clock::now() < until) {
-          cpu_relax();
-        }
-        lk.lock();
+    if (!ready() && spin_ && !paused_ && spinning_ == 0) {
+      // The one spinner: watch work_seq_ for up to kDispatchSpin with
+      // mu_ released, then re-check under mu_. A paused server has
+      // nothing to spin for.
+      spinning_ = 1;
+      const std::uint64_t seen = work_seq_.load(std::memory_order_relaxed);
+      lk.unlock();
+      const auto until = std::chrono::steady_clock::now() + kDispatchSpin;
+      while (work_seq_.load(std::memory_order_relaxed) == seen &&
+             std::chrono::steady_clock::now() < until) {
+        cpu_relax();
       }
-      dispatcher_parked_ = true;
-      work_cv_.wait(lk, ready);
-      dispatcher_parked_ = false;
+      lk.lock();
+      spinning_ = 0;
     }
-    if (epoch != dispatcher_epoch_) {
-      return; // retired by the watchdog: a successor owns the queue now
+    if (!ready()) {
+      // Park until a submitter, a backlogged dispatcher or resume()
+      // picks this thread (claim_wake), or the lifecycle changes.
+      Dispatcher& self = dispatchers_[slot];
+      parked_.push_back(&self);
+      self.cv.wait(lk, [&] { return self.woken || lifecycle(); });
+      if (self.woken) {
+        self.woken = false;
+        --wake_tokens_;
+      } else {
+        std::erase(parked_, &self);
+      }
+      continue;
+    }
+    if (retired()) {
+      return; // retired by the watchdog: a successor owns the slot now
     }
     if (phase_ == Phase::Stopping) {
       cancel_queued(lk);
@@ -696,166 +815,203 @@ void Server::run_dispatcher(std::uint64_t epoch) {
       }
       continue;
     }
-    dispatch_round(lk, epoch);
-    if (epoch != dispatcher_epoch_) {
+    dispatch_round(lk, slot, epoch, bufs);
+    if (retired()) {
       return; // reclaimed mid-round: the watchdog did the accounting
     }
   }
-  dispatcher_done_ = true;
-  idle_cv_.notify_all();
+  if (--live_ == 0) {
+    idle_cv_.notify_all();
+  }
 }
 
 void Server::dispatch_round(std::unique_lock<std::mutex>& lk,
-                            std::uint64_t epoch) {
+                            std::size_t slot, std::uint64_t epoch,
+                            RoundBuffers& bufs) {
   const auto now = std::chrono::steady_clock::now();
   ++heartbeats_;
 
   // Weighted-fair head: smallest stride pass among non-empty tenants.
-  std::vector<TenantId> runnable;
-  runnable.reserve(tenants_.size());
+  bufs.runnable.clear();
   for (const auto& [id, t] : tenants_) {
     if (!t.q.empty()) {
-      runnable.push_back(id);
+      bufs.runnable.push_back(id);
     }
   }
-  Tenant& head_tenant = tenants_[picker_.pick(runnable)];
-  std::unique_ptr<detail::Request> head =
-      std::move(head_tenant.q.front());
+  const TenantId head_id = picker_.pick(bufs.runnable);
+  Tenant& head_tenant = tenants_.find(head_id)->second;
+  std::unique_ptr<detail::Request> head = std::move(head_tenant.q.front());
   head_tenant.q.pop_front();
   --queued_;
-  picker_.charge(head->tenant);
-  space_cv_.notify_all();
+  picker_.charge(head_id);
 
   // Cancellation: a flagged token (client disconnect, explicit cancel)
   // resolves the request here, before it costs engine time. Checked at
   // dequeue only -- a request already inside a dispatch runs to
-  // completion, and its coalesce-mates are never disturbed.
-  if (head->cancelled()) {
-    ++cancelled_;
-    ++head_tenant.cancelled;
-    auto dead = std::move(head);
-    lk.unlock();
-    dead->fail(std::make_exception_ptr(
-        CancelledError("iatf: request cancelled by caller")));
-    lk.lock();
-    return;
-  }
-
-  // Deadline propagation: queue time counts against the request budget;
-  // an expired request is resolved here and never reaches the engine.
-  if (head->expired(now)) {
-    ++shed_expired_;
-    ++head_tenant.shed_expired;
-    auto dead = std::move(head);
-    lk.unlock();
-    dead->fail(std::make_exception_ptr(TimeoutError(0, 1)));
-    lk.lock();
-    return;
-  }
+  // completion, and its coalesce-mates are never disturbed. Deadline
+  // propagation: queue time counts against the request budget; an
+  // expired request is resolved here and never reaches the engine.
+  const auto shed = [&](std::unique_ptr<detail::Request>& r, Tenant& t) {
+    if (r->cancelled()) {
+      ++cancelled_;
+      ++t.cancelled;
+      bufs.cancelled.push_back(std::move(r));
+      return true;
+    }
+    if (r->expired(now)) {
+      ++shed_expired_;
+      ++t.shed_expired;
+      bufs.expired.push_back(std::move(r));
+      return true;
+    }
+    return false;
+  };
 
   // Coalesce: pull same-class single requests from every tenant queue
   // (FIFO within each tenant, any position across classes -- requests
   // are independent, so cross-class reordering is unobservable).
-  std::vector<std::shared_ptr<detail::Request>> batch;
-  std::vector<std::unique_ptr<detail::Request>> expired;
-  std::vector<std::unique_ptr<detail::Request>> cancelled;
-  batch.push_back(std::shared_ptr<detail::Request>(std::move(head)));
-  if (batch.front()->coalescable() && config_.max_coalesce > 1) {
-    try {
-      for (auto& [id, t] : tenants_) {
-        if (batch.size() >= config_.max_coalesce) {
-          break;
-        }
-        for (auto it = t.q.begin();
-             it != t.q.end() && batch.size() < config_.max_coalesce;) {
-          IATF_FAULT_POINT("serve.coalesce", Status::Internal);
-          if (!(*it)->same_class(*batch.front())) {
-            ++it;
-            continue;
-          }
-          std::unique_ptr<detail::Request> mate = std::move(*it);
-          it = t.q.erase(it);
-          --queued_;
-          picker_.charge(mate->tenant);
-          if (mate->cancelled()) {
-            ++cancelled_;
-            ++t.cancelled;
-            cancelled.push_back(std::move(mate));
-          } else if (mate->expired(now)) {
-            ++shed_expired_;
-            ++t.shed_expired;
-            expired.push_back(std::move(mate));
-          } else {
-            ++t.served;
-            batch.push_back(
-                std::shared_ptr<detail::Request>(std::move(mate)));
+  Batch& batch = bufs.batch;
+  if (!shed(head, head_tenant)) {
+    ++head_tenant.served;
+    batch.push_back(std::move(head));
+    const detail::Request& first = *batch.front();
+    if (first.coalescable() && config_.max_coalesce > 1) {
+      try {
+        for (auto& [id, t] : tenants_) {
+          for (auto it = t.q.begin();
+               it != t.q.end() && batch.size() < config_.max_coalesce;) {
+            IATF_FAULT_POINT("serve.coalesce", Status::Internal);
+            if (!(*it)->same_class(first)) {
+              ++it;
+              continue;
+            }
+            std::unique_ptr<detail::Request> mate = std::move(*it);
+            it = t.q.erase(it);
+            --queued_;
+            picker_.charge(mate->tenant);
+            if (!shed(mate, t)) {
+              ++t.served;
+              batch.push_back(std::move(mate));
+            }
           }
         }
+      } catch (const fault::FaultInjected&) {
+        // Injected coalescing failure: dispatch what was collected so
+        // far (worst case the head alone). Never fails a request.
       }
-    } catch (const fault::FaultInjected&) {
-      // Injected coalescing failure: dispatch what was collected so far
-      // (worst case the head alone). Never fails a request.
     }
-    space_cv_.notify_all();
   }
-  ++head_tenant.served;
+  space_cv_.notify_all();
 
-  ++dispatch_calls_;
-  std::size_t bucket = ServerStats::kCoalesceBuckets - 1;
-  if (batch.size() <= 1) {
-    bucket = 0;
-  } else if (batch.size() == 2) {
-    bucket = 1;
-  } else if (batch.size() <= 4) {
-    bucket = 2;
-  } else if (batch.size() <= 8) {
-    bucket = 3;
-  }
-  ++coalesce_hist_[bucket];
-  if (batch.size() >= 2) {
-    coalesced_requests_ += batch.size();
-  }
-  inflight_ += batch.size();
   const std::size_t executed = batch.size();
-
-  // Register the dispatch for the watchdog before releasing the lock:
-  // if this thread wedges inside the engine call, the supervisor fails
-  // the batch, respawns the dispatcher and does the accounting below.
-  if (config_.watchdog_grace > 0) {
-    auto budget = config_.watchdog_floor;
-    if (batch.front()->has_deadline &&
-        batch.front()->deadline - now > budget) {
-      budget = batch.front()->deadline - now;
+  std::shared_ptr<const Batch> shared;
+  if (executed != 0) {
+    ++dispatch_calls_;
+    std::size_t bucket = ServerStats::kCoalesceBuckets - 1;
+    if (executed <= 1) {
+      bucket = 0;
+    } else if (executed == 2) {
+      bucket = 1;
+    } else if (executed <= 4) {
+      bucket = 2;
+    } else if (executed <= 8) {
+      bucket = 3;
     }
-    const auto stall = std::chrono::nanoseconds(static_cast<std::int64_t>(
-        config_.watchdog_grace * static_cast<double>(budget.count())));
-    inflight_dispatch_.batch = batch;
-    inflight_dispatch_.stall_at =
-        now + std::max(stall, std::chrono::nanoseconds{1});
-    inflight_dispatch_.active = true;
+    ++coalesce_hist_[bucket];
+    if (executed >= 2) {
+      coalesced_requests_ += executed;
+    }
+    inflight_ += executed;
+    peak_dispatching_ =
+        std::max(peak_dispatching_, dispatching_.fetch_add(1) + 1);
+
+    // Register the dispatch for the watchdog before releasing the lock:
+    // if this thread wedges inside the engine call, the supervisor fails
+    // the batch, respawns this dispatcher and does the accounting below.
+    // Only then is the batch shared.
+    if (config_.watchdog_grace > 0) {
+      auto budget = config_.watchdog_floor;
+      if (batch.front()->has_deadline &&
+          batch.front()->deadline - now > budget) {
+        budget = batch.front()->deadline - now;
+      }
+      const auto stall = std::chrono::nanoseconds(static_cast<std::int64_t>(
+          config_.watchdog_grace * static_cast<double>(budget.count())));
+      shared = std::make_shared<const Batch>(std::move(batch));
+      batch.clear();
+      InflightDispatch& inflight = dispatchers_[slot].inflight;
+      inflight.batch = shared;
+      inflight.stall_at = now + std::max(stall, std::chrono::nanoseconds{1});
+    }
+  }
+  // Backlog: work still queued after this pick goes to a follower
+  // rather than waiting for this thread's next round.
+  Dispatcher* const wake = claim_wake();
+  if (executed != 0) {
+    fresh_slot_ = slot;
+    fresh_at_ = now;
   }
 
   lk.unlock();
-  for (auto& dead : expired) {
+  if (wake != nullptr) {
+    wake->cv.notify_one();
+  }
+  // Shed requests resolve before the engine call: a dispatch that wedges
+  // must not hold them, since the watchdog reclaims only the batch. The
+  // requests die here, outside mu_.
+  for (auto& dead : bufs.expired) {
     dead->fail(std::make_exception_ptr(TimeoutError(0, 1)));
   }
-  for (auto& dead : cancelled) {
+  for (auto& dead : bufs.cancelled) {
     dead->fail(std::make_exception_ptr(
         CancelledError("iatf: request cancelled by caller")));
   }
-  execute_batch(std::move(batch));
-  lk.lock();
-  if (epoch != dispatcher_epoch_) {
-    return; // reclaimed by the watchdog while executing
+  bufs.expired.clear();
+  bufs.cancelled.clear();
+  const std::span<const std::unique_ptr<detail::Request>> run =
+      shared ? std::span(*shared) : std::span(batch);
+  if (!run.empty()) {
+    execute_batch(run);
+    // Lowered before any caller of this batch is released: a lone
+    // caller's next request never overlaps this dispatch.
+    dispatching_.fetch_sub(1);
   }
-  inflight_dispatch_.active = false;
-  inflight_dispatch_.batch.clear();
+  // From here until this thread re-locks, a caller released by the
+  // resolutions below may submit again; publishing_ tells it that this
+  // dispatcher re-checks the queue before it parks, so no follower is
+  // woken for the hand-off.
+  publishing_.fetch_add(1);
+  for (const auto& r : run) {
+    r->publish(); // claim-gated: loses to an earlier watchdog reclaim
+  }
+  // The batch dies here, outside mu_ (a reclaimed batch lives on in the
+  // watchdog's copy until its resolutions are done).
+  batch.clear();
+  shared.reset();
+  lk.lock();
+  publishing_.fetch_sub(1);
+  if (dispatchers_[slot].epoch != epoch) {
+    // Reclaimed by the watchdog meanwhile: this thread exits without
+    // re-checking the queue, yet a submitter may have counted it as
+    // publishing and woken nobody. Hand that request on.
+    if (Dispatcher* const next = claim_wake(); next != nullptr) {
+      next->cv.notify_one();
+    }
+    return;
+  }
+  if (fresh_slot_ == slot) {
+    fresh_slot_ = kNoSlot;
+  }
+  if (executed == 0) {
+    return;
+  }
+  dispatchers_[slot].inflight.batch.reset();
   inflight_ -= executed;
   completed_ += executed;
 }
 
 void Server::execute_batch(
-    std::vector<std::shared_ptr<detail::Request>> batch) noexcept {
+    std::span<const std::unique_ptr<detail::Request>> batch) noexcept {
   // Wedged-dispatcher fault for the watchdog tests: long enough that
   // the supervisor (polling every watchdog_poll) reliably reclaims the
   // batch first, even under sanitizer scheduling.
@@ -863,7 +1019,7 @@ void Server::execute_batch(
   try {
     IATF_FAULT_POINT("serve.dispatch", Status::Internal);
     if (batch.size() == 1) {
-      batch.front()->run(engine_); // resolves internally, never throws
+      batch.front()->run(engine_); // keeps its outcome, never throws
       return;
     }
     batch.front()->run_coalesced(engine_, batch);
@@ -871,13 +1027,12 @@ void Server::execute_batch(
     // A dispatch-level failure (injected fault, grouped-call rejection)
     // must not take the coalesce-mates down with the culprit: retry each
     // request alone so exactly the bad one fails. A single request just
-    // absorbs the error.
-    const auto error = std::current_exception();
+    // keeps the error.
     if (batch.size() == 1) {
-      batch.front()->fail(error);
+      batch.front()->error = std::current_exception();
       return;
     }
-    for (auto& r : batch) {
+    for (const auto& r : batch) {
       r->run(engine_);
     }
   }
@@ -893,59 +1048,67 @@ void Server::run_watchdog() {
     if (watchdog_stop_) {
       return;
     }
-    if (!inflight_dispatch_.active ||
-        std::chrono::steady_clock::now() < inflight_dispatch_.stall_at) {
-      continue;
+    const auto now = std::chrono::steady_clock::now();
+    for (std::size_t slot = 0; slot < dispatchers_.size(); ++slot) {
+      const InflightDispatch& inflight = dispatchers_[slot].inflight;
+      if (inflight.batch && now >= inflight.stall_at) {
+        reclaim_inflight(lk, slot);
+      }
     }
-    reclaim_inflight(lk);
   }
 }
 
-void Server::reclaim_inflight(std::unique_lock<std::mutex>& lk) {
+void Server::reclaim_inflight(std::unique_lock<std::mutex>& lk,
+                              std::size_t slot) {
   ++watchdog_kicks_;
-  std::vector<std::shared_ptr<detail::Request>> batch =
-      std::move(inflight_dispatch_.batch);
-  inflight_dispatch_.batch.clear();
-  inflight_dispatch_.active = false;
+  Dispatcher& d = dispatchers_[slot];
+  std::shared_ptr<const Batch> batch = std::move(d.inflight.batch);
+  d.inflight.batch.reset();
 
-  // Retire the wedged dispatcher: bump the generation so it exits
-  // without touching shared state when (if) it un-wedges, park its
-  // thread for joining at stop()/drain(), and spawn a replacement so
-  // queued work keeps moving. Safe against join_dispatcher(): joins
-  // only happen after dispatcher_done_ is observed under mu_, and a
-  // dispatcher that is mid-dispatch (the only state we reclaim from)
-  // has not set it.
-  ++dispatcher_epoch_;
-  const std::uint64_t epoch = dispatcher_epoch_;
-  zombies_.push_back(std::move(dispatcher_));
-  dispatcher_ = std::thread([this, epoch] { run_dispatcher(epoch); });
+  // Retire the wedged dispatcher only: bump its slot's generation so it
+  // exits without touching the queue or the accounting when (if) it
+  // un-wedges, park its thread for joining at stop()/drain(), and start
+  // a replacement in the slot. The other dispatchers keep serving
+  // throughout; the slot's fresh mark goes with its dispatch. Safe
+  // against join_dispatchers(): joins only happen after live_ == 0 is
+  // observed under mu_, and a dispatcher that is mid-dispatch (the only
+  // state we reclaim from) has not exited.
+  const std::uint64_t epoch = ++d.epoch;
+  if (fresh_slot_ == slot) {
+    fresh_slot_ = kNoSlot;
+  }
+  zombies_.push_back(std::move(d.thread));
+  d.thread = std::thread([this, slot, epoch] { run_dispatcher(slot, epoch); });
 
-  // The accounting the retired dispatcher will no longer do.
-  inflight_ -= batch.size();
-  completed_ += batch.size();
+  // The accounting the retired dispatcher will no longer do (it still
+  // lowers dispatching_ itself if its engine call ever returns).
+  inflight_ -= batch->size();
+  completed_ += batch->size();
 
   lk.unlock();
   // Trip before failing: a caller that observes the WatchdogError must
   // already see its class Open.
-  batch.front()->trip(engine_);
+  batch->front()->trip(engine_);
   const auto error = std::make_exception_ptr(WatchdogError(
       "iatf: dispatch stalled past the watchdog budget and was "
       "reclaimed; output buffers may be partially written"));
-  for (const auto& r : batch) {
+  for (const auto& r : *batch) {
     r->fail(error); // claim-gated: a late un-wedged resolution loses
   }
+  batch.reset();
   lk.lock();
 }
 
 void Server::cancel_queued(std::unique_lock<std::mutex>& lk) {
-  std::vector<std::unique_ptr<detail::Request>> doomed;
+  Batch doomed;
+  doomed.reserve(queued_);
   for (auto& [id, t] : tenants_) {
     t.cancelled += t.q.size();
     cancelled_ += t.q.size();
-    while (!t.q.empty()) {
-      doomed.push_back(std::move(t.q.front()));
-      t.q.pop_front();
+    for (auto& r : t.q) {
+      doomed.push_back(std::move(r));
     }
+    t.q.clear();
   }
   queued_ = 0;
   space_cv_.notify_all();
@@ -954,6 +1117,7 @@ void Server::cancel_queued(std::unique_lock<std::mutex>& lk) {
     r->fail(std::make_exception_ptr(
         CancelledError("iatf: request cancelled by Server::stop()")));
   }
+  doomed.clear();
   lk.lock();
 }
 

@@ -493,6 +493,9 @@ TEST_F(ServeTest, PolicyFlipReleasesBlockedSubmitters) {
 TEST_F(ServeTest, TenantWeightsShapeDispatchOrder) {
   ServeConfig config;
   config.max_coalesce = 1; // isolate ordering from coalescing
+  // Completion order is the dispatch order only with one dispatcher;
+  // concurrent dispatches may complete in any order.
+  config.dispatchers = 1;
   Server server(test_engine(), config);
   server.set_tenant_weight(1, 3);
   server.set_tenant_weight(2, 1);

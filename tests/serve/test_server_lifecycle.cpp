@@ -140,21 +140,45 @@ double process_cpu_seconds() {
          1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-// After a burst of round trips the dispatcher spins for at most
-// kDispatchSpin, then parks: a one-second idle window costs the whole
-// process almost no CPU.
+ServeConfig with_dispatchers(std::size_t n) {
+  ServeConfig config;
+  config.dispatchers = n;
+  return config;
+}
+
+// After a burst of round trips the spinning dispatcher spins for at
+// most kDispatchSpin, then parks, and every follower is parked already:
+// a one-second idle window costs the whole process almost no CPU.
 TEST(ServeLifecycle, IdleServerParks) {
   Engine engine(CacheInfo::kunpeng920());
   engine.set_kernel_verification(false);
   Gemm8 fx(1);
-  Server server(engine);
+  for (const std::size_t dispatchers : {1, 3}) {
+    SCOPED_TRACE(::testing::Message() << "dispatchers=" << dispatchers);
+    Server server(engine, with_dispatchers(dispatchers));
+    for (int i = 0; i < 1000; ++i) {
+      fx.submit(server, 0).get();
+    }
+    const double before = process_cpu_seconds();
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    const double idle = process_cpu_seconds() - before;
+    EXPECT_LT(idle, 0.020) << "CPU seconds over a 1 s idle window";
+  }
+}
+
+// A lone synchronous caller never has a backlog, so it is served by one
+// dispatcher: no follower is started, and no two dispatches overlap.
+TEST(ServeLifecycle, LoneCallerUsesOneDispatcher) {
+  Engine engine(CacheInfo::kunpeng920());
+  engine.set_kernel_verification(false);
+  Gemm8 fx(1);
+  Server server(engine, with_dispatchers(3));
   for (int i = 0; i < 1000; ++i) {
     fx.submit(server, 0).get();
   }
-  const double before = process_cpu_seconds();
-  std::this_thread::sleep_for(std::chrono::seconds(1));
-  const double idle = process_cpu_seconds() - before;
-  EXPECT_LT(idle, 0.020) << "CPU seconds over a 1 s idle window";
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.dispatchers, 1u);
+  EXPECT_EQ(s.peak_concurrent_dispatches, 1u);
 }
 
 // pause() holds a dispatcher that is still spinning after its last

@@ -9,7 +9,9 @@
 #include <barrier>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <random>
 #include <thread>
 #include <vector>
@@ -269,12 +271,14 @@ TEST(ServeStress, WeightedSharesUnderSaturation) {
 }
 
 // The spin-then-park hand-off (DESIGN.md section 12.5) never loses a
-// wake-up. Gaps between submits straddle the dispatcher's spin bound,
-// so requests land while it spins, as it gives up, and after it has
-// parked. Each submitter waits for its own result before it submits
-// again, and the three meet at a barrier every round: a lost wake-up is
-// never rescued by a later submission, so its future stays unresolved.
-TEST(ServeStress, NoLostWakeupAcrossPark) {
+// wake-up, with one dispatcher and with a leader and followers. Gaps
+// between submits straddle the spin bound, so requests land while a
+// dispatcher spins, as it gives up, and after it has parked. Each
+// submitter waits for its own result before it submits again, and the
+// three meet at a barrier every round: a lost wake-up is never rescued
+// by a later submission, so its future stays unresolved.
+void no_lost_wakeup(std::size_t dispatchers) {
+  SCOPED_TRACE(::testing::Message() << "dispatchers=" << dispatchers);
   constexpr int kThreads = 3;
   constexpr int kRounds = 5000;
   constexpr index_t kN = 8;
@@ -310,7 +314,9 @@ TEST(ServeStress, NoLostWakeupAcrossPark) {
   std::atomic<bool> abort{false};
   std::barrier round(kThreads);
   {
-    Server server(stress_engine());
+    ServeConfig config;
+    config.dispatchers = dispatchers;
+    Server server(stress_engine(), config);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
@@ -351,6 +357,58 @@ TEST(ServeStress, NoLostWakeupAcrossPark) {
   } // ~Server resolves a stranded request before `outs` goes away
   EXPECT_EQ(late.load(), 0) << "a submit was not picked up within 2 s";
   EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ServeStress, NoLostWakeupAcrossPark) {
+  for (const std::size_t dispatchers : {1, 3}) {
+    no_lost_wakeup(dispatchers);
+  }
+}
+
+// A backlog brings a follower in: two requests of different classes are
+// staged, and the first one's completion callback (on its dispatcher)
+// waits for the second to complete. One dispatcher cannot serve the
+// second until the callback returns, so the wait times out; a woken
+// follower serves it concurrently.
+TEST(ServeStress, BacklogRunsDispatchesConcurrently) {
+  TinyGemm tiny; // 2x2x2
+  Rng rng(23);
+  const index_t batch = simd::pack_width_v<double>;
+  const CompactBuffer<double> a8 =
+      test::random_batch<double>(8, 8, batch, rng).to_compact();
+  const CompactBuffer<double> b8 =
+      test::random_batch<double>(8, 8, batch, rng).to_compact();
+  CompactBuffer<double> c8 =
+      test::random_batch<double>(8, 8, batch, rng).to_compact();
+  CompactBuffer<double> c2 = tiny.c0.to_compact();
+
+  ServeConfig config;
+  config.dispatchers = 3;
+  Server server(stress_engine(), config);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool second_done = false;
+  bool saw_second = false;
+  server.pause();
+  auto first = server.submit_gemm<double>(
+      Op::NoTrans, Op::NoTrans, 1.0, a8, b8, 0.0, c8, {},
+      [&](Status, const BatchHealth&) {
+        std::unique_lock<std::mutex> lk(mu);
+        saw_second = cv.wait_for(lk, std::chrono::seconds(2),
+                                 [&] { return second_done; });
+      });
+  auto second = server.submit_gemm<double>(
+      Op::NoTrans, Op::NoTrans, 1.0, tiny.ca, tiny.cb, 0.0, c2, {},
+      [&](Status, const BatchHealth&) {
+        std::lock_guard<std::mutex> lk(mu);
+        second_done = true;
+        cv.notify_all();
+      });
+  server.resume();
+  EXPECT_TRUE(first.get().clean());
+  EXPECT_TRUE(second.get().clean());
+  EXPECT_TRUE(saw_second)
+      << "the second request waited for the first one's dispatch";
 }
 
 } // namespace

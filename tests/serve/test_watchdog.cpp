@@ -7,8 +7,11 @@
 // tens of ms) so the assertions hold under ASan/TSan scheduling noise.
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <future>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,14 +38,16 @@ protected:
 // Identical-descriptor double GEMMs with per-request outputs (mirrors
 // test_server.cpp's GemmPool).
 struct GemmPool {
-  index_t m = 4, n = 4, k = 4, batch;
+  index_t m, n, k, batch;
   test::HostBatch<double> a, b;
   CompactBuffer<double> ca, cb;
   std::vector<test::HostBatch<double>> cs;
   std::vector<CompactBuffer<double>> ccs;
   test::HostBatch<double> expected;
 
-  explicit GemmPool(std::size_t requests, unsigned seed = 417) {
+  explicit GemmPool(std::size_t requests, unsigned seed = 417,
+                    index_t dim = 4)
+      : m(dim), n(dim), k(dim) {
     Rng rng(seed);
     batch = simd::pack_width_v<double> + 1;
     a = test::random_batch<double>(m, k, batch, rng);
@@ -250,6 +255,110 @@ TEST_F(WatchdogTest, StopAfterReclaimJoinsTheZombieCleanly) {
   for (std::size_t i = 1; i < 8; ++i) {
     pool.expect_correct(i, "post-drain request " + std::to_string(i));
   }
+}
+
+TEST_F(WatchdogTest, ReclaimLeavesOtherDispatchersServing) {
+  ServeConfig cfg = watchdog_config();
+  cfg.watchdog_floor = 300ms; // reclaim ~300ms into the 500ms stall
+  cfg.dispatchers = 3;
+  Server server(test_engine(), cfg);
+  GemmPool stalled(1);
+  GemmPool other(1, 419, /*dim=*/2); // another descriptor class
+  fault::ScopedFault stall("watchdog.stall", 0, 1);
+  std::future<BatchHealth> stuck = stalled.submit(server, 0);
+  // Submit the other class once the first dispatch is inside its stall.
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (fault::hits("watchdog.stall") < 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_GE(fault::hits("watchdog.stall"), 1);
+  // Well past the spin bound: a request landing within kDispatchSpin of
+  // a dispatch's pick waits for that dispatch (DESIGN.md section 12.5).
+  std::this_thread::sleep_for(5ms);
+  std::future<BatchHealth> served = other.submit(server, 0);
+  ASSERT_EQ(served.wait_for(10s), std::future_status::ready);
+  EXPECT_TRUE(served.get().clean());
+  // A follower served it while the first dispatcher was still wedged.
+  EXPECT_EQ(server.stats().watchdog_kicks, 0u);
+
+  ASSERT_EQ(stuck.wait_for(10s), std::future_status::ready);
+  EXPECT_THROW((void)stuck.get(), WatchdogError);
+  EXPECT_EQ(server.stats().watchdog_kicks, 1u);
+  server.stop();
+  other.expect_correct(0, "served beside a wedged dispatcher");
+}
+
+// A coalesce-mate shed at dequeue resolves before its round's engine
+// call: a dispatch that wedges does not hold it until the reclaim.
+TEST_F(WatchdogTest, ShedMateResolvesBeforeTheReclaim) {
+  ServeConfig cfg = watchdog_config();
+  cfg.watchdog_floor = 300ms; // reclaim ~300ms into the 500ms stall
+  cfg.dispatchers = 3;
+  Server server(test_engine(), cfg);
+  GemmPool pool(2);
+  server.pause(); // stage the mate behind the head, same class
+  std::future<BatchHealth> stuck = pool.submit(server, 0);
+  SubmitOptions tight;
+  tight.deadline = 1ms;
+  std::future<BatchHealth> mate = pool.submit(server, 1, tight);
+  std::this_thread::sleep_for(20ms); // the mate's deadline passes queued
+  fault::ScopedFault stall("watchdog.stall", 0, 1);
+  server.resume();
+  ASSERT_EQ(mate.wait_for(10s), std::future_status::ready);
+  EXPECT_EQ(server.stats().watchdog_kicks, 0u);
+  EXPECT_THROW((void)mate.get(), TimeoutError);
+
+  ASSERT_EQ(stuck.wait_for(10s), std::future_status::ready);
+  EXPECT_THROW((void)stuck.get(), WatchdogError);
+  EXPECT_EQ(server.stats().watchdog_kicks, 1u);
+  server.stop();
+}
+
+// Runs `fn` when the last copy of the callback holding it dies.
+struct OnRelease {
+  std::function<void()> fn;
+  ~OnRelease() { fn(); }
+};
+
+// A retired dispatcher that un-wedges still publishes before it exits,
+// and a submitter counts it as about to re-check the queue. It exits
+// without that re-check, so it must hand a request that arrived
+// meanwhile to a parked dispatcher.
+TEST_F(WatchdogTest, SubmitDuringLateRetiredPublishIsServed) {
+  GemmPool pool(2);
+  std::promise<std::future<BatchHealth>> late;
+  std::future<std::future<BatchHealth>> late_fut = late.get_future();
+  Server server(test_engine(), [] {
+    ServeConfig cfg = watchdog_config();
+    cfg.dispatchers = 3;
+    return cfg;
+  }());
+  // The stalled request's callback is the last thing holding `hook`, so
+  // `hook` runs on the retired thread as it drops the reclaimed batch:
+  // after its stall ends, before it re-locks. By then the replacement
+  // has spun out and parked.
+  auto hook = std::make_shared<OnRelease>();
+  hook->fn = [&] {
+    std::this_thread::sleep_for(50ms);
+    late.set_value(pool.submit(server, 1));
+  };
+  fault::ScopedFault stall("watchdog.stall", 0, 1);
+  std::future<BatchHealth> stuck = server.submit_gemm<double>(
+      Op::NoTrans, Op::NoTrans, 1.0, pool.ca, pool.cb, 0.0, pool.ccs[0], {},
+      [hook](Status, const BatchHealth&) {});
+  hook.reset();
+  ASSERT_EQ(stuck.wait_for(10s), std::future_status::ready);
+  EXPECT_THROW((void)stuck.get(), WatchdogError);
+
+  ASSERT_EQ(late_fut.wait_for(10s), std::future_status::ready);
+  std::future<BatchHealth> served = late_fut.get();
+  ASSERT_EQ(served.wait_for(2s), std::future_status::ready)
+      << "a request submitted during the retired thread's publish stayed "
+         "queued";
+  EXPECT_TRUE(served.get().clean());
+  server.stop();
+  pool.expect_correct(1, "submitted during a retired publish");
 }
 
 TEST_F(WatchdogTest, HeartbeatsCountDispatcherRounds) {

@@ -16,6 +16,8 @@
 //   --smoke    small CI-friendly run; exit non-zero if any request went
 //              unresolved, anything was shed on deadline at idle load,
 //              or a fairness share drifted more than 10 points
+//   --dispatchers=N  server dispatcher threads (default: one per
+//              spare CPU); CI runs the smoke at 1 and at the default
 //   --mix=SPEC multi-shape tenant mixes: SPEC is `;`-separated descriptor
 //              sets, each a comma list of MxNxK shapes, e.g.
 //              --mix=4x4x4,8x8x8;16x16x16 gives tenant 0 the two small
@@ -88,6 +90,7 @@ struct Options {
   index_t batch = 0; // 0 = 2 * pack width
   std::size_t queue = 256;
   std::size_t coalesce = 64;
+  std::size_t dispatchers = 0; // 0 = one per spare CPU
   double deadline_ms = 0.0;
   int ring = 8;
   bool smoke = false;
@@ -110,6 +113,7 @@ void print_usage(std::FILE* to) {
       "usage: iatf_loadgen [--tenants=N] [--weights=w0,w1,...] "
       "[--requests=N] [--m=N --n=N --k=N --batch=N] "
       "[--mix=MxNxK,...;MxNxK,...] [--queue=N] [--coalesce=N] "
+      "[--dispatchers=N] "
       "[--deadline-ms=X] [--ring=N] [--smoke] [--compare] "
       "[--kill-after=N] [--expect-quarantined=N] [--json=FILE]\n"
       "       iatf_loadgen --record=FILE [load options]\n"
@@ -211,6 +215,8 @@ Options parse(int argc, char** argv) {
       opt.queue = static_cast<std::size_t>(std::atoll(v));
     } else if (const char* v = value("--coalesce=")) {
       opt.coalesce = static_cast<std::size_t>(std::atoll(v));
+    } else if (const char* v = value("--dispatchers=")) {
+      opt.dispatchers = static_cast<std::size_t>(std::atoll(v));
     } else if (const char* v = value("--deadline-ms=")) {
       opt.deadline_ms = std::atof(v);
     } else if (const char* v = value("--ring=")) {
@@ -433,6 +439,7 @@ int run(const Options& opt) {
   serve::ServeConfig config;
   config.queue_capacity = opt.queue;
   config.max_coalesce = opt.coalesce;
+  config.dispatchers = opt.dispatchers;
   config.overload = resilience::OverloadPolicy::Block;
   if (opt.deadline_ms > 0) {
     config.default_deadline = std::chrono::nanoseconds(
@@ -600,6 +607,9 @@ int run(const Options& opt) {
       "req/dispatch");
   row("shed_expired", static_cast<double>(stats.shed_expired), "req");
   row("shed_overflow", static_cast<double>(stats.shed_overflow), "req");
+  row("dispatchers", static_cast<double>(stats.dispatchers), "threads");
+  row("peak_concurrent_dispatches",
+      static_cast<double>(stats.peak_concurrent_dispatches), "dispatches");
   if (!opt.mix.empty()) {
     row("mix_distinct_shapes", static_cast<double>(shapes.size()),
         "shapes");
@@ -1024,6 +1034,7 @@ int replay_inprocess(const Options& opt,
   serve::ServeConfig config;
   config.queue_capacity = opt.queue;
   config.max_coalesce = opt.coalesce;
+  config.dispatchers = opt.dispatchers;
   config.overload = resilience::OverloadPolicy::Block;
   serve::Server server(engine, config);
 

@@ -46,6 +46,7 @@ struct Options {
   int write_timeout_ms = 10000;
   std::size_t queue = 1024;
   std::size_t coalesce = 64;
+  std::size_t dispatchers = 0; // 0 = one per spare CPU
   std::string serve_overload = "shed"; // shed | block | degrade
   double deadline_ms = 0.0;
   double watchdog_grace = 0.0;
@@ -72,6 +73,8 @@ void usage(std::FILE* to) {
       "  --write-timeout-ms=N    slow-client disconnect (default 10000)\n"
       "  --queue=N               server queue capacity (default 1024)\n"
       "  --coalesce=N            max requests per dispatch (default 64)\n"
+      "  --dispatchers=N         dispatcher threads, clamped to [1, 64]\n"
+      "                          (default: one per spare CPU)\n"
       "  --overload=P            server queue-full policy: shed\n"
       "                          (default), block, degrade\n"
       "  --deadline-ms=X         default request deadline (0 = none)\n"
@@ -134,6 +137,8 @@ bool parse(int argc, char** argv, Options& opt, int& exit_code) {
       opt.queue = static_cast<std::size_t>(std::atoll(v));
     } else if (const char* v = value("--coalesce=")) {
       opt.coalesce = static_cast<std::size_t>(std::atoll(v));
+    } else if (const char* v = value("--dispatchers=")) {
+      opt.dispatchers = static_cast<std::size_t>(std::atoll(v));
     } else if (const char* v = value("--overload=")) {
       opt.serve_overload = v;
     } else if (const char* v = value("--deadline-ms=")) {
@@ -226,6 +231,7 @@ int main(int argc, char** argv) {
     serve::ServeConfig scfg;
     scfg.queue_capacity = opt.queue;
     scfg.max_coalesce = opt.coalesce;
+    scfg.dispatchers = opt.dispatchers;
     scfg.default_deadline = from_ms(opt.deadline_ms);
     scfg.overload = opt.serve_overload == "block"
                         ? resilience::OverloadPolicy::Block
@@ -290,6 +296,13 @@ int main(int argc, char** argv) {
                   (unsigned long long)s.wire_errors,
                   (unsigned long long)s.shed_busy,
                   (unsigned long long)s.slow_closes);
+      const serve::ServerStats ss = server.stats();
+      std::printf("iatf_served: dispatchers=%zu "
+                  "peak_concurrent_dispatches=%zu dispatch_calls=%llu "
+                  "completed=%llu\n",
+                  ss.dispatchers, ss.peak_concurrent_dispatches,
+                  (unsigned long long)ss.dispatch_calls,
+                  (unsigned long long)ss.completed);
     }
     std::printf("iatf_served: drained, exiting\n");
     return 0;
