@@ -72,7 +72,9 @@ typedef enum iatf_status {
  * CHECK = scan outputs, report IATF_STATUS_NUMERICAL_HAZARD on NaN/Inf
  * outputs or singular TRSM diagonals;
  * FALLBACK = CHECK + retry affected matrices on the scalar reference
- * path, returning IATF_STATUS_OK once they complete. */
+ * path, returning IATF_STATUS_OK once they complete.
+ * iatf_set_exec_policy ignores an out-of-range value (the current policy
+ * stays). */
 typedef enum iatf_exec_policy {
   IATF_EXEC_FAST = 0,
   IATF_EXEC_CHECK = 1,
@@ -88,7 +90,10 @@ iatf_exec_policy iatf_get_exec_policy(void);
  * IATF_STATUS_TIMEOUT with the output buffer partially updated. A
  * timed-out call never degrades to the fallback path (a recompute could
  * only take longer) and never poisons the thread pool -- subsequent
- * calls run normally. ms <= 0 disables (the default). */
+ * calls run normally. ms <= 0 (or NaN) disables (the default). Every
+ * millisecond argument of this API clamps at 1e12 ms (about 31.7 years,
+ * the wire protocol's deadline bound), so infinity means "practically
+ * unbounded", never an overflow. */
 void iatf_set_call_deadline_ms(double ms);
 double iatf_get_call_deadline_ms(void);
 
@@ -203,7 +208,8 @@ typedef enum iatf_overload_policy {
 } iatf_overload_policy;
 
 /* At most `max` compute calls inside the default engine at once;
- * max <= 0 means unlimited (the default). */
+ * max <= 0 means unlimited (the default). iatf_set_overload_policy
+ * ignores an out-of-range value (the current policy stays). */
 void iatf_set_max_inflight(int64_t max);
 int64_t iatf_get_max_inflight(void);
 void iatf_set_overload_policy(iatf_overload_policy policy);
@@ -497,7 +503,8 @@ typedef struct iatf_serve_config {
   double default_deadline_ms; /* <= 0 means no default deadline */
 } iatf_serve_config;
 
-/* NULL config selects all defaults. NULL on failure. */
+/* NULL config selects all defaults. NULL on failure, including an
+ * out-of-range overload policy. */
 iatf_server* iatf_server_create(const iatf_serve_config* config);
 /* Stops the server (cancelling queued requests) and frees it. Tickets
  * never waited on are discarded. */
@@ -506,7 +513,8 @@ void iatf_server_destroy(iatf_server* server);
 /* Weighted-fair share for `tenant` (weight >= 1; default 1). */
 int iatf_server_set_tenant_weight(iatf_server* server, uint32_t tenant,
                                   uint32_t weight);
-/* Swap the queue-full policy at runtime. */
+/* Swap the queue-full policy at runtime; IATF_STATUS_INVALID_ARG (and
+ * the policy unchanged) for an out-of-range value. */
 int iatf_server_set_overload_policy(iatf_server* server,
                                     iatf_overload_policy policy);
 
@@ -518,7 +526,8 @@ int iatf_server_set_overload_policy(iatf_server* server,
  * buffers may be partially written and stay borrowed until
  * iatf_server_stop/_drain/_destroy returns -- the class's circuit
  * breaker is forced Open (journaled to the health ledger) and a fresh
- * dispatcher replaces the wedged one. grace == 0 disables. */
+ * dispatcher replaces the wedged one. grace == 0 disables; a negative,
+ * infinite or NaN grace is IATF_STATUS_INVALID_ARG. */
 int iatf_server_set_watchdog(iatf_server* server, double grace,
                              double floor_ms);
 

@@ -63,7 +63,6 @@ namespace iatf {
 
 namespace tune {
 class TuningTable;
-struct TuneKey;
 } // namespace tune
 
 namespace detail {
@@ -155,18 +154,17 @@ public:
   /// begins, i.e. before main() returns (DESIGN.md section 12).
   ~Engine();
 
-  /// Get or build the plan for a GEMM descriptor. `layout` is part of
-  /// the cache key (0 = raw buffers, 1 = packed handles) so the packed
-  /// and unpacked variants of one descriptor coexist as distinct entries.
+  /// Get or build the plan for a GEMM descriptor, cached under its
+  /// sched::ClassKey. Raw-buffer and packed-handle calls of one
+  /// descriptor share the entry.
   template <class T, int Bytes = 16>
   std::shared_ptr<const plan::GemmPlan<T, Bytes>>
-  plan_gemm(const GemmShape& shape, std::uint8_t layout = 0);
+  plan_gemm(const GemmShape& shape);
 
-  /// Get or build the plan for a TRSM descriptor; see plan_gemm for
-  /// `layout`.
+  /// Get or build the plan for a TRSM descriptor; see plan_gemm.
   template <class T, int Bytes = 16>
   std::shared_ptr<const plan::TrsmPlan<T, Bytes>>
-  plan_trsm(const TrsmShape& shape, std::uint8_t layout = 0);
+  plan_trsm(const TrsmShape& shape);
 
   /// C = alpha * op_a(A) * op_b(B) + beta * C for every matrix in the
   /// batch. Shapes are inferred from the buffers and the ops. The returned
@@ -241,10 +239,10 @@ public:
   void unpack(const factor::PackedHandle<T>& handle, T* dst, index_t ld,
               index_t matrix_stride);
 
-  /// GEMM over packed handles: identical semantics to the buffer overload
-  /// but the plan is cached under the packed layout state (both variants
-  /// coexist), three reuse hits are counted, and C's epoch is bumped.
-  /// Every handle must be valid or the call throws InvalidArg.
+  /// GEMM over packed handles: identical semantics to the buffer overload,
+  /// through the same plan and breaker slot; three reuse hits are
+  /// counted, and C's epoch is bumped. Every handle must be valid or the
+  /// call throws InvalidArg.
   template <class T, int Bytes = 16>
   BatchHealth gemm(Op op_a, Op op_b, T alpha,
                    const factor::PackedHandle<T>& a,
@@ -299,12 +297,10 @@ public:
   std::vector<BatchHealth>
   factor_grouped(std::span<const sched::FactorSegment<T>> segments);
 
-  /// Get or build the plan for a factorisation descriptor. `layout` is
-  /// the layout state the plan is keyed under (0 = raw buffers, 1 =
-  /// packed handles), mirroring the keying of plan_gemm/plan_trsm.
+  /// Get or build the plan for a factorisation descriptor; see plan_gemm.
   template <class T, int Bytes = 16>
   std::shared_ptr<const factor::FactorPlan<T, Bytes>>
-  plan_factor(const factor::FactorShape& shape, std::uint8_t layout = 0);
+  plan_factor(const factor::FactorShape& shape);
 
   const CacheInfo& cache_info() const noexcept { return cache_; }
 
@@ -483,12 +479,9 @@ public:
   resilience::BreakerConfig breaker_config() const {
     return breaker_.config();
   }
-  /// Breaker state of the descriptor class a shape hashes to (tests;
-  /// the class identity includes dtype and SIMD width, hence templated).
-  template <class T, int Bytes = 16>
-  resilience::BreakerState gemm_breaker_state(const GemmShape& shape) const;
-  template <class T, int Bytes = 16>
-  resilience::BreakerState trsm_breaker_state(const TrsmShape& shape) const;
+  /// Breaker state of one descriptor class (sched::class_key; tests and
+  /// diagnostics).
+  resilience::BreakerState breaker_state(const sched::ClassKey& key) const;
 
   // --- Crash-consistent health ledger (DESIGN.md section 14) -----------
 
@@ -512,10 +505,7 @@ public:
   /// reclaim. cooldown_calls < 0 uses the breaker's configured cooldown.
   /// No-op while the breaker is disabled; the journal entry is written
   /// either way so the stall survives restarts as a record.
-  template <class T, int Bytes = 16>
-  void trip_gemm_class(const GemmShape& shape, int cooldown_calls);
-  template <class T, int Bytes = 16>
-  void trip_trsm_class(const TrsmShape& shape, int cooldown_calls);
+  void trip_class(const sched::ClassKey& key, int cooldown_calls);
 
   // --- Serving front-end registration (iatf::serve internals) ----------
 
@@ -549,25 +539,6 @@ public:
   static Engine& default_engine();
 
 private:
-  struct PlanKey {
-    char op = 0;    // 'g', 't', 'p' (potrf), 'l' (getrf_np), 'i' (trtri)
-    char dtype = 0; // 's','d','c','z'
-    int bytes = 0;  // SIMD register width
-    index_t m = 0, n = 0, k = 0;
-    std::uint8_t op_a = 0, op_b = 0, side = 0, uplo = 0, diag = 0;
-    /// Layout state of the operands: 0 = raw compact buffers, 1 = packed
-    /// handles. Keying on it keeps both variants of one descriptor live
-    /// in the cache side by side.
-    std::uint8_t layout = 0;
-    index_t batch = 0;
-
-    friend bool operator==(const PlanKey&, const PlanKey&) = default;
-  };
-
-  struct PlanKeyHash {
-    std::size_t operator()(const PlanKey& k) const noexcept;
-  };
-
   /// Immutable cache entry; `last_used` is the only mutable field and is
   /// a relaxed atomic so hits can bump recency without any lock.
   /// `kernels` lists the registry kernels the plan dispatches through so
@@ -579,8 +550,9 @@ private:
     mutable std::atomic<std::uint64_t> last_used{0};
   };
 
-  using PlanMap =
-      std::unordered_map<PlanKey, std::shared_ptr<CacheEntry>, PlanKeyHash>;
+  using PlanMap = std::unordered_map<sched::ClassKey,
+                                     std::shared_ptr<CacheEntry>,
+                                     sched::ClassKeyHash>;
 
   /// Single-flight build state shared by every thread that missed on the
   /// same cold descriptor: the leader builds, the rest wait on `cv`.
@@ -596,7 +568,8 @@ private:
   struct Shard {
     mutable std::mutex mu; ///< guards snapshot publication and inflight
     std::atomic<std::shared_ptr<const PlanMap>> snapshot{};
-    std::unordered_map<PlanKey, std::shared_ptr<Flight>, PlanKeyHash>
+    std::unordered_map<sched::ClassKey, std::shared_ptr<Flight>,
+                       sched::ClassKeyHash>
         inflight;
   };
 
@@ -610,15 +583,16 @@ private:
     std::uint64_t generation = 0;
   };
 
-  Shard& shard_for(const PlanKey& key);
+  Shard& shard_for(const sched::ClassKey& key);
 
   template <class Plan, class Make>
-  std::shared_ptr<const Plan> lookup(const PlanKey& key, Make&& make);
+  std::shared_ptr<const Plan> lookup(const sched::ClassKey& key,
+                                     Make&& make);
 
   /// Publish `plan` into the shard's snapshot (copy-on-write), evicting
   /// the least-recently-used entries past the per-shard bound. No-op when
   /// `generation` is stale (the cache was cleared/re-tuned mid-build).
-  void insert_plan(Shard& shard, const PlanKey& key,
+  void insert_plan(Shard& shard, const sched::ClassKey& key,
                    std::shared_ptr<const void> plan, bool tuned,
                    std::vector<resilience::KernelId> kernels,
                    std::uint64_t generation, std::uint64_t now);
@@ -632,10 +606,10 @@ private:
   /// non-null) and wipe every shard. Serialised by config_mu_.
   void reconfigure(std::shared_ptr<TuningConfig> next);
 
-  /// Table -> manual override -> analytical default,
-  /// resolved against one immutable config snapshot.
+  /// Table -> manual override -> analytical default for the class
+  /// `key`, resolved against one immutable config snapshot.
   plan::PlanTuning resolve_tuning(const TuningConfig& config,
-                                  const tune::TuneKey& key,
+                                  const sched::ClassKey& key,
                                   bool* from_table) const;
 
   // --- One call pipeline (DESIGN.md section 11.6) ----------------------
@@ -647,25 +621,21 @@ private:
   /// The pipeline: admission, size-class binning, one breaker gate and
   /// plan per class, verify, execute, whole-call transient retry, lane
   /// repair and reference fallback. Writes one BatchHealth per segment
-  /// into `healths`. `layout` is the plans' layout state (0 = raw
-  /// buffers, 1 = packed handles); `grouped_call` counts the call's
-  /// distinct plans in grouped_plan_hist.
+  /// into `healths`; `grouped_call` counts the call's distinct plans in
+  /// grouped_plan_hist.
   template <class Traits>
   void run(std::span<detail::CallSegment<Traits>> segs,
-           std::span<BatchHealth> healths, std::uint8_t layout,
-           bool grouped_call);
+           std::span<BatchHealth> healths, bool grouped_call);
 
   /// Breaker admission of every class leader: route an Open class to
   /// the reference path, or hold its gate (a HalfOpen probe included).
   template <class Traits>
-  void admit_classes(std::span<detail::CallSegment<Traits>> segs,
-                     std::uint8_t layout);
+  void admit_classes(std::span<detail::CallSegment<Traits>> segs);
 
   /// Resolve (and verify) the plan of every class leader not routed
   /// away; a quarantined plan routes its class to the reference path.
   template <class Traits>
-  void plan_classes(std::span<detail::CallSegment<Traits>> segs,
-                    std::uint8_t layout);
+  void plan_classes(std::span<detail::CallSegment<Traits>> segs);
 
   /// Run every segment whose class has a plan: in call order, or as
   /// interleaved work items on `pool`.
@@ -675,8 +645,7 @@ private:
 
   /// A single call: `seg` as a one-segment call of run.
   template <class Traits>
-  BatchHealth run_one(const typename Traits::Segment& seg,
-                      std::uint8_t layout);
+  BatchHealth run_one(const typename Traits::Segment& seg);
 
   /// A grouped call: one grouped_call, then every segment through one
   /// call of run.
@@ -688,13 +657,7 @@ private:
   /// tuning, build, and rebuild around quarantined kernels.
   template <class Traits>
   std::shared_ptr<const typename Traits::Plan>
-  plan_tuned(const typename Traits::Shape& shape, std::uint8_t layout);
-
-  /// The plan-cache key of a descriptor; its hash is also the breaker
-  /// slot of the descriptor class.
-  template <class Traits>
-  static PlanKey plan_key(const typename Traits::Shape& shape,
-                          std::uint8_t layout);
+  plan_tuned(const typename Traits::Shape& shape);
 
   /// Count one degraded call that recomputed `lanes` lanes.
   void note_degraded(std::uint64_t lanes) noexcept {
@@ -751,10 +714,6 @@ private:
 
   /// breaker_.record + journal when the call tripped the slot Open.
   void record_breaker(std::size_t slot_hash, bool degraded, bool probe);
-
-  /// Force one breaker slot Open and journal the watchdog reclaim
-  /// (trip_gemm_class / trip_trsm_class).
-  void trip_slot(std::size_t slot_hash, int cooldown_calls);
 
   CacheInfo cache_;
   std::atomic<ExecPolicy> policy_{ExecPolicy::Fast};

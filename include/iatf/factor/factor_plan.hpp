@@ -44,7 +44,7 @@ enum class FactorOp : std::uint8_t { Potrf, GetrfNp, Trtri };
 
 /// The full descriptor of one batched factorisation: everything the
 /// engine's plan cache keys on except dtype/width (fixed per template
-/// instantiation) and layout state (keyed by the engine).
+/// instantiation).
 struct FactorShape {
   FactorOp op = FactorOp::Potrf;
   index_t m = 0;              ///< matrix order

@@ -69,28 +69,56 @@ template <class T> struct FactorSegment {
   CompactBuffer<T>* a = nullptr;
 };
 
-/// The size-class identity of a segment: everything the engine's plan
-/// cache keys on except dtype (which is fixed per grouped call by the
-/// template instantiation). Two segments with equal ClassKeys share an
-/// execution plan. `bytes` carries the buffers' register width so a
-/// coalescing front end never merges requests whose buffers belong to
-/// different ISA backends (the kernel class is part of the identity);
-/// within one engine grouped call it is redundant with the Bytes
-/// template parameter and may stay 0.
+/// The descriptor class of a segment: the one identity the engine keys
+/// its plan cache, breaker slots and tuning table on (a tuning key is a
+/// ClassKey with batch 0) and the serving front end coalesces on. Two
+/// segments with equal ClassKeys share an execution plan. `dtype` and
+/// `bytes` are always set by class_key: requests whose buffers belong to
+/// different dtypes or ISA backends never merge, since the kernel class
+/// is part of the identity. The operands' layout (raw buffers or packed
+/// handles) is not: plans are built from the descriptor alone.
 struct ClassKey {
-  char op = 0; ///< 'g' (GEMM), 't' (TRSM), 'p'/'l'/'i' (factorisations)
+  char op = 0;    ///< 'g' (GEMM), 't' (TRSM), 'p'/'l'/'i' (factorisations)
+  char dtype = 0; ///< 's', 'd', 'c', 'z'
   index_t m = 0, n = 0, k = 0;
   std::uint8_t op_a = 0, op_b = 0, side = 0, uplo = 0, diag = 0;
   index_t batch = 0;
-  int bytes = 0; ///< register width of the kernel class (0 = unspecified)
+  int bytes = 0; ///< register width of the kernel class
 
   friend bool operator==(const ClassKey&, const ClassKey&) = default;
 };
 
+/// FNV-1a over a ClassKey's fields. Its value is also the breaker slot of
+/// the class, which the health ledger persists (DESIGN.md section 14), so
+/// the mixing order is a file format: changing it orphans every journaled
+/// breaker record.
+struct ClassKeyHash {
+  std::size_t operator()(const ClassKey& key) const noexcept {
+    std::uint64_t h = 1469598103934665603ull;
+    const auto mix = [&h](std::uint64_t v) {
+      h ^= v;
+      h *= 1099511628211ull;
+    };
+    mix(static_cast<std::uint64_t>(key.op) << 8 |
+        static_cast<std::uint64_t>(key.dtype));
+    mix(static_cast<std::uint64_t>(key.bytes));
+    mix(static_cast<std::uint64_t>(key.m));
+    mix(static_cast<std::uint64_t>(key.n));
+    mix(static_cast<std::uint64_t>(key.k));
+    mix(static_cast<std::uint64_t>(key.op_a) |
+        static_cast<std::uint64_t>(key.op_b) << 8 |
+        static_cast<std::uint64_t>(key.side) << 16 |
+        static_cast<std::uint64_t>(key.uplo) << 24 |
+        static_cast<std::uint64_t>(key.diag) << 32);
+    mix(static_cast<std::uint64_t>(key.batch));
+    return static_cast<std::size_t>(h);
+  }
+};
+
 // --- Descriptors -------------------------------------------------------
-// The one source of every op's descriptor and size class: the engine's
-// call pipeline keys its plan cache and breaker slots on these, and the
-// serving front end coalesces on the same ClassKey.
+// The one source of every op's descriptor and class: the engine's call
+// pipeline keys its plan cache, breaker slots and tuning lookups on these,
+// and the serving front end coalesces on the same ClassKey.
 
 /// Descriptor of a GEMM segment; shapes are inferred from C and op(A).
 template <class T> GemmShape shape_of(const GemmSegment<T>& seg) {
@@ -129,25 +157,29 @@ factor::FactorShape shape_of(const FactorSegment<T>& seg) {
   return s;
 }
 
-/// The size class of a descriptor: op tag 'g' plus every GEMM field.
-/// Inline, like the shape_of overloads: every plan-cache lookup and
-/// every serve submission computes one.
-inline ClassKey class_key(const GemmShape& s) {
+/// The class of a descriptor computed in dtype T on the `bytes`-wide
+/// kernel class: op tag 'g' plus every GEMM field. Inline, like the
+/// shape_of overloads: every plan-cache lookup and every serve submission
+/// computes one.
+template <class T> ClassKey class_key(const GemmShape& s, int bytes) {
   ClassKey key;
   key.op = 'g';
+  key.dtype = blas_prefix_v<T>[0];
   key.m = s.m;
   key.n = s.n;
   key.k = s.k;
   key.op_a = static_cast<std::uint8_t>(s.op_a);
   key.op_b = static_cast<std::uint8_t>(s.op_b);
   key.batch = s.batch;
+  key.bytes = bytes;
   return key;
 }
 
-/// The size class of a descriptor: op tag 't' plus every TRSM field.
-inline ClassKey class_key(const TrsmShape& s) {
+/// The class of a descriptor: op tag 't' plus every TRSM field.
+template <class T> ClassKey class_key(const TrsmShape& s, int bytes) {
   ClassKey key;
   key.op = 't';
+  key.dtype = blas_prefix_v<T>[0];
   key.m = s.m;
   key.n = s.n;
   key.op_a = static_cast<std::uint8_t>(s.op_a);
@@ -155,13 +187,15 @@ inline ClassKey class_key(const TrsmShape& s) {
   key.uplo = static_cast<std::uint8_t>(s.uplo);
   key.diag = static_cast<std::uint8_t>(s.diag);
   key.batch = s.batch;
+  key.bytes = bytes;
   return key;
 }
 
-/// The size class of a descriptor: op tag 'p' (Cholesky), 'l'
-/// (unpivoted LU) or 'i' (triangular inverse) plus order, uplo, diag and
-/// batch. The matrix is square, so the order is both m and n.
-inline ClassKey class_key(const factor::FactorShape& s) {
+/// The class of a descriptor: op tag 'p' (Cholesky), 'l' (unpivoted LU)
+/// or 'i' (triangular inverse) plus order, uplo, diag and batch. The
+/// matrix is square, so the order is both m and n.
+template <class T>
+ClassKey class_key(const factor::FactorShape& s, int bytes) {
   ClassKey key;
   switch (s.op) {
   case factor::FactorOp::Potrf:
@@ -174,11 +208,13 @@ inline ClassKey class_key(const factor::FactorShape& s) {
     key.op = 'i';
     break;
   }
+  key.dtype = blas_prefix_v<T>[0];
   key.m = s.m;
   key.n = s.m;
   key.uplo = static_cast<std::uint8_t>(s.uplo);
   key.diag = static_cast<std::uint8_t>(s.diag);
   key.batch = s.batch;
+  key.bytes = bytes;
   return key;
 }
 

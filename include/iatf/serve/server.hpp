@@ -27,9 +27,10 @@
 //    order of concurrent dispatches is unordered.
 //
 //  * Cross-tenant coalescing. A dispatcher merges queued single
-//    requests carrying the same descriptor class (sched::ClassKey +
-//    dtype) -- from any tenant -- into one gemm_grouped / trsm_grouped
-//    call, so the input-aware batching win survives many small clients.
+//    requests carrying the same descriptor class (one sched::ClassKey,
+//    the engine's plan-cache and breaker identity) -- from any tenant --
+//    into one gemm_grouped / trsm_grouped call, so the input-aware
+//    batching win survives many small clients.
 //    A coalesced dispatch that fails is retried request-by-request, so
 //    one tenant's bad descriptor cannot fail its coalesce-mates.
 //

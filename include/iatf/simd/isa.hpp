@@ -21,9 +21,10 @@
 //     an unsupported ISA with Status::Unsupported so callers get a
 //     diagnosable error, again never a SIGILL.
 //
-// Each backend is a distinct kernel class end to end: PlanKey carries the
-// width, so plans, the sharded plan cache, kernel verify/quarantine state
-// and the tuning-table hardware signature are all per-(ISA, width).
+// Each backend is a distinct kernel class end to end: sched::ClassKey
+// carries the width, so plans, the sharded plan cache, kernel
+// verify/quarantine state and the tuning-table hardware signature are all
+// per-(ISA, width).
 #pragma once
 
 #include <string>

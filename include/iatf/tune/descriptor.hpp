@@ -21,42 +21,33 @@
 
 namespace iatf::tune {
 
-/// Canonical descriptor of one tunable problem class (GEMM or TRSM).
-struct TuneKey {
-  char op = 'g';    ///< 'g' = GEMM, 't' = TRSM
-  char dtype = 's'; ///< s, d, c or z
-  int bytes = 16;   ///< SIMD register width of the kernel set
-  index_t m = 0, n = 0, k = 0;
-  std::uint8_t op_a = 0, op_b = 0, side = 0, uplo = 0, diag = 0;
-
-  friend bool operator==(const TuneKey&, const TuneKey&) = default;
-};
-
-struct TuneKeyHash {
-  std::size_t operator()(const TuneKey& key) const noexcept;
-};
-
-/// A size class (sched::class_key) as a tuning key: batch dropped,
-/// dtype tag and register width added. The one place a TuneKey is
-/// assembled from descriptor fields.
-TuneKey tune_key(const sched::ClassKey& cls, char dtype, int bytes);
-
-/// Keys for the two descriptor kinds (batch deliberately dropped).
-template <class T, int Bytes = 16> TuneKey gemm_key(const GemmShape& shape) {
-  return tune_key(sched::class_key(shape), blas_prefix_v<T>[0], Bytes);
+/// A descriptor class (sched::class_key) as a tuning key: the same
+/// ClassKey with batch 0. Tables key on it and hash it with
+/// sched::ClassKeyHash; op is 'g' (GEMM) or 't' (TRSM).
+inline sched::ClassKey tune_key(sched::ClassKey key) {
+  key.batch = 0;
+  return key;
 }
 
-template <class T, int Bytes = 16> TuneKey trsm_key(const TrsmShape& shape) {
-  return tune_key(sched::class_key(shape), blas_prefix_v<T>[0], Bytes);
+/// Keys for the two descriptor kinds (batch deliberately dropped).
+template <class T, int Bytes = 16>
+sched::ClassKey gemm_key(const GemmShape& shape) {
+  return tune_key(sched::class_key<T>(shape, Bytes));
+}
+
+template <class T, int Bytes = 16>
+sched::ClassKey trsm_key(const TrsmShape& shape) {
+  return tune_key(sched::class_key<T>(shape, Bytes));
 }
 
 /// One-line human-readable rendering (also the table file's key fields).
-std::string to_string(const TuneKey& key);
+std::string to_string(const sched::ClassKey& key);
 
-/// Serialise/parse the key as the leading fields of one table record
-/// line. parse_key returns false on malformed input without throwing.
-void write_key(std::ostream& out, const TuneKey& key);
-bool parse_key(std::istream& in, TuneKey& key);
+/// Serialise/parse a tuning key as the leading fields of one table
+/// record line (every field but the batch). parse_key returns false on
+/// malformed input without throwing, and yields a key with batch 0.
+void write_key(std::ostream& out, const sched::ClassKey& key);
+bool parse_key(std::istream& in, sched::ClassKey& key);
 
 /// Single-token signature of the tuning-relevant hardware: architecture,
 /// CPU model, cache sizes. Tables recorded under a different signature

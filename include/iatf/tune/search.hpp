@@ -71,7 +71,7 @@ TuneRecord tune_trsm(const TrsmShape& shape, const CacheInfo& cache,
 
 /// A tuned record with the key it was timed under.
 struct TunedRecord {
-  TuneKey key;
+  sched::ClassKey key; ///< tune_key: batch 0
   TuneRecord record;
 };
 

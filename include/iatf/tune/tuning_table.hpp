@@ -76,13 +76,14 @@ public:
   bool empty() const noexcept { return records_.empty(); }
   void clear() { records_.clear(); }
 
-  /// nullptr when the descriptor has no tuned record (analytical model).
-  const TuneRecord* lookup(const TuneKey& key) const {
+  /// nullptr when the tuning key (tune_key: batch 0) has no tuned record
+  /// (analytical model).
+  const TuneRecord* lookup(const sched::ClassKey& key) const {
     const auto it = records_.find(key);
     return it == records_.end() ? nullptr : &it->second;
   }
 
-  void insert(const TuneKey& key, const TuneRecord& record) {
+  void insert(const sched::ClassKey& key, const TuneRecord& record) {
     records_[key] = record;
   }
 
@@ -103,14 +104,16 @@ public:
   /// $IATF_TUNE_FILE when set, else "iatf_tune.tbl" in the working dir.
   static std::string default_path();
 
-  const std::unordered_map<TuneKey, TuneRecord, TuneKeyHash>&
-  records() const noexcept {
+  using RecordMap =
+      std::unordered_map<sched::ClassKey, TuneRecord, sched::ClassKeyHash>;
+
+  const RecordMap& records() const noexcept {
     return records_;
   }
 
 private:
   std::string hardware_;
-  std::unordered_map<TuneKey, TuneRecord, TuneKeyHash> records_;
+  RecordMap records_;
 };
 
 } // namespace iatf::tune

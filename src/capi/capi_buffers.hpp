@@ -1,11 +1,15 @@
-// Definitions of the C API's opaque buffer handles and its checked enum
-// conversions, shared between the core shim (iatf_c.cpp) and the serving
-// shim (iatf_server_c.cpp). Each handle wraps exactly one CompactBuffer;
-// the C-side pointer identity is the handle identity.
+// Definitions of the C API's opaque buffer handles, its checked enum
+// conversions and its one milliseconds-to-nanoseconds conversion, shared
+// between the core shim (iatf_c.cpp) and the serving shim
+// (iatf_server_c.cpp). Each handle wraps exactly one CompactBuffer; the
+// C-side pointer identity is the handle identity.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <complex>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "iatf/capi/iatf.h"
@@ -56,17 +60,40 @@ template <class E> int enum_bits(const E& e) {
   return bits;
 }
 
+/// A C enum argument as its C++ counterpart, or nullopt for a value
+/// outside [0, last]; the range is checked before any cast.
+template <class To, class E>
+std::optional<To> enum_in_range(const E& e, int last) {
+  const int bits = enum_bits(e);
+  if (bits < 0 || bits > last) {
+    return std::nullopt;
+  }
+  return static_cast<To>(bits);
+}
+
 /// Convert a C enum argument to its C++ counterpart, rejecting values
 /// outside [0, last] with Status::InvalidArg before the cast.
 template <class To, class E>
 To checked_enum(const E& e, int last, const char* what) {
-  const int bits = enum_bits(e);
-  if (bits < 0 || bits > last) {
-    throw Error(std::string("iatf: invalid ") + what + " value " +
-                    std::to_string(bits),
-                Status::InvalidArg);
+  if (const std::optional<To> v = enum_in_range<To>(e, last)) {
+    return *v;
   }
-  return static_cast<To>(bits);
+  throw Error(std::string("iatf: invalid ") + what + " value " +
+                  std::to_string(enum_bits(e)),
+              Status::InvalidArg);
+}
+
+/// A C duration in milliseconds as nanoseconds. Zero, negative and NaN
+/// mean "none" (0); anything above 1e12 ms -- the wire protocol's
+/// deadline bound, about 31.7 years -- clamps to it, so an infinite or
+/// huge value never overflows the integer cast.
+inline std::chrono::nanoseconds ms_to_ns(double ms) {
+  constexpr double kMaxMs = 1e12;
+  if (!(ms > 0)) {
+    return std::chrono::nanoseconds(0);
+  }
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::duration<double, std::milli>(std::min(ms, kMaxMs)));
 }
 
 inline Op to_op(const iatf_op& op) {

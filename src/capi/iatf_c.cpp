@@ -35,6 +35,8 @@ namespace {
 namespace sched = iatf::sched;
 using iatf::Op;
 using iatf::capi::enum_bits;
+using iatf::capi::enum_in_range;
+using iatf::capi::ms_to_ns;
 using iatf::factor::FactorOp;
 using iatf::capi::to_diag;
 using iatf::capi::to_op;
@@ -95,14 +97,16 @@ struct ModeBits {
   int op_a = -1, op_b = -1, side = -1, uplo = -1, diag = -1;
 };
 
-/// The one source of iatf_error_detail: op and sizes are the call's class
-/// key (sched::class_key of its descriptor, or of an empty descriptor
-/// when an operand is null), the mode fields the enum bits as passed.
-iatf_error_detail detail_of(char dtype, const iatf::sched::ClassKey& key,
+/// The one source of iatf_error_detail: op, dtype and sizes are the
+/// call's class key (sched::class_key of its descriptor, or of an empty
+/// descriptor when an operand is null), the mode fields the enum bits as
+/// passed. The detail reports no register width, so the shims key their
+/// calls with bytes 0.
+iatf_error_detail detail_of(const iatf::sched::ClassKey& key,
                             const ModeBits& bits) {
   iatf_error_detail d{};
   d.op = key.op;
-  d.dtype = dtype;
+  d.dtype = key.dtype;
   d.m = key.m;
   d.n = key.n;
   d.k = key.k;
@@ -228,12 +232,12 @@ int gemm(const char* fn, const iatf_op& op_a, const iatf_op& op_b, T alpha,
   seg.op_a = sizing_op(op_a);
   seg.a = a != nullptr ? &storage(*a) : nullptr;
   seg.c = c != nullptr ? &storage(*c) : nullptr;
-  const auto key = sched::class_key(
+  const auto key = sched::class_key<T>(
       seg.a != nullptr && seg.c != nullptr ? sched::shape_of(seg)
-                                           : iatf::GemmShape{});
+                                           : iatf::GemmShape{},
+      /*bytes=*/0);
   return guarded_compute(
-      detail_of(*iatf::blas_prefix_v<T>, key,
-                {enum_bits(op_a), enum_bits(op_b)}),
+      detail_of(key, {enum_bits(op_a), enum_bits(op_b)}),
       [&] {
         IATF_CHECK(a != nullptr && b != nullptr && c != nullptr,
                    null_operand<H>(fn));
@@ -252,14 +256,14 @@ int trsm(const char* fn, const iatf_side& side, const iatf_uplo& uplo,
          H* b) {
   sched::TrsmSegment<T> seg;
   seg.b = b != nullptr ? &storage(*b) : nullptr;
-  const auto key = sched::class_key(
-      seg.b != nullptr ? sched::shape_of(seg) : iatf::TrsmShape{});
+  const auto key = sched::class_key<T>(
+      seg.b != nullptr ? sched::shape_of(seg) : iatf::TrsmShape{},
+      /*bytes=*/0);
   return guarded_compute(
-      detail_of(*iatf::blas_prefix_v<T>, key,
-                {.op_a = enum_bits(op_a),
-                 .side = enum_bits(side),
-                 .uplo = enum_bits(uplo),
-                 .diag = enum_bits(diag)}),
+      detail_of(key, {.op_a = enum_bits(op_a),
+                      .side = enum_bits(side),
+                      .uplo = enum_bits(uplo),
+                      .diag = enum_bits(diag)}),
       [&] {
         IATF_CHECK(a != nullptr && b != nullptr, null_operand<H>(fn));
         const iatf::Side s = to_side(side);
@@ -283,14 +287,14 @@ int factor(const char* fn, H* a, const iatf_uplo* uplo = nullptr,
   seg.a = a != nullptr ? &storage(*a) : nullptr;
   iatf::factor::FactorShape empty;
   empty.op = kOp;
-  const auto key =
-      sched::class_key(seg.a != nullptr ? sched::shape_of(seg) : empty);
+  const auto key = sched::class_key<T>(
+      seg.a != nullptr ? sched::shape_of(seg) : empty, /*bytes=*/0);
   ModeBits bits;
   if constexpr (kOp == FactorOp::Trtri) {
     bits.uplo = enum_bits(*uplo);
     bits.diag = enum_bits(*diag);
   }
-  return guarded_compute(detail_of(*iatf::blas_prefix_v<T>, key, bits), [&] {
+  return guarded_compute(detail_of(key, bits), [&] {
     IATF_CHECK(a != nullptr, null_operand<H>(fn));
     return iatf::dispatch_width<T>(storage(*a).pack_width(), [&](auto w) {
       constexpr int kBytes = decltype(w)::value;
@@ -326,9 +330,11 @@ template <class T, class Seg> T beta_of(const Seg& s) {
 }
 
 /// Grouped calls have no single descriptor: the detail carries the call
-/// kind and the group count, the per-matrix sizes unset (-1).
+/// kind, dtype and group count, the per-matrix sizes unset (-1).
+template <class T>
 iatf::sched::ClassKey grouped_key(char op, int64_t group_count) {
-  return {.op = op, .m = -1, .n = -1, .k = -1, .batch = group_count};
+  return {.op = op, .dtype = *iatf::blas_prefix_v<T>, .m = -1, .n = -1,
+          .k = -1, .batch = group_count};
 }
 
 void check_segments(const char* fn, const void* segments,
@@ -340,7 +346,7 @@ void check_segments(const char* fn, const void* segments,
 template <class T, class Seg>
 int gemm_grouped(const char* fn, const Seg* segments, int64_t group_count) {
   return guarded_compute(
-      detail_of(*iatf::blas_prefix_v<T>, grouped_key('g', group_count), {}),
+      detail_of(grouped_key<T>('g', group_count), {}),
       [&] {
         check_segments(fn, segments, group_count);
         std::vector<sched::GemmSegment<T>> segs;
@@ -359,7 +365,7 @@ int gemm_grouped(const char* fn, const Seg* segments, int64_t group_count) {
 template <class T, class Seg>
 int trsm_grouped(const char* fn, const Seg* segments, int64_t group_count) {
   return guarded_compute(
-      detail_of(*iatf::blas_prefix_v<T>, grouped_key('t', group_count), {}),
+      detail_of(grouped_key<T>('t', group_count), {}),
       [&] {
         check_segments(fn, segments, group_count);
         std::vector<sched::TrsmSegment<T>> segs;
@@ -427,7 +433,7 @@ extern "C" void iatf_clear_error(void) {
   // Blank the descriptor too, not just the availability flag: a later
   // out-of-contract read of the struct must see no stale descriptor or
   // event bits from before the clear.
-  g_last_detail = detail_of(0, {}, {});
+  g_last_detail = detail_of({}, {});
   g_has_detail = false;
 }
 
@@ -442,8 +448,11 @@ extern "C" int iatf_last_error_detail(iatf_error_detail* detail) {
 }
 
 extern "C" void iatf_set_exec_policy(iatf_exec_policy policy) {
-  iatf::Engine::default_engine().set_policy(
-      static_cast<iatf::ExecPolicy>(policy));
+  // Void setter: an out-of-range value keeps the current policy.
+  if (const auto p =
+          enum_in_range<iatf::ExecPolicy>(policy, IATF_EXEC_FALLBACK)) {
+    iatf::Engine::default_engine().set_policy(*p);
+  }
 }
 
 extern "C" iatf_exec_policy iatf_get_exec_policy(void) {
@@ -452,11 +461,7 @@ extern "C" iatf_exec_policy iatf_get_exec_policy(void) {
 }
 
 extern "C" void iatf_set_call_deadline_ms(double ms) {
-  const auto budget =
-      ms > 0 ? std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   std::chrono::duration<double, std::milli>(ms))
-             : std::chrono::nanoseconds(0);
-  iatf::Engine::default_engine().set_call_deadline(budget);
+  iatf::Engine::default_engine().set_call_deadline(ms_to_ns(ms));
 }
 
 extern "C" double iatf_get_call_deadline_ms(void) {
@@ -555,8 +560,11 @@ extern "C" int64_t iatf_get_max_inflight(void) {
 }
 
 extern "C" void iatf_set_overload_policy(iatf_overload_policy policy) {
-  iatf::Engine::default_engine().set_overload_policy(
-      static_cast<iatf::resilience::OverloadPolicy>(policy));
+  // Void setter: an out-of-range value keeps the current policy.
+  if (const auto p = enum_in_range<iatf::resilience::OverloadPolicy>(
+          policy, IATF_OVERLOAD_DEGRADE)) {
+    iatf::Engine::default_engine().set_overload_policy(*p);
+  }
 }
 
 extern "C" iatf_overload_policy iatf_get_overload_policy(void) {
@@ -571,11 +579,7 @@ extern "C" void iatf_set_retry_policy(int max_attempts,
   iatf::resilience::RetryPolicy policy =
       iatf::Engine::default_engine().retry_policy();
   policy.max_attempts = max_attempts > 1 ? max_attempts : 1;
-  policy.base_delay =
-      base_delay_ms > 0
-          ? std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::duration<double, std::milli>(base_delay_ms))
-          : std::chrono::nanoseconds(0);
+  policy.base_delay = ms_to_ns(base_delay_ms);
   iatf::Engine::default_engine().set_retry_policy(policy);
 }
 

@@ -9,8 +9,10 @@
 #include "capi_buffers.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "iatf/common/error.hpp"
@@ -28,10 +30,11 @@ int status_of_exception() {
   return static_cast<int>(iatf::status_of(std::current_exception()));
 }
 
-std::chrono::nanoseconds from_ms(double ms) {
-  return ms > 0 ? std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::duration<double, std::milli>(ms))
-                : std::chrono::nanoseconds(0);
+/// The server's overload policy from C, or nullopt when out of range.
+std::optional<iatf::resilience::OverloadPolicy>
+overload_of(const iatf_overload_policy& policy) {
+  return iatf::capi::enum_in_range<iatf::resilience::OverloadPolicy>(
+      policy, IATF_OVERLOAD_DEGRADE);
 }
 
 } // namespace
@@ -74,9 +77,13 @@ extern "C" iatf_server* iatf_server_create(const iatf_serve_config* config) {
       if (config->max_coalesce > 0) {
         cfg.max_coalesce = static_cast<std::size_t>(config->max_coalesce);
       }
-      cfg.overload =
-          static_cast<iatf::resilience::OverloadPolicy>(config->overload);
-      cfg.default_deadline = from_ms(config->default_deadline_ms);
+      const auto overload = overload_of(config->overload);
+      if (!overload) {
+        return nullptr;
+      }
+      cfg.overload = *overload;
+      cfg.default_deadline =
+          iatf::capi::ms_to_ns(config->default_deadline_ms);
     }
     return new iatf_server(cfg);
   } catch (...) {
@@ -100,22 +107,22 @@ extern "C" int iatf_server_set_tenant_weight(iatf_server* server,
 
 extern "C" int iatf_server_set_overload_policy(iatf_server* server,
                                                iatf_overload_policy policy) {
-  if (server == nullptr) {
+  const auto overload = overload_of(policy);
+  if (server == nullptr || !overload) {
     return IATF_STATUS_INVALID_ARG;
   }
-  server->server.set_overload_policy(
-      static_cast<iatf::resilience::OverloadPolicy>(policy));
+  server->server.set_overload_policy(*overload);
   return IATF_STATUS_OK;
 }
 
 extern "C" int iatf_server_set_watchdog(iatf_server* server, double grace,
                                         double floor_ms) {
-  if (server == nullptr || grace < 0) {
+  if (server == nullptr || !std::isfinite(grace) || grace < 0) {
     return IATF_STATUS_INVALID_ARG;
   }
   // floor_ms <= 0 keeps the server's current floor (set_watchdog treats
   // a zero floor as "leave unchanged").
-  server->server.set_watchdog(grace, from_ms(floor_ms));
+  server->server.set_watchdog(grace, iatf::capi::ms_to_ns(floor_ms));
   return IATF_STATUS_OK;
 }
 
@@ -159,7 +166,7 @@ int submit_shim(iatf_server* server, bool operands_ok, uint32_t tenant,
   try {
     iatf::serve::SubmitOptions opts;
     opts.tenant = tenant;
-    opts.deadline = from_ms(deadline_ms);
+    opts.deadline = iatf::capi::ms_to_ns(deadline_ms);
     opts.cancel = iatf::serve::make_cancel_token();
     return finish_submit(server, submit(opts), opts.cancel, ticket);
   } catch (...) {

@@ -285,33 +285,10 @@ Engine::~Engine() {
   }
 }
 
-std::size_t Engine::PlanKeyHash::operator()(const PlanKey& k) const noexcept {
-  // FNV-1a over the key's fields.
-  std::size_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(k.op) << 8 |
-      static_cast<std::uint64_t>(k.dtype));
-  mix(static_cast<std::uint64_t>(k.bytes));
-  mix(static_cast<std::uint64_t>(k.m));
-  mix(static_cast<std::uint64_t>(k.n));
-  mix(static_cast<std::uint64_t>(k.k));
-  mix(static_cast<std::uint64_t>(k.op_a) | static_cast<std::uint64_t>(k.op_b)
-                                               << 8 |
-      static_cast<std::uint64_t>(k.side) << 16 |
-      static_cast<std::uint64_t>(k.uplo) << 24 |
-      static_cast<std::uint64_t>(k.diag) << 32 |
-      static_cast<std::uint64_t>(k.layout) << 40);
-  mix(static_cast<std::uint64_t>(k.batch));
-  return h;
-}
-
-Engine::Shard& Engine::shard_for(const PlanKey& key) {
+Engine::Shard& Engine::shard_for(const sched::ClassKey& key) {
   // FNV's low bits feed the map's bucket choice; take high bits for the
   // shard so the two decisions stay decorrelated.
-  const std::size_t h = PlanKeyHash{}(key);
+  const std::size_t h = sched::ClassKeyHash{}(key);
   return shards_[(h >> 56) % kPlanCacheShards];
 }
 
@@ -342,7 +319,7 @@ void Engine::evict_to_capacity(PlanMap& map, std::size_t cap) {
   }
 }
 
-void Engine::insert_plan(Shard& shard, const PlanKey& key,
+void Engine::insert_plan(Shard& shard, const sched::ClassKey& key,
                          std::shared_ptr<const void> plan, bool tuned,
                          std::vector<resilience::KernelId> kernels,
                          std::uint64_t generation, std::uint64_t now) {
@@ -372,7 +349,8 @@ void Engine::insert_plan(Shard& shard, const PlanKey& key,
 }
 
 template <class Plan, class Make>
-std::shared_ptr<const Plan> Engine::lookup(const PlanKey& key, Make&& make) {
+std::shared_ptr<const Plan> Engine::lookup(const sched::ClassKey& key,
+                                           Make&& make) {
   const std::uint64_t now =
       tick_.fetch_add(1, std::memory_order_relaxed) + 1;
   Shard& shard = shard_for(key);
@@ -470,56 +448,31 @@ std::shared_ptr<const Plan> Engine::lookup(const PlanKey& key, Make&& make) {
   return std::static_pointer_cast<const Plan>(plan);
 }
 
-/// Every op is keyed through its ClassKey: the op tag ('g', 't', and 'p'
-/// Cholesky / 'l' unpivoted LU / 'i' triangular inverse) plus the mode
-/// bits the op uses, with dtype, width and `layout` added so the
-/// raw-buffer and packed-handle variants coexist in the cache.
-template <class Traits>
-Engine::PlanKey Engine::plan_key(const typename Traits::Shape& shape,
-                                 std::uint8_t layout) {
-  const sched::ClassKey cls = sched::class_key(shape);
-  PlanKey key;
-  key.op = cls.op;
-  key.dtype = dtype_tag<typename Traits::value_type>();
-  key.bytes = Traits::bytes;
-  key.m = cls.m;
-  key.n = cls.n;
-  key.k = cls.k;
-  key.op_a = cls.op_a;
-  key.op_b = cls.op_b;
-  key.side = cls.side;
-  key.uplo = cls.uplo;
-  key.diag = cls.diag;
-  key.layout = layout;
-  key.batch = cls.batch;
-  return key;
-}
-
 template <class T, int Bytes>
 std::shared_ptr<const plan::GemmPlan<T, Bytes>>
-Engine::plan_gemm(const GemmShape& shape, std::uint8_t layout) {
-  return plan_tuned<detail::GemmOp<T, Bytes>>(shape, layout);
+Engine::plan_gemm(const GemmShape& shape) {
+  return plan_tuned<detail::GemmOp<T, Bytes>>(shape);
 }
 
 template <class T, int Bytes>
 std::shared_ptr<const plan::TrsmPlan<T, Bytes>>
-Engine::plan_trsm(const TrsmShape& shape, std::uint8_t layout) {
-  return plan_tuned<detail::TrsmOp<T, Bytes>>(shape, layout);
+Engine::plan_trsm(const TrsmShape& shape) {
+  return plan_tuned<detail::TrsmOp<T, Bytes>>(shape);
 }
 
 template <class Traits>
 std::shared_ptr<const typename Traits::Plan>
-Engine::plan_tuned(const typename Traits::Shape& shape, std::uint8_t layout) {
+Engine::plan_tuned(const typename Traits::Shape& shape) {
   using Plan = typename Traits::Plan;
+  const sched::ClassKey key =
+      sched::class_key<typename Traits::value_type>(shape, Traits::bytes);
   return lookup<Plan>(
-      plan_key<Traits>(shape, layout),
-      [&](bool* tuned, std::uint64_t* config_gen) {
+      key, [&](bool* tuned, std::uint64_t* config_gen) {
         IATF_FAULT_POINT(Traits::plan_site, ::iatf::Status::Unsupported);
         fault::stall_if_armed("plan.stall");
         const auto config = tuning_.load(std::memory_order_acquire);
         *config_gen = config->generation;
-        const plan::PlanTuning tuning =
-            resolve_tuning(*config, Traits::tune_key(shape), tuned);
+        const plan::PlanTuning tuning = resolve_tuning(*config, key, tuned);
         auto plan = std::make_unique<Plan>(shape, cache_, tuning);
         if (kernel_verification() && guard_.quarantined_count() > 0) {
           substitute_quarantined<Traits>(plan, shape, cache_, tuning, guard_);
@@ -530,9 +483,9 @@ Engine::plan_tuned(const typename Traits::Shape& shape, std::uint8_t layout) {
 
 template <class T, int Bytes>
 std::shared_ptr<const factor::FactorPlan<T, Bytes>>
-Engine::plan_factor(const factor::FactorShape& shape, std::uint8_t layout) {
+Engine::plan_factor(const factor::FactorShape& shape) {
   return lookup<factor::FactorPlan<T, Bytes>>(
-      plan_key<detail::FactorOp<T, Bytes>>(shape, layout),
+      sched::class_key<T>(shape, Bytes),
       [&](bool* tuned, std::uint64_t* config_gen) {
         IATF_FAULT_POINT("plan.factor", ::iatf::Status::Unsupported);
         fault::stall_if_armed("plan.stall");
@@ -551,14 +504,14 @@ BatchHealth Engine::gemm(Op op_a, Op op_b, T alpha, const CompactBuffer<T>& a,
                          const CompactBuffer<T>& b, T beta,
                          CompactBuffer<T>& c) {
   return run_one<detail::GemmOp<T, Bytes>>(
-      {op_a, op_b, alpha, beta, &a, &b, &c}, /*layout=*/0);
+      {op_a, op_b, alpha, beta, &a, &b, &c});
 }
 
 template <class T, int Bytes>
 BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
                          const CompactBuffer<T>& a, CompactBuffer<T>& b) {
   return run_one<detail::TrsmOp<T, Bytes>>(
-      {side, uplo, op_a, diag, alpha, &a, &b}, /*layout=*/0);
+      {side, uplo, op_a, diag, alpha, &a, &b});
 }
 
 template <class T, int Bytes>
@@ -574,11 +527,10 @@ Engine::trsm_grouped(std::span<const sched::TrsmSegment<T>> segments) {
 }
 
 template <class Traits>
-BatchHealth Engine::run_one(const typename Traits::Segment& seg,
-                            std::uint8_t layout) {
+BatchHealth Engine::run_one(const typename Traits::Segment& seg) {
   detail::CallSegment<Traits> state(seg);
   BatchHealth health;
-  run<Traits>({&state, 1}, {&health, 1}, layout, /*grouped_call=*/false);
+  run<Traits>({&state, 1}, {&health, 1}, /*grouped_call=*/false);
   return health;
 }
 
@@ -589,7 +541,7 @@ Engine::grouped(std::span<const typename Traits::Segment> segments) {
   std::vector<detail::CallSegment<Traits>> segs(segments.begin(),
                                                 segments.end());
   std::vector<BatchHealth> healths(segments.size());
-  run<Traits>(segs, healths, /*layout=*/0, /*grouped_call=*/true);
+  run<Traits>(segs, healths, /*grouped_call=*/true);
   return healths;
 }
 
@@ -610,15 +562,14 @@ void Engine::record_grouped_plans(std::size_t distinct) noexcept {
 
 template <class Traits>
 void Engine::run(std::span<detail::CallSegment<Traits>> segs,
-                 std::span<BatchHealth> healths, std::uint8_t layout,
-                 bool grouped_call) {
+                 std::span<BatchHealth> healths, bool grouped_call) {
   using T = typename Traits::value_type;
   constexpr int Bytes = Traits::bytes;
   note_width_call(Bytes);
   for (std::size_t i = 0; i < segs.size(); ++i) {
     Traits::check(segs[i].seg);
     segs[i].shape = sched::shape_of(segs[i].seg);
-    segs[i].key = sched::class_key(segs[i].shape);
+    segs[i].key = sched::class_key<T>(segs[i].shape, Bytes);
     healths[i].batch = segs[i].shape.batch;
   }
   if (segs.empty()) {
@@ -714,7 +665,10 @@ void Engine::run(std::span<detail::CallSegment<Traits>> segs,
             : 1;
     std::chrono::nanoseconds delay(
         retry_base_ns_.load(std::memory_order_relaxed));
-    const std::chrono::nanoseconds delay_cap = delay * 64;
+    // Saturating: a base delay near the clock's range must not overflow
+    // the cap or the doubling below.
+    const std::chrono::nanoseconds delay_cap =
+        std::min(delay, std::chrono::nanoseconds::max() / 64) * 64;
     std::size_t classes = 0; // 0 until binning succeeds
     bool plans_counted = false;
 
@@ -724,11 +678,11 @@ void Engine::run(std::span<detail::CallSegment<Traits>> segs,
           classes = sched::bin_by_descriptor(segs);
           if constexpr (Traits::gated) {
             if (breaker_.enabled()) {
-              admit_classes(segs, layout);
+              admit_classes(segs);
             }
           }
         }
-        plan_classes(segs, layout);
+        plan_classes(segs);
         if (grouped_call && !plans_counted) {
           record_grouped_plans(classes);
           plans_counted = true;
@@ -759,7 +713,7 @@ void Engine::run(std::span<detail::CallSegment<Traits>> segs,
                             retry_seed_.load(std::memory_order_relaxed),
                             seq),
                         deadline);
-          delay = std::min(delay * 2, delay_cap);
+          delay = std::min(delay, delay_cap / 2) * 2;
           continue;
         }
         // Any segment may hold partial fast-path output; restore and
@@ -836,15 +790,13 @@ void Engine::run(std::span<detail::CallSegment<Traits>> segs,
 }
 
 template <class Traits>
-void Engine::admit_classes(std::span<detail::CallSegment<Traits>> segs,
-                           std::uint8_t layout) {
+void Engine::admit_classes(std::span<detail::CallSegment<Traits>> segs) {
   for (std::size_t i = 0; i < segs.size(); ++i) {
     detail::CallSegment<Traits>& lead = segs[i];
     if (lead.leader != i) {
       continue;
     }
-    const std::size_t slot =
-        PlanKeyHash{}(plan_key<Traits>(lead.shape, layout));
+    const std::size_t slot = sched::ClassKeyHash{}(lead.key);
     switch (breaker_.admit(slot)) {
     case resilience::BreakerDecision::RefRoute:
       lead.route = DegradeEvent::BreakerOpen;
@@ -870,8 +822,7 @@ void Engine::admit_classes(std::span<detail::CallSegment<Traits>> segs,
 }
 
 template <class Traits>
-void Engine::plan_classes(std::span<detail::CallSegment<Traits>> segs,
-                          std::uint8_t layout) {
+void Engine::plan_classes(std::span<detail::CallSegment<Traits>> segs) {
   using T = typename Traits::value_type;
   constexpr int Bytes = Traits::bytes;
   // One plan resolution per size class; single-flight collapses
@@ -881,7 +832,7 @@ void Engine::plan_classes(std::span<detail::CallSegment<Traits>> segs,
     if (lead.leader != i || lead.route != DegradeEvent::None) {
       continue;
     }
-    lead.plan = Traits::plan_for(*this, lead.shape, layout);
+    lead.plan = Traits::plan_for(*this, lead.shape);
     if constexpr (Traits::gated) {
       if (kernel_verification() && !ensure_verified<T, Bytes>(*lead.plan)) {
         // Quarantine is detected before execution, so the class's
@@ -942,11 +893,12 @@ void Engine::execute_segments(std::span<detail::CallSegment<Traits>> segs,
 }
 
 plan::PlanTuning Engine::resolve_tuning(const TuningConfig& config,
-                                        const tune::TuneKey& key,
+                                        const sched::ClassKey& key,
                                         bool* from_table) const {
   *from_table = false;
   if (config.table != nullptr) {
-    if (const tune::TuneRecord* rec = config.table->lookup(key)) {
+    if (const tune::TuneRecord* rec =
+            config.table->lookup(tune::tune_key(key))) {
       *from_table = true;
       return rec->tuning();
     }
@@ -1353,18 +1305,9 @@ std::size_t Engine::self_test() {
   return quarantined;
 }
 
-template <class T, int Bytes>
 resilience::BreakerState
-Engine::gemm_breaker_state(const GemmShape& shape) const {
-  return breaker_.slot_state(
-      PlanKeyHash{}(plan_key<detail::GemmOp<T, Bytes>>(shape, 0)));
-}
-
-template <class T, int Bytes>
-resilience::BreakerState
-Engine::trsm_breaker_state(const TrsmShape& shape) const {
-  return breaker_.slot_state(
-      PlanKeyHash{}(plan_key<detail::TrsmOp<T, Bytes>>(shape, 0)));
+Engine::breaker_state(const sched::ClassKey& key) const {
+  return breaker_.slot_state(sched::ClassKeyHash{}(key));
 }
 
 // --- Crash-consistent health ledger (DESIGN.md section 14) --------------
@@ -1452,25 +1395,14 @@ void Engine::record_breaker(std::size_t slot_hash, bool degraded,
   }
 }
 
-void Engine::trip_slot(std::size_t slot_hash, int cooldown_calls) {
+void Engine::trip_class(const sched::ClassKey& key, int cooldown_calls) {
   if (cooldown_calls < 0) {
     cooldown_calls = breaker_.config().cooldown;
   }
-  breaker_.force_open(slot_hash, cooldown_calls);
-  journal_watchdog(slot_hash);
+  const std::size_t slot = sched::ClassKeyHash{}(key);
+  breaker_.force_open(slot, cooldown_calls);
+  journal_watchdog(slot);
   journal_degrade(static_cast<unsigned>(DegradeEvent::BreakerOpen));
-}
-
-template <class T, int Bytes>
-void Engine::trip_gemm_class(const GemmShape& shape, int cooldown_calls) {
-  trip_slot(PlanKeyHash{}(plan_key<detail::GemmOp<T, Bytes>>(shape, 0)),
-            cooldown_calls);
-}
-
-template <class T, int Bytes>
-void Engine::trip_trsm_class(const TrsmShape& shape, int cooldown_calls) {
-  trip_slot(PlanKeyHash{}(plan_key<detail::TrsmOp<T, Bytes>>(shape, 0)),
-            cooldown_calls);
 }
 
 Engine& Engine::default_engine() {
@@ -1487,11 +1419,11 @@ Engine& Engine::default_engine() {
 // run on the same call pipeline.
 #define IATF_INSTANTIATE_ENGINE(T, Bytes)                                    \
   template std::shared_ptr<const plan::GemmPlan<T, Bytes>>                  \
-  Engine::plan_gemm<T, Bytes>(const GemmShape&, std::uint8_t);              \
+  Engine::plan_gemm<T, Bytes>(const GemmShape&);                            \
   template std::shared_ptr<const plan::TrsmPlan<T, Bytes>>                  \
-  Engine::plan_trsm<T, Bytes>(const TrsmShape&, std::uint8_t);              \
+  Engine::plan_trsm<T, Bytes>(const TrsmShape&);                            \
   template std::shared_ptr<const factor::FactorPlan<T, Bytes>>              \
-  Engine::plan_factor<T, Bytes>(const factor::FactorShape&, std::uint8_t);  \
+  Engine::plan_factor<T, Bytes>(const factor::FactorShape&);                \
   template BatchHealth Engine::gemm<T, Bytes>(                              \
       Op, Op, T, const CompactBuffer<T>&, const CompactBuffer<T>&, T,       \
       CompactBuffer<T>&);                                                   \
@@ -1499,24 +1431,18 @@ Engine& Engine::default_engine() {
                                               const CompactBuffer<T>&,      \
                                               CompactBuffer<T>&);           \
   template BatchHealth Engine::run_one<detail::GemmOp<T, Bytes>>(           \
-      const sched::GemmSegment<T>&, std::uint8_t);                          \
+      const sched::GemmSegment<T>&);                                        \
   template BatchHealth Engine::run_one<detail::TrsmOp<T, Bytes>>(           \
-      const sched::TrsmSegment<T>&, std::uint8_t);                          \
+      const sched::TrsmSegment<T>&);                                        \
   template BatchHealth Engine::run_one<detail::FactorOp<T, Bytes>>(         \
-      const sched::FactorSegment<T>&, std::uint8_t);                        \
+      const sched::FactorSegment<T>&);                                      \
   template std::vector<BatchHealth> Engine::gemm_grouped<T, Bytes>(         \
       std::span<const sched::GemmSegment<T>>);                              \
   template std::vector<BatchHealth> Engine::trsm_grouped<T, Bytes>(         \
       std::span<const sched::TrsmSegment<T>>);                              \
   template std::vector<BatchHealth>                                         \
   Engine::grouped<detail::FactorOp<T, Bytes>>(                              \
-      std::span<const sched::FactorSegment<T>>);                            \
-  template resilience::BreakerState Engine::gemm_breaker_state<T, Bytes>(   \
-      const GemmShape&) const;                                              \
-  template resilience::BreakerState Engine::trsm_breaker_state<T, Bytes>(   \
-      const TrsmShape&) const;                                              \
-  template void Engine::trip_gemm_class<T, Bytes>(const GemmShape&, int);   \
-  template void Engine::trip_trsm_class<T, Bytes>(const TrsmShape&, int);
+      std::span<const sched::FactorSegment<T>>);
 
 IATF_INSTANTIATE_ENGINE(float, 16)
 IATF_INSTANTIATE_ENGINE(double, 16)

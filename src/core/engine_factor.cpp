@@ -3,10 +3,11 @@
 // (DESIGN.md section 13).
 //
 // Layout propagation lives here: the packed-handle overloads feed the
-// shared call pipeline with layout state 1, so their plans are cached
-// beside -- never instead of -- the raw-buffer variants, and a chain of
-// handle calls touches interleaved storage end-to-end with exactly one
-// pack at the front and one unpack at the back. The engine counts both
+// handles' storage to the shared call pipeline, so a chain of handle
+// calls touches interleaved storage end-to-end with exactly one pack at
+// the front and one unpack at the back. A plan is built from the
+// descriptor alone, so handle and raw-buffer calls of one descriptor
+// share its plan-cache entry and breaker slot. The engine counts both
 // sides (packed_reuse_hits / packed_repacks) so the payoff is observable.
 //
 // Factorisations run the same pipeline as GEMM/TRSM (engine.cpp) through
@@ -73,8 +74,7 @@ BatchHealth Engine::gemm(Op op_a, Op op_b, T alpha,
              "gemm: invalid packed handle");
   packed_reuse_hits_.fetch_add(3, std::memory_order_relaxed);
   BatchHealth health = run_one<detail::GemmOp<T, Bytes>>(
-      {op_a, op_b, alpha, beta, &a.buffer(), &b.buffer(), &c.buffer()},
-      /*layout=*/1);
+      {op_a, op_b, alpha, beta, &a.buffer(), &b.buffer(), &c.buffer()});
   c.bump_epoch();
   return health;
 }
@@ -86,8 +86,7 @@ BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
   IATF_CHECK(a.valid() && b.valid(), "trsm: invalid packed handle");
   packed_reuse_hits_.fetch_add(2, std::memory_order_relaxed);
   BatchHealth health = run_one<detail::TrsmOp<T, Bytes>>(
-      {side, uplo, op_a, diag, alpha, &a.buffer(), &b.buffer()},
-      /*layout=*/1);
+      {side, uplo, op_a, diag, alpha, &a.buffer(), &b.buffer()});
   b.bump_epoch();
   return health;
 }
@@ -97,21 +96,19 @@ BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
 template <class T, int Bytes>
 BatchHealth Engine::potrf_batch(CompactBuffer<T>& a) {
   return run_one<detail::FactorOp<T, Bytes>>(
-      {factor::FactorOp::Potrf, Uplo::Lower, Diag::NonUnit, &a},
-      /*layout=*/0);
+      {factor::FactorOp::Potrf, Uplo::Lower, Diag::NonUnit, &a});
 }
 
 template <class T, int Bytes>
 BatchHealth Engine::getrf_nopiv_batch(CompactBuffer<T>& a) {
   return run_one<detail::FactorOp<T, Bytes>>(
-      {factor::FactorOp::GetrfNp, Uplo::Lower, Diag::NonUnit, &a},
-      /*layout=*/0);
+      {factor::FactorOp::GetrfNp, Uplo::Lower, Diag::NonUnit, &a});
 }
 
 template <class T, int Bytes>
 BatchHealth Engine::trtri_batch(Uplo uplo, Diag diag, CompactBuffer<T>& a) {
   return run_one<detail::FactorOp<T, Bytes>>(
-      {factor::FactorOp::Trtri, uplo, diag, &a}, /*layout=*/0);
+      {factor::FactorOp::Trtri, uplo, diag, &a});
 }
 
 template <class T, int Bytes>
@@ -119,8 +116,7 @@ BatchHealth Engine::potrf_batch(factor::PackedHandle<T>& a) {
   IATF_CHECK(a.valid(), "potrf_batch: invalid packed handle");
   packed_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
   BatchHealth health = run_one<detail::FactorOp<T, Bytes>>(
-      {factor::FactorOp::Potrf, Uplo::Lower, Diag::NonUnit, &a.buffer()},
-      /*layout=*/1);
+      {factor::FactorOp::Potrf, Uplo::Lower, Diag::NonUnit, &a.buffer()});
   a.bump_epoch();
   return health;
 }
@@ -130,8 +126,7 @@ BatchHealth Engine::getrf_nopiv_batch(factor::PackedHandle<T>& a) {
   IATF_CHECK(a.valid(), "getrf_nopiv_batch: invalid packed handle");
   packed_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
   BatchHealth health = run_one<detail::FactorOp<T, Bytes>>(
-      {factor::FactorOp::GetrfNp, Uplo::Lower, Diag::NonUnit, &a.buffer()},
-      /*layout=*/1);
+      {factor::FactorOp::GetrfNp, Uplo::Lower, Diag::NonUnit, &a.buffer()});
   a.bump_epoch();
   return health;
 }
@@ -142,7 +137,7 @@ BatchHealth Engine::trtri_batch(Uplo uplo, Diag diag,
   IATF_CHECK(a.valid(), "trtri_batch: invalid packed handle");
   packed_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
   BatchHealth health = run_one<detail::FactorOp<T, Bytes>>(
-      {factor::FactorOp::Trtri, uplo, diag, &a.buffer()}, /*layout=*/1);
+      {factor::FactorOp::Trtri, uplo, diag, &a.buffer()});
   a.bump_epoch();
   return health;
 }

@@ -11,9 +11,9 @@
 //   gated                  breaker + kernel canary apply (false for
 //                          factorisations, whose plans dispatch no
 //                          registry kernels);
-//   plan_site, tune_key,   fault site, tuning-table key and tile-cap
-//   max_mc, max_nc         bounds of the tuned plan builder (GEMM and
-//                          TRSM only; factor plans take no tuning);
+//   plan_site,             fault site and tile-cap bounds of the tuned
+//   max_mc, max_nc         plan builder (GEMM and TRSM only; factor
+//                          plans take no tuning);
 //   plan_for               the engine's plan_* lookup;
 //   written                the operand the op overwrites (snapshot,
 //                          restore and per-lane repair target);
@@ -56,7 +56,6 @@
 #include "iatf/kernels/registry.hpp"
 #include "iatf/ref/ref_blas.hpp"
 #include "iatf/sched/group_scheduler.hpp"
-#include "iatf/tune/descriptor.hpp"
 
 namespace iatf::detail {
 
@@ -93,12 +92,9 @@ template <class T, int Bytes> struct GemmOp {
   static constexpr const char* plan_site = "plan.gemm";
   static constexpr index_t max_mc = kernels::KernelLimits<T>::gemm_max_mc;
   static constexpr index_t max_nc = kernels::KernelLimits<T>::gemm_max_nc;
-  static tune::TuneKey tune_key(const Shape& s) {
-    return tune::gemm_key<T, Bytes>(s);
-  }
 
-  static auto plan_for(Engine& engine, const Shape& s, std::uint8_t layout) {
-    return engine.plan_gemm<T, Bytes>(s, layout);
+  static auto plan_for(Engine& engine, const Shape& s) {
+    return engine.plan_gemm<T, Bytes>(s);
   }
 
   static CompactBuffer<T>& written(const Segment& seg) { return *seg.c; }
@@ -210,12 +206,9 @@ template <class T, int Bytes> struct TrsmOp {
   static constexpr const char* plan_site = "plan.trsm";
   static constexpr index_t max_mc = kernels::KernelLimits<T>::trsm_block;
   static constexpr index_t max_nc = kernels::KernelLimits<T>::tri_max_nc;
-  static tune::TuneKey tune_key(const Shape& s) {
-    return tune::trsm_key<T, Bytes>(s);
-  }
 
-  static auto plan_for(Engine& engine, const Shape& s, std::uint8_t layout) {
-    return engine.plan_trsm<T, Bytes>(s, layout);
+  static auto plan_for(Engine& engine, const Shape& s) {
+    return engine.plan_trsm<T, Bytes>(s);
   }
 
   static CompactBuffer<T>& written(const Segment& seg) { return *seg.b; }
@@ -321,8 +314,8 @@ template <class T, int Bytes> struct FactorOp {
   static constexpr int bytes = Bytes;
   static constexpr bool gated = false;
 
-  static auto plan_for(Engine& engine, const Shape& s, std::uint8_t layout) {
-    return engine.plan_factor<T, Bytes>(s, layout);
+  static auto plan_for(Engine& engine, const Shape& s) {
+    return engine.plan_factor<T, Bytes>(s);
   }
 
   static CompactBuffer<T>& written(const Segment& seg) { return *seg.a; }

@@ -39,7 +39,7 @@ const char* to_string(OverloadPolicy policy) noexcept {
 }
 
 std::size_t KernelIdHash::operator()(const KernelId& k) const noexcept {
-  // FNV-1a, mirroring the engine's PlanKey hash.
+  // FNV-1a, the same scheme as sched::ClassKeyHash.
   std::size_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;

@@ -34,12 +34,12 @@ namespace detail {
 /// reclamation and a later-un-wedging dispatcher may both try to
 /// resolve the same request.
 struct Request {
-  char kind = 0;  ///< 'g'/'t' single gemm/trsm; 0 grouped (never coalesced)
-  char dtype = 0; ///< 's', 'd', 'c', 'z'
   TenantId tenant = 0;
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
-  sched::ClassKey key{}; ///< coalescing identity (single requests only)
+  /// Coalescing identity and breaker class of a single GEMM/TRSM; op 0
+  /// for a grouped submission, which is never coalesced.
+  sched::ClassKey key{};
   CancelToken cancel;    ///< optional caller-side cancellation flag
   std::exception_ptr error; ///< failed outcome kept by run()
   std::atomic<bool> settled{false};
@@ -66,20 +66,12 @@ struct Request {
       r->run(engine);
     }
   }
-  /// Watchdog reclaim: force this request's descriptor class Open.
-  /// Grouped submissions span many classes; there is no one class to
-  /// blame, so by default nothing trips.
-  virtual void trip(Engine&) {}
-
-  bool coalescable() const noexcept { return kind != 0; }
+  bool coalescable() const noexcept { return key.op != 0; }
   bool expired(std::chrono::steady_clock::time_point now) const noexcept {
     return has_deadline && now >= deadline;
   }
   bool cancelled() const noexcept {
     return cancel && cancel->load(std::memory_order_relaxed);
-  }
-  bool same_class(const Request& other) const noexcept {
-    return kind == other.kind && dtype == other.dtype && key == other.key;
   }
 };
 
@@ -102,13 +94,12 @@ void notify(const Cb& cb, Args&&... args) noexcept {
 /// Per-segment-type facts of the request templates below: the written
 /// operand (whose pack width selects the kernel class) and the engine
 /// entry points. The descriptor and its coalescing key come from
-/// sched::shape_of / sched::class_key, the engine's own plan identity.
+/// sched::shape_of / sched::class_key, the engine's own class identity.
 template <class Segment> struct SegmentOps;
 
 template <class T> struct SegmentOps<sched::GemmSegment<T>> {
   using value_type = T;
   using Segment = sched::GemmSegment<T>;
-  using Shape = GemmShape;
   static const CompactBuffer<T>* out(const Segment& s) { return s.c; }
   template <int Bytes> static BatchHealth call(Engine& e, const Segment& s) {
     return e.gemm<T, Bytes>(s.op_a, s.op_b, s.alpha, *s.a, *s.b, s.beta,
@@ -119,15 +110,11 @@ template <class T> struct SegmentOps<sched::GemmSegment<T>> {
                                           std::span<const Segment> segs) {
     return e.gemm_grouped<T, Bytes>(segs);
   }
-  template <int Bytes> static void trip(Engine& e, const GemmShape& s) {
-    e.trip_gemm_class<T, Bytes>(s, /*cooldown_calls=*/-1);
-  }
 };
 
 template <class T> struct SegmentOps<sched::TrsmSegment<T>> {
   using value_type = T;
   using Segment = sched::TrsmSegment<T>;
-  using Shape = TrsmShape;
   static const CompactBuffer<T>* out(const Segment& s) { return s.b; }
   template <int Bytes> static BatchHealth call(Engine& e, const Segment& s) {
     return e.trsm<T, Bytes>(s.side, s.uplo, s.op_a, s.diag, s.alpha, *s.a,
@@ -137,9 +124,6 @@ template <class T> struct SegmentOps<sched::TrsmSegment<T>> {
   static std::vector<BatchHealth> grouped(Engine& e,
                                           std::span<const Segment> segs) {
     return e.trsm_grouped<T, Bytes>(segs);
-  }
-  template <int Bytes> static void trip(Engine& e, const TrsmShape& s) {
-    e.trip_trsm_class<T, Bytes>(s, /*cooldown_calls=*/-1);
   }
 };
 
@@ -180,19 +164,15 @@ struct SingleRequest final : TypedRequest<BatchHealth, Server::Completion> {
   using Ops = SegmentOps<Segment>;
   using T = typename Ops::value_type;
   Segment seg{};
-  /// Captured at submit: the watchdog trips the class after the request
-  /// has been failed, without touching the caller's buffers.
-  typename Ops::Shape shape{};
 
-  explicit SingleRequest(const Segment& s)
-      : seg(s), shape(sched::shape_of(s)) {
-    key = sched::class_key(shape);
-    // The register width is part of the class: requests whose buffers
-    // belong to different ISA backends never coalesce.
-    key.bytes = static_cast<int>(Ops::out(seg)->pack_width() *
-                                 static_cast<index_t>(sizeof(real_t<T>)));
-    kind = key.op;
-    dtype = blas_prefix_v<T>[0];
+  /// The key is captured at submit: the watchdog trips the class after
+  /// the request has been failed, without touching the caller's buffers.
+  /// Its width is the one the written operand's pack width selects.
+  explicit SingleRequest(const Segment& s) : seg(s) {
+    key = sched::class_key<T>(
+        sched::shape_of(s),
+        static_cast<int>(Ops::out(s)->pack_width() *
+                         static_cast<index_t>(sizeof(real_t<T>))));
   }
 
   void run(Engine& engine) noexcept override {
@@ -222,22 +202,6 @@ struct SingleRequest final : TypedRequest<BatchHealth, Server::Completion> {
       static_cast<SingleRequest*>(batch[i].get())->keep(healths[i]);
     }
   }
-
-  void trip(Engine& engine) override {
-    // Trip the breaker slot of the exact (dtype, width) kernel class
-    // that wedged; an unknown width falls back to the 128-bit class.
-    switch (key.bytes) {
-    case 32:
-      Ops::template trip<32>(engine, shape);
-      break;
-    case 64:
-      Ops::template trip<64>(engine, shape);
-      break;
-    default:
-      Ops::template trip<16>(engine, shape);
-      break;
-    }
-  }
 };
 
 /// One grouped GEMM or TRSM submission: dispatched whole, never
@@ -250,9 +214,7 @@ struct GroupedRequest final
   std::vector<Segment> segs;
 
   explicit GroupedRequest(std::span<const Segment> s)
-      : segs(s.begin(), s.end()) {
-    dtype = blas_prefix_v<T>[0];
-  }
+      : segs(s.begin(), s.end()) {}
 
   void run(Engine& engine) noexcept override {
     try {
@@ -881,7 +843,7 @@ void Server::dispatch_round(std::unique_lock<std::mutex>& lk,
           for (auto it = t.q.begin();
                it != t.q.end() && batch.size() < config_.max_coalesce;) {
             IATF_FAULT_POINT("serve.coalesce", Status::Internal);
-            if (!(*it)->same_class(first)) {
+            if ((*it)->key != first.key) {
               ++it;
               continue;
             }
@@ -935,8 +897,12 @@ void Server::dispatch_round(std::unique_lock<std::mutex>& lk,
           batch.front()->deadline - now > budget) {
         budget = batch.front()->deadline - now;
       }
-      const auto stall = std::chrono::nanoseconds(static_cast<std::int64_t>(
-          config_.watchdog_grace * static_cast<double>(budget.count())));
+      // Clamped below the clock's range: a huge grace or budget must not
+      // overflow the integer cast.
+      const auto stall = std::chrono::nanoseconds(
+          static_cast<std::int64_t>(std::min(
+              config_.watchdog_grace * static_cast<double>(budget.count()),
+              0x1p62)));
       shared = std::make_shared<const Batch>(std::move(batch));
       batch.clear();
       InflightDispatch& inflight = dispatchers_[slot].inflight;
@@ -1087,8 +1053,11 @@ void Server::reclaim_inflight(std::unique_lock<std::mutex>& lk,
 
   lk.unlock();
   // Trip before failing: a caller that observes the WatchdogError must
-  // already see its class Open.
-  batch->front()->trip(engine_);
+  // already see its class Open. A grouped submission spans many classes;
+  // there is no one class to blame, so nothing trips.
+  if (const detail::Request& head = *batch->front(); head.coalescable()) {
+    engine_.trip_class(head.key, /*cooldown_calls=*/-1);
+  }
   const auto error = std::make_exception_ptr(WatchdogError(
       "iatf: dispatch stalled past the watchdog budget and was "
       "reclaimed; output buffers may be partially written"));

@@ -11,7 +11,7 @@
 namespace iatf::tune {
 namespace {
 
-bool valid_enum_fields(const TuneKey& key) {
+bool valid_enum_fields(const sched::ClassKey& key) {
   const bool dtype_ok = key.dtype == 's' || key.dtype == 'd' ||
                         key.dtype == 'c' || key.dtype == 'z';
   return (key.op == 'g' || key.op == 't') && dtype_ok &&
@@ -57,57 +57,21 @@ std::string cpu_model_slug() {
 
 } // namespace
 
-TuneKey tune_key(const sched::ClassKey& cls, char dtype, int bytes) {
-  TuneKey key;
-  key.op = cls.op;
-  key.dtype = dtype;
-  key.bytes = bytes;
-  key.m = cls.m;
-  key.n = cls.n;
-  key.k = cls.k;
-  key.op_a = cls.op_a;
-  key.op_b = cls.op_b;
-  key.side = cls.side;
-  key.uplo = cls.uplo;
-  key.diag = cls.diag;
-  return key;
-}
-
-std::size_t TuneKeyHash::operator()(const TuneKey& key) const noexcept {
-  // FNV-1a over the key's fields (same scheme as the engine's plan key).
-  std::size_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(key.op) << 8 |
-      static_cast<std::uint64_t>(key.dtype));
-  mix(static_cast<std::uint64_t>(key.bytes));
-  mix(static_cast<std::uint64_t>(key.m));
-  mix(static_cast<std::uint64_t>(key.n));
-  mix(static_cast<std::uint64_t>(key.k));
-  mix(static_cast<std::uint64_t>(key.op_a) |
-      static_cast<std::uint64_t>(key.op_b) << 8 |
-      static_cast<std::uint64_t>(key.side) << 16 |
-      static_cast<std::uint64_t>(key.uplo) << 24 |
-      static_cast<std::uint64_t>(key.diag) << 32);
-  return h;
-}
-
-std::string to_string(const TuneKey& key) {
+std::string to_string(const sched::ClassKey& key) {
   std::ostringstream out;
   write_key(out, key);
   return out.str();
 }
 
-void write_key(std::ostream& out, const TuneKey& key) {
+void write_key(std::ostream& out, const sched::ClassKey& key) {
   out << key.op << ' ' << key.dtype << ' ' << key.bytes << ' ' << key.m
       << ' ' << key.n << ' ' << key.k << ' ' << int(key.op_a) << ' '
       << int(key.op_b) << ' ' << int(key.side) << ' ' << int(key.uplo)
       << ' ' << int(key.diag);
 }
 
-bool parse_key(std::istream& in, TuneKey& key) {
+bool parse_key(std::istream& in, sched::ClassKey& key) {
+  key = sched::ClassKey{};
   int op_a = 0, op_b = 0, side = 0, uplo = 0, diag = 0;
   if (!(in >> key.op >> key.dtype >> key.bytes >> key.m >> key.n >> key.k >>
         op_a >> op_b >> side >> uplo >> diag)) {

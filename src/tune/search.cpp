@@ -511,9 +511,9 @@ TunedRecord tune_dyn(char dtype, const Shape& shape, const CacheInfo& cache,
   return with_dtype(dtype, [&](auto tag) {
     using T = typename decltype(tag)::type;
     return dispatch_width<T>(simd::active_pack_width<T>(), [&](auto bytes) {
-      using Traits = Op<T, decltype(bytes)::value>;
-      return TunedRecord{Traits::tune_key(shape),
-                         tune<Traits>(shape, cache, opts)};
+      constexpr int kBytes = decltype(bytes)::value;
+      return TunedRecord{tune_key(sched::class_key<T>(shape, kBytes)),
+                         tune<Op<T, kBytes>>(shape, cache, opts)};
     });
   });
 }

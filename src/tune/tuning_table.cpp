@@ -156,7 +156,7 @@ LoadResult TuningTable::load(const std::string& path) {
       records_.clear();
       return LoadResult::Corrupt;
     }
-    TuneKey key;
+    sched::ClassKey key;
     TuneRecord rec;
     if (!parse_key(in, key) ||
         !(in >> rec.pack_a >> rec.pack_b >> rec.slice_groups >>

@@ -3,11 +3,13 @@
 // the IATF_STATUS_CANCELLED refusal path. The handle binds the default
 // engine, so every server is destroyed inside each test (the shutdown
 // ordering contract; see DESIGN.md section 12).
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "iatf/capi/iatf.h"
+#include "iatf/common/fault_inject.hpp"
 
 namespace {
 
@@ -204,6 +206,74 @@ TEST_F(CapiServe, TenantWeightAndServedAccounting) {
   for (iatf_dbuf* c : cs) {
     iatf_ddestroy(c);
   }
+  iatf_server_destroy(server);
+}
+
+TEST_F(CapiServe, RejectedPolicyKeepsShedOnAFullQueue) {
+  iatf_serve_config config{};
+  config.queue_capacity = 1;
+  config.max_coalesce = 1;
+  config.overload = IATF_OVERLOAD_SHED;
+  iatf_server* server = iatf_server_create(&config);
+  ASSERT_NE(server, nullptr);
+  // Out of range: refused, and SHED stays (a policy no case handles
+  // would spin in the full-queue loop forever).
+  EXPECT_EQ(iatf_server_set_overload_policy(
+                server, static_cast<iatf_overload_policy>(9)),
+            IATF_STATUS_INVALID_ARG);
+
+  // Every dispatch stalls, so the one queue slot fills and stays full.
+  iatf::fault::ScopedFault stall("watchdog.stall", 0, 1000);
+  iatf_dbuf* a = filled(4, 4, 4, 1.0);
+  iatf_dbuf* b = filled(4, 4, 4, 1.0);
+  std::vector<iatf_dbuf*> cs;
+  std::vector<uint64_t> tickets;
+  int rc = IATF_STATUS_OK;
+  for (int i = 0; i < 16 && rc == IATF_STATUS_OK; ++i) {
+    cs.push_back(filled(4, 4, 4, 0.0));
+    uint64_t ticket = 0;
+    rc = iatf_server_submit_dgemm(server, IATF_NOTRANS, IATF_NOTRANS, 1.0,
+                                  a, b, 0.0, cs.back(), 0, 0.0, &ticket);
+    if (rc == IATF_STATUS_OK) {
+      tickets.push_back(ticket);
+    }
+  }
+  EXPECT_EQ(rc, IATF_STATUS_OVERLOADED);
+  iatf::fault::disarm_all();
+  for (uint64_t t : tickets) {
+    EXPECT_EQ(iatf_server_wait(server, t), IATF_STATUS_OK);
+  }
+  iatf_server_destroy(server);
+  iatf_ddestroy(a);
+  iatf_ddestroy(b);
+  for (iatf_dbuf* c : cs) {
+    iatf_ddestroy(c);
+  }
+}
+
+TEST_F(CapiServe, HugeSubmitDeadlineOverridesATinyDefault) {
+  iatf_serve_config config{};
+  config.overload = IATF_OVERLOAD_BLOCK;
+  config.default_deadline_ms = 1e-6; // 1 ns: expires before dispatch
+  iatf_server* server = iatf_server_create(&config);
+  ASSERT_NE(server, nullptr);
+  iatf_dbuf* a = filled(4, 4, 4, 1.0);
+  iatf_dbuf* b = filled(4, 4, 4, 1.0);
+  iatf_dbuf* c = filled(4, 4, 4, 0.0);
+  // 1e300 ms clamps to the largest budget, not to "none" (which would
+  // fall back to the 1 ns default and time out).
+  for (const double deadline_ms : {1e300, static_cast<double>(INFINITY)}) {
+    uint64_t ticket = 0;
+    ASSERT_EQ(iatf_server_submit_dgemm(server, IATF_NOTRANS, IATF_NOTRANS,
+                                       1.0, a, b, 0.0, c, 0, deadline_ms,
+                                       &ticket),
+              IATF_STATUS_OK);
+    EXPECT_EQ(iatf_server_wait(server, ticket), IATF_STATUS_OK)
+        << deadline_ms;
+  }
+  iatf_ddestroy(a);
+  iatf_ddestroy(b);
+  iatf_ddestroy(c);
   iatf_server_destroy(server);
 }
 

@@ -1,7 +1,7 @@
 // Persistent packed layouts: PackedHandle lifecycle (pack / adopt /
 // repack / unpack / release), the epoch rules, the packed_reuse_hits /
-// packed_repacks counters, and plan-cache layout keying (packed and
-// raw-buffer variants of one descriptor coexist as distinct entries).
+// packed_repacks counters, and the one class identity (a buffer call and
+// a handle call of one descriptor share its plan and breaker slot).
 #include <complex>
 #include <utility>
 
@@ -9,6 +9,7 @@
 
 #include "../testutil.hpp"
 #include "factor_testutil.hpp"
+#include "iatf/common/fault_inject.hpp"
 #include "iatf/core/engine.hpp"
 #include "iatf/factor/packed_handle.hpp"
 
@@ -189,9 +190,10 @@ TYPED_TEST(PackedHandleTyped, ReuseCountersFollowTheContract) {
   EXPECT_EQ(engine.stats().packed_repacks, 0u);
 }
 
-TYPED_TEST(PackedHandleTyped, LayoutIsPartOfThePlanCacheKey) {
+TYPED_TEST(PackedHandleTyped, BufferAndHandleCallsShareOnePlanAndSlot) {
   using T = TypeParam;
   Engine engine(CacheInfo::kunpeng920());
+  engine.set_kernel_verification(false);
   Rng rng(0x9ac4ed07);
   const index_t m = 6;
   const index_t batch = 4;
@@ -199,24 +201,44 @@ TYPED_TEST(PackedHandleTyped, LayoutIsPartOfThePlanCacheKey) {
   auto ca = a.to_compact();
   auto cb = a.to_compact();
   auto cc = a.to_compact();
+  const auto handle = [&] {
+    return engine.pack<T>(a.data.data(), m, m, a.ld(), a.matrix_stride(),
+                          batch);
+  };
+  auto ha = handle();
+  auto hb = handle();
+  auto hc = handle();
 
+  // One plan: the handle call of the same descriptor hits the entry the
+  // buffer call built...
   engine.gemm<T>(Op::NoTrans, Op::NoTrans, T(1), ca, cb, T(0), cc);
-  const std::size_t builds_raw = engine.stats().builds;
+  EXPECT_EQ(engine.stats().builds, 1u);
+  engine.gemm<T>(Op::NoTrans, Op::NoTrans, T(1), ha, hb, T(0), hc);
+  EXPECT_EQ(engine.stats().builds, 1u);
+  EXPECT_EQ(engine.stats().plan_cache_size, 1u);
+  // ...so both outputs are bit-identical.
+  const CompactBuffer<T>& out = hc.buffer();
+  ASSERT_EQ(out.size(), cc.size());
+  for (std::size_t i = 0; i < cc.size(); ++i) {
+    ASSERT_EQ(out.data()[i], cc.data()[i]) << "storage element " << i;
+  }
 
-  auto ha = engine.pack<T>(a.data.data(), m, m, a.ld(), a.matrix_stride(),
-                           batch);
-  auto hb = engine.pack<T>(a.data.data(), m, m, a.ld(), a.matrix_stride(),
-                           batch);
-  auto hc = engine.pack<T>(a.data.data(), m, m, a.ld(), a.matrix_stride(),
-                           batch);
-  // Same descriptor through handles: a distinct plan entry is built for
-  // the packed layout state...
-  engine.gemm<T>(Op::NoTrans, Op::NoTrans, T(1), ha, hb, T(0), hc);
-  EXPECT_EQ(engine.stats().builds, builds_raw + 1);
-  // ...and both variants now hit their own cached entries.
-  engine.gemm<T>(Op::NoTrans, Op::NoTrans, T(1), ca, cb, T(0), cc);
-  engine.gemm<T>(Op::NoTrans, Op::NoTrans, T(1), ha, hb, T(0), hc);
-  EXPECT_EQ(engine.stats().builds, builds_raw + 1);
+  // One breaker slot: buffer calls whose plan build fails degrade and
+  // trip it, and the handle call finds it Open and is served on the
+  // reference path.
+  engine.set_policy(ExecPolicy::Fallback);
+  engine.set_breaker_config({/*window=*/2, /*threshold=*/1, /*cooldown=*/4});
+  for (int call = 0; call < 2; ++call) {
+    engine.clear_plan_cache();
+    fault::ScopedFault plan("plan.gemm", 0, 1);
+    engine.gemm<T>(Op::NoTrans, Op::NoTrans, T(1), ca, cb, T(0), cc);
+  }
+  const sched::ClassKey key = sched::class_key<T>(
+      GemmShape{m, m, m, Op::NoTrans, Op::NoTrans, batch}, 16);
+  ASSERT_EQ(engine.breaker_state(key), resilience::BreakerState::Open);
+  const BatchHealth h =
+      engine.gemm<T>(Op::NoTrans, Op::NoTrans, T(1), ha, hb, T(0), hc);
+  EXPECT_TRUE(has_event(h.events, DegradeEvent::BreakerOpen));
 }
 
 } // namespace

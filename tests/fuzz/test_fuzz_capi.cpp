@@ -8,6 +8,7 @@
 // kEntryPoints holds one row per function declared in iatf.h; the
 // CapiEntryPointCoverage ctest (check_capi_coverage.cmake) preprocesses
 // the header and fails when a declared function has no row.
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string_view>
@@ -61,6 +62,11 @@ constexpr const char* kMissingPath = "/nonexistent-iatf-dir/table.bin";
 constexpr iatf_serve_config kGarbageServeConfig = {-5, -1, -9,
                                                    IATF_OVERLOAD_SHED, -3.0};
 
+// One past every policy enum's last value.
+constexpr int kBadPolicy = 9;
+constexpr iatf_serve_config kBadPolicyServeConfig = {
+    0, 0, 0, static_cast<iatf_overload_policy>(kBadPolicy), 0.0};
+
 struct EntryPoint {
   const char* name;
   void (*probe)();
@@ -85,7 +91,10 @@ const EntryPoint kEntryPoints[] = {
     IATF_ENTRY(iatf_clear_error, f()),
     IATF_ENTRY(iatf_last_error_detail,
                EXPECT_TRUE(f(nullptr) == 0 || f(nullptr) == 1)),
-    IATF_ENTRY(iatf_set_exec_policy, f(iatf_get_exec_policy())),
+    IATF_ENTRY(iatf_set_exec_policy,
+               const iatf_exec_policy before = iatf_get_exec_policy();
+               f(static_cast<iatf_exec_policy>(kBadPolicy));
+               EXPECT_EQ(iatf_get_exec_policy(), before)),
     IATF_ENTRY(iatf_get_exec_policy, EXPECT_LE(f(), IATF_EXEC_FALLBACK)),
     IATF_ENTRY(iatf_set_call_deadline_ms, f(-5.0)),
     IATF_ENTRY(iatf_get_call_deadline_ms, EXPECT_GE(f(), 0.0)),
@@ -101,7 +110,10 @@ const EntryPoint kEntryPoints[] = {
     IATF_ENTRY(iatf_engine_self_test, EXPECT_GE(f(), 0)),
     IATF_ENTRY(iatf_set_max_inflight, f(-3)),
     IATF_ENTRY(iatf_get_max_inflight, EXPECT_GE(f(), 0)),
-    IATF_ENTRY(iatf_set_overload_policy, f(iatf_get_overload_policy())),
+    IATF_ENTRY(iatf_set_overload_policy,
+               const iatf_overload_policy before = iatf_get_overload_policy();
+               f(static_cast<iatf_overload_policy>(kBadPolicy));
+               EXPECT_EQ(iatf_get_overload_policy(), before)),
     IATF_ENTRY(iatf_get_overload_policy, EXPECT_LE(f(), IATF_OVERLOAD_DEGRADE)),
     IATF_ENTRY(iatf_set_retry_policy, f(-3, -1.0)),
     IATF_ENTRY(iatf_set_retry_jitter_seed, f(~uint64_t{0})),
@@ -291,11 +303,16 @@ const EntryPoint kEntryPoints[] = {
                invalid(f(IATF_LOWER, IATF_NONUNIT, nullptr))),
     // Serving front end.
     IATF_ENTRY(iatf_server_create,
-               iatf_server_destroy(f(&kGarbageServeConfig))),
+               iatf_server_destroy(f(&kGarbageServeConfig));
+               EXPECT_EQ(f(&kBadPolicyServeConfig), nullptr)),
     IATF_ENTRY(iatf_server_destroy, f(nullptr)),
     IATF_ENTRY(iatf_server_set_tenant_weight, invalid(f(nullptr, 0, 1))),
     IATF_ENTRY(iatf_server_set_overload_policy,
-               invalid(f(nullptr, IATF_OVERLOAD_SHED))),
+               invalid(f(nullptr, IATF_OVERLOAD_SHED));
+               iatf_server* server = iatf_server_create(nullptr);
+               invalid(
+                   f(server, static_cast<iatf_overload_policy>(kBadPolicy)));
+               iatf_server_destroy(server)),
     IATF_ENTRY(iatf_server_set_watchdog, invalid(f(nullptr, 1.0, 100.0))),
     IATF_ENTRY(iatf_server_submit_sgemm,
                invalid(f(nullptr, IATF_NOTRANS, IATF_NOTRANS, 1.0f, nullptr,
@@ -544,6 +561,11 @@ TEST_F(CapiFuzz, BogusTicketsAreRejectedNotDereferenced) {
   // Garbage watchdog knobs on a live server.
   EXPECT_EQ(iatf_server_set_watchdog(server, -1.0, 100.0),
             IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_server_set_watchdog(server, INFINITY, 100.0),
+            IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_server_set_watchdog(server, NAN, 100.0),
+            IATF_STATUS_INVALID_ARG);
+  EXPECT_EQ(iatf_server_set_watchdog(server, 0.0, INFINITY), IATF_STATUS_OK);
   EXPECT_EQ(iatf_server_set_watchdog(server, 0.0, -5.0), IATF_STATUS_OK);
   EXPECT_EQ(iatf_server_set_tenant_weight(server, 3, 0),
             IATF_STATUS_INVALID_ARG);
@@ -551,6 +573,21 @@ TEST_F(CapiFuzz, BogusTicketsAreRejectedNotDereferenced) {
   iatf_sdestroy(a);
   iatf_sdestroy(b);
   iatf_sdestroy(c);
+}
+
+// --- Duration garbage -----------------------------------------------------
+
+TEST_F(CapiFuzz, InfiniteAndHugeDurationsClampInsteadOfOverflowing) {
+  for (const double ms : {static_cast<double>(INFINITY), 1e300, 1e13}) {
+    iatf_set_call_deadline_ms(ms);
+    const double got = iatf_get_call_deadline_ms();
+    EXPECT_TRUE(std::isfinite(got) && got > 0.0) << ms << " -> " << got;
+    EXPECT_LE(got, 1e12) << ms;
+  }
+  iatf_set_call_deadline_ms(NAN);
+  EXPECT_EQ(iatf_get_call_deadline_ms(), 0.0);
+  iatf_set_retry_policy(1, INFINITY);
+  iatf_set_retry_policy(1, 0.0);
 }
 
 // --- Ledger path garbage --------------------------------------------------

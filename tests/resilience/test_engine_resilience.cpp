@@ -52,8 +52,10 @@ struct MiniGemm {
     cb = b.to_compact();
   }
 
-  GemmShape shape() const {
-    return GemmShape{m, n, k, Op::Trans, Op::Trans, batch};
+  /// The descriptor class of the fixture's calls (double, 128-bit).
+  sched::ClassKey key() const {
+    return sched::class_key<double>(
+        GemmShape{m, n, k, Op::Trans, Op::Trans, batch}, 16);
   }
 
   BatchHealth run(Engine& e) {
@@ -400,7 +402,7 @@ drive_breaker_schedule(Engine& e) {
     EXPECT_EQ(h.batch, fx.batch);
     fx.expect_matches_reference("breaker call " +
                                 std::to_string(call));
-    trace.emplace_back(e.gemm_breaker_state<double>(fx.shape()),
+    trace.emplace_back(e.breaker_state(fx.key()),
                        e.stats().breaker_transitions);
   }
   return trace;
@@ -441,7 +443,7 @@ TEST_F(EngineResilience, BreakerCooldownCallCarriesBreakerOpenEvent) {
     (void)fx.run_prepared(e);
     fault::disarm_all();
   }
-  ASSERT_EQ(e.gemm_breaker_state<double>(fx.shape()),
+  ASSERT_EQ(e.breaker_state(fx.key()),
             resilience::BreakerState::Open);
   const BatchHealth h = fx.run(e);
   EXPECT_TRUE(has_event(h.events, DegradeEvent::BreakerOpen));
@@ -479,14 +481,14 @@ TEST_F(EngineResilience, FailedProbeReopensTheSlot) {
     fault::disarm_all();
   }
   (void)fx.run(e); // cooldown call
-  ASSERT_EQ(e.gemm_breaker_state<double>(fx.shape()),
+  ASSERT_EQ(e.breaker_state(fx.key()),
             resilience::BreakerState::Open);
   // The next call is the probe; an armed "resilience.probe" fails it.
   fault::ScopedFault probe("resilience.probe", 0, 1);
   const BatchHealth h = fx.run(e);
   EXPECT_TRUE(has_event(h.events, DegradeEvent::BreakerOpen));
   fx.expect_matches_reference("failed probe");
-  EXPECT_EQ(e.gemm_breaker_state<double>(fx.shape()),
+  EXPECT_EQ(e.breaker_state(fx.key()),
             resilience::BreakerState::Open);
 }
 
@@ -509,9 +511,9 @@ TEST_F(EngineResilience, GroupedProbeWhosePlanThrowsReopensTheSlot) {
       return e.gemm_grouped<double>(
           std::span<const sched::GemmSegment<double>>(&seg, 1));
     };
-    const auto state = [&] { return e.gemm_breaker_state<double>(fx.shape()); };
+    const auto state = [&] { return e.breaker_state(fx.key()); };
 
-    e.trip_gemm_class<double>(fx.shape(), 0); // the next call is the probe
+    e.trip_class(fx.key(), 0); // the next call is the probe
     e.clear_plan_cache();                     // ... and must build a plan
     fx.prepare();
     {

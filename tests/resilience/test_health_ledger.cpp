@@ -238,8 +238,10 @@ struct ReplayGemm {
     cb = b.to_compact();
   }
 
-  GemmShape shape() const {
-    return GemmShape{m, n, k, Op::Trans, Op::Trans, batch};
+  /// The descriptor class of the fixture's calls (double, 128-bit).
+  sched::ClassKey key() const {
+    return sched::class_key<double>(
+        GemmShape{m, n, k, Op::Trans, Op::Trans, batch}, 16);
   }
 
   BatchHealth run(Engine& e) {
@@ -322,7 +324,7 @@ TEST_F(HealthLedgerTest, ReplaySeedsTrippedBreakersTowardAProbe) {
       (void)fx.run_prepared(first);
       fault::disarm_all();
     }
-    ASSERT_EQ(first.gemm_breaker_state<double>(fx.shape()),
+    ASSERT_EQ(first.breaker_state(fx.key()),
               BreakerState::Open);
     ASSERT_GE(first.health_ledger()->stats().breaker_trips, 1u);
   }
@@ -333,14 +335,58 @@ TEST_F(HealthLedgerTest, ReplaySeedsTrippedBreakersTowardAProbe) {
   second.set_kernel_verification(false);
   second.set_breaker_config({2, 1, 8});
   ASSERT_EQ(second.set_health_ledger(path), LedgerLoad::Ok);
-  EXPECT_EQ(second.gemm_breaker_state<double>(fx.shape()),
+  EXPECT_EQ(second.breaker_state(fx.key()),
             BreakerState::Open);
   // The very first call is the HalfOpen probe; it runs clean and closes
   // the slot -- no cooldown ref-routing on the healthy restart.
   const BatchHealth h = fx.run(second);
   EXPECT_TRUE(h.clean());
-  EXPECT_EQ(second.gemm_breaker_state<double>(fx.shape()),
+  EXPECT_EQ(second.breaker_state(fx.key()),
             BreakerState::Closed);
+  std::remove(path.c_str());
+}
+
+// A breaker slot is the ClassKeyHash of its class, and the ledger
+// persists slots. These literals were computed before the plan-cache
+// key and the class key became one key; they must not move, or ledgers
+// journaled before would replay onto the wrong slots.
+constexpr std::uint64_t kGemmSlot = 14751899110762030773ull;
+constexpr std::uint64_t kTrsmSlot = 15371502275020524935ull;
+constexpr std::uint64_t kPotrfSlot = 6677159157129882845ull;
+
+sched::ClassKey pinned_gemm_class() {
+  return sched::class_key<double>(
+      GemmShape{8, 8, 8, Op::NoTrans, Op::NoTrans, 64}, 16);
+}
+
+TEST_F(HealthLedgerTest, RawBufferSlotHashesArePinned) {
+  EXPECT_EQ(sched::ClassKeyHash{}(pinned_gemm_class()), kGemmSlot);
+  TrsmShape trsm;
+  trsm.m = 6;
+  trsm.n = 5;
+  trsm.batch = 32;
+  EXPECT_EQ(sched::ClassKeyHash{}(sched::class_key<float>(trsm, 16)),
+            kTrsmSlot);
+  factor::FactorShape potrf;
+  potrf.op = factor::FactorOp::Potrf;
+  potrf.m = 8;
+  potrf.batch = 64;
+  EXPECT_EQ(sched::ClassKeyHash{}(sched::class_key<double>(potrf, 16)),
+            kPotrfSlot);
+}
+
+TEST_F(HealthLedgerTest, PinnedSlotRecordReplaysOntoItsClass) {
+  const std::string path = temp_path("iatf_ledger_pinned.hl");
+  std::remove(path.c_str());
+  {
+    HealthLedger ledger(path);
+    ledger.append(slot_record(LedgerRecord::Kind::BreakerTrip, kGemmSlot));
+  }
+  Engine e(CacheInfo::kunpeng920());
+  e.set_breaker_config({/*window=*/2, /*threshold=*/1, /*cooldown=*/8});
+  ASSERT_EQ(e.breaker_state(pinned_gemm_class()), BreakerState::Closed);
+  ASSERT_EQ(e.set_health_ledger(path), LedgerLoad::Ok);
+  EXPECT_EQ(e.breaker_state(pinned_gemm_class()), BreakerState::Open);
   std::remove(path.c_str());
 }
 

@@ -9,7 +9,7 @@ namespace {
 
 ClassKey gemm_key(index_t m, index_t n, index_t k, index_t batch,
                   Op op_a = Op::NoTrans, Op op_b = Op::NoTrans) {
-  return class_key(GemmShape{m, n, k, op_a, op_b, batch});
+  return class_key<double>(GemmShape{m, n, k, op_a, op_b, batch}, 16);
 }
 
 // The per-segment state bin_by_descriptor reads and writes.
@@ -41,15 +41,17 @@ TEST(GroupScheduler, BinsEqualDescriptorsTogether) {
 
 TEST(GroupScheduler, EveryDescriptorFieldSplitsClasses) {
   ClassKey base = gemm_key(4, 4, 4, 64);
-  std::vector<ClassKey> keys(7, base);
+  std::vector<ClassKey> keys(9, base);
   keys[1].m = 5;
   keys[2].k = 5;
   keys[3].op_a = static_cast<std::uint8_t>(Op::Trans);
   keys[4].batch = 32;
   keys[5].op = 't';
   keys[6].diag = 1;
+  keys[7].dtype = 's';
+  keys[8].bytes = 32;
   std::vector<Binned> segs = binned(keys);
-  EXPECT_EQ(bin_by_descriptor(std::span<Binned>(segs)), 7u);
+  EXPECT_EQ(bin_by_descriptor(std::span<Binned>(segs)), 9u);
   for (std::size_t i = 0; i < segs.size(); ++i) {
     EXPECT_EQ(segs[i].leader, i);
   }

@@ -67,8 +67,10 @@ struct GemmPool {
     }
   }
 
-  GemmShape shape() const {
-    return GemmShape{m, n, k, Op::NoTrans, Op::NoTrans, batch};
+  /// The descriptor class of the fixture's calls (double, 128-bit).
+  sched::ClassKey key() const {
+    return sched::class_key<double>(
+        GemmShape{m, n, k, Op::NoTrans, Op::NoTrans, batch}, 16);
   }
 
   std::future<BatchHealth> submit(Server& server, std::size_t i,
@@ -165,7 +167,7 @@ TEST_F(WatchdogTest, ReclaimTripsTheClassBreakerAndJournals) {
     EXPECT_THROW((void)stuck.get(), WatchdogError);
     // The stalled class is forced Open: the engine stops trusting its
     // fast path until the cooldown probe clears it.
-    EXPECT_EQ(engine.gemm_breaker_state<double>(pool.shape()),
+    EXPECT_EQ(engine.breaker_state(pool.key()),
               resilience::BreakerState::Open);
     server.stop();
   }

@@ -11,7 +11,7 @@ namespace {
 
 TEST(TuneKey, GemmKeyCapturesDescriptorWithoutBatch) {
   GemmShape shape{5, 7, 3, Op::Trans, Op::NoTrans, 128};
-  const TuneKey key = gemm_key<double>(shape);
+  const sched::ClassKey key = gemm_key<double>(shape);
   EXPECT_EQ(key.op, 'g');
   EXPECT_EQ(key.dtype, 'd');
   EXPECT_EQ(key.bytes, 16);
@@ -21,7 +21,9 @@ TEST(TuneKey, GemmKeyCapturesDescriptorWithoutBatch) {
   EXPECT_EQ(key.op_a, static_cast<std::uint8_t>(Op::Trans));
 
   // Tuned parameters are a per-matrix property: two batches of the same
-  // problem share one record.
+  // problem share one record, the class key with batch 0.
+  EXPECT_EQ(key.batch, 0);
+  EXPECT_EQ(key, tune_key(sched::class_key<double>(shape, 16)));
   shape.batch = 9999;
   EXPECT_EQ(gemm_key<double>(shape), key);
 }
@@ -35,7 +37,7 @@ TEST(TuneKey, TrsmKeyCapturesModeFields) {
   shape.op_a = Op::ConjTrans;
   shape.diag = Diag::Unit;
   shape.batch = 32;
-  const TuneKey key = trsm_key<std::complex<float>>(shape);
+  const sched::ClassKey key = trsm_key<std::complex<float>>(shape);
   EXPECT_EQ(key.op, 't');
   EXPECT_EQ(key.dtype, 'c');
   EXPECT_EQ(key.side, 1);
@@ -50,17 +52,17 @@ TEST(TuneKey, WriteParseRoundTrip) {
   shape.m = 12;
   shape.n = 8;
   shape.uplo = Uplo::Upper;
-  const TuneKey key = trsm_key<double>(shape);
+  const sched::ClassKey key = trsm_key<double>(shape);
 
   std::stringstream stream;
   write_key(stream, key);
-  TuneKey parsed;
+  sched::ClassKey parsed;
   ASSERT_TRUE(parse_key(stream, parsed));
   EXPECT_EQ(parsed, key);
 }
 
 TEST(TuneKey, ParseRejectsMalformedInput) {
-  TuneKey parsed;
+  sched::ClassKey parsed;
   {
     std::stringstream stream("g s 16 4 4"); // truncated
     EXPECT_FALSE(parse_key(stream, parsed));
@@ -80,7 +82,7 @@ TEST(TuneKey, ParseRejectsMalformedInput) {
 }
 
 TEST(TuneKey, HashSupportsUnorderedMap) {
-  std::unordered_map<TuneKey, int, TuneKeyHash> map;
+  std::unordered_map<sched::ClassKey, int, sched::ClassKeyHash> map;
   for (index_t n = 1; n <= 32; ++n) {
     GemmShape shape{n, n, n, Op::NoTrans, Op::NoTrans, 8};
     map[gemm_key<float>(shape)] = static_cast<int>(n);

@@ -15,7 +15,7 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
-TuneKey sample_key(index_t n) {
+sched::ClassKey sample_key(index_t n) {
   GemmShape shape{n, n, n, Op::NoTrans, Op::NoTrans, 8};
   return gemm_key<float>(shape);
 }

@@ -1024,6 +1024,13 @@ int replay_socket(const Options& opt,
   return 0;
 }
 
+/// Read-only inputs of one replayed descriptor and their oracle.
+template <class T> struct ShapeBufs {
+  CompactBuffer<T> a, b;
+  LaneOracle oracle;
+};
+template <class T> using ShapeCache = std::map<std::string, ShapeBufs<T>>;
+
 /// Open-loop replay against an in-process Server (no sockets): the
 /// trace's arrival times drive submissions from one pacing thread, and
 /// every Ok result must match iatf::ref on its sampled lanes.
@@ -1038,47 +1045,37 @@ int replay_inprocess(const Options& opt,
   config.overload = resilience::OverloadPolicy::Block;
   serve::Server server(engine, config);
 
-  // Shared read-only inputs per shape; every in-flight submission owns
-  // its output buffer (the serve contract forbids aliased writers).
-  struct ShapeBufs {
-    CompactBuffer<double> a, b;
-    LaneOracle oracle;
-  };
-  std::map<std::string, ShapeBufs> cache;
-  auto bufs_for = [&](const net::TraceEvent& ev) -> ShapeBufs& {
-    char key[64];
-    std::snprintf(key, sizeof key, "%lldx%lldx%lldx%lld", (long long)ev.m,
-                  (long long)ev.n, (long long)ev.k, (long long)ev.batch);
-    auto it = cache.find(key);
-    if (it != cache.end()) {
-      return it->second;
-    }
-    ShapeBufs sb;
-    sb.a = CompactBuffer<double>(ev.m, ev.k, ev.batch);
-    sb.b = CompactBuffer<double>(ev.k, ev.n, ev.batch);
-    const auto ah = synth<double>(ev.m, ev.k, ev.batch, 11);
-    const auto bh = synth<double>(ev.k, ev.n, ev.batch, 23);
-    for (index_t bi = 0; bi < ev.batch; ++bi) {
-      sb.a.import_colmajor(bi, ah.data() + bi * ev.m * ev.k, ev.m);
-      sb.b.import_colmajor(bi, bh.data() + bi * ev.k * ev.n, ev.k);
-    }
-    sb.oracle = LaneOracle::of<double>(ev.m, ev.n, ev.k, ev.batch, ah, bh);
-    return cache.emplace(key, std::move(sb)).first->second;
-  };
-
+  // Shared read-only inputs per descriptor, one cache per dtype, so each
+  // event is computed and checked at the precision the trace names (as
+  // replay_socket sends it); every in-flight submission owns its output
+  // buffer (the serve contract forbids aliased writers).
   std::mutex mu;
   std::vector<double> latencies_ms;
   std::uint64_t ok = 0, failed = 0, wrong = 0;
   std::vector<std::future<BatchHealth>> futures;
   futures.reserve(events.size());
 
-  const auto start = Clock::now();
-  for (const net::TraceEvent& ev : events) {
-    std::this_thread::sleep_until(start +
-                                  std::chrono::microseconds(ev.t_us));
-    ShapeBufs& sb = bufs_for(ev);
-    auto out = std::make_shared<CompactBuffer<double>>(ev.m, ev.n,
-                                                       ev.batch);
+  const auto submit = [&]<class T>(ShapeCache<T>& cache,
+                                   const net::TraceEvent& ev) {
+    char key[64];
+    std::snprintf(key, sizeof key, "%lldx%lldx%lldx%lld", (long long)ev.m,
+                  (long long)ev.n, (long long)ev.k, (long long)ev.batch);
+    auto it = cache.find(key);
+    if (it == cache.end()) {
+      ShapeBufs<T> sb;
+      sb.a = CompactBuffer<T>(ev.m, ev.k, ev.batch);
+      sb.b = CompactBuffer<T>(ev.k, ev.n, ev.batch);
+      const auto ah = synth<T>(ev.m, ev.k, ev.batch, 11);
+      const auto bh = synth<T>(ev.k, ev.n, ev.batch, 23);
+      for (index_t bi = 0; bi < ev.batch; ++bi) {
+        sb.a.import_colmajor(bi, ah.data() + bi * ev.m * ev.k, ev.m);
+        sb.b.import_colmajor(bi, bh.data() + bi * ev.k * ev.n, ev.k);
+      }
+      sb.oracle = LaneOracle::of<T>(ev.m, ev.n, ev.k, ev.batch, ah, bh);
+      it = cache.emplace(key, std::move(sb)).first;
+    }
+    ShapeBufs<T>& sb = it->second;
+    auto out = std::make_shared<CompactBuffer<T>>(ev.m, ev.n, ev.batch);
     serve::SubmitOptions so;
     so.tenant = static_cast<serve::TenantId>(ev.tenant);
     if (ev.deadline_ms > 0) {
@@ -1086,8 +1083,8 @@ int replay_inprocess(const Options& opt,
           static_cast<long long>(ev.deadline_ms * 1e6));
     }
     const auto sent = Clock::now();
-    futures.push_back(server.submit_gemm<double>(
-        Op::NoTrans, Op::NoTrans, 1.0, sb.a, sb.b, 0.0, *out, so,
+    futures.push_back(server.submit_gemm<T>(
+        Op::NoTrans, Op::NoTrans, T(1), sb.a, sb.b, T(0), *out, so,
         // The callback owns the output buffer; it dies with the request.
         [&, out, sent, oracle = &sb.oracle](Status st, const BatchHealth&) {
           const double ms = std::chrono::duration<double, std::milli>(
@@ -1095,7 +1092,7 @@ int replay_inprocess(const Options& opt,
                                 .count();
           const bool right =
               st != Status::Ok ||
-              oracle->matches<double>([&](index_t l, double* dst) {
+              oracle->template matches<T>([&](index_t l, T* dst) {
                 out->export_colmajor(l, dst, out->rows());
               });
           std::lock_guard<std::mutex> lock(mu);
@@ -1109,6 +1106,19 @@ int replay_inprocess(const Options& opt,
             ++wrong;
           }
         }));
+  };
+
+  ShapeCache<float> singles;
+  ShapeCache<double> doubles;
+  const auto start = Clock::now();
+  for (const net::TraceEvent& ev : events) {
+    std::this_thread::sleep_until(start +
+                                  std::chrono::microseconds(ev.t_us));
+    if (ev.dtype == 's') {
+      submit(singles, ev);
+    } else {
+      submit(doubles, ev);
+    }
   }
 
   std::uint64_t unresolved = 0;
