@@ -2,14 +2,14 @@
 // compact TRMM, unpivoted LU and Cholesky versus looping per-matrix
 // scalar LAPACK-style calls -- the same comparison structure as the
 // paper's GEMM/TRSM figures, extended to the routines Intel's compact
-// BLAS/LAPACK covers. The LU and Cholesky rows time the engine's fused
+// BLAS/LAPACK covers. The TRMM rows time the multiply of the engine's
+// triangular plan (compact_trmm), the LU and Cholesky rows its fused
 // factorisations (Engine::getrf_nopiv_batch / potrf_batch).
 #include <complex>
 #include <cstring>
 
 #include "common/series.hpp"
-#include "iatf/core/engine.hpp"
-#include "iatf/ext/compact_ext.hpp"
+#include "iatf/core/compact_blas.hpp"
 #include "iatf/ref/ref_blas.hpp"
 
 namespace iatf::bench {
@@ -29,8 +29,8 @@ void sweep_trmm(const char* dtype, const Options& opt) {
         TrsmShape{s, s, Side::Left, Uplo::Lower, Op::NoTrans,
                   Diag::NonUnit, batch});
     const double iatf_g = measure_gflops(flops, opt, [&] {
-      ext::compact_trmm<T>(Side::Left, Uplo::Lower, Op::NoTrans,
-                           Diag::NonUnit, T(1), ca, cb);
+      compact_trmm<T>(Side::Left, Uplo::Lower, Op::NoTrans, Diag::NonUnit,
+                      T(1), ca, cb);
     });
     const double loop_g = measure_gflops(flops, opt, [&] {
       for (index_t l = 0; l < batch; ++l) {

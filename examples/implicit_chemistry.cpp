@@ -6,7 +6,7 @@
 // Demonstrates the batched LU path end-to-end:
 //   Engine::getrf_nopiv_batch -- LU of every cell's iteration matrix at
 //                                once (the fused factorisation kernel)
-//   ext::compact_getrs_np     -- forward+backward compact TRSM solves
+//   compact_getrs_np          -- forward+backward compact TRSM solves
 // with the newton update applied in compact form.
 #include <cmath>
 #include <cstring>
@@ -15,8 +15,7 @@
 
 #include "iatf/common/rng.hpp"
 #include "iatf/common/timer.hpp"
-#include "iatf/core/engine.hpp"
-#include "iatf/ext/compact_ext.hpp"
+#include "iatf/core/compact_blas.hpp"
 
 using namespace iatf;
 
@@ -101,7 +100,7 @@ int main() {
     std::memcpy(crhs.group_data(0), cy.group_data(0),
                 sizeof(double) * static_cast<std::size_t>(
                                      cy.groups() * cy.group_stride()));
-    ext::compact_getrs_np<double>(cm, crhs);
+    compact_getrs_np<double>(cm, crhs);
     std::memcpy(cy.group_data(0), crhs.group_data(0),
                 sizeof(double) * static_cast<std::size_t>(
                                      cy.groups() * cy.group_stride()));

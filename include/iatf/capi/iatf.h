@@ -289,13 +289,13 @@ int iatf_health_ledger_get_stats(iatf_health_ledger_stats* stats);
 typedef struct iatf_error_detail {
   int status;   /* iatf_status of the call (OK for pure degradations) */
   unsigned events; /* IATF_EVENT_* bits observed on the call */
-  char op;      /* 'g' gemm, 't' trsm, 'p' potrf, 'l' getrf_nopiv,
-                 * 'i' trtri, 0 unset */
+  char op;      /* 'g' gemm, 't' trsm, 'm' trmm, 'p' potrf,
+                 * 'l' getrf_nopiv, 'i' trtri, 0 unset */
   char dtype;   /* 's', 'd', 'c' or 'z', 0 unset */
-  int64_t m, n, k; /* failing descriptor (k = 0 for trsm) */
+  int64_t m, n, k; /* failing descriptor (k = 0 for trsm/trmm) */
   int64_t batch;
   int op_a, op_b;     /* iatf_op values; -1 when not applicable */
-  int side, uplo, diag; /* trsm mode; -1 when not applicable */
+  int side, uplo, diag; /* trsm/trmm mode; -1 when not applicable */
 } iatf_error_detail;
 
 /* Copy the calling thread's last failure/degradation descriptor into
@@ -739,8 +739,11 @@ IATF_DECLARE_PACKED_CX(c, iatf_cpacked, iatf_cbuf, float)
 IATF_DECLARE_PACKED_CX(z, iatf_zpacked, iatf_zbuf, double)
 #undef IATF_DECLARE_PACKED_CX
 
-/* Extensions: B = alpha * op(tri(A)) * B, unpivoted LU, Cholesky. The
- * _compact factorisations are aliases of iatf_?getrfnp_batch and
+/* Real-only _compact entry points. iatf_?trmm_compact computes
+ * B = alpha * op(tri(A)) * B (Left) or alpha * B * op(tri(A)) (Right)
+ * through the engine's triangular plan, with the status codes, error
+ * detail (op 'm') and exec-policy health semantics of iatf_?trsm_compact.
+ * The _compact factorisations are aliases of iatf_?getrfnp_batch and
  * iatf_?potrf_batch: same status codes, error detail, automatic pad-lane
  * identity and exec-policy health semantics. */
 int iatf_strmm_compact(iatf_side side, iatf_uplo uplo, iatf_op op_a,

@@ -32,6 +32,10 @@ enum class Uplo : std::uint8_t { Lower = 0, Upper = 1 };
 /// Whether the diagonal of A is assumed to be all ones.
 enum class Diag : std::uint8_t { NonUnit = 0, Unit = 1 };
 
+/// What a triangular call does with op(tri(A)) and B: solve (TRSM) or
+/// multiply (TRMM).
+enum class TriOp : std::uint8_t { Solve = 0, Multiply = 1 };
+
 const char* to_string(Op op) noexcept;
 const char* to_string(Side side) noexcept;
 const char* to_string(Uplo uplo) noexcept;
@@ -103,9 +107,10 @@ struct GemmShape {
   friend bool operator==(const GemmShape&, const GemmShape&) = default;
 };
 
-/// Descriptor of one compact-batched TRSM problem:
+/// Descriptor of one compact-batched triangular problem. Solve (TRSM):
 ///   op(A) * X = alpha * B   (Left)   or   X * op(A) = alpha * B   (Right)
-/// where A is triangular and B (m x n) is overwritten by X.
+/// where A is triangular and B (m x n) is overwritten by X. Multiply
+/// (TRMM): B = alpha * op(A) * B (Left) or alpha * B * op(A) (Right).
 struct TrsmShape {
   index_t m = 0;
   index_t n = 0;
@@ -114,6 +119,7 @@ struct TrsmShape {
   Op op_a = Op::NoTrans;
   Diag diag = Diag::NonUnit;
   index_t batch = 0;
+  TriOp op = TriOp::Solve;
 
   /// Dimension of the triangular matrix A (m for Left, n for Right).
   index_t a_dim() const noexcept { return side == Side::Left ? m : n; }

@@ -10,6 +10,7 @@
 // instantiated kernel class are refused with Status::Unsupported.
 #pragma once
 
+#include "iatf/common/error.hpp"
 #include "iatf/core/engine.hpp"
 #include "iatf/core/width_dispatch.hpp"
 #include "iatf/layout/compact.hpp"
@@ -38,6 +39,30 @@ BatchHealth compact_trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
     return Engine::default_engine().trsm<T, decltype(bytes)::value>(
         side, uplo, op_a, diag, alpha, a, b);
   });
+}
+
+/// B = alpha * op_a(A) * B (Left) or alpha * B * op_a(A) (Right), A
+/// triangular, in place on B for every matrix in the batch.
+template <class T>
+BatchHealth compact_trmm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
+                         const CompactBuffer<T>& a, CompactBuffer<T>& b) {
+  return dispatch_width<T>(b.pack_width(), [&](auto bytes) {
+    return Engine::default_engine().trmm<T, decltype(bytes)::value>(
+        side, uplo, op_a, diag, alpha, a, b);
+  });
+}
+
+/// Solve A X = B for every matrix with the unpivoted LU factors of A
+/// (Engine::getrf_nopiv_batch): forward substitution with the unit-lower
+/// L, then back substitution with U. B is overwritten by X.
+template <class T>
+void compact_getrs_np(const CompactBuffer<T>& lu, CompactBuffer<T>& b) {
+  IATF_CHECK(lu.rows() == lu.cols(), "getrs_np: LU must be square");
+  IATF_CHECK(lu.rows() == b.rows(), "getrs_np: dimension mismatch");
+  compact_trsm<T>(Side::Left, Uplo::Lower, Op::NoTrans, Diag::Unit, T(1),
+                  lu, b);
+  compact_trsm<T>(Side::Left, Uplo::Upper, Op::NoTrans, Diag::NonUnit, T(1),
+                  lu, b);
 }
 
 /// Grouped GEMM over variable-size segments (one descriptor each); the

@@ -161,7 +161,8 @@ public:
   std::shared_ptr<const plan::GemmPlan<T, Bytes>>
   plan_gemm(const GemmShape& shape);
 
-  /// Get or build the plan for a TRSM descriptor; see plan_gemm.
+  /// Get or build the plan for a triangular (TRSM or TRMM) descriptor;
+  /// see plan_gemm.
   template <class T, int Bytes = 16>
   std::shared_ptr<const plan::TrsmPlan<T, Bytes>>
   plan_trsm(const TrsmShape& shape);
@@ -183,6 +184,13 @@ public:
   /// one-segment call, like gemm.
   template <class T, int Bytes = 16>
   BatchHealth trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
+                   const CompactBuffer<T>& a, CompactBuffer<T>& b);
+
+  /// B = alpha * op_a(A) * B (Left) or alpha * B * op_a(A) (Right), A
+  /// triangular, for every matrix in the batch. The multiply of TRSM's
+  /// plan (TriOp::Multiply), run as a one-segment call like trsm.
+  template <class T, int Bytes = 16>
+  BatchHealth trmm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
                    const CompactBuffer<T>& a, CompactBuffer<T>& b);
 
   /// Grouped GEMM over variable-size segments: each segment carries its

@@ -1,9 +1,9 @@
 // Umbrella header: the whole public IATF API.
 //
-//   compact BLAS       iatf/core/compact_blas.hpp   (gemm, trsm)
+//   compact BLAS       iatf/core/compact_blas.hpp   (gemm, trsm, trmm,
+//                                                    getrs_np)
 //   factorisations     iatf/factor/factor.hpp       (packed handles, potrf,
 //                                                    getrf_nopiv, trtri)
-//   extensions         iatf/ext/compact_ext.hpp     (trmm, getrf, potrf)
 //   layout             iatf/layout/compact.hpp      (CompactBuffer, convert)
 //   engine & plans     iatf/core/engine.hpp         (plan cache, tuning)
 //   multicore          iatf/parallel/thread_pool.hpp
@@ -17,7 +17,6 @@
 #include "iatf/common/types.hpp"
 #include "iatf/core/compact_blas.hpp"
 #include "iatf/core/engine.hpp"
-#include "iatf/ext/compact_ext.hpp"
 #include "iatf/factor/factor.hpp"
 #include "iatf/layout/compact.hpp"
 #include "iatf/parallel/thread_pool.hpp"

@@ -171,6 +171,9 @@ struct GemmSubmit {
 /// engine ever sees the request.
 inline constexpr std::uint32_t kMaxWireDim = 4096;
 inline constexpr std::uint32_t kMaxWireBatch = 1u << 20;
+/// Largest relative deadline a request may carry, in ms (about 31.7
+/// years); the trace format and iatf_loadgen refuse what the wire would.
+inline constexpr double kMaxWireDeadlineMs = 1e12;
 
 WireError parse_gemm_submit(std::span<const std::uint8_t> payload,
                             GemmSubmit& out) noexcept;

@@ -1,4 +1,5 @@
-// Execution plan for compact batched TRSM (paper sections 4.2.2 and 5).
+// Execution plan for compact batched triangular ops (paper sections 4.2.2
+// and 5): TRSM, and TRMM on the same canonical form.
 //
 // Every mode (Side x Uplo x Trans x Diag) is canonicalised to
 // Left/Lower/NoTrans at pack time (see pack/trsm_pack.hpp). The solve then
@@ -11,6 +12,16 @@
 // column panels. When the input's groups are too large for the hardware
 // prefetchers, the steps of one group also prefetch the next group
 // (group_stream.hpp).
+//
+// A multiply (TriOp::Multiply) reuses the tiling, the packs and the group
+// walk. Its queue runs the block rows bottom-up, so every step reads
+// pre-update values:
+//     B_i <- alpha * ( L_ii B_i + sum_{j<i} L_ij B_j )
+// The triangular-multiply kernel goes first, then the GEMM kernels add
+// the lower block rows with beta = 1 -- unlike TRSM there is no multiply
+// to save, so no dedicated rectangular kernel is needed (contrast paper
+// equation 4). The triangle is packed with its plain diagonal and alpha
+// goes into the kernels.
 #pragma once
 
 #include <atomic>
@@ -38,33 +49,43 @@ public:
 
   /// One step of the command queue. Rect steps update block row `row_off`
   /// from solved rows at `x_row_off`; Tri steps solve the block at
-  /// `row_off` in place. Offsets are element-block indices within the
-  /// canonical B (column `col_off`, row `row_off`).
+  /// `row_off` in place. MulTri and MulRect are their multiply
+  /// counterparts: MulTri multiplies the block at `row_off` in place,
+  /// MulRect adds the (pre-update) rows at `x_row_off` into it through a
+  /// GEMM kernel. Offsets are element-block indices within the canonical
+  /// B (column `col_off`, row `row_off`).
   struct Step {
-    enum class Kind : std::uint8_t { Rect, Tri } kind = Kind::Tri;
-    kernels::TrsmRectKernelFn<T> rect_fn = nullptr;
-    kernels::TrsmTriKernelFn<T> tri_fn = nullptr;
+    enum class Kind : std::uint8_t { Rect, Tri, MulTri, MulRect };
+    Kind kind = Kind::Tri;
+    union { ///< the registry kernel of `kind`
+      kernels::TrsmRectKernelFn<T> rect_fn = nullptr;
+      kernels::TrsmTriKernelFn<T> tri_fn;
+      kernels::TrmmTriKernelFn<T> mul_tri_fn;
+      kernels::GemmKernelFn<T> gemm_fn;
+    };
     index_t pa_off = 0;    ///< scalars into the packed triangle
     index_t col_off = 0;   ///< first column of the panel
     index_t row_off = 0;   ///< first row of block bi
-    index_t x_row_off = 0; ///< first row of block bj (Rect only)
-    index_t k = 0;         ///< depth of block bj (Rect only)
+    index_t x_row_off = 0; ///< first row of block bj (Rect/MulRect)
+    index_t k = 0;         ///< depth of block bj (Rect/MulRect)
+    index_t a_kstride = 0; ///< scalars per k-block of A (MulRect only)
   };
 
   TrsmPlan(const TrsmShape& shape, const CacheInfo& cache,
            const PlanTuning& tuning = {});
 
-  /// Solve op(A) X = alpha B (or the Right-side variant), overwriting b.
-  /// When `health` is non-null the plan additionally flags numerical
-  /// hazards while the data is hot: zero/tiny/NaN diagonals are detected
-  /// inside the A-pack (before the reciprocal destroys the evidence) and
-  /// each solved group's output is scanned for NaN/Inf right after its
-  /// solve, while it is still L1-resident.
+  /// Solve op(A) X = alpha B, or multiply B = alpha op(A) B (or the
+  /// Right-side variants), overwriting b. When `health` is non-null the
+  /// plan additionally flags numerical hazards while the data is hot: a
+  /// solve detects zero/tiny/NaN diagonals inside the A-pack (before the
+  /// reciprocal destroys the evidence), and each group's output is
+  /// scanned for NaN/Inf right after its steps, while it is still
+  /// L1-resident.
   void execute(const CompactBuffer<T>& a, CompactBuffer<T>& b, T alpha,
                HealthRecorder* health = nullptr,
                const Deadline* deadline = nullptr) const;
 
-  /// Range variant, the multicore entry point: solve only interleave
+  /// Range variant, the multicore entry point: run only interleave
   /// groups [g_begin, g_end) of the batch. Concurrent calls on the same
   /// buffers (thread-pool work items) must cover disjoint ranges; they
   /// flag disjoint lanes of `health`.
@@ -89,7 +110,8 @@ public:
   /// it so they exercise the same registry kernel set).
   const PlanTuning& tuning() const noexcept { return tuning_; }
 
-  /// Distinct registry kernels the command queue calls (kinds 't'/'r').
+  /// Distinct registry kernels the command queue calls (kinds 't'/'r' for
+  /// a solve, 'm'/'g' for a multiply).
   std::span<const resilience::KernelUse> kernels_used() const noexcept {
     return kernels_used_;
   }
@@ -115,7 +137,7 @@ private:
   void validate_buffers(const CompactBuffer<T>& a,
                         const CompactBuffer<T>& b) const;
   template <class Cursor>
-  void solve_group(const R* packed_a, R* bdata, Cursor& next) const;
+  void run_steps(const R* packed_a, R* bdata, T alpha, Cursor& next) const;
   void run_groups(const CompactBuffer<T>& a, CompactBuffer<T>& b,
                   T alpha, index_t g_begin, index_t g_end,
                   HealthRecorder* health, const Deadline* deadline) const;

@@ -38,9 +38,11 @@ enum class PlanVerify : std::uint8_t {
 /// by its function kind and tile size (dtype and SIMD width are added by
 /// the engine, which knows the plan's template parameters).
 struct KernelUse {
-  char kind = 0; ///< 'g' gemm, 't' trsm-tri, 'r' trsm-rect
-  int m = 0;     ///< tile rows ('g'/'r': mc, 't': triangle M)
-  int n = 0;     ///< tile cols (nc)
+  /// 'g' gemm (GEMM plans and TRMM's rectangular updates), 't' trsm-tri,
+  /// 'r' trsm-rect, 'm' trmm-tri.
+  char kind = 0;
+  int m = 0; ///< tile rows ('g'/'r': mc, 't'/'m': triangle M)
+  int n = 0; ///< tile cols (nc)
 
   friend bool operator==(const KernelUse&, const KernelUse&) = default;
 };

@@ -36,7 +36,7 @@ namespace iatf::resilience {
 /// Engine-wide identity of one generated kernel: the plan-level KernelUse
 /// plus the dtype/width the plan was instantiated for.
 struct KernelId {
-  char kind = 0;  ///< 'g' gemm, 't' trsm-tri, 'r' trsm-rect
+  char kind = 0;  ///< as KernelUse::kind
   char dtype = 0; ///< 's', 'd', 'c', 'z'
   int bytes = 0;  ///< SIMD register width (16 / 32)
   int m = 0;

@@ -46,8 +46,9 @@ template <class T> struct GemmSegment {
   CompactBuffer<T>* c = nullptr;
 };
 
-/// One TRSM segment of a grouped call: op_a(A) X = alpha B (Left) or
-/// X op_a(A) = alpha B (Right); B is overwritten by X.
+/// One triangular segment of a grouped call. Solve: op_a(A) X = alpha B
+/// (Left) or X op_a(A) = alpha B (Right); B is overwritten by X.
+/// Multiply: B = alpha op_a(A) B (Left) or alpha B op_a(A) (Right).
 template <class T> struct TrsmSegment {
   Side side = Side::Left;
   Uplo uplo = Uplo::Lower;
@@ -56,6 +57,7 @@ template <class T> struct TrsmSegment {
   T alpha = T(1);
   const CompactBuffer<T>* a = nullptr;
   CompactBuffer<T>* b = nullptr;
+  TriOp op = TriOp::Solve;
 };
 
 /// One factorisation segment of a grouped call: factor the segment's
@@ -78,7 +80,7 @@ template <class T> struct FactorSegment {
 /// is part of the identity. The operands' layout (raw buffers or packed
 /// handles) is not: plans are built from the descriptor alone.
 struct ClassKey {
-  char op = 0;    ///< 'g' (GEMM), 't' (TRSM), 'p'/'l'/'i' (factorisations)
+  char op = 0; ///< 'g' GEMM, 't' TRSM, 'm' TRMM, 'p'/'l'/'i' factorisations
   char dtype = 0; ///< 's', 'd', 'c', 'z'
   index_t m = 0, n = 0, k = 0;
   std::uint8_t op_a = 0, op_b = 0, side = 0, uplo = 0, diag = 0;
@@ -142,6 +144,7 @@ template <class T> TrsmShape shape_of(const TrsmSegment<T>& seg) {
   s.op_a = seg.op_a;
   s.diag = seg.diag;
   s.batch = seg.b->batch();
+  s.op = seg.op;
   return s;
 }
 
@@ -175,10 +178,11 @@ template <class T> ClassKey class_key(const GemmShape& s, int bytes) {
   return key;
 }
 
-/// The class of a descriptor: op tag 't' plus every TRSM field.
+/// The class of a descriptor: op tag 't' (solve) or 'm' (multiply) plus
+/// every other triangular field.
 template <class T> ClassKey class_key(const TrsmShape& s, int bytes) {
   ClassKey key;
-  key.op = 't';
+  key.op = s.op == TriOp::Solve ? 't' : 'm';
   key.dtype = blas_prefix_v<T>[0];
   key.m = s.m;
   key.n = s.n;

@@ -1,10 +1,11 @@
 // C interface implementation: thin exception-to-error-code shims over the
 // C++ core, with the opaque buffer structs wrapping CompactBuffer. Every
 // compute entry point is a one-line forward to one typed template per op
-// (gemm, trsm, factor, gemm_grouped, trsm_grouped), and each template
-// takes the same steps: null-check the operands, convert the C enums,
-// dispatch the width once on the written operand, call the default
-// engine, and fold the health reports into a status (guarded_compute).
+// (gemm, triangular for trsm and trmm, factor, gemm_grouped,
+// trsm_grouped), and each template takes the same steps: null-check the
+// operands, convert the C enums, dispatch the width once on the written
+// operand, call the default engine, and fold the health reports into a
+// status (guarded_compute).
 #include "iatf/capi/iatf.h"
 
 #include "capi_buffers.hpp"
@@ -21,7 +22,6 @@
 #include "iatf/common/error.hpp"
 #include "iatf/core/compact_blas.hpp"
 #include "iatf/core/engine.hpp"
-#include "iatf/ext/compact_ext.hpp"
 #include "iatf/core/width_dispatch.hpp"
 #include "iatf/resilience/resilience.hpp"
 #include "iatf/sched/group_scheduler.hpp"
@@ -34,6 +34,7 @@ namespace {
 
 namespace sched = iatf::sched;
 using iatf::Op;
+using iatf::TriOp;
 using iatf::capi::enum_bits;
 using iatf::capi::enum_in_range;
 using iatf::capi::ms_to_ns;
@@ -250,15 +251,18 @@ int gemm(const char* fn, const iatf_op& op_a, const iatf_op& op_b, T alpha,
       });
 }
 
-template <class T, class H>
-int trsm(const char* fn, const iatf_side& side, const iatf_uplo& uplo,
-         const iatf_op& op_a, const iatf_diag& diag, T alpha, const H* a,
-         H* b) {
+/// trsm (kOp Solve) and trmm (kOp Multiply) on a buffer or handle.
+template <TriOp kOp, class T, class H>
+int triangular(const char* fn, const iatf_side& side, const iatf_uplo& uplo,
+               const iatf_op& op_a, const iatf_diag& diag, T alpha,
+               const H* a, H* b) {
   sched::TrsmSegment<T> seg;
+  seg.op = kOp;
   seg.b = b != nullptr ? &storage(*b) : nullptr;
+  iatf::TrsmShape empty;
+  empty.op = kOp;
   const auto key = sched::class_key<T>(
-      seg.b != nullptr ? sched::shape_of(seg) : iatf::TrsmShape{},
-      /*bytes=*/0);
+      seg.b != nullptr ? sched::shape_of(seg) : empty, /*bytes=*/0);
   return guarded_compute(
       detail_of(key, {.op_a = enum_bits(op_a),
                       .side = enum_bits(side),
@@ -271,8 +275,15 @@ int trsm(const char* fn, const iatf_side& side, const iatf_uplo& uplo,
         const Op t = to_op(op_a);
         const iatf::Diag d = to_diag(diag);
         return iatf::dispatch_width<T>(storage(*b).pack_width(), [&](auto w) {
-          return iatf::Engine::default_engine().trsm<T, decltype(w)::value>(
-              s, u, t, d, alpha, operand(*a), operand(*b));
+          constexpr int kBytes = decltype(w)::value;
+          iatf::Engine& engine = iatf::Engine::default_engine();
+          if constexpr (kOp == TriOp::Solve) {
+            return engine.trsm<T, kBytes>(s, u, t, d, alpha, operand(*a),
+                                          operand(*b));
+          } else {
+            return engine.trmm<T, kBytes>(s, u, t, d, alpha, operand(*a),
+                                          operand(*b));
+          }
         });
       });
 }
@@ -750,8 +761,8 @@ IATF_DEFINE_BUFFER(z, iatf_zbuf, std::complex<double>, double)
   extern "C" int iatf_##P##trsm_##BS(                                         \
       iatf_side side, iatf_uplo uplo, iatf_op op_a, iatf_diag diag,           \
       IATF_PARAM(KIND, T, SCALAR, alpha), const H* a, H* b) {                 \
-    return trsm<T>(__func__, side, uplo, op_a, diag,                          \
-                   IATF_VALUE(KIND, T, alpha), a, b);                         \
+    return triangular<TriOp::Solve, T>(__func__, side, uplo, op_a, diag,      \
+                                       IATF_VALUE(KIND, T, alpha), a, b);     \
   }                                                                           \
   extern "C" int iatf_##P##potrf_##FS(H* a) {                                 \
     return factor<FactorOp::Potrf, T>(__func__, a);                           \
@@ -927,19 +938,15 @@ IATF_DEFINE_PACKED(c, iatf_cpacked, std::complex<float>, float)
 IATF_DEFINE_PACKED(z, iatf_zpacked, std::complex<double>, double)
 #undef IATF_DEFINE_PACKED
 
-// Legacy real-only extension shims. The _compact factorisations are
-// aliases of the _batch entry points: one implementation, one status and
-// health contract.
-#define IATF_DEFINE_EXT(P, BUF, T)                                            \
+// The real-only _compact shims. TRMM is the triangular template's
+// multiply; the _compact factorisations are aliases of the _batch entry
+// points: one implementation, one status and health contract.
+#define IATF_DEFINE_COMPACT_REAL(P, BUF, T)                                   \
   extern "C" int iatf_##P##trmm_compact(iatf_side side, iatf_uplo uplo,       \
                                         iatf_op op_a, iatf_diag diag,         \
                                         T alpha, const BUF* a, BUF* b) {      \
-    return guarded([&] {                                                      \
-      IATF_CHECK(a != nullptr && b != nullptr,                                \
-                 "iatf_" #P "trmm_compact: null buffer");                     \
-      iatf::ext::compact_trmm<T>(to_side(side), to_uplo(uplo), to_op(op_a),   \
-                                 to_diag(diag), alpha, a->buf, b->buf);       \
-    });                                                                       \
+    return triangular<TriOp::Multiply, T>(__func__, side, uplo, op_a, diag,   \
+                                          alpha, a, b);                       \
   }                                                                           \
   extern "C" int iatf_##P##getrfnp_compact(BUF* a) {                          \
     return iatf_##P##getrfnp_batch(a);                                        \
@@ -948,9 +955,9 @@ IATF_DEFINE_PACKED(z, iatf_zpacked, std::complex<double>, double)
     return iatf_##P##potrf_batch(a);                                          \
   }
 
-IATF_DEFINE_EXT(s, iatf_sbuf, float)
-IATF_DEFINE_EXT(d, iatf_dbuf, double)
-#undef IATF_DEFINE_EXT
+IATF_DEFINE_COMPACT_REAL(s, iatf_sbuf, float)
+IATF_DEFINE_COMPACT_REAL(d, iatf_dbuf, double)
+#undef IATF_DEFINE_COMPACT_REAL
 
 // Runtime ISA selection (multi-ISA dispatch, DESIGN.md section 15).
 // iatf_force_isa refuses an unknown or unavailable backend with

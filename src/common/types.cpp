@@ -37,9 +37,9 @@ std::string to_string(const GemmShape& s) {
 
 std::string to_string(const TrsmShape& s) {
   std::ostringstream os;
-  os << "trsm[" << to_string(s.side) << to_string(s.op_a)
-     << to_string(s.uplo) << to_string(s.diag) << " m=" << s.m
-     << " n=" << s.n << " batch=" << s.batch << "]";
+  os << (s.op == TriOp::Solve ? "trsm[" : "trmm[") << to_string(s.side)
+     << to_string(s.op_a) << to_string(s.uplo) << to_string(s.diag)
+     << " m=" << s.m << " n=" << s.n << " batch=" << s.batch << "]";
   return os.str();
 }
 

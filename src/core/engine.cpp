@@ -515,6 +515,13 @@ BatchHealth Engine::trsm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
 }
 
 template <class T, int Bytes>
+BatchHealth Engine::trmm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
+                         const CompactBuffer<T>& a, CompactBuffer<T>& b) {
+  return run_one<detail::TrsmOp<T, Bytes>>(
+      {side, uplo, op_a, diag, alpha, &a, &b, TriOp::Multiply});
+}
+
+template <class T, int Bytes>
 std::vector<BatchHealth>
 Engine::gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
   return grouped<detail::GemmOp<T, Bytes>>(segments);
@@ -1225,6 +1232,7 @@ bool Engine::verify_kernel(const resilience::KernelUse& use) {
       }
       [[fallthrough]];
     case 't':
+    case 'm':
       return run_canary<Trsm>(use, cache_);
     default:
       return true;
@@ -1275,6 +1283,7 @@ std::size_t Engine::self_test_type() {
   for (int m = 1; m <= Limits::tri_max_m; ++m) {
     for (int n = 1; n <= Limits::tri_max_nc; ++n) {
       check('t', m, n);
+      check('m', m, n);
     }
   }
   for (int m = 1; m <= Limits::rect_max_mc; ++m) {
@@ -1428,6 +1437,9 @@ Engine& Engine::default_engine() {
       Op, Op, T, const CompactBuffer<T>&, const CompactBuffer<T>&, T,       \
       CompactBuffer<T>&);                                                   \
   template BatchHealth Engine::trsm<T, Bytes>(Side, Uplo, Op, Diag, T,      \
+                                              const CompactBuffer<T>&,      \
+                                              CompactBuffer<T>&);           \
+  template BatchHealth Engine::trmm<T, Bytes>(Side, Uplo, Op, Diag, T,      \
                                               const CompactBuffer<T>&,      \
                                               CompactBuffer<T>&);           \
   template BatchHealth Engine::run_one<detail::GemmOp<T, Bytes>>(           \

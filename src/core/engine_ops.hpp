@@ -28,11 +28,14 @@
 //                          (factorisations only), which keeps its
 //                          current contents and is flagged singular;
 //   Operands               owning operands of one shape with a segment
-//                          bound to them (GEMM and TRSM: kernel canary
-//                          and tuner data);
+//                          bound to them (GEMM and triangular: kernel
+//                          canary and tuner data);
 //   canary_plan,           the shape and tuning whose plan exercises one
 //   canary_fill            registry kernel, and its exact operand fill
-//                          (GEMM and TRSM).
+//                          (GEMM and triangular).
+//
+// TrsmOp serves both triangular ops, solve and multiply: the descriptor's
+// TriOp picks the plan's command queue and the reference routine.
 //
 // agrees_with_reference is the one plan-versus-reference check, shared
 // by the kernel canary and the tuner's correctness gate.
@@ -232,17 +235,18 @@ template <class T, int Bytes> struct TrsmOp {
   }
 
   static void validate(const Shape& s, const Segment& seg) {
+    const char* op = s.op == TriOp::Solve ? "trsm" : "trmm";
     IATF_CHECK(s.m >= 0 && s.n >= 0 && s.batch >= 0,
-               "trsm: negative dimension");
+               std::string(op) + ": negative dimension");
     IATF_CHECK(seg.a->rows() == s.a_dim() && seg.a->cols() == s.a_dim(),
-               "trsm: A must be a_dim x a_dim");
+               std::string(op) + ": A must be a_dim x a_dim");
     IATF_CHECK(seg.a->batch() == s.batch && seg.b->batch() == s.batch,
-               "trsm: operand batch sizes do not match");
+               std::string(op) + ": operand batch sizes do not match");
   }
 
-  /// Recompute one lane with the scalar reference TRSM. The lane's B must
-  /// hold the original right-hand side, not the partial fast-path
-  /// solution.
+  /// Recompute one lane with the scalar reference TRSM or TRMM. The
+  /// lane's B must hold the original input, not the partial fast-path
+  /// result.
   static bool ref_lane(const Shape& s, const Segment& seg, index_t lane) {
     const CompactBuffer<T>& a = *seg.a;
     CompactBuffer<T>& b = *seg.b;
@@ -252,8 +256,9 @@ template <class T, int Bytes> struct TrsmOp {
     std::vector<T> tb(static_cast<std::size_t>(b.rows() * b.cols()));
     a.export_colmajor(lane, ta.data(), lda);
     b.export_colmajor(lane, tb.data(), ldb);
-    ref::trsm(s.side, s.uplo, s.op_a, s.diag, s.m, s.n, seg.alpha,
-              ta.data(), lda, tb.data(), ldb);
+    const auto reference = s.op == TriOp::Solve ? &ref::trsm<T> : &ref::trmm<T>;
+    reference(s.side, s.uplo, s.op_a, s.diag, s.m, s.n, seg.alpha, ta.data(),
+              lda, tb.data(), ldb);
     b.import_colmajor(lane, tb.data(), ldb);
     return true;
   }
@@ -266,6 +271,7 @@ template <class T, int Bytes> struct TrsmOp {
       seg.uplo = s.uplo;
       seg.op_a = s.op_a;
       seg.diag = s.diag;
+      seg.op = s.op;
       seg.a = &a;
       seg.b = &b;
     }
@@ -276,9 +282,10 @@ template <class T, int Bytes> struct TrsmOp {
     Segment seg; ///< bound to a and b; alpha 1 until set
   };
 
-  /// LLNN. A tri kernel runs alone on the small path. A rect kernel gets
-  /// two block rows of its row size: the plan solves tri(m, n) on the
-  /// diagonal block and updates the second block row through rect(m, n).
+  /// LLNN. A tri kernel ('t', or 'm' in a multiply) runs alone on the
+  /// small path. A rect kernel gets two block rows of its row size: the
+  /// plan solves tri(m, n) on the diagonal block and updates the second
+  /// block row through rect(m, n).
   static std::pair<Shape, plan::PlanTuning>
   canary_plan(const resilience::KernelUse& use) {
     const bool rect = use.kind == 'r';
@@ -286,6 +293,7 @@ template <class T, int Bytes> struct TrsmOp {
     s.m = rect ? 2 * use.m : use.m;
     s.n = use.n;
     s.batch = Plan::pack_width();
+    s.op = use.kind == 'm' ? TriOp::Multiply : TriOp::Solve;
     plan::PlanTuning tuning;
     if (rect) {
       tuning.mc_cap = use.m;
@@ -294,7 +302,7 @@ template <class T, int Bytes> struct TrsmOp {
     return {s, tuning};
   }
   /// A power-of-two diagonal keeps the triangle well-conditioned with an
-  /// exact reciprocal.
+  /// exact reciprocal (and an exact product in a multiply).
   static void canary_fill(Operands& ops) {
     fill_exact(ops.a, 4, T(2));
     fill_exact(ops.b, 5);

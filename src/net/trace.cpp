@@ -13,6 +13,7 @@
 #include <mutex>
 
 #include "iatf/common/error.hpp"
+#include "iatf/net/wire.hpp"
 
 namespace iatf::net {
 
@@ -167,6 +168,9 @@ std::vector<TraceEvent> load_trace(const std::string& path) {
     if (m < 1 || n < 1 || k < 1 || m > 4096 || n > 4096 || k > 4096 ||
         batch < 1 || batch > 1048576 || deadline < 0) {
       bad_line(path, lineno, "descriptor out of range");
+    }
+    if (!(deadline <= kMaxWireDeadlineMs)) {
+      bad_line(path, lineno, "deadline_ms above the wire's 1e12 ms bound");
     }
     e.t_us = static_cast<std::int64_t>(t_us);
     e.tenant = static_cast<std::uint32_t>(tenant);

@@ -258,7 +258,7 @@ WireError parse_gemm_submit(std::span<const std::uint8_t> payload,
   const double alpha = get<double>(payload, 28);
   const double beta = get<double>(payload, 36);
   const double deadline_ms = get<double>(payload, 44);
-  if (!(deadline_ms >= 0.0) || deadline_ms > 1e12) {
+  if (!(deadline_ms >= 0.0) || deadline_ms > kMaxWireDeadlineMs) {
     return WireError::BadPayload; // also rejects NaN
   }
   // Exact-size check: sizes are bounded above, so the products fit in

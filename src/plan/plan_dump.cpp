@@ -41,7 +41,8 @@ std::string dump(const TrsmPlan<T, Bytes>& plan) {
   using Step = typename TrsmPlan<T, Bytes>::Step;
   std::ostringstream os;
   const auto& s = plan.shape();
-  os << "execution plan: " << blas_prefix_v<T> << "trsm "
+  const bool solve = s.op == TriOp::Solve;
+  os << "execution plan: " << blas_prefix_v<T> << (solve ? "trsm " : "trmm ")
      << to_string(s.side) << to_string(s.op_a) << to_string(s.uplo)
      << to_string(s.diag) << " m=" << s.m << " n=" << s.n
      << " batch=" << s.batch << "\n";
@@ -54,7 +55,8 @@ std::string dump(const TrsmPlan<T, Bytes>& plan) {
              ? ""
              : " (identity)")
      << "\n";
-  os << "  pack selecter: triangle packed (reciprocal diagonal), B "
+  os << "  pack selecter: triangle packed"
+     << (solve ? " (reciprocal diagonal)" : "") << ", B "
      << (plan.packs_b() ? "packed" : "in-place") << "\n";
   os << "  path: "
      << (plan.small_path() ? "register-resident triangle" : "blocked")
@@ -62,13 +64,25 @@ std::string dump(const TrsmPlan<T, Bytes>& plan) {
      << " group(s) per L1 slice\n";
   os << "  command queue (" << plan.steps().size() << " steps):\n";
   for (const Step& step : plan.steps()) {
-    if (step.kind == Step::Kind::Rect) {
+    switch (step.kind) {
+    case Step::Kind::Rect:
       os << "    rect  rows@" << step.row_off << " -= L * rows@"
          << step.x_row_off << " (k=" << step.k << ", col@"
          << step.col_off << ")\n";
-    } else {
+      break;
+    case Step::Kind::Tri:
       os << "    tri   solve rows@" << step.row_off << " (col@"
          << step.col_off << ")\n";
+      break;
+    case Step::Kind::MulTri:
+      os << "    tri   multiply rows@" << step.row_off << " (col@"
+         << step.col_off << ")\n";
+      break;
+    case Step::Kind::MulRect:
+      os << "    gemm  rows@" << step.row_off << " += L * rows@"
+         << step.x_row_off << " (k=" << step.k << ", col@"
+         << step.col_off << ")\n";
+      break;
     }
   }
   return os.str();

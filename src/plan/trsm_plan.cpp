@@ -86,36 +86,67 @@ TrsmPlan<T, Bytes>::TrsmPlan(const TrsmShape& shape, const CacheInfo& cache,
   pa_group_size_ = pack::packed_trsm_a_size(blocks_, es);
   pb_group_size_ = pack_b_ ? canon_.m * canon_.n * es : 0;
 
-  // Command queue: per column panel, interleave rect updates and
-  // triangular solves in dependency order (paper equation 1).
-  for (const Tile& panel : panels_) {
-    for (std::size_t bi = 0; bi < blocks_.size(); ++bi) {
-      const Tile& rowb = blocks_[bi];
-      const index_t row_base =
-          pack::packed_trsm_row_offset(blocks_, static_cast<index_t>(bi), es);
-      for (std::size_t bj = 0; bj < bi; ++bj) {
-        const Tile& colb = blocks_[bj];
-        Step step;
-        step.kind = Step::Kind::Rect;
-        step.rect_fn = kernels::Registry<T, Bytes>::rect(
-            static_cast<int>(rowb.size), static_cast<int>(panel.size));
-        resilience::note_kernel(kernels_used_, 'r', rowb.size, panel.size);
-        step.pa_off = row_base + colb.offset * rowb.size * es;
-        step.col_off = panel.offset;
-        step.row_off = rowb.offset;
-        step.x_row_off = colb.offset;
-        step.k = colb.size;
-        steps_.push_back(step);
+  // Command queue. A solve interleaves, per column panel, rect updates
+  // and triangular solves in dependency order (paper equation 1); a
+  // multiply runs the block rows bottom-up, each triangular multiply
+  // before the GEMM updates that read lower, not yet updated rows.
+  // push(panel, bi, bj): block row bi's triangle when bj == bi, else its
+  // update from block row bj.
+  using Reg = kernels::Registry<T, Bytes>;
+  const bool solve = shape.op == TriOp::Solve;
+  const auto push = [&](const Tile& panel, std::size_t bi, std::size_t bj) {
+    const Tile& rowb = blocks_[bi];
+    const Tile& colb = blocks_[bj];
+    const int m = static_cast<int>(rowb.size);
+    const int n = static_cast<int>(panel.size);
+    Step step;
+    char kind = 0;
+    if (bi == bj) {
+      if (solve) {
+        step.kind = Step::Kind::Tri;
+        step.tri_fn = Reg::tri(m, n);
+        kind = 't';
+      } else {
+        step.kind = Step::Kind::MulTri;
+        step.mul_tri_fn = Reg::trmm_tri(m, n);
+        kind = 'm';
       }
-      Step step;
-      step.kind = Step::Kind::Tri;
-      step.tri_fn = kernels::Registry<T, Bytes>::tri(
-          static_cast<int>(rowb.size), static_cast<int>(panel.size));
-      resilience::note_kernel(kernels_used_, 't', rowb.size, panel.size);
-      step.pa_off = row_base + rowb.offset * rowb.size * es;
-      step.col_off = panel.offset;
-      step.row_off = rowb.offset;
-      steps_.push_back(step);
+    } else {
+      if (solve) {
+        step.kind = Step::Kind::Rect;
+        step.rect_fn = Reg::rect(m, n);
+        kind = 'r';
+      } else {
+        step.kind = Step::Kind::MulRect;
+        step.gemm_fn = Reg::gemm(m, n);
+        step.a_kstride = rowb.size * es;
+        kind = 'g';
+      }
+      step.x_row_off = colb.offset;
+      step.k = colb.size;
+    }
+    resilience::note_kernel(kernels_used_, kind, m, n);
+    step.pa_off =
+        pack::packed_trsm_row_offset(blocks_, static_cast<index_t>(bi), es) +
+        colb.offset * rowb.size * es;
+    step.col_off = panel.offset;
+    step.row_off = rowb.offset;
+    steps_.push_back(step);
+  };
+  for (const Tile& panel : panels_) {
+    if (solve) {
+      for (std::size_t bi = 0; bi < blocks_.size(); ++bi) {
+        for (std::size_t bj = 0; bj <= bi; ++bj) {
+          push(panel, bi, bj);
+        }
+      }
+    } else {
+      for (std::size_t bi = blocks_.size(); bi-- > 0;) {
+        push(panel, bi, bi);
+        for (std::size_t bj = 0; bj < bi; ++bj) {
+          push(panel, bi, bj);
+        }
+      }
     }
   }
 
@@ -149,21 +180,22 @@ TrsmPlan<T, Bytes>::TrsmPlan(const TrsmShape& shape, const CacheInfo& cache,
 template <class T, int Bytes>
 void TrsmPlan<T, Bytes>::validate_buffers(const CompactBuffer<T>& a,
                                           const CompactBuffer<T>& b) const {
+  const char* op = shape_.op == TriOp::Solve ? "trsm" : "trmm";
   IATF_CHECK(a.rows() == shape_.a_dim() && a.cols() == shape_.a_dim(),
-             "trsm: A must be a_dim x a_dim");
+             std::string(op) + ": A must be a_dim x a_dim");
   IATF_CHECK(b.rows() == shape_.m && b.cols() == shape_.n,
-             "trsm: B has mismatched dimensions");
+             std::string(op) + ": B has mismatched dimensions");
   IATF_CHECK(a.batch() == shape_.batch && b.batch() == shape_.batch,
-             "trsm: operand batch sizes do not match the plan");
+             std::string(op) + ": operand batch sizes do not match the plan");
   IATF_CHECK(a.pack_width() == pack_width() &&
                  b.pack_width() == pack_width(),
-             "trsm: operand pack width does not match the plan");
+             std::string(op) + ": operand pack width does not match the plan");
 }
 
 template <class T, int Bytes>
 template <class Cursor>
-void TrsmPlan<T, Bytes>::solve_group(const R* packed_a, R* bdata,
-                                     Cursor& next) const {
+void TrsmPlan<T, Bytes>::run_steps(const R* packed_a, R* bdata, T alpha,
+                                   Cursor& next) const {
   const index_t es = element_stride();
   const index_t jstride = canon_.m * es;
   for (const Step& step : steps_) {
@@ -177,12 +209,32 @@ void TrsmPlan<T, Bytes>::solve_group(const R* packed_a, R* bdata,
       args.k = step.k;
       args.xb_jstride = jstride;
       step.rect_fn(args);
-    } else {
+    } else if (step.kind == Step::Kind::Tri) {
       kernels::TrsmTriArgs<T> args;
       args.pa = packed_a + step.pa_off;
       args.b = brow;
       args.b_jstride = jstride;
       step.tri_fn(args);
+    } else if (step.kind == Step::Kind::MulTri) {
+      kernels::TrmmTriArgs<T> args;
+      args.pa = packed_a + step.pa_off;
+      args.b = brow;
+      args.b_jstride = jstride;
+      args.alpha = alpha;
+      step.mul_tri_fn(args);
+    } else {
+      kernels::GemmKernelArgs<T> args;
+      args.pa = packed_a + step.pa_off;
+      args.pb = bdata + (step.col_off * canon_.m + step.x_row_off) * es;
+      args.c = brow;
+      args.k = step.k;
+      args.a_kstride = step.a_kstride;
+      args.b_kstride = es;
+      args.b_jstride = jstride;
+      args.c_jstride = jstride;
+      args.alpha = alpha;
+      args.beta = T(1);
+      step.gemm_fn(args);
     }
   }
 }
@@ -238,6 +290,11 @@ void TrsmPlan<T, Bytes>::walk_groups(const CompactBuffer<T>& a,
                                      const Deadline* deadline) const {
   const index_t es = element_stride();
   const index_t pw = pack_width();
+  // A solve packs reciprocal diagonals (scanning them first) and scales
+  // B by alpha up front; a multiply packs the plain triangle and hands
+  // alpha to its kernels.
+  const bool solve = shape_.op == TriOp::Solve;
+  const T b_scale = solve ? alpha : T(1);
 
   AlignedBuffer<R> wa(static_cast<std::size_t>(slice_groups_ *
                                                pa_group_size_));
@@ -261,7 +318,8 @@ void TrsmPlan<T, Bytes>::walk_groups(const CompactBuffer<T>& a,
       std::uint64_t singular = 0;
       pack::pack_trsm_a<T>(a.group_data(g), es, canon_, shape_.diag,
                            blocks_, wa.data() + (g - g0) * pa_group_size_,
-                           true, health != nullptr ? &singular : nullptr);
+                           solve,
+                           health != nullptr && solve ? &singular : nullptr);
       if (health != nullptr && singular != 0) {
         const index_t lanes = live_lanes(g);
         for (index_t lane = 0; lane < lanes; ++lane) {
@@ -278,17 +336,17 @@ void TrsmPlan<T, Bytes>::walk_groups(const CompactBuffer<T>& a,
                   {a.group_data(g + 1), b.group_data(g + 1)});
       if (pack_b_) {
         R* gb = wb.data() + (g - g0) * pb_group_size_;
-        pack::pack_trsm_b<T>(b.group_data(g), shape_.m, canon_, es, alpha,
-                             gb);
-        solve_group(ga, gb, next);
+        pack::pack_trsm_b<T>(b.group_data(g), shape_.m, canon_, es,
+                             b_scale, gb);
+        run_steps(ga, gb, alpha, next);
         pack::unpack_trsm_b<T>(gb, shape_.m, canon_, es,
                                b.group_data(g));
       } else {
         R* gb = b.group_data(g);
-        if (!(alpha == T(1))) {
-          scale_compact<T>(gb, shape_.m * shape_.n, es, alpha);
+        if (!(b_scale == T(1))) {
+          scale_compact<T>(gb, shape_.m * shape_.n, es, b_scale);
         }
-        solve_group(ga, gb, next);
+        run_steps(ga, gb, alpha, next);
       }
       if (health != nullptr) {
         // Output scan while the group is still cache-resident.

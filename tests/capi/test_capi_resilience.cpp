@@ -205,6 +205,21 @@ TEST_F(CapiResilience, TrsmErrorDetailCarriesTheMode) {
   EXPECT_EQ(detail.side, IATF_LEFT);
   EXPECT_EQ(detail.uplo, IATF_LOWER);
   EXPECT_EQ(detail.diag, IATF_NONUNIT);
+
+  // TRMM shares the triangular shim: its detail is op 'm'.
+  EXPECT_EQ(iatf_dtrmm_compact(IATF_RIGHT, IATF_UPPER, IATF_TRANS,
+                               IATF_UNIT, 1.0, a, b),
+            IATF_STATUS_INVALID_ARG);
+  ASSERT_EQ(iatf_last_error_detail(&detail), 1);
+  EXPECT_EQ(detail.op, 'm');
+  EXPECT_EQ(detail.dtype, 'd');
+  EXPECT_EQ(detail.m, 4);
+  EXPECT_EQ(detail.n, 3);
+  EXPECT_EQ(detail.batch, 7);
+  EXPECT_EQ(detail.op_a, IATF_TRANS);
+  EXPECT_EQ(detail.side, IATF_RIGHT);
+  EXPECT_EQ(detail.uplo, IATF_UPPER);
+  EXPECT_EQ(detail.diag, IATF_UNIT);
   iatf_ddestroy(a);
   iatf_ddestroy(b);
 }

@@ -17,7 +17,6 @@
 
 #include "../testutil.hpp"
 #include "iatf/core/compact_blas.hpp"
-#include "iatf/ext/compact_ext.hpp"
 #include "iatf/ref/ref_blas.hpp"
 
 namespace iatf {
@@ -156,7 +155,7 @@ template <class T> void fuzz_trmm_once(Rng& rng, int round) {
   auto ca = a.to_compact();
   auto cb = b.to_compact();
 
-  ext::compact_trmm<T>(side, uplo, op_a, diag, alpha, ca, cb);
+  compact_trmm<T>(side, uplo, op_a, diag, alpha, ca, cb);
 
   auto expected = b;
   for (index_t l = 0; l < batch; ++l) {

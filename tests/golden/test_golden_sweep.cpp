@@ -1,6 +1,6 @@
 // Exhaustive golden sweep: every size 1..33 crossed with every GEMM
-// transpose pair and every TRSM mode combination, for all four dtypes,
-// checked against the scalar reference at the shared K-scaled ULP
+// transpose pair and every TRSM and TRMM mode combination, for all four
+// dtypes, checked against the scalar reference at the shared K-scaled ULP
 // tolerance. Sizes 1..33 bracket the compact regime the paper targets
 // (one to two L1 tiles) and hit every kernel edge-remainder path.
 //
@@ -107,47 +107,57 @@ TYPED_TEST(GoldenSweep, GemmAllModes) {
   }
 }
 
+// TRMM is the multiply of the same triangular plan, so it is one more
+// input of this sweep: every TRSM case, then every TRMM case.
 TYPED_TEST(GoldenSweep, TrsmAllModes) {
   using T = TypeParam;
   Engine engine(CacheInfo::kunpeng920());
   const T alpha = T(real_t<T>(0.37));
   Rng rng(0x901d5eee);
 
-  for (const simd::Isa isa : simd::supported_isas()) {
-    const index_t pw = isa_pack_width<T>(isa);
-    const index_t batch = pw + 3;
-    for (const index_t s : sweep_sizes()) {
-      for (const Side side : {Side::Left, Side::Right}) {
-        for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
-          for (const Op op_a : {Op::NoTrans, Op::Trans}) {
-            for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
-              auto a = test::random_triangular_batch<T>(s, batch, rng);
-              auto b = test::random_batch<T>(s, s, batch, rng);
-              auto ca = a.to_compact(pw);
-              ca.pad_identity();
-              auto cb = b.to_compact(pw);
+  for (const TriOp op : {TriOp::Solve, TriOp::Multiply}) {
+    const auto reference =
+        op == TriOp::Solve ? &ref::trsm<T> : &ref::trmm<T>;
+    for (const simd::Isa isa : simd::supported_isas()) {
+      const index_t pw = isa_pack_width<T>(isa);
+      const index_t batch = pw + 3;
+      for (const index_t s : sweep_sizes()) {
+        for (const Side side : {Side::Left, Side::Right}) {
+          for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+            for (const Op op_a : {Op::NoTrans, Op::Trans}) {
+              for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
+                auto a = test::random_triangular_batch<T>(s, batch, rng);
+                auto b = test::random_batch<T>(s, s, batch, rng);
+                auto ca = a.to_compact(pw);
+                ca.pad_identity();
+                auto cb = b.to_compact(pw);
 
-              dispatch_width<T>(pw, [&](auto bytes) {
-                engine.trsm<T, decltype(bytes)::value>(side, uplo, op_a,
-                                                       diag, alpha, ca,
-                                                       cb);
-              });
+                dispatch_width<T>(pw, [&](auto bytes) {
+                  constexpr int kBytes = decltype(bytes)::value;
+                  if (op == TriOp::Solve) {
+                    engine.trsm<T, kBytes>(side, uplo, op_a, diag, alpha,
+                                           ca, cb);
+                  } else {
+                    engine.trmm<T, kBytes>(side, uplo, op_a, diag, alpha,
+                                           ca, cb);
+                  }
+                });
 
-              auto expected = b;
-              for (index_t l = 0; l < batch; ++l) {
-                ref::trsm<T>(side, uplo, op_a, diag, s, s, alpha,
-                             a.mat(l), s, expected.mat(l), s);
-              }
-              test::HostBatch<T> actual(s, s, batch);
-              actual.from_compact(cb);
-              test::expect_batch_near(
-                  expected, actual, test::ulp_tolerance<T>(s, 512),
-                  std::string("golden trsm [") + simd::isa_name(isa) +
-                      "] " +
-                      to_string(TrsmShape{s, s, side, uplo, op_a, diag,
-                                          batch}));
-              if (::testing::Test::HasFailure()) {
-                return;
+                auto expected = b;
+                for (index_t l = 0; l < batch; ++l) {
+                  reference(side, uplo, op_a, diag, s, s, alpha, a.mat(l),
+                            s, expected.mat(l), s);
+                }
+                test::HostBatch<T> actual(s, s, batch);
+                actual.from_compact(cb);
+                test::expect_batch_near(
+                    expected, actual, test::ulp_tolerance<T>(s, 512),
+                    std::string("golden [") + simd::isa_name(isa) + "] " +
+                        to_string(TrsmShape{s, s, side, uplo, op_a, diag,
+                                            batch, op}));
+                if (::testing::Test::HasFailure()) {
+                  return;
+                }
               }
             }
           }

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "iatf/common/error.hpp"
@@ -317,7 +319,13 @@ TEST(Wire, ErrorTaxonomyIsStable) {
 
 class TraceTest : public ::testing::Test {
 protected:
-  std::string path_ = ::testing::TempDir() + "wire_trace.jsonl";
+  // One file per test and process: ctest runs these tests as concurrent
+  // processes, and a shared name lets one test's TearDown delete the
+  // trace another test is reading.
+  std::string path_ =
+      ::testing::TempDir() + "wire_trace_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".jsonl";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
@@ -362,6 +370,21 @@ TEST_F(TraceTest, MalformedLineFailsWithLineNumber) {
     FAIL() << "expected iatf::Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find(":3:"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A deadline the wire would refuse (above 1e12 ms) fails the load with
+// its line number, so the in-process and socket replays of one trace
+// cannot disagree about it.
+TEST_F(TraceTest, DeadlineAboveTheWireBoundIsRejected) {
+  const std::string huge =
+      std::string(IATF_TEST_NET_DIR) + "/huge-deadline-trace.jsonl";
+  try {
+    load_trace(huge);
+    FAIL() << "expected iatf::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos)
         << e.what();
   }
 }

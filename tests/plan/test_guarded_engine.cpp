@@ -476,6 +476,33 @@ TYPED_TEST(GuardedEngineTyped, FallbackRepairsSeededNan) {
   auto out = c;
   out.from_compact(cc);
   expect_lane_refequal(expected, out, bad);
+
+  // TRMM, the multiply of the triangular plan: a NaN below A's diagonal
+  // is flagged under Check and repaired under Fallback.
+  auto ta = test::random_triangular_batch<T>(m, batch, rng);
+  auto tb = test::random_batch<T>(m, n, batch, rng);
+  ta.mat(bad)[1] = T(std::numeric_limits<R>::quiet_NaN());
+  auto texpected = tb;
+  for (index_t l = 0; l < batch; ++l) {
+    ref::trmm(Side::Left, Uplo::Lower, Op::NoTrans, Diag::NonUnit, m, n,
+              T(0.5), ta.mat(l), ta.ld(), texpected.mat(l),
+              texpected.ld());
+  }
+  for (const ExecPolicy policy : {ExecPolicy::Check, ExecPolicy::Fallback}) {
+    e.set_policy(policy);
+    auto cta = ta.to_compact();
+    auto ctb = tb.to_compact();
+    const BatchHealth th = e.trmm<T>(Side::Left, Uplo::Lower, Op::NoTrans,
+                                     Diag::NonUnit, T(0.5), cta, ctb);
+    EXPECT_EQ(th.nonfinite, 1);
+    EXPECT_EQ(th.first_nonfinite, bad);
+    EXPECT_EQ(th.fallback, policy == ExecPolicy::Fallback ? 1 : 0);
+    if (policy == ExecPolicy::Fallback) {
+      auto tout = tb;
+      tout.from_compact(ctb);
+      expect_lane_refequal(texpected, tout, bad);
+    }
+  }
 }
 
 } // namespace

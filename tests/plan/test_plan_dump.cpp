@@ -31,6 +31,21 @@ TEST(PlanDump, TrsmShowsCanonicalisationAndQueue) {
   EXPECT_NE(text.find("blocked"), std::string::npos);
   EXPECT_NE(text.find("rect"), std::string::npos);
   EXPECT_NE(text.find("tri"), std::string::npos);
+
+  // The multiply of the same descriptor: same canonical form, plain
+  // diagonal, block rows bottom-up with GEMM updates.
+  TrsmPlan<double> mul(
+      TrsmShape{9, 6, Side::Right, Uplo::Lower, Op::NoTrans,
+                Diag::NonUnit, 32, TriOp::Multiply},
+      CacheInfo::kunpeng920());
+  const std::string mtext = dump(mul);
+  EXPECT_NE(mtext.find("dtrmm RNLN"), std::string::npos);
+  EXPECT_NE(mtext.find("via transpose"), std::string::npos);
+  EXPECT_EQ(mtext.find("reciprocal"), std::string::npos);
+  EXPECT_NE(mtext.find("tri   multiply"), std::string::npos);
+  EXPECT_NE(mtext.find("gemm  rows@"), std::string::npos);
+  ASSERT_FALSE(mul.steps().empty());
+  EXPECT_EQ(mul.steps().front().row_off, mul.blocks().back().offset);
 }
 
 TEST(PlanDump, TrsmIdentityCanonicalForm) {

@@ -16,6 +16,7 @@
 #include "iatf/common/error.hpp"
 #include "iatf/common/fault_inject.hpp"
 #include "iatf/core/engine.hpp"
+#include "iatf/kernels/registry.hpp"
 #include "iatf/ref/ref_blas.hpp"
 
 namespace iatf {
@@ -168,12 +169,53 @@ TEST_F(EngineResilience, QuarantinedPlansRebuildExactlyOnce) {
   }
 }
 
+// Registry kernels of one dtype at one width: the GEMM grid, the
+// triangular grid twice (solve 't' and multiply 'm') and the rect grid.
+template <class T> std::size_t registry_kernels() {
+  using L = kernels::KernelLimits<T>;
+  return static_cast<std::size_t>(L::gemm_max_mc * L::gemm_max_nc +
+                                  2 * L::tri_max_m * L::tri_max_nc +
+                                  L::rect_max_mc * L::rect_max_nc);
+}
+
 TEST_F(EngineResilience, SelfTestSweepsTheRegistry) {
   Engine e(CacheInfo::kunpeng920());
   EXPECT_EQ(e.self_test(), 0u);
   const EngineHealth h = e.health();
-  EXPECT_GT(h.verified_kernels, 0u);
+  // Every kernel of every dtype at all three widths, 'm' included.
+  EXPECT_EQ(h.verified_kernels,
+            3 * (registry_kernels<float>() + registry_kernels<double>() +
+                 registry_kernels<std::complex<float>>() +
+                 registry_kernels<std::complex<double>>()));
   EXPECT_EQ(h.quarantined_kernels, 0u);
+}
+
+// TRMM runs the engine's kernel gate: a failing canary quarantines its
+// kernels and the call is served, correct, on the reference path.
+TEST_F(EngineResilience, QuarantinedTrmmKernelRoutesToTheReference) {
+  Engine e(CacheInfo::kunpeng920());
+  Rng rng(79);
+  const index_t m = 6, n = 5;
+  const index_t batch = simd::pack_width_v<double> * 2 + 1;
+  auto a = test::random_triangular_batch<double>(m, batch, rng);
+  auto b = test::random_batch<double>(m, n, batch, rng);
+  auto expected = b;
+  for (index_t l = 0; l < batch; ++l) {
+    ref::trmm(Side::Left, Uplo::Upper, Op::Trans, Diag::NonUnit, m, n, 1.5,
+              a.mat(l), a.ld(), expected.mat(l), expected.ld());
+  }
+  auto ca = a.to_compact();
+  auto cb = b.to_compact();
+  fault::ScopedFault verify("resilience.verify", 0, 1000);
+  const BatchHealth h = e.trmm<double>(Side::Left, Uplo::Upper, Op::Trans,
+                                       Diag::NonUnit, 1.5, ca, cb);
+  EXPECT_TRUE(has_event(h.events, DegradeEvent::QuarantinedKernel));
+  EXPECT_EQ(h.fallback, batch);
+  EXPECT_GE(e.stats().quarantined_kernels, 1u);
+  test::HostBatch<double> out = b;
+  out.from_compact(cb);
+  test::expect_batch_near(expected, out, test::ulp_tolerance<double>(m),
+                          "quarantined trmm ref route");
 }
 
 TEST_F(EngineResilience, SelfTestQuarantinesAFailingCanary) {

@@ -219,6 +219,12 @@ Options parse(int argc, char** argv) {
       opt.dispatchers = static_cast<std::size_t>(std::atoll(v));
     } else if (const char* v = value("--deadline-ms=")) {
       opt.deadline_ms = std::atof(v);
+      if (!(opt.deadline_ms <= net::kMaxWireDeadlineMs)) {
+        std::fprintf(stderr,
+                     "iatf_loadgen: --deadline-ms above the wire's 1e12 ms "
+                     "bound\n");
+        usage();
+      }
     } else if (const char* v = value("--ring=")) {
       opt.ring = std::atoi(v);
     } else if (std::strcmp(arg, "--smoke") == 0) {
