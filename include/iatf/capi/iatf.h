@@ -506,6 +506,11 @@ typedef struct iatf_serve_config {
 /* NULL config selects all defaults. NULL on failure, including an
  * out-of-range overload policy. */
 iatf_server* iatf_server_create(const iatf_serve_config* config);
+/* iatf_server_create with at most `dispatchers` dispatcher threads:
+ * <= 0 selects the default (one per spare CPU), values above 64 are
+ * clamped to 64. One starts with the server, the others on backlog. */
+iatf_server* iatf_server_create_with_dispatchers(
+    const iatf_serve_config* config, int64_t dispatchers);
 /* Stops the server (cancelling queued requests) and frees it. Tickets
  * never waited on are discarded. */
 void iatf_server_destroy(iatf_server* server);
@@ -598,6 +603,10 @@ typedef struct iatf_server_stats {
 } iatf_server_stats;
 
 int iatf_server_get_stats(iatf_server* server, iatf_server_stats* stats);
+/* Dispatcher threads started so far, and the most dispatches that have
+ * been inside the engine at once. */
+int iatf_server_get_dispatchers(iatf_server* server, int64_t* dispatchers,
+                                int64_t* peak_concurrent_dispatches);
 /* Requests of `tenant` dequeued for execution so far (-1 on error). */
 int64_t iatf_server_tenant_served(iatf_server* server, uint32_t tenant);
 

@@ -54,15 +54,21 @@ BatchHealth compact_trmm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
 
 /// Solve A X = B for every matrix with the unpivoted LU factors of A
 /// (Engine::getrf_nopiv_batch): forward substitution with the unit-lower
-/// L, then back substitution with U. B is overwritten by X.
+/// L, then back substitution with U. B is overwritten by X. Returns the
+/// two solves' reports merged, with `batch` counting each lane once: a
+/// zero or non-finite U pivot shows as a singular lane.
 template <class T>
-void compact_getrs_np(const CompactBuffer<T>& lu, CompactBuffer<T>& b) {
+BatchHealth compact_getrs_np(const CompactBuffer<T>& lu,
+                             CompactBuffer<T>& b) {
   IATF_CHECK(lu.rows() == lu.cols(), "getrs_np: LU must be square");
   IATF_CHECK(lu.rows() == b.rows(), "getrs_np: dimension mismatch");
-  compact_trsm<T>(Side::Left, Uplo::Lower, Op::NoTrans, Diag::Unit, T(1),
-                  lu, b);
-  compact_trsm<T>(Side::Left, Uplo::Upper, Op::NoTrans, Diag::NonUnit, T(1),
-                  lu, b);
+  BatchHealth health = compact_trsm<T>(Side::Left, Uplo::Lower, Op::NoTrans,
+                                       Diag::Unit, T(1), lu, b);
+  const index_t lanes = health.batch;
+  health.merge(compact_trsm<T>(Side::Left, Uplo::Upper, Op::NoTrans,
+                               Diag::NonUnit, T(1), lu, b));
+  health.batch = lanes; // both solves cover the same lanes
+  return health;
 }
 
 /// Grouped GEMM over variable-size segments (one descriptor each); the

@@ -8,6 +8,7 @@
 
 #include "capi_buffers.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <future>
@@ -63,6 +64,12 @@ struct iatf_server {
 };
 
 extern "C" iatf_server* iatf_server_create(const iatf_serve_config* config) {
+  return iatf_server_create_with_dispatchers(config, 0);
+}
+
+extern "C" iatf_server*
+iatf_server_create_with_dispatchers(const iatf_serve_config* config,
+                                    int64_t dispatchers) {
   try {
     iatf::serve::ServeConfig cfg;
     if (config != nullptr) {
@@ -85,6 +92,10 @@ extern "C" iatf_server* iatf_server_create(const iatf_serve_config* config) {
       cfg.default_deadline =
           iatf::capi::ms_to_ns(config->default_deadline_ms);
     }
+    // 0 selects the server's default.
+    cfg.dispatchers = static_cast<std::size_t>(std::clamp<int64_t>(
+        dispatchers, 0,
+        static_cast<int64_t>(iatf::serve::Server::kMaxDispatchers)));
     return new iatf_server(cfg);
   } catch (...) {
     return nullptr;
@@ -335,6 +346,20 @@ extern "C" int iatf_server_get_stats(iatf_server* server,
   stats->degraded_inline = static_cast<int64_t>(s.degraded_inline);
   stats->watchdog_kicks = static_cast<int64_t>(s.watchdog_kicks);
   stats->heartbeats = static_cast<int64_t>(s.heartbeats);
+  return IATF_STATUS_OK;
+}
+
+extern "C" int iatf_server_get_dispatchers(
+    iatf_server* server, int64_t* dispatchers,
+    int64_t* peak_concurrent_dispatches) {
+  if (server == nullptr || dispatchers == nullptr ||
+      peak_concurrent_dispatches == nullptr) {
+    return IATF_STATUS_INVALID_ARG;
+  }
+  const iatf::serve::ServerStats s = server->server.stats();
+  *dispatchers = static_cast<int64_t>(s.dispatchers);
+  *peak_concurrent_dispatches =
+      static_cast<int64_t>(s.peak_concurrent_dispatches);
   return IATF_STATUS_OK;
 }
 

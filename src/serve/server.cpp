@@ -18,6 +18,7 @@
 
 #include "iatf/common/error.hpp"
 #include "iatf/common/fault_inject.hpp"
+#include "iatf/common/recycler.hpp"
 #include "iatf/core/width_dispatch.hpp"
 
 namespace iatf::serve {
@@ -32,7 +33,8 @@ namespace detail {
 /// Resolution invariant: exactly one of publish() or fail() per request
 /// takes effect, ever -- enforced by claim(), because a watchdog
 /// reclamation and a later-un-wedging dispatcher may both try to
-/// resolve the same request.
+/// resolve the same request. Requests are made on the submitting thread
+/// and die on a dispatcher, so their storage comes from the recycler.
 struct Request {
   TenantId tenant = 0;
   bool has_deadline = false;
@@ -47,6 +49,13 @@ struct Request {
   /// First claimant wins the right to resolve/fail; a loser's resolution
   /// is dropped (its promise write would throw on the settled future).
   bool claim() noexcept { return !settled.exchange(true); }
+
+  static void* operator new(std::size_t bytes) {
+    return recycler::allocate(bytes);
+  }
+  static void operator delete(void* p, std::size_t bytes) noexcept {
+    recycler::deallocate(p, bytes);
+  }
 
   virtual ~Request() = default;
   /// Execute alone on `engine` and keep the outcome for publish(). Never
@@ -128,9 +137,11 @@ template <class T> struct SegmentOps<sched::TrsmSegment<T>> {
 };
 
 /// A request resolving to `Result` through a promise and an optional
-/// completion callback.
+/// completion callback. The promise's shared state and result recycle
+/// too; a caller's future may outlive the server.
 template <class Result, class Callback> struct TypedRequest : Request {
-  std::promise<Result> promise;
+  std::promise<Result> promise{std::allocator_arg,
+                               recycler::Allocator<Result>{}};
   Callback cb;
   Result result{}; ///< successful outcome kept by run()
 
@@ -211,7 +222,7 @@ struct GroupedRequest final
     : TypedRequest<std::vector<BatchHealth>, Server::GroupedCompletion> {
   using Ops = SegmentOps<Segment>;
   using T = typename Ops::value_type;
-  std::vector<Segment> segs;
+  std::vector<Segment, recycler::Allocator<Segment>> segs;
 
   explicit GroupedRequest(std::span<const Segment> s)
       : segs(s.begin(), s.end()) {}
@@ -286,6 +297,37 @@ std::size_t dispatcher_count(std::size_t configured) {
     configured = cpus > 1 ? cpus - 1 : 1;
   }
   return std::clamp<std::size_t>(configured, 1, Server::kMaxDispatchers);
+}
+
+/// Spin-wait hint: lets the sibling hyperthread run and saves power.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// try_lock attempts before a contended queue lock sleeps. mu_ is held
+/// for well under a microsecond per pick or push, while glibc's mutex
+/// sleeps on the first failed try and a futex sleep and wake costs
+/// several. 256 tries still take less than one futex wake
+/// (DESIGN.md section 12.5).
+constexpr int kLockSpin = 256;
+
+/// Take the hot queue lock (`lk` is unlocked on entry): spin on try_lock
+/// for a bounded number of tries, then block. On one CPU (`spin` false)
+/// a spin only delays the holder, so it blocks at once.
+void lock_queue(std::unique_lock<std::mutex>& lk, bool spin) {
+  if (spin) {
+    for (int i = 0; i < kLockSpin; ++i) {
+      if (lk.try_lock()) {
+        return;
+      }
+      cpu_relax();
+    }
+  }
+  lk.lock();
 }
 
 } // namespace
@@ -558,7 +600,8 @@ void Server::enqueue(std::unique_ptr<detail::Request> r,
     r->deadline = std::chrono::steady_clock::now() + budget;
   }
 
-  std::unique_lock<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
+  lock_queue(lk, spin_);
   ++submitted_;
   Tenant& t = tenant_for(r->tenant);
   ++t.submitted;
@@ -706,19 +749,6 @@ Server::submit_grouped(std::span<const sched::TrsmSegment<T>> segments,
 
 // --- Dispatcher --------------------------------------------------------
 
-namespace {
-
-/// Spin-wait hint: lets the sibling hyperthread run and saves power.
-inline void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#endif
-}
-
-} // namespace
-
 void Server::run_dispatcher(std::size_t slot, std::uint64_t epoch) {
   RoundBuffers bufs;
   bufs.batch.reserve(config_.max_coalesce);
@@ -747,7 +777,7 @@ void Server::run_dispatcher(std::size_t slot, std::uint64_t epoch) {
              std::chrono::steady_clock::now() < until) {
         cpu_relax();
       }
-      lk.lock();
+      lock_queue(lk, spin_);
       spinning_ = 0;
     }
     if (!ready()) {
@@ -954,7 +984,7 @@ void Server::dispatch_round(std::unique_lock<std::mutex>& lk,
   // watchdog's copy until its resolutions are done).
   batch.clear();
   shared.reset();
-  lk.lock();
+  lock_queue(lk, spin_);
   publishing_.fetch_sub(1);
   if (dispatchers_[slot].epoch != epoch) {
     // Reclaimed by the watchdog meanwhile: this thread exits without

@@ -74,6 +74,36 @@ TEST_F(CapiServe, SubmitWaitComputesTheProduct) {
   iatf_server_destroy(server);
 }
 
+// A one-dispatcher server serves sequential round trips on that one
+// thread, one dispatch at a time, and says so through the getter.
+TEST_F(CapiServe, DispatcherCountAndPeakAreReadable) {
+  iatf_server* server = iatf_server_create_with_dispatchers(nullptr, 1);
+  ASSERT_NE(server, nullptr);
+  iatf_dbuf* a = filled(4, 4, 4, 1.0);
+  iatf_dbuf* b = filled(4, 4, 4, 1.0);
+  iatf_dbuf* c = filled(4, 4, 4, 0.0);
+  int64_t dispatchers = -1, peak = -1;
+  ASSERT_EQ(iatf_server_get_dispatchers(server, &dispatchers, &peak),
+            IATF_STATUS_OK);
+  EXPECT_EQ(dispatchers, 1);
+  EXPECT_EQ(peak, 0);
+  for (int i = 0; i < 3; ++i) {
+    uint64_t ticket = 0;
+    ASSERT_EQ(iatf_server_submit_dgemm(server, IATF_NOTRANS, IATF_NOTRANS,
+                                       1.0, a, b, 0.0, c, 0, 0.0, &ticket),
+              IATF_STATUS_OK);
+    EXPECT_EQ(iatf_server_wait(server, ticket), IATF_STATUS_OK);
+  }
+  ASSERT_EQ(iatf_server_get_dispatchers(server, &dispatchers, &peak),
+            IATF_STATUS_OK);
+  EXPECT_EQ(dispatchers, 1);
+  EXPECT_EQ(peak, 1);
+  iatf_server_destroy(server);
+  iatf_ddestroy(a);
+  iatf_ddestroy(b);
+  iatf_ddestroy(c);
+}
+
 TEST_F(CapiServe, SgemmAndTrsmVariants) {
   iatf_server* server = iatf_server_create(nullptr);
   ASSERT_NE(server, nullptr);

@@ -305,6 +305,20 @@ const EntryPoint kEntryPoints[] = {
     IATF_ENTRY(iatf_server_create,
                iatf_server_destroy(f(&kGarbageServeConfig));
                EXPECT_EQ(f(&kBadPolicyServeConfig), nullptr)),
+    IATF_ENTRY(iatf_server_create_with_dispatchers,
+               EXPECT_EQ(f(&kBadPolicyServeConfig, 2), nullptr);
+               for (const int64_t n : {int64_t{0}, int64_t{-1}, int64_t{65},
+                                       INT64_MAX}) {
+                 iatf_server* server = f(nullptr, n);
+                 EXPECT_NE(server, nullptr) << n;
+                 int64_t started = 0, peak = -1;
+                 EXPECT_EQ(iatf_server_get_dispatchers(server, &started,
+                                                       &peak),
+                           IATF_STATUS_OK);
+                 EXPECT_GE(started, 1) << n;
+                 EXPECT_LE(started, 64) << n;
+                 iatf_server_destroy(server);
+               }),
     IATF_ENTRY(iatf_server_destroy, f(nullptr)),
     IATF_ENTRY(iatf_server_set_tenant_weight, invalid(f(nullptr, 0, 1))),
     IATF_ENTRY(iatf_server_set_overload_policy,
@@ -332,6 +346,14 @@ const EntryPoint kEntryPoints[] = {
     IATF_ENTRY(iatf_server_drain, invalid(f(nullptr))),
     IATF_ENTRY(iatf_server_stop, invalid(f(nullptr))),
     IATF_ENTRY(iatf_server_get_stats, invalid(f(nullptr, nullptr))),
+    IATF_ENTRY(iatf_server_get_dispatchers,
+               int64_t started = 0;
+               int64_t peak = 0;
+               invalid(f(nullptr, &started, &peak));
+               iatf_server* server = iatf_server_create(nullptr);
+               invalid(f(server, nullptr, &peak));
+               invalid(f(server, &started, nullptr));
+               iatf_server_destroy(server)),
     IATF_ENTRY(iatf_server_tenant_served, EXPECT_LT(f(nullptr, 0), 0)),
 };
 

@@ -195,6 +195,33 @@ TYPED_TEST(CompactExtTyped, GetrsSolvesSystems) {
   }
 }
 
+// A zero U pivot is the back substitution's hazard: compact_getrs_np
+// reports it through the merged health of its two solves.
+TEST(CompactExt, GetrsReportsZeroPivotUnderCheck) {
+  const index_t m = 3, batch = 2;
+  CompactBuffer<double> lu(m, m, batch), b(m, 1, batch);
+  for (index_t l = 0; l < batch; ++l) {
+    for (index_t j = 0; j < m; ++j) {
+      for (index_t i = 0; i < m; ++i) {
+        lu.set(l, i, j, i == j ? 2.0 : 0.25);
+      }
+      b.set(l, j, 0, 1.0);
+    }
+  }
+  lu.set(1, 2, 2, 0.0); // lane 1: U(2,2) = 0
+  lu.pad_identity();
+
+  Engine& e = Engine::default_engine();
+  const ExecPolicy before = e.policy();
+  e.set_policy(ExecPolicy::Check);
+  const BatchHealth health = compact_getrs_np(lu, b);
+  e.set_policy(before);
+
+  EXPECT_EQ(health.batch, batch);
+  EXPECT_EQ(health.singular, 1);
+  EXPECT_EQ(health.first_singular, 1);
+}
+
 TEST(CompactExt, ErrorsOnBadShapes) {
   CompactBuffer<double> a(3, 3, 2), b(4, 2, 2);
   EXPECT_THROW(compact_getrs_np(a, b), Error);
