@@ -8,7 +8,7 @@
 
 #include "iatf/common/cache_info.hpp"
 #include "iatf/simd/vec.hpp"
-#include "iatf/tune/descriptor.hpp"
+#include "iatf/tune/bench_json.hpp"
 
 namespace iatf::bench {
 
@@ -17,15 +17,9 @@ namespace {
 /// Row mirror for --json output, flushed by an atexit hook so every
 /// bench gets the file without per-bench plumbing.
 struct JsonSink {
-  struct Row {
-    std::string experiment, dtype, mode, series, unit;
-    index_t n = 0;
-    double value = 0.0;
-    int reps = 0;
-  };
   std::mutex mutex;
   std::string path;
-  std::vector<Row> rows;
+  std::vector<tune::BenchRow> rows;
   int last_reps = 0; ///< repetitions of the most recent measure_gflops
 };
 
@@ -34,52 +28,16 @@ JsonSink& json_sink() {
   return sink;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
 void flush_json_at_exit() {
   JsonSink& sink = json_sink();
   std::lock_guard<std::mutex> lock(sink.mutex);
   if (sink.path.empty()) {
     return;
   }
-  std::ofstream out(sink.path, std::ios::trunc);
-  if (!out) {
+  if (!tune::write_bench_json(sink.path, CacheInfo::detect(), sink.rows)) {
     std::fprintf(stderr, "bench: could not write '%s'\n",
                  sink.path.c_str());
-    return;
   }
-  const CacheInfo cache = CacheInfo::detect();
-  out << "{\n  \"format\": \"iatf-bench-v1\",\n  \"hardware\": {\n"
-      << "    \"signature\": \""
-      << json_escape(tune::hardware_signature(cache)) << "\",\n"
-      << "    \"l1d\": " << cache.l1d << ",\n"
-      << "    \"l2\": " << cache.l2 << "\n  },\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < sink.rows.size(); ++i) {
-    const JsonSink::Row& r = sink.rows[i];
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"experiment\": \"%s\", \"dtype\": \"%s\", "
-                  "\"mode\": \"%s\", \"n\": %lld, \"series\": \"%s\", "
-                  "\"value\": %.4f, \"unit\": \"%s\", \"reps\": %d}%s\n",
-                  json_escape(r.experiment).c_str(),
-                  json_escape(r.dtype).c_str(),
-                  json_escape(r.mode).c_str(),
-                  static_cast<long long>(r.n),
-                  json_escape(r.series).c_str(), r.value,
-                  json_escape(r.unit).c_str(), r.reps,
-                  i + 1 < sink.rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
 }
 
 } // namespace
@@ -188,7 +146,7 @@ void print_row(const std::string& experiment, const std::string& dtype,
   JsonSink& sink = json_sink();
   std::lock_guard<std::mutex> lock(sink.mutex);
   if (!sink.path.empty()) {
-    sink.rows.push_back({experiment, dtype, mode, series, unit, n, value,
+    sink.rows.push_back({experiment, dtype, mode, n, series, value, unit,
                          sink.last_reps});
   }
 }

@@ -691,8 +691,7 @@ private:
   /// First-dispatch gate: resolve the plan's verification verdict,
   /// canary-checking any still-untested kernel. Returns false when the
   /// plan references a quarantined kernel (caller must ref-route).
-  template <class T, int Bytes, class Plan>
-  bool ensure_verified(const Plan& plan);
+  template <class Plan> bool ensure_verified(const Plan& plan);
 
   /// One kernel's trust verdict: its ledger state, or on first use its
   /// canary, marked in the ledger (and journaled when quarantined).

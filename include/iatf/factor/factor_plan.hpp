@@ -14,9 +14,11 @@
 // + compact-GEMM-update steps that never leave the packed layout between
 // steps (DESIGN.md section 13 documents the blocking scheme); Trtri is a
 // single register sweep -- at these sizes every element is already
-// resident, so panels would add bookkeeping without reuse. When the
-// input's groups are too large for the hardware prefetchers, each group's
-// column steps also prefetch the next group (plan/group_stream.hpp).
+// resident, so panels would add bookkeeping without reuse. The plans run
+// on the same slice walk as GEMM and TRSM (plan/plan_base.hpp), one
+// group per slice. When the input's groups are too large for the
+// hardware prefetchers, each group's column steps also prefetch the next
+// group (plan/group_stream.hpp).
 //
 // Hazard contract: when a HealthRecorder is supplied, every pivot /
 // diagonal is scanned before its reciprocal or square root. A bad pivot
@@ -29,14 +31,12 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "iatf/common/cache_info.hpp"
 #include "iatf/common/status.hpp"
 #include "iatf/common/types.hpp"
 #include "iatf/layout/compact.hpp"
-#include "iatf/plan/group_stream.hpp"
-#include "iatf/resilience/resilience.hpp"
+#include "iatf/plan/plan_base.hpp"
 
 namespace iatf::factor {
 
@@ -56,12 +56,17 @@ struct FactorShape {
 };
 
 /// Immutable execution plan for one FactorShape. Construction derives
-/// the panel width and, from `cache`, whether the group walk streams the
-/// next group; execute() runs the whole batch group by group. The
-/// plan dispatches no registry kernels (the steps are straight-line
-/// vector code over kreg), so it participates in the engine's plan cache
-/// but not in kernel verify-and-quarantine.
-template <class T, int Bytes = 16> class FactorPlan {
+/// the panel width and, from `cache`, whether the walk streams the next
+/// group; execute() runs the whole batch on the shared slice walk
+/// (plan/plan_base.hpp) with a slice of one group -- the sweep needs no
+/// packing workspace -- so the deadline is checked per group. The plan
+/// dispatches no registry kernels (the steps are straight-line vector
+/// code over kreg) and takes no tuning, so it participates in the
+/// engine's plan cache but not in kernel verify-and-quarantine.
+template <class T, int Bytes = 16>
+class FactorPlan : public plan::PlanBase<T, Bytes> {
+  using Base = plan::PlanBase<T, Bytes>;
+
 public:
   FactorPlan(const FactorShape& shape, const CacheInfo& cache);
 
@@ -71,53 +76,34 @@ public:
   /// small-m regime, 0 for Trtri which does not panel).
   index_t panel_width() const noexcept { return nb_; }
 
-  /// Factor every matrix of `a` in place. `rec` (nullable) enables the
-  /// pivot hazard scan; `deadline` (nullable) is checked at interleave-
-  /// group boundaries and expiry throws TimeoutError with the completed
-  /// group count. Requires a to be shape.m x shape.m with the kernel
-  /// pack width.
+  /// Factor every matrix of `a` in place; execute_range(0, groups).
+  /// `rec` (nullable) enables the pivot hazard scan; `deadline`
+  /// (nullable) is checked at interleave-group boundaries and expiry
+  /// throws TimeoutError with the completed group count. Requires a to
+  /// be shape.m x shape.m with the kernel pack width.
   void execute(CompactBuffer<T>& a, HealthRecorder* rec,
-               const Deadline* deadline) const;
+               const Deadline* deadline) const {
+    execute_range(a, 0, a.groups(), rec, deadline);
+  }
 
   /// Range variant: factor only interleave groups [g_begin, g_end);
   /// expiry of `deadline` reports groups completed within the range.
   void execute_range(CompactBuffer<T>& a, index_t g_begin, index_t g_end,
                      HealthRecorder* rec, const Deadline* deadline) const;
 
-  /// Whether the group walk prefetches the next group (group_stream.hpp).
-  bool streams_next_group() const noexcept { return stream_.active(); }
-
-  /// Work-item bounds for the engine's thread-pool split: the group walk
-  /// needs no packing workspace, so one group is a whole slice, and
-  /// factor plans take no tuned chunk.
-  index_t slice_groups() const noexcept { return 1; }
-  index_t chunk_groups() const noexcept { return 0; }
+  /// The one operand check of a factorisation, shared with the engine's
+  /// reference path: `a` square of order s.m with batch s.batch. The
+  /// plan also checks the interleave width.
+  static void check_operands(const FactorShape& s,
+                             const CompactBuffer<T>& a);
 
   /// Floating-point operations for the whole batch (throughput
   /// reporting; the usual n^3/3-family counts).
   double flops() const noexcept;
 
-  /// Registry kernels dispatched by this plan: none (the factor steps
-  /// are inlined vector loops, not generated kernels). Present so the
-  /// plan satisfies the engine cache's verification interface.
-  const std::vector<resilience::KernelUse>& kernels_used() const noexcept {
-    return kernels_;
-  }
-
 private:
-  void validate(const CompactBuffer<T>& a) const;
-  void run_groups(CompactBuffer<T>& a, index_t g_begin, index_t g_end,
-                  HealthRecorder* rec, const Deadline* deadline) const;
-  /// run_groups with the next-group stream's cursor type (StreamCursor
-  /// or NoStream).
-  template <class Cursor>
-  void walk_groups(CompactBuffer<T>& a, index_t g_begin, index_t g_end,
-                   HealthRecorder* rec, const Deadline* deadline) const;
-
   FactorShape shape_;
   index_t nb_ = 0;
-  std::vector<resilience::KernelUse> kernels_;
-  plan::GroupStream stream_; ///< next-group prefetch schedule
 };
 
 } // namespace iatf::factor

@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "iatf/common/crc32.hpp"
 #include "iatf/common/types.hpp"
 
 namespace iatf::net {
@@ -87,9 +88,9 @@ const char* to_string(WireError error) noexcept;
 /// True for errors after which the byte stream cannot be re-framed.
 bool is_fatal(WireError error) noexcept;
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) -- the same
-/// polynomial the health ledger journals with.
-std::uint32_t crc32(const void* data, std::size_t size) noexcept;
+/// The frame payload checksum: the library's one CRC-32
+/// (common/crc32.hpp), which the health ledger journals with too.
+using iatf::crc32;
 
 struct FrameHeader {
   std::uint8_t version = kWireVersion;

@@ -9,7 +9,10 @@
 // by the register-resident triangular kernel. When the whole triangle fits
 // in registers (M <= 5 real / 4 complex) the plan degenerates to the
 // paper's small-matrix case: a single triangular kernel swept across B's
-// column panels. When the input's groups are too large for the hardware
+// column panels. The plan runs on the shared slice walk (plan_base.hpp):
+// the slice's prologue packs the triangles (a solve scanning their
+// diagonals), each group packs B when the mode gathers it, runs the steps
+// and unpacks. When the input's groups are too large for the hardware
 // prefetchers, the steps of one group also prefetch the next group
 // (group_stream.hpp).
 //
@@ -24,12 +27,10 @@
 // goes into the kernels.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "iatf/common/aligned_buffer.hpp"
 #include "iatf/common/cache_info.hpp"
 #include "iatf/common/status.hpp"
 #include "iatf/common/tiling.hpp"
@@ -37,13 +38,13 @@
 #include "iatf/kernels/registry.hpp"
 #include "iatf/layout/compact.hpp"
 #include "iatf/pack/trsm_pack.hpp"
-#include "iatf/plan/batch_counter.hpp"
-#include "iatf/plan/group_stream.hpp"
-#include "iatf/resilience/kernel_state.hpp"
+#include "iatf/plan/plan_base.hpp"
 
 namespace iatf::plan {
 
-template <class T, int Bytes = 16> class TrsmPlan {
+template <class T, int Bytes = 16> class TrsmPlan : public PlanBase<T, Bytes> {
+  using Base = PlanBase<T, Bytes>;
+
 public:
   using R = real_t<T>;
 
@@ -75,93 +76,58 @@ public:
            const PlanTuning& tuning = {});
 
   /// Solve op(A) X = alpha B, or multiply B = alpha op(A) B (or the
-  /// Right-side variants), overwriting b. When `health` is non-null the
-  /// plan additionally flags numerical hazards while the data is hot: a
-  /// solve detects zero/tiny/NaN diagonals inside the A-pack (before the
+  /// Right-side variants), overwriting b; the whole batch,
+  /// execute_range(0, groups). When `health` is non-null the plan
+  /// additionally flags numerical hazards while the data is hot: a solve
+  /// detects zero/tiny/NaN diagonals inside the A-pack (before the
   /// reciprocal destroys the evidence), and each group's output is
   /// scanned for NaN/Inf right after its steps, while it is still
-  /// L1-resident.
+  /// L1-resident. A non-null `deadline` is checked between L1 slices.
   void execute(const CompactBuffer<T>& a, CompactBuffer<T>& b, T alpha,
                HealthRecorder* health = nullptr,
-               const Deadline* deadline = nullptr) const;
+               const Deadline* deadline = nullptr) const {
+    execute_range(a, b, alpha, 0, b.groups(), health, deadline);
+  }
 
   /// Range variant, the multicore entry point: run only interleave
-  /// groups [g_begin, g_end) of the batch. Concurrent calls on the same
-  /// buffers (thread-pool work items) must cover disjoint ranges; they
-  /// flag disjoint lanes of `health`.
+  /// groups [g_begin, g_end) of the batch on the shared slice walk
+  /// (plan_base.hpp). Concurrent calls on the same buffers (thread-pool
+  /// work items) must cover disjoint ranges; they flag disjoint lanes of
+  /// `health`.
   void execute_range(const CompactBuffer<T>& a, CompactBuffer<T>& b,
                      T alpha, index_t g_begin, index_t g_end,
                      HealthRecorder* health = nullptr,
                      const Deadline* deadline = nullptr) const;
 
+  /// The one operand check of a triangular call, shared with the
+  /// engine's reference path: A (a_dim x a_dim) and B against `s` in
+  /// dimensions and batch. The plan also checks the interleave width.
+  static void check_operands(const TrsmShape& s, const CompactBuffer<T>& a,
+                             const CompactBuffer<T>& b);
+
   const TrsmShape& shape() const noexcept { return shape_; }
   const pack::TrsmCanon& canon() const noexcept { return canon_; }
   bool packs_b() const noexcept { return pack_b_; }
   bool small_path() const noexcept { return blocks_.size() <= 1; }
-  index_t slice_groups() const noexcept { return slice_groups_; }
-  index_t chunk_groups() const noexcept { return chunk_groups_; }
-  /// Whether the group walk prefetches the next group (group_stream.hpp).
-  bool streams_next_group() const noexcept { return stream_.active(); }
   std::span<const Tile> blocks() const noexcept { return blocks_; }
   std::span<const Tile> panels() const noexcept { return panels_; }
   std::span<const Step> steps() const noexcept { return steps_; }
 
-  /// The tuning this plan was built with (canary micro-plans must mirror
-  /// it so they exercise the same registry kernel set).
-  const PlanTuning& tuning() const noexcept { return tuning_; }
-
-  /// Distinct registry kernels the command queue calls (kinds 't'/'r' for
-  /// a solve, 'm'/'g' for a multiply).
-  std::span<const resilience::KernelUse> kernels_used() const noexcept {
-    return kernels_used_;
-  }
-
-  /// Cached verification verdict, set by the engine's kernel guard.
-  resilience::PlanVerify verify_state() const noexcept {
-    return static_cast<resilience::PlanVerify>(
-        verify_.load(std::memory_order_relaxed));
-  }
-  void set_verify_state(resilience::PlanVerify state) const noexcept {
-    verify_.store(static_cast<std::uint8_t>(state),
-                  std::memory_order_relaxed);
-  }
-
-  static constexpr index_t element_stride() {
-    return kernels::kreg<T, Bytes>::stride;
-  }
-  static constexpr index_t pack_width() {
-    return simd::pack_width_bytes_v<T, Bytes>;
-  }
-
 private:
-  void validate_buffers(const CompactBuffer<T>& a,
-                        const CompactBuffer<T>& b) const;
+  using Base::kernels_used_;
+  using Base::pa_group_size_;
+  using Base::pb_group_size_;
+  using Base::stream_;
+
   template <class Cursor>
   void run_steps(const R* packed_a, R* bdata, T alpha, Cursor& next) const;
-  void run_groups(const CompactBuffer<T>& a, CompactBuffer<T>& b,
-                  T alpha, index_t g_begin, index_t g_end,
-                  HealthRecorder* health, const Deadline* deadline) const;
-  /// run_groups with the next-group stream's cursor type: StreamCursor
-  /// when the plan streams, NoStream when it does not.
-  template <class Cursor>
-  void walk_groups(const CompactBuffer<T>& a, CompactBuffer<T>& b, T alpha,
-                   index_t g_begin, index_t g_end, HealthRecorder* health,
-                   const Deadline* deadline) const;
 
   TrsmShape shape_;
-  PlanTuning tuning_;
   pack::TrsmCanon canon_;
   std::vector<Tile> blocks_; ///< diagonal blocks over canon_.m
   std::vector<Tile> panels_; ///< column panels over canon_.n
   std::vector<Step> steps_;  ///< full command queue (all panels)
-  std::vector<resilience::KernelUse> kernels_used_;
-  mutable std::atomic<std::uint8_t> verify_{0};
   bool pack_b_ = false;
-  index_t pa_group_size_ = 0;
-  index_t pb_group_size_ = 0;
-  index_t slice_groups_ = 1;
-  index_t chunk_groups_ = 0; ///< >0 = groups per parallel chunk
-  GroupStream stream_;       ///< next-group prefetch schedule
 };
 
 } // namespace iatf::plan

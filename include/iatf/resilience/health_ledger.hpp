@@ -129,8 +129,4 @@ private:
   std::vector<LedgerRecord> records_;
 };
 
-/// CRC-32 (IEEE 802.3, reflected) over `text` -- the per-record checksum.
-/// Exposed for tests that hand-craft corrupt ledger lines.
-std::uint32_t ledger_crc32(const std::string& text) noexcept;
-
 } // namespace iatf::resilience

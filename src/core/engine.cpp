@@ -137,30 +137,13 @@ long long env_positive(const char* name) {
   return 0;
 }
 
-/// Map a plan type back to its scalar type and SIMD width so the
-/// type-erased cache can attach engine-wide kernel identities.
-template <class Plan> struct plan_traits;
-template <class T, int B> struct plan_traits<plan::GemmPlan<T, B>> {
-  using value_type = T;
-  static constexpr int bytes = B;
-};
-template <class T, int B> struct plan_traits<plan::TrsmPlan<T, B>> {
-  using value_type = T;
-  static constexpr int bytes = B;
-};
-template <class T, int B> struct plan_traits<factor::FactorPlan<T, B>> {
-  using value_type = T;
-  static constexpr int bytes = B;
-};
-
 template <class Plan>
 std::vector<resilience::KernelId> kernel_ids_of(const Plan& plan) {
-  using Traits = plan_traits<Plan>;
   std::vector<resilience::KernelId> ids;
   ids.reserve(plan.kernels_used().size());
   for (const resilience::KernelUse& use : plan.kernels_used()) {
     ids.push_back(resilience::KernelId{
-        use.kind, dtype_tag<typename Traits::value_type>(), Traits::bytes,
+        use.kind, dtype_tag<typename Plan::value_type>(), Plan::bytes,
         use.m, use.n});
   }
   return ids;
@@ -830,8 +813,6 @@ void Engine::admit_classes(std::span<detail::CallSegment<Traits>> segs) {
 
 template <class Traits>
 void Engine::plan_classes(std::span<detail::CallSegment<Traits>> segs) {
-  using T = typename Traits::value_type;
-  constexpr int Bytes = Traits::bytes;
   // One plan resolution per size class; single-flight collapses
   // concurrent cold misses on the same class to one build.
   for (std::size_t i = 0; i < segs.size(); ++i) {
@@ -841,7 +822,7 @@ void Engine::plan_classes(std::span<detail::CallSegment<Traits>> segs) {
     }
     lead.plan = Traits::plan_for(*this, lead.shape);
     if constexpr (Traits::gated) {
-      if (kernel_verification() && !ensure_verified<T, Bytes>(*lead.plan)) {
+      if (kernel_verification() && !ensure_verified(*lead.plan)) {
         // Quarantine is detected before execution, so the class's
         // written operands still hold the call's input.
         lead.route = DegradeEvent::QuarantinedKernel;
@@ -1156,8 +1137,7 @@ void Engine::release_call() noexcept {
   }
 }
 
-template <class T, int Bytes, class Plan>
-bool Engine::ensure_verified(const Plan& plan) {
+template <class Plan> bool Engine::ensure_verified(const Plan& plan) {
   switch (plan.verify_state()) {
   case resilience::PlanVerify::Verified:
     return true;
@@ -1172,7 +1152,7 @@ bool Engine::ensure_verified(const Plan& plan) {
   // costs a duplicate micro-canary, never an inconsistent verdict.
   bool ok = true;
   for (const resilience::KernelUse& use : plan.kernels_used()) {
-    if (!kernel_trusted<T, Bytes>(use)) {
+    if (!kernel_trusted<typename Plan::value_type, Plan::bytes>(use)) {
       ok = false;
     }
   }

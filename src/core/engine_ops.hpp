@@ -21,8 +21,9 @@
 //                          scan (factorisations only);
 //   execute /              the whole batch, or interleave groups
 //   execute_range          [g_begin, g_end) (thread-pool work items);
-//   check / validate       null check and the consistency check the
-//                          reference path needs;
+//   check / validate       null check, and the plan's operand check
+//                          (Plan::check_operands), which the reference
+//                          path needs as well;
 //   ref_lane               recompute one lane on the scalar reference;
 //                          false when the reference refuses the lane
 //                          (factorisations only), which keeps its
@@ -125,19 +126,7 @@ template <class T, int Bytes> struct GemmOp {
   /// the consistency the plan normally checks -- plan construction may
   /// have failed before any validation ran.
   static void validate(const Shape& s, const Segment& seg) {
-    const bool ta = s.op_a != Op::NoTrans;
-    const bool tb = s.op_b != Op::NoTrans;
-    const CompactBuffer<T>& a = *seg.a;
-    const CompactBuffer<T>& b = *seg.b;
-    IATF_CHECK(s.m >= 0 && s.n >= 0 && s.k >= 0 && s.batch >= 0,
-               "gemm: negative dimension");
-    IATF_CHECK(a.rows() == (ta ? s.k : s.m) && a.cols() == (ta ? s.m : s.k),
-               "gemm: operand A has mismatched dimensions");
-    IATF_CHECK(b.rows() == (tb ? s.n : s.k) && b.cols() == (tb ? s.k : s.n),
-               "gemm: operand B has mismatched dimensions");
-    IATF_CHECK(a.batch() == s.batch && b.batch() == s.batch &&
-                   seg.c->batch() == s.batch,
-               "gemm: operand batch sizes do not match");
+    Plan::check_operands(s, *seg.a, *seg.b, *seg.c);
   }
 
   /// Recompute one lane with the scalar reference GEMM. The lane's C must
@@ -235,13 +224,7 @@ template <class T, int Bytes> struct TrsmOp {
   }
 
   static void validate(const Shape& s, const Segment& seg) {
-    const char* op = s.op == TriOp::Solve ? "trsm" : "trmm";
-    IATF_CHECK(s.m >= 0 && s.n >= 0 && s.batch >= 0,
-               std::string(op) + ": negative dimension");
-    IATF_CHECK(seg.a->rows() == s.a_dim() && seg.a->cols() == s.a_dim(),
-               std::string(op) + ": A must be a_dim x a_dim");
-    IATF_CHECK(seg.a->batch() == s.batch && seg.b->batch() == s.batch,
-               std::string(op) + ": operand batch sizes do not match");
+    Plan::check_operands(s, *seg.a, *seg.b);
   }
 
   /// Recompute one lane with the scalar reference TRSM or TRMM. The
@@ -373,10 +356,7 @@ template <class T, int Bytes> struct FactorOp {
   }
 
   static void validate(const Shape& s, const Segment& seg) {
-    IATF_CHECK(s.m >= 0 && s.batch >= 0, "factor: negative dimension");
-    IATF_CHECK(seg.a->rows() == s.m && seg.a->cols() == s.m,
-               "factor: matrices must be square and match the call");
-    IATF_CHECK(seg.a->batch() == s.batch, "factor: batch does not match");
+    Plan::check_operands(s, *seg.a);
   }
 
   /// Recompute one lane with the scalar reference factorisation,

@@ -21,6 +21,7 @@
 #include "iatf/factor/factor_plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
 #include <limits>
@@ -293,9 +294,10 @@ index_t factor_steps(FactorOp op, index_t m, index_t nb) {
 template <class T, int Bytes>
 FactorPlan<T, Bytes>::FactorPlan(const FactorShape& shape,
                                  const CacheInfo& cache)
-    : shape_(shape) {
+    : Base("factor", plan::PlanTuning{}, shape.batch), shape_(shape) {
   IATF_CHECK(shape.m >= 0 && shape.batch >= 0,
              "FactorPlan: negative dimension");
+  this->idle_ = shape.m == 0 || shape.batch == 0;
   if (shape.op == FactorOp::Trtri) {
     nb_ = 0; // single register sweep, no panels
   } else {
@@ -320,27 +322,18 @@ FactorPlan<T, Bytes>::FactorPlan(const FactorShape& shape,
           0, m, elem_bytes,
           shape.op == FactorOp::Potrf || shape.uplo == Uplo::Lower, true);
     }
-    stream_ = plan::GroupStream(
+    this->stream_ = plan::GroupStream(
         segments,
         static_cast<std::size_t>(factor_steps(shape.op, shape.m, nb_)));
   }
 }
 
 template <class T, int Bytes>
-void FactorPlan<T, Bytes>::validate(const CompactBuffer<T>& a) const {
-  IATF_CHECK(a.rows() == shape_.m && a.cols() == shape_.m,
-             "factor: matrices must be square and match the plan");
-  IATF_CHECK(a.batch() == shape_.batch,
-             "factor: batch does not match the plan");
-  using K = kernels::kreg<T, Bytes>;
-  IATF_CHECK(a.pack_width() == K::pack, "factor: pack width mismatch");
-}
-
-template <class T, int Bytes>
-void FactorPlan<T, Bytes>::execute(CompactBuffer<T>& a, HealthRecorder* rec,
-                                   const Deadline* deadline) const {
-  validate(a);
-  run_groups(a, 0, a.groups(), rec, deadline);
+void FactorPlan<T, Bytes>::check_operands(const FactorShape& s,
+                                          const CompactBuffer<T>& a) {
+  IATF_CHECK(a.rows() == s.m && a.cols() == s.m,
+             "factor: matrices must be square and match the call");
+  IATF_CHECK(a.batch() == s.batch, "factor: batch does not match");
 }
 
 template <class T, int Bytes>
@@ -348,53 +341,31 @@ void FactorPlan<T, Bytes>::execute_range(CompactBuffer<T>& a,
                                          index_t g_begin, index_t g_end,
                                          HealthRecorder* rec,
                                          const Deadline* deadline) const {
-  validate(a);
-  IATF_CHECK(g_begin >= 0 && g_begin <= g_end && g_end <= a.groups(),
-             "factor: group range out of bounds");
-  run_groups(a, g_begin, g_end, rec, deadline);
-}
-
-template <class T, int Bytes>
-void FactorPlan<T, Bytes>::run_groups(CompactBuffer<T>& a, index_t g_begin,
-                                      index_t g_end, HealthRecorder* rec,
-                                      const Deadline* deadline) const {
-  if (stream_.active()) {
-    walk_groups<plan::StreamCursor>(a, g_begin, g_end, rec, deadline);
-  } else {
-    walk_groups<plan::NoStream>(a, g_begin, g_end, rec, deadline);
-  }
-}
-
-template <class T, int Bytes>
-template <class Cursor>
-void FactorPlan<T, Bytes>::walk_groups(CompactBuffer<T>& a, index_t g_begin,
-                                       index_t g_end, HealthRecorder* rec,
-                                       const Deadline* deadline) const {
-  const index_t pw = a.pack_width();
-  for (index_t g = g_begin; g < g_end; ++g) {
-    if (deadline != nullptr && deadline->expired()) {
-      throw TimeoutError(g - g_begin, g_end - g_begin);
-    }
-    real_t<T>* data = a.group_data(g);
-    const index_t lane_base = g * pw;
-    const index_t lanes =
-        lane_base + pw <= shape_.batch ? pw : shape_.batch - lane_base;
-    Cursor next(stream_, g + 1 < g_end, {a.group_data(g + 1)});
-    switch (shape_.op) {
-    case FactorOp::Potrf:
-      potrf_group<T, Bytes>(data, shape_.m, nb_, pw, lanes, lane_base, rec,
-                            next);
-      break;
-    case FactorOp::GetrfNp:
-      getrf_np_group<T, Bytes>(data, shape_.m, nb_, pw, lanes, lane_base,
-                               rec, next);
-      break;
-    case FactorOp::Trtri:
-      trtri_group<T, Bytes>(data, shape_.m, shape_.uplo, shape_.diag, pw,
-                            lanes, lane_base, rec, next);
-      break;
-    }
-  }
+  check_operands(shape_, a);
+  this->check_width({&a});
+  const index_t pw = Base::pack_width();
+  this->walk(
+      a.groups(), g_begin, g_end, deadline,
+      [&](index_t g) { return std::array<const void*, 1>{a.group_data(g)}; },
+      [](const auto&) {},
+      [&](const auto&, index_t g, auto& next) {
+        real_t<T>* data = a.group_data(g);
+        const index_t lanes = this->live_lanes(g);
+        switch (shape_.op) {
+        case FactorOp::Potrf:
+          potrf_group<T, Bytes>(data, shape_.m, nb_, pw, lanes, g * pw, rec,
+                                next);
+          break;
+        case FactorOp::GetrfNp:
+          getrf_np_group<T, Bytes>(data, shape_.m, nb_, pw, lanes, g * pw,
+                                   rec, next);
+          break;
+        case FactorOp::Trtri:
+          trtri_group<T, Bytes>(data, shape_.m, shape_.uplo, shape_.diag, pw,
+                                lanes, g * pw, rec, next);
+          break;
+        }
+      });
 }
 
 template <class T, int Bytes>

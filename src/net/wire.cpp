@@ -4,28 +4,12 @@
 #include "iatf/net/wire.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "iatf/common/error.hpp"
 
 namespace iatf::net {
 
 namespace {
-
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
 
 // Little-endian scalar writers/readers over raw bytes. memcpy keeps the
 // accesses alignment-safe; the host is little-endian (x86-64/AArch64),
@@ -108,15 +92,6 @@ bool is_fatal(WireError error) noexcept {
   default:
     return false;
   }
-}
-
-std::uint32_t crc32(const void* data, std::size_t size) noexcept {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = crc_table()[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
 }
 
 void append_frame(std::vector<std::uint8_t>& out, FrameType type,

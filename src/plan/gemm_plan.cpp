@@ -1,6 +1,7 @@
 #include "iatf/plan/gemm_plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <complex>
 
 #include "iatf/common/error.hpp"
@@ -11,12 +12,13 @@ namespace iatf::plan {
 template <class T, int Bytes>
 GemmPlan<T, Bytes>::GemmPlan(const GemmShape& shape, const CacheInfo& cache,
                              const PlanTuning& tuning)
-    : shape_(shape), tuning_(tuning) {
+    : Base("gemm", tuning, shape.batch), shape_(shape) {
   IATF_CHECK(shape.m >= 0 && shape.n >= 0 && shape.k >= 0 &&
                  shape.batch >= 0,
              "gemm: negative dimension");
+  this->idle_ = shape.m == 0 || shape.n == 0 || shape.batch == 0;
 
-  const index_t es = element_stride();
+  const index_t es = Base::element_stride();
 
   // Kernel-variant selection: the width's own CMAR-derived tile shape
   // first (an AVX2 backend with 16 ymm registers selects 3x2 where the
@@ -108,10 +110,7 @@ GemmPlan<T, Bytes>::GemmPlan(const GemmShape& shape, const CacheInfo& cache,
                                 shape.m * shape.n;
   const index_t group_bytes =
       group_scalars * es * static_cast<index_t>(sizeof(R));
-  slice_groups_ = tuning.slice_override > 0
-                      ? tuning.slice_override
-                      : BatchCounter(cache).groups_per_slice(group_bytes);
-  chunk_groups_ = tuning.chunk_groups > 0 ? tuning.chunk_groups : 0;
+  this->size_slice(cache, group_bytes);
 
   // Next-group stream over the command queue: A and B are read (a packed
   // operand at its source group, which the next pack reads), C is
@@ -123,7 +122,7 @@ GemmPlan<T, Bytes>::GemmPlan(const GemmShape& shape, const CacheInfo& cache,
   const std::size_t b_bytes = bytes(shape.k * shape.n);
   const std::size_t c_bytes = bytes(shape.m * shape.n);
   const auto groups = static_cast<std::size_t>(
-      (shape.batch + pack_width() - 1) / pack_width());
+      (shape.batch + Base::pack_width() - 1) / Base::pack_width());
   if (stream_next_group(std::max({a_bytes, b_bytes, c_bytes}),
                         groups * (a_bytes + b_bytes + c_bytes), cache)) {
     const GroupStream::Segment segments[] = {{0, 0, a_bytes, false},
@@ -134,40 +133,24 @@ GemmPlan<T, Bytes>::GemmPlan(const GemmShape& shape, const CacheInfo& cache,
 }
 
 template <class T, int Bytes>
-void GemmPlan<T, Bytes>::validate_buffers(const CompactBuffer<T>& a,
-                                          const CompactBuffer<T>& b,
-                                          const CompactBuffer<T>& c) const {
+void GemmPlan<T, Bytes>::check_operands(const GemmShape& s,
+                                        const CompactBuffer<T>& a,
+                                        const CompactBuffer<T>& b,
+                                        const CompactBuffer<T>& c) {
   const auto expect = [](const CompactBuffer<T>& buf, index_t rows,
                          index_t cols, const char* name) {
     IATF_CHECK(buf.rows() == rows && buf.cols() == cols,
                std::string("gemm: operand ") + name +
                    " has mismatched dimensions");
   };
-  const bool ta = shape_.op_a != Op::NoTrans;
-  const bool tb = shape_.op_b != Op::NoTrans;
-  expect(a, ta ? shape_.k : shape_.m, ta ? shape_.m : shape_.k, "A");
-  expect(b, tb ? shape_.n : shape_.k, tb ? shape_.k : shape_.n, "B");
-  expect(c, shape_.m, shape_.n, "C");
-  IATF_CHECK(a.batch() == shape_.batch && b.batch() == shape_.batch &&
-                 c.batch() == shape_.batch,
-             "gemm: operand batch sizes do not match the plan");
-  IATF_CHECK(a.pack_width() == pack_width() &&
-                 b.pack_width() == pack_width() &&
-                 c.pack_width() == pack_width(),
-             "gemm: operand pack width does not match the plan");
-}
-
-template <class T, int Bytes>
-void GemmPlan<T, Bytes>::execute(const CompactBuffer<T>& a,
-                                 const CompactBuffer<T>& b,
-                                 CompactBuffer<T>& c, T alpha, T beta,
-                                 HealthRecorder* health,
-                                 const Deadline* deadline) const {
-  validate_buffers(a, b, c);
-  if (shape_.m == 0 || shape_.n == 0 || shape_.batch == 0) {
-    return;
-  }
-  run_groups(a, b, c, alpha, beta, 0, c.groups(), health, deadline);
+  const bool ta = s.op_a != Op::NoTrans;
+  const bool tb = s.op_b != Op::NoTrans;
+  expect(a, ta ? s.k : s.m, ta ? s.m : s.k, "A");
+  expect(b, tb ? s.n : s.k, tb ? s.k : s.n, "B");
+  expect(c, s.m, s.n, "C");
+  IATF_CHECK(a.batch() == s.batch && b.batch() == s.batch &&
+                 c.batch() == s.batch,
+             "gemm: operand batch sizes do not match");
 }
 
 template <class T, int Bytes>
@@ -177,104 +160,56 @@ void GemmPlan<T, Bytes>::execute_range(const CompactBuffer<T>& a,
                                        index_t g_begin, index_t g_end,
                                        HealthRecorder* health,
                                        const Deadline* deadline) const {
-  validate_buffers(a, b, c);
-  IATF_CHECK(g_begin >= 0 && g_begin <= g_end && g_end <= c.groups(),
-             "gemm: group range out of bounds");
-  if (shape_.m == 0 || shape_.n == 0 || shape_.batch == 0 ||
-      g_begin == g_end) {
-    return;
-  }
-  run_groups(a, b, c, alpha, beta, g_begin, g_end, health, deadline);
-}
-
-template <class T, int Bytes>
-void GemmPlan<T, Bytes>::run_groups(const CompactBuffer<T>& a,
-                                    const CompactBuffer<T>& b,
-                                    CompactBuffer<T>& c, T alpha, T beta,
-                                    index_t g_begin, index_t g_end,
-                                    HealthRecorder* health,
-                                    const Deadline* deadline) const {
-  if (stream_.active()) {
-    walk_groups<StreamCursor>(a, b, c, alpha, beta, g_begin, g_end, health,
-                              deadline);
-  } else {
-    walk_groups<NoStream>(a, b, c, alpha, beta, g_begin, g_end, health,
-                          deadline);
-  }
-}
-
-template <class T, int Bytes>
-template <class Cursor>
-void GemmPlan<T, Bytes>::walk_groups(const CompactBuffer<T>& a,
-                                     const CompactBuffer<T>& b,
-                                     CompactBuffer<T>& c, T alpha, T beta,
-                                     index_t g_begin, index_t g_end,
-                                     HealthRecorder* health,
-                                     const Deadline* deadline) const {
-  const index_t es = element_stride();
-  const index_t pw = pack_width();
-
-  AlignedBuffer<R> wa(static_cast<std::size_t>(
-      pack_a_ ? slice_groups_ * pa_group_size_ : 0));
-  AlignedBuffer<R> wb(static_cast<std::size_t>(
-      pack_b_ ? slice_groups_ * pb_group_size_ : 0));
-
-  for (index_t g0 = g_begin; g0 < g_end; g0 += slice_groups_) {
-    if (deadline != nullptr && deadline->expired()) {
-      throw TimeoutError(g0 - g_begin, g_end - g_begin);
-    }
-    const index_t g1 =
-        g0 + slice_groups_ < g_end ? g0 + slice_groups_ : g_end;
-
-    if (pack_a_) {
-      for (index_t g = g0; g < g1; ++g) {
-        pack::pack_gemm_a<T>(a.group_data(g), a.rows(), es, shape_.op_a,
-                             m_tiles_, shape_.k,
-                             wa.data() + (g - g0) * pa_group_size_);
-      }
-    }
-    if (pack_b_) {
-      for (index_t g = g0; g < g1; ++g) {
-        pack::pack_gemm_b<T>(b.group_data(g), b.rows(), es, shape_.op_b,
-                             n_tiles_, shape_.k,
-                             wb.data() + (g - g0) * pb_group_size_);
-      }
-    }
-
-    for (index_t g = g0; g < g1; ++g) {
-      const R* ga =
-          pack_a_ ? wa.data() + (g - g0) * pa_group_size_ : a.group_data(g);
-      const R* gb =
-          pack_b_ ? wb.data() + (g - g0) * pb_group_size_ : b.group_data(g);
-      R* gc = c.group_data(g);
-      Cursor next(
-          stream_, g + 1 < g_end,
-          {a.group_data(g + 1), b.group_data(g + 1), c.group_data(g + 1)});
-      for (const Call& call : calls_) {
-        next.step();
-        kernels::GemmKernelArgs<T> args;
-        args.pa = ga + call.a_off;
-        args.pb = gb + call.b_off;
-        args.c = gc + call.c_off;
-        args.k = call.k;
-        args.a_kstride = call.a_kstride;
-        args.b_kstride = call.b_kstride;
-        args.b_jstride = call.b_jstride;
-        args.c_jstride = shape_.m * es;
-        args.alpha = alpha;
-        args.beta = beta;
-        call.fn(args);
-      }
-      if (health != nullptr) {
-        // Output scan while the group is still cache-resident.
-        const index_t remaining = shape_.batch - g * pw;
-        scan_nonfinite_group<R>(gc, shape_.m * shape_.n, pw,
-                                CompactBuffer<T>::planes,
-                                remaining < pw ? remaining : pw, g * pw,
-                                *health);
-      }
-    }
-  }
+  check_operands(shape_, a, b, c);
+  this->check_width({&a, &b, &c});
+  const index_t es = Base::element_stride();
+  const index_t pw = Base::pack_width();
+  this->walk(
+      c.groups(), g_begin, g_end, deadline,
+      [&](index_t g) {
+        return std::array<const void*, 3>{a.group_data(g), b.group_data(g),
+                                          c.group_data(g)};
+      },
+      [&](const auto& slice) {
+        if (pack_a_) {
+          for (index_t g = slice.g0; g < slice.g1; ++g) {
+            pack::pack_gemm_a<T>(a.group_data(g), a.rows(), es, shape_.op_a,
+                                 m_tiles_, shape_.k, slice.a(g));
+          }
+        }
+        if (pack_b_) {
+          for (index_t g = slice.g0; g < slice.g1; ++g) {
+            pack::pack_gemm_b<T>(b.group_data(g), b.rows(), es, shape_.op_b,
+                                 n_tiles_, shape_.k, slice.b(g));
+          }
+        }
+      },
+      [&](const auto& slice, index_t g, auto& next) {
+        const R* ga = pack_a_ ? slice.a(g) : a.group_data(g);
+        const R* gb = pack_b_ ? slice.b(g) : b.group_data(g);
+        R* gc = c.group_data(g);
+        for (const Call& call : calls_) {
+          next.step();
+          kernels::GemmKernelArgs<T> args;
+          args.pa = ga + call.a_off;
+          args.pb = gb + call.b_off;
+          args.c = gc + call.c_off;
+          args.k = call.k;
+          args.a_kstride = call.a_kstride;
+          args.b_kstride = call.b_kstride;
+          args.b_jstride = call.b_jstride;
+          args.c_jstride = shape_.m * es;
+          args.alpha = alpha;
+          args.beta = beta;
+          call.fn(args);
+        }
+        if (health != nullptr) {
+          // Output scan while the group is still cache-resident.
+          scan_nonfinite_group<R>(gc, shape_.m * shape_.n, pw,
+                                  CompactBuffer<T>::planes,
+                                  this->live_lanes(g), g * pw, *health);
+        }
+      });
 }
 
 template class GemmPlan<float, 16>;

@@ -1,6 +1,7 @@
 #include "iatf/plan/trsm_plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <complex>
 
 #include "iatf/common/error.hpp"
@@ -38,12 +39,14 @@ void scale_compact(real_t<T>* data, index_t elems, index_t es, T alpha) {
 template <class T, int Bytes>
 TrsmPlan<T, Bytes>::TrsmPlan(const TrsmShape& shape, const CacheInfo& cache,
                              const PlanTuning& tuning)
-    : shape_(shape), tuning_(tuning), canon_(pack::TrsmCanon::make(shape)) {
+    : Base(shape.op == TriOp::Solve ? "trsm" : "trmm", tuning, shape.batch),
+      shape_(shape), canon_(pack::TrsmCanon::make(shape)) {
   IATF_CHECK(shape.m >= 0 && shape.n >= 0 && shape.batch >= 0,
              "trsm: negative dimension");
+  this->idle_ = shape.m == 0 || shape.n == 0 || shape.batch == 0;
 
   using Limits = kernels::KernelLimits<T>;
-  const index_t es = element_stride();
+  const index_t es = Base::element_stride();
 
   // Diagonal-block decomposition: the whole triangle when it fits in
   // registers (the paper's M <= 5 case), else main-kernel-sized blocks.
@@ -153,10 +156,7 @@ TrsmPlan<T, Bytes>::TrsmPlan(const TrsmShape& shape, const CacheInfo& cache,
   const index_t group_bytes =
       (pa_group_size_ + canon_.m * canon_.n * es) *
       static_cast<index_t>(sizeof(R));
-  slice_groups_ = tuning.slice_override > 0
-                      ? tuning.slice_override
-                      : BatchCounter(cache).groups_per_slice(group_bytes);
-  chunk_groups_ = tuning.chunk_groups > 0 ? tuning.chunk_groups : 0;
+  this->size_slice(cache, group_bytes);
 
   // Next-group stream over the steps: the stored triangle of the source
   // A group, which the next pack reads, and B, which the solve
@@ -167,7 +167,7 @@ TrsmPlan<T, Bytes>::TrsmPlan(const TrsmShape& shape, const CacheInfo& cache,
   const std::size_t b_bytes =
       static_cast<std::size_t>(shape.m * shape.n) * elem_bytes;
   const auto groups = static_cast<std::size_t>(
-      (shape.batch + pack_width() - 1) / pack_width());
+      (shape.batch + Base::pack_width() - 1) / Base::pack_width());
   if (stream_next_group(std::max(a_bytes, b_bytes),
                         groups * (a_bytes + b_bytes), cache)) {
     std::vector<GroupStream::Segment> segments = triangle_segments(
@@ -178,25 +178,23 @@ TrsmPlan<T, Bytes>::TrsmPlan(const TrsmShape& shape, const CacheInfo& cache,
 }
 
 template <class T, int Bytes>
-void TrsmPlan<T, Bytes>::validate_buffers(const CompactBuffer<T>& a,
-                                          const CompactBuffer<T>& b) const {
-  const char* op = shape_.op == TriOp::Solve ? "trsm" : "trmm";
-  IATF_CHECK(a.rows() == shape_.a_dim() && a.cols() == shape_.a_dim(),
+void TrsmPlan<T, Bytes>::check_operands(const TrsmShape& s,
+                                        const CompactBuffer<T>& a,
+                                        const CompactBuffer<T>& b) {
+  const char* op = s.op == TriOp::Solve ? "trsm" : "trmm";
+  IATF_CHECK(a.rows() == s.a_dim() && a.cols() == s.a_dim(),
              std::string(op) + ": A must be a_dim x a_dim");
-  IATF_CHECK(b.rows() == shape_.m && b.cols() == shape_.n,
+  IATF_CHECK(b.rows() == s.m && b.cols() == s.n,
              std::string(op) + ": B has mismatched dimensions");
-  IATF_CHECK(a.batch() == shape_.batch && b.batch() == shape_.batch,
-             std::string(op) + ": operand batch sizes do not match the plan");
-  IATF_CHECK(a.pack_width() == pack_width() &&
-                 b.pack_width() == pack_width(),
-             std::string(op) + ": operand pack width does not match the plan");
+  IATF_CHECK(a.batch() == s.batch && b.batch() == s.batch,
+             std::string(op) + ": operand batch sizes do not match");
 }
 
 template <class T, int Bytes>
 template <class Cursor>
 void TrsmPlan<T, Bytes>::run_steps(const R* packed_a, R* bdata, T alpha,
                                    Cursor& next) const {
-  const index_t es = element_stride();
+  const index_t es = Base::element_stride();
   const index_t jstride = canon_.m * es;
   for (const Step& step : steps_) {
     next.step();
@@ -240,122 +238,64 @@ void TrsmPlan<T, Bytes>::run_steps(const R* packed_a, R* bdata, T alpha,
 }
 
 template <class T, int Bytes>
-void TrsmPlan<T, Bytes>::execute(const CompactBuffer<T>& a,
-                                 CompactBuffer<T>& b, T alpha,
-                                 HealthRecorder* health,
-                                 const Deadline* deadline) const {
-  validate_buffers(a, b);
-  if (shape_.m == 0 || shape_.n == 0 || shape_.batch == 0) {
-    return;
-  }
-  run_groups(a, b, alpha, 0, b.groups(), health, deadline);
-}
-
-template <class T, int Bytes>
 void TrsmPlan<T, Bytes>::execute_range(const CompactBuffer<T>& a,
                                        CompactBuffer<T>& b, T alpha,
                                        index_t g_begin, index_t g_end,
                                        HealthRecorder* health,
                                        const Deadline* deadline) const {
-  validate_buffers(a, b);
-  IATF_CHECK(g_begin >= 0 && g_begin <= g_end && g_end <= b.groups(),
-             "trsm: group range out of bounds");
-  if (shape_.m == 0 || shape_.n == 0 || shape_.batch == 0 ||
-      g_begin == g_end) {
-    return;
-  }
-  run_groups(a, b, alpha, g_begin, g_end, health, deadline);
-}
-
-template <class T, int Bytes>
-void TrsmPlan<T, Bytes>::run_groups(const CompactBuffer<T>& a,
-                                    CompactBuffer<T>& b, T alpha,
-                                    index_t g_begin, index_t g_end,
-                                    HealthRecorder* health,
-                                    const Deadline* deadline) const {
-  if (stream_.active()) {
-    walk_groups<StreamCursor>(a, b, alpha, g_begin, g_end, health,
-                              deadline);
-  } else {
-    walk_groups<NoStream>(a, b, alpha, g_begin, g_end, health, deadline);
-  }
-}
-
-template <class T, int Bytes>
-template <class Cursor>
-void TrsmPlan<T, Bytes>::walk_groups(const CompactBuffer<T>& a,
-                                     CompactBuffer<T>& b, T alpha,
-                                     index_t g_begin, index_t g_end,
-                                     HealthRecorder* health,
-                                     const Deadline* deadline) const {
-  const index_t es = element_stride();
-  const index_t pw = pack_width();
+  check_operands(shape_, a, b);
+  this->check_width({&a, &b});
+  const index_t es = Base::element_stride();
+  const index_t pw = Base::pack_width();
   // A solve packs reciprocal diagonals (scanning them first) and scales
   // B by alpha up front; a multiply packs the plain triangle and hands
   // alpha to its kernels.
   const bool solve = shape_.op == TriOp::Solve;
   const T b_scale = solve ? alpha : T(1);
-
-  AlignedBuffer<R> wa(static_cast<std::size_t>(slice_groups_ *
-                                               pa_group_size_));
-  AlignedBuffer<R> wb(static_cast<std::size_t>(
-      pack_b_ ? slice_groups_ * pb_group_size_ : 0));
-
-  // Live (non-padding) lane count of group g.
-  const auto live_lanes = [&](index_t g) {
-    const index_t remaining = shape_.batch - g * pw;
-    return remaining < pw ? remaining : pw;
-  };
-
-  for (index_t g0 = g_begin; g0 < g_end; g0 += slice_groups_) {
-    if (deadline != nullptr && deadline->expired()) {
-      throw TimeoutError(g0 - g_begin, g_end - g_begin);
-    }
-    const index_t g1 =
-        g0 + slice_groups_ < g_end ? g0 + slice_groups_ : g_end;
-
-    for (index_t g = g0; g < g1; ++g) {
-      std::uint64_t singular = 0;
-      pack::pack_trsm_a<T>(a.group_data(g), es, canon_, shape_.diag,
-                           blocks_, wa.data() + (g - g0) * pa_group_size_,
-                           solve,
-                           health != nullptr && solve ? &singular : nullptr);
-      if (health != nullptr && singular != 0) {
-        const index_t lanes = live_lanes(g);
-        for (index_t lane = 0; lane < lanes; ++lane) {
-          if ((singular >> lane) & 1u) {
-            health->note_singular(g * pw + lane);
+  this->walk(
+      b.groups(), g_begin, g_end, deadline,
+      [&](index_t g) {
+        return std::array<const void*, 2>{a.group_data(g), b.group_data(g)};
+      },
+      [&](const auto& slice) {
+        for (index_t g = slice.g0; g < slice.g1; ++g) {
+          std::uint64_t singular = 0;
+          pack::pack_trsm_a<T>(
+              a.group_data(g), es, canon_, shape_.diag, blocks_, slice.a(g),
+              solve, health != nullptr && solve ? &singular : nullptr);
+          if (health != nullptr && singular != 0) {
+            const index_t lanes = this->live_lanes(g);
+            for (index_t lane = 0; lane < lanes; ++lane) {
+              if ((singular >> lane) & 1u) {
+                health->note_singular(g * pw + lane);
+              }
+            }
           }
         }
-      }
-    }
-
-    for (index_t g = g0; g < g1; ++g) {
-      const R* ga = wa.data() + (g - g0) * pa_group_size_;
-      Cursor next(stream_, g + 1 < g_end,
-                  {a.group_data(g + 1), b.group_data(g + 1)});
-      if (pack_b_) {
-        R* gb = wb.data() + (g - g0) * pb_group_size_;
-        pack::pack_trsm_b<T>(b.group_data(g), shape_.m, canon_, es,
-                             b_scale, gb);
-        run_steps(ga, gb, alpha, next);
-        pack::unpack_trsm_b<T>(gb, shape_.m, canon_, es,
-                               b.group_data(g));
-      } else {
-        R* gb = b.group_data(g);
-        if (!(b_scale == T(1))) {
-          scale_compact<T>(gb, shape_.m * shape_.n, es, b_scale);
+      },
+      [&](const auto& slice, index_t g, auto& next) {
+        const R* ga = slice.a(g);
+        if (pack_b_) {
+          R* gb = slice.b(g);
+          pack::pack_trsm_b<T>(b.group_data(g), shape_.m, canon_, es,
+                               b_scale, gb);
+          run_steps(ga, gb, alpha, next);
+          pack::unpack_trsm_b<T>(gb, shape_.m, canon_, es,
+                                 b.group_data(g));
+        } else {
+          R* gb = b.group_data(g);
+          if (!(b_scale == T(1))) {
+            scale_compact<T>(gb, shape_.m * shape_.n, es, b_scale);
+          }
+          run_steps(ga, gb, alpha, next);
         }
-        run_steps(ga, gb, alpha, next);
-      }
-      if (health != nullptr) {
-        // Output scan while the group is still cache-resident.
-        scan_nonfinite_group<R>(b.group_data(g), shape_.m * shape_.n, pw,
-                                CompactBuffer<T>::planes, live_lanes(g),
-                                g * pw, *health);
-      }
-    }
-  }
+        if (health != nullptr) {
+          // Output scan while the group is still cache-resident.
+          scan_nonfinite_group<R>(b.group_data(g), shape_.m * shape_.n, pw,
+                                  CompactBuffer<T>::planes,
+                                  this->live_lanes(g), g * pw, *health);
+        }
+      });
 }
 
 template class TrsmPlan<float, 16>;

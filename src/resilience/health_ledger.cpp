@@ -1,78 +1,18 @@
 #include "iatf/resilience/health_ledger.hpp"
 
-#include <array>
-#include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "iatf/common/cache_info.hpp"
+#include "iatf/common/crc32.hpp"
 #include "iatf/common/fault_inject.hpp"
 #include "iatf/tune/descriptor.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-#define IATF_HAVE_FLOCK 1
-#endif
+#include "../common/table_file.hpp"
 
 namespace iatf::resilience {
 namespace {
-
-#if defined(IATF_HAVE_FLOCK)
-/// Advisory cross-process lock on `<path>.lock`, same discipline as the
-/// TuningTable's: appenders and compactors from different processes
-/// serialise so a reader never interleaves two writers' lines. The lock
-/// file is left in place -- deleting it would race a third process
-/// opening it.
-class FileLock {
-public:
-  explicit FileLock(const std::string& path)
-      : fd_(::open((path + ".lock").c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
-                   0644)) {
-    if (fd_ >= 0) {
-      while (::flock(fd_, LOCK_EX) != 0) {
-        if (errno != EINTR) {
-          break; // degrade to unlocked: atomic rename still protects readers
-        }
-      }
-    }
-  }
-  ~FileLock() {
-    if (fd_ >= 0) {
-      ::flock(fd_, LOCK_UN);
-      ::close(fd_);
-    }
-  }
-  FileLock(const FileLock&) = delete;
-  FileLock& operator=(const FileLock&) = delete;
-
-private:
-  int fd_ = -1;
-};
-#else
-class FileLock {
-public:
-  explicit FileLock(const std::string&) {}
-};
-#endif
-
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
 
 char kind_tag(LedgerRecord::Kind kind) noexcept {
   switch (kind) {
@@ -114,7 +54,7 @@ std::string payload_of(const LedgerRecord& rec) {
 std::string format_line(const LedgerRecord& rec) {
   const std::string payload = payload_of(rec);
   std::ostringstream out;
-  out << "rec " << std::hex << ledger_crc32(payload) << std::dec << ' '
+  out << "rec " << std::hex << crc32(payload) << std::dec << ' '
       << payload << '\n';
   return out.str();
 }
@@ -135,7 +75,7 @@ bool parse_record(const std::string& line, LedgerRecord& rec) {
   if (!payload.empty() && payload.front() == ' ') {
     payload.erase(payload.begin());
   }
-  if (ledger_crc32(payload) != crc) {
+  if (crc32(payload) != crc) {
     return false;
   }
   std::istringstream body(payload);
@@ -175,15 +115,6 @@ bool parse_record(const std::string& line, LedgerRecord& rec) {
 }
 
 } // namespace
-
-std::uint32_t ledger_crc32(const std::string& text) noexcept {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : text) {
-    crc = crc_table()[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^
-          (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 const char* to_string(LedgerLoad result) noexcept {
   switch (result) {
@@ -225,8 +156,7 @@ void HealthLedger::append(const LedgerRecord& record) {
       return;
     }
     if (fresh) {
-      out << "iatf-health " << kFormatVersion << "\n";
-      out << "hw " << hardware_ << "\n";
+      write_table_header(out, "iatf-health", kFormatVersion, hardware_);
     }
     out << format_line(record);
     out.flush();
@@ -252,31 +182,13 @@ LedgerLoad HealthLedger::load() {
     if (!in) {
       return LedgerLoad::Missing;
     }
-    std::string header;
-    if (!std::getline(in, header)) {
+    switch (read_table_header(in, "iatf-health", kFormatVersion,
+                              hardware_)) {
+    case TableHeader::Ok:
+      break;
+    case TableHeader::Corrupt:
       return LedgerLoad::Corrupt;
-    }
-    {
-      std::istringstream head(header);
-      std::string magic;
-      int version = 0;
-      if (!(head >> magic >> version) || magic != "iatf-health" ||
-          version != kFormatVersion) {
-        return LedgerLoad::Corrupt;
-      }
-    }
-    std::string hw_line;
-    if (!std::getline(in, hw_line)) {
-      return LedgerLoad::Corrupt;
-    }
-    std::string tag, hw;
-    {
-      std::istringstream head(hw_line);
-      if (!(head >> tag >> hw) || tag != "hw") {
-        return LedgerLoad::Corrupt;
-      }
-    }
-    if (hw != hardware_) {
+    case TableHeader::OtherHardware:
       return LedgerLoad::HardwareMismatch;
     }
     std::string line;
@@ -316,29 +228,12 @@ bool HealthLedger::save_locked() const {
   } catch (...) {
     return false;
   }
-  FileLock lock(path_);
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << "iatf-health " << kFormatVersion << "\n";
-    out << "hw " << hardware_ << "\n";
-    for (const LedgerRecord& rec : records_) {
-      out << format_line(rec);
-    }
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return save_table(path_, "iatf-health", kFormatVersion, hardware_,
+                    [&](std::ostream& out) {
+                      for (const LedgerRecord& rec : records_) {
+                        out << format_line(rec);
+                      }
+                    });
 }
 
 std::vector<LedgerRecord> HealthLedger::records() const {

@@ -3,6 +3,7 @@
 // contract ("verify never resurrects" across restarts, breaker slots
 // restart toward a HalfOpen probe), and the deterministic retry-jitter
 // regression.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -107,6 +108,49 @@ TEST_F(HealthLedgerTest, DisabledLedgerIsInert) {
   EXPECT_EQ(ledger.records().size(), 1u);
   EXPECT_FALSE(ledger.save());
   EXPECT_EQ(ledger.load(), LedgerLoad::Missing);
+}
+
+// --- Format stability -----------------------------------------------------
+
+// parent-ledger.hl is a journal an earlier build appended: every record
+// kind, a zero-initialised KernelId and the largest slot. It must still
+// load clean with its records intact, and a compaction must rewrite it
+// byte for byte, so the journal format cannot drift unnoticed.
+TEST_F(HealthLedgerTest, CommittedJournalLoadsAndResavesByteIdentically) {
+  const std::string text =
+      slurp(std::string(IATF_TEST_LEDGER_DIR) + "/parent-ledger.hl");
+  ASSERT_FALSE(text.empty());
+  // Load a copy: loading takes the file's lock, which would leave a
+  // lock file next to the committed fixture.
+  const std::string path = temp_path("iatf_ledger_fixture.hl");
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << text;
+  }
+  HealthLedger ledger(path, "fixture-hw");
+  ASSERT_EQ(ledger.load(), LedgerLoad::Ok);
+  LedgerRecord zero_kernel;
+  zero_kernel.kind = LedgerRecord::Kind::KernelQuarantine;
+  LedgerRecord degrade;
+  degrade.events = 5;
+  const std::vector<LedgerRecord> want = {
+      quarantine_record('d', 4, 4),
+      [] {
+        LedgerRecord rec;
+        rec.kind = LedgerRecord::Kind::KernelQuarantine;
+        rec.kernel = KernelId{'t', 'c', 64, 3, 2};
+        return rec;
+      }(),
+      zero_kernel,
+      slot_record(LedgerRecord::Kind::BreakerTrip, 13),
+      slot_record(LedgerRecord::Kind::BreakerTrip, UINT64_MAX),
+      degrade,
+      slot_record(LedgerRecord::Kind::WatchdogReclaim, 42),
+  };
+  EXPECT_EQ(ledger.records(), want);
+  ASSERT_TRUE(ledger.save());
+  EXPECT_EQ(slurp(path), text);
+  std::remove(path.c_str());
 }
 
 // --- Corruption handling --------------------------------------------------

@@ -48,7 +48,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <future>
 #include <limits>
 #include <map>
@@ -69,7 +68,7 @@
 #include "iatf/sched/group_scheduler.hpp"
 #include "iatf/serve/server.hpp"
 #include "iatf/simd/vec.hpp"
-#include "iatf/tune/descriptor.hpp"
+#include "iatf/tune/bench_json.hpp"
 #include "iatf/version.hpp"
 
 namespace {
@@ -290,13 +289,6 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
-/// One row of the report; mirrored into --json.
-struct Row {
-  std::string series;
-  double value = 0.0;
-  std::string unit;
-};
-
 double percentile(std::vector<double>& sorted, double p) {
   if (sorted.empty()) {
     return 0.0;
@@ -308,45 +300,23 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
+/// Print one report row and keep it for --json.
+void report_row(std::vector<tune::BenchRow>& rows, index_t n,
+                const std::string& series, double value,
+                const std::string& unit) {
+  rows.push_back({"serve_loadgen", "d", "NN", n, series, value, unit, 1});
+  std::printf("serve_loadgen,d,NN,%lld,%s,%.4f,%s\n",
+              static_cast<long long>(n), series.c_str(), value,
+              unit.c_str());
 }
 
-void write_json(const std::string& path, const std::vector<Row>& rows,
-                index_t n) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
+/// Mirror the report rows into --json.
+void write_json(const std::string& path,
+                const std::vector<tune::BenchRow>& rows) {
+  if (!tune::write_bench_json(path, CacheInfo::detect(), rows)) {
     std::fprintf(stderr, "iatf_loadgen: could not write '%s'\n",
                  path.c_str());
-    return;
   }
-  const CacheInfo cache = CacheInfo::detect();
-  out << "{\n  \"format\": \"iatf-bench-v1\",\n  \"hardware\": {\n"
-      << "    \"signature\": \""
-      << json_escape(tune::hardware_signature(cache)) << "\",\n"
-      << "    \"l1d\": " << cache.l1d << ",\n"
-      << "    \"l2\": " << cache.l2 << "\n  },\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"experiment\": \"serve_loadgen\", \"dtype\": "
-                  "\"d\", \"mode\": \"NN\", \"n\": %lld, \"series\": "
-                  "\"%s\", \"value\": %.4f, \"unit\": \"%s\", "
-                  "\"reps\": 1}%s\n",
-                  static_cast<long long>(n),
-                  json_escape(rows[i].series).c_str(), rows[i].value,
-                  json_escape(rows[i].unit).c_str(),
-                  i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
 }
 
 int run(const Options& opt) {
@@ -588,13 +558,10 @@ int run(const Options& opt) {
   }
   std::sort(sorted.begin(), sorted.end());
 
-  std::vector<Row> rows;
+  std::vector<tune::BenchRow> rows;
   auto row = [&](const std::string& series, double value,
                  const std::string& unit) {
-    rows.push_back({series, value, unit});
-    std::printf("serve_loadgen,d,NN,%lld,%s,%.4f,%s\n",
-                static_cast<long long>(opt.n), series.c_str(), value,
-                unit.c_str());
+    report_row(rows, opt.n, series, value, unit);
   };
 
   row("throughput", server_rps, "req/s");
@@ -701,7 +668,7 @@ int run(const Options& opt) {
   }
 
   if (!opt.json.empty()) {
-    write_json(opt.json, rows, opt.n);
+    write_json(opt.json, rows);
   }
 
   if (opt.smoke) {
@@ -987,13 +954,10 @@ int replay_socket(const Options& opt,
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - start).count();
 
-  std::vector<Row> rows;
+  std::vector<tune::BenchRow> rows;
   auto row = [&](const std::string& series, double value,
                  const std::string& unit) {
-    rows.push_back({series, value, unit});
-    std::printf("serve_loadgen,d,NN,%lld,%s,%.4f,%s\n",
-                static_cast<long long>(events.front().n), series.c_str(),
-                value, unit.c_str());
+    report_row(rows, events.front().n, series, value, unit);
   };
   row("net_replay_events", static_cast<double>(events.size()), "req");
   row("net_throughput",
@@ -1003,7 +967,7 @@ int replay_socket(const Options& opt,
   row("net_refused", static_cast<double>(refused), "req");
   row("net_unresolved", static_cast<double>(outstanding), "req");
   if (!opt.json.empty()) {
-    write_json(opt.json, rows, events.front().n);
+    write_json(opt.json, rows);
   }
   if (outstanding > 0) {
     std::fprintf(stderr,
@@ -1145,13 +1109,10 @@ int replay_inprocess(const Options& opt,
       std::chrono::duration<double>(Clock::now() - start).count();
   const serve::ServerStats stats = server.stats();
 
-  std::vector<Row> rows;
+  std::vector<tune::BenchRow> rows;
   auto row = [&](const std::string& series, double value,
                  const std::string& unit) {
-    rows.push_back({series, value, unit});
-    std::printf("serve_loadgen,d,NN,%lld,%s,%.4f,%s\n",
-                static_cast<long long>(events.front().n), series.c_str(),
-                value, unit.c_str());
+    report_row(rows, events.front().n, series, value, unit);
   };
   std::sort(latencies_ms.begin(), latencies_ms.end());
   row("replay_events", static_cast<double>(events.size()), "req");
@@ -1166,7 +1127,7 @@ int replay_inprocess(const Options& opt,
   row("replay_dispatch_calls", static_cast<double>(stats.dispatch_calls),
       "calls");
   if (!opt.json.empty()) {
-    write_json(opt.json, rows, events.front().n);
+    write_json(opt.json, rows);
   }
   if (unresolved > 0) {
     std::fprintf(stderr, "REPLAY FAIL: %llu submissions unresolved\n",

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "iatf/common/cache_info.hpp"
 #include "iatf/common/error.hpp"
 #include "iatf/parallel/thread_pool.hpp"
+#include "iatf/tune/bench_json.hpp"
 #include "iatf/tune/descriptor.hpp"
 #include "iatf/tune/search.hpp"
 #include "iatf/tune/tuning_table.hpp"
@@ -160,57 +160,6 @@ iatf::Op parse_op(char c) {
   }
 }
 
-struct JsonRow {
-  std::string experiment, dtype, mode, series, unit = "gflops";
-  index_t n = 0;
-  double value = 0.0;
-  int reps = 0;
-};
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
-/// Same schema as the bench harness --json output ("iatf-bench-v1"), so
-/// tuner sweeps and bench sweeps plot through one path.
-bool write_json(const std::string& path, const iatf::CacheInfo& cache,
-                const std::vector<JsonRow>& rows) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << "{\n  \"format\": \"iatf-bench-v1\",\n  \"hardware\": {\n"
-      << "    \"signature\": \""
-      << json_escape(iatf::tune::hardware_signature(cache)) << "\",\n"
-      << "    \"l1d\": " << cache.l1d << ",\n"
-      << "    \"l2\": " << cache.l2 << "\n  },\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const JsonRow& r = rows[i];
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"experiment\": \"%s\", \"dtype\": \"%s\", "
-                  "\"mode\": \"%s\", \"n\": %lld, \"series\": \"%s\", "
-                  "\"value\": %.4f, \"unit\": \"%s\", \"reps\": %d}%s\n",
-                  json_escape(r.experiment).c_str(),
-                  json_escape(r.dtype).c_str(),
-                  json_escape(r.mode).c_str(),
-                  static_cast<long long>(r.n),
-                  json_escape(r.series).c_str(), r.value,
-                  json_escape(r.unit).c_str(), r.reps,
-                  i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
-  return static_cast<bool>(out.flush());
-}
-
 void report(const char* kind, char dtype, const std::string& mode,
             index_t n, const iatf::tune::TuneRecord& rec) {
   std::printf("%s %c %s n=%lld: %.3f GF (baseline %.3f GF) pack=%d/%d "
@@ -222,11 +171,11 @@ void report(const char* kind, char dtype, const std::string& mode,
   std::fflush(stdout);
 }
 
-void add_rows(std::vector<JsonRow>& rows, const char* kind, char dtype,
+void add_rows(std::vector<iatf::tune::BenchRow>& rows, const char* kind, char dtype,
               const std::string& mode, index_t n, int reps,
               const iatf::tune::TuneRecord& rec) {
   for (const char* series : {"tuned", "baseline"}) {
-    JsonRow row;
+    iatf::tune::BenchRow row;
     row.experiment = std::string("tune_") + kind;
     row.dtype = std::string(1, dtype);
     row.mode = mode;
@@ -255,7 +204,7 @@ int main(int argc, char** argv) {
   }
 
   iatf::tune::TuningTable table;
-  std::vector<JsonRow> rows;
+  std::vector<iatf::tune::BenchRow> rows;
   const bool do_gemm = cli.op == "gemm" || cli.op == "all";
   const bool do_trsm = cli.op == "trsm" || cli.op == "all";
 
@@ -309,7 +258,7 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %zu records to %s (hw %s)\n", table.size(),
               cli.out.c_str(), table.hardware().c_str());
-  if (!cli.json.empty() && !write_json(cli.json, cache, rows)) {
+  if (!cli.json.empty() && !iatf::tune::write_bench_json(cli.json, cache, rows)) {
     std::fprintf(stderr, "iatf_tune: could not write '%s'\n",
                  cli.json.c_str());
     return 1;
