@@ -10,7 +10,6 @@
 // instantiated kernel class are refused with Status::Unsupported.
 #pragma once
 
-#include "iatf/common/error.hpp"
 #include "iatf/core/engine.hpp"
 #include "iatf/core/width_dispatch.hpp"
 #include "iatf/layout/compact.hpp"
@@ -60,8 +59,6 @@ BatchHealth compact_trmm(Side side, Uplo uplo, Op op_a, Diag diag, T alpha,
 template <class T>
 BatchHealth compact_getrs_np(const CompactBuffer<T>& lu,
                              CompactBuffer<T>& b) {
-  IATF_CHECK(lu.rows() == lu.cols(), "getrs_np: LU must be square");
-  IATF_CHECK(lu.rows() == b.rows(), "getrs_np: dimension mismatch");
   BatchHealth health = compact_trsm<T>(Side::Left, Uplo::Lower, Op::NoTrans,
                                        Diag::Unit, T(1), lu, b);
   const index_t lanes = health.batch;
@@ -74,15 +71,12 @@ BatchHealth compact_getrs_np(const CompactBuffer<T>& lu,
 /// Grouped GEMM over variable-size segments (one descriptor each); the
 /// size-class scheduler shares one execution plan per distinct
 /// descriptor. Returns one BatchHealth per segment, in call order.
-/// All segments of one call must share a pack width (the width keys the
-/// kernel class); the class is chosen from the first segment's output.
+/// All segments of one call must share a pack width: sched::width_of
+/// picks the kernel class, and the engine refuses any other width.
 template <class T>
 std::vector<BatchHealth>
 compact_gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
-  const index_t pw = (!segments.empty() && segments.front().c != nullptr)
-                         ? segments.front().c->pack_width()
-                         : simd::pack_width_v<T>;
-  return dispatch_width<T>(pw, [&](auto bytes) {
+  return dispatch_bytes<T>(sched::width_of(segments), [&](auto bytes) {
     return Engine::default_engine().gemm_grouped<T, decltype(bytes)::value>(
         segments);
   });
@@ -92,10 +86,7 @@ compact_gemm_grouped(std::span<const sched::GemmSegment<T>> segments) {
 template <class T>
 std::vector<BatchHealth>
 compact_trsm_grouped(std::span<const sched::TrsmSegment<T>> segments) {
-  const index_t pw = (!segments.empty() && segments.front().b != nullptr)
-                         ? segments.front().b->pack_width()
-                         : simd::pack_width_v<T>;
-  return dispatch_width<T>(pw, [&](auto bytes) {
+  return dispatch_bytes<T>(sched::width_of(segments), [&](auto bytes) {
     return Engine::default_engine().trsm_grouped<T, decltype(bytes)::value>(
         segments);
   });

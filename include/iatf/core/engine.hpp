@@ -169,7 +169,9 @@ public:
 
   /// C = alpha * op_a(A) * op_b(B) + beta * C for every matrix in the
   /// batch. Shapes are inferred from the buffers and the ops. The returned
-  /// report is empty (batch only) under ExecPolicy::Fast. The call runs
+  /// report is empty (batch only) under ExecPolicy::Fast. Operands that
+  /// disagree in dimensions, batch or width (`Bytes`) throw InvalidArg
+  /// before admission, whatever route the call would take. The call runs
   /// as a one-segment grouped call: admission, breaker, plan, verify,
   /// execute (split into work items on an attached pool like one
   /// gemm_grouped segment), transient retry, lane repair and reference

@@ -18,14 +18,11 @@
 namespace iatf {
 
 /// Invoke `f` with std::integral_constant<int, Bytes> for the kernel
-/// class whose register width matches `pack_width` lanes of
-/// real_t<T>. Widths outside the instantiated set {16, 32, 64} throw
-/// Status::Unsupported -- a diagnosable refusal, never a SIGILL or a
-/// silently wrong kernel.
+/// class of register width `bytes`. Widths outside the instantiated set
+/// {16, 32, 64} throw Status::Unsupported -- a diagnosable refusal, never
+/// a SIGILL or a silently wrong kernel.
 template <class T, class F>
-decltype(auto) dispatch_width(index_t pack_width, F&& f) {
-  const index_t bytes =
-      pack_width * static_cast<index_t>(sizeof(real_t<T>));
+decltype(auto) dispatch_bytes(index_t bytes, F&& f) {
   switch (bytes) {
   case 16:
     return std::forward<F>(f)(std::integral_constant<int, 16>{});
@@ -35,10 +32,20 @@ decltype(auto) dispatch_width(index_t pack_width, F&& f) {
     return std::forward<F>(f)(std::integral_constant<int, 64>{});
   default:
     throw Error("iatf: no kernel class for pack width " +
-                    std::to_string(pack_width) + " (register width " +
-                    std::to_string(bytes) + " bytes)",
+                    std::to_string(bytes / static_cast<index_t>(
+                                                sizeof(real_t<T>))) +
+                    " (register width " + std::to_string(bytes) + " bytes)",
                 Status::Unsupported);
   }
+}
+
+/// dispatch_bytes for the kernel class whose register width matches
+/// `pack_width` lanes of real_t<T>.
+template <class T, class F>
+decltype(auto) dispatch_width(index_t pack_width, F&& f) {
+  return dispatch_bytes<T>(
+      pack_width * static_cast<index_t>(sizeof(real_t<T>)),
+      std::forward<F>(f));
 }
 
 } // namespace iatf

@@ -91,9 +91,9 @@ public:
   void execute_range(CompactBuffer<T>& a, index_t g_begin, index_t g_end,
                      HealthRecorder* rec, const Deadline* deadline) const;
 
-  /// The one operand check of a factorisation, shared with the engine's
-  /// reference path: `a` square of order s.m with batch s.batch. The
-  /// plan also checks the interleave width.
+  /// The whole operand contract of a factorisation, which the engine
+  /// checks once before it picks a route: `a` square of order s.m with
+  /// batch s.batch, interleaved at the plan's width.
   static void check_operands(const FactorShape& s,
                              const CompactBuffer<T>& a);
 

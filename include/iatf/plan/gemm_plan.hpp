@@ -74,9 +74,9 @@ public:
                      index_t g_end, HealthRecorder* health = nullptr,
                      const Deadline* deadline = nullptr) const;
 
-  /// The one operand check of a GEMM call, shared with the engine's
-  /// reference path: A, B and C against `s` in dimensions and batch.
-  /// The plan also checks the interleave width.
+  /// The whole operand contract of a GEMM call, which the engine checks
+  /// once before it picks a route: A, B and C against `s` in dimensions
+  /// and batch, each interleaved at the plan's width.
   static void check_operands(const GemmShape& s, const CompactBuffer<T>& a,
                              const CompactBuffer<T>& b,
                              const CompactBuffer<T>& c);

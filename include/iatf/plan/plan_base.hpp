@@ -26,7 +26,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <string>
 #include <tuple>
@@ -119,16 +118,6 @@ protected:
   index_t live_lanes(index_t g) const noexcept {
     const index_t remaining = batch_ - g * pack_width();
     return remaining < pack_width() ? remaining : pack_width();
-  }
-
-  /// Every operand is interleaved at the plan's width.
-  void check_width(
-      std::initializer_list<const CompactBuffer<T>*> operands) const {
-    for (const CompactBuffer<T>* op : operands) {
-      IATF_CHECK(op->pack_width() == pack_width(),
-                 std::string(name_) +
-                     ": operand pack width does not match the plan");
-    }
   }
 
   /// Walk groups [g_begin, g_end) of a `groups`-group batch (see the

@@ -99,9 +99,9 @@ public:
                      HealthRecorder* health = nullptr,
                      const Deadline* deadline = nullptr) const;
 
-  /// The one operand check of a triangular call, shared with the
-  /// engine's reference path: A (a_dim x a_dim) and B against `s` in
-  /// dimensions and batch. The plan also checks the interleave width.
+  /// The whole operand contract of a triangular call, checked by the
+  /// engine once before it picks a route: A (a_dim x a_dim) and B against
+  /// `s` in dimensions and batch, both interleaved at the plan's width.
   static void check_operands(const TrsmShape& s, const CompactBuffer<T>& a,
                              const CompactBuffer<T>& b);
 

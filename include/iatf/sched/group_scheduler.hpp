@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "iatf/common/fault_inject.hpp"
@@ -118,9 +119,10 @@ struct ClassKeyHash {
 };
 
 // --- Descriptors -------------------------------------------------------
-// The one source of every op's descriptor and class: the engine's call
-// pipeline keys its plan cache, breaker slots and tuning lookups on these,
-// and the serving front end coalesces on the same ClassKey.
+// The one source of every op's descriptor, class, written operand and
+// width: the engine's call pipeline keys its plan cache, breaker slots and
+// tuning lookups on these, and the serving front end coalesces on the
+// same ClassKey and dispatches on the same width.
 
 /// Descriptor of a GEMM segment; shapes are inferred from C and op(A).
 template <class T> GemmShape shape_of(const GemmSegment<T>& seg) {
@@ -158,6 +160,29 @@ factor::FactorShape shape_of(const FactorSegment<T>& seg) {
   s.diag = seg.diag;
   s.batch = seg.a->batch();
   return s;
+}
+
+/// The operand a segment overwrites (C, B or A): the engine snapshots,
+/// restores and repairs it, and its pack width is the segment's width.
+template <class T> CompactBuffer<T>* written(const GemmSegment<T>& seg) {
+  return seg.c;
+}
+template <class T> CompactBuffer<T>* written(const TrsmSegment<T>& seg) {
+  return seg.b;
+}
+template <class T> CompactBuffer<T>* written(const FactorSegment<T>& seg) {
+  return seg.a;
+}
+
+/// The width of a call over `segs` (one segment, or a grouped call's),
+/// in bytes like ClassKey::bytes: its first written operand's, or the
+/// 128-bit default when there is none. It picks the kernel class the call
+/// runs on; the engine refuses every operand of another width.
+template <template <class> class Seg, class T>
+int width_of(std::span<const Seg<T>> segs) {
+  const CompactBuffer<T>* out = segs.empty() ? nullptr : written(segs[0]);
+  return out == nullptr ? 16 : static_cast<int>(out->pack_width() *
+                                                sizeof(real_t<T>));
 }
 
 /// The class of a descriptor computed in dtype T on the `bytes`-wide
@@ -220,6 +245,17 @@ ClassKey class_key(const factor::FactorShape& s, int bytes) {
   key.batch = s.batch;
   key.bytes = bytes;
   return key;
+}
+
+/// Whether `k` is a key class_key can emit: a known op letter and dtype,
+/// a 16-, 32- or 64-byte kernel class, no negative size or batch, and
+/// every mode field within its enum. The tuning table loads only these.
+inline bool valid_key(const ClassKey& k) {
+  const std::string_view ops = "gtmpli", dtypes = "sdcz";
+  return ops.find(k.op) != ops.npos && dtypes.find(k.dtype) != dtypes.npos &&
+         (k.bytes == 16 || k.bytes == 32 || k.bytes == 64) && k.m >= 0 &&
+         k.n >= 0 && k.k >= 0 && k.batch >= 0 && k.op_a <= 2 &&
+         k.op_b <= 2 && k.side <= 1 && k.uplo <= 1 && k.diag <= 1;
 }
 
 /// Bin segments by descriptor: set each segment's `leader` to the index

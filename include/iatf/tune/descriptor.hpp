@@ -23,7 +23,7 @@ namespace iatf::tune {
 
 /// A descriptor class (sched::class_key) as a tuning key: the same
 /// ClassKey with batch 0. Tables key on it and hash it with
-/// sched::ClassKeyHash; op is 'g' (GEMM) or 't' (TRSM).
+/// sched::ClassKeyHash; op is 'g' (GEMM), 't' (TRSM) or 'm' (TRMM).
 inline sched::ClassKey tune_key(sched::ClassKey key) {
   key.batch = 0;
   return key;

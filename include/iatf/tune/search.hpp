@@ -27,8 +27,8 @@ namespace iatf::tune {
 struct TuneOptions {
   index_t batch = 256;  ///< measurement batch (rounded up to whole groups)
   int reps = 5;         ///< timed repetitions per candidate (median)
-  int top_k = 8;        ///< candidates timed after simulator ranking
-  bool prune_with_pipesim = true; ///< rank by simulated cycles first
+  int top_k = 8;        ///< candidates timed after simulator ranking;
+                        ///< <= 0 times the whole space
   ThreadPool* pool = nullptr;     ///< when set, chunk granularity joins
                                   ///< the space and timing uses the pool
   std::uint64_t seed = 0x1a7fu;   ///< measurement-data RNG seed
@@ -41,6 +41,11 @@ struct Candidate {
   double gflops = 0.0;       ///< measured; 0 until timed
   bool analytical = false;   ///< echo of the untuned default plan
 };
+
+/// The candidates a search times: the `opts.top_k` best ranked (all when
+/// top_k <= 0) plus the analytical echo, the never-slower anchor.
+std::vector<Candidate> timed_set(std::vector<Candidate> candidates,
+                                 const TuneOptions& opts);
 
 /// Simulated cycles per madd of the registry GEMM kernel for an mc x nc
 /// tile at depth k (the optimizer-scheduled stream on the Kunpeng 920

@@ -556,9 +556,10 @@ void Engine::run(std::span<detail::CallSegment<Traits>> segs,
   using T = typename Traits::value_type;
   constexpr int Bytes = Traits::bytes;
   note_width_call(Bytes);
+  // The one operand check, before admission and routing: a malformed call
+  // is refused on every route and never reaches its class breaker.
   for (std::size_t i = 0; i < segs.size(); ++i) {
-    Traits::check(segs[i].seg);
-    segs[i].shape = sched::shape_of(segs[i].seg);
+    segs[i].shape = Traits::validate(segs[i].seg);
     segs[i].key = sched::class_key<T>(segs[i].shape, Bytes);
     healths[i].batch = segs[i].shape.batch;
   }
@@ -597,7 +598,6 @@ void Engine::run(std::span<detail::CallSegment<Traits>> segs,
       const DegradeEvent event =
           all != DegradeEvent::None ? all : segs[s.leader].route;
       if (event != DegradeEvent::None) {
-        Traits::validate(s.shape, s.seg);
         ref_lanes<Traits>(s.shape, s.seg, event, healths[i]);
         lanes += static_cast<std::uint64_t>(s.shape.batch);
         routed = true;
@@ -642,7 +642,7 @@ void Engine::run(std::span<detail::CallSegment<Traits>> segs,
         s.rec.emplace(s.shape.batch);
       }
       if (fallback) {
-        const CompactBuffer<T>& out = Traits::written(s.seg);
+        const CompactBuffer<T>& out = *sched::written(s.seg);
         s.snapshot.assign(out.data(), out.data() + out.size());
       }
     }
@@ -691,7 +691,7 @@ void Engine::run(std::span<detail::CallSegment<Traits>> segs,
             (deadline == nullptr || !deadline->expired())) {
           for (detail::CallSegment<Traits>& s : segs) {
             std::copy(s.snapshot.begin(), s.snapshot.end(),
-                      Traits::written(s.seg).data());
+                      sched::written(s.seg)->data());
             if (guarded) {
               s.rec.emplace(s.shape.batch);
             }
@@ -708,14 +708,11 @@ void Engine::run(std::span<detail::CallSegment<Traits>> segs,
         }
         // Any segment may hold partial fast-path output; restore and
         // recompute every lane of every segment on the reference path.
-        for (const detail::CallSegment<Traits>& s : segs) {
-          Traits::validate(s.shape, s.seg);
-        }
         std::uint64_t lanes = 0;
         for (std::size_t i = 0; i < segs.size(); ++i) {
           const detail::CallSegment<Traits>& s = segs[i];
           std::copy(s.snapshot.begin(), s.snapshot.end(),
-                    Traits::written(s.seg).data());
+                    sched::written(s.seg)->data());
           ref_lanes<Traits>(s.shape, s.seg, event | segs[s.leader].route,
                             healths[i]);
           lanes += static_cast<std::uint64_t>(s.shape.batch);
@@ -753,7 +750,7 @@ void Engine::run(std::span<detail::CallSegment<Traits>> segs,
           }
           // Repair where the reference result is defined; a lane the
           // reference refuses keeps its restored input.
-          restore_lane(Traits::written(s.seg), s.snapshot, lane);
+          restore_lane(*sched::written(s.seg), s.snapshot, lane);
           Traits::ref_lane(s.shape, s.seg, lane);
           if (health.first_fallback < 0) {
             health.first_fallback = lane;
@@ -855,15 +852,10 @@ void Engine::execute_segments(std::span<detail::CallSegment<Traits>> segs,
       continue;
     }
     const typename Traits::Plan& plan = *segs[s.leader].plan;
-    extents[i].groups = Traits::written(s.seg).groups();
+    extents[i].groups = sched::written(s.seg)->groups();
     extents[i].item_groups = sched::item_granularity(
         extents[i].groups, plan.slice_groups(), plan.chunk_groups(),
         static_cast<index_t>(pool->size()));
-    if (extents[i].groups == 0) {
-      // No work item will touch this segment: validate it here so
-      // caller bugs surface identically in both execution modes.
-      Traits::execute(plan, s.seg, nullptr, nullptr);
-    }
   }
   const std::vector<sched::WorkItem> items = sched::interleave_slices(extents);
   pool->parallel_for(

@@ -3,9 +3,9 @@
 // call -- through the same admission -> breaker -> plan -> verify ->
 // execute -> retry -> lane repair -> reference fallback path; each traits
 // struct below holds only the facts that differ between ops. A segment's
-// descriptor and size class are not among them: they come from
-// sched::shape_of / sched::class_key, which the serving front end's
-// coalescer shares.
+// descriptor, size class, written operand and width are not among them:
+// they come from sched::shape_of / class_key / written / width_of, which
+// the serving front end shares.
 //
 //   Segment, Shape, Plan   the operand bundle, its descriptor, its plan;
 //   gated                  breaker + kernel canary apply (false for
@@ -15,15 +15,15 @@
 //   max_mc, max_nc         plan builder (GEMM and TRSM only; factor
 //                          plans take no tuning);
 //   plan_for               the engine's plan_* lookup;
-//   written                the operand the op overwrites (snapshot,
-//                          restore and per-lane repair target);
 //   prepare / scan         pre-execution step and post-execution hazard
 //                          scan (factorisations only);
 //   execute /              the whole batch, or interleave groups
 //   execute_range          [g_begin, g_end) (thread-pool work items);
-//   check / validate       null check, and the plan's operand check
-//                          (Plan::check_operands), which the reference
-//                          path needs as well;
+//   validate               the call's whole operand contract, checked
+//                          once per segment before any route is chosen:
+//                          the null check, then Plan::check_operands
+//                          (dimensions, batch and width); returns the
+//                          segment's descriptor;
 //   ref_lane               recompute one lane on the scalar reference;
 //                          false when the reference refuses the lane
 //                          (factorisations only), which keeps its
@@ -101,7 +101,6 @@ template <class T, int Bytes> struct GemmOp {
     return engine.plan_gemm<T, Bytes>(s);
   }
 
-  static CompactBuffer<T>& written(const Segment& seg) { return *seg.c; }
   static void prepare(const Segment&) {}
   static void scan(const Shape&, const Segment&, HealthRecorder&) {}
 
@@ -117,16 +116,12 @@ template <class T, int Bytes> struct GemmOp {
                        g_end, rec, deadline);
   }
 
-  static void check(const Segment& seg) {
+  static Shape validate(const Segment& seg) {
     IATF_CHECK(seg.a != nullptr && seg.b != nullptr && seg.c != nullptr,
                "gemm_grouped: segment with a null buffer");
-  }
-
-  /// The fallback path reads the buffers directly, so it must re-validate
-  /// the consistency the plan normally checks -- plan construction may
-  /// have failed before any validation ran.
-  static void validate(const Shape& s, const Segment& seg) {
+    const Shape s = sched::shape_of(seg);
     Plan::check_operands(s, *seg.a, *seg.b, *seg.c);
+    return s;
   }
 
   /// Recompute one lane with the scalar reference GEMM. The lane's C must
@@ -203,7 +198,6 @@ template <class T, int Bytes> struct TrsmOp {
     return engine.plan_trsm<T, Bytes>(s);
   }
 
-  static CompactBuffer<T>& written(const Segment& seg) { return *seg.b; }
   static void prepare(const Segment&) {}
   static void scan(const Shape&, const Segment&, HealthRecorder&) {}
 
@@ -218,13 +212,12 @@ template <class T, int Bytes> struct TrsmOp {
                        deadline);
   }
 
-  static void check(const Segment& seg) {
+  static Shape validate(const Segment& seg) {
     IATF_CHECK(seg.a != nullptr && seg.b != nullptr,
                "trsm_grouped: segment with a null buffer");
-  }
-
-  static void validate(const Shape& s, const Segment& seg) {
+    const Shape s = sched::shape_of(seg);
     Plan::check_operands(s, *seg.a, *seg.b);
+    return s;
   }
 
   /// Recompute one lane with the scalar reference TRSM or TRMM. The
@@ -309,8 +302,6 @@ template <class T, int Bytes> struct FactorOp {
     return engine.plan_factor<T, Bytes>(s);
   }
 
-  static CompactBuffer<T>& written(const Segment& seg) { return *seg.a; }
-
   /// Factorisations divide by the pad-lane diagonals, so make them unit
   /// before touching the data (to_compact zero-fills the padding).
   static void prepare(const Segment& seg) { seg.a->pad_identity(); }
@@ -351,12 +342,11 @@ template <class T, int Bytes> struct FactorOp {
     plan.execute_range(*seg.a, g_begin, g_end, rec, deadline);
   }
 
-  static void check(const Segment& seg) {
+  static Shape validate(const Segment& seg) {
     IATF_CHECK(seg.a != nullptr, "factor_grouped: null segment buffer");
-  }
-
-  static void validate(const Shape& s, const Segment& seg) {
+    const Shape s = sched::shape_of(seg);
     Plan::check_operands(s, *seg.a);
+    return s;
   }
 
   /// Recompute one lane with the scalar reference factorisation,
@@ -447,7 +437,7 @@ bool agrees_with_reference(
     const Run& run) {
   using T = typename Traits::value_type;
   using R = real_t<T>;
-  CompactBuffer<T>& out = Traits::written(seg);
+  CompactBuffer<T>& out = *sched::written(seg);
   const index_t ld = std::max<index_t>(out.rows(), 1);
   const auto elems = static_cast<std::size_t>(out.rows() * out.cols());
   std::vector<T> snapshot(elems * static_cast<std::size_t>(lanes));

@@ -334,6 +334,8 @@ void FactorPlan<T, Bytes>::check_operands(const FactorShape& s,
   IATF_CHECK(a.rows() == s.m && a.cols() == s.m,
              "factor: matrices must be square and match the call");
   IATF_CHECK(a.batch() == s.batch, "factor: batch does not match");
+  IATF_CHECK(a.pack_width() == Base::pack_width(),
+             "factor: operand pack width does not match the plan");
 }
 
 template <class T, int Bytes>
@@ -342,7 +344,6 @@ void FactorPlan<T, Bytes>::execute_range(CompactBuffer<T>& a,
                                          HealthRecorder* rec,
                                          const Deadline* deadline) const {
   check_operands(shape_, a);
-  this->check_width({&a});
   const index_t pw = Base::pack_width();
   this->walk(
       a.groups(), g_begin, g_end, deadline,

@@ -151,6 +151,10 @@ void GemmPlan<T, Bytes>::check_operands(const GemmShape& s,
   IATF_CHECK(a.batch() == s.batch && b.batch() == s.batch &&
                  c.batch() == s.batch,
              "gemm: operand batch sizes do not match");
+  IATF_CHECK(a.pack_width() == Base::pack_width() &&
+                 b.pack_width() == Base::pack_width() &&
+                 c.pack_width() == Base::pack_width(),
+             "gemm: operand pack width does not match the plan");
 }
 
 template <class T, int Bytes>
@@ -161,7 +165,6 @@ void GemmPlan<T, Bytes>::execute_range(const CompactBuffer<T>& a,
                                        HealthRecorder* health,
                                        const Deadline* deadline) const {
   check_operands(shape_, a, b, c);
-  this->check_width({&a, &b, &c});
   const index_t es = Base::element_stride();
   const index_t pw = Base::pack_width();
   this->walk(

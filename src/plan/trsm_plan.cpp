@@ -188,6 +188,9 @@ void TrsmPlan<T, Bytes>::check_operands(const TrsmShape& s,
              std::string(op) + ": B has mismatched dimensions");
   IATF_CHECK(a.batch() == s.batch && b.batch() == s.batch,
              std::string(op) + ": operand batch sizes do not match");
+  IATF_CHECK(a.pack_width() == Base::pack_width() &&
+                 b.pack_width() == Base::pack_width(),
+             std::string(op) + ": operand pack width does not match the plan");
 }
 
 template <class T, int Bytes>
@@ -244,7 +247,6 @@ void TrsmPlan<T, Bytes>::execute_range(const CompactBuffer<T>& a,
                                        HealthRecorder* health,
                                        const Deadline* deadline) const {
   check_operands(shape_, a, b);
-  this->check_width({&a, &b});
   const index_t es = Base::element_stride();
   const index_t pw = Base::pack_width();
   // A solve packs reciprocal diagonals (scanning them first) and scales

@@ -100,16 +100,15 @@ void notify(const Cb& cb, Args&&... args) noexcept {
   }
 }
 
-/// Per-segment-type facts of the request templates below: the written
-/// operand (whose pack width selects the kernel class) and the engine
-/// entry points. The descriptor and its coalescing key come from
-/// sched::shape_of / sched::class_key, the engine's own class identity.
+/// Per-segment-type facts of the request templates below: the engine
+/// entry points. The descriptor, its coalescing key and its width come
+/// from sched::shape_of / class_key / width_of, the engine's own class
+/// identity.
 template <class Segment> struct SegmentOps;
 
 template <class T> struct SegmentOps<sched::GemmSegment<T>> {
   using value_type = T;
   using Segment = sched::GemmSegment<T>;
-  static const CompactBuffer<T>* out(const Segment& s) { return s.c; }
   template <int Bytes> static BatchHealth call(Engine& e, const Segment& s) {
     return e.gemm<T, Bytes>(s.op_a, s.op_b, s.alpha, *s.a, *s.b, s.beta,
                             *s.c);
@@ -124,7 +123,6 @@ template <class T> struct SegmentOps<sched::GemmSegment<T>> {
 template <class T> struct SegmentOps<sched::TrsmSegment<T>> {
   using value_type = T;
   using Segment = sched::TrsmSegment<T>;
-  static const CompactBuffer<T>* out(const Segment& s) { return s.b; }
   template <int Bytes> static BatchHealth call(Engine& e, const Segment& s) {
     return e.trsm<T, Bytes>(s.side, s.uplo, s.op_a, s.diag, s.alpha, *s.a,
                             *s.b);
@@ -178,17 +176,15 @@ struct SingleRequest final : TypedRequest<BatchHealth, Server::Completion> {
 
   /// The key is captured at submit: the watchdog trips the class after
   /// the request has been failed, without touching the caller's buffers.
-  /// Its width is the one the written operand's pack width selects.
+  /// Its width, sched::width_of, is also the kernel class it runs on.
   explicit SingleRequest(const Segment& s) : seg(s) {
-    key = sched::class_key<T>(
-        sched::shape_of(s),
-        static_cast<int>(Ops::out(s)->pack_width() *
-                         static_cast<index_t>(sizeof(real_t<T>))));
+    key = sched::class_key<T>(sched::shape_of(s),
+                              sched::width_of(std::span<const Segment>(&s, 1)));
   }
 
   void run(Engine& engine) noexcept override {
     try {
-      keep(dispatch_width<T>(Ops::out(seg)->pack_width(), [&](auto b) {
+      keep(dispatch_bytes<T>(key.bytes, [&](auto b) {
         return Ops::template call<decltype(b)::value>(engine, seg);
       }));
     } catch (...) {
@@ -205,7 +201,7 @@ struct SingleRequest final : TypedRequest<BatchHealth, Server::Completion> {
       segs.push_back(static_cast<const SingleRequest*>(r.get())->seg);
     }
     const std::vector<BatchHealth> healths =
-        dispatch_width<T>(Ops::out(seg)->pack_width(), [&](auto b) {
+        dispatch_bytes<T>(key.bytes, [&](auto b) {
           return Ops::template grouped<decltype(b)::value>(
               engine, std::span<const Segment>(segs));
         });
@@ -229,13 +225,9 @@ struct GroupedRequest final
 
   void run(Engine& engine) noexcept override {
     try {
-      const CompactBuffer<T>* out =
-          segs.empty() ? nullptr : Ops::out(segs.front());
-      const index_t pw =
-          out != nullptr ? out->pack_width() : simd::pack_width_v<T>;
-      keep(dispatch_width<T>(pw, [&](auto b) {
-        return Ops::template grouped<decltype(b)::value>(
-            engine, std::span<const Segment>(segs));
+      const std::span<const Segment> span(segs);
+      keep(dispatch_bytes<T>(sched::width_of(span), [&](auto b) {
+        return Ops::template grouped<decltype(b)::value>(engine, span);
       }));
     } catch (...) {
       error = std::current_exception();

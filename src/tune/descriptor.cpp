@@ -11,16 +11,6 @@
 namespace iatf::tune {
 namespace {
 
-bool valid_enum_fields(const sched::ClassKey& key) {
-  const bool dtype_ok = key.dtype == 's' || key.dtype == 'd' ||
-                        key.dtype == 'c' || key.dtype == 'z';
-  return (key.op == 'g' || key.op == 't') && dtype_ok &&
-         (key.bytes == 16 || key.bytes == 32 || key.bytes == 64) &&
-         key.m >= 0 && key.n >= 0 &&
-         key.k >= 0 && key.op_a <= 2 && key.op_b <= 2 && key.side <= 1 &&
-         key.uplo <= 1 && key.diag <= 1;
-}
-
 /// First "model name" (x86) or "CPU part" (ARM) line of /proc/cpuinfo,
 /// slugged to a single token; empty when unavailable.
 std::string cpu_model_slug() {
@@ -77,16 +67,14 @@ bool parse_key(std::istream& in, sched::ClassKey& key) {
         op_a >> op_b >> side >> uplo >> diag)) {
     return false;
   }
-  if (op_a < 0 || op_a > 2 || op_b < 0 || op_b > 2 || side < 0 || side > 1 ||
-      uplo < 0 || uplo > 1 || diag < 0 || diag > 1) {
-    return false;
-  }
-  key.op_a = static_cast<std::uint8_t>(op_a);
-  key.op_b = static_cast<std::uint8_t>(op_b);
-  key.side = static_cast<std::uint8_t>(side);
-  key.uplo = static_cast<std::uint8_t>(uplo);
-  key.diag = static_cast<std::uint8_t>(diag);
-  return valid_enum_fields(key);
+  // A mode field that does not fit its byte is out of range already.
+  const auto narrow = [](int v, std::uint8_t& field) {
+    field = static_cast<std::uint8_t>(v);
+    return field == v;
+  };
+  return narrow(op_a, key.op_a) && narrow(op_b, key.op_b) &&
+         narrow(side, key.side) && narrow(uplo, key.uplo) &&
+         narrow(diag, key.diag) && sched::valid_key(key);
 }
 
 std::string hardware_signature(const CacheInfo& cache) {

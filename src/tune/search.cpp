@@ -154,7 +154,7 @@ void run_plan(const typename Traits::Plan& plan,
     return;
   }
   pool->parallel_for(
-      0, Traits::written(seg).groups(),
+      0, sched::written(seg)->groups(),
       [&](index_t g_begin, index_t g_end) {
         Traits::execute_range(plan, seg, g_begin, g_end, nullptr, nullptr);
       },
@@ -205,32 +205,6 @@ TuneRecord record_from(const Candidate& c, const Candidate& baseline) {
   return rec;
 }
 
-/// Rank, prune to the timed set, and make sure the analytical echo is in
-/// it (it is both the correctness anchor and the never-slower guarantee).
-std::vector<Candidate> timed_set(std::vector<Candidate> candidates,
-                                 const TuneOptions& opts) {
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     return a.sim_score < b.sim_score;
-                   });
-  std::size_t keep = candidates.size();
-  if (opts.prune_with_pipesim && opts.top_k > 0) {
-    keep = std::min<std::size_t>(keep,
-                                 static_cast<std::size_t>(opts.top_k));
-  }
-  std::vector<Candidate> timed(candidates.begin(),
-                               candidates.begin() + keep);
-  const auto is_analytical = [](const Candidate& c) { return c.analytical; };
-  if (std::none_of(timed.begin(), timed.end(), is_analytical)) {
-    const auto it = std::find_if(candidates.begin() + keep,
-                                 candidates.end(), is_analytical);
-    if (it != candidates.end()) {
-      timed.push_back(*it);
-    }
-  }
-  return timed;
-}
-
 Candidate pick_winner(const std::vector<Candidate>& timed) {
   // Baseline first so a tuned candidate must strictly beat it.
   const auto base = std::find_if(timed.begin(), timed.end(),
@@ -247,6 +221,30 @@ Candidate pick_winner(const std::vector<Candidate>& timed) {
 }
 
 } // namespace
+
+std::vector<Candidate> timed_set(std::vector<Candidate> candidates,
+                                 const TuneOptions& opts) {
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const Candidate& a, const Candidate& b) {
+                     return a.sim_score < b.sim_score;
+                   });
+  std::size_t keep = candidates.size();
+  if (opts.top_k > 0) {
+    keep = std::min<std::size_t>(keep,
+                                 static_cast<std::size_t>(opts.top_k));
+  }
+  std::vector<Candidate> timed(candidates.begin(),
+                               candidates.begin() + keep);
+  const auto is_analytical = [](const Candidate& c) { return c.analytical; };
+  if (std::none_of(timed.begin(), timed.end(), is_analytical)) {
+    const auto it = std::find_if(candidates.begin() + keep,
+                                 candidates.end(), is_analytical);
+    if (it != candidates.end()) {
+      timed.push_back(*it);
+    }
+  }
+  return timed;
+}
 
 double simulated_gemm_score(int mc, int nc, index_t k, int elem_bytes) {
   try {
@@ -448,7 +446,7 @@ TuneRecord tune(const typename Traits::Shape& in_shape,
   typename Traits::Operands ops(shape);
   Rng rng(opts.seed);
   fill_measurement<T, kBytes>(ops, rng);
-  CompactBuffer<T>& out = Traits::written(ops.seg);
+  CompactBuffer<T>& out = *sched::written(ops.seg);
   const std::vector<R> initial(out.data(), out.data() + out.size());
   const detail::Tolerance<R> tol{check_tolerance<T>(depth(shape)), R(0)};
 

@@ -29,7 +29,7 @@ void expect_only_untouched_output_agrees(const resilience::KernelUse& use) {
   const auto check = [&](auto edit) {
     typename Traits::Operands ops(shape);
     Traits::canary_fill(ops);
-    CompactBuffer<T>& out = Traits::written(ops.seg);
+    CompactBuffer<T>& out = *sched::written(ops.seg);
     const index_t i = out.rows() - 1;
     const index_t j = out.cols() - 1;
     return agrees_with_reference<Traits>(shape, ops.seg, shape.batch, tol,

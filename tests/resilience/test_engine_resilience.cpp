@@ -6,6 +6,8 @@
 #include <chrono>
 #include <complex>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -584,6 +586,166 @@ TEST_F(EngineResilience, GroupedProbeWhosePlanThrowsReopensTheSlot) {
     EXPECT_EQ(state(), resilience::BreakerState::Closed);
     EXPECT_EQ(e.stats().ref_routed_calls, static_cast<std::size_t>(kCooldown));
   }
+}
+
+// --- One operand contract per call ---------------------------------------
+
+template <class Call>
+void expect_invalid_arg(const Call& call, const std::string& ctx) {
+  try {
+    (void)call();
+    ADD_FAILURE() << ctx << ": expected InvalidArg";
+  } catch (const Error& err) {
+    EXPECT_EQ(err.status(), Status::InvalidArg) << ctx << ": " << err.what();
+  }
+}
+
+// A malformed call must be refused on every route, not only on the plan
+// path: under Fallback a faulting plan build, an Open class breaker
+// (`key`; factorisations have no breaker) and DegradeToRef overload each
+// skip the plan, and each must still throw InvalidArg.
+template <class Call>
+void expect_refused_on_every_route(const char* plan_site,
+                                   std::optional<sched::ClassKey> key,
+                                   const Call& call) {
+  const auto fresh = [] {
+    auto e = std::make_unique<Engine>(CacheInfo::kunpeng920());
+    e->set_kernel_verification(false);
+    e->set_policy(ExecPolicy::Fallback);
+    return e;
+  };
+  {
+    auto e = fresh();
+    fault::ScopedFault plan(plan_site, 0, 1);
+    expect_invalid_arg([&] { return call(*e); }, "plan build faults");
+    EXPECT_EQ(e->health().inflight, 0u);
+  }
+  if (key) {
+    auto e = fresh();
+    e->set_breaker_config({/*window=*/2, /*threshold=*/1, /*cooldown=*/4});
+    e->trip_class(*key, 4);
+    ASSERT_EQ(e->breaker_state(*key), resilience::BreakerState::Open);
+    expect_invalid_arg([&] { return call(*e); }, "breaker open");
+    EXPECT_EQ(e->stats().ref_routed_calls, 0u);
+  }
+  {
+    auto e = fresh();
+    e->set_max_inflight(1);
+    e->set_overload_policy(resilience::OverloadPolicy::DegradeToRef);
+    {
+      MiniGemm held(6, 6, 4);
+      Occupied occupied(*e, held);
+      expect_invalid_arg([&] { return call(*e); }, "overload degrades");
+    }
+    EXPECT_EQ(e->stats().ref_routed_calls, 0u);
+  }
+}
+
+// Identity matrices of order 4 interleaved `pw` lanes per group: twice
+// the 128-bit width of double is another kernel class's layout.
+constexpr index_t kOtherWidth = 2 * simd::pack_width_v<double>;
+
+CompactBuffer<double> identity_batch(index_t pw) {
+  CompactBuffer<double> buf(4, 4, 5, pw);
+  for (index_t lane = 0; lane < buf.batch(); ++lane) {
+    for (index_t i = 0; i < 4; ++i) {
+      buf.set(lane, i, i, 1.0);
+    }
+  }
+  return buf;
+}
+
+TEST_F(EngineResilience, WrongWidthGemmIsRefusedOnEveryRoute) {
+  CompactBuffer<double> a = identity_batch(kOtherWidth);
+  CompactBuffer<double> b = identity_batch(kOtherWidth);
+  CompactBuffer<double> c = identity_batch(kOtherWidth);
+  const sched::GemmSegment<double> seg{Op::NoTrans, Op::NoTrans, 1.0, 0.0,
+                                       &a, &b, &c};
+  expect_refused_on_every_route(
+      "plan.gemm", sched::class_key<double>(sched::shape_of(seg), 16),
+      [&](Engine& e) {
+        return e.gemm<double, 16>(Op::NoTrans, Op::NoTrans, 1.0, a, b, 0.0,
+                                  c);
+      });
+}
+
+TEST_F(EngineResilience, WrongWidthTriangularCallIsRefusedOnEveryRoute) {
+  for (const TriOp op : {TriOp::Solve, TriOp::Multiply}) {
+    SCOPED_TRACE(op == TriOp::Solve ? "trsm" : "trmm");
+    CompactBuffer<double> a = identity_batch(kOtherWidth);
+    CompactBuffer<double> b = identity_batch(kOtherWidth);
+    const sched::TrsmSegment<double> seg{Side::Left, Uplo::Lower,
+                                         Op::NoTrans, Diag::NonUnit,
+                                         1.0, &a, &b, op};
+    expect_refused_on_every_route(
+        "plan.trsm", sched::class_key<double>(sched::shape_of(seg), 16),
+        [&](Engine& e) {
+          return op == TriOp::Solve
+                     ? e.trsm<double, 16>(Side::Left, Uplo::Lower,
+                                          Op::NoTrans, Diag::NonUnit, 1.0,
+                                          a, b)
+                     : e.trmm<double, 16>(Side::Left, Uplo::Lower,
+                                          Op::NoTrans, Diag::NonUnit, 1.0,
+                                          a, b);
+        });
+  }
+}
+
+TEST_F(EngineResilience, WrongWidthPotrfIsRefusedOnEveryRoute) {
+  CompactBuffer<double> a = identity_batch(kOtherWidth);
+  expect_refused_on_every_route("plan.factor", std::nullopt,
+                                [&](Engine& e) {
+                                  return e.potrf_batch<double, 16>(a);
+                                });
+}
+
+TEST_F(EngineResilience, GroupedCallWithAWrongWidthSegmentIsRefused) {
+  const index_t pw = simd::pack_width_v<double>;
+  CompactBuffer<double> a0 = identity_batch(pw);
+  CompactBuffer<double> b0 = identity_batch(pw);
+  CompactBuffer<double> c0 = identity_batch(pw);
+  CompactBuffer<double> a1 = identity_batch(kOtherWidth);
+  CompactBuffer<double> b1 = identity_batch(kOtherWidth);
+  CompactBuffer<double> c1 = identity_batch(kOtherWidth);
+  const std::vector<sched::GemmSegment<double>> segs = {
+      {Op::NoTrans, Op::NoTrans, 1.0, 0.0, &a0, &b0, &c0},
+      {Op::NoTrans, Op::NoTrans, 1.0, 0.0, &a1, &b1, &c1}};
+  expect_refused_on_every_route(
+      "plan.gemm", sched::class_key<double>(sched::shape_of(segs[0]), 16),
+      [&](Engine& e) {
+        return e.gemm_grouped<double, 16>(
+            std::span<const sched::GemmSegment<double>>(segs));
+      });
+}
+
+// One caller's malformed calls must not open the breaker of a class that
+// every other caller of that descriptor shares.
+TEST_F(EngineResilience, MalformedCallsNeverTripTheBreaker) {
+  Engine e(CacheInfo::kunpeng920());
+  e.set_kernel_verification(false);
+  e.set_breaker_config({/*window=*/2, /*threshold=*/1, /*cooldown=*/4});
+  MiniGemm fx(8, 8, 4);
+  // A of one lane fewer: the same descriptor class as fx's calls (C
+  // sets the batch), but a batch mismatch.
+  const CompactBuffer<double> short_a(fx.k, fx.m, fx.batch - 1);
+  fx.prepare();
+  for (int call = 0; call < 4; ++call) {
+    expect_invalid_arg(
+        [&] {
+          return e.gemm<double>(Op::Trans, Op::Trans, 1.5, short_a, fx.cb,
+                                0.25, fx.cc);
+        },
+        "malformed call " + std::to_string(call));
+  }
+  EXPECT_EQ(e.breaker_state(fx.key()), resilience::BreakerState::Closed);
+  EXPECT_EQ(e.stats().breaker_transitions, 0u);
+
+  const BatchHealth h = fx.run(e);
+  EXPECT_FALSE(has_event(h.events, DegradeEvent::BreakerOpen));
+  EXPECT_TRUE(h.clean());
+  EXPECT_EQ(e.stats().ref_routed_calls, 0u);
+  EXPECT_EQ(e.stats().builds, 1u) << "the valid call runs the plan";
+  fx.expect_matches_reference("valid call after malformed ones");
 }
 
 // --- Stats / health / env knobs -------------------------------------------

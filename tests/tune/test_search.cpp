@@ -30,6 +30,21 @@ TEST(SimulatedScore, RanksRealKernelsAndRejectsOverBudget) {
   EXPECT_GE(simulated_gemm_score(5, 5, 8, 8), 1e29);
 }
 
+TEST(TimedSet, TopKZeroTimesEveryCandidate) {
+  const GemmShape shape{6, 6, 6, Op::NoTrans, Op::NoTrans, 16};
+  const std::vector<Candidate> all =
+      gemm_candidates<float>(shape, CacheInfo::kunpeng920(), tiny_budget());
+  ASSERT_GT(all.size(), 2u);
+  TuneOptions opts = tiny_budget();
+  opts.top_k = 0;
+  EXPECT_EQ(timed_set(all, opts).size(), all.size());
+  opts.top_k = 1;
+  const std::vector<Candidate> cut = timed_set(all, opts);
+  EXPECT_LE(cut.size(), 2u) << "the best ranked, plus the analytical echo";
+  EXPECT_TRUE(std::any_of(cut.begin(), cut.end(),
+                          [](const Candidate& c) { return c.analytical; }));
+}
+
 TEST(GemmCandidates, CoversSpaceWithExplicitFields) {
   const GemmShape shape{6, 6, 6, Op::NoTrans, Op::NoTrans, 16};
   const auto candidates =

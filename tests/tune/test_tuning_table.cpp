@@ -2,10 +2,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "iatf/core/engine.hpp"
 #include "iatf/tune/tuning_table.hpp"
 
 namespace iatf::tune {
@@ -13,6 +15,12 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 sched::ClassKey sample_key(index_t n) {
@@ -87,17 +95,59 @@ TEST(TuningTable, CanonicalSaveIsByteIdenticalAfterReload) {
   ASSERT_EQ(loaded.load(first), LoadResult::Ok);
   ASSERT_TRUE(loaded.save(second));
 
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
   const std::string a = slurp(first);
   const std::string b = slurp(second);
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
   std::remove(first.c_str());
   std::remove(second.c_str());
+}
+
+// Every op class_key emits is a loadable tuning key: a TRMM ('m') record
+// beside a GEMM one reloads with both records, re-saves byte for byte,
+// and the reloaded TRMM record reaches Engine::trmm.
+TEST(TuningTable, TrmmKeySurvivesReloadAndReachesTrmm) {
+  const std::string first = temp_path("iatf_trmm_a.tbl");
+  const std::string second = temp_path("iatf_trmm_b.tbl");
+  TrsmShape shape;
+  shape.m = 4;
+  shape.n = 4;
+  shape.batch = 8;
+  shape.op = TriOp::Multiply;
+  const sched::ClassKey trmm = tune_key(sched::class_key<double>(shape, 16));
+  ASSERT_EQ(trmm.op, 'm');
+  TuneRecord trmm_rec;
+  trmm_rec.slice_groups = 2;
+  trmm_rec.gflops = 1.5;
+  trmm_rec.baseline_gflops = 1.25;
+
+  TuningTable table("test-hw");
+  table.insert(sample_key(4), sample_record(4));
+  table.insert(trmm, trmm_rec);
+  ASSERT_TRUE(table.save(first));
+  auto loaded = std::make_shared<TuningTable>("test-hw");
+  ASSERT_EQ(loaded->load(first), LoadResult::Ok);
+  ASSERT_EQ(loaded->size(), 2u);
+  ASSERT_NE(loaded->lookup(sample_key(4)), nullptr);
+  ASSERT_NE(loaded->lookup(trmm), nullptr);
+  EXPECT_EQ(*loaded->lookup(trmm), trmm_rec);
+  ASSERT_TRUE(loaded->save(second));
+  EXPECT_EQ(slurp(first), slurp(second));
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+
+  Engine engine(CacheInfo::kunpeng920());
+  engine.set_tuning_table(loaded);
+  CompactBuffer<double> a(4, 4, shape.batch);
+  CompactBuffer<double> b(4, 4, shape.batch);
+  for (index_t lane = 0; lane < shape.batch; ++lane) {
+    for (index_t i = 0; i < 4; ++i) {
+      a.set(lane, i, i, 1.0);
+    }
+  }
+  (void)engine.trmm<double, 16>(Side::Left, Uplo::Lower, Op::NoTrans,
+                                Diag::NonUnit, 1.0, a, b);
+  EXPECT_EQ(engine.plan_cache_tuned(), 1u);
 }
 
 TEST(TuningTable, MissingFileLoadsEmpty) {

@@ -81,6 +81,7 @@ void usage(std::FILE* to) {
 /// Returns false when main should exit immediately with `exit_code`
 /// (0 for --help/--version, 2 for anything malformed).
 bool parse_cli(int argc, char** argv, CliOptions& cli, int& exit_code) {
+  bool no_prune = false; // wins over --top-k in either order
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--help") == 0) {
@@ -130,7 +131,7 @@ bool parse_cli(int argc, char** argv, CliOptions& cli, int& exit_code) {
     } else if (const char* v = value("--top-k=")) {
       cli.tune.top_k = std::atoi(v);
     } else if (std::strcmp(arg, "--no-prune") == 0) {
-      cli.tune.prune_with_pipesim = false;
+      no_prune = true;
     } else if (const char* v = value("--threads=")) {
       cli.threads = std::atoi(v);
     } else if (const char* v = value("--out=")) {
@@ -144,6 +145,7 @@ bool parse_cli(int argc, char** argv, CliOptions& cli, int& exit_code) {
       return false;
     }
   }
+  cli.tune.top_k = no_prune ? 0 : cli.tune.top_k;
   return true;
 }
 
