@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "iatf/common/error.hpp"
@@ -43,22 +44,18 @@ public:
 
   /// Reallocate to hold `count` value-initialised elements.
   void resize(std::size_t count) {
-    release();
-    if (count == 0) {
-      return;
-    }
-    IATF_FAULT_POINT("alloc", ::iatf::Status::AllocFailure);
-    const std::size_t bytes =
-        round_up(count * sizeof(T), kBufferAlignment);
-    void* p = std::aligned_alloc(kBufferAlignment, bytes);
-    if (p == nullptr) {
-      throw std::bad_alloc{};
-    }
-    data_ = static_cast<T*>(p);
-    size_ = count;
+    allocate(count);
     for (std::size_t i = 0; i < count; ++i) {
       new (data_ + i) T{};
     }
+  }
+
+  /// Reallocate to hold `count` elements left uninitialised, for a
+  /// caller that writes every element before it reads one.
+  void resize_for_overwrite(std::size_t count) {
+    static_assert(std::is_trivially_default_constructible_v<T> &&
+                  std::is_trivially_destructible_v<T>);
+    allocate(count);
   }
 
   T* data() noexcept { return data_; }
@@ -75,6 +72,22 @@ public:
 private:
   static std::size_t round_up(std::size_t v, std::size_t a) noexcept {
     return (v + a - 1) / a * a;
+  }
+
+  void allocate(std::size_t count) {
+    release();
+    if (count == 0) {
+      return;
+    }
+    IATF_FAULT_POINT("alloc", ::iatf::Status::AllocFailure);
+    const std::size_t bytes =
+        round_up(count * sizeof(T), kBufferAlignment);
+    void* p = std::aligned_alloc(kBufferAlignment, bytes);
+    if (p == nullptr) {
+      throw std::bad_alloc{};
+    }
+    data_ = static_cast<T*>(p);
+    size_ = count;
   }
 
   void release() noexcept {

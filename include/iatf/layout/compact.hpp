@@ -18,6 +18,7 @@
 // cannot divide by zero.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -43,11 +44,21 @@ public:
   /// the 128-bit lane count for T).
   CompactBuffer(index_t rows, index_t cols, index_t batch,
                 index_t pack_width = simd::pack_width_v<T>)
+      : CompactBuffer(rows, cols, batch, pack_width, ForOverwrite{}) {
+    std::fill_n(data_.data(), data_.size(), real_type(0));
+  }
+
+  /// Constructor tag: the storage is left unwritten, for a producer that
+  /// writes every scalar, padding lanes included (to_compact).
+  struct ForOverwrite {};
+  CompactBuffer(index_t rows, index_t cols, index_t batch,
+                index_t pack_width, ForOverwrite)
       : rows_(rows), cols_(cols), batch_(batch), pw_(pack_width) {
     IATF_CHECK(rows >= 0 && cols >= 0 && batch >= 0,
                "CompactBuffer: negative dimension");
     IATF_CHECK(pack_width >= 1, "CompactBuffer: pack width must be >= 1");
-    data_.resize(static_cast<std::size_t>(groups() * group_stride()));
+    data_.resize_for_overwrite(
+        static_cast<std::size_t>(groups() * group_stride()));
   }
 
   index_t rows() const noexcept { return rows_; }
@@ -167,7 +178,8 @@ private:
 /// (matrix b starts at src + b*matrix_stride) into compact layout.
 /// Bulk path: walks group by group so the interleave gather runs without
 /// per-element checks (the conversion cost is itself measured by
-/// bench_ablation_convert).
+/// bench_ablation_convert), and writes each output scalar once: the
+/// last group's padding lanes are zeroed as the gather passes them.
 template <class T>
 CompactBuffer<T>
 to_compact(const T* src, index_t rows, index_t cols, index_t ld,
@@ -175,7 +187,8 @@ to_compact(const T* src, index_t rows, index_t cols, index_t ld,
            index_t pack_width = simd::pack_width_v<T>) {
   using R = real_t<T>;
   IATF_CHECK(ld >= rows, "to_compact: ld < rows");
-  CompactBuffer<T> out(rows, cols, batch, pack_width);
+  CompactBuffer<T> out(rows, cols, batch, pack_width,
+                       typename CompactBuffer<T>::ForOverwrite{});
   const index_t pw = pack_width;
   for (index_t g = 0; g < out.groups(); ++g) {
     R* gdata = out.group_data(g);
@@ -192,6 +205,12 @@ to_compact(const T* src, index_t rows, index_t cols, index_t ld,
             blk[pw + lane] = v.imag();
           } else {
             blk[lane] = v;
+          }
+        }
+        for (index_t lane = lanes; lane < pw; ++lane) {
+          blk[lane] = R(0);
+          if constexpr (is_complex_v<T>) {
+            blk[pw + lane] = R(0);
           }
         }
       }

@@ -26,9 +26,14 @@
 //    Picks happen under one lock in stride order; only the completion
 //    order of concurrent dispatches is unordered.
 //
-//  * Cheap submits. The queue lock's hot acquisitions spin briefly
-//    before they sleep (section 12.5), and request nodes, promise states
-//    and queue chunks come from the process-wide block recycler
+//  * Cheap submits. While the server runs with room in its queue and
+//    no per-tenant quota below the shared bound, a submit takes no lock:
+//    it reserves a slot on one atomic count and pushes the request onto
+//    a lock-free ingress stack, which a dispatcher splices into the
+//    tenant queues before each pick. It takes the queue lock only to
+//    wake a dispatcher, or on the slow path (full queue, quota, an
+//    injected fault, lifecycle refusals; section 12.5). Request nodes, promise
+//    states and queue chunks come from the process-wide block recycler
 //    (common/recycler.hpp, section 12.6): a warmed-up submit makes no
 //    heap allocation.
 //
@@ -188,8 +193,9 @@ struct TenantStats {
 };
 
 /// One coherent snapshot of the server's counters (mirrored by the C
-/// API's iatf_server_stats). Taken under the queue lock, so the global
-/// fields are mutually consistent.
+/// API's iatf_server_stats). Taken under the queue lock after splicing
+/// the lock-free ingress, so the global fields are mutually consistent
+/// and count every request admitted before the call.
 struct ServerStats {
   std::size_t queued = 0;         ///< requests currently queued
   std::size_t queue_capacity = 0; ///< configured shared bound
@@ -211,6 +217,10 @@ struct ServerStats {
   std::uint64_t degraded_inline = 0; ///< DegradeToRef inline executions
   std::uint64_t watchdog_kicks = 0;  ///< stalled dispatches reclaimed
   std::uint64_t heartbeats = 0;      ///< dispatcher rounds started
+  /// Submits that took the queue lock: the slow path (full queue,
+  /// quota, lifecycle refusal, an injected fault) or a submit that had
+  /// to wake a dispatcher. submitted - locked_submits took no lock.
+  std::uint64_t locked_submits = 0;
   /// Dispatcher threads started: 1 at construction, more (up to
   /// ServeConfig::dispatchers) as backlogs first need them.
   std::size_t dispatchers = 0;
@@ -403,6 +413,27 @@ private:
 
   void enqueue(std::unique_ptr<detail::Request> r,
                const SubmitOptions& opts);
+  /// mu_ held: the locked submit, for a request the ingress did not
+  /// take (no room, a quota, an injected `fault`, or closed). Queues `r`
+  /// and returns true, or resolves it and returns false.
+  bool enqueue_locked(std::unique_lock<std::mutex>& lk,
+                      std::unique_ptr<detail::Request> r,
+                      const std::exception_ptr& fault);
+  /// Reserve one slot of the shared bound on admitted_; returns the
+  /// admitted count with it, or 0 when the bound is reached.
+  std::size_t reserve_slot() noexcept;
+  /// The lock-free submit: reserve a slot and push `r` onto the ingress.
+  /// Returns the admitted count (the ingress owns `r` now), or 0 with
+  /// `r` untouched when the submit must take the locked path.
+  std::size_t push_ingress(detail::Request* r) noexcept;
+  /// After a push: true when no awake dispatcher is sure to look at the
+  /// ingress soon, so the submitter must take mu_ and claim a wake.
+  bool must_wake(std::size_t admitted) const noexcept;
+  /// mu_ held: move the ingress into the tenant queues in submission
+  /// order; with `close`, leave it closed to pushes for good.
+  void splice_ingress(bool close = false);
+  /// mu_ held: append an admitted request to its tenant's queue.
+  void queue_request(std::unique_ptr<detail::Request> r, Tenant& t);
   /// Main loop of dispatcher `slot`, generation `epoch`.
   void run_dispatcher(std::size_t slot, std::uint64_t epoch);
   /// One dequeue -> coalesce -> execute -> publish round. `lk` is held
@@ -417,8 +448,10 @@ private:
   /// If queued requests outnumber the dispatchers about to look at the
   /// queue anyway, pick the most recently parked dispatcher (returned;
   /// the caller notifies its cv after unlocking), or else start the
-  /// next follower thread if any is left. A `submitter` also leaves the
-  /// queue to a dispatch picked less than kDispatchSpin ago.
+  /// next follower thread if any is left; either way it raises awake_
+  /// for that dispatcher. A `submitter` also leaves the queue to a
+  /// dispatch picked less than kDispatchSpin ago. must_wake mirrors
+  /// this rule for lock-free submits.
   Dispatcher* claim_wake(bool submitter = false);
   /// mu_ held: bump work_seq_ and wake every dispatcher, spinning or
   /// parked (lifecycle changes, never the per-request path).
@@ -466,11 +499,13 @@ private:
   std::atomic<std::size_t> dispatching_{0};
   std::size_t peak_dispatching_ = 0;
   /// Slot of the latest dispatch while its dispatcher is between the
-  /// pick and its re-lock (kNoSlot otherwise), and when it was picked:
-  /// for one spin bound a submitter leaves the queue to it.
+  /// pick and its re-lock (kNoSlot otherwise), and its pick time in
+  /// steady_clock ticks (0 otherwise; written under mu_, read by
+  /// lock-free submitters too): for one spin bound a submitter leaves
+  /// the queue to it.
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
   std::size_t fresh_slot_ = kNoSlot;
-  std::chrono::steady_clock::time_point fresh_at_{};
+  std::atomic<std::chrono::steady_clock::rep> fresh_at_{0};
 
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;
@@ -484,6 +519,10 @@ private:
   std::uint64_t degraded_inline_ = 0;
   std::uint64_t watchdog_kicks_ = 0;
   std::uint64_t heartbeats_ = 0;
+  std::uint64_t locked_submits_ = 0;
+  /// Submits may take the lock-free ingress: false when a per-tenant
+  /// quota below queue_capacity needs each tenant's exact queue length.
+  bool fast_submit_ = true;
 
   /// Sized once at construction; never resized (threads index it).
   std::vector<Dispatcher> dispatchers_;
@@ -500,10 +539,29 @@ private:
   /// reads it non-zero when it submits again.
   std::atomic<std::size_t> publishing_{0};
 
-  /// Bumped on every enqueue and lifecycle change; the spinning
-  /// dispatcher watches it to leave its spin early. A hint only: whether
-  /// there is work is always decided under mu_. Last and on its own
-  /// cache line, so the spin shares no line with mu_ or the counters.
+  /// The lock-free ingress (DESIGN.md section 12.5), on a cache line of
+  /// its own, so a lock-free submit's three atomics share one line:
+  ///  * admitted_: requests holding a slot of queue_capacity, queued or
+  ///    on the ingress. Raised by submitters, lowered under mu_ by the
+  ///    picks and cancellations that take requests off the queue.
+  ///  * ingress_: intrusive stack of pushed requests, newest first,
+  ///    linked through Request::next. Taken whole under mu_; the
+  ///    closed-ingress sentinel refuses pushes after drain() or stop().
+  ///  * awake_: dispatchers not parked. A dispatcher lowers it and then
+  ///    re-checks the ingress before it parks; a submitter pushes and
+  ///    then reads it. Both sides seq_cst: either the dispatcher sees
+  ///    the push, or the submitter sees it parking and takes mu_ to
+  ///    wake one. Raised by whoever wakes or starts a dispatcher; a
+  ///    watchdog replacement inherits its slot's count.
+  alignas(64) std::atomic<std::size_t> admitted_{0};
+  std::atomic<detail::Request*> ingress_{nullptr};
+  std::atomic<std::size_t> awake_{0};
+
+  /// Bumped on every locked enqueue and lifecycle change; the spinning
+  /// dispatcher watches it, and the ingress, to leave its spin early. A
+  /// hint only: whether there is work is always decided under mu_. Last
+  /// and on its own cache line, so the spin shares no line with mu_ or
+  /// the counters.
   alignas(64) std::atomic<std::uint64_t> work_seq_{0};
 };
 

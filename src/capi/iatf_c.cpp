@@ -220,6 +220,12 @@ template <class H> std::string null_operand(const char* fn) {
   return std::string(fn) + (kIsBuffer<H> ? ": null buffer" : ": null handle");
 }
 
+/// The width of a single call, as sched::width_of reads it for the
+/// grouped entry points and the server: its written operand's.
+template <class Seg> int call_width(const Seg& seg) {
+  return sched::width_of(std::span<const Seg>(&seg, 1));
+}
+
 /// The op that sizes a GEMM detail's k: anything but IATF_NOTRANS reads
 /// A transposed, so garbage op bits still report A's extents.
 Op sizing_op(const iatf_op& op) {
@@ -244,7 +250,7 @@ int gemm(const char* fn, const iatf_op& op_a, const iatf_op& op_b, T alpha,
                    null_operand<H>(fn));
         const Op ta = to_op(op_a);
         const Op tb = to_op(op_b);
-        return iatf::dispatch_width<T>(storage(*c).pack_width(), [&](auto w) {
+        return iatf::dispatch_bytes<T>(call_width(seg), [&](auto w) {
           return iatf::Engine::default_engine().gemm<T, decltype(w)::value>(
               ta, tb, alpha, operand(*a), operand(*b), beta, operand(*c));
         });
@@ -274,7 +280,7 @@ int triangular(const char* fn, const iatf_side& side, const iatf_uplo& uplo,
         const iatf::Uplo u = to_uplo(uplo);
         const Op t = to_op(op_a);
         const iatf::Diag d = to_diag(diag);
-        return iatf::dispatch_width<T>(storage(*b).pack_width(), [&](auto w) {
+        return iatf::dispatch_bytes<T>(call_width(seg), [&](auto w) {
           constexpr int kBytes = decltype(w)::value;
           iatf::Engine& engine = iatf::Engine::default_engine();
           if constexpr (kOp == TriOp::Solve) {
@@ -307,7 +313,7 @@ int factor(const char* fn, H* a, const iatf_uplo* uplo = nullptr,
   }
   return guarded_compute(detail_of(key, bits), [&] {
     IATF_CHECK(a != nullptr, null_operand<H>(fn));
-    return iatf::dispatch_width<T>(storage(*a).pack_width(), [&](auto w) {
+    return iatf::dispatch_bytes<T>(call_width(seg), [&](auto w) {
       constexpr int kBytes = decltype(w)::value;
       iatf::Engine& engine = iatf::Engine::default_engine();
       if constexpr (kOp == FactorOp::Potrf) {

@@ -1,12 +1,14 @@
 // Server implementation: bounded multi-tenant submission queue, a set of
 // dispatcher threads coalescing same-descriptor-class requests into
 // grouped engine calls, weighted-fair dequeue, deadline shedding and a
-// drain/stop lifecycle. Every queue transition happens under mu_; the
-// engine call itself runs with the lock released so submitters,
-// lifecycle calls and the other dispatchers never wait on compute. At
-// most one idle dispatcher spins, the rest park, and a parked one is
-// woken only when queued requests outnumber the dispatchers about to
-// look at the queue (DESIGN.md section 12.5).
+// drain/stop lifecycle. A submit with room in the queue pushes onto a
+// lock-free ingress; every other queue transition happens under mu_,
+// and dispatchers splice the ingress into the tenant queues under mu_
+// before each pick. The engine call itself runs with the lock released
+// so submitters, lifecycle calls and the other dispatchers never wait
+// on compute. At most one idle dispatcher spins, the rest park, and a
+// parked one is woken only when queued requests outnumber the
+// dispatchers about to look at the queue (DESIGN.md section 12.5).
 #include "iatf/serve/server.hpp"
 
 #include <algorithm>
@@ -44,6 +46,7 @@ struct Request {
   sched::ClassKey key{};
   CancelToken cancel;    ///< optional caller-side cancellation flag
   std::exception_ptr error; ///< failed outcome kept by run()
+  Request* next = nullptr;  ///< link on the server's ingress stack
   std::atomic<bool> settled{false};
 
   /// First claimant wins the right to resolve/fail; a loser's resolution
@@ -322,6 +325,15 @@ void lock_queue(std::unique_lock<std::mutex>& lk, bool spin) {
   lk.lock();
 }
 
+/// Marks a closed ingress: pushes fail on it. Never dereferenced.
+detail::Request* closed_ingress() noexcept {
+  return reinterpret_cast<detail::Request*>(alignof(detail::Request));
+}
+
+std::chrono::steady_clock::rep clock_ticks() noexcept {
+  return std::chrono::steady_clock::now().time_since_epoch().count();
+}
+
 } // namespace
 
 /// One dispatcher thread's reusable vectors: after the first rounds a
@@ -351,6 +363,8 @@ Server::Server(Engine& engine, ServeConfig config)
   if (config_.watchdog_poll.count() <= 0) {
     config_.watchdog_poll = std::chrono::nanoseconds{10'000'000};
   }
+  fast_submit_ = config_.per_tenant_quota == 0 ||
+                 config_.per_tenant_quota == config_.queue_capacity;
   engine_.attach_server();
   parked_.reserve(dispatchers_.size());
   {
@@ -361,6 +375,7 @@ Server::Server(Engine& engine, ServeConfig config)
     started_ = 1;
     starting_ = 1;
     live_ = 1;
+    awake_.store(1, std::memory_order_relaxed);
   }
   if (config_.watchdog_grace > 0) {
     watchdog_ = std::thread([this] { run_watchdog(); });
@@ -404,11 +419,13 @@ void Server::set_watchdog(double grace, std::chrono::nanoseconds floor) {
 
 void Server::pause() {
   std::lock_guard<std::mutex> lk(mu_);
+  splice_ingress();
   paused_ = true;
 }
 
 void Server::resume() {
   std::unique_lock<std::mutex> lk(mu_);
+  splice_ingress();
   paused_ = false;
   Dispatcher* const wake = claim_wake();
   lk.unlock();
@@ -432,7 +449,8 @@ Server::Dispatcher* Server::claim_wake(bool submitter) {
   // than a spin bound: it most likely returns, and re-checks the queue,
   // before a woken follower would get going.
   if (submitter && fresh_slot_ != kNoSlot &&
-      std::chrono::steady_clock::now() - fresh_at_ < kDispatchSpin) {
+      clock_ticks() - fresh_at_.load(std::memory_order_relaxed) <
+          std::chrono::steady_clock::duration(kDispatchSpin).count()) {
     return nullptr;
   }
   if (!parked_.empty()) {
@@ -440,6 +458,7 @@ Server::Dispatcher* Server::claim_wake(bool submitter) {
     parked_.pop_back();
     d->woken = true;
     ++wake_tokens_;
+    awake_.fetch_add(1, std::memory_order_relaxed);
     return d;
   }
   if (phase_ == Phase::Running && started_ < dispatchers_.size()) {
@@ -453,6 +472,7 @@ Server::Dispatcher* Server::claim_wake(bool submitter) {
       ++started_;
       ++starting_;
       ++live_;
+      awake_.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::system_error&) {
     }
   }
@@ -477,6 +497,7 @@ void Server::drain() {
     if (phase_ == Phase::Running) {
       phase_ = Phase::Draining;
     }
+    splice_ingress(/*close=*/true);
     wake_dispatchers();
     space_cv_.notify_all();
     idle_cv_.wait(lk, [&] { return live_ == 0 && inline_running_ == 0; });
@@ -488,6 +509,7 @@ void Server::stop() {
   {
     std::unique_lock<std::mutex> lk(mu_);
     phase_ = Phase::Stopping;
+    splice_ingress(/*close=*/true);
     wake_dispatchers();
     space_cv_.notify_all();
     idle_cv_.wait(lk, [&] { return live_ == 0 && inline_running_ == 0; });
@@ -543,6 +565,10 @@ void Server::stop_watchdog() {
 
 ServerStats Server::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
+  // Splicing only moves admitted requests from the ingress to their
+  // tenant queues, as the next pick would; it makes the snapshot count
+  // them.
+  const_cast<Server*>(this)->splice_ingress();
   ServerStats out;
   out.queued = queued_;
   out.queue_capacity = config_.queue_capacity;
@@ -558,6 +584,7 @@ ServerStats Server::stats() const {
   out.degraded_inline = degraded_inline_;
   out.watchdog_kicks = watchdog_kicks_;
   out.heartbeats = heartbeats_;
+  out.locked_submits = locked_submits_;
   out.dispatchers = started_;
   out.peak_concurrent_dispatches = peak_dispatching_;
   out.tenants.reserve(tenants_.size());
@@ -581,30 +608,111 @@ ServerStats Server::stats() const {
 
 // --- Submission --------------------------------------------------------
 
-void Server::enqueue(std::unique_ptr<detail::Request> r,
-                     const SubmitOptions& opts) {
-  r->tenant = opts.tenant;
-  r->cancel = opts.cancel;
-  const auto budget =
-      opts.deadline.count() > 0 ? opts.deadline : config_.default_deadline;
-  if (budget.count() > 0) {
-    r->has_deadline = true;
-    r->deadline = std::chrono::steady_clock::now() + budget;
-  }
+std::size_t Server::reserve_slot() noexcept {
+  std::size_t n = admitted_.load(std::memory_order_relaxed);
+  do {
+    if (n >= config_.queue_capacity) {
+      return 0;
+    }
+  } while (!admitted_.compare_exchange_weak(n, n + 1,
+                                            std::memory_order_relaxed));
+  return n + 1;
+}
 
-  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
-  lock_queue(lk, spin_);
+std::size_t Server::push_ingress(detail::Request* r) noexcept {
+  if (!fast_submit_) {
+    return 0; // a quota needs exact tenant queue lengths
+  }
+  const std::size_t admitted = reserve_slot();
+  if (admitted == 0) {
+    return 0; // full: the overload policy applies, under mu_
+  }
+  detail::Request* head = ingress_.load(std::memory_order_relaxed);
+  do {
+    if (head == closed_ingress()) {
+      // Closed by drain() or stop(): the locked path refuses it.
+      admitted_.fetch_sub(1, std::memory_order_relaxed);
+      return 0;
+    }
+    r->next = head;
+  } while (!ingress_.compare_exchange_weak(head, r,
+                                           std::memory_order_seq_cst,
+                                           std::memory_order_relaxed));
+  return admitted;
+}
+
+bool Server::must_wake(std::size_t admitted) const noexcept {
+  // Read after the push, seq_cst: a dispatcher that parks lowers awake_
+  // first and re-checks the ingress after, so with awake_ above zero
+  // some dispatcher is sure to see this request.
+  const std::size_t awake = awake_.load(std::memory_order_seq_cst);
+  if (awake == 0) {
+    return true;
+  }
+  if (awake == dispatchers_.size()) {
+    return false; // every dispatcher is started and awake: none to wake
+  }
+  // claim_wake's rule without the lock: awake dispatchers outside an
+  // engine call (spinning, starting, woken, in a pick or publishing)
+  // look at the queue soon, so they cover that many admitted requests;
+  // beyond those, the latest dispatch covers the rest while it is fresh.
+  const std::size_t busy = dispatching_.load(std::memory_order_relaxed);
+  if (awake > busy && admitted <= awake - busy) {
+    return false;
+  }
+  const auto fresh = fresh_at_.load(std::memory_order_relaxed);
+  return fresh == 0 ||
+         clock_ticks() - fresh >=
+             std::chrono::steady_clock::duration(kDispatchSpin).count();
+}
+
+void Server::splice_ingress(bool close) {
+  detail::Request* head = ingress_.load(std::memory_order_relaxed);
+  if (close) {
+    head = ingress_.exchange(closed_ingress(), std::memory_order_acquire);
+  } else if (head != nullptr && head != closed_ingress()) {
+    // Only holders of mu_ take or close the ingress, so it is still
+    // open and non-empty here; later pushes ride along.
+    head = ingress_.exchange(nullptr, std::memory_order_acquire);
+  }
+  if (head == nullptr || head == closed_ingress()) {
+    return;
+  }
+  detail::Request* fifo = nullptr; // reversed: oldest first
+  while (head != nullptr) {
+    detail::Request* const next = head->next;
+    head->next = fifo;
+    fifo = head;
+    head = next;
+  }
+  while (fifo != nullptr) {
+    std::unique_ptr<detail::Request> r(fifo);
+    fifo = fifo->next;
+    ++submitted_;
+    Tenant& t = tenant_for(r->tenant);
+    ++t.submitted;
+    queue_request(std::move(r), t);
+  }
+}
+
+void Server::queue_request(std::unique_ptr<detail::Request> r, Tenant& t) {
+  if (t.q.empty()) {
+    picker_.activate(r->tenant);
+  }
+  t.q.push_back(std::move(r));
+  ++queued_;
+}
+
+bool Server::enqueue_locked(std::unique_lock<std::mutex>& lk,
+                            std::unique_ptr<detail::Request> r,
+                            const std::exception_ptr& fault) {
   ++submitted_;
   Tenant& t = tenant_for(r->tenant);
   ++t.submitted;
-
-  try {
-    IATF_FAULT_POINT("serve.enqueue", Status::AllocFailure);
-  } catch (...) {
-    const auto error = std::current_exception();
+  if (fault) {
     lk.unlock();
-    r->fail(error);
-    return;
+    r->fail(fault);
+    return false;
   }
 
   const std::size_t quota = config_.per_tenant_quota != 0
@@ -617,20 +725,20 @@ void Server::enqueue(std::unique_ptr<detail::Request> r,
       lk.unlock();
       r->fail(std::make_exception_ptr(CancelledError(
           "iatf: submission refused: server is draining or stopped")));
-      return;
+      return false;
     }
-    if (queued_ < config_.queue_capacity && t.q.size() < quota) {
-      break; // space available
+    if (t.q.size() < quota && reserve_slot() != 0) {
+      break; // space available, and reserved
     }
     switch (config_.overload) {
     case resilience::OverloadPolicy::ShedNewest: {
       ++shed_overflow_;
       ++t.shed_overflow;
-      const std::size_t queued = queued_;
+      const std::size_t queued = admitted_.load(std::memory_order_relaxed);
       lk.unlock();
       r->fail(std::make_exception_ptr(
           OverloadError(queued, config_.queue_capacity)));
-      return;
+      return false;
     }
     case resilience::OverloadPolicy::DegradeToRef: {
       // No queue space: serve the request synchronously on the
@@ -646,12 +754,14 @@ void Server::enqueue(std::unique_ptr<detail::Request> r,
       --inline_running_;
       ++completed_;
       idle_cv_.notify_all();
-      return;
+      return false;
     }
     case resilience::OverloadPolicy::Block: {
       const auto has_space = [&] {
         return phase_ != Phase::Running ||
-               (queued_ < config_.queue_capacity && t.q.size() < quota) ||
+               (admitted_.load(std::memory_order_relaxed) <
+                    config_.queue_capacity &&
+                t.q.size() < quota) ||
                config_.overload != resilience::OverloadPolicy::Block;
       };
       if (r->has_deadline) {
@@ -662,7 +772,7 @@ void Server::enqueue(std::unique_ptr<detail::Request> r,
           ++t.shed_expired;
           lk.unlock();
           r->fail(std::make_exception_ptr(TimeoutError(0, 1)));
-          return;
+          return false;
         }
       } else {
         space_cv_.wait(lk, has_space);
@@ -671,13 +781,46 @@ void Server::enqueue(std::unique_ptr<detail::Request> r,
     }
     }
   }
+  queue_request(std::move(r), t);
+  return true;
+}
 
-  if (t.q.empty()) {
-    picker_.activate(r->tenant);
+void Server::enqueue(std::unique_ptr<detail::Request> r,
+                     const SubmitOptions& opts) {
+  r->tenant = opts.tenant;
+  r->cancel = opts.cancel;
+  const auto budget =
+      opts.deadline.count() > 0 ? opts.deadline : config_.default_deadline;
+  if (budget.count() > 0) {
+    r->has_deadline = true;
+    r->deadline = std::chrono::steady_clock::now() + budget;
   }
-  t.q.push_back(std::move(r));
-  ++queued_;
-  // Decided in the critical section that pushes: a dispatcher that has
+
+  // An injected enqueue fault fails the request on the locked path, so
+  // that it is counted like every refusal.
+  std::exception_ptr fault;
+  try {
+    IATF_FAULT_POINT("serve.enqueue", Status::AllocFailure);
+  } catch (...) {
+    fault = std::current_exception();
+  }
+  if (const std::size_t admitted = fault ? 0 : push_ingress(r.get());
+      admitted != 0) {
+    r.release(); // the ingress owns it now
+    if (!must_wake(admitted)) {
+      return;
+    }
+  }
+  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
+  lock_queue(lk, spin_);
+  ++locked_submits_;
+  // Pushed requests queue first: this thread's earlier submits, and
+  // this one if it was pushed.
+  splice_ingress();
+  if (r && !enqueue_locked(lk, std::move(r), fault)) {
+    return;
+  }
+  // Decided in the critical section that queues: a dispatcher that has
   // not parked yet re-checks the queue under mu_ before it parks, so it
   // sees this request. Bump and notify after unlocking, so neither a
   // spinning nor a woken dispatcher finds mu_ still held.
@@ -757,24 +900,38 @@ void Server::run_dispatcher(std::size_t slot, std::uint64_t epoch) {
     return lifecycle() || (!paused_ && queued_ > 0);
   };
   for (;;) {
+    splice_ingress();
     if (!ready() && spin_ && !paused_ && spinning_ == 0) {
-      // The one spinner: watch work_seq_ for up to kDispatchSpin with
-      // mu_ released, then re-check under mu_. A paused server has
-      // nothing to spin for.
+      // The one spinner: watch the ingress and work_seq_ for up to
+      // kDispatchSpin with mu_ released, then re-check under mu_. A
+      // paused server has nothing to spin for.
       spinning_ = 1;
       const std::uint64_t seen = work_seq_.load(std::memory_order_relaxed);
       lk.unlock();
       const auto until = std::chrono::steady_clock::now() + kDispatchSpin;
       while (work_seq_.load(std::memory_order_relaxed) == seen &&
+             ingress_.load(std::memory_order_relaxed) == nullptr &&
              std::chrono::steady_clock::now() < until) {
         cpu_relax();
       }
       lock_queue(lk, spin_);
       spinning_ = 0;
+      splice_ingress();
     }
     if (!ready()) {
+      // Announce the park, then look at the ingress once more: a submit
+      // that pushed before the announcement is seen here, and one after
+      // it reads awake_ too low and takes mu_ to claim a wake. The stall
+      // site lets a test push inside that window.
+      fault::stall_if_armed("serve.park", 100);
+      awake_.fetch_sub(1, std::memory_order_seq_cst);
+      if (ingress_.load(std::memory_order_seq_cst) != nullptr) {
+        awake_.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
       // Park until a submitter, a backlogged dispatcher or resume()
-      // picks this thread (claim_wake), or the lifecycle changes.
+      // picks this thread (claim_wake, which raises awake_ for it), or
+      // the lifecycle changes.
       Dispatcher& self = dispatchers_[slot];
       parked_.push_back(&self);
       self.cv.wait(lk, [&] { return self.woken || lifecycle(); });
@@ -783,6 +940,7 @@ void Server::run_dispatcher(std::size_t slot, std::uint64_t epoch) {
         --wake_tokens_;
       } else {
         std::erase(parked_, &self);
+        awake_.fetch_add(1, std::memory_order_relaxed);
       }
       continue;
     }
@@ -822,6 +980,7 @@ void Server::dispatch_round(std::unique_lock<std::mutex>& lk,
       bufs.runnable.push_back(id);
     }
   }
+  const std::size_t queued_before = queued_;
   const TenantId head_id = picker_.pick(bufs.runnable);
   Tenant& head_tenant = tenants_.find(head_id)->second;
   std::unique_ptr<detail::Request> head = std::move(head_tenant.q.front());
@@ -885,6 +1044,7 @@ void Server::dispatch_round(std::unique_lock<std::mutex>& lk,
       }
     }
   }
+  admitted_.fetch_sub(queued_before - queued_, std::memory_order_relaxed);
   space_cv_.notify_all();
 
   const std::size_t executed = batch.size();
@@ -937,7 +1097,8 @@ void Server::dispatch_round(std::unique_lock<std::mutex>& lk,
   Dispatcher* const wake = claim_wake();
   if (executed != 0) {
     fresh_slot_ = slot;
-    fresh_at_ = now;
+    fresh_at_.store(now.time_since_epoch().count(),
+                    std::memory_order_relaxed);
   }
 
   lk.unlock();
@@ -989,6 +1150,7 @@ void Server::dispatch_round(std::unique_lock<std::mutex>& lk,
   }
   if (fresh_slot_ == slot) {
     fresh_slot_ = kNoSlot;
+    fresh_at_.store(0, std::memory_order_relaxed);
   }
   if (executed == 0) {
     return;
@@ -1060,10 +1222,13 @@ void Server::reclaim_inflight(std::unique_lock<std::mutex>& lk,
   // throughout; the slot's fresh mark goes with its dispatch. Safe
   // against join_dispatchers(): joins only happen after live_ == 0 is
   // observed under mu_, and a dispatcher that is mid-dispatch (the only
-  // state we reclaim from) has not exited.
+  // state we reclaim from) has not exited. The replacement takes over
+  // the slot's awake_ count, which the wedged thread held and never
+  // lowers.
   const std::uint64_t epoch = ++d.epoch;
   if (fresh_slot_ == slot) {
     fresh_slot_ = kNoSlot;
+    fresh_at_.store(0, std::memory_order_relaxed);
   }
   zombies_.push_back(std::move(d.thread));
   d.thread = std::thread([this, slot, epoch] { run_dispatcher(slot, epoch); });
@@ -1101,6 +1266,7 @@ void Server::cancel_queued(std::unique_lock<std::mutex>& lk) {
     }
     t.q.clear();
   }
+  admitted_.fetch_sub(queued_, std::memory_order_relaxed);
   queued_ = 0;
   space_cv_.notify_all();
   lk.unlock();

@@ -221,6 +221,36 @@ TEST_F(StressRace, ConcurrentMissesBuildExactlyOnePlan) {
   }
 }
 
+// Engine::stats() reads every shard's plan-map snapshot while another
+// thread publishes new ones, one per cold plan build. Under TSan this
+// checks the snapshot's publication against a reader that is not on the
+// call path. Each shard's map only grows, so the summed size read in
+// one snapshot never shrinks from the last.
+TEST_F(StressRace, StatsReadsRacePlanBuilds) {
+  Engine engine(CacheInfo::kunpeng920());
+  constexpr index_t kPlans = 48;
+  std::atomic<bool> reading{false};
+  std::atomic<bool> done{false};
+  std::thread builder([&] {
+    while (!reading.load()) {
+    }
+    for (index_t m = 1; m <= kPlans; ++m) {
+      EXPECT_NE(engine.plan_gemm<float>(hot_gemm_shape(m)), nullptr);
+    }
+    done.store(true);
+  });
+  std::size_t seen = 0;
+  do {
+    const std::size_t size = engine.stats().plan_cache_size;
+    EXPECT_GE(size, seen);
+    seen = size;
+    reading.store(true);
+  } while (!done.load());
+  builder.join();
+  EXPECT_EQ(engine.stats().plan_cache_size,
+            static_cast<std::size_t>(kPlans));
+}
+
 // A failed single-flight build must deliver the same exception to the
 // leader and every joiner, and leave the descriptor rebuildable.
 TEST_F(StressRace, FailedBuildPropagatesToAllWaiters) {

@@ -583,6 +583,8 @@ int run(const Options& opt) {
   row("dispatchers", static_cast<double>(stats.dispatchers), "threads");
   row("peak_concurrent_dispatches",
       static_cast<double>(stats.peak_concurrent_dispatches), "dispatches");
+  // Submits that took the queue lock; the rest took the lock-free path.
+  row("locked_submits", static_cast<double>(stats.locked_submits), "req");
   if (!opt.mix.empty()) {
     row("mix_distinct_shapes", static_cast<double>(shapes.size()),
         "shapes");
