@@ -426,9 +426,13 @@ private:
   /// Returns the admitted count (the ingress owns `r` now), or 0 with
   /// `r` untouched when the submit must take the locked path.
   std::size_t push_ingress(detail::Request* r) noexcept;
-  /// After a push: true when no awake dispatcher is sure to look at the
-  /// ingress soon, so the submitter must take mu_ and claim a wake.
-  bool must_wake(std::size_t admitted) const noexcept;
+  /// The wake rule: true when `pending` requests outnumber the
+  /// dispatchers sure to look at the queue soon without a wake, so one
+  /// must be woken or started. A lock-free `submitter` calls it after
+  /// its push, with its admitted count, and takes mu_ when it is true;
+  /// claim_wake calls it under mu_ with queued_. A `submitter` also
+  /// leaves the queue to a dispatch picked less than kDispatchSpin ago.
+  bool must_wake(std::size_t pending, bool submitter) const noexcept;
   /// mu_ held: move the ingress into the tenant queues in submission
   /// order; with `close`, leave it closed to pushes for good.
   void splice_ingress(bool close = false);
@@ -445,16 +449,13 @@ private:
                          batch) noexcept;
   void cancel_queued(std::unique_lock<std::mutex>& lk);
   /// mu_ held, called after the queue grew or a pick left work queued.
-  /// If queued requests outnumber the dispatchers about to look at the
-  /// queue anyway, pick the most recently parked dispatcher (returned;
-  /// the caller notifies its cv after unlocking), or else start the
-  /// next follower thread if any is left; either way it raises awake_
-  /// for that dispatcher. A `submitter` also leaves the queue to a
-  /// dispatch picked less than kDispatchSpin ago. must_wake mirrors
-  /// this rule for lock-free submits.
+  /// Unless paused, if must_wake(queued_, submitter) holds, pick the
+  /// most recently parked dispatcher (returned; the caller notifies its
+  /// cv after unlocking), or else start the next follower thread if any
+  /// is left; either way it raises awake_ for that dispatcher.
   Dispatcher* claim_wake(bool submitter = false);
-  /// mu_ held: bump work_seq_ and wake every dispatcher, spinning or
-  /// parked (lifecycle changes, never the per-request path).
+  /// mu_ held: notify every parked dispatcher of a lifecycle change
+  /// (never the per-request path). A spinner sees the closed ingress.
   void wake_dispatchers();
   void join_dispatchers();
   Tenant& tenant_for(TenantId id); ///< mu_ held
@@ -490,21 +491,17 @@ private:
   /// Parked dispatchers, most recently parked last: a wake goes to the
   /// one whose caches are warmest. Reserved at construction.
   std::vector<Dispatcher*> parked_;
-  std::size_t wake_tokens_ = 0; ///< wakes claimed, not yet consumed
   std::size_t started_ = 0;     ///< slots [0, started_) have a thread
-  std::size_t starting_ = 0;    ///< started, not yet at their loop
   std::size_t live_ = 0;        ///< started dispatchers not yet exited
   /// Batches inside their engine call now: raised under mu_ at the
-  /// pick, lowered by the executing thread as the call returns.
+  /// pick, lowered by the executing thread as the call returns, before
+  /// it publishes.
   std::atomic<std::size_t> dispatching_{0};
   std::size_t peak_dispatching_ = 0;
-  /// Slot of the latest dispatch while its dispatcher is between the
-  /// pick and its re-lock (kNoSlot otherwise), and its pick time in
-  /// steady_clock ticks (0 otherwise; written under mu_, read by
-  /// lock-free submitters too): for one spin bound a submitter leaves
-  /// the queue to it.
-  static constexpr std::size_t kNoSlot = ~std::size_t{0};
-  std::size_t fresh_slot_ = kNoSlot;
+  /// Pick time of the latest dispatch in steady_clock ticks, until its
+  /// dispatcher re-locks (0 then; written under mu_, read by lock-free
+  /// submitters too): for one spin bound a submitter leaves the queue
+  /// to it.
   std::atomic<std::chrono::steady_clock::rep> fresh_at_{0};
 
   std::uint64_t submitted_ = 0;
@@ -533,17 +530,13 @@ private:
   std::mutex join_mu_; ///< serialises dispatcher joins across stop/drain
   std::thread watchdog_;
 
-  /// Dispatchers resolving requests with mu_ released. Each re-checks
-  /// the queue before it parks, so submitters need not wake a follower.
-  /// Raised before the first resolution, so a caller released by one
-  /// reads it non-zero when it submits again.
-  std::atomic<std::size_t> publishing_{0};
-
-  /// The lock-free ingress (DESIGN.md section 12.5), on a cache line of
-  /// its own, so a lock-free submit's three atomics share one line:
+  /// The lock-free ingress (DESIGN.md section 12.5), last and on a cache
+  /// line of its own, so a lock-free submit's three atomics share one
+  /// line and share it with no other state:
   ///  * admitted_: requests holding a slot of queue_capacity, queued or
-  ///    on the ingress. Raised by submitters, lowered under mu_ by the
-  ///    picks and cancellations that take requests off the queue.
+  ///    on the ingress. Raised by every admission, locked or not, and
+  ///    lowered under mu_ by the picks and cancellations that take
+  ///    requests off the queue. The spinner watches it.
   ///  * ingress_: intrusive stack of pushed requests, newest first,
   ///    linked through Request::next. Taken whole under mu_; the
   ///    closed-ingress sentinel refuses pushes after drain() or stop().
@@ -552,17 +545,11 @@ private:
   ///    then reads it. Both sides seq_cst: either the dispatcher sees
   ///    the push, or the submitter sees it parking and takes mu_ to
   ///    wake one. Raised by whoever wakes or starts a dispatcher; a
-  ///    watchdog replacement inherits its slot's count.
+  ///    watchdog replacement inherits its slot's count. Written only
+  ///    under mu_, so claim_wake reads it exactly.
   alignas(64) std::atomic<std::size_t> admitted_{0};
   std::atomic<detail::Request*> ingress_{nullptr};
   std::atomic<std::size_t> awake_{0};
-
-  /// Bumped on every locked enqueue and lifecycle change; the spinning
-  /// dispatcher watches it, and the ingress, to leave its spin early. A
-  /// hint only: whether there is work is always decided under mu_. Last
-  /// and on its own cache line, so the spin shares no line with mu_ or
-  /// the counters.
-  alignas(64) std::atomic<std::uint64_t> work_seq_{0};
 };
 
 } // namespace iatf::serve

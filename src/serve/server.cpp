@@ -7,8 +7,10 @@
 // before each pick. The engine call itself runs with the lock released
 // so submitters, lifecycle calls and the other dispatchers never wait
 // on compute. At most one idle dispatcher spins, the rest park, and a
-// parked one is woken only when queued requests outnumber the
-// dispatchers about to look at the queue (DESIGN.md section 12.5).
+// parked one is woken only when pending requests outnumber the awake
+// dispatchers outside an engine call: one rule, must_wake, for the
+// lock-free submit and for claim_wake under mu_ (DESIGN.md section
+// 12.5).
 #include "iatf/serve/server.hpp"
 
 #include <algorithm>
@@ -30,8 +32,9 @@ namespace detail {
 /// One queued request. Derived types carry the typed payload and the
 /// promise; the base carries everything the queue and the coalescer
 /// need. Execution and resolution are separate steps: run() keeps the
-/// outcome, publish() hands it to the caller, so a dispatcher can mark
-/// itself as about to re-check the queue before any caller wakes.
+/// outcome, publish() hands it to the caller, so a dispatcher leaves
+/// dispatching_ -- counting as about to re-check the queue -- before any
+/// caller wakes.
 /// Resolution invariant: exactly one of publish() or fail() per request
 /// takes effect, ever -- enforced by claim(), because a watchdog
 /// reclamation and a later-un-wedging dispatcher may both try to
@@ -303,28 +306,6 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
-/// try_lock attempts before a contended queue lock sleeps. mu_ is held
-/// for well under a microsecond per pick or push, while glibc's mutex
-/// sleeps on the first failed try and a futex sleep and wake costs
-/// several. 256 tries still take less than one futex wake
-/// (DESIGN.md section 12.5).
-constexpr int kLockSpin = 256;
-
-/// Take the hot queue lock (`lk` is unlocked on entry): spin on try_lock
-/// for a bounded number of tries, then block. On one CPU (`spin` false)
-/// a spin only delays the holder, so it blocks at once.
-void lock_queue(std::unique_lock<std::mutex>& lk, bool spin) {
-  if (spin) {
-    for (int i = 0; i < kLockSpin; ++i) {
-      if (lk.try_lock()) {
-        return;
-      }
-      cpu_relax();
-    }
-  }
-  lk.lock();
-}
-
 /// Marks a closed ingress: pushes fail on it. Never dereferenced.
 detail::Request* closed_ingress() noexcept {
   return reinterpret_cast<detail::Request*>(alignof(detail::Request));
@@ -373,7 +354,6 @@ Server::Server(Engine& engine, ServeConfig config)
     dispatchers_.front().thread =
         std::thread([this] { run_dispatcher(0, 0); });
     started_ = 1;
-    starting_ = 1;
     live_ = 1;
     awake_.store(1, std::memory_order_relaxed);
   }
@@ -429,35 +409,19 @@ void Server::resume() {
   paused_ = false;
   Dispatcher* const wake = claim_wake();
   lk.unlock();
-  work_seq_.fetch_add(1, std::memory_order_relaxed);
   if (wake != nullptr) {
     wake->cv.notify_one();
   }
 }
 
 Server::Dispatcher* Server::claim_wake(bool submitter) {
-  // Dispatchers that look at the queue soon without a wake: the
-  // spinner, one starting, one publishing its results (it re-checks
-  // before it parks) and one already woken. A dispatcher inside an
-  // engine call is not counted: its call may take long.
-  const std::size_t coming = spinning_ + starting_ + wake_tokens_ +
-                             publishing_.load(std::memory_order_relaxed);
-  if (paused_ || queued_ <= coming) {
-    return nullptr;
-  }
-  // Except by a submitter, for the latest dispatch while it is younger
-  // than a spin bound: it most likely returns, and re-checks the queue,
-  // before a woken follower would get going.
-  if (submitter && fresh_slot_ != kNoSlot &&
-      clock_ticks() - fresh_at_.load(std::memory_order_relaxed) <
-          std::chrono::steady_clock::duration(kDispatchSpin).count()) {
+  if (paused_ || !must_wake(queued_, submitter)) {
     return nullptr;
   }
   if (!parked_.empty()) {
     Dispatcher* const d = parked_.back();
     parked_.pop_back();
     d->woken = true;
-    ++wake_tokens_;
     awake_.fetch_add(1, std::memory_order_relaxed);
     return d;
   }
@@ -470,7 +434,6 @@ Server::Dispatcher* Server::claim_wake(bool submitter) {
       dispatchers_[slot].thread =
           std::thread([this, slot] { run_dispatcher(slot, 0); });
       ++started_;
-      ++starting_;
       ++live_;
       awake_.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::system_error&) {
@@ -480,7 +443,6 @@ Server::Dispatcher* Server::claim_wake(bool submitter) {
 }
 
 void Server::wake_dispatchers() {
-  work_seq_.fetch_add(1, std::memory_order_relaxed);
   for (Dispatcher& d : dispatchers_) {
     d.cv.notify_all();
   }
@@ -641,10 +603,13 @@ std::size_t Server::push_ingress(detail::Request* r) noexcept {
   return admitted;
 }
 
-bool Server::must_wake(std::size_t admitted) const noexcept {
-  // Read after the push, seq_cst: a dispatcher that parks lowers awake_
-  // first and re-checks the ingress after, so with awake_ above zero
-  // some dispatcher is sure to see this request.
+bool Server::must_wake(std::size_t pending, bool submitter) const noexcept {
+  if (pending == 0) {
+    return false;
+  }
+  // A submitter reads it after its push, seq_cst: a dispatcher that
+  // parks lowers awake_ first and re-checks the ingress after, so with
+  // awake_ above zero some dispatcher is sure to see the request.
   const std::size_t awake = awake_.load(std::memory_order_seq_cst);
   if (awake == 0) {
     return true;
@@ -652,14 +617,21 @@ bool Server::must_wake(std::size_t admitted) const noexcept {
   if (awake == dispatchers_.size()) {
     return false; // every dispatcher is started and awake: none to wake
   }
-  // claim_wake's rule without the lock: awake dispatchers outside an
-  // engine call (spinning, starting, woken, in a pick or publishing)
-  // look at the queue soon, so they cover that many admitted requests;
-  // beyond those, the latest dispatch covers the rest while it is fresh.
+  // Awake dispatchers outside an engine call (spinning, starting, woken,
+  // in a pick or publishing) look at the queue soon, so they cover that
+  // many pending requests. A watchdog-retired call still counts in
+  // dispatching_ after its awake_ share passed to its replacement, so
+  // busy may exceed awake: then none covers, one wake too many at worst.
   const std::size_t busy = dispatching_.load(std::memory_order_relaxed);
-  if (awake > busy && admitted <= awake - busy) {
+  if (awake > busy && pending <= awake - busy) {
     return false;
   }
+  if (!submitter) {
+    return true;
+  }
+  // Beyond those, a submitter leaves the rest to the latest dispatch
+  // while it is younger than a spin bound: it most likely returns, and
+  // re-checks the queue, before a woken follower would get going.
   const auto fresh = fresh_at_.load(std::memory_order_relaxed);
   return fresh == 0 ||
          clock_ticks() - fresh >=
@@ -807,12 +779,11 @@ void Server::enqueue(std::unique_ptr<detail::Request> r,
   if (const std::size_t admitted = fault ? 0 : push_ingress(r.get());
       admitted != 0) {
     r.release(); // the ingress owns it now
-    if (!must_wake(admitted)) {
+    if (!must_wake(admitted, /*submitter=*/true)) {
       return;
     }
   }
-  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
-  lock_queue(lk, spin_);
+  std::unique_lock<std::mutex> lk(mu_);
   ++locked_submits_;
   // Pushed requests queue first: this thread's earlier submits, and
   // this one if it was pushed.
@@ -822,11 +793,10 @@ void Server::enqueue(std::unique_ptr<detail::Request> r,
   }
   // Decided in the critical section that queues: a dispatcher that has
   // not parked yet re-checks the queue under mu_ before it parks, so it
-  // sees this request. Bump and notify after unlocking, so neither a
-  // spinning nor a woken dispatcher finds mu_ still held.
+  // sees this request. Notify after unlocking, so a woken dispatcher
+  // does not find mu_ still held.
   Dispatcher* const wake = claim_wake(/*submitter=*/true);
   lk.unlock();
-  work_seq_.fetch_add(1, std::memory_order_relaxed);
   if (wake != nullptr) {
     wake->cv.notify_one();
   }
@@ -888,9 +858,6 @@ void Server::run_dispatcher(std::size_t slot, std::uint64_t epoch) {
   RoundBuffers bufs;
   bufs.batch.reserve(config_.max_coalesce);
   std::unique_lock<std::mutex> lk(mu_);
-  if (epoch == 0) {
-    --starting_; // a watchdog replacement (epoch > 0) was never counted
-  }
   const auto retired = [&] { return dispatchers_[slot].epoch != epoch; };
   // Retired / draining ignores pause; stopping cancels.
   const auto lifecycle = [&] {
@@ -902,19 +869,19 @@ void Server::run_dispatcher(std::size_t slot, std::uint64_t epoch) {
   for (;;) {
     splice_ingress();
     if (!ready() && spin_ && !paused_ && spinning_ == 0) {
-      // The one spinner: watch the ingress and work_seq_ for up to
-      // kDispatchSpin with mu_ released, then re-check under mu_. A
-      // paused server has nothing to spin for.
+      // The one spinner: for up to kDispatchSpin with mu_ released,
+      // watch for an admission (locked or not, each raises admitted_)
+      // or the closed ingress of drain() and stop(), then re-check
+      // under mu_. A paused server has nothing to spin for.
       spinning_ = 1;
-      const std::uint64_t seen = work_seq_.load(std::memory_order_relaxed);
       lk.unlock();
       const auto until = std::chrono::steady_clock::now() + kDispatchSpin;
-      while (work_seq_.load(std::memory_order_relaxed) == seen &&
+      while (admitted_.load(std::memory_order_relaxed) == 0 &&
              ingress_.load(std::memory_order_relaxed) == nullptr &&
              std::chrono::steady_clock::now() < until) {
         cpu_relax();
       }
-      lock_queue(lk, spin_);
+      lk.lock();
       spinning_ = 0;
       splice_ingress();
     }
@@ -937,7 +904,6 @@ void Server::run_dispatcher(std::size_t slot, std::uint64_t epoch) {
       self.cv.wait(lk, [&] { return self.woken || lifecycle(); });
       if (self.woken) {
         self.woken = false;
-        --wake_tokens_;
       } else {
         std::erase(parked_, &self);
         awake_.fetch_add(1, std::memory_order_relaxed);
@@ -1095,10 +1061,9 @@ void Server::dispatch_round(std::unique_lock<std::mutex>& lk,
   // Backlog: work still queued after this pick goes to a follower
   // rather than waiting for this thread's next round.
   Dispatcher* const wake = claim_wake();
+  const auto stamp = now.time_since_epoch().count();
   if (executed != 0) {
-    fresh_slot_ = slot;
-    fresh_at_.store(now.time_since_epoch().count(),
-                    std::memory_order_relaxed);
+    fresh_at_.store(stamp, std::memory_order_relaxed);
   }
 
   lk.unlock();
@@ -1122,14 +1087,11 @@ void Server::dispatch_round(std::unique_lock<std::mutex>& lk,
   if (!run.empty()) {
     execute_batch(run);
     // Lowered before any caller of this batch is released: a lone
-    // caller's next request never overlaps this dispatch.
+    // caller's next request never overlaps this dispatch, and finds this
+    // dispatcher awake and outside an engine call, so counted as about
+    // to re-check the queue; no follower is woken for the hand-off.
     dispatching_.fetch_sub(1);
   }
-  // From here until this thread re-locks, a caller released by the
-  // resolutions below may submit again; publishing_ tells it that this
-  // dispatcher re-checks the queue before it parks, so no follower is
-  // woken for the hand-off.
-  publishing_.fetch_add(1);
   for (const auto& r : run) {
     r->publish(); // claim-gated: loses to an earlier watchdog reclaim
   }
@@ -1137,23 +1099,17 @@ void Server::dispatch_round(std::unique_lock<std::mutex>& lk,
   // watchdog's copy until its resolutions are done).
   batch.clear();
   shared.reset();
-  lock_queue(lk, spin_);
-  publishing_.fetch_sub(1);
+  lk.lock();
   if (dispatchers_[slot].epoch != epoch) {
-    // Reclaimed by the watchdog meanwhile: this thread exits without
-    // re-checking the queue, yet a submitter may have counted it as
-    // publishing and woken nobody. Hand that request on.
-    if (Dispatcher* const next = claim_wake(); next != nullptr) {
-      next->cv.notify_one();
-    }
+    // Reclaimed by the watchdog meanwhile: its replacement holds this
+    // slot's awake_ share, so no submitter counted this thread.
     return;
-  }
-  if (fresh_slot_ == slot) {
-    fresh_slot_ = kNoSlot;
-    fresh_at_.store(0, std::memory_order_relaxed);
   }
   if (executed == 0) {
     return;
+  }
+  if (fresh_at_.load(std::memory_order_relaxed) == stamp) {
+    fresh_at_.store(0, std::memory_order_relaxed); // still this pick's mark
   }
   dispatchers_[slot].inflight.batch.reset();
   inflight_ -= executed;
@@ -1219,17 +1175,13 @@ void Server::reclaim_inflight(std::unique_lock<std::mutex>& lk,
   // exits without touching the queue or the accounting when (if) it
   // un-wedges, park its thread for joining at stop()/drain(), and start
   // a replacement in the slot. The other dispatchers keep serving
-  // throughout; the slot's fresh mark goes with its dispatch. Safe
-  // against join_dispatchers(): joins only happen after live_ == 0 is
-  // observed under mu_, and a dispatcher that is mid-dispatch (the only
-  // state we reclaim from) has not exited. The replacement takes over
-  // the slot's awake_ count, which the wedged thread held and never
-  // lowers.
+  // throughout; a fresh mark of the wedged pick expires on its own one
+  // spin bound after it. Safe against join_dispatchers(): joins only
+  // happen after live_ == 0 is observed under mu_, and a dispatcher that
+  // is mid-dispatch (the only state we reclaim from) has not exited. The
+  // replacement takes over the slot's awake_ count, which the wedged
+  // thread held and never lowers.
   const std::uint64_t epoch = ++d.epoch;
-  if (fresh_slot_ == slot) {
-    fresh_slot_ = kNoSlot;
-    fresh_at_.store(0, std::memory_order_relaxed);
-  }
   zombies_.push_back(std::move(d.thread));
   d.thread = std::thread([this, slot, epoch] { run_dispatcher(slot, epoch); });
 

@@ -167,18 +167,28 @@ TEST(ServeLifecycle, IdleServerParks) {
 }
 
 // A lone synchronous caller never has a backlog, so it is served by one
-// dispatcher: no follower is started, and no two dispatches overlap.
+// dispatcher: no follower is started, and no two dispatches overlap. A
+// per-tenant quota below the shared bound sends every submit through
+// mu_, so there claim_wake, not the lock-free submit, decides each wake.
 TEST(ServeLifecycle, LoneCallerUsesOneDispatcher) {
   Engine engine(CacheInfo::kunpeng920());
   engine.set_kernel_verification(false);
   Gemm8 fx(1);
-  Server server(engine, with_dispatchers(3));
-  for (int i = 0; i < 1000; ++i) {
-    fx.submit(server, 0).get();
+  for (const std::size_t quota : {0, 2}) {
+    SCOPED_TRACE(::testing::Message() << "per_tenant_quota=" << quota);
+    ServeConfig config = with_dispatchers(3);
+    config.per_tenant_quota = quota;
+    Server server(engine, config);
+    for (int i = 0; i < 1000; ++i) {
+      fx.submit(server, 0).get();
+    }
+    const ServerStats s = server.stats();
+    EXPECT_EQ(s.dispatchers, 1u);
+    EXPECT_EQ(s.peak_concurrent_dispatches, 1u);
+    if (quota != 0) {
+      EXPECT_EQ(s.locked_submits, s.submitted);
+    }
   }
-  const ServerStats s = server.stats();
-  EXPECT_EQ(s.dispatchers, 1u);
-  EXPECT_EQ(s.peak_concurrent_dispatches, 1u);
 }
 
 // pause() holds a dispatcher that is still spinning after its last
