@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "iatf/codegen/gemm_emitter.hpp"
+#include "iatf/codegen/scheduler.hpp"
 #include "iatf/pipesim/simulator.hpp"
-#include "iatf/sched/scheduler.hpp"
 
 using namespace iatf;
 
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
               model.name.c_str());
   codegen::GemmKernelSpec spec; // 4x4 double
   const auto naive = codegen::emit_gemm_template_i(spec);
-  const auto tuned = sched::schedule(naive, model);
+  const auto tuned = codegen::schedule(naive, model);
   const auto r_naive = pipesim::simulate(naive, model);
   const auto r_tuned = pipesim::simulate(tuned, model);
   show_stream("generator order (loads, then FMULs)", naive, r_naive,
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       s.k = k;
       s.elem_bytes = eb;
       const auto prog = codegen::emit_gemm_kernel(s);
-      const auto opt = sched::schedule(prog, model);
+      const auto opt = codegen::schedule(prog, model);
       const auto rn = pipesim::simulate(prog, model);
       const auto ro = pipesim::simulate(opt, model);
       const auto mix = codegen::instruction_mix(prog);
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   std::printf("\nRendered assembly of the optimized DGEMM 4x4 K=4 "
               "kernel:\n%s\n",
               codegen::render_asm(
-                  sched::schedule(codegen::emit_gemm_kernel(spec), model),
+                  codegen::schedule(codegen::emit_gemm_kernel(spec), model),
                   "iatf_dgemm_kernel_4x4_k4")
                   .c_str());
   (void)full;

@@ -14,8 +14,8 @@
 #include <string>
 
 #include "iatf/codegen/gemm_emitter.hpp"
+#include "iatf/codegen/scheduler.hpp"
 #include "iatf/pipesim/simulator.hpp"
-#include "iatf/sched/scheduler.hpp"
 
 using namespace iatf;
 
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   const auto naive_sim = pipesim::simulate(prog, model);
   codegen::Program chosen = prog;
   if (!naive) {
-    chosen = sched::schedule(prog, model);
+    chosen = codegen::schedule(prog, model);
   }
   const auto sim = pipesim::simulate(chosen, model);
   const auto mix = codegen::instruction_mix(chosen);

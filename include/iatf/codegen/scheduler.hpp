@@ -11,7 +11,7 @@
 #include "iatf/codegen/ir.hpp"
 #include "iatf/pipesim/machine_model.hpp"
 
-namespace iatf::sched {
+namespace iatf::codegen {
 
 /// Dependence edge kinds, exposed for tests.
 enum class DepKind : std::uint8_t { Raw, War, Waw, Mem };
@@ -27,11 +27,10 @@ struct DepEdge {
 /// conservative ordering between overlapping same-base memory accesses
 /// when at least one is a store. (Distinct base pointers are assumed
 /// non-aliasing -- packed panels and C never overlap.)
-std::vector<DepEdge> build_dependences(const codegen::Program& prog);
+std::vector<DepEdge> build_dependences(const Program& prog);
 
 /// List-schedule the program for the machine model. The result contains
 /// the same instructions in an order that preserves every dependence.
-codegen::Program schedule(const codegen::Program& prog,
-                          const pipesim::MachineModel& model);
+Program schedule(const Program& prog, const pipesim::MachineModel& model);
 
-} // namespace iatf::sched
+} // namespace iatf::codegen

@@ -1,16 +1,18 @@
 // Empirical search over the residual parameter space the analytical
 // model leaves open: pack/no-pack per operand, batch-slice size around
-// the Batch Counter's L1 prediction, kernel-variant (tile-cap) choice
-// from the registry, and thread-pool chunk granularity.
+// the Batch Counter's L1 prediction, kernel-variant (tile, block and
+// panel cap) choice from the registry, and thread-pool chunk
+// granularity.
 //
-// The search is model-guided in the paper's spirit: the install-time
-// pipeline simulator scores every candidate's kernel stream first
-// (cycles per madd, plus a packing-traffic proxy), and only the top-k
-// ranked candidates are actually timed -- warmup plus median-of-reps on
-// the wall clock, each candidate correctness-checked against the scalar
-// reference before its time can count. The analytical default is always
-// part of the timed set, so the winner is never slower than the untuned
-// plan within one measurement session.
+// The search is a one-step neighbourhood of the analytical plan: the
+// anchor is the CMAR-derived default (kernels/cmar.hpp) the untuned
+// engine would build, and every other candidate changes exactly one of
+// its fields. No model ranks them; every candidate is timed. Each is
+// first correctness-checked against the scalar reference, then timed
+// round-robin -- repetition r of every candidate before repetition r+1,
+// the written operand restored before each run -- and scored by its
+// median. The anchor is timed with the others, so the winner is never
+// slower than the untuned plan within one measurement session.
 #pragma once
 
 #include <vector>
@@ -27,34 +29,24 @@ namespace iatf::tune {
 struct TuneOptions {
   index_t batch = 256;  ///< measurement batch (rounded up to whole groups)
   int reps = 5;         ///< timed repetitions per candidate (median)
-  int top_k = 8;        ///< candidates timed after simulator ranking;
-                        ///< <= 0 times the whole space
   ThreadPool* pool = nullptr;     ///< when set, chunk granularity joins
                                   ///< the space and timing uses the pool
   std::uint64_t seed = 0x1a7fu;   ///< measurement-data RNG seed
 };
 
-/// One point of the search space with its simulator ranking.
+/// One point of the search space.
 struct Candidate {
   plan::PlanTuning tuning;
-  double sim_score = 0.0;    ///< predicted cycles per madd (lower wins)
   double gflops = 0.0;       ///< measured; 0 until timed
-  bool analytical = false;   ///< echo of the untuned default plan
+  bool analytical = false;   ///< the anchor: the untuned default plan
 };
 
-/// The candidates a search times: the `opts.top_k` best ranked (all when
-/// top_k <= 0) plus the analytical echo, the never-slower anchor.
-std::vector<Candidate> timed_set(std::vector<Candidate> candidates,
-                                 const TuneOptions& opts);
-
-/// Simulated cycles per madd of the registry GEMM kernel for an mc x nc
-/// tile at depth k (the optimizer-scheduled stream on the Kunpeng 920
-/// model). Used to rank kernel-variant candidates before timing; returns
-/// a large sentinel when the spec is outside the register budget.
-double simulated_gemm_score(int mc, int nc, index_t k, int elem_bytes);
-
-/// Enumerate the candidate space for a descriptor. Every tuning field is
-/// explicit (no "auto" values) so records round-trip bit-identically.
+/// Enumerate the candidates of a descriptor: the analytical anchor first,
+/// then every move that changes one of its fields -- pack_a, pack_b,
+/// tile or block cap, panel cap, slice, or chunk (the last only with a
+/// pool). A move that builds the anchor's plan under another value is
+/// left out. Every tuning field is explicit (no "auto" values) so
+/// records round-trip bit-identically.
 template <class T, int Bytes = 16>
 std::vector<Candidate> gemm_candidates(const GemmShape& shape,
                                        const CacheInfo& cache,
@@ -64,9 +56,9 @@ std::vector<Candidate> trsm_candidates(const TrsmShape& shape,
                                        const CacheInfo& cache,
                                        const TuneOptions& opts = {});
 
-/// Tune one descriptor: enumerate, prune via the simulator, time the
-/// survivors, and return the winning record (winner >= analytical
-/// baseline by construction -- the baseline is always timed too).
+/// Tune one descriptor: enumerate, time every candidate, and return the
+/// winning record (winner >= analytical baseline by construction -- the
+/// baseline is always timed too).
 template <class T, int Bytes = 16>
 TuneRecord tune_gemm(const GemmShape& shape, const CacheInfo& cache,
                      const TuneOptions& opts = {});

@@ -1,13 +1,12 @@
 #include "iatf/tune/search.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <complex>
 #include <limits>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
-#include "iatf/codegen/gemm_emitter.hpp"
 #include "iatf/common/error.hpp"
 #include "iatf/common/rng.hpp"
 #include "iatf/common/timer.hpp"
@@ -15,68 +14,13 @@
 #include "iatf/kernels/registry.hpp"
 #include "iatf/layout/compact.hpp"
 #include "iatf/pack/trsm_pack.hpp"
-#include "iatf/pipesim/simulator.hpp"
 #include "iatf/plan/gemm_plan.hpp"
 #include "iatf/plan/trsm_plan.hpp"
-#include "iatf/sched/scheduler.hpp"
 #include "iatf/simd/isa.hpp"
 #include "../core/engine_ops.hpp"
 
 namespace iatf::tune {
 namespace {
-
-constexpr double kBadScore = 1e30;
-
-/// Secondary ranking terms: keep candidates near the analytical default
-/// ahead of exotic ones when the simulator cannot tell them apart (the
-/// simulator sees the kernel stream, not slice or chunk effects).
-double tie_break(const plan::PlanTuning& tuning, index_t slice_default) {
-  double t = 0.0;
-  if (tuning.slice_override > 0 && slice_default > 0) {
-    t += 1e-3 * std::fabs(std::log2(
-                    static_cast<double>(tuning.slice_override) /
-                    static_cast<double>(slice_default)));
-  }
-  if (tuning.chunk_groups > 0) {
-    t += 5e-4;
-  }
-  return t;
-}
-
-/// Packing copies the operand once per group: charge the proxy cost of
-/// one load+store per packed element block, spread over the group's
-/// madds, so pack candidates rank behind no-pack ones of the same kernel
-/// unless the kernel stream itself differs.
-double gemm_pack_proxy(const GemmShape& s, int pack_a, int pack_b) {
-  const double madds = static_cast<double>(std::max<index_t>(s.m, 1)) *
-                       static_cast<double>(std::max<index_t>(s.n, 1)) *
-                       static_cast<double>(std::max<index_t>(s.k, 1));
-  double blocks = 0.0;
-  if (pack_a == 1) {
-    blocks += static_cast<double>(s.m * s.k);
-  }
-  if (pack_b == 1) {
-    blocks += static_cast<double>(s.k * s.n);
-  }
-  return 2.0 * blocks / madds;
-}
-
-double simulated_tri_score(int m, int nc, int elem_bytes) {
-  try {
-    codegen::TrsmTriKernelSpec spec;
-    spec.m = m;
-    spec.nc = nc;
-    spec.elem_bytes = elem_bytes;
-    const auto model = pipesim::MachineModel::kunpeng920();
-    const auto prog = sched::schedule(codegen::emit_trsm_tri_kernel(spec),
-                                      model);
-    const auto result = pipesim::simulate(prog, model);
-    const double madds = 0.5 * m * (m + 1) * nc;
-    return static_cast<double>(result.cycles) / std::max(madds, 1.0);
-  } catch (const Error&) {
-    return kBadScore;
-  }
-}
 
 /// Median of the timed repetitions (robust against scheduler noise in a
 /// way the mean is not).
@@ -191,7 +135,6 @@ std::vector<index_t> chunk_variants(const TuneOptions& opts, index_t s0) {
   return chunks;
 }
 
-template <class T, int Bytes>
 TuneRecord record_from(const Candidate& c, const Candidate& baseline) {
   TuneRecord rec;
   rec.pack_a = c.tuning.force_pack_a;
@@ -205,134 +148,108 @@ TuneRecord record_from(const Candidate& c, const Candidate& baseline) {
   return rec;
 }
 
-Candidate pick_winner(const std::vector<Candidate>& timed) {
-  // Baseline first so a tuned candidate must strictly beat it.
-  const auto base = std::find_if(timed.begin(), timed.end(),
-                                 [](const Candidate& c) {
-                                   return c.analytical;
-                                 });
-  Candidate best = base != timed.end() ? *base : timed.front();
-  for (const Candidate& c : timed) {
-    if (c.gflops > best.gflops) {
-      best = c;
+/// Whether two plans of one shape run the same way: the same packs,
+/// tiles (GEMM) or blocks and panels (TRSM), slice and chunk. Tuning
+/// values that clamp to one plan -- a cap at or above the width's tile,
+/// a panel cap as wide as B -- compare equal.
+template <class T, int Bytes>
+bool same_plan(const plan::GemmPlan<T, Bytes>& a,
+               const plan::GemmPlan<T, Bytes>& b) {
+  return a.packs_a() == b.packs_a() && a.packs_b() == b.packs_b() &&
+         std::ranges::equal(a.m_tiles(), b.m_tiles()) &&
+         std::ranges::equal(a.n_tiles(), b.n_tiles()) &&
+         a.slice_groups() == b.slice_groups() &&
+         a.chunk_groups() == b.chunk_groups();
+}
+template <class T, int Bytes>
+bool same_plan(const plan::TrsmPlan<T, Bytes>& a,
+               const plan::TrsmPlan<T, Bytes>& b) {
+  return a.packs_b() == b.packs_b() &&
+         std::ranges::equal(a.blocks(), b.blocks()) &&
+         std::ranges::equal(a.panels(), b.panels()) &&
+         a.slice_groups() == b.slice_groups() &&
+         a.chunk_groups() == b.chunk_groups();
+}
+
+/// The values each tuning field may move to.
+struct FieldValues {
+  std::vector<int> pack_a, pack_b, mc_cap, nc_cap;
+  std::vector<index_t> slice, chunk;
+};
+
+/// The anchor, then every move that sets one of its fields to another of
+/// `values` -- unless the move builds the anchor's plan.
+template <class Plan, class Shape>
+std::vector<Candidate> neighbourhood(const Shape& shape,
+                                     const CacheInfo& cache,
+                                     const plan::PlanTuning& anchor,
+                                     const FieldValues& values) {
+  const Plan anchor_plan(shape, cache, anchor);
+  std::vector<Candidate> out{Candidate{anchor, 0.0, true}};
+  const auto move = [&](auto field, const auto& field_values) {
+    for (const auto v : field_values) {
+      Candidate c{anchor};
+      if (c.tuning.*field == v) {
+        continue;
+      }
+      c.tuning.*field = v;
+      if (!same_plan(Plan(shape, cache, c.tuning), anchor_plan)) {
+        out.push_back(c);
+      }
     }
+  };
+  move(&plan::PlanTuning::force_pack_a, values.pack_a);
+  move(&plan::PlanTuning::force_pack_b, values.pack_b);
+  move(&plan::PlanTuning::mc_cap, values.mc_cap);
+  move(&plan::PlanTuning::nc_cap, values.nc_cap);
+  move(&plan::PlanTuning::slice_override, values.slice);
+  move(&plan::PlanTuning::chunk_groups, values.chunk);
+  return out;
+}
+
+/// The pack choices of an operand: both when it can be read in place,
+/// else only the gather.
+std::vector<int> pack_values(bool gathers) {
+  return gathers ? std::vector<int>{1} : std::vector<int>{0, 1};
+}
+
+/// 1..n.
+std::vector<int> caps_up_to(int n) {
+  std::vector<int> caps;
+  for (int c = 1; c <= n; ++c) {
+    caps.push_back(c);
   }
-  return best;
+  return caps;
 }
 
 } // namespace
-
-std::vector<Candidate> timed_set(std::vector<Candidate> candidates,
-                                 const TuneOptions& opts) {
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     return a.sim_score < b.sim_score;
-                   });
-  std::size_t keep = candidates.size();
-  if (opts.top_k > 0) {
-    keep = std::min<std::size_t>(keep,
-                                 static_cast<std::size_t>(opts.top_k));
-  }
-  std::vector<Candidate> timed(candidates.begin(),
-                               candidates.begin() + keep);
-  const auto is_analytical = [](const Candidate& c) { return c.analytical; };
-  if (std::none_of(timed.begin(), timed.end(), is_analytical)) {
-    const auto it = std::find_if(candidates.begin() + keep,
-                                 candidates.end(), is_analytical);
-    if (it != candidates.end()) {
-      timed.push_back(*it);
-    }
-  }
-  return timed;
-}
-
-double simulated_gemm_score(int mc, int nc, index_t k, int elem_bytes) {
-  try {
-    codegen::GemmKernelSpec spec;
-    spec.mc = mc;
-    spec.nc = nc;
-    spec.k = std::max<index_t>(k, 1);
-    spec.elem_bytes = elem_bytes;
-    const auto model = pipesim::MachineModel::kunpeng920();
-    const auto prog = sched::schedule(codegen::emit_gemm_kernel(spec),
-                                      model);
-    const auto result = pipesim::simulate(prog, model);
-    const double madds = static_cast<double>(mc) * nc *
-                         static_cast<double>(spec.k);
-    return static_cast<double>(result.cycles) / madds;
-  } catch (const Error&) {
-    return kBadScore;
-  }
-}
 
 template <class T, int Bytes>
 std::vector<Candidate> gemm_candidates(const GemmShape& shape,
                                        const CacheInfo& cache,
                                        const TuneOptions& opts) {
   using Limits = kernels::KernelLimits<T>;
-  // The portable kernels consume the reals of a complex element block
-  // separately, so the simulator proxy always scores real streams.
-  const int elem_bytes = static_cast<int>(sizeof(real_t<T>));
-
   const plan::GemmPlan<T, Bytes> probe(shape, cache);
   const index_t s0 = probe.slice_groups();
-
-  std::vector<int> packs_a =
-      shape.op_a == Op::NoTrans ? std::vector<int>{0, 1}
-                                : std::vector<int>{1};
-  std::vector<int> packs_b =
-      shape.op_b == Op::NoTrans ? std::vector<int>{0, 1}
-                                : std::vector<int>{1};
   const int max_mc = static_cast<int>(
       std::min<index_t>(Limits::gemm_max_mc, std::max<index_t>(shape.m, 1)));
   const int max_nc = static_cast<int>(
       std::min<index_t>(Limits::gemm_max_nc, std::max<index_t>(shape.n, 1)));
-  const auto slices = slice_variants(s0);
-  const auto chunks = chunk_variants(opts, s0);
 
-  // Simulator scores depend only on the kernel variant; compute each
-  // (mc, nc) stream once and share it across pack/slice/chunk variants.
-  std::vector<std::vector<double>> kernel_score(
-      static_cast<std::size_t>(max_mc),
-      std::vector<double>(static_cast<std::size_t>(max_nc), 0.0));
-  for (int mc = 1; mc <= max_mc; ++mc) {
-    for (int nc = 1; nc <= max_nc; ++nc) {
-      kernel_score[mc - 1][nc - 1] =
-          simulated_gemm_score(mc, nc, shape.k, elem_bytes);
-    }
-  }
-
-  const int default_pack_a = probe.packs_a() ? 1 : 0;
-  const int default_pack_b = probe.packs_b() ? 1 : 0;
-
-  std::vector<Candidate> out;
-  for (int pa : packs_a) {
-    for (int pb : packs_b) {
-      for (int mc = 1; mc <= max_mc; ++mc) {
-        for (int nc = 1; nc <= max_nc; ++nc) {
-          for (index_t slice : slices) {
-            for (index_t chunk : chunks) {
-              Candidate c;
-              c.tuning.force_pack_a = pa;
-              c.tuning.force_pack_b = pb;
-              c.tuning.mc_cap = mc;
-              c.tuning.nc_cap = nc;
-              c.tuning.slice_override = slice;
-              c.tuning.chunk_groups = chunk;
-              c.sim_score = kernel_score[mc - 1][nc - 1] +
-                            gemm_pack_proxy(shape, pa, pb) +
-                            tie_break(c.tuning, s0);
-              c.analytical = pa == default_pack_a &&
-                             pb == default_pack_b && mc == max_mc &&
-                             nc == max_nc && slice == s0 && chunk == 0;
-              out.push_back(c);
-            }
-          }
-        }
-      }
-    }
-  }
-  return out;
+  plan::PlanTuning anchor;
+  anchor.force_pack_a = probe.packs_a() ? 1 : 0;
+  anchor.force_pack_b = probe.packs_b() ? 1 : 0;
+  anchor.mc_cap = max_mc;
+  anchor.nc_cap = max_nc;
+  anchor.slice_override = s0;
+  return neighbourhood<plan::GemmPlan<T, Bytes>>(
+      shape, cache, anchor,
+      {.pack_a = pack_values(shape.op_a != Op::NoTrans),
+       .pack_b = pack_values(shape.op_b != Op::NoTrans),
+       .mc_cap = caps_up_to(max_mc),
+       .nc_cap = caps_up_to(max_nc),
+       .slice = slice_variants(s0),
+       .chunk = chunk_variants(opts, s0)});
 }
 
 template <class T, int Bytes>
@@ -340,64 +257,24 @@ std::vector<Candidate> trsm_candidates(const TrsmShape& shape,
                                        const CacheInfo& cache,
                                        const TuneOptions& opts) {
   using Limits = kernels::KernelLimits<T>;
-  const int elem_bytes = static_cast<int>(sizeof(real_t<T>));
-  const pack::TrsmCanon canon = pack::TrsmCanon::make(shape);
-  const bool gathers = canon.reverse || canon.b_transpose;
-
   const plan::TrsmPlan<T, Bytes> probe(shape, cache);
   const index_t s0 = probe.slice_groups();
+  const pack::TrsmCanon& canon = probe.canon();
 
-  const std::vector<int> packs_b =
-      gathers ? std::vector<int>{1} : std::vector<int>{0, 1};
-  std::vector<int> block_caps{0}; // 0 = default decomposition
-  for (int cap : {static_cast<int>(Limits::trsm_block),
-                  static_cast<int>(Limits::trsm_block) / 2}) {
-    if (cap >= 1 && cap < canon.m &&
-        std::find(block_caps.begin(), block_caps.end(), cap) ==
-            block_caps.end()) {
-      block_caps.push_back(cap);
-    }
-  }
-  std::vector<int> panel_caps;
-  for (int cap : {static_cast<int>(Limits::tri_max_nc), 2, 1}) {
-    if (cap >= 1 && cap <= Limits::tri_max_nc &&
-        std::find(panel_caps.begin(), panel_caps.end(), cap) ==
-            panel_caps.end()) {
-      panel_caps.push_back(cap);
-    }
-  }
-  const auto slices = slice_variants(s0);
-  const auto chunks = chunk_variants(opts, s0);
-
-  std::vector<Candidate> out;
-  for (int pb : packs_b) {
-    for (int bc : block_caps) {
-      for (int pc : panel_caps) {
-        const int sim_m = bc > 0 ? bc
-                                 : static_cast<int>(std::min<index_t>(
-                                       canon.m, Limits::tri_max_m));
-        const double kscore =
-            sim_m >= 1 ? simulated_tri_score(sim_m, pc, elem_bytes)
-                       : kBadScore;
-        for (index_t slice : slices) {
-          for (index_t chunk : chunks) {
-            Candidate c;
-            c.tuning.force_pack_b = pb;
-            c.tuning.mc_cap = bc;
-            c.tuning.nc_cap = pc;
-            c.tuning.slice_override = slice;
-            c.tuning.chunk_groups = chunk;
-            c.sim_score = kscore + tie_break(c.tuning, s0);
-            c.analytical = pb == (probe.packs_b() ? 1 : 0) && bc == 0 &&
-                           pc == Limits::tri_max_nc && slice == s0 &&
-                           chunk == 0;
-            out.push_back(c);
-          }
-        }
-      }
-    }
-  }
-  return out;
+  // mc_cap 0 is the default decomposition: the whole triangle when it
+  // fits in registers, else trsm_block-sized diagonal blocks.
+  plan::PlanTuning anchor;
+  anchor.force_pack_b = probe.packs_b() ? 1 : 0;
+  anchor.nc_cap = Limits::tri_max_nc;
+  anchor.slice_override = s0;
+  return neighbourhood<plan::TrsmPlan<T, Bytes>>(
+      shape, cache, anchor,
+      {.pack_a = {}, // TRSM packs its triangle always
+       .pack_b = pack_values(canon.reverse || canon.b_transpose),
+       .mc_cap = {Limits::trsm_block, Limits::trsm_block / 2},
+       .nc_cap = {2, 1},
+       .slice = slice_variants(s0),
+       .chunk = chunk_variants(opts, s0)});
 }
 
 namespace {
@@ -415,10 +292,13 @@ std::vector<Candidate> candidates(const TrsmShape& shape,
   return trsm_candidates<T, Bytes>(shape, cache, opts);
 }
 
-/// The one tuner loop over the core op traits: for each timed candidate,
-/// restore the written operand, run the plan once as the warm-up whose
-/// lane 0 must agree with the scalar reference, then take the median of
-/// the timed repetitions.
+/// The one tuner loop over the core op traits. Each candidate's plan is
+/// built and run once as the warm-up whose lane 0 must agree with the
+/// scalar reference. Those that pass are timed round-robin: repetition r
+/// of every candidate before repetition r+1, so the cold first runs of
+/// a process do not all fall on one candidate, with the written operand
+/// restored before each run, outside the timed region. A candidate
+/// scores the median of its repetitions.
 template <class Traits>
 TuneRecord tune(const typename Traits::Shape& in_shape,
                 const CacheInfo& cache, const TuneOptions& opts) {
@@ -440,7 +320,7 @@ TuneRecord tune(const typename Traits::Shape& in_shape,
     echo.tuning.force_pack_b = probe.packs_b() ? 1 : 0;
     echo.tuning.slice_override = probe.slice_groups();
     echo.analytical = true;
-    return record_from<T, kBytes>(echo, echo);
+    return record_from(echo, echo);
   }
 
   typename Traits::Operands ops(shape);
@@ -448,42 +328,54 @@ TuneRecord tune(const typename Traits::Shape& in_shape,
   fill_measurement<T, kBytes>(ops, rng);
   CompactBuffer<T>& out = *sched::written(ops.seg);
   const std::vector<R> initial(out.data(), out.data() + out.size());
+  const auto restore = [&] {
+    std::copy(initial.begin(), initial.end(), out.data());
+  };
   const detail::Tolerance<R> tol{check_tolerance<T>(depth(shape)), R(0)};
 
-  auto timed = timed_set(candidates<T, kBytes>(shape, cache, opts), opts);
-  for (Candidate& cand : timed) {
-    std::copy(initial.begin(), initial.end(), out.data());
+  std::vector<Candidate> cands = candidates<T, kBytes>(shape, cache, opts);
+  // A candidate that cannot be built (e.g. a missing kernel) or computes
+  // a wrong result keeps no plan and 0 GFLOP/s, and never wins.
+  std::vector<std::unique_ptr<const Plan>> plans(cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    restore();
     try {
-      const Plan plan(shape, cache, cand.tuning);
-      const auto run = [&] { run_plan<Traits>(plan, ops.seg, opts.pool); };
-      // The warm-up faults pages, loads caches and produces the output
-      // the gate inspects; a wrong result keeps 0 GFLOP/s and never
-      // wins, whatever its speed.
-      if (!detail::agrees_with_reference<Traits>(shape, ops.seg, 1, tol,
-                                                 run)) {
-        continue;
+      auto plan = std::make_unique<const Plan>(shape, cache, cands[i].tuning);
+      if (detail::agrees_with_reference<Traits>(
+              shape, ops.seg, 1, tol,
+              [&] { run_plan<Traits>(*plan, ops.seg, opts.pool); })) {
+        plans[i] = std::move(plan);
       }
-      std::vector<double> secs;
-      secs.reserve(static_cast<std::size_t>(std::max(opts.reps, 1)));
-      for (int r = 0; r < std::max(opts.reps, 1); ++r) {
-        Timer t;
-        run();
-        secs.push_back(t.seconds());
-      }
-      const double med = median(secs);
-      cand.gflops = med > 0.0 ? work / med * 1e-9 : 0.0;
     } catch (const Error&) {
-      cand.gflops = 0.0; // unbuildable candidate (e.g. missing kernel)
     }
   }
 
-  const Candidate winner = pick_winner(timed);
-  const auto base = std::find_if(timed.begin(), timed.end(),
-                                 [](const Candidate& x) {
-                                   return x.analytical;
-                                 });
-  return record_from<T, kBytes>(winner,
-                                base != timed.end() ? *base : winner);
+  const int reps = std::max(opts.reps, 1);
+  std::vector<std::vector<double>> secs(cands.size());
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (plans[i] == nullptr) {
+        continue;
+      }
+      restore();
+      Timer t;
+      run_plan<Traits>(*plans[i], ops.seg, opts.pool);
+      secs[i].push_back(t.seconds());
+    }
+  }
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const double med = median(secs[i]);
+    cands[i].gflops = med > 0.0 ? work / med * 1e-9 : 0.0;
+  }
+
+  // The anchor comes first, so a move must strictly beat it.
+  const Candidate* winner = &cands.front();
+  for (const Candidate& c : cands) {
+    if (c.gflops > winner->gflops) {
+      winner = &c;
+    }
+  }
+  return record_from(*winner, cands.front());
 }
 
 /// Invoke `f` with std::type_identity<T> for a dtype tag.

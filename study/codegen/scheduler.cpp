@@ -1,17 +1,10 @@
-#include "iatf/sched/scheduler.hpp"
+#include "iatf/codegen/scheduler.hpp"
 
 #include <algorithm>
 
 #include "iatf/common/error.hpp"
 
-namespace iatf::sched {
-
-using codegen::Inst;
-using codegen::is_fp;
-using codegen::is_memory;
-using codegen::Opcode;
-using codegen::Program;
-
+namespace iatf::codegen {
 namespace {
 
 // Bytes a memory instruction touches starting at its immediate offset.
@@ -50,8 +43,8 @@ bool is_store(const Inst& inst) {
 
 std::vector<DepEdge> build_dependences(const Program& prog) {
   std::vector<DepEdge> edges;
-  std::vector<int> last_def(codegen::kNumRegs, -1);
-  std::vector<std::vector<int>> last_uses(codegen::kNumRegs);
+  std::vector<int> last_def(kNumRegs, -1);
+  std::vector<std::vector<int>> last_uses(kNumRegs);
 
   for (int i = 0; i < static_cast<int>(prog.size()); ++i) {
     const Inst& inst = prog[static_cast<std::size_t>(i)];
@@ -262,4 +255,4 @@ Program schedule(const Program& prog, const pipesim::MachineModel& model) {
   return out;
 }
 
-} // namespace iatf::sched
+} // namespace iatf::codegen

@@ -5,20 +5,13 @@
 
 #include "iatf/codegen/gemm_emitter.hpp"
 #include "iatf/codegen/interpreter.hpp"
+#include "iatf/codegen/scheduler.hpp"
 #include "iatf/common/rng.hpp"
 #include "iatf/pipesim/simulator.hpp"
-#include "iatf/sched/scheduler.hpp"
 
-namespace iatf::sched {
+namespace iatf::codegen {
 namespace {
 
-using codegen::emit_gemm_kernel;
-using codegen::emit_gemm_template_i;
-using codegen::GemmKernelSpec;
-using codegen::Inst;
-using codegen::InterpBuffers;
-using codegen::Opcode;
-using codegen::Program;
 using pipesim::MachineModel;
 
 InterpBuffers make_buffers(const GemmKernelSpec& spec, double alpha,
@@ -42,9 +35,9 @@ InterpBuffers make_buffers(const GemmKernelSpec& spec, double alpha,
 TEST(Scheduler, DependencesOfASimpleChain) {
   // ldr v0 <- [pA]; fmul v1 = v0*v0; str v1 -> [pC]
   Program prog;
-  prog.push_back({Opcode::LDR, {0}, {codegen::kRegPA}, 0, 8});
+  prog.push_back({Opcode::LDR, {0}, {kRegPA}, 0, 8});
   prog.push_back({Opcode::FMUL, {1}, {0, 0}, 0, 8});
-  prog.push_back({Opcode::STR, {}, {1, codegen::kRegPC}, 0, 8});
+  prog.push_back({Opcode::STR, {}, {1, kRegPC}, 0, 8});
   const auto edges = build_dependences(prog);
   bool raw01 = false, raw12 = false;
   for (const auto& e : edges) {
@@ -63,9 +56,9 @@ TEST(Scheduler, StoreLoadOverlapIsOrdered) {
   // str v0 -> [pC]; ldr v1 <- [pC] must stay ordered; a disjoint load
   // need not be.
   Program prog;
-  prog.push_back({Opcode::STR, {}, {0, codegen::kRegPC}, 0, 8});
-  prog.push_back({Opcode::LDR, {1}, {codegen::kRegPC}, 0, 8});
-  prog.push_back({Opcode::LDR, {2}, {codegen::kRegPC}, 64, 8});
+  prog.push_back({Opcode::STR, {}, {0, kRegPC}, 0, 8});
+  prog.push_back({Opcode::LDR, {1}, {kRegPC}, 0, 8});
+  prog.push_back({Opcode::LDR, {2}, {kRegPC}, 64, 8});
   const auto edges = build_dependences(prog);
   bool mem01 = false, mem02 = false;
   for (const auto& e : edges) {
@@ -115,8 +108,8 @@ TEST(Scheduler, ReorderingPreservesSemanticsBitExactly) {
 
       InterpBuffers b1 = make_buffers(spec, 1.5, seed);
       InterpBuffers b2 = b1;
-      codegen::interpret(prog, b1);
-      codegen::interpret(scheduled, b2);
+      interpret(prog, b1);
+      interpret(scheduled, b2);
       ASSERT_EQ(b1.c, b2.c) << "mc=" << mc << " k=" << k;
       ++seed;
     }
@@ -126,12 +119,12 @@ TEST(Scheduler, ReorderingPreservesSemanticsBitExactly) {
 TEST(Scheduler, RectKernelSchedulingPreservesSemantics) {
   GemmKernelSpec spec;
   spec.k = 4;
-  const Program prog = codegen::emit_trsm_rect_kernel(spec);
+  const Program prog = emit_trsm_rect_kernel(spec);
   const Program scheduled = schedule(prog, MachineModel::kunpeng920());
   InterpBuffers b1 = make_buffers(spec, 1.0, 77);
   InterpBuffers b2 = b1;
-  codegen::interpret(prog, b1);
-  codegen::interpret(scheduled, b2);
+  interpret(prog, b1);
+  interpret(scheduled, b2);
   EXPECT_EQ(b1.c, b2.c);
 }
 
@@ -170,4 +163,4 @@ TEST(Scheduler, EmptyProgram) {
 }
 
 } // namespace
-} // namespace iatf::sched
+} // namespace iatf::codegen

@@ -6,10 +6,10 @@
 
 #include "iatf/codegen/gemm_emitter.hpp"
 #include "iatf/codegen/interpreter.hpp"
+#include "iatf/codegen/scheduler.hpp"
 #include "iatf/common/error.hpp"
 #include "iatf/common/rng.hpp"
 #include "iatf/pipesim/simulator.hpp"
-#include "iatf/sched/scheduler.hpp"
 
 namespace iatf::codegen {
 namespace {
@@ -106,7 +106,7 @@ TEST(TriEmitter, SchedulingPreservesSolveSemantics) {
   const auto model = pipesim::MachineModel::kunpeng920();
   TrsmTriKernelSpec spec{4, 4, 8};
   const Program prog = emit_trsm_tri_kernel(spec);
-  const Program tuned = sched::schedule(prog, model);
+  const Program tuned = schedule(prog, model);
   TriProblem p1 = make_problem(spec, 99);
   TriProblem p2 = p1;
   interpret(prog, p1.bufs);

@@ -130,7 +130,6 @@ TEST(EngineTune, TunedRecordFromSearchExecutesCorrectly) {
   tune::TuneOptions opts;
   opts.batch = 16;
   opts.reps = 1;
-  opts.top_k = 2;
   const GemmShape shape{4, 4, 4, Op::NoTrans, Op::NoTrans, 8};
   const TuneRecord rec =
       tune::tune_gemm<float>(shape, CacheInfo::kunpeng920(), opts);

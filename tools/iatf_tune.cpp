@@ -1,7 +1,8 @@
-// Offline install-time tuner: sweep a descriptor grid, time the
-// pipesim-ranked candidates for each point, and persist the winners in a
-// tuning table the run-time Engine picks up (directly via
-// Engine::set_tuning_table, or through iatf_tune_load / IATF_TUNE_FILE).
+// Offline install-time tuner: sweep a descriptor grid, time the analytical
+// plan and every one-field move from it for each point (tune/search.hpp),
+// and persist the winners in a tuning table the run-time Engine picks up
+// (directly via Engine::set_tuning_table, or through iatf_tune_load /
+// IATF_TUNE_FILE).
 //
 // The default grid mirrors the paper's evaluation: square problems over
 // the small-size range, single and double precision, with the batch
@@ -62,26 +63,38 @@ std::vector<std::string> split(const std::string& csv) {
 void usage(std::FILE* to) {
   std::fprintf(
       to,
-      "iatf_tune: empirical install-time autotuner\n"
+      "iatf_tune: empirical install-time autotuner; times the analytical\n"
+      "plan and every one-field move from it, keeps the fastest\n"
       "  --op=gemm|trsm|all      descriptor kinds to sweep (all)\n"
       "  --dtypes=CHARS          any of s,d,c,z (sd)\n"
       "  --sizes=N,N,...         square sizes (2,4,8,12,16,20,24,28,32)\n"
-      "  --modes=M,M,...         2-char tokens route to GEMM (NN,NT,...),\n"
-      "                          4-char to TRSM (LLNN = side,uplo,op,diag)\n"
+      "  --modes=M,M,...         2-char tokens route to GEMM (op_a,op_b of\n"
+      "                          N/T/C), 4-char to TRSM (side L/R, uplo L/U,\n"
+      "                          op N/T/C, diag N/U; e.g. LLNN)\n"
       "  --batch=N               measurement batch (256)\n"
       "  --reps=N                timed repetitions per candidate (5)\n"
-      "  --top-k=N               candidates timed after ranking (8)\n"
-      "  --no-prune              time the full space (no pipesim ranking)\n"
       "  --threads=N             tune parallel execution on an N-thread pool\n"
       "  --out=FILE              tuning table ($IATF_TUNE_FILE or iatf_tune.tbl)\n"
       "  --json=FILE             results in the bench harness JSON schema\n"
       "  --help, --version\n");
 }
 
+/// Whether every letter of a mode token names a mode: op_a, op_b for a
+/// 2-char GEMM token; side, uplo, op, diag for a 4-char TRSM token.
+bool valid_mode(const std::string& tok) {
+  const auto in = [](char c, const char* set) {
+    return std::strchr(set, c) != nullptr;
+  };
+  if (tok.size() == 2) {
+    return in(tok[0], "NTC") && in(tok[1], "NTC");
+  }
+  return tok.size() == 4 && in(tok[0], "LR") && in(tok[1], "LU") &&
+         in(tok[2], "NTC") && in(tok[3], "NU");
+}
+
 /// Returns false when main should exit immediately with `exit_code`
 /// (0 for --help/--version, 2 for anything malformed).
 bool parse_cli(int argc, char** argv, CliOptions& cli, int& exit_code) {
-  bool no_prune = false; // wins over --top-k in either order
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--help") == 0) {
@@ -114,24 +127,18 @@ bool parse_cli(int argc, char** argv, CliOptions& cli, int& exit_code) {
       cli.gemm_modes.clear();
       cli.trsm_modes.clear();
       for (const std::string& tok : split(v)) {
-        if (tok.size() == 2) {
-          cli.gemm_modes.push_back(tok);
-        } else if (tok.size() == 4) {
-          cli.trsm_modes.push_back(tok);
-        } else {
+        if (!valid_mode(tok)) {
           std::fprintf(stderr, "iatf_tune: bad mode token '%s'\n",
                        tok.c_str());
+          exit_code = 2;
           return false;
         }
+        (tok.size() == 2 ? cli.gemm_modes : cli.trsm_modes).push_back(tok);
       }
     } else if (const char* v = value("--batch=")) {
       cli.tune.batch = std::atoll(v);
     } else if (const char* v = value("--reps=")) {
       cli.tune.reps = std::atoi(v);
-    } else if (const char* v = value("--top-k=")) {
-      cli.tune.top_k = std::atoi(v);
-    } else if (std::strcmp(arg, "--no-prune") == 0) {
-      no_prune = true;
     } else if (const char* v = value("--threads=")) {
       cli.threads = std::atoi(v);
     } else if (const char* v = value("--out=")) {
@@ -145,21 +152,14 @@ bool parse_cli(int argc, char** argv, CliOptions& cli, int& exit_code) {
       return false;
     }
   }
-  cli.tune.top_k = no_prune ? 0 : cli.tune.top_k;
   return true;
 }
 
+/// The op of a letter valid_mode accepted.
 iatf::Op parse_op(char c) {
-  switch (c) {
-  case 'N':
-    return iatf::Op::NoTrans;
-  case 'T':
-    return iatf::Op::Trans;
-  case 'C':
-    return iatf::Op::ConjTrans;
-  default:
-    throw iatf::Error(std::string("iatf_tune: bad op char '") + c + "'");
-  }
+  return c == 'N' ? iatf::Op::NoTrans
+         : c == 'T' ? iatf::Op::Trans
+                    : iatf::Op::ConjTrans;
 }
 
 void report(const char* kind, char dtype, const std::string& mode,
