@@ -7,7 +7,9 @@
 // The kernel body is generated from the paper's templates with ping-pong
 // double buffering: two register sets for A and for B alternate so the
 // loads feeding the *next* k-step issue alongside the FMAs of the current
-// one (TEMPLATE_I / M1 / M2 / E / SUB / SAVE).
+// one (TEMPLATE_I / M1 / M2 / E / SUB / SAVE). SAVE's arithmetic is
+// pinned, and with beta == 0 it can stream C past the caches (see the
+// SAVE below and DESIGN.md section 5.1).
 //
 // Deviation from the paper, documented here and in DESIGN.md: Algorithm 3
 // as printed loads K+1 k-blocks when K is odd and >= 5 (the final SUB
@@ -43,6 +45,10 @@ template <class T> struct GemmKernelArgs {
   index_t c_jstride = 0; ///< reals between columns of C
   T alpha{};
   T beta{};
+  /// beta == 0 only: write C with non-temporal stores (kreg::stream).
+  /// Every C block must be aligned to the register, and the caller
+  /// fences (simd::stream_fence) before C is read.
+  bool stream = false;
 };
 
 template <class T, int Bytes = 16>
@@ -133,17 +139,28 @@ void gemm_kernel(const GemmKernelArgs<T>& g) {
     }
   }
 
-  // TEMPLATE_SAVE: C = alpha*acc + beta*C.
-  const bool beta_zero = (g.beta == T{});
-  for (int j = 0; j < NC; ++j) {
-    R* cp = g.c + j * g.c_jstride;
-    for (int i = 0; i < MC; ++i) {
-      K out = K::scale(g.alpha, acc[i][j]);
-      if (!beta_zero) {
-        out = out + K::scale(g.beta, K::load(cp + i * ES));
+  // TEMPLATE_SAVE: C = alpha*acc + beta*C, computed as out = alpha*acc,
+  // then out = fma(beta, C, out), through pinned ops. Written as one
+  // expression, either product could be fused and the compiler picks per
+  // kernel instance, so a C element's bits would depend on its tile.
+  // With beta == 0 C is never read: a streaming call writes each block
+  // with a non-temporal store, skipping the read-for-ownership of lines
+  // it overwrites whole; the values are the same.
+  const auto save = [&](const auto& put) {
+    for (int j = 0; j < NC; ++j) {
+      R* cp = g.c + j * g.c_jstride;
+      for (int i = 0; i < MC; ++i) {
+        put(K::scale(g.alpha, acc[i][j]), cp + i * ES);
       }
-      out.store(cp + i * ES);
     }
+  };
+  if (g.beta != T{}) {
+    const K beta = K::broadcast(g.beta);
+    save([&](const K& out, R* p) { K::fma(out, beta, K::load(p)).store(p); });
+  } else if (g.stream) {
+    save([](const K& out, R* p) { out.stream(p); });
+  } else {
+    save([](const K& out, R* p) { out.store(p); });
   }
 }
 

@@ -9,7 +9,8 @@
 // 4x the computation ops per element).
 //
 // kreg<T, Bytes> hides that difference so the GEMM/TRSM kernel templates
-// are written once against fmul / fma / fms / scale / recip.
+// are written once against fmul / fma / fms / scale / recip, and store /
+// stream (the non-temporal store of the GEMM SAVE).
 #pragma once
 
 #include "iatf/common/types.hpp"
@@ -32,7 +33,11 @@ template <class T, int Bytes> struct kreg<T, Bytes, false> {
 
   static kreg load(const R* p) { return {V::load(p)}; }
   void store(R* p) const { v.store(p); }
+  /// Non-temporal store (vec::stream): `p` aligned to the register.
+  void stream(R* p) const { v.stream(p); }
   static kreg zero() { return {V::zero()}; }
+  /// All lanes = x.
+  static kreg broadcast(T x) { return {V::broadcast(x)}; }
 
   static kreg mul(kreg a, kreg b) { return {a.v * b.v}; }
   static kreg fma(kreg acc, kreg a, kreg b) {
@@ -41,7 +46,6 @@ template <class T, int Bytes> struct kreg<T, Bytes, false> {
   static kreg fms(kreg acc, kreg a, kreg b) {
     return {V::fms(acc.v, a.v, b.v)};
   }
-  friend kreg operator+(kreg a, kreg b) { return {a.v + b.v}; }
 
   /// alpha * x for a scalar alpha of type T.
   static kreg scale(T alpha, kreg x) {
@@ -79,7 +83,14 @@ template <class T, int Bytes> struct kreg<T, Bytes, true> {
     re.store(p);
     im.store(p + V::lanes);
   }
+  void stream(R* p) const {
+    re.stream(p);
+    im.stream(p + V::lanes);
+  }
   static kreg zero() { return {V::zero(), V::zero()}; }
+  static kreg broadcast(T x) {
+    return {V::broadcast(x.real()), V::broadcast(x.imag())};
+  }
 
   /// a * b: 2 fmul + 1 fms + 1 fma.
   static kreg mul(kreg a, kreg b) {
@@ -103,10 +114,6 @@ template <class T, int Bytes> struct kreg<T, Bytes, true> {
     r.re = V::fma(V::fms(acc.re, a.re, b.re), a.im, b.im);
     r.im = V::fms(V::fms(acc.im, a.re, b.im), a.im, b.re);
     return r;
-  }
-
-  friend kreg operator+(kreg a, kreg b) {
-    return {a.re + b.re, a.im + b.im};
   }
 
   static kreg scale(T alpha, kreg x) {

@@ -10,7 +10,9 @@
 // slice walk (plan_base.hpp): the slice's prologue packs the gathered
 // operands, each group runs the queue and scans its C block, prefetching
 // the next group during its calls when the input's groups are too large
-// for the hardware prefetchers (group_stream.hpp).
+// for the hardware prefetchers (group_stream.hpp). A call whose operands
+// outgrow L2 and that never reads C (beta == 0, no health scan) writes C
+// with non-temporal stores (DESIGN.md section 5.1).
 #pragma once
 
 #include <span>
@@ -56,6 +58,8 @@ public:
   /// run, while it is still L1-resident, and affected lanes are flagged
   /// on the recorder. A non-null `deadline` is checked between L1 batch
   /// slices; expiry throws TimeoutError and leaves C partially updated.
+  /// When the call streams C (streams_c(beta, health)), it fences its
+  /// stores before it returns or throws.
   void execute(const CompactBuffer<T>& a, const CompactBuffer<T>& b,
                CompactBuffer<T>& c, T alpha, T beta,
                HealthRecorder* health = nullptr,
@@ -87,6 +91,13 @@ public:
   std::span<const Tile> m_tiles() const noexcept { return m_tiles_; }
   std::span<const Tile> n_tiles() const noexcept { return n_tiles_; }
   std::span<const Call> calls() const noexcept { return calls_; }
+  /// Whether a call with this `beta` and `health` writes C with
+  /// non-temporal stores: only when nothing reads C back (beta == 0, no
+  /// health scan), and only when the plan's input outgrows L2 with each
+  /// group's C whole cache lines (decided at build).
+  bool streams_c(T beta, const HealthRecorder* health) const noexcept {
+    return streams_c_ && beta == T{} && health == nullptr;
+  }
 
 private:
   using Base::chunk_groups_;
@@ -101,6 +112,8 @@ private:
   std::vector<Call> calls_;
   bool pack_a_ = false;
   bool pack_b_ = false;
+  bool streams_c_ = false;
+  GroupStream stream_read_; ///< stream_ without C, for a streamed SAVE
 };
 
 } // namespace iatf::plan

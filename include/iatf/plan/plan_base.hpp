@@ -121,25 +121,27 @@ protected:
   }
 
   /// Walk groups [g_begin, g_end) of a `groups`-group batch (see the
-  /// file comment). `next_bases(g)` gives group g's operand bases as a
-  /// std::array of pointers, in the stream's operand order;
-  /// `prologue(slice)` runs once per slice and `body(slice, g, next)`
-  /// once per group, calling next.step() before each queue step.
+  /// file comment), prefetching the next group by `stream`.
+  /// `next_bases(g)` gives group g's operand bases as a std::array of
+  /// pointers, in the stream's operand order; `prologue(slice)` runs
+  /// once per slice and `body(slice, g, next)` once per group, calling
+  /// next.step() before each queue step.
   template <class NextBases, class Prologue, class Body>
-  void walk(index_t groups, index_t g_begin, index_t g_end,
-            const Deadline* deadline, const NextBases& next_bases,
-            const Prologue& prologue, const Body& body) const {
+  void walk(const GroupStream& stream, index_t groups, index_t g_begin,
+            index_t g_end, const Deadline* deadline,
+            const NextBases& next_bases, const Prologue& prologue,
+            const Body& body) const {
     IATF_CHECK(g_begin >= 0 && g_begin <= g_end && g_end <= groups,
                std::string(name_) + ": group range out of bounds");
     if (idle_ || g_begin == g_end) {
       return;
     }
-    if (stream_.active()) {
-      walk_slices<StreamCursor>(g_begin, g_end, deadline, next_bases,
-                                prologue, body);
+    if (stream.active()) {
+      walk_slices<StreamCursor>(stream, g_begin, g_end, deadline,
+                                next_bases, prologue, body);
     } else {
-      walk_slices<NoStream>(g_begin, g_end, deadline, next_bases, prologue,
-                            body);
+      walk_slices<NoStream>(stream, g_begin, g_end, deadline, next_bases,
+                            prologue, body);
     }
   }
 
@@ -156,9 +158,9 @@ protected:
 
 private:
   template <class Cursor, class NextBases, class Prologue, class Body>
-  void walk_slices(index_t g_begin, index_t g_end, const Deadline* deadline,
-                   const NextBases& next_bases, const Prologue& prologue,
-                   const Body& body) const {
+  void walk_slices(const GroupStream& stream, index_t g_begin, index_t g_end,
+                   const Deadline* deadline, const NextBases& next_bases,
+                   const Prologue& prologue, const Body& body) const {
     AlignedBuffer<R> wa(static_cast<std::size_t>(slice_groups_ *
                                                  pa_group_size_));
     AlignedBuffer<R> wb(static_cast<std::size_t>(slice_groups_ *
@@ -175,7 +177,7 @@ private:
       for (index_t g = g0; g < g1; ++g) {
         Cursor next = std::apply(
             [&](const auto*... base) {
-              return Cursor(stream_, g + 1 < g_end, {base...});
+              return Cursor(stream, g + 1 < g_end, {base...});
             },
             next_bases(g + 1));
         body(slice, g, next);

@@ -1,7 +1,8 @@
 // Human-readable execution-plan dumps: the run-time stage's "command
 // queue" (paper section 5.3) rendered as text, for debugging, tests and
 // the documentation. Shows the tile grid with its selected kernels, the
-// pack decisions and the batch-counter slice.
+// pack decisions, the batch-counter slice and (GEMM) whether the C SAVE
+// streams.
 #pragma once
 
 #include <string>

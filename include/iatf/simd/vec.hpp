@@ -3,7 +3,7 @@
 // vec<Real, W> is one value class with per-ISA backends:
 //   vec_generic.hpp -- portable primary template, correct at any width
 //                      (GCC/Clang vector extensions, array fallback)
-//   vec_x86.hpp     -- AVX2 / AVX-512 intrinsic specializations
+//   vec_x86.hpp     -- SSE+FMA / AVX2 / AVX-512 intrinsic specializations
 //   vec_neon.hpp    -- NEON intrinsic specializations (paper baseline)
 //
 // Always include THIS header: the backend specializations must be visible
@@ -23,7 +23,21 @@
 #include "iatf/simd/vec_neon.hpp"
 #include "iatf/simd/vec_x86.hpp"
 
+#if IATF_SIMD_NATIVE && defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
+
 namespace iatf::simd {
+
+/// Order every earlier vec::stream() store before the stores that follow
+/// (x86 sfence): non-temporal stores are weakly ordered, so a thread that
+/// streamed its output fences before another thread may read it. A no-op
+/// where stream() is the plain store.
+inline void stream_fence() noexcept {
+#if IATF_SIMD_NATIVE && defined(__x86_64__)
+  _mm_sfence();
+#endif
+}
 
 /// 128-bit lane count for the real type underlying T: the paper's "P"
 /// (number of matrices interleaved per SIMD register).

@@ -14,7 +14,7 @@
 // instruction. A plain array fallback keeps other compilers working.
 //
 // Per-ISA refinements live in sibling headers included by vec.hpp:
-//   vec_x86.hpp   -- AVX2/AVX-512 intrinsic specializations (W = 8/16 lanes)
+//   vec_x86.hpp   -- SSE+FMA/AVX2/AVX-512 intrinsic specializations
 //   vec_neon.hpp  -- NEON intrinsic specializations (128-bit baseline)
 // Include vec.hpp, never this header directly, so specializations are
 // always visible before the first instantiation.
@@ -60,6 +60,10 @@ template <class Real, int W> struct vec {
 
   /// Store W consecutive reals (no alignment requirement).
   void store(Real* p) const { std::memcpy(p, &v, sizeof(v)); }
+
+  /// Non-temporal store (x86 movnt*, vec_x86.hpp). This template has no
+  /// such instruction to lower to, so it is the plain store.
+  void stream(Real* p) const { store(p); }
 
   /// All lanes = x (NEON `dup`).
   static vec broadcast(Real x) {

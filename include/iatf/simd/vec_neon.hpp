@@ -31,6 +31,8 @@
                                                                                \
     static vec load(const REAL* p) { return vec(vld1q_##SUF(p)); }             \
     void store(REAL* p) const { vst1q_##SUF(p, v); }                           \
+    /* no streaming store here: the plain st1 */                               \
+    void stream(REAL* p) const { store(p); }                                   \
     static vec broadcast(REAL x) { return vec(vdupq_n_##SUF(x)); }             \
     static vec zero() { return broadcast(REAL(0)); }                           \
     REAL get(int i) const {                                                    \

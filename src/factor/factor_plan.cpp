@@ -346,7 +346,7 @@ void FactorPlan<T, Bytes>::execute_range(CompactBuffer<T>& a,
   check_operands(shape_, a);
   const index_t pw = Base::pack_width();
   this->walk(
-      a.groups(), g_begin, g_end, deadline,
+      this->stream_, a.groups(), g_begin, g_end, deadline,
       [&](index_t g) { return std::array<const void*, 1>{a.group_data(g)}; },
       [](const auto&) {},
       [&](const auto&, index_t g, auto& next) {

@@ -6,8 +6,22 @@
 
 #include "iatf/common/error.hpp"
 #include "iatf/pack/gemm_pack.hpp"
+#include "iatf/simd/vec.hpp"
 
 namespace iatf::plan {
+namespace {
+
+/// Fences a range's non-temporal stores when it leaves scope.
+struct StreamFence {
+  bool active;
+  ~StreamFence() {
+    if (active) {
+      simd::stream_fence();
+    }
+  }
+};
+
+} // namespace
 
 template <class T, int Bytes>
 GemmPlan<T, Bytes>::GemmPlan(const GemmShape& shape, const CacheInfo& cache,
@@ -115,21 +129,38 @@ GemmPlan<T, Bytes>::GemmPlan(const GemmShape& shape, const CacheInfo& cache,
   // Next-group stream over the command queue: A and B are read (a packed
   // operand at its source group, which the next pack reads), C is
   // read-modify-written.
-  const auto bytes = [&](index_t scalars) {
-    return static_cast<std::size_t>(scalars * es) * sizeof(R);
+  const auto bytes = [&](index_t elements) {
+    return static_cast<std::size_t>(elements * es) * sizeof(R);
   };
   const std::size_t a_bytes = bytes(shape.m * shape.k);
   const std::size_t b_bytes = bytes(shape.k * shape.n);
   const std::size_t c_bytes = bytes(shape.m * shape.n);
   const auto groups = static_cast<std::size_t>(
       (shape.batch + Base::pack_width() - 1) / Base::pack_width());
-  if (stream_next_group(std::max({a_bytes, b_bytes, c_bytes}),
-                        groups * (a_bytes + b_bytes + c_bytes), cache)) {
+  const std::size_t call_bytes = groups * (a_bytes + b_bytes + c_bytes);
+  if (stream_next_group(std::max({a_bytes, b_bytes, c_bytes}), call_bytes,
+                        cache)) {
     const GroupStream::Segment segments[] = {{0, 0, a_bytes, false},
                                              {1, 0, b_bytes, false},
                                              {2, 0, c_bytes, true}};
     stream_ = GroupStream(segments, calls_.size());
+    // A streamed call writes C without reading it: prefetching the next
+    // group's C would fetch the very lines the stores avoid.
+    stream_read_ = GroupStream(std::span(segments, 2), calls_.size());
   }
+  // Streamed C SAVE: the call's operands outgrow L2, so C would only be
+  // evicted before anyone reads it, and every kernel call's SAVE writes
+  // whole 64-byte lines. Each m tile's height is whole lines, so are the
+  // tile offsets and C's column stride (their sums), and buffers start
+  // on a line: each column of a call's block fills its lines with
+  // consecutive stores. A line that two calls complete far apart in time
+  // leaves the write-combining buffer half-written, and a partial-line
+  // write costs more than the read it saves.
+  streams_c_ = call_bytes > cache.l2 &&
+               std::all_of(m_tiles_.begin(), m_tiles_.end(),
+                           [&](const Tile& t) {
+                             return bytes(t.size) % GroupStream::kLine == 0;
+                           });
 }
 
 template <class T, int Bytes>
@@ -167,8 +198,13 @@ void GemmPlan<T, Bytes>::execute_range(const CompactBuffer<T>& a,
   check_operands(shape_, a, b, c);
   const index_t es = Base::element_stride();
   const index_t pw = Base::pack_width();
+  // The fence orders a streamed call's stores on every exit, a deadline
+  // throw included, before the caller (or the pool's joining thread)
+  // reads C.
+  const bool stream = streams_c(beta, health);
+  const StreamFence fence{stream};
   this->walk(
-      c.groups(), g_begin, g_end, deadline,
+      stream ? stream_read_ : stream_, c.groups(), g_begin, g_end, deadline,
       [&](index_t g) {
         return std::array<const void*, 3>{a.group_data(g), b.group_data(g),
                                           c.group_data(g)};
@@ -204,6 +240,7 @@ void GemmPlan<T, Bytes>::execute_range(const CompactBuffer<T>& a,
           args.c_jstride = shape_.m * es;
           args.alpha = alpha;
           args.beta = beta;
+          args.stream = stream;
           call.fn(args);
         }
         if (health != nullptr) {

@@ -18,6 +18,11 @@ std::string dump(const GemmPlan<T, Bytes>& plan) {
      << ", B " << (plan.packs_b() ? "packed" : "no-pack") << "\n";
   os << "  batch counter: " << plan.slice_groups()
      << " group(s) per L1 slice\n";
+  os << "  C save: "
+     << (plan.streams_c(T{}, nullptr)
+             ? "streamed (non-temporal) when beta = 0 and unscanned"
+             : "cached")
+     << "\n";
   os << "  m tiles:";
   for (const Tile& t : plan.m_tiles()) {
     os << ' ' << t.size << "@" << t.offset;

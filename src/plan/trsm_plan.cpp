@@ -255,7 +255,7 @@ void TrsmPlan<T, Bytes>::execute_range(const CompactBuffer<T>& a,
   const bool solve = shape_.op == TriOp::Solve;
   const T b_scale = solve ? alpha : T(1);
   this->walk(
-      b.groups(), g_begin, g_end, deadline,
+      this->stream_, b.groups(), g_begin, g_end, deadline,
       [&](index_t g) {
         return std::array<const void*, 2>{a.group_data(g), b.group_data(g)};
       },

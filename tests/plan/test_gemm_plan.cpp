@@ -1,10 +1,13 @@
 #include <complex>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "../testutil.hpp"
+#include "iatf/core/width_dispatch.hpp"
 #include "iatf/plan/gemm_plan.hpp"
 #include "iatf/ref/ref_blas.hpp"
+#include "iatf/simd/isa.hpp"
 
 namespace iatf {
 namespace {
@@ -181,6 +184,55 @@ TEST(GemmPlanErrors, MismatchedBuffersThrow) {
   // Wrong interleave width.
   CompactBuffer<float> wide_a(4, 4, 8, 8);
   EXPECT_THROW(plan.execute(wide_a, b, c, 1.0f, 0.0f), Error);
+}
+
+// The SAVE's alpha*acc + beta*C is pinned (out = alpha*acc, then
+// out = fma(beta, C, out)), so a tiling that hands a C element to a
+// different kernel instance cannot change its bits: default tiles and
+// 2x3 tiles give memcmp-equal C at beta != 0, at every width the host
+// supports.
+template <class T, int Bytes> void expect_tile_cap_bit_identical() {
+  const index_t pw = simd::pack_width_bytes_v<T, Bytes>;
+  const index_t batch = 2 * pw + 1;
+  Rng rng(7100 + Bytes);
+  const auto a = test::random_batch<T>(7, 5, batch, rng);
+  const auto b = test::random_batch<T>(5, 7, batch, rng);
+  const auto c = test::random_batch<T>(7, 7, batch, rng);
+  const auto ca = a.to_compact(pw);
+  const auto cb = b.to_compact(pw);
+  T alpha(0.75);
+  T beta(-1.25);
+  if constexpr (is_complex_v<T>) {
+    alpha.imag(0.5);
+    beta.imag(0.375);
+  }
+  const GemmShape shape{7, 7, 5, Op::NoTrans, Op::NoTrans, batch};
+  const CacheInfo cache = CacheInfo::kunpeng920();
+  plan::PlanTuning capped;
+  capped.mc_cap = 2;
+  capped.nc_cap = 3;
+  auto c_default = c.to_compact(pw);
+  auto c_capped = c.to_compact(pw);
+  GemmPlan<T, Bytes>(shape, cache).execute(ca, cb, c_default, alpha, beta);
+  GemmPlan<T, Bytes>(shape, cache, capped)
+      .execute(ca, cb, c_capped, alpha, beta);
+  ASSERT_EQ(c_default.size(), c_capped.size());
+  EXPECT_EQ(std::memcmp(c_default.data(), c_capped.data(),
+                        c_default.size() * sizeof(real_t<T>)),
+            0)
+      << Bytes << "-byte width";
+}
+
+template <class T> class GemmSave : public ::testing::Test {};
+TYPED_TEST_SUITE(GemmSave, ScalarTypes);
+
+TYPED_TEST(GemmSave, TileCapDoesNotChangeBits) {
+  using T = TypeParam;
+  for (simd::Isa isa : simd::supported_isas()) {
+    dispatch_bytes<T>(simd::isa_bytes(isa), [](auto bytes) {
+      expect_tile_cap_bit_identical<T, decltype(bytes)::value>();
+    });
+  }
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 // normalised to whole interleave groups. Results can additionally be
 // dumped as the same machine-readable JSON the bench harness emits
 // (--json), so tuned/untuned throughput plots come from one schema.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -92,6 +93,21 @@ bool valid_mode(const std::string& tok) {
          in(tok[2], "NTC") && in(tok[3], "NU");
 }
 
+/// A positive decimal integer no larger than `max`: digits only, no
+/// sign, no trailing text, not zero.
+bool parse_positive(const std::string& tok, long long max, long long& out) {
+  if (tok.empty() || tok.size() > 18 ||
+      tok.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  out = std::atoll(tok.c_str());
+  return out > 0 && out <= max;
+}
+
+/// Upper bound of a size or batch token: far beyond any memory, and
+/// clear of index_t overflow in the descriptor arithmetic.
+constexpr long long kMaxCount = 1LL << 40;
+
 /// Returns false when main should exit immediately with `exit_code`
 /// (0 for --help/--version, 2 for anything malformed).
 bool parse_cli(int argc, char** argv, CliOptions& cli, int& exit_code) {
@@ -111,17 +127,41 @@ bool parse_cli(int argc, char** argv, CliOptions& cli, int& exit_code) {
       const std::size_t len = std::strlen(prefix);
       return std::strncmp(arg, prefix, len) == 0 ? arg + len : nullptr;
     };
+    // A count flag's value must be a positive integer; a bad one exits 2
+    // before anything is tuned or written.
+    const auto count = [&](const char* v, long long max, long long& out) {
+      if (parse_positive(v, max, out)) {
+        return true;
+      }
+      std::fprintf(stderr, "iatf_tune: '%s' is not a positive integer\n",
+                   arg);
+      exit_code = 2;
+      return false;
+    };
+    long long n = 0;
     if (const char* v = value("--op=")) {
       cli.op = v;
+      if (cli.op != "gemm" && cli.op != "trsm" && cli.op != "all") {
+        std::fprintf(stderr, "iatf_tune: unknown op '%s'\n", v);
+        exit_code = 2;
+        return false;
+      }
     } else if (const char* v = value("--dtypes=")) {
       cli.dtypes = v;
     } else if (const char* v = value("--sizes=")) {
       cli.sizes.clear();
       for (const std::string& tok : split(v)) {
-        const long long n = std::atoll(tok.c_str());
-        if (n > 0) {
-          cli.sizes.push_back(static_cast<index_t>(n));
+        if (!parse_positive(tok, kMaxCount, n)) {
+          std::fprintf(stderr, "iatf_tune: bad size '%s'\n", tok.c_str());
+          exit_code = 2;
+          return false;
         }
+        cli.sizes.push_back(static_cast<index_t>(n));
+      }
+      if (cli.sizes.empty()) {
+        std::fprintf(stderr, "iatf_tune: --sizes names no size\n");
+        exit_code = 2;
+        return false;
       }
     } else if (const char* v = value("--modes=")) {
       cli.gemm_modes.clear();
@@ -136,11 +176,20 @@ bool parse_cli(int argc, char** argv, CliOptions& cli, int& exit_code) {
         (tok.size() == 2 ? cli.gemm_modes : cli.trsm_modes).push_back(tok);
       }
     } else if (const char* v = value("--batch=")) {
-      cli.tune.batch = std::atoll(v);
+      if (!count(v, kMaxCount, n)) {
+        return false;
+      }
+      cli.tune.batch = static_cast<index_t>(n);
     } else if (const char* v = value("--reps=")) {
-      cli.tune.reps = std::atoi(v);
+      if (!count(v, INT_MAX, n)) {
+        return false;
+      }
+      cli.tune.reps = static_cast<int>(n);
     } else if (const char* v = value("--threads=")) {
-      cli.threads = std::atoi(v);
+      if (!count(v, INT_MAX, n)) {
+        return false;
+      }
+      cli.threads = static_cast<int>(n);
     } else if (const char* v = value("--out=")) {
       cli.out = v;
     } else if (const char* v = value("--json=")) {
